@@ -858,11 +858,9 @@ fn measure_batch_ab(w: &Workload, opts: HarnessOpts) -> BatchAb {
     let store = CheckpointStore::open(&store_dir).expect("open batch A/B store");
     // All legs share pre-populated fast-forward checkpoints, so the A/B
     // isolates the window-sweep cost the batch executor removes.
-    {
-        let img = w.image(LayoutChoice::Optimized);
-        let fp = w.fingerprint(LayoutChoice::Optimized);
-        StoredSampler::new(img, fp, w.ref_seed(), scfg, &store).populate(windows);
-    }
+    let img = w.image(LayoutChoice::Optimized);
+    let fp = w.fingerprint(LayoutChoice::Optimized);
+    StoredSampler::new(img, fp, w.ref_seed(), scfg, &store).populate(windows);
     let lines = |points: &[Vec<SamplePoint>]| -> Vec<String> {
         grid.iter()
             .zip(points)
@@ -872,9 +870,19 @@ fn measure_batch_ab(w: &Workload, opts: HarnessOpts) -> BatchAb {
     let mut no_bank = opts;
     no_bank.warm_bank = false;
 
+    // The per-window leg is the `StoredSampler` reference loop itself,
+    // not a one-cell batch group, so the A/B keeps measuring what the
+    // batched executor replaced.
     let (per_window, per_window_wall_s) = timed(|| {
         grid.iter()
-            .map(|&c| run_cell_range(w, c, scfg, &no_bank, &store, 0..windows).0)
+            .map(|&c| {
+                StoredSampler::new(img, fp, w.ref_seed(), scfg, &store).run_range(
+                    c.engine,
+                    cell_config(c, &no_bank),
+                    0..windows,
+                    no_bank.jobs,
+                )
+            })
             .collect::<Vec<_>>()
     });
     eprintln!("  per-window leg: {per_window_wall_s:.2}s");

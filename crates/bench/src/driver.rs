@@ -38,7 +38,7 @@ use sfetch_workloads::{LayoutChoice, Workload};
 
 use crate::fleet_grid::{degradation_exit, run_fleet_grid, FleetGridError, FleetGridSpec};
 use crate::grid::{
-    cells, engine_key, merge_grid, parse_engines, parse_widths, point_line, run_cell_range,
+    cells, engine_key, merge_grid, parse_engines, parse_widths, point_line, run_cells_batched,
     spawn_shards, write_shard_atomic, CellRun, GridCell, GridError, GRID_SHARD_SCHEMA,
 };
 use crate::obs::ObsOpts;
@@ -566,32 +566,12 @@ pub fn run_fleet_cells(
     Ok((outcome.runs, degraded))
 }
 
-/// Runs one [`CellId`] end-to-end through the checkpoint store and
-/// renders its shard body — the **single code path** behind fleet
-/// worker processes, the daemon's in-process workers, and (via
-/// [`crate::grid::shard_file_text`]'s shared `run_cell_range`) the
-/// one-shot shards.
-///
-/// # Errors
-///
-/// A readable message on an unknown engine key.
-pub fn cell_body_text(
-    w: &Workload,
-    cell: &CellId,
-    scfg: SampleConfig,
-    opts: &HarnessOpts,
-    store: &CheckpointStore,
-) -> Result<String, String> {
-    let bodies = cell_group_bodies(w, std::slice::from_ref(cell), scfg, opts, store)?;
-    Ok(bodies.into_iter().next().expect("one body per cell"))
-}
-
 /// Runs a **compatible group** of [`CellId`]s (same window range) and
-/// renders one shard body per cell. A singleton group takes the classic
-/// per-cell [`run_cell_range`] path; larger groups share one batched
-/// sweep per window ([`crate::grid::run_cells_batched`]) — the point
-/// the fleet's group leasing exists for. Bodies are byte-identical
-/// either way.
+/// renders one shard body per cell — the single code path behind fleet
+/// worker processes and the daemon's in-process workers. The whole
+/// group shares one batched sweep per window
+/// ([`crate::grid::run_cells_batched`]), the point the fleet's group
+/// leasing exists for; bodies are byte-identical for any group shape.
 ///
 /// # Errors
 ///
@@ -619,21 +599,8 @@ pub fn cell_group_bodies(
         grid_cells.push(GridCell { engine, width: cell.width });
     }
     let range = first.lo..first.hi;
-    let per_cell: Vec<Vec<SamplePoint>> = if cells.len() == 1 {
-        let (pts, _) = run_cell_range(w, grid_cells[0], scfg, opts, store, range);
-        vec![pts]
-    } else {
-        let (pts, _) = crate::grid::run_cells_batched(
-            w,
-            &grid_cells,
-            cells.len(),
-            scfg,
-            opts,
-            store,
-            range,
-        );
-        pts
-    };
+    let (per_cell, _) =
+        run_cells_batched(w, &grid_cells, grid_cells.len(), scfg, opts, store, range);
     let mut bodies = Vec::with_capacity(cells.len());
     for ((cell, grid_cell), pts) in cells.iter().zip(&grid_cells).zip(per_cell) {
         let mut body = format!(
@@ -1145,6 +1112,13 @@ mod tests {
         assert_eq!(back.opts.batch, 4);
         assert_eq!(back.opts.warm_bank, r.opts.warm_bank);
         assert_eq!(back.family_tag(), r.family_tag());
+        // The default uncapped batch survives the wire as itself, so the
+        // daemon still reads it as "batched" (`> 1`).
+        let mut uncapped = req();
+        uncapped.opts.batch = HarnessOpts::default().batch;
+        let (_, back) =
+            GridRequest::parse_submit(&uncapped.submit_line("r-2")).expect("parse uncapped");
+        assert_eq!(back.opts.batch, usize::MAX);
     }
 
     #[test]

@@ -36,6 +36,7 @@ use sfetch_fleet::{
 };
 use sfetch_sample::{window_range, SampleConfig, SamplePoint, ShardSpec};
 
+use crate::driver::validate_shard_text;
 use crate::grid::{
     engine_key, merge_grid, merge_grid_partial, parse_shard_file, CellRun, GridCell, GridError,
     GRID_SHARD_SCHEMA,
@@ -166,12 +167,16 @@ fn config_tag(spec: &FleetGridSpec<'_>) -> u64 {
     fnv64(key.as_bytes())
 }
 
-/// The shard-file validator shared by the ledger (resume verification)
-/// and the supervisor (fresh-output verification): the trailer must
-/// verify and every point line must parse. Returns the digest of the
-/// full sealed text.
-fn validate_shard(text: &str) -> Result<u64, String> {
-    crate::driver::validate_shard_text(text)
+/// Cells leased to one worker: `min(batch, ceil(cells / procs))`, so
+/// the pool's workers split the same-range cells evenly and each group
+/// shares one batched sweep. Chaos runs stay singleton, so the
+/// deterministic per-cell fault schedule keeps its meaning.
+pub fn lease_group(batch: usize, chaos: bool, n_cells: usize, procs: usize) -> usize {
+    if chaos {
+        1
+    } else {
+        batch.min(n_cells.div_ceil(procs.max(1))).max(1)
+    }
 }
 
 /// Runs the grid under the fleet supervisor. The checkpoint store at
@@ -195,7 +200,7 @@ pub fn run_fleet_grid(spec: &FleetGridSpec<'_>) -> Result<FleetGridOutcome, Flee
         tag,
         &cell_ids,
         now_ms(),
-        &validate_shard,
+        &validate_shard_text,
     )?;
     if resume.resumed_done > 0 || resume.expired_leases > 0 || resume.invalidated > 0 {
         eprintln!(
@@ -207,11 +212,9 @@ pub fn run_fleet_grid(spec: &FleetGridSpec<'_>) -> Result<FleetGridOutcome, Flee
 
     let mut cfg = FleetConfig::new(spec.procs.min(cell_ids.len()).max(1));
     cfg.max_retries = spec.max_retries;
-    // `--batch N` composes with the fleet as group leasing: a worker
-    // claims up to N same-range cells and drives them from one shared
-    // sweep. Chaos runs stay singleton so the deterministic per-cell
-    // fault schedule keeps its meaning.
-    cfg.group = if spec.chaos.is_some() { 1 } else { spec.opts.batch.max(1) };
+    // A worker claims a group of same-range cells and drives them from
+    // one shared sweep; `--batch N` caps the group.
+    cfg.group = lease_group(spec.opts.batch, spec.chaos.is_some(), cell_ids.len(), cfg.procs);
     if let Some(s) = spec.cell_timeout_s {
         let ms = s.max(1) * 1000;
         cfg.timeout_floor_ms = ms;
@@ -278,7 +281,7 @@ pub fn run_fleet_grid(spec: &FleetGridSpec<'_>) -> Result<FleetGridOutcome, Flee
         &cfg,
         &mut ledger,
         &launcher,
-        &validate_shard,
+        &validate_shard_text,
         resume,
         &mut |msg| eprintln!("fleet: {msg}"),
     )?;
@@ -593,6 +596,97 @@ mod tests {
         }
     }
 
+    /// In-process launcher: records each leased group's size and writes
+    /// a valid sealed output per cell, so the worker "exits" at once.
+    struct RecordingLauncher(std::cell::RefCell<Vec<usize>>);
+
+    struct Exited(u64);
+
+    impl sfetch_fleet::WorkerHandle for Exited {
+        fn poll(&mut self) -> sfetch_fleet::PollResult {
+            sfetch_fleet::PollResult::Exited { success: true, detail: "ok".into() }
+        }
+        fn kill(&mut self) {}
+        fn worker_id(&self) -> u64 {
+            self.0
+        }
+    }
+
+    impl sfetch_fleet::Launcher for RecordingLauncher {
+        type Handle = Exited;
+        fn launch(
+            &self,
+            cell: &CellId,
+            attempt: u32,
+            out: &Path,
+            hb: &Path,
+        ) -> Result<Exited, FleetError> {
+            self.launch_group(
+                std::slice::from_ref(cell),
+                &[attempt],
+                std::slice::from_ref(&out.to_path_buf()),
+                hb,
+            )
+        }
+        fn launch_group(
+            &self,
+            cells: &[CellId],
+            _attempts: &[u32],
+            outs: &[PathBuf],
+            _hb: &Path,
+        ) -> Result<Exited, FleetError> {
+            let mut groups = self.0.borrow_mut();
+            groups.push(cells.len());
+            for (cell, out) in cells.iter().zip(outs) {
+                let body = format!("{{\"schema\": \"{GRID_SHARD_SCHEMA}\", \"cell\": \"{cell}\"}}\n");
+                std::fs::write(out, seal(&body)).expect("write cell output");
+            }
+            Ok(Exited(groups.len() as u64))
+        }
+    }
+
+    /// Group sizes the supervisor leases for the Fig. 8 grid (12 cells,
+    /// 4 windows) under the production lease rule.
+    fn leased_groups(batch: usize, chaos: bool, procs: usize, tag: &str) -> Vec<usize> {
+        let grid = cells(&crate::grid::grid_engines(), &crate::grid::FIG8_WIDTHS);
+        let ids = decompose(&grid, 4, procs);
+        assert!(ids.iter().all(|c| (c.lo, c.hi) == (0, 4)), "one same-range cell per pair");
+        let dir = std::env::temp_dir()
+            .join(format!("sfetch-lease-{tag}-{}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&dir);
+        std::fs::create_dir_all(&dir).expect("mk tmp");
+        let (mut ledger, resume) =
+            Ledger::open(dir.join("cells.ledger"), 1, &ids, now_ms(), &validate_shard_text)
+                .expect("open ledger");
+        let mut cfg = FleetConfig::new(procs.min(ids.len()));
+        cfg.group = lease_group(batch, chaos, ids.len(), cfg.procs);
+        let launcher = RecordingLauncher(Default::default());
+        let report = sfetch_fleet::run_fleet(
+            &cfg,
+            &mut ledger,
+            &launcher,
+            &validate_shard_text,
+            resume,
+            &mut |_msg| {},
+        )
+        .expect("run_fleet");
+        assert_eq!(report.done.len(), ids.len(), "every cell completes");
+        assert_eq!(report.spawned as usize, launcher.0.borrow().len());
+        let _ = std::fs::remove_dir_all(&dir);
+        launcher.0.into_inner()
+    }
+
+    #[test]
+    fn leases_split_same_range_cells_across_the_pool() {
+        let uncapped = HarnessOpts::default().batch;
+        assert_eq!(leased_groups(uncapped, false, 2, "default"), vec![6, 6]);
+        assert_eq!(leased_groups(1, false, 2, "batch1"), vec![1; 12]);
+        assert_eq!(leased_groups(uncapped, true, 2, "chaos"), vec![1; 12]);
+        // A cap below the even split wins; one process takes the grid.
+        assert_eq!(lease_group(4, false, 12, 2), 4);
+        assert_eq!(lease_group(uncapped, false, 12, 1), 12);
+    }
+
     #[test]
     fn child_args_roundtrip() {
         let args: Vec<String> = [
@@ -687,10 +781,10 @@ mod tests {
         };
         let body = format!("{}\n", point_line(cell, &p));
         let sealed = seal(&body);
-        assert!(validate_shard(&sealed).is_ok());
+        assert!(validate_shard_text(&sealed).is_ok());
         for fault in [chaos::Fault::WriteTruncated, chaos::Fault::WriteCorrupt] {
             let (mangled, _) = chaos::mangle_output(fault, &sealed);
-            assert!(validate_shard(&mangled).is_err(), "{fault:?} must be rejected");
+            assert!(validate_shard_text(&mangled).is_err(), "{fault:?} must be rejected");
         }
     }
 }

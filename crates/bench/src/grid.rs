@@ -17,7 +17,7 @@ use sfetch_core::ProcessorConfig;
 use sfetch_fetch::EngineKind;
 use sfetch_sample::{
     estimate, BatchCell, BatchSampler, CheckpointStore, Estimate, SampleConfig, SamplePoint,
-    StoreStats, StoredSampler,
+    StoreStats,
 };
 use sfetch_workloads::{LayoutChoice, Workload};
 
@@ -239,7 +239,8 @@ pub struct CellRun {
 
 /// Runs one cell's window range through the checkpoint store with the
 /// given sampling schedule (`--sample` for `shard_runner`,
-/// `--grid-sample` for the figure bins).
+/// `--grid-sample` for the figure bins): a one-cell
+/// [`run_cells_batched`] group.
 pub fn run_cell_range(
     w: &Workload,
     cell: GridCell,
@@ -248,12 +249,8 @@ pub fn run_cell_range(
     store: &CheckpointStore,
     range: Range<u64>,
 ) -> (Vec<SamplePoint>, StoreStats) {
-    let img = w.image(LayoutChoice::Optimized);
-    let fp = w.fingerprint(LayoutChoice::Optimized);
-    let mut s =
-        StoredSampler::new(img, fp, w.ref_seed(), scfg, store).with_warm_bank(opts.warm_bank);
-    let pts = s.run_range(cell.engine, cell_config(cell, opts), range, opts.jobs);
-    (pts, s.stats())
+    let (mut per_cell, stats) = run_cells_batched(w, &[cell], 1, scfg, opts, store, range);
+    (per_cell.pop().expect("one window list per cell"), stats)
 }
 
 /// Runs a cell list's shared window range through batched sweeps: the
@@ -261,7 +258,8 @@ pub fn run_cell_range(
 /// one [`BatchSampler`] — one recorded functional walk per window per
 /// group instead of one per window per cell. Returns per-cell window
 /// lists in cell order plus the total checkpoint-store traffic.
-/// Bit-identical to [`run_cell_range`] per cell, for any `batch`.
+/// Bit-identical per cell for any `batch` (and to the per-window
+/// [`sfetch_sample::StoredSampler`] reference the tests hold it to).
 pub fn run_cells_batched(
     w: &Workload,
     cells: &[GridCell],
@@ -283,21 +281,6 @@ pub fn run_cells_batched(
         let mut s =
             BatchSampler::new(img, fp, w.ref_seed(), scfg, store).with_warm_bank(opts.warm_bank);
         out.extend(s.run_range_points(&bcells, range.clone(), opts.jobs));
-        if std::env::var_os("SFETCH_BATCH_DEBUG").is_some() {
-            let t = s.timing();
-            let wb = s.warm_bank_stats();
-            let (ch, cm) = store.warm_cache_traffic();
-            eprintln!(
-                "    [batch debug] ff {:.3}s warm {:.3}s bank h/m/r {}/{}/{} cache h/m {}/{}",
-                t.ff_ns as f64 / 1e9,
-                t.warm_ns as f64 / 1e9,
-                wb.hits,
-                wb.misses,
-                wb.rejected,
-                ch,
-                cm
-            );
-        }
         let st = s.stats();
         total.hits += st.hits;
         total.misses += st.misses;
@@ -307,9 +290,9 @@ pub fn run_cells_batched(
 }
 
 /// Runs the whole grid for one workload through the store, returning
-/// per-cell estimates plus the total store traffic. With `--batch N > 1`
-/// the cells ride batched sweeps ([`run_cells_batched`]); otherwise cell
-/// by cell. Either way the points are bit-identical.
+/// per-cell estimates plus the total store traffic. The cells ride
+/// batched sweeps ([`run_cells_batched`]) in groups of at most
+/// `--batch`; by default the whole grid shares one sweep per window.
 pub fn run_sampled_grid(
     w: &Workload,
     cells: &[GridCell],
@@ -319,26 +302,11 @@ pub fn run_sampled_grid(
     store: &CheckpointStore,
 ) -> (Vec<CellRun>, StoreStats) {
     let windows = scfg.windows(total_insts);
-    if opts.batch > 1 {
-        let (per_cell, total) = run_cells_batched(w, cells, opts.batch, scfg, opts, store, 0..windows);
-        let runs = cells
-            .iter()
-            .zip(per_cell)
-            .map(|(&cell, points)| {
-                let estimate = estimate(&points, scfg.confidence);
-                CellRun { cell, points, estimate }
-            })
-            .collect();
-        return (runs, total);
-    }
-    let mut total = StoreStats::default();
+    let (per_cell, total) = run_cells_batched(w, cells, opts.batch, scfg, opts, store, 0..windows);
     let runs = cells
         .iter()
-        .map(|&cell| {
-            let (points, st) = run_cell_range(w, cell, scfg, opts, store, 0..windows);
-            total.hits += st.hits;
-            total.misses += st.misses;
-            total.rejected += st.rejected;
+        .zip(per_cell)
+        .map(|(&cell, points)| {
             let estimate = estimate(&points, scfg.confidence);
             CellRun { cell, points, estimate }
         })
@@ -501,43 +469,26 @@ pub fn shard_file_text(
         w.name()
     ));
     out.push_str(" \"points\": [\n");
-    let mut first = true;
-    let mut emit = |cell: GridCell, pts: Vec<SamplePoint>, out: &mut String| {
-        for p in pts {
-            if !first {
-                out.push_str(",\n");
-            }
-            first = false;
-            out.push_str("  ");
-            out.push_str(&point_line(cell, &p));
-        }
-    };
+    let mut lines = Vec::new();
     let items = grid_shard_items(grid.len(), windows, shard);
     let mut i = 0;
     while i < items.len() {
-        let range = items[i].1.clone();
         // Consecutive cells sharing the same window range ride one
-        // batched sweep (`--batch N`); a lone or range-split item runs
-        // the classic per-cell path. Output order and bytes are
-        // identical either way.
+        // batched sweep, up to the `--batch` cap; a range-split item
+        // sweeps alone. Output order and bytes are identical either way.
+        let range = items[i].1.clone();
         let mut j = i + 1;
-        while opts.batch > 1 && j < items.len() && j - i < opts.batch && items[j].1 == range {
+        while j < items.len() && j - i < opts.batch && items[j].1 == range {
             j += 1;
         }
-        if j - i > 1 {
-            let group: Vec<GridCell> = items[i..j].iter().map(|&(ci, _)| grid[ci]).collect();
-            let (per_cell, _) =
-                run_cells_batched(w, &group, opts.batch, scfg, opts, store, range);
-            for (&cell, pts) in group.iter().zip(per_cell) {
-                emit(cell, pts, &mut out);
-            }
-        } else {
-            let cell = grid[items[i].0];
-            let (pts, _) = run_cell_range(w, cell, scfg, opts, store, range);
-            emit(cell, pts, &mut out);
+        let group: Vec<GridCell> = items[i..j].iter().map(|&(ci, _)| grid[ci]).collect();
+        let (per_cell, _) = run_cells_batched(w, &group, opts.batch, scfg, opts, store, range);
+        for (&cell, pts) in group.iter().zip(per_cell) {
+            lines.extend(pts.iter().map(|p| format!("  {}", point_line(cell, p))));
         }
         i = j;
     }
+    out.push_str(&lines.join(",\n"));
     out.push_str("\n]}\n");
     out
 }

@@ -180,12 +180,16 @@ pub struct HarnessOpts {
     /// the functional-warming walk. Results are bit-identical with the
     /// bank on or off; only host time changes. Off by default.
     pub warm_bank: bool,
-    /// Grid cells driven per shared functional sweep (`--batch N`): the
-    /// sampled grids batch up to `N` same-window cells through one
-    /// recorded executor walk ([`sfetch_sample::BatchSampler`]).
-    /// Results are bit-identical for any value — batching, like
-    /// `--warm-bank` and `--jobs`, is a host-time knob. Default 1 (the
-    /// per-window path).
+    /// Cap on the grid cells driven per shared functional sweep
+    /// (`--batch N`). Every sampled grid runs through
+    /// [`sfetch_sample::BatchSampler`]: cells that sample the same
+    /// window range ride one recorded executor walk per window, in
+    /// groups of at most `N` (`--batch 1` = one cell per sweep). Results
+    /// are bit-identical for any value — batching, like `--warm-bank`
+    /// and `--jobs`, is a host-time knob. A cap trades sweep sharing for
+    /// a smaller resident working set per group (one warmed engine and
+    /// memory hierarchy per cell in flight). Default `usize::MAX`: no
+    /// cap, one sweep per window for the whole grid.
     pub batch: usize,
     /// Byte cap on the checkpoint store (`--store-cap-bytes N`): saves
     /// evict least-recently-accessed unleased entries past the cap,
@@ -210,7 +214,7 @@ impl Default for HarnessOpts {
             front: FrontMode::default(),
             grid_prefetch: GridPrefetchMode::default(),
             warm_bank: false,
-            batch: 1,
+            batch: usize::MAX,
             store_cap_bytes: None,
         }
     }
@@ -601,6 +605,8 @@ mod tests {
         // their natural prefetch policies.
         assert_eq!(o.front, FrontMode::PerEngine);
         assert_eq!(o.grid_prefetch, GridPrefetchMode::Natural);
+        // No batch cap: the whole grid shares one sweep per window.
+        assert_eq!(o.batch, usize::MAX);
     }
 
     #[test]

@@ -27,7 +27,7 @@ use sfetch_fetch::EngineKind;
 use sfetch_isa::Addr;
 use sfetch_obs::jsonl::str_array;
 use sfetch_obs::{JsonlFile, KonataTrace, Row, TimeSeriesSink};
-use sfetch_sample::{BatchCell, BatchSampler, CheckpointStore, SampleConfig, StoredSampler};
+use sfetch_sample::{BatchCell, BatchSampler, CheckpointStore, SampleConfig};
 use sfetch_workloads::{LayoutChoice, Workload};
 
 use crate::grid::{cell_config, engine_key, GridCell};
@@ -195,14 +195,15 @@ pub fn capture_ptrace(
 /// `ptrace_<engine>.kanata` pipeline trace per engine at the widest
 /// configuration. No-op when `--obs-dir` was not given.
 ///
-/// The side pass honours `--batch N`: cells are swept in groups of `N`,
-/// each group's windows driven by one [`BatchSampler`] over the shared
-/// functional reference stream, and `batches.jsonl` records which time
-/// series came out of which sweep (per-batch attribution). Because the
-/// batched sweep is bit-identical to the per-window [`StoredSampler`]
-/// path (the tier-1 differential oracle), the emitted rows are the same
-/// bytes at any batch size — only the attribution manifest and the wall
-/// time change.
+/// The side pass honours the `--batch N` cap: cells are swept in groups
+/// of at most `N` (by default the whole grid), each group's windows
+/// driven by one [`BatchSampler`] over the shared functional reference
+/// stream, and `batches.jsonl` records which time series came out of
+/// which sweep (per-batch attribution). Because the batched sweep is
+/// bit-identical to the per-window [`sfetch_sample::StoredSampler`]
+/// reference (the tier-1 differential oracle), the emitted rows are the
+/// same bytes at any batch size — only the attribution manifest and the
+/// wall time change.
 ///
 /// Every sink is checked on the way out: the time-series totals must
 /// equal the accumulated per-window [`SimStats`] exactly (the
@@ -224,26 +225,15 @@ pub fn write_sampled_obs(
     let batch = opts.batch.max(1);
     let mut manifest = JsonlFile::create(&dir.join("batches.jsonl"))?;
     for (group, chunk) in grid.chunks(batch).enumerate() {
-        // A singleton group runs the historical per-cell path; larger
-        // groups share one batched sweep. Either way the per-window
-        // stats are identical — the grouping only decides how many
-        // functional reference walks the side pass pays for.
-        let results: Vec<Vec<(sfetch_sample::SamplePoint, SimStats)>> = if chunk.len() > 1 {
-            let cells: Vec<BatchCell> = chunk
-                .iter()
-                .map(|&c| BatchCell { kind: c.engine, pcfg: cell_config(c, opts) })
-                .collect();
-            BatchSampler::new(img, fp, w.ref_seed(), scfg, store)
-                .run_range(&cells, 0..windows, opts.jobs)
-        } else {
-            chunk
-                .iter()
-                .map(|&c| {
-                    StoredSampler::new(img, fp, w.ref_seed(), scfg, store)
-                        .run_range_stats(c.engine, cell_config(c, opts), 0..windows, opts.jobs)
-                })
-                .collect()
-        };
+        // The per-window stats are identical for any grouping — it only
+        // decides how many functional reference walks the side pass
+        // pays for.
+        let cells: Vec<BatchCell> = chunk
+            .iter()
+            .map(|&c| BatchCell { kind: c.engine, pcfg: cell_config(c, opts) })
+            .collect();
+        let results = BatchSampler::new(img, fp, w.ref_seed(), scfg, store)
+            .run_range(&cells, 0..windows, opts.jobs);
         let names: Vec<String> = chunk
             .iter()
             .map(|c| format!("ts_{}_{}.jsonl", engine_key(c.engine), c.width))

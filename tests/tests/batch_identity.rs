@@ -4,17 +4,23 @@
 //! per-window results **bit-identical** to running every cell through
 //! the per-window [`StoredSampler`] — the full `SimStats`, not just the
 //! IPC. The squash-heavy phased workload additionally pins the case
-//! where measured windows straddle the in-flight batch boundary.
+//! where measured windows straddle the in-flight batch boundary, and
+//! the full Fig. 8 grid pins the production grid paths byte for byte
+//! at every batch cap, the uncapped default included.
 
 use proptest::prelude::*;
 
-use sfetch_bench::workload_by_name;
+use sfetch_bench::grid::{
+    cell_config, cells, grid_engines, merge_grid, parse_shard_body, point_line, run_sampled_grid,
+    shard_file_text, CellRun, FIG8_WIDTHS,
+};
+use sfetch_bench::{workload_by_name, HarnessOpts};
 use sfetch_cfg::gen::{GenParams, ProgramGenerator};
 use sfetch_cfg::{layout, CodeImage};
 use sfetch_core::{ProcessorConfig, SimStats};
 use sfetch_fetch::{EngineKind, FrontPipeline};
 use sfetch_sample::{
-    BatchCell, BatchSampler, CheckpointStore, SamplePoint, SampleConfig, StoredSampler,
+    BatchCell, BatchSampler, CheckpointStore, SamplePoint, SampleConfig, ShardSpec, StoredSampler,
 };
 use sfetch_workloads::LayoutChoice;
 
@@ -79,6 +85,59 @@ fn phased_squash_heavy_windows_straddle_batch_boundaries() {
     assert_eq!(got, want, "phased batched windows must match the per-window oracle bit-for-bit");
     let mispredictions: u64 = got.iter().flatten().map(|(_, s)| s.mispredictions).sum();
     assert!(mispredictions > 0, "phased windows must actually exercise squash recovery");
+    let _ = std::fs::remove_dir_all(store.root());
+}
+
+/// Full-grid byte equality across batch caps: the whole Fig. 8 grid,
+/// one-shot through `run_sampled_grid` and through five
+/// `shard_file_text` shards (some of which start mid-cell), must render
+/// the per-window reference's point lines at `--batch 1`, at a cap that
+/// splits the grid, and at the default (uncapped) options.
+#[test]
+fn full_grid_is_byte_identical_at_every_batch_cap() {
+    let w = workload_by_name("phased");
+    let img = w.image(LayoutChoice::Optimized);
+    let fp = w.fingerprint(LayoutChoice::Optimized);
+    let scfg = SampleConfig {
+        interval: 40_000,
+        warm_func: 6_000,
+        warm_mem: 6_000,
+        warm_detail: 1_000,
+        measure: 2_000,
+        ..Default::default()
+    };
+    let windows = 2;
+    let total = windows * scfg.interval;
+    let grid = cells(&grid_engines(), &FIG8_WIDTHS);
+    let store = tmp_store("grid");
+    let base = HarnessOpts { jobs: 2, grid_total: total, grid_sample: scfg, ..HarnessOpts::default() };
+    let reference: Vec<String> = grid
+        .iter()
+        .flat_map(|&c| {
+            StoredSampler::new(img, fp, w.ref_seed(), scfg, &store)
+                .run_range(c.engine, cell_config(c, &base), 0..windows, 1)
+                .iter()
+                .map(|p| point_line(c, p))
+                .collect::<Vec<_>>()
+        })
+        .collect();
+    let lines = |runs: &[CellRun]| -> Vec<String> {
+        runs.iter().flat_map(|r| r.points.iter().map(|p| point_line(r.cell, p))).collect()
+    };
+    for opts in [HarnessOpts { batch: 1, ..base }, HarnessOpts { batch: 5, ..base }, base] {
+        let (runs, _) = run_sampled_grid(&w, &grid, scfg, total, &opts, &store);
+        assert_eq!(lines(&runs), reference, "one-shot grid at batch {}", opts.batch);
+        let mut tuples = Vec::new();
+        for index in 0..5 {
+            let text = shard_file_text(&w, &grid, windows, scfg, &opts, &store, ShardSpec {
+                index,
+                count: 5,
+            });
+            tuples.extend(parse_shard_body(&text).expect("shard body parses"));
+        }
+        let merged = merge_grid(&grid, windows, &tuples, scfg.confidence).expect("merge");
+        assert_eq!(lines(&merged), reference, "sharded grid at batch {}", opts.batch);
+    }
     let _ = std::fs::remove_dir_all(store.root());
 }
 

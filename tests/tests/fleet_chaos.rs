@@ -13,9 +13,12 @@
 use std::path::{Path, PathBuf};
 use std::process::Command;
 
+use sfetch_bench::fleet_grid::{decompose, lease_group};
+use sfetch_bench::grid::{cells, grid_engines, FIG8_WIDTHS};
+use sfetch_bench::HarnessOpts;
 use sfetch_fleet::{
-    fnv64, now_ms, run_fleet, CellId, FleetConfig, FleetReport, Ledger, ProcessLauncher,
-    ResumeSummary,
+    fnv64, now_ms, run_fleet, CellId, FleetConfig, FleetReport, Ledger, ProcessGroupLauncher,
+    ProcessLauncher, ResumeSummary,
 };
 
 const CONFIG: u64 = 0xc4a05;
@@ -181,6 +184,32 @@ fn hung_worker_is_killed_and_recovered() {
     assert_eq!(report.done.len(), 1, "recovered after the kill");
     assert!(report.kills >= 1, "the straggler must have been killed");
     assert!(report.done[0].attempts >= 1);
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+/// The production lease rule over real processes: the default-options
+/// Fig. 8 grid (12 same-range cells) on a 2-process pool leases two
+/// 6-cell groups, so exactly two workers spawn, each writing every
+/// output of its group.
+#[test]
+fn default_grid_spawns_one_worker_per_process() {
+    let grid = cells(&grid_engines(), &FIG8_WIDTHS);
+    let ids = decompose(&grid, 4, 2);
+    let dir = fresh_dir("lease");
+    let mut cfg = fast_cfg();
+    cfg.group = lease_group(HarnessOpts::default().batch, false, ids.len(), cfg.procs);
+    let (mut ledger, resume) = open_ledger(&dir, &ids);
+    let launcher =
+        ProcessGroupLauncher::new(|group: &[CellId], _attempts: &[u32], outs: &[PathBuf], hb: &Path| {
+            let scripts: Vec<String> =
+                group.iter().zip(outs).map(|(cell, out)| good_script(cell, out, hb)).collect();
+            sh(scripts.join(" && "))
+        });
+    let report =
+        run_fleet(&cfg, &mut ledger, &launcher, &validate, resume, &mut |_msg| {}).expect("run");
+    assert_eq!(report.done.len(), 12, "every cell completes");
+    assert_eq!(report.spawned, 2, "two 6-cell groups, not twelve one-cell workers");
+    assert!(report.summary_line().contains("spawned=2"));
     let _ = std::fs::remove_dir_all(&dir);
 }
 
