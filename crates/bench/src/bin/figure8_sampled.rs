@@ -17,7 +17,7 @@
 //!     [--bench phased] [--grid-total N] [--grid-sample U,Wf,Wd,D[,Wm]] \
 //!     [--engines all|…] [--widths all|…] [--store DIR] \
 //!     [--procs N] [--verify] [--chaos SEED] [--max-retries N] \
-//!     [--cell-timeout SECS] [--no-fleet] [--spread-floor F] \
+//!     [--cell-timeout SECS] [--spread-floor F] \
 //!     [--jobs N] [--batch N] [--store-cap-bytes N] \
 //!     [--legacy-scan] [--prefetch K] [--warm-bank] \
 //!     [--front-pipeline legacy|engine] [--grid-prefetch shared|natural] \
@@ -39,12 +39,19 @@
 //! or hung workers are retried with backoff, and a killed parent
 //! resumes mid-grid on re-invocation. `--chaos SEED` injects
 //! deterministic worker faults to prove the merged output stays
-//! byte-identical; `--no-fleet` falls back to the plain one-shot
-//! fan-out. `--verify` reruns every cell through a **storeless** live
-//! sampler and asserts the merged result is bit-identical, so the store
-//! machinery itself is under test. With `--store DIR` checkpoints
+//! byte-identical. `--verify` reruns every cell through a **storeless**
+//! live sampler and asserts the merged result is bit-identical, so the
+//! store machinery itself is under test. With `--store DIR` checkpoints
 //! persist across invocations. Exit status: 0 complete, 2 degraded,
 //! 1 error.
+//!
+//! Accuracy note: sampled-IPC accuracy is validated (BENCH_4
+//! `sampling_ab`) for the **stream** engine, whose self-checking
+//! `warm_block` trains partial streams during functional warming. The
+//! other engines warm through plain commit training and their sampled
+//! IPC may carry additional cold-structure bias; compare engines under
+//! identical schedules and treat cross-engine deltas, not absolute
+//! levels, as the signal.
 //!
 //! With `--serve SOCKET` the grid is not simulated locally at all: the
 //! request is submitted to a resident `sfetch-serve` daemon, the
@@ -72,8 +79,8 @@ use std::path::Path;
 use std::process::ExitCode;
 
 use sfetch_bench::driver::{
-    finish_store, or_die, populate_store, resolve_store, run_fleet_cells, run_no_fleet,
-    run_shard_child, submit_and_collect, ArgDefaults, CommonArgs, ScheduleAxis, ServeEvent,
+    finish_store, or_die, populate_store, resolve_store, run_fleet_cells, submit_and_collect,
+    ArgDefaults, CommonArgs, ServeEvent,
 };
 use sfetch_bench::fleet_grid::maybe_run_fleet_child;
 use sfetch_bench::grid::{
@@ -82,8 +89,6 @@ use sfetch_bench::grid::{
 use sfetch_bench::obs::write_sampled_obs;
 use sfetch_bench::workload_by_name;
 use sfetch_sample::CheckpointStore;
-
-const AXIS: ScheduleAxis = ScheduleAxis::Grid;
 
 fn print_panels(a: &CommonArgs, runs: &[CellRun]) {
     for (panel, &width) in a.widths.iter().enumerate() {
@@ -140,7 +145,7 @@ fn maybe_verify(a: &CommonArgs, runs: &[CellRun], windows: u64, degraded: bool) 
     if a.verify && !degraded {
         eprintln!("\nverifying merged grid against a storeless in-process rerun…");
         let w = workload_by_name(a.bench());
-        verify_merged(&w, runs, AXIS.scfg(&a.opts), &a.opts, windows);
+        verify_merged(&w, runs, a.opts.grid_sample, &a.opts, windows);
         println!("verify OK: store-backed grid is bit-identical to a storeless single-process run");
     } else if a.verify {
         eprintln!("verify skipped: degraded result has incomplete cells");
@@ -161,7 +166,7 @@ fn exit_for(floor_failed: bool, degraded: bool) -> ExitCode {
 /// `--serve SOCKET`: submit to the resident daemon, merge the streamed
 /// points client-side, render the identical table.
 fn run_serve(a: &CommonArgs, sock: &Path) -> ExitCode {
-    let req = a.request(a.bench(), AXIS);
+    let req = a.request(a.bench());
     let grid = req.grid();
     let windows = req.windows();
     let id = a.req_id.clone().unwrap_or_else(|| format!("fig8-{}", std::process::id()));
@@ -191,7 +196,7 @@ fn run_serve(a: &CommonArgs, sock: &Path) -> ExitCode {
 fn run_parent(a: &CommonArgs) -> ExitCode {
     let w = workload_by_name(a.bench());
     let grid = cells(&a.engines, &a.widths);
-    let scfg = AXIS.scfg(&a.opts);
+    let scfg = a.opts.grid_sample;
     let windows = scfg.windows(a.opts.grid_total);
     assert!(windows >= 1, "grid-total {} yields no windows", a.opts.grid_total);
     eprintln!(
@@ -209,16 +214,12 @@ fn run_parent(a: &CommonArgs) -> ExitCode {
 
     let mut degraded = false;
     let runs = if a.procs > 1 {
-        // Populate once, then fan the flattened grid across processes.
+        // Populate once, then fan the grid across fleet workers.
         populate_store(&w, scfg, windows, &store, &format!("store {}", store_dir.display()));
         let procs = a.procs.min((grid.len() as u64 * windows) as usize).max(1);
-        if a.no_fleet {
-            or_die(run_no_fleet(a, AXIS, a.bench(), &grid, windows, procs, &tmp, &store_dir))
-        } else {
-            let (runs, d) = or_die(run_fleet_cells(a, AXIS, a.bench(), &grid, &store_dir, procs));
-            degraded = d;
-            runs
-        }
+        let (runs, d) = or_die(run_fleet_cells(a, a.bench(), &grid, &store_dir, procs));
+        degraded = d;
+        runs
     } else {
         let (runs, traffic) = run_sampled_grid(&w, &grid, scfg, a.opts.grid_total, &a.opts, &store);
         eprintln!(
@@ -252,11 +253,8 @@ fn main() -> ExitCode {
         widths: "all",
         procs: 1,
     });
-    if let Some(sock) = a.serve.clone() {
-        return run_serve(&a, &sock);
-    }
-    match a.shard {
-        Some(spec) => run_shard_child(&a, AXIS, spec),
+    match a.serve.clone() {
+        Some(sock) => run_serve(&a, &sock),
         None => run_parent(&a),
     }
 }

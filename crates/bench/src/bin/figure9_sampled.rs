@@ -50,7 +50,7 @@ use std::process::ExitCode;
 
 use sfetch_bench::driver::{
     finish_store, or_die, populate_store, resolve_store, run_fleet_cells, submit_and_collect,
-    ArgDefaults, CommonArgs, ScheduleAxis,
+    ArgDefaults, CommonArgs,
 };
 use sfetch_bench::fleet_grid::maybe_run_fleet_child;
 use sfetch_bench::grid::{cells, merge_grid, run_sampled_grid, CellRun, FIG9_WIDTH};
@@ -63,8 +63,6 @@ use sfetch_sample::CheckpointStore;
 /// Default benchmark set: the quick ablation subset plus the
 /// long-horizon phased workload.
 const DEFAULT_BENCHES: &str = "gzip,gcc,crafty,twolf,phased";
-
-const AXIS: ScheduleAxis = ScheduleAxis::Grid;
 
 fn main() -> ExitCode {
     maybe_run_fleet_child();
@@ -110,7 +108,7 @@ fn main() -> ExitCode {
         let runs: Vec<CellRun> = if let Some(sock) = &a.serve {
             // Resident path: one request per benchmark, merged from the
             // daemon's result stream.
-            let req = a.request(bench, AXIS);
+            let req = a.request(bench);
             let id = a
                 .req_id
                 .as_deref()
@@ -129,7 +127,7 @@ fn main() -> ExitCode {
             let w = workload_by_name(bench);
             let store = store.as_ref().expect("local store");
             populate_store(&w, scfg, windows, store, &format!("  [{}] store", w.name()));
-            let (runs, d) = or_die(run_fleet_cells(&a, AXIS, bench, &grid, &store_dir, a.procs));
+            let (runs, d) = or_die(run_fleet_cells(&a, bench, &grid, &store_dir, a.procs));
             degraded |= d;
             runs
         } else {

@@ -116,6 +116,7 @@ use sfetch_bench::grid::{
     cell_config, cells, engine_key, grid_engines, point_line, run_cell_range, run_cells_batched,
     spread_at_width, CellRun, GridCell, FIG8_WIDTHS,
 };
+use sfetch_bench::driver::or_die;
 use sfetch_bench::obs::{write_sampled_obs, KonataObserver, ObsOpts};
 use sfetch_bench::{ablation_workloads, timed, HarnessOpts};
 use sfetch_core::{
@@ -931,8 +932,8 @@ fn measure_batch_ab(w: &Workload, opts: HarnessOpts) -> BatchAb {
 fn main() {
     maybe_run_fleet_child();
     let mut raw: Vec<String> = std::env::args().skip(1).collect();
-    let obs_opts = ObsOpts::extract(&mut raw);
-    let opts = HarnessOpts::from_arg_list(&raw);
+    let obs_opts = or_die(ObsOpts::extract(&mut raw));
+    let opts = or_die(HarnessOpts::from_arg_list(&raw));
     let backend = if opts.legacy_scan { "legacy-scan" } else { "event" };
     eprintln!("generating ablation subset ({} jobs, {backend} back-end)…", opts.jobs);
     let (workloads, build_s) = timed(|| ablation_workloads(opts));

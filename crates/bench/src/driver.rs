@@ -1,12 +1,10 @@
 //! Shared driver plumbing for the sampled-grid binaries and the
 //! resident daemon (`sfetch-serve`).
 //!
-//! Before this module, `figure8_sampled`, `figure9_sampled` and
-//! `shard_runner` each carried a private copy of the same ~150 lines:
-//! argument parsing, store resolution, populate, the `--no-fleet`
-//! self-respawn argument list, fleet dispatch, degradation exit codes.
-//! The daemon needs exactly the same plumbing — so it lives here once,
-//! and the one-shot bins and the resident path can never drift apart.
+//! `figure8_sampled`, `figure9_sampled` and the daemon share one
+//! argument parser, store resolution, populate, fleet dispatch and
+//! degradation exit codes, so the one-shot bins and the resident path
+//! can never drift apart.
 //!
 //! The module also defines the **line-JSON serve protocol**: a
 //! [`GridRequest`] (one experiment = one benchmark's engines × widths
@@ -15,8 +13,9 @@
 //! back — `accepted`, one `cell` per completed ledger cell, one `point`
 //! per sampled window, per-cell `estimate` updates, and a terminal
 //! `final` carrying the request's singleflight counters. A client
-//! merges the streamed points with the same [`merge_grid`] the one-shot
-//! bins use, so the final table is **byte-identical** to a local run.
+//! merges the streamed points with the same [`crate::grid::merge_grid`]
+//! the one-shot bins use, so the final table is **byte-identical** to a
+//! local run.
 //!
 //! Requests that must share work carry the same [`GridRequest::family_tag`]
 //! — the fingerprint of everything a cell's output bytes depend on
@@ -27,22 +26,20 @@
 //! computed once, streamed to every subscriber, and resumed with zero
 //! recomputation on resubmit.
 
-use std::ffi::OsString;
 use std::path::{Path, PathBuf};
-use std::process::ExitCode;
 
 use sfetch_fetch::EngineKind;
 use sfetch_fleet::{fnv64, CellId};
-use sfetch_sample::{CheckpointStore, SampleConfig, SamplePoint, ShardSpec, StoredSampler};
+use sfetch_sample::{CheckpointStore, SampleConfig, SamplePoint, StoredSampler};
 use sfetch_workloads::{LayoutChoice, Workload};
 
 use crate::fleet_grid::{degradation_exit, run_fleet_grid, FleetGridError, FleetGridSpec};
 use crate::grid::{
-    cells, engine_key, merge_grid, parse_engines, parse_widths, point_line, run_cells_batched,
-    spawn_shards, write_shard_atomic, CellRun, GridCell, GridError, GRID_SHARD_SCHEMA,
+    cells, engine_key, parse_engines, parse_widths, point_line, run_cells_batched, CellRun,
+    GridCell, GridError, GRID_SHARD_SCHEMA,
 };
 use crate::obs::ObsOpts;
-use crate::{workload_by_name, HarnessOpts};
+use crate::{flag_value, number, positive, HarnessOpts};
 
 /// Exits with a readable message instead of a panic backtrace.
 pub fn or_die<T, E: std::fmt::Display>(r: Result<T, E>) -> T {
@@ -137,10 +134,9 @@ pub struct ArgDefaults {
 }
 
 /// The command-line surface shared by `figure8_sampled`,
-/// `figure9_sampled` and `shard_runner` (each bin previously carried
-/// its own copy of this parse loop). Flags a given binary does not act
-/// on are accepted and ignored — the cost of one parser that can never
-/// drift between the one-shot and resident paths.
+/// `figure9_sampled` and `sfetch-serve submit`. Flags a given binary
+/// does not act on are accepted and ignored — the cost of one parser
+/// that can never drift between the one-shot and resident paths.
 pub struct CommonArgs {
     /// Harness options (`--grid-total`, `--jobs`, `--warm-bank`, …).
     pub opts: HarnessOpts,
@@ -154,10 +150,6 @@ pub struct CommonArgs {
     pub procs: usize,
     /// `--verify`.
     pub verify: bool,
-    /// `--shard i/N` (child mode).
-    pub shard: Option<ShardSpec>,
-    /// `--out FILE` (child mode output path).
-    pub out: Option<String>,
     /// `--store DIR` (persistent checkpoint store).
     pub store: Option<String>,
     /// `--chaos SEED`.
@@ -166,8 +158,6 @@ pub struct CommonArgs {
     pub max_retries: u32,
     /// `--cell-timeout SECS`.
     pub cell_timeout: Option<u64>,
-    /// `--no-fleet`.
-    pub no_fleet: bool,
     /// `--spread-floor F`.
     pub spread_floor: Option<f64>,
     /// `--serve SOCKET`: submit to a resident `sfetch-serve` daemon at
@@ -181,144 +171,81 @@ pub struct CommonArgs {
 }
 
 impl CommonArgs {
-    /// Parses the process arguments (see [`CommonArgs::parse_list`]).
+    /// Parses the process arguments (see [`CommonArgs::parse_list`]),
+    /// exiting with `error: …` and status 1 on malformed arguments.
     pub fn parse(d: &ArgDefaults) -> Self {
-        Self::parse_list(std::env::args().skip(1).collect(), d)
+        or_die(Self::parse_list(std::env::args().skip(1).collect(), d))
     }
 
-    /// Parses an explicit argument list.
+    /// Parses an explicit argument list. Flags this parser does not own
+    /// pass through, in order, to [`HarnessOpts::from_arg_list`], which
+    /// rejects unknown ones.
     ///
-    /// # Panics
+    /// # Errors
     ///
-    /// Panics with a usage message on malformed arguments (matching the
-    /// historical per-binary parsers).
-    pub fn parse_list(args: Vec<String>, d: &ArgDefaults) -> Self {
+    /// [`GridError::Cli`] on an unknown flag, a missing or malformed
+    /// value, or an out-of-range count.
+    pub fn parse_list(args: Vec<String>, d: &ArgDefaults) -> Result<Self, GridError> {
         let mut benches = d.benches.to_owned();
         let mut engines = d.engines.to_owned();
         let mut widths = d.widths.to_owned();
         let mut procs = d.procs;
         let mut verify = false;
-        let mut shard = None;
-        let mut out = None;
         let mut store = None;
         let mut chaos = None;
         let mut max_retries = 3u32;
         let mut cell_timeout = None;
-        let mut no_fleet = false;
         let mut spread_floor = None;
         let mut serve = None;
         let mut req_id = None;
         let mut rest: Vec<String> = Vec::new();
-        let take = |i: usize, what: &str| -> String {
-            args.get(i + 1).unwrap_or_else(|| panic!("{what} requires a value")).clone()
-        };
+        let text = |i: usize| flag_value(&args, i, "a value", |v| Some(v.to_owned()));
         let mut i = 0;
         while i < args.len() {
             match args[i].as_str() {
-                "--bench" | "--benches" => {
-                    benches = take(i, "--bench");
-                    i += 2;
-                }
-                "--engines" => {
-                    engines = take(i, "--engines");
-                    i += 2;
-                }
-                "--widths" => {
-                    widths = take(i, "--widths");
-                    i += 2;
-                }
-                "--procs" => {
-                    procs = take(i, "--procs").parse().expect("--procs requires a number >= 1");
-                    i += 2;
-                }
+                "--bench" | "--benches" => benches = text(i)?,
+                "--engines" => engines = text(i)?,
+                "--widths" => widths = text(i)?,
+                "--procs" => procs = flag_value(&args, i, "a number >= 1", positive)?,
+                "--store" => store = Some(text(i)?),
+                "--chaos" => chaos = Some(flag_value(&args, i, "a seed", number)?),
+                "--max-retries" => max_retries = flag_value(&args, i, "a number", number)?,
+                "--cell-timeout" => cell_timeout = Some(flag_value(&args, i, "seconds", number)?),
+                "--spread-floor" => spread_floor = Some(flag_value(&args, i, "a ratio", number)?),
+                "--serve" => serve = Some(PathBuf::from(text(i)?)),
+                "--req" => req_id = Some(text(i)?),
                 "--verify" => {
                     verify = true;
                     i += 1;
+                    continue;
                 }
-                "--shard" => {
-                    shard = Some(ShardSpec::parse(&take(i, "--shard")).expect("bad --shard"));
-                    i += 2;
-                }
-                "--out" => {
-                    out = Some(take(i, "--out"));
-                    i += 2;
-                }
-                "--store" => {
-                    store = Some(take(i, "--store"));
-                    i += 2;
-                }
-                "--chaos" => {
-                    chaos = Some(take(i, "--chaos").parse().expect("--chaos requires a seed"));
-                    i += 2;
-                }
-                "--max-retries" => {
-                    max_retries =
-                        take(i, "--max-retries").parse().expect("--max-retries requires a number");
-                    i += 2;
-                }
-                "--cell-timeout" => {
-                    cell_timeout = Some(
-                        take(i, "--cell-timeout")
-                            .parse()
-                            .expect("--cell-timeout requires seconds"),
-                    );
-                    i += 2;
-                }
-                "--no-fleet" => {
-                    no_fleet = true;
-                    i += 1;
-                }
-                "--spread-floor" => {
-                    spread_floor = Some(
-                        take(i, "--spread-floor")
-                            .parse()
-                            .expect("--spread-floor requires a ratio"),
-                    );
-                    i += 2;
-                }
-                "--serve" => {
-                    serve = Some(PathBuf::from(take(i, "--serve")));
-                    i += 2;
-                }
-                "--req" => {
-                    req_id = Some(take(i, "--req"));
-                    i += 2;
-                }
-                // Bool flags HarnessOpts understands.
-                flag @ ("--legacy-scan" | "--long" | "--warm-bank") => {
-                    rest.push(flag.to_owned());
-                    i += 1;
-                }
-                // Everything else HarnessOpts understands takes one value
-                // (unknown flags fail inside from_arg_list with its usage).
+                // Everything else (harness flags, their values, the
+                // observability flags) passes through in order.
                 other => {
                     rest.push(other.to_owned());
-                    rest.push(take(i, other));
-                    i += 2;
+                    i += 1;
+                    continue;
                 }
             }
+            i += 2;
         }
-        assert!(procs >= 1, "--procs must be >= 1");
-        let obs = ObsOpts::extract(&mut rest);
-        CommonArgs {
-            opts: HarnessOpts::from_arg_list(&rest),
+        let obs = ObsOpts::extract(&mut rest)?;
+        Ok(CommonArgs {
+            opts: HarnessOpts::from_arg_list(&rest)?,
             benches: benches.split(',').map(|b| b.trim().to_owned()).collect(),
-            engines: or_die(parse_engines(&engines)),
-            widths: or_die(parse_widths(&widths)),
+            engines: parse_engines(&engines)?,
+            widths: parse_widths(&widths)?,
             procs,
             verify,
-            shard,
-            out,
             store,
             chaos,
             max_retries,
             cell_timeout,
-            no_fleet,
             spread_floor,
             serve,
             req_id,
             obs,
-        }
+        })
     }
 
     /// The single-benchmark binaries' bench name (first of the list).
@@ -327,62 +254,15 @@ impl CommonArgs {
     }
 
     /// Builds this invocation's serve-protocol request for one
-    /// benchmark, on the given schedule axis.
-    pub fn request(&self, bench: &str, axis: ScheduleAxis) -> GridRequest {
+    /// benchmark on the grid schedule (`--grid-total`/`--grid-sample`).
+    pub fn request(&self, bench: &str) -> GridRequest {
         GridRequest {
             bench: bench.to_owned(),
             engines: self.engines.clone(),
             widths: self.widths.clone(),
-            total: axis.total(&self.opts),
-            scfg: axis.scfg(&self.opts),
+            total: self.opts.grid_total,
+            scfg: self.opts.grid_sample,
             opts: self.opts,
-        }
-    }
-}
-
-/// Which (total, schedule) pair of [`HarnessOpts`] a binary samples on:
-/// the figure bins use `--grid-total`/`--grid-sample`, `shard_runner`
-/// uses `--sample-total`/`--sample`.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum ScheduleAxis {
-    /// `--grid-total` / `--grid-sample`.
-    Grid,
-    /// `--sample-total` / `--sample`.
-    Sample,
-}
-
-impl ScheduleAxis {
-    /// The sampled instruction horizon on this axis.
-    pub fn total(self, o: &HarnessOpts) -> u64 {
-        match self {
-            ScheduleAxis::Grid => o.grid_total,
-            ScheduleAxis::Sample => o.sample_total,
-        }
-    }
-
-    /// The sampling schedule on this axis.
-    pub fn scfg(self, o: &HarnessOpts) -> SampleConfig {
-        match self {
-            ScheduleAxis::Grid => o.grid_sample,
-            ScheduleAxis::Sample => o.sample,
-        }
-    }
-
-    /// The `--*-total` flag spelling a `--no-fleet` child is re-spawned
-    /// with.
-    pub fn total_flag(self) -> &'static str {
-        match self {
-            ScheduleAxis::Grid => "--grid-total",
-            ScheduleAxis::Sample => "--sample-total",
-        }
-    }
-
-    /// The `--*-sample` flag spelling a `--no-fleet` child is
-    /// re-spawned with.
-    pub fn sample_flag(self) -> &'static str {
-        match self {
-            ScheduleAxis::Grid => "--grid-sample",
-            ScheduleAxis::Sample => "--sample",
         }
     }
 }
@@ -390,35 +270,6 @@ impl ScheduleAxis {
 // ---------------------------------------------------------------------
 // One-shot plumbing shared by the bins
 // ---------------------------------------------------------------------
-
-/// Child mode (`--shard i/N` under `--no-fleet`): runs this shard's
-/// slice of the grid and writes the sealed shard file atomically (or
-/// sealed stdout without `--out`).
-pub fn run_shard_child(a: &CommonArgs, axis: ScheduleAxis, shard: ShardSpec) -> ExitCode {
-    let w = workload_by_name(a.bench());
-    let grid = cells(&a.engines, &a.widths);
-    let windows = axis.scfg(&a.opts).windows(axis.total(&a.opts));
-    let Some(store_path) = a.store.as_deref() else {
-        eprintln!("error: shard child needs --store");
-        return ExitCode::FAILURE;
-    };
-    let store =
-        or_die(CheckpointStore::open(store_path)).with_cap_bytes(a.opts.store_cap_bytes);
-    let text = crate::grid::shard_file_text(
-        &w,
-        &grid,
-        windows,
-        axis.scfg(&a.opts),
-        &a.opts,
-        &store,
-        shard,
-    );
-    match &a.out {
-        Some(path) => or_die(write_shard_atomic(Path::new(path), &text)),
-        None => print!("{}", sfetch_fleet::seal(&text)),
-    }
-    ExitCode::SUCCESS
-}
 
 /// Resolves the checkpoint-store directory: an explicit `--store DIR`
 /// persists, otherwise `fallback` is used and flagged temporary.
@@ -458,82 +309,6 @@ pub fn finish_store(store_is_temp: bool, store_dir: &Path, store: &CheckpointSto
     }
 }
 
-/// The argument list a `--no-fleet` parent re-spawns itself with for
-/// shard `i` of `procs` (both multi-process binaries previously built
-/// this list by hand, differing only in the schedule-flag spellings).
-pub fn shard_child_args(
-    a: &CommonArgs,
-    axis: ScheduleAxis,
-    bench: &str,
-    i: usize,
-    procs: usize,
-    store_dir: &Path,
-    out: &Path,
-) -> Vec<OsString> {
-    let mut args: Vec<OsString> = vec![
-        "--bench".into(),
-        bench.to_owned().into(),
-        "--engines".into(),
-        a.engines.iter().map(|&k| engine_key(k)).collect::<Vec<_>>().join(",").into(),
-        "--widths".into(),
-        a.widths.iter().map(|w| w.to_string()).collect::<Vec<_>>().join(",").into(),
-        axis.total_flag().into(),
-        axis.total(&a.opts).to_string().into(),
-        axis.sample_flag().into(),
-        axis.scfg(&a.opts).to_spec().into(),
-        "--jobs".into(),
-        a.opts.jobs.to_string().into(),
-        "--batch".into(),
-        a.opts.batch.to_string().into(),
-        "--front-pipeline".into(),
-        a.opts.front.as_str().into(),
-        "--grid-prefetch".into(),
-        a.opts.grid_prefetch.as_str().into(),
-    ];
-    // Forward the simulation-model flags so children build the same
-    // processors the parent's verify leg does.
-    if a.opts.legacy_scan {
-        args.push("--legacy-scan".into());
-    }
-    if a.opts.warm_bank {
-        args.push("--warm-bank".into());
-    }
-    if a.opts.prefetch.mshrs > 0 {
-        args.extend(["--prefetch".into(), a.opts.prefetch.kind.to_string().into()]);
-        args.extend(["--mshrs".into(), a.opts.prefetch.mshrs.to_string().into()]);
-    }
-    if let Some(cap) = a.opts.store_cap_bytes {
-        args.extend(["--store-cap-bytes".into(), cap.to_string().into()]);
-    }
-    args.extend(["--no-fleet".into(), "--shard".into(), format!("{i}/{procs}").into()]);
-    args.extend(["--store".into(), store_dir.to_path_buf().into()]);
-    args.extend(["--out".into(), out.as_os_str().to_owned()]);
-    args
-}
-
-/// The plain one-shot fan-out (`--no-fleet`): spawn self once per
-/// shard, merge strictly, fail the whole run on any shard trouble.
-///
-/// # Errors
-///
-/// Propagates [`GridError`] from spawn/merge.
-#[allow(clippy::too_many_arguments)]
-pub fn run_no_fleet(
-    a: &CommonArgs,
-    axis: ScheduleAxis,
-    bench: &str,
-    grid: &[GridCell],
-    windows: u64,
-    procs: usize,
-    tmp: &Path,
-    store_dir: &Path,
-) -> Result<Vec<CellRun>, GridError> {
-    let all = spawn_shards(procs, tmp, |i, out| {
-        shard_child_args(a, axis, bench, i, procs, store_dir, out)
-    })?;
-    merge_grid(grid, windows, &all, axis.scfg(&a.opts).confidence)
-}
-
 /// The fleet-supervised fan-out: leased cells, retries, resume, chaos.
 /// Returns the merged runs and whether the result is degraded (some
 /// cells permanently failed; the degradation report has been printed
@@ -544,7 +319,6 @@ pub fn run_no_fleet(
 /// Infrastructure failures only ([`FleetGridError`]).
 pub fn run_fleet_cells(
     a: &CommonArgs,
-    axis: ScheduleAxis,
     bench: &str,
     grid: &[GridCell],
     store_dir: &Path,
@@ -553,8 +327,8 @@ pub fn run_fleet_cells(
     let outcome = run_fleet_grid(&FleetGridSpec {
         bench,
         grid,
-        scfg: axis.scfg(&a.opts),
-        total: axis.total(&a.opts),
+        scfg: a.opts.grid_sample,
+        total: a.opts.grid_total,
         opts: &a.opts,
         store_dir,
         procs,
@@ -1010,7 +784,7 @@ impl ServeEvent {
 #[derive(Debug)]
 pub struct StreamOutcome {
     /// Every streamed `(engine key, width, point)` tuple — the same
-    /// shape shard files parse into, so [`merge_grid`] merges them into
+    /// shape shard files parse into, so [`crate::grid::merge_grid`] merges them into
     /// the byte-identical final table.
     pub points: Vec<(String, usize, SamplePoint)>,
     /// Final status (`complete`/`degraded`).
@@ -1231,41 +1005,65 @@ mod tests {
         }
     }
 
+    fn args(list: &[&str]) -> Vec<String> {
+        list.iter().map(|s| (*s).to_owned()).collect()
+    }
+
+    const DEFAULTS: ArgDefaults =
+        ArgDefaults { benches: "phased", engines: "all", widths: "all", procs: 1 };
+
     #[test]
-    fn shard_child_args_carry_every_model_flag() {
-        let d = ArgDefaults { benches: "phased", engines: "all", widths: "all", procs: 1 };
+    fn parse_list_carries_every_model_flag() {
         let a = CommonArgs::parse_list(
-            vec![
-                "--engines".into(),
-                "stream,ev8".into(),
-                "--widths".into(),
-                "8".into(),
-                "--warm-bank".into(),
-                "--legacy-scan".into(),
-                "--grid-total".into(),
-                "2000000".into(),
-                "--batch".into(),
-                "4".into(),
-                "--store-cap-bytes".into(),
-                "1048576".into(),
-            ],
-            &d,
-        );
+            args(&[
+                "--engines",
+                "stream,ev8",
+                "--widths",
+                "8",
+                "--warm-bank",
+                "--legacy-scan",
+                "--grid-total",
+                "2000000",
+                "--batch",
+                "4",
+                "--store-cap-bytes",
+                "1048576",
+            ]),
+            &DEFAULTS,
+        )
+        .expect("parses");
         assert!(a.opts.warm_bank && a.opts.legacy_scan);
         assert_eq!(a.opts.batch, 4);
         assert_eq!(a.opts.store_cap_bytes, Some(1_048_576));
-        let args = shard_child_args(
-            &a,
-            ScheduleAxis::Grid,
-            "phased",
-            1,
-            4,
-            Path::new("/s"),
-            Path::new("/o"),
-        );
-        let has = |flag: &str| args.iter().any(|x| x == flag);
-        assert!(has("--warm-bank") && has("--legacy-scan") && has("--grid-total"));
-        assert!(has("--batch") && has("--store-cap-bytes"));
-        assert!(has("--shard") && has("--no-fleet"));
+        assert_eq!(a.opts.grid_total, 2_000_000);
+        assert_eq!(a.engines, vec![EngineKind::Stream, EngineKind::Ev8]);
+        assert_eq!(a.widths, vec![8]);
+    }
+
+    #[test]
+    fn parse_list_rejects_bad_flags_without_panicking() {
+        // (arguments, text the error must contain)
+        let cases: &[(&[&str], &str)] = &[
+            (&["--no-fleet"], "unknown argument --no-fleet"),
+            (&["--no-fleet", "--verify"], "unknown argument --no-fleet"),
+            (&["--shard", "0/2"], "unknown argument --shard"),
+            (&["--verify", "--shard"], "unknown argument --shard"),
+            (&["--out", "f"], "unknown argument --out"),
+            (&["--procs", "2", "--out"], "unknown argument --out"),
+            (&["--procs", "0"], "--procs"),
+            (&["--procs", "x"], "--procs"),
+            (&["--batch", "0"], "--batch"),
+            (&["--procs"], "--procs requires"),
+            (&["--grid-total"], "--grid-total"),
+            (&["--engines", "warp"], "unknown engine"),
+            (&["--interval", "x"], "--interval"),
+        ];
+        for (list, want) in cases {
+            let err = match CommonArgs::parse_list(args(list), &DEFAULTS) {
+                Ok(_) => panic!("{list:?} must be rejected"),
+                Err(e) => e.to_string(),
+            };
+            assert!(err.contains(want), "{list:?}: error {err:?} lacks {want:?}");
+        }
     }
 }

@@ -38,8 +38,8 @@ use sfetch_sample::{window_range, SampleConfig, SamplePoint, ShardSpec};
 
 use crate::driver::validate_shard_text;
 use crate::grid::{
-    engine_key, merge_grid, merge_grid_partial, parse_shard_file, CellRun, GridCell, GridError,
-    GRID_SHARD_SCHEMA,
+    engine_key, merge_grid, merge_grid_partial, parse_shard_file, write_shard_atomic, CellRun,
+    GridCell, GridError, GRID_SHARD_SCHEMA,
 };
 use crate::{workload_by_name, HarnessOpts};
 
@@ -180,8 +180,8 @@ pub fn lease_group(batch: usize, chaos: bool, n_cells: usize, procs: usize) -> u
 }
 
 /// Runs the grid under the fleet supervisor. The checkpoint store at
-/// `spec.store_dir` must already be populated (one architectural walk —
-/// the caller does this exactly as for `spawn_shards`).
+/// `spec.store_dir` must already be populated (one architectural walk,
+/// [`crate::driver::populate_store`]).
 ///
 /// # Errors
 ///
@@ -545,9 +545,7 @@ fn run_fleet_child(a: &ChildArgs) -> Result<bool, String> {
         // Atomic even when chaos-mangled: the injected faults model
         // *logical* corruption; torn physical writes are prevented by the
         // temp + rename discipline itself.
-        let tmp = out.with_extension("part");
-        std::fs::write(&tmp, text.as_bytes()).map_err(|e| format!("write shard: {e}"))?;
-        std::fs::rename(&tmp, out).map_err(|e| format!("rename shard: {e}"))?;
+        write_shard_atomic(out, &text).map_err(|e| e.to_string())?;
     }
     Ok(exit_nonzero)
 }

@@ -1,13 +1,12 @@
 //! The **single source of truth** for the paper's evaluation grid —
 //! engines × pipe widths — plus the store-backed sampled-grid runner
-//! and the shard-file plumbing the multi-process binaries share.
+//! and the shard-file format fleet workers and the daemon write.
 //!
 //! Before this module, every figure binary re-declared its own engine
 //! and width axes; a drifted axis would have silently compared
-//! different grids. `figure8`/`figure9` and their `_sampled` siblings,
-//! `shard_runner`, and `perfstats`' calibration section all pull the
-//! axes, the sampled-grid schedule, and the engine-key spellings from
-//! here.
+//! different grids. `figure8`/`figure9` and their `_sampled` siblings
+//! and `perfstats`' calibration section all pull the axes, the
+//! sampled-grid schedule, and the engine-key spellings from here.
 
 use std::fmt;
 use std::ops::Range;
@@ -23,14 +22,15 @@ use sfetch_workloads::{LayoutChoice, Workload};
 
 use crate::HarnessOpts;
 
-/// What can go wrong in the grid plumbing — CLI axis specs, shard
-/// files, child processes, merging. Every path that used to
+/// What can go wrong in the grid plumbing — CLI flags, shard files,
+/// merging. Every path that used to
 /// `expect`/`panic!` now reports one of these so the binaries can exit
 /// nonzero with a readable message (and the fleet supervisor can charge
 /// the failure to a cell and retry) instead of tearing the run down.
 #[derive(Debug)]
 pub enum GridError {
-    /// A malformed command-line axis spec (engine or width list).
+    /// A malformed command-line flag or axis spec (engine or width
+    /// list).
     Cli(String),
     /// Filesystem failure on a shard-file path.
     Io {
@@ -40,23 +40,6 @@ pub enum GridError {
         path: PathBuf,
         /// The underlying error, stringified.
         err: String,
-    },
-    /// A shard child process could not be spawned.
-    Spawn {
-        /// Shard index.
-        shard: usize,
-        /// The underlying error, stringified.
-        err: String,
-    },
-    /// A shard child exited unsuccessfully. Raised **before** its
-    /// output file is even read: a nonzero exit fails the shard even if
-    /// a parseable file exists (the process may know something the file
-    /// doesn't).
-    ShardFailed {
-        /// Shard index.
-        shard: usize,
-        /// The exit status, stringified.
-        status: String,
     },
     /// A shard file is truncated, corrupt, or malformed.
     ShardParse {
@@ -80,10 +63,6 @@ impl fmt::Display for GridError {
         match self {
             GridError::Cli(msg) => f.write_str(msg),
             GridError::Io { what, path, err } => write!(f, "{what} {}: {err}", path.display()),
-            GridError::Spawn { shard, err } => write!(f, "spawn shard {shard}: {err}"),
-            GridError::ShardFailed { shard, status } => {
-                write!(f, "shard {shard} failed: {status}")
-            }
             GridError::ShardParse { line: 0, what } => write!(f, "shard file: {what}"),
             GridError::ShardParse { line, what } => write!(f, "shard file line {line}: {what}"),
             GridError::Merge { cell, what } => write!(f, "cell {cell}: {what}"),
@@ -238,9 +217,7 @@ pub struct CellRun {
 }
 
 /// Runs one cell's window range through the checkpoint store with the
-/// given sampling schedule (`--sample` for `shard_runner`,
-/// `--grid-sample` for the figure bins): a one-cell
-/// [`run_cells_batched`] group.
+/// given sampling schedule: a one-cell [`run_cells_batched`] group.
 pub fn run_cell_range(
     w: &Workload,
     cell: GridCell,
@@ -416,151 +393,22 @@ pub fn parse_shard_body(body: &str) -> Result<Vec<(String, usize, SamplePoint)>,
     Ok(out)
 }
 
-/// Seals `body` with the checksum trailer and writes it **atomically**
-/// (temp sibling + rename), so a reader never observes a half-written
-/// shard file and a died writer leaves either nothing or a complete,
-/// verifiable file.
+/// Writes already-sealed shard `text` **atomically** (temp sibling +
+/// rename), so a reader never observes a half-written shard file and a
+/// died writer leaves either nothing or a complete file.
 ///
 /// # Errors
 ///
 /// [`GridError::Io`] on any filesystem failure.
-pub fn write_shard_atomic(path: &Path, body: &str) -> Result<(), GridError> {
-    let sealed = sfetch_fleet::seal(body);
+pub fn write_shard_atomic(path: &Path, text: &str) -> Result<(), GridError> {
     let tmp = path.with_extension("part");
-    std::fs::write(&tmp, sealed.as_bytes())
+    std::fs::write(&tmp, text.as_bytes())
         .map_err(|e| GridError::Io { what: "write shard file", path: tmp.clone(), err: e.to_string() })?;
     std::fs::rename(&tmp, path).map_err(|e| GridError::Io {
         what: "rename shard file into place",
         path: path.to_path_buf(),
         err: e.to_string(),
     })
-}
-
-/// Reads and parses a sealed shard file.
-///
-/// # Errors
-///
-/// [`GridError::Io`] on read failure, [`GridError::ShardParse`] on
-/// verification/parse failure.
-pub fn read_shard_file(path: &Path) -> Result<Vec<(String, usize, SamplePoint)>, GridError> {
-    let text = std::fs::read_to_string(path).map_err(|e| GridError::Io {
-        what: "read shard file",
-        path: path.to_path_buf(),
-        err: e.to_string(),
-    })?;
-    parse_shard_file(&text)
-}
-
-/// Renders one shard's slice of the grid as a complete shard file: the
-/// child-mode body both multi-process binaries (`shard_runner`,
-/// `figure8_sampled`) share.
-pub fn shard_file_text(
-    w: &Workload,
-    grid: &[GridCell],
-    windows: u64,
-    scfg: SampleConfig,
-    opts: &HarnessOpts,
-    store: &CheckpointStore,
-    shard: sfetch_sample::ShardSpec,
-) -> String {
-    let mut out = String::new();
-    out.push_str(&format!(
-        "{{\"schema\": \"{GRID_SHARD_SCHEMA}\", \"shard\": \"{shard}\", \"bench\": \"{}\",\n",
-        w.name()
-    ));
-    out.push_str(" \"points\": [\n");
-    let mut lines = Vec::new();
-    let items = grid_shard_items(grid.len(), windows, shard);
-    let mut i = 0;
-    while i < items.len() {
-        // Consecutive cells sharing the same window range ride one
-        // batched sweep, up to the `--batch` cap; a range-split item
-        // sweeps alone. Output order and bytes are identical either way.
-        let range = items[i].1.clone();
-        let mut j = i + 1;
-        while j < items.len() && j - i < opts.batch && items[j].1 == range {
-            j += 1;
-        }
-        let group: Vec<GridCell> = items[i..j].iter().map(|&(ci, _)| grid[ci]).collect();
-        let (per_cell, _) = run_cells_batched(w, &group, opts.batch, scfg, opts, store, range);
-        for (&cell, pts) in group.iter().zip(per_cell) {
-            lines.extend(pts.iter().map(|p| format!("  {}", point_line(cell, p))));
-        }
-        i = j;
-    }
-    out.push_str(&lines.join(",\n"));
-    out.push_str("\n]}\n");
-    out
-}
-
-/// Spawns `procs` copies of the **current executable** (one per shard),
-/// waits for all of them, and parses their shard files back into
-/// `(engine key, width, point)` tuples. `child_args` builds the full
-/// argument list for shard `i` with its output file path.
-///
-/// This is the plain one-shot fan-out (`--no-fleet`); the fleet
-/// supervisor (`sfetch_fleet::run_fleet` driven by
-/// [`crate::fleet_grid`]) supersedes it with leases, retries, and
-/// resume. Exit statuses are checked for **every** child before any
-/// shard file is read: a nonzero exit fails the run even if that child
-/// left a parseable file behind.
-///
-/// # Errors
-///
-/// [`GridError::Spawn`]/[`GridError::ShardFailed`] on child trouble,
-/// [`GridError::Io`]/[`GridError::ShardParse`] on output trouble.
-pub fn spawn_shards(
-    procs: usize,
-    tmp: &Path,
-    child_args: impl Fn(usize, &Path) -> Vec<std::ffi::OsString>,
-) -> Result<Vec<(String, usize, SamplePoint)>, GridError> {
-    use std::process::{Command, Stdio};
-    let exe = std::env::current_exe()
-        .map_err(|e| GridError::Spawn { shard: 0, err: format!("no current exe: {e}") })?;
-    let mut children = Vec::new();
-    let mut outs = Vec::new();
-    let mut first_err = None;
-    for i in 0..procs {
-        let out = tmp.join(format!("shard-{i}.json"));
-        let mut cmd = Command::new(&exe);
-        cmd.args(child_args(i, &out)).stdout(Stdio::inherit()).stderr(Stdio::inherit());
-        match cmd.spawn() {
-            Ok(child) => {
-                children.push((i, child));
-                outs.push(out);
-            }
-            Err(e) => {
-                first_err = Some(GridError::Spawn { shard: i, err: e.to_string() });
-                break;
-            }
-        }
-    }
-    // Reap everything we started even on error — no orphan simulators.
-    for (i, c) in &mut children {
-        match c.wait() {
-            Ok(status) if status.success() => {}
-            Ok(status) => {
-                first_err.get_or_insert(GridError::ShardFailed {
-                    shard: *i,
-                    status: status.to_string(),
-                });
-            }
-            Err(e) => {
-                first_err.get_or_insert(GridError::ShardFailed {
-                    shard: *i,
-                    status: format!("wait failed: {e}"),
-                });
-            }
-        }
-    }
-    if let Some(err) = first_err {
-        return Err(err);
-    }
-    let mut all = Vec::new();
-    for p in &outs {
-        all.extend(read_shard_file(p)?);
-    }
-    Ok(all)
 }
 
 /// Verifies merged shard output against a **storeless** in-process
@@ -589,27 +437,6 @@ pub fn verify_merged(
             run.cell.width
         );
     }
-}
-
-/// The contiguous slice of the flattened (cell-major) grid-work list a
-/// shard owns: item `i` is `(cell[i / windows], window i % windows)`.
-/// Reuses the window-range math so chunk sizes differ by at most one.
-pub fn grid_shard_items(
-    n_cells: usize,
-    windows: u64,
-    shard: sfetch_sample::ShardSpec,
-) -> Vec<(usize, Range<u64>)> {
-    let flat = sfetch_sample::window_range(n_cells as u64 * windows, shard);
-    let mut out: Vec<(usize, Range<u64>)> = Vec::new();
-    let mut i = flat.start;
-    while i < flat.end {
-        let cell = (i / windows) as usize;
-        let w_lo = i % windows;
-        let w_hi = (w_lo + (flat.end - i)).min(windows);
-        out.push((cell, w_lo..w_hi));
-        i += w_hi - w_lo;
-    }
-    out
 }
 
 /// Merges shard-file tuples back into per-cell window lists, verifying
@@ -751,7 +578,6 @@ pub fn spread_at_width(runs: &[CellRun], width: usize) -> Option<(f64, f64, f64)
 #[cfg(test)]
 mod tests {
     use super::*;
-    use sfetch_sample::ShardSpec;
 
     #[test]
     fn cells_are_width_major_and_complete() {
@@ -785,23 +611,6 @@ mod tests {
         assert_eq!(parse_widths("2, 8").expect("list"), vec![2, 8]);
         assert!(parse_engines("warp-drive").is_err(), "unknown engine is a CLI error");
         assert!(parse_widths("0").is_err(), "zero width is a CLI error");
-    }
-
-    #[test]
-    fn shard_items_partition_the_flat_grid() {
-        for (n_cells, windows, procs) in [(12usize, 4u64, 2u64), (3, 7, 4), (2, 2, 5)] {
-            let mut seen = vec![0u32; n_cells * windows as usize];
-            for index in 0..procs {
-                for (cell, range) in
-                    grid_shard_items(n_cells, windows, ShardSpec { index, count: procs })
-                {
-                    for w in range {
-                        seen[cell * windows as usize + w as usize] += 1;
-                    }
-                }
-            }
-            assert!(seen.iter().all(|&c| c == 1), "every (cell, window) exactly once");
-        }
     }
 
     fn point(window: u64) -> SamplePoint {
@@ -847,9 +656,10 @@ mod tests {
         let path = dir.join("shard-0.json");
         let cell = GridCell { engine: EngineKind::Ev8, width: 4 };
         let body = format!("{}\n{}\n", point_line(cell, &point(0)), point_line(cell, &point(1)));
-        write_shard_atomic(&path, &body).expect("atomic write");
+        write_shard_atomic(&path, &sfetch_fleet::seal(&body)).expect("atomic write");
         assert!(!path.with_extension("part").exists(), "temp renamed away");
-        assert_eq!(read_shard_file(&path).expect("read back").len(), 2);
+        let text = std::fs::read_to_string(&path).expect("read back");
+        assert_eq!(parse_shard_file(&text).expect("sealed file parses").len(), 2);
         let _ = std::fs::remove_dir_all(&dir);
     }
 

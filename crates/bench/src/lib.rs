@@ -15,10 +15,9 @@
 //! | `ablation_predictor` | cascaded vs single-level stream predictor |
 //! | `ablation_ftq` | FTQ depth sweep |
 //! | `ablation_sts` | selective trace storage on/off |
-//! | `figure8_sampled` | Fig. 8 grid at paper-scale horizons via the sampler + checkpoint store |
+//! | `figure8_sampled` | Fig. 8 grid at paper-scale horizons via the sampler + checkpoint store; `--procs N` fans it across fleet worker processes, merged bit-identically |
 //! | `figure9_sampled` | Fig. 9 per-benchmark comparison, sampled through the store |
 //! | `perfstats` | host throughput per engine + the sampling/redecode A/Bs + the store-backed calibration grid → `BENCH_5.json` |
-//! | `shard_runner` | multi-process sampled simulation: windows × engines × widths fanned across OS processes via the checkpoint store, merged bit-identically |
 //! | `all` | everything above, in sequence |
 //!
 //! Run with `--inst N` / `--warmup N` to change the measured window
@@ -155,7 +154,7 @@ pub struct HarnessOpts {
     /// appends it when set.
     pub long: bool,
     /// Committed instructions of the sampling A/B's long run
-    /// (`--sample-total N`; `perfstats` and `shard_runner` only).
+    /// (`--sample-total N`; `perfstats` only).
     pub sample_total: u64,
     /// The U/W/D sampling schedule (`--sample U,Wf,Wd,D`).
     pub sample: SampleConfig,
@@ -227,144 +226,73 @@ impl HarnessOpts {
     /// `--grid-total N`, `--grid-sample U,Wf,Wd,D[,Wm]`,
     /// `--front-pipeline legacy|engine`, `--grid-prefetch
     /// shared|natural`, `--warm-bank`, `--batch N` and
-    /// `--store-cap-bytes N` from the process arguments.
-    ///
-    /// # Panics
-    ///
-    /// Panics with a usage message on malformed arguments.
+    /// `--store-cap-bytes N` from the process arguments, exiting with
+    /// `error: …` and status 1 on malformed arguments.
     pub fn from_args() -> Self {
-        Self::from_arg_list(&std::env::args().skip(1).collect::<Vec<String>>())
+        driver::or_die(Self::from_arg_list(&std::env::args().skip(1).collect::<Vec<String>>()))
     }
 
     /// Parses an explicit argument list (see [`HarnessOpts::from_args`]).
     ///
-    /// # Panics
+    /// # Errors
     ///
-    /// Panics with a usage message on malformed arguments.
-    pub fn from_arg_list(args: &[String]) -> Self {
+    /// [`grid::GridError::Cli`] naming the flag on an unknown argument
+    /// or a missing, malformed or out-of-range value.
+    pub fn from_arg_list(args: &[String]) -> Result<Self, grid::GridError> {
+        let schedule = |i: usize| {
+            let spec = flag_value(args, i, "U,Wf,Wd,D[,Wm]", |v| Some(v.to_owned()))?;
+            SampleConfig::parse(&spec)
+                .map_err(|e| grid::GridError::Cli(format!("bad {} schedule: {e}", args[i])))
+        };
         let mut o = Self::default();
         let mut pf_kind = PrefetchKind::None;
         let mut mshrs_override: Option<usize> = None;
         let mut i = 0;
         while i < args.len() {
-            match args[i].as_str() {
-                "--inst" => {
-                    o.insts = args
-                        .get(i + 1)
-                        .and_then(|v| v.parse().ok())
-                        .expect("--inst requires a number");
-                    i += 2;
-                }
-                "--warmup" => {
-                    o.warmup = args
-                        .get(i + 1)
-                        .and_then(|v| v.parse().ok())
-                        .expect("--warmup requires a number");
-                    i += 2;
-                }
-                "--jobs" => {
-                    o.jobs = args
-                        .get(i + 1)
-                        .and_then(|v| v.parse().ok())
-                        .filter(|&n: &usize| n >= 1)
-                        .expect("--jobs requires a number >= 1");
-                    i += 2;
-                }
-                "--legacy-scan" => {
-                    o.legacy_scan = true;
-                    i += 1;
-                }
+            let flag = args[i].as_str();
+            match flag {
+                "--legacy-scan" => o.legacy_scan = true,
+                "--long" => o.long = true,
+                "--warm-bank" => o.warm_bank = true,
+                "--inst" => o.insts = flag_value(args, i, "a number", number)?,
+                "--warmup" => o.warmup = flag_value(args, i, "a number", number)?,
+                "--jobs" => o.jobs = flag_value(args, i, "a number >= 1", positive)?,
                 "--prefetch" => {
-                    pf_kind = args
-                        .get(i + 1)
-                        .and_then(|v| PrefetchKind::parse(v))
-                        .expect("--prefetch requires one of: none, next-line, stream, mana");
-                    i += 2;
+                    pf_kind = flag_value(
+                        args,
+                        i,
+                        "one of: none, next-line, stream, mana",
+                        PrefetchKind::parse,
+                    )?
                 }
-                "--mshrs" => {
-                    mshrs_override = Some(
-                        args.get(i + 1)
-                            .and_then(|v| v.parse().ok())
-                            .expect("--mshrs requires a number"),
-                    );
-                    i += 2;
-                }
-                "--long" => {
-                    o.long = true;
-                    i += 1;
-                }
-                "--sample-total" => {
-                    o.sample_total = args
-                        .get(i + 1)
-                        .and_then(|v| v.parse().ok())
-                        .expect("--sample-total requires a number");
-                    i += 2;
-                }
-                "--sample" => {
-                    let spec = args.get(i + 1).expect("--sample requires U,Wf,Wd,D");
-                    o.sample = SampleConfig::parse(spec)
-                        .unwrap_or_else(|e| panic!("bad --sample schedule: {e}"));
-                    i += 2;
-                }
-                "--grid-total" => {
-                    o.grid_total = args
-                        .get(i + 1)
-                        .and_then(|v| v.parse().ok())
-                        .expect("--grid-total requires a number");
-                    i += 2;
-                }
-                "--grid-sample" => {
-                    let spec = args.get(i + 1).expect("--grid-sample requires U,Wf,Wd,D");
-                    o.grid_sample = SampleConfig::parse(spec)
-                        .unwrap_or_else(|e| panic!("bad --grid-sample schedule: {e}"));
-                    i += 2;
-                }
+                "--mshrs" => mshrs_override = Some(flag_value(args, i, "a number", number)?),
+                "--sample-total" => o.sample_total = flag_value(args, i, "a number", number)?,
+                "--sample" => o.sample = schedule(i)?,
+                "--grid-total" => o.grid_total = flag_value(args, i, "a number", number)?,
+                "--grid-sample" => o.grid_sample = schedule(i)?,
                 "--front-pipeline" => {
-                    o.front = args
-                        .get(i + 1)
-                        .and_then(|v| FrontMode::parse(v))
-                        .expect("--front-pipeline requires one of: legacy, engine");
-                    i += 2;
+                    o.front = flag_value(args, i, "one of: legacy, engine", FrontMode::parse)?
                 }
                 "--grid-prefetch" => {
-                    o.grid_prefetch = args
-                        .get(i + 1)
-                        .and_then(|v| GridPrefetchMode::parse(v))
-                        .expect("--grid-prefetch requires one of: shared, natural");
-                    i += 2;
+                    o.grid_prefetch =
+                        flag_value(args, i, "one of: shared, natural", GridPrefetchMode::parse)?
                 }
-                "--warm-bank" => {
-                    o.warm_bank = true;
-                    i += 1;
-                }
-                "--batch" => {
-                    o.batch = args
-                        .get(i + 1)
-                        .and_then(|v| v.parse().ok())
-                        .filter(|&n: &usize| n >= 1)
-                        .expect("--batch requires a number >= 1");
-                    i += 2;
-                }
+                "--batch" => o.batch = flag_value(args, i, "a number >= 1", positive)?,
                 "--store-cap-bytes" => {
-                    o.store_cap_bytes = Some(
-                        args.get(i + 1)
-                            .and_then(|v| v.parse().ok())
-                            .filter(|&n: &u64| n >= 1)
-                            .expect("--store-cap-bytes requires a number >= 1"),
-                    );
-                    i += 2;
+                    o.store_cap_bytes = Some(flag_value(args, i, "a number >= 1", positive)?)
                 }
                 other => {
-                    panic!(
+                    return Err(grid::GridError::Cli(format!(
                         "unknown argument {other}; supported: --inst N, --warmup N, --jobs N, \
                          --legacy-scan, --prefetch none|next-line|stream|mana, --mshrs N, \
                          --long, --sample-total N, --sample U,Wf,Wd,D, --grid-total N, \
                          --grid-sample U,Wf,Wd,D, --front-pipeline legacy|engine, \
                          --grid-prefetch shared|natural, --warm-bank, --batch N, \
                          --store-cap-bytes N"
-                    )
+                    )))
                 }
             }
+            i += if matches!(flag, "--legacy-scan" | "--long" | "--warm-bank") { 1 } else { 2 };
         }
         // Combine after parsing so --prefetch / --mshrs are order-free.
         o.prefetch = if pf_kind == PrefetchKind::None {
@@ -375,9 +303,42 @@ impl HarnessOpts {
         if let Some(m) = mshrs_override {
             o.prefetch.mshrs = m;
         }
-        o.prefetch.validate();
-        o
+        if o.prefetch.kind != PrefetchKind::None && o.prefetch.mshrs == 0 {
+            return Err(grid::GridError::Cli(format!(
+                "--prefetch {} requires --mshrs >= 1",
+                o.prefetch.kind
+            )));
+        }
+        Ok(o)
     }
+}
+
+/// The value after flag `args[i]`, run through `parse`; a
+/// [`grid::GridError::Cli`] naming the flag and what it wanted when the
+/// value is missing or `parse` rejects it.
+pub(crate) fn flag_value<T>(
+    args: &[String],
+    i: usize,
+    want: &str,
+    parse: impl FnOnce(&str) -> Option<T>,
+) -> Result<T, grid::GridError> {
+    let got = args.get(i + 1);
+    got.and_then(|v| parse(v)).ok_or_else(|| {
+        grid::GridError::Cli(match got {
+            Some(v) => format!("{} requires {want} (got {v:?})", args[i]),
+            None => format!("{} requires {want}", args[i]),
+        })
+    })
+}
+
+/// A [`flag_value`] parser: any value of `T`.
+pub(crate) fn number<T: std::str::FromStr>(v: &str) -> Option<T> {
+    v.parse().ok()
+}
+
+/// A [`flag_value`] parser: a count of at least 1.
+pub(crate) fn positive<T: std::str::FromStr + PartialOrd + From<u8>>(v: &str) -> Option<T> {
+    number(v).filter(|n: &T| *n >= T::from(1))
 }
 
 /// One simulated point of the evaluation grid.
@@ -624,7 +585,8 @@ mod tests {
             "legacy".to_owned(),
             "--grid-prefetch".to_owned(),
             "shared".to_owned(),
-        ]);
+        ])
+        .expect("parses");
         assert_eq!(o.front, FrontMode::Legacy);
         assert_eq!(o.grid_prefetch, GridPrefetchMode::Shared);
         assert!(o.front.front_for(EngineKind::Ev8).is_legacy());

@@ -31,7 +31,7 @@ use sfetch_sample::{BatchCell, BatchSampler, CheckpointStore, SampleConfig};
 use sfetch_workloads::{LayoutChoice, Workload};
 
 use crate::grid::{cell_config, engine_key, GridCell};
-use crate::HarnessOpts;
+use crate::{flag_value, number, HarnessOpts};
 
 /// [`Observer`] adapter feeding a buffered [`KonataTrace`].
 #[derive(Debug)]
@@ -104,36 +104,30 @@ impl ObsOpts {
     /// Extracts (removes) the observability flags from `args`, leaving
     /// the remainder for [`HarnessOpts::from_arg_list`].
     ///
-    /// # Panics
+    /// # Errors
     ///
-    /// Panics with a usage message on malformed values, matching the
-    /// harness-options parser's contract.
-    pub fn extract(args: &mut Vec<String>) -> Self {
+    /// [`crate::grid::GridError::Cli`] naming the flag on a missing or
+    /// malformed value.
+    pub fn extract(args: &mut Vec<String>) -> Result<Self, crate::grid::GridError> {
         let mut o = ObsOpts::default();
         let mut i = 0;
         while i < args.len() {
             match args[i].as_str() {
                 "--obs-dir" => {
-                    let v = args.get(i + 1).expect("--obs-dir requires a directory").clone();
-                    o.dir = Some(PathBuf::from(v));
-                    args.drain(i..i + 2);
+                    o.dir = Some(flag_value(args, i, "a directory", |v| Some(PathBuf::from(v)))?)
                 }
-                "--interval" => {
-                    o.interval = args
-                        .get(i + 1)
-                        .and_then(|v| v.parse().ok())
-                        .expect("--interval requires a number");
-                    args.drain(i..i + 2);
-                }
+                "--interval" => o.interval = flag_value(args, i, "a number", number)?,
                 "--ptrace" => {
-                    let v = args.get(i + 1).expect("--ptrace requires LO-HI").clone();
-                    o.ptrace = Some(parse_range(&v).expect("--ptrace requires LO-HI with LO < HI"));
-                    args.drain(i..i + 2);
+                    o.ptrace = Some(flag_value(args, i, "LO-HI with LO < HI", parse_range)?)
                 }
-                _ => i += 1,
+                _ => {
+                    i += 1;
+                    continue;
+                }
             }
+            args.drain(i..i + 2);
         }
-        o
+        Ok(o)
     }
 
     /// Whether any sink is enabled.
@@ -296,13 +290,13 @@ mod tests {
                 .iter()
                 .map(|s| (*s).to_owned())
                 .collect();
-        let o = ObsOpts::extract(&mut args);
+        let o = ObsOpts::extract(&mut args).expect("parses");
         assert_eq!(o.dir.as_deref(), Some(std::path::Path::new("/tmp/obs")));
         assert_eq!(o.interval, 250);
         assert_eq!(o.ptrace, Some((10, 90)));
         assert!(o.enabled());
         assert_eq!(args, vec!["--inst".to_owned(), "5000".to_owned()]);
-        let h = HarnessOpts::from_arg_list(&args);
+        let h = HarnessOpts::from_arg_list(&args).expect("parses");
         assert_eq!(h.insts, 5000);
     }
 

@@ -1,8 +1,8 @@
 //! The supervisor loop: a self-healing worker pool over the ledger.
 //!
-//! Where PR 5's `spawn_shards` spawned N children and blocked on each
-//! in order — so one crashed, hung, or lying worker wedged or killed
-//! the whole run — the supervisor treats workers as cattle:
+//! A fan-out that spawns N children and blocks on each in order lets
+//! one crashed, hung, or lying worker wedge or kill the whole run; the
+//! supervisor instead treats workers as cattle:
 //!
 //! * keeps up to `procs` workers alive, leasing each the next claimable
 //!   cell from the [`Ledger`];

@@ -35,7 +35,8 @@
 //! what lets a long run be split into shards: a shard resumes the
 //! executor from an [`sfetch_trace::ArchCheckpoint`] at its first window
 //! and produces *bit-identical* [`SamplePoint`]s to the single-process
-//! run (asserted in CI by the `shard_runner --verify` smoke leg).
+//! run (asserted in CI by the `figure8_sampled --procs 2 --verify` smoke
+//! legs).
 //!
 //! Window independence also makes the fast-forward pass *reusable*: the
 //! state at each window's warming start depends only on the trace, never

@@ -8,7 +8,6 @@
 //! executor's state at its own boundary, the merged result of any shard
 //! split is bit-identical to the single-process run.
 
-use std::fmt;
 use std::ops::Range;
 
 use crate::runner::SamplePoint;
@@ -20,32 +19,6 @@ pub struct ShardSpec {
     pub index: u64,
     /// Total shards.
     pub count: u64,
-}
-
-impl ShardSpec {
-    /// Parses the CLI form `i/N` (e.g. `--shard 1/4`).
-    ///
-    /// # Errors
-    ///
-    /// Rejects malformed text, `N == 0`, and `i >= N`.
-    pub fn parse(s: &str) -> Result<Self, String> {
-        let (i, n) = s.split_once('/').ok_or_else(|| format!("expected i/N, got {s:?}"))?;
-        let index: u64 = i.trim().parse().map_err(|e| format!("bad shard index {i:?}: {e}"))?;
-        let count: u64 = n.trim().parse().map_err(|e| format!("bad shard count {n:?}: {e}"))?;
-        if count == 0 {
-            return Err("shard count must be >= 1".into());
-        }
-        if index >= count {
-            return Err(format!("shard index {index} out of range for {count} shards"));
-        }
-        Ok(ShardSpec { index, count })
-    }
-}
-
-impl fmt::Display for ShardSpec {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        write!(f, "{}/{}", self.index, self.count)
-    }
 }
 
 /// The contiguous window range shard `spec` owns out of `total_windows`.
@@ -84,16 +57,6 @@ pub fn merge_points(mut all: Vec<SamplePoint>) -> Result<Vec<SamplePoint>, Strin
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn parse_and_display() {
-        let s = ShardSpec::parse("1/4").expect("valid");
-        assert_eq!(s, ShardSpec { index: 1, count: 4 });
-        assert_eq!(s.to_string(), "1/4");
-        assert!(ShardSpec::parse("4/4").is_err(), "index out of range");
-        assert!(ShardSpec::parse("0/0").is_err(), "zero shards");
-        assert!(ShardSpec::parse("nope").is_err());
-    }
 
     #[test]
     fn ranges_partition_the_windows() {

@@ -30,9 +30,7 @@ use std::os::unix::net::UnixStream;
 use std::path::PathBuf;
 use std::process::ExitCode;
 
-use sfetch_bench::driver::{
-    or_die, submit_and_collect, ArgDefaults, CommonArgs, ScheduleAxis, ServeEvent,
-};
+use sfetch_bench::driver::{or_die, submit_and_collect, ArgDefaults, CommonArgs, ServeEvent};
 use sfetch_serve::{signals, Daemon, DaemonConfig};
 
 fn usage() -> ExitCode {
@@ -92,15 +90,15 @@ fn run_submit(mut args: Vec<String>) -> ExitCode {
             *a = "--serve".into();
         }
     }
-    let a = CommonArgs::parse_list(
+    let a = or_die(CommonArgs::parse_list(
         args,
         &ArgDefaults { benches: "phased", engines: "all", widths: "all", procs: 1 },
-    );
+    ));
     let Some(sock) = &a.serve else {
         eprintln!("error: submit requires --socket PATH");
         return ExitCode::FAILURE;
     };
-    let req = a.request(a.bench(), ScheduleAxis::Grid);
+    let req = a.request(a.bench());
     let id = a.req_id.clone().unwrap_or_else(|| format!("submit-{}", std::process::id()));
     let out = or_die(submit_and_collect(sock, &id, &req, |line| println!("{line}")));
     let _ = std::io::stdout().flush();

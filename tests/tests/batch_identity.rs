@@ -10,9 +10,11 @@
 
 use proptest::prelude::*;
 
+use sfetch_bench::driver::cell_group_bodies;
+use sfetch_bench::fleet_grid::{decompose, lease_group};
 use sfetch_bench::grid::{
     cell_config, cells, grid_engines, merge_grid, parse_shard_body, point_line, run_sampled_grid,
-    shard_file_text, CellRun, FIG8_WIDTHS,
+    CellRun, FIG8_WIDTHS,
 };
 use sfetch_bench::{workload_by_name, HarnessOpts};
 use sfetch_cfg::gen::{GenParams, ProgramGenerator};
@@ -20,7 +22,7 @@ use sfetch_cfg::{layout, CodeImage};
 use sfetch_core::{ProcessorConfig, SimStats};
 use sfetch_fetch::{EngineKind, FrontPipeline};
 use sfetch_sample::{
-    BatchCell, BatchSampler, CheckpointStore, SamplePoint, SampleConfig, ShardSpec, StoredSampler,
+    BatchCell, BatchSampler, CheckpointStore, SamplePoint, SampleConfig, StoredSampler,
 };
 use sfetch_workloads::LayoutChoice;
 
@@ -89,10 +91,12 @@ fn phased_squash_heavy_windows_straddle_batch_boundaries() {
 }
 
 /// Full-grid byte equality across batch caps: the whole Fig. 8 grid,
-/// one-shot through `run_sampled_grid` and through five
-/// `shard_file_text` shards (some of which start mid-cell), must render
-/// the per-window reference's point lines at `--batch 1`, at a cap that
-/// splits the grid, and at the default (uncapped) options.
+/// one-shot through `run_sampled_grid` and through the fleet worker
+/// body (`cell_group_bodies` over a 12-process `decompose`, which splits
+/// every cell mid-range into one-window chunks, leased in
+/// `lease_group` groups), must render the per-window reference's point
+/// lines at `--batch 1`, at a cap that splits the grid, and at the
+/// default (uncapped) options.
 #[test]
 fn full_grid_is_byte_identical_at_every_batch_cap() {
     let w = workload_by_name("phased");
@@ -127,16 +131,20 @@ fn full_grid_is_byte_identical_at_every_batch_cap() {
     for opts in [HarnessOpts { batch: 1, ..base }, HarnessOpts { batch: 5, ..base }, base] {
         let (runs, _) = run_sampled_grid(&w, &grid, scfg, total, &opts, &store);
         assert_eq!(lines(&runs), reference, "one-shot grid at batch {}", opts.batch);
+        let ids = decompose(&grid, windows, 12);
         let mut tuples = Vec::new();
-        for index in 0..5 {
-            let text = shard_file_text(&w, &grid, windows, scfg, &opts, &store, ShardSpec {
-                index,
-                count: 5,
-            });
-            tuples.extend(parse_shard_body(&text).expect("shard body parses"));
+        for lo in 0..windows {
+            let same_range: Vec<_> = ids.iter().filter(|c| c.lo == lo).cloned().collect();
+            assert!(same_range.iter().all(|c| c.hi == lo + 1), "one-window chunks");
+            let group = lease_group(opts.batch, false, ids.len(), 12);
+            for chunk in same_range.chunks(group) {
+                for body in cell_group_bodies(&w, chunk, scfg, &opts, &store).expect("bodies") {
+                    tuples.extend(parse_shard_body(&body).expect("cell body parses"));
+                }
+            }
         }
         let merged = merge_grid(&grid, windows, &tuples, scfg.confidence).expect("merge");
-        assert_eq!(lines(&merged), reference, "sharded grid at batch {}", opts.batch);
+        assert_eq!(lines(&merged), reference, "fleet-body grid at batch {}", opts.batch);
     }
     let _ = std::fs::remove_dir_all(store.root());
 }

@@ -51,9 +51,10 @@ fn disabled_sampling_locksteps_with_simulate() {
 
 /// A run split into shards through **serialized** architectural
 /// checkpoints merges bit-identically to the single-process run — the
-/// property the multi-process `shard_runner` (and its CI smoke leg)
-/// relies on. The checkpoint round-trips through bytes here, covering
-/// the exact hand-off the child processes perform.
+/// property the multi-process fleet workers (and the CI
+/// `figure8_sampled --procs 2 --verify` smoke legs) rely on. The
+/// checkpoint round-trips through bytes here, covering the exact
+/// hand-off the worker processes perform.
 #[test]
 fn serialized_shard_split_merges_bit_identically() {
     let img = small_image(44);
