@@ -30,13 +30,14 @@ use std::path::{Path, PathBuf};
 
 use sfetch_fetch::EngineKind;
 use sfetch_fleet::{fnv64, CellId};
+use sfetch_obs::jsonl::{optional, Obj, Row};
 use sfetch_sample::{CheckpointStore, SampleConfig, SamplePoint, StoredSampler};
 use sfetch_workloads::{LayoutChoice, Workload};
 
 use crate::fleet_grid::{degradation_exit, run_fleet_grid, FleetGridError, FleetGridSpec};
 use crate::grid::{
-    cells, engine_key, parse_engines, parse_widths, point_line, run_cells_batched, CellRun,
-    GridCell, GridError, GRID_SHARD_SCHEMA,
+    cells, engine_key, parse_engines, parse_widths, point_fields, point_line, read_point,
+    run_cells_batched, CellRun, GridCell, GridError, GRID_SHARD_SCHEMA,
 };
 use crate::obs::ObsOpts;
 use crate::{flag_value, number, positive, HarnessOpts};
@@ -47,74 +48,6 @@ pub fn or_die<T, E: std::fmt::Display>(r: Result<T, E>) -> T {
         eprintln!("error: {e}");
         std::process::exit(1);
     })
-}
-
-// ---------------------------------------------------------------------
-// Line-JSON field extraction
-// ---------------------------------------------------------------------
-//
-// The repo has two line-JSON writers: the shard files put a space after
-// the colon (`"key": 1`), the observability `Row` does not (`"key":1`).
-// The serve protocol reads both shapes, so these helpers tolerate an
-// optional single space — no general JSON parser needed or vendored.
-
-fn jfield_tail<'a>(line: &'a str, key: &str) -> Option<&'a str> {
-    let tag = format!("\"{key}\":");
-    let at = line.find(&tag)? + tag.len();
-    Some(line[at..].strip_prefix(' ').unwrap_or(&line[at..]))
-}
-
-/// Pulls an unsigned integer field out of a line-JSON object.
-pub fn jfield_u64(line: &str, key: &str) -> Option<u64> {
-    let rest = jfield_tail(line, key)?;
-    let end = rest.find(|c: char| !c.is_ascii_digit()).unwrap_or(rest.len());
-    rest[..end].parse().ok()
-}
-
-/// Pulls a float field out of a line-JSON object.
-pub fn jfield_f64(line: &str, key: &str) -> Option<f64> {
-    let rest = jfield_tail(line, key)?;
-    let end = rest
-        .find(|c: char| !(c.is_ascii_digit() || matches!(c, '-' | '+' | '.' | 'e' | 'E')))
-        .unwrap_or(rest.len());
-    rest[..end].parse().ok()
-}
-
-/// Pulls a boolean field out of a line-JSON object.
-pub fn jfield_bool(line: &str, key: &str) -> Option<bool> {
-    let rest = jfield_tail(line, key)?;
-    if rest.starts_with("true") {
-        Some(true)
-    } else if rest.starts_with("false") {
-        Some(false)
-    } else {
-        None
-    }
-}
-
-/// Pulls a string field out of a line-JSON object, undoing the escapes
-/// [`sfetch_obs::jsonl::esc`] produces.
-pub fn jfield_str(line: &str, key: &str) -> Option<String> {
-    let rest = jfield_tail(line, key)?.strip_prefix('"')?;
-    let mut out = String::new();
-    let mut chars = rest.chars();
-    while let Some(c) = chars.next() {
-        match c {
-            '"' => return Some(out),
-            '\\' => match chars.next()? {
-                'n' => out.push('\n'),
-                'r' => out.push('\r'),
-                't' => out.push('\t'),
-                'u' => {
-                    let hex: String = chars.by_ref().take(4).collect();
-                    out.push(char::from_u32(u32::from_str_radix(&hex, 16).ok()?)?);
-                }
-                other => out.push(other),
-            },
-            c => out.push(c),
-        }
-    }
-    None
 }
 
 // ---------------------------------------------------------------------
@@ -377,11 +310,12 @@ pub fn cell_group_bodies(
         run_cells_batched(w, &grid_cells, grid_cells.len(), scfg, opts, store, range);
     let mut bodies = Vec::with_capacity(cells.len());
     for ((cell, grid_cell), pts) in cells.iter().zip(&grid_cells).zip(per_cell) {
-        let mut body = format!(
-            "{{\"schema\": \"{GRID_SHARD_SCHEMA}\", \"cell\": \"{}\", \"bench\": \"{}\"}}\n",
-            cell,
-            w.name()
-        );
+        let mut body = Row::new()
+            .s("schema", GRID_SHARD_SCHEMA)
+            .s("cell", &cell.to_string())
+            .s("bench", w.name())
+            .finish();
+        body.push('\n');
         for p in &pts {
             body.push_str(&point_line(*grid_cell, p));
             body.push('\n');
@@ -480,7 +414,7 @@ impl GridRequest {
 
     /// Renders the `submit` line for this request.
     pub fn submit_line(&self, id: &str) -> String {
-        sfetch_obs::Row::new()
+        Row::new()
             .s("op", "submit")
             .s("id", id)
             .s("bench", &self.bench)
@@ -511,61 +445,50 @@ impl GridRequest {
     ///
     /// A readable message on a malformed line.
     pub fn parse_submit(line: &str) -> Result<(String, GridRequest), String> {
-        if jfield_str(line, "op").as_deref() != Some("submit") {
+        let obj = Obj::parse(line)?;
+        if obj.s("op")? != "submit" {
             return Err("not a submit line".into());
         }
-        let id = jfield_str(line, "id").ok_or("submit: missing id")?;
+        let id = obj.s("id")?.to_owned();
         if id.is_empty() {
             return Err("submit: empty id".into());
         }
-        let bench = jfield_str(line, "bench").ok_or("submit: missing bench")?;
-        let engines = parse_engines(&jfield_str(line, "engines").ok_or("submit: missing engines")?)
-            .map_err(|e| e.to_string())?;
-        let widths = parse_widths(&jfield_str(line, "widths").ok_or("submit: missing widths")?)
-            .map_err(|e| e.to_string())?;
-        let total = jfield_u64(line, "total").ok_or("submit: missing total")?;
-        let scfg = SampleConfig::parse(&jfield_str(line, "sample").ok_or("submit: missing sample")?)
-            .map_err(|e| e.to_string())?;
+        let bench = obj.s("bench")?.to_owned();
+        let engines = parse_engines(obj.s("engines")?).map_err(|e| e.to_string())?;
+        let widths = parse_widths(obj.s("widths")?).map_err(|e| e.to_string())?;
+        let total = obj.u("total")?;
+        let scfg = SampleConfig::parse(obj.s("sample")?).map_err(|e| e.to_string())?;
         let mut opts = HarnessOpts {
             grid_total: total,
             grid_sample: scfg,
-            legacy_scan: jfield_bool(line, "legacy").unwrap_or(false),
-            warm_bank: jfield_bool(line, "warm_bank").unwrap_or(false),
+            legacy_scan: optional(obj.b("legacy"))?.unwrap_or(false),
+            warm_bank: optional(obj.b("warm_bank"))?.unwrap_or(false),
             ..HarnessOpts::default()
         };
-        if let Some(jobs) = jfield_u64(line, "jobs") {
-            opts.jobs = usize::try_from(jobs)
-                .ok()
-                .filter(|&j| j >= 1)
-                .ok_or_else(|| {
-                    GridError::Cli(format!("submit: jobs must be >= 1 (got {jobs})")).to_string()
+        for (key, slot) in [("jobs", &mut opts.jobs), ("batch", &mut opts.batch)] {
+            if let Some(v) = optional(obj.u::<u64>(key))? {
+                *slot = usize::try_from(v).ok().filter(|&v| v >= 1).ok_or_else(|| {
+                    GridError::Cli(format!("submit: {key} must be >= 1 (got {v})")).to_string()
                 })?;
+            }
         }
-        if let Some(batch) = jfield_u64(line, "batch") {
-            opts.batch = usize::try_from(batch)
-                .ok()
-                .filter(|&b| b >= 1)
-                .ok_or_else(|| {
-                    GridError::Cli(format!("submit: batch must be >= 1 (got {batch})")).to_string()
-                })?;
-        }
-        if let Some(front) = jfield_str(line, "front") {
+        if let Some(front) = optional(obj.s("front"))? {
             opts.front =
-                crate::FrontMode::parse(&front).ok_or_else(|| format!("bad front {front:?}"))?;
+                crate::FrontMode::parse(front).ok_or_else(|| format!("bad front {front:?}"))?;
         }
-        if let Some(gridpf) = jfield_str(line, "gridpf") {
-            opts.grid_prefetch = crate::GridPrefetchMode::parse(&gridpf)
+        if let Some(gridpf) = optional(obj.s("gridpf"))? {
+            opts.grid_prefetch = crate::GridPrefetchMode::parse(gridpf)
                 .ok_or_else(|| format!("bad gridpf {gridpf:?}"))?;
         }
-        let pf = jfield_str(line, "pf").unwrap_or_else(|| "none".to_owned());
+        let pf = optional(obj.s("pf"))?.unwrap_or("none");
         let kind =
-            sfetch_core::PrefetchKind::parse(&pf).ok_or_else(|| format!("bad pf {pf:?}"))?;
+            sfetch_core::PrefetchKind::parse(pf).ok_or_else(|| format!("bad pf {pf:?}"))?;
         opts.prefetch = if kind == sfetch_core::PrefetchKind::None {
             sfetch_core::PrefetchConfig::none()
         } else {
             sfetch_core::PrefetchConfig::enabled(kind)
         };
-        if let Some(m) = jfield_u64(line, "mshrs") {
+        if let Some(m) = optional(obj.u::<u64>("mshrs"))? {
             if kind == sfetch_core::PrefetchKind::None {
                 // `submit_line` always writes the field; 0 is the only
                 // value consistent with a disabled prefetcher.
@@ -666,7 +589,6 @@ pub enum ServeEvent {
 impl ServeEvent {
     /// Renders the event as one stream line.
     pub fn to_line(&self) -> String {
-        use sfetch_obs::Row;
         match self {
             ServeEvent::Pong => Row::new().s("ev", "pong").s("schema", SERVE_SCHEMA).finish(),
             ServeEvent::Accepted { req, cells, windows } => Row::new()
@@ -683,17 +605,9 @@ impl ServeEvent {
                 .b("resumed", *resumed)
                 .u("shared_by", *shared_by)
                 .finish(),
-            ServeEvent::Point { engine, width, point } => Row::new()
-                .s("ev", "point")
-                .s("engine", engine)
-                .u("width", *width as u64)
-                .u("window", point.window)
-                .u("start_inst", point.start_inst)
-                .u("committed", point.committed)
-                .u("cycles", point.cycles)
-                .u("stall_cycles", point.stall_cycles)
-                .u("mispredictions", point.mispredictions)
-                .finish(),
+            ServeEvent::Point { engine, width, point } => {
+                point_fields(Row::new().s("ev", "point"), engine, *width, point).finish()
+            }
             ServeEvent::Estimate { engine, width, windows, ipc, lo, hi } => Row::new()
                 .s("ev", "estimate")
                 .s("engine", engine)
@@ -723,60 +637,45 @@ impl ServeEvent {
     ///
     /// A readable message on an unknown or malformed event.
     pub fn parse(line: &str) -> Result<ServeEvent, String> {
-        let ev = jfield_str(line, "ev").ok_or("missing ev field")?;
-        let want_str = |key: &str| {
-            jfield_str(line, key).ok_or_else(|| format!("{ev}: missing field {key:?}"))
-        };
-        let want_u64 =
-            |key: &str| jfield_u64(line, key).ok_or_else(|| format!("{ev}: missing field {key:?}"));
-        let want_f64 =
-            |key: &str| jfield_f64(line, key).ok_or_else(|| format!("{ev}: missing field {key:?}"));
-        match ev.as_str() {
-            "pong" => Ok(ServeEvent::Pong),
-            "accepted" => Ok(ServeEvent::Accepted {
-                req: want_str("req")?,
-                cells: want_u64("cells")?,
-                windows: want_u64("windows")?,
-            }),
-            "cell" => Ok(ServeEvent::Cell {
-                req: want_str("req")?,
-                cell: want_str("cell")?,
-                resumed: jfield_bool(line, "resumed").unwrap_or(false),
-                shared_by: want_u64("shared_by")?,
-            }),
-            "point" => Ok(ServeEvent::Point {
-                engine: want_str("engine")?,
-                width: want_u64("width")? as usize,
-                point: SamplePoint {
-                    window: want_u64("window")?,
-                    start_inst: want_u64("start_inst")?,
-                    committed: want_u64("committed")?,
-                    cycles: want_u64("cycles")?,
-                    stall_cycles: want_u64("stall_cycles")?,
-                    mispredictions: want_u64("mispredictions")?,
-                },
-            }),
-            "estimate" => Ok(ServeEvent::Estimate {
-                engine: want_str("engine")?,
-                width: want_u64("width")? as usize,
-                windows: want_u64("windows")?,
-                ipc: want_f64("ipc")?,
-                lo: want_f64("lo")?,
-                hi: want_f64("hi")?,
-            }),
-            "final" => Ok(ServeEvent::Final {
-                req: want_str("req")?,
-                status: want_str("status")?,
-                computed: want_u64("computed")?,
-                resumed: want_u64("resumed")?,
-                shared: want_u64("shared")?,
-            }),
-            "error" => Ok(ServeEvent::Error {
-                req: jfield_str(line, "req").unwrap_or_default(),
-                msg: want_str("msg")?,
-            }),
-            other => Err(format!("unknown event {other:?}")),
-        }
+        let obj = Obj::parse(line)?;
+        Ok(match obj.s("ev")? {
+            "pong" => ServeEvent::Pong,
+            "accepted" => ServeEvent::Accepted {
+                req: obj.s("req")?.to_owned(),
+                cells: obj.u("cells")?,
+                windows: obj.u("windows")?,
+            },
+            "cell" => ServeEvent::Cell {
+                req: obj.s("req")?.to_owned(),
+                cell: obj.s("cell")?.to_owned(),
+                resumed: optional(obj.b("resumed"))?.unwrap_or(false),
+                shared_by: obj.u("shared_by")?,
+            },
+            "point" => {
+                let (engine, width, point) = read_point(&obj)?;
+                ServeEvent::Point { engine, width, point }
+            }
+            "estimate" => ServeEvent::Estimate {
+                engine: obj.s("engine")?.to_owned(),
+                width: obj.u("width")?,
+                windows: obj.u("windows")?,
+                ipc: obj.f("ipc")?,
+                lo: obj.f("lo")?,
+                hi: obj.f("hi")?,
+            },
+            "final" => ServeEvent::Final {
+                req: obj.s("req")?.to_owned(),
+                status: obj.s("status")?.to_owned(),
+                computed: obj.u("computed")?,
+                resumed: obj.u("resumed")?,
+                shared: obj.u("shared")?,
+            },
+            "error" => ServeEvent::Error {
+                req: optional(obj.s("req"))?.unwrap_or_default().to_owned(),
+                msg: obj.s("msg")?.to_owned(),
+            },
+            other => return Err(format!("unknown event {other:?}")),
+        })
     }
 }
 
@@ -852,23 +751,6 @@ mod tests {
             scfg: SampleConfig::parse("500000,60000,5000,5000").expect("spec"),
             opts,
         }
-    }
-
-    #[test]
-    fn jfields_tolerate_both_spacings() {
-        for line in [
-            "{\"a\": 7, \"s\": \"x,y\", \"b\": true, \"f\": -1.5}",
-            "{\"a\":7,\"s\":\"x,y\",\"b\":true,\"f\":-1.5}",
-        ] {
-            assert_eq!(jfield_u64(line, "a"), Some(7));
-            assert_eq!(jfield_str(line, "s").as_deref(), Some("x,y"));
-            assert_eq!(jfield_bool(line, "b"), Some(true));
-            assert_eq!(jfield_f64(line, "f"), Some(-1.5));
-            assert_eq!(jfield_u64(line, "missing"), None);
-        }
-        // Escapes round-trip through the obs writer.
-        let line = sfetch_obs::Row::new().s("m", "a \"b\"\n\tc").finish();
-        assert_eq!(jfield_str(&line, "m").as_deref(), Some("a \"b\"\n\tc"));
     }
 
     #[test]

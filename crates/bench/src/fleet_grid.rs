@@ -573,6 +573,7 @@ mod tests {
     use super::*;
     use crate::grid::{cells, point_line};
     use sfetch_fetch::EngineKind;
+    use sfetch_obs::Row;
 
     #[test]
     fn decompose_partitions_every_pair() {
@@ -636,7 +637,9 @@ mod tests {
             let mut groups = self.0.borrow_mut();
             groups.push(cells.len());
             for (cell, out) in cells.iter().zip(outs) {
-                let body = format!("{{\"schema\": \"{GRID_SHARD_SCHEMA}\", \"cell\": \"{cell}\"}}\n");
+                let header =
+                    Row::new().s("schema", GRID_SHARD_SCHEMA).s("cell", &cell.to_string()).finish();
+                let body = format!("{header}\n");
                 std::fs::write(out, seal(&body)).expect("write cell output");
             }
             Ok(Exited(groups.len() as u64))

@@ -14,6 +14,7 @@ use std::path::{Path, PathBuf};
 
 use sfetch_core::ProcessorConfig;
 use sfetch_fetch::EngineKind;
+use sfetch_obs::jsonl::{optional, JsonError, Obj, Row};
 use sfetch_sample::{
     estimate, BatchCell, BatchSampler, CheckpointStore, Estimate, SampleConfig, SamplePoint,
     StoreStats,
@@ -298,37 +299,36 @@ pub fn run_sampled_grid(
 /// short.
 pub const GRID_SHARD_SCHEMA: &str = "sfetch-grid-shard-v3";
 
+/// Appends a point's eight fields (engine key, width, the six counters)
+/// to `row` — the one point encoding of shard lines and serve events.
+pub fn point_fields(row: Row, engine: &str, width: usize, p: &SamplePoint) -> Row {
+    row.s("engine", engine)
+        .u("width", width as u64)
+        .u("window", p.window)
+        .u("start_inst", p.start_inst)
+        .u("committed", p.committed)
+        .u("cycles", p.cycles)
+        .u("stall_cycles", p.stall_cycles)
+        .u("mispredictions", p.mispredictions)
+}
+
+/// Reads [`point_fields`] back as `(engine key, width, point)`, or the
+/// [`JsonError`] of a missing or mistyped field (widths are checked).
+pub fn read_point(obj: &Obj<'_>) -> Result<(String, usize, SamplePoint), JsonError> {
+    let p = SamplePoint {
+        window: obj.u("window")?,
+        start_inst: obj.u("start_inst")?,
+        committed: obj.u("committed")?,
+        cycles: obj.u("cycles")?,
+        stall_cycles: obj.u("stall_cycles")?,
+        mispredictions: obj.u("mispredictions")?,
+    };
+    Ok((obj.s("engine")?.to_owned(), obj.u("width")?, p))
+}
+
 /// Renders one grid sample point as a shard-file JSON line.
 pub fn point_line(cell: GridCell, p: &SamplePoint) -> String {
-    format!(
-        "{{\"engine\": \"{}\", \"width\": {}, \"window\": {}, \"start_inst\": {}, \
-         \"committed\": {}, \"cycles\": {}, \"stall_cycles\": {}, \"mispredictions\": {}}}",
-        engine_key(cell.engine),
-        cell.width,
-        p.window,
-        p.start_inst,
-        p.committed,
-        p.cycles,
-        p.stall_cycles,
-        p.mispredictions
-    )
-}
-
-/// Pulls `"key": value` out of a shard-file line (the files are our own
-/// fixed format; no general JSON parser needed or vendored).
-fn field_u64(line: &str, key: &str) -> Option<u64> {
-    let tag = format!("\"{key}\": ");
-    let at = line.find(&tag)? + tag.len();
-    let rest = &line[at..];
-    let end = rest.find(|c: char| !c.is_ascii_digit()).unwrap_or(rest.len());
-    rest[..end].parse().ok()
-}
-
-fn field_str<'a>(line: &'a str, key: &str) -> Option<&'a str> {
-    let tag = format!("\"{key}\": \"");
-    let at = line.find(&tag)? + tag.len();
-    let rest = &line[at..];
-    Some(&rest[..rest.find('"')?])
+    point_fields(Row::new(), engine_key(cell.engine), cell.width, p).finish()
 }
 
 /// Parses a sealed grid shard file — checksum trailer first, then the
@@ -352,43 +352,21 @@ pub fn parse_shard_file(text: &str) -> Result<Vec<(String, usize, SamplePoint)>,
 pub fn parse_shard_body(body: &str) -> Result<Vec<(String, usize, SamplePoint)>, GridError> {
     let mut out = Vec::new();
     for (i, l) in body.lines().enumerate() {
-        let line_no = i + 1;
-        if let Some(schema) = field_str(l, "schema") {
-            if schema != GRID_SHARD_SCHEMA {
-                return Err(GridError::ShardParse {
-                    line: line_no,
-                    what: format!(
-                        "schema {schema:?}, this build reads {GRID_SHARD_SCHEMA:?} \
-                         (delete stale shard files)"
-                    ),
-                });
-            }
-        }
-        if !l.contains("\"window\"") {
+        if l.trim().is_empty() {
             continue;
         }
-        let want = |key: &'static str| {
-            field_u64(l, key).ok_or(GridError::ShardParse {
-                line: line_no,
-                what: format!("missing or non-numeric field {key:?}"),
-            })
-        };
-        let engine = field_str(l, "engine")
-            .ok_or(GridError::ShardParse {
-                line: line_no,
-                what: "missing field \"engine\"".to_owned(),
-            })?
-            .to_owned();
-        let width = want("width")? as usize;
-        let p = SamplePoint {
-            window: want("window")?,
-            start_inst: want("start_inst")?,
-            committed: want("committed")?,
-            cycles: want("cycles")?,
-            stall_cycles: want("stall_cycles")?,
-            mispredictions: want("mispredictions")?,
-        };
-        out.push((engine, width, p));
+        let bad = |what: String| GridError::ShardParse { line: i + 1, what };
+        let obj = Obj::parse(l).map_err(|e| bad(e.to_string()))?;
+        match optional(obj.s("schema")).map_err(|e| bad(e.to_string()))? {
+            Some(GRID_SHARD_SCHEMA) => {}
+            Some(schema) => {
+                return Err(bad(format!(
+                    "schema {schema:?}, this build reads {GRID_SHARD_SCHEMA:?} \
+                     (delete stale shard files)"
+                )))
+            }
+            None => out.push(read_point(&obj).map_err(|e| bad(e.to_string()))?),
+        }
     }
     Ok(out)
 }

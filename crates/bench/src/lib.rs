@@ -316,7 +316,7 @@ impl HarnessOpts {
 /// The value after flag `args[i]`, run through `parse`; a
 /// [`grid::GridError::Cli`] naming the flag and what it wanted when the
 /// value is missing or `parse` rejects it.
-pub(crate) fn flag_value<T>(
+pub fn flag_value<T>(
     args: &[String],
     i: usize,
     want: &str,
@@ -332,12 +332,12 @@ pub(crate) fn flag_value<T>(
 }
 
 /// A [`flag_value`] parser: any value of `T`.
-pub(crate) fn number<T: std::str::FromStr>(v: &str) -> Option<T> {
+pub fn number<T: std::str::FromStr>(v: &str) -> Option<T> {
     v.parse().ok()
 }
 
 /// A [`flag_value`] parser: a count of at least 1.
-pub(crate) fn positive<T: std::str::FromStr + PartialOrd + From<u8>>(v: &str) -> Option<T> {
+pub fn positive<T: std::str::FromStr + PartialOrd + From<u8>>(v: &str) -> Option<T> {
     number(v).filter(|n: &T| *n >= T::from(1))
 }
 

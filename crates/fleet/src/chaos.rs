@@ -23,7 +23,7 @@
 //! ([`Fault::ExitNonzeroAfterWrite`] — exit status must win).
 
 use crate::cell::CellId;
-use crate::trailer::fnv64;
+use crate::fnv64;
 
 /// Environment variable that arms chaos mode in workers. Its value is
 /// the decimal seed.

@@ -27,16 +27,20 @@
 //!   is skipped entirely (zero recompute on resume), otherwise it is
 //!   demoted to `Pending` and recomputed.
 //!
+//! Events are written by [`sfetch_obs::Row`] and replayed through
+//! [`sfetch_obs::Obj`], the workspace's one line-JSON codec: free text
+//! (failure reasons, output paths) round-trips exactly, and ledgers
+//! written by older builds in `"k": v` spacing still replay.
+//!
 //! The ledger is keyed by a caller-supplied `config` fingerprint
 //! (workload, schedule, axes, chaos seed…). Opening a ledger written
 //! under a different fingerprint rotates it aside and starts fresh —
 //! stale cells are unreachable rather than merely discouraged, the same
 //! policy the checkpoint store applies to its entries.
 
-use std::fs::{File, OpenOptions};
-use std::io::Write as _;
 use std::path::{Path, PathBuf};
 
+use sfetch_obs::jsonl::{optional, JsonlFile, Obj, Row};
 use sfetch_tab::OpenMap;
 
 use crate::cell::CellId;
@@ -117,8 +121,7 @@ struct CellRecord {
 
 /// The file-backed cell ledger. See the module docs for semantics.
 pub struct Ledger {
-    path: PathBuf,
-    file: File,
+    file: JsonlFile,
     /// Open-addressed record table — `state`/`record_mut` lookups land
     /// once per supervisor poll per cell. Iteration-order determinism
     /// lives in `order`, not the table.
@@ -127,73 +130,6 @@ pub struct Ledger {
     /// and the final report all walk this, so claiming stays
     /// reproducible run to run.
     order: Vec<CellId>,
-}
-
-/// Minimal JSON string escaping for the few free-text fields (error
-/// messages, paths) the ledger records.
-fn esc(s: &str) -> String {
-    s.chars()
-        .map(|c| match c {
-            '"' => "\\\"".to_owned(),
-            '\\' => "\\\\".to_owned(),
-            '\n' | '\r' | '\t' => " ".to_owned(),
-            c => c.to_string(),
-        })
-        .collect()
-}
-
-fn unesc(s: &str) -> String {
-    let mut out = String::with_capacity(s.len());
-    let mut chars = s.chars();
-    while let Some(c) = chars.next() {
-        if c == '\\' {
-            match chars.next() {
-                Some('"') => out.push('"'),
-                Some('\\') => out.push('\\'),
-                Some(other) => {
-                    out.push('\\');
-                    out.push(other);
-                }
-                None => out.push('\\'),
-            }
-        } else {
-            out.push(c);
-        }
-    }
-    out
-}
-
-fn field_u64(line: &str, key: &str) -> Option<u64> {
-    let tag = format!("\"{key}\": ");
-    let at = line.find(&tag)? + tag.len();
-    let rest = &line[at..];
-    let end = rest.find(|c: char| !c.is_ascii_digit()).unwrap_or(rest.len());
-    rest[..end].parse().ok()
-}
-
-fn field_str<'a>(line: &'a str, key: &str) -> Option<&'a str> {
-    let tag = format!("\"{key}\": \"");
-    let at = line.find(&tag)? + tag.len();
-    let rest = &line[at..];
-    // Scan for the closing quote, honouring escapes.
-    let bytes = rest.as_bytes();
-    let mut i = 0;
-    while i < bytes.len() {
-        match bytes[i] {
-            b'\\' => i += 2,
-            b'"' => return Some(&rest[..i]),
-            _ => i += 1,
-        }
-    }
-    None
-}
-
-fn field_bool(line: &str, key: &str) -> Option<bool> {
-    let tag = format!("\"{key}\": ");
-    let at = line.find(&tag)? + tag.len();
-    line[at..].starts_with("true").then_some(true).or_else(|| {
-        line[at..].starts_with("false").then_some(false)
-    })
 }
 
 impl Ledger {
@@ -226,10 +162,9 @@ impl Ledger {
         };
         let mut fresh = true;
         if let Some(text) = existing {
-            let header_ok = text
-                .lines()
-                .next()
-                .is_some_and(|l| l.contains(LEDGER_SCHEMA) && field_u64(l, "config") == Some(config));
+            let header_ok = text.lines().next().and_then(|l| Obj::parse(l).ok()).is_some_and(|h| {
+                h.s("schema") == Ok(LEDGER_SCHEMA) && h.u::<u64>("config") == Ok(config)
+            });
             if header_ok {
                 fresh = false;
                 for (i, line) in text.lines().enumerate().skip(1) {
@@ -250,19 +185,11 @@ impl Ledger {
             }
         }
 
-        let mut file = OpenOptions::new()
-            .create(true)
-            .append(true)
-            .open(&path)
-            .map_err(|e| FleetError::io("open ledger", &path, e))?;
+        let mut file =
+            JsonlFile::append(&path).map_err(|e| FleetError::io("open ledger", &path, e))?;
         if fresh {
-            let header = format!(
-                "{{\"ev\": \"open\", \"schema\": \"{LEDGER_SCHEMA}\", \"config\": {config}, \
-                 \"cells\": {}}}\n",
-                cells.len()
-            );
-            file.write_all(header.as_bytes())
-                .and_then(|()| file.flush())
+            let header = Row::new().s("ev", "open").s("schema", LEDGER_SCHEMA);
+            file.write_row(header.u("config", config).u("cells", cells.len() as u64))
                 .map_err(|e| FleetError::io("write ledger header", &path, e))?;
         }
 
@@ -307,17 +234,16 @@ impl Ledger {
             resolved.insert(cell.clone(), rec);
         }
 
-        Ok((Ledger { path, file, cells: resolved, order }, summary))
+        Ok((Ledger { file, cells: resolved, order }, summary))
     }
 
     fn replay_line(line: &str, map: &mut OpenMap<CellId, CellRecord>) -> Result<(), String> {
-        let ev = field_str(line, "ev").ok_or("missing \"ev\" field")?;
+        let obj = Obj::parse(line)?;
+        let ev = obj.s("ev")?;
         if ev == "open" {
             return Ok(()); // A re-opened ledger re-appends nothing; ignore.
         }
-        let cell_s = field_str(line, "cell").ok_or("missing \"cell\" field")?;
-        let cell = CellId::parse(cell_s)?;
-        let need = |k: &str| field_u64(line, k).ok_or_else(|| format!("missing \"{k}\" field"));
+        let cell = CellId::parse(obj.s("cell")?)?;
         let rec = map.entry_or_insert(
             cell,
             CellRecord {
@@ -329,9 +255,9 @@ impl Ledger {
         match ev {
             "lease" => {
                 rec.state = CellState::Leased {
-                    worker: need("worker")?,
-                    attempt: need("attempt")? as u32,
-                    deadline_ms: need("deadline_ms")?,
+                    worker: obj.u("worker")?,
+                    attempt: obj.u("attempt")?,
+                    deadline_ms: obj.u("deadline_ms")?,
                 };
             }
             "done" => {
@@ -339,23 +265,18 @@ impl Ledger {
                     CellState::Leased { attempt, .. } => attempt,
                     _ => 0,
                 };
-                rec.state = CellState::Done {
-                    digest: need("digest")?,
-                    attempts,
-                    dur_ms: need("dur_ms")?,
-                };
-                rec.out = field_str(line, "out").map(|p| PathBuf::from(unesc(p)));
+                let (digest, dur_ms) = (obj.u("digest")?, obj.u("dur_ms")?);
+                rec.state = CellState::Done { digest, attempts, dur_ms };
+                rec.out = optional(obj.s("out"))?.map(PathBuf::from);
             }
             "fail" => {
-                let attempts = need("attempts")? as u32;
-                let why = unesc(field_str(line, "why").unwrap_or(""));
-                if field_bool(line, "permanent").unwrap_or(false) {
-                    rec.state = CellState::Failed { attempts, last_error: why };
+                let attempts = obj.u("attempts")?;
+                if optional(obj.b("permanent"))?.unwrap_or(false) {
+                    let last_error = optional(obj.s("why"))?.unwrap_or_default().to_owned();
+                    rec.state = CellState::Failed { attempts, last_error };
                 } else {
-                    rec.state = CellState::Pending {
-                        attempts,
-                        not_before_ms: need("not_before_ms")?,
-                    };
+                    let not_before_ms = obj.u("not_before_ms")?;
+                    rec.state = CellState::Pending { attempts, not_before_ms };
                 }
             }
             other => return Err(format!("unknown event {other:?}")),
@@ -363,11 +284,10 @@ impl Ledger {
         Ok(())
     }
 
-    fn append(&mut self, line: String) -> Result<(), FleetError> {
+    fn append(&mut self, event: Row) -> Result<(), FleetError> {
         self.file
-            .write_all(line.as_bytes())
-            .and_then(|()| self.file.flush())
-            .map_err(|e| FleetError::io("append to ledger", &self.path, e))
+            .write_row(event)
+            .map_err(|e| FleetError::io("append to ledger", self.file.path(), e))
     }
 
     fn record_mut(&mut self, cell: &CellId) -> Result<&mut CellRecord, FleetError> {
@@ -380,7 +300,7 @@ impl Ledger {
 
     /// The ledger file's path.
     pub fn path(&self) -> &Path {
-        &self.path
+        self.file.path()
     }
 
     /// Current state of `cell`.
@@ -490,11 +410,14 @@ impl Ledger {
                 })
             }
         };
-        let line = format!(
-            "{{\"ev\": \"lease\", \"cell\": \"{cell}\", \"worker\": {worker}, \
-             \"attempt\": {attempt}, \"deadline_ms\": {deadline_ms}}}\n"
-        );
-        self.append(line)?;
+        self.append(
+            Row::new()
+                .s("ev", "lease")
+                .s("cell", &cell.to_string())
+                .u("worker", worker)
+                .u("attempt", u64::from(attempt))
+                .u("deadline_ms", deadline_ms),
+        )?;
         self.record_mut(cell)?.state = CellState::Leased { worker, attempt, deadline_ms };
         Ok(attempt)
     }
@@ -524,12 +447,14 @@ impl Ledger {
                 })
             }
         };
-        let line = format!(
-            "{{\"ev\": \"done\", \"cell\": \"{cell}\", \"digest\": {digest}, \
-             \"dur_ms\": {dur_ms}, \"out\": \"{}\"}}\n",
-            esc(&out.display().to_string())
-        );
-        self.append(line)?;
+        self.append(
+            Row::new()
+                .s("ev", "done")
+                .s("cell", &cell.to_string())
+                .u("digest", digest)
+                .u("dur_ms", dur_ms)
+                .s("out", &out.display().to_string()),
+        )?;
         let rec = self.record_mut(cell)?;
         rec.state = CellState::Done { digest, attempts, dur_ms };
         rec.out = Some(out.to_path_buf());
@@ -563,12 +488,15 @@ impl Ledger {
             }
         };
         let permanent = attempts > max_retries;
-        let line = format!(
-            "{{\"ev\": \"fail\", \"cell\": \"{cell}\", \"attempts\": {attempts}, \
-             \"not_before_ms\": {not_before_ms}, \"permanent\": {permanent}, \"why\": \"{}\"}}\n",
-            esc(why)
-        );
-        self.append(line)?;
+        self.append(
+            Row::new()
+                .s("ev", "fail")
+                .s("cell", &cell.to_string())
+                .u("attempts", u64::from(attempts))
+                .u("not_before_ms", not_before_ms)
+                .b("permanent", permanent)
+                .s("why", why),
+        )?;
         self.record_mut(cell)?.state = if permanent {
             CellState::Failed { attempts, last_error: why.to_owned() }
         } else {
@@ -686,8 +614,8 @@ mod tests {
         let body = "points…";
         std::fs::write(&out, body).expect("write out");
         let validate =
-            |text: &str| -> Result<u64, String> { Ok(crate::trailer::fnv64(text.as_bytes())) };
-        let digest = crate::trailer::fnv64(body.as_bytes());
+            |text: &str| -> Result<u64, String> { Ok(crate::fnv64(text.as_bytes())) };
+        let digest = crate::fnv64(body.as_bytes());
         {
             let (mut led, _) = Ledger::open(&path, 7, &cells, 0, &validate).expect("open");
             led.lease(&cells[0], 1, 10_000, 0).expect("lease");
@@ -731,7 +659,7 @@ mod tests {
         let dir = tmp("esc");
         let cells = cells2();
         let path = dir.join("l.ledger");
-        let why = "child said \"no\"\nand \\ dumped a stack";
+        let why = "child said \"no\"\nand \\ dumped\ta \x1b[31mstack\r";
         {
             let (mut led, _) = Ledger::open(&path, 7, &cells, 0, &no_validate).expect("open");
             led.lease(&cells[0], 1, 100, 0).expect("lease");
@@ -739,11 +667,31 @@ mod tests {
         }
         let (led, _) = Ledger::open(&path, 7, &cells, 0, &no_validate).expect("reopen");
         match led.state(&cells[0]).expect("state") {
-            CellState::Failed { last_error, .. } => {
-                assert!(last_error.contains("said \"no\""), "got {last_error:?}");
-            }
+            CellState::Failed { last_error, .. } => assert_eq!(last_error, why),
             other => panic!("expected Failed, got {other:?}"),
         }
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn done_cell_with_a_tab_in_its_path_resumes() {
+        let dir = tmp("tab");
+        let cells = cells2();
+        let path = dir.join("l.ledger");
+        let out = dir.join("cell\tout.json");
+        let body = "points";
+        std::fs::write(&out, body).expect("write out");
+        let validate = |text: &str| -> Result<u64, String> { Ok(crate::fnv64(text.as_bytes())) };
+        {
+            let (mut led, _) = Ledger::open(&path, 7, &cells, 0, &validate).expect("open");
+            led.lease(&cells[0], 1, 10_000, 0).expect("lease");
+            led.complete(&cells[0], crate::fnv64(body.as_bytes()), &out, 5, body.into())
+                .expect("complete");
+        }
+        let (led, summary) = Ledger::open(&path, 7, &cells, 1_000, &validate).expect("reopen");
+        assert_eq!(summary.resumed_done, 1, "the recorded path must name the same file");
+        assert_eq!(summary.invalidated, 0);
+        assert_eq!(led.done_text(&cells[0]), Some(body));
         let _ = std::fs::remove_dir_all(&dir);
     }
 }

@@ -73,7 +73,8 @@ pub use supervisor::{
     run_fleet, run_fleet_notify, CellDone, FleetConfig, FleetReport, Launcher, PollResult,
     ProcessGroupLauncher, ProcessLauncher, WorkerHandle,
 };
-pub use trailer::{fnv64, seal, unseal, TrailerError};
+pub use sfetch_tab::fnv64;
+pub use trailer::{seal, unseal, TrailerError};
 
 /// Milliseconds since the Unix epoch — the wall-clock the ledger
 /// persists (leases must stay meaningful across process restarts, so

@@ -33,9 +33,9 @@ use sfetch_obs::{JsonlFile, Row};
 
 use crate::cell::CellId;
 use crate::error::FleetError;
+use crate::fnv64;
 use crate::ledger::{CellState, Ledger, ResumeSummary};
 use crate::now_ms;
-use crate::trailer::fnv64;
 
 /// Tuning for [`run_fleet`]. [`FleetConfig::new`]`(procs)` gives the
 /// production defaults; tests shrink the time constants.

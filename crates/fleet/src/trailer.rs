@@ -8,23 +8,16 @@
 //! the body's byte length and FNV-1a digest, and [`unseal`] refuses any
 //! file whose trailer is missing, malformed, or disagrees with the
 //! bytes — the supervisor then fails the cell and re-runs it.
+//! The line is a [`sfetch_obs::Row`] read back by [`sfetch_obs::Obj`];
+//! the digest is [`sfetch_tab::fnv64`].
 
 use std::fmt;
 
+use sfetch_obs::{Obj, Row};
+use sfetch_tab::fnv64;
+
 /// Schema tag of the trailer line.
 pub const TRAILER_SCHEMA: &str = "sfetch-shard-trailer-v1";
-
-/// 64-bit FNV-1a over `bytes` — the fleet's output digest. Matches the
-/// classic parameters (offset basis `0xcbf29ce484222325`, prime
-/// `0x100000001b3`); self-contained so the crate stays std-only.
-pub fn fnv64(bytes: &[u8]) -> u64 {
-    let mut h: u64 = 0xcbf2_9ce4_8422_2325;
-    for &b in bytes {
-        h ^= u64::from(b);
-        h = h.wrapping_mul(0x0000_0100_0000_01b3);
-    }
-    h
-}
 
 /// Why [`unseal`] rejected a worker output.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -72,11 +65,12 @@ pub fn seal(body: &str) -> String {
         body.is_empty() || body.ends_with('\n'),
         "seal() requires an empty or newline-terminated body"
     );
-    format!(
-        "{body}{{\"trailer\": \"{TRAILER_SCHEMA}\", \"bytes\": {}, \"fnv\": {}}}\n",
-        body.len(),
-        fnv64(body.as_bytes())
-    )
+    let trailer = Row::new()
+        .s("trailer", TRAILER_SCHEMA)
+        .u("bytes", body.len() as u64)
+        .u("fnv", fnv64(body.as_bytes()))
+        .finish();
+    format!("{body}{trailer}\n")
 }
 
 /// Verifies `text`'s checksum trailer and returns the body (everything
@@ -95,20 +89,13 @@ pub fn unseal(text: &str) -> Result<&str, TrailerError> {
     if !line.contains(TRAILER_SCHEMA) {
         return Err(TrailerError::Missing);
     }
-    let field = |key: &str| -> Result<u64, TrailerError> {
-        let tag = format!("\"{key}\": ");
-        let at = line
-            .find(&tag)
-            .ok_or_else(|| TrailerError::Malformed(format!("missing field {key:?}")))?
-            + tag.len();
-        let rest = &line[at..];
-        let end = rest.find(|c: char| !c.is_ascii_digit()).unwrap_or(rest.len());
-        rest[..end]
-            .parse()
-            .map_err(|e| TrailerError::Malformed(format!("field {key:?}: {e}")))
-    };
-    let recorded = field("bytes")?;
-    let digest = field("fnv")?;
+    let malformed = |e: sfetch_obs::JsonError| TrailerError::Malformed(e.to_string());
+    let trailer = Obj::parse(line).map_err(malformed)?;
+    if trailer.s("trailer").map_err(malformed)? != TRAILER_SCHEMA {
+        return Err(TrailerError::Malformed("unknown trailer schema".into()));
+    }
+    let recorded: u64 = trailer.u("bytes").map_err(malformed)?;
+    let digest: u64 = trailer.u("fnv").map_err(malformed)?;
     let body = &text[..line_start];
     if body.len() as u64 != recorded {
         return Err(TrailerError::LengthMismatch { recorded, actual: body.len() as u64 });
@@ -158,8 +145,8 @@ mod tests {
     #[test]
     fn fnv_is_stable() {
         // Pin the digest function: ledger digests persist across runs,
-        // so the algorithm must never drift silently.
-        assert_eq!(fnv64(b""), 0xcbf2_9ce4_8422_2325);
-        assert_eq!(fnv64(b"a"), 0xaf63_dc4c_8601_ec8c);
+        // so the algorithm must never drift silently (the full pin lives
+        // with the hash in `sfetch-tab`).
+        assert_eq!(crate::fnv64(b"a"), 0xaf63_dc4c_8601_ec8c);
     }
 }

@@ -8,8 +8,8 @@
 //!   benchmark-grid countdown [`GridProgress`] (promoted here from the
 //!   bench harness so grid, fleet supervisor, and sampled runners share
 //!   one implementation).
-//! * [`jsonl`] — a minimal line-JSON row builder ([`jsonl::Row`]) and
-//!   append-only file writer ([`jsonl::JsonlFile`]) shared by every sink.
+//! * [`jsonl`] — the one line-JSON codec: writer ([`jsonl::Row`]),
+//!   reader ([`jsonl::Obj`]) and append-only file ([`jsonl::JsonlFile`]).
 //! * [`timeseries`] — [`TimeSeriesSink`]: interval snapshots of
 //!   cycle-accounting deltas, column-sum-exact by construction (the rows
 //!   partition the run; summing any column over all rows reproduces the
@@ -36,7 +36,7 @@ pub mod progress;
 pub mod timeseries;
 
 pub use hist::Histogram;
-pub use jsonl::{JsonlFile, Row};
+pub use jsonl::{JsonError, JsonlFile, Obj, Row};
 pub use konata::KonataTrace;
 pub use progress::{GridProgress, Reporter};
 pub use timeseries::TimeSeriesSink;

@@ -113,14 +113,6 @@ impl<W: Write> TimeSeriesSink<W> {
 mod tests {
     use super::*;
 
-    fn parse_u64(line: &str, key: &str) -> Option<u64> {
-        let pat = format!("\"{key}\":");
-        let at = line.find(&pat)? + pat.len();
-        let rest = &line[at..];
-        let end = rest.find([',', '}']).unwrap_or(rest.len());
-        rest[..end].parse().ok()
-    }
-
     #[test]
     fn rows_partition_the_deltas_exactly() {
         let mut buf = Vec::new();
@@ -140,8 +132,9 @@ mod tests {
         let mut cycles = 0;
         let mut rows = 0;
         for line in text.lines().skip(1) {
-            committed += parse_u64(line, "committed").unwrap();
-            cycles += parse_u64(line, "cycles").unwrap();
+            let row = crate::jsonl::Obj::parse(line).expect("row parses");
+            committed += row.u::<u64>("committed").expect("committed column");
+            cycles += row.u::<u64>("cycles").expect("cycles column");
             rows += 1;
         }
         assert_eq!((committed, cycles), (420, 217), "row sums must equal the aggregate");

@@ -427,7 +427,7 @@ impl CheckpointStore {
                 payload.len()
             ));
         }
-        if sfetch_trace::digest_bytes(payload) != digest {
+        if sfetch_tab::fnv64(payload) != digest {
             return reject("warm-state digest mismatch (corrupt entry)".into());
         }
         let cp = match ArchCheckpoint::from_bytes(payload) {
@@ -466,7 +466,7 @@ impl CheckpointStore {
             key.fingerprint,
             key.seed,
             key.at_inst,
-            sfetch_trace::digest_bytes(&payload),
+            sfetch_tab::fnv64(&payload),
             payload.len() as u64,
         ] {
             out.extend_from_slice(&w.to_le_bytes());
@@ -555,7 +555,7 @@ impl CheckpointStore {
         if payload.len() != payload_len {
             return reject(format!("payload length {} != recorded {payload_len}", payload.len()));
         }
-        if sfetch_trace::digest_bytes(payload) != digest {
+        if sfetch_tab::fnv64(payload) != digest {
             return reject("warm-entry digest mismatch (corrupt entry)".into());
         }
         let mut r = WireReader::new(payload);
@@ -615,7 +615,7 @@ impl CheckpointStore {
             key.seed,
             key.at_inst,
             model,
-            sfetch_trace::digest_bytes(&payload),
+            sfetch_tab::fnv64(&payload),
             payload.len() as u64,
         ] {
             out.extend_from_slice(&w.to_le_bytes());
@@ -695,7 +695,7 @@ pub fn warm_model_digest(kind: EngineKind, pcfg: &ProcessorConfig, scfg: &Sample
         scfg.warm_func,
         scfg.warm_mem,
     );
-    sfetch_trace::digest_bytes(desc.as_bytes())
+    sfetch_tab::fnv64(desc.as_bytes())
 }
 
 /// The store-aware sampled-window runner.

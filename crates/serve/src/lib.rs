@@ -50,11 +50,13 @@ use std::time::Duration;
 
 use sfetch_bench::driver::{cell_group_bodies, validate_shard_text, GridRequest, ServeEvent};
 use sfetch_bench::grid::parse_shard_file;
-use sfetch_bench::{workload_by_name, HarnessOpts};
+use sfetch_bench::grid::GridError;
+use sfetch_bench::{flag_value, number, positive, workload_by_name, HarnessOpts};
 use sfetch_fleet::{
     now_ms, run_fleet_notify, seal, CellId, FleetConfig, FleetError, HeartbeatGuard, Launcher,
     Ledger, PollResult, WorkerHandle,
 };
+use sfetch_obs::{Obj, Row};
 use sfetch_sample::{estimate, CheckpointStore, SampleConfig, StoredSampler};
 use sfetch_workloads::{LayoutChoice, Workload};
 
@@ -271,6 +273,33 @@ pub struct DaemonConfig {
     pub store_cap_bytes: Option<u64>,
 }
 
+impl DaemonConfig {
+    /// Parses `sfetch-serve serve`'s flags (`--socket PATH --store DIR
+    /// [--procs N] [--max-retries N] [--store-cap-bytes B]`), or a
+    /// [`GridError::Cli`] naming the bad, missing or unknown flag.
+    pub fn from_args(args: &[String]) -> Result<Self, GridError> {
+        let mut procs = std::thread::available_parallelism().map_or(2, |n| n.get());
+        let (mut socket, mut store_dir, mut max_retries, mut store_cap_bytes) = (None, None, 3, None);
+        let path = |i: usize| flag_value(args, i, "a path", |v| Some(PathBuf::from(v)));
+        for i in (0..args.len()).step_by(2) {
+            match args[i].as_str() {
+                "--socket" => socket = Some(path(i)?),
+                "--store" => store_dir = Some(path(i)?),
+                "--procs" => procs = flag_value(args, i, "a number >= 1", positive)?,
+                "--max-retries" => max_retries = flag_value(args, i, "a number", number)?,
+                "--store-cap-bytes" => {
+                    store_cap_bytes = Some(flag_value(args, i, "a byte count >= 1", positive)?);
+                }
+                other => return Err(GridError::Cli(format!("unknown serve argument {other:?}"))),
+            }
+        }
+        let (Some(socket), Some(store_dir)) = (socket, store_dir) else {
+            return Err(GridError::Cli("serve requires --socket PATH and --store DIR".into()));
+        };
+        Ok(DaemonConfig { socket, store_dir, procs, max_retries, store_cap_bytes })
+    }
+}
+
 /// What the startup probe found at the configured socket path.
 enum SocketProbe {
     /// Nothing there — bind freely.
@@ -299,7 +328,8 @@ fn probe_socket(path: &Path) -> SocketProbe {
     let _ = stream.set_read_timeout(Some(PROBE_TIMEOUT));
     let _ = stream.set_write_timeout(Some(PROBE_TIMEOUT));
     let Ok(mut w) = stream.try_clone() else { return SocketProbe::Busy };
-    if w.write_all(b"{\"op\":\"ping\"}\n").is_err() {
+    let ping = Row::new().s("op", "ping").finish();
+    if w.write_all(format!("{ping}\n").as_bytes()).is_err() {
         return SocketProbe::Busy;
     }
     let mut line = String::new();
@@ -416,10 +446,12 @@ fn handle_conn(state: &SharedState, store_dir: &Path, stream: UnixStream) {
     let send = |w: &mut UnixStream, ev: &ServeEvent| {
         let _ = w.write_all(format!("{}\n", ev.to_line()).as_bytes());
     };
-    match sfetch_bench::driver::jfield_str(&line, "op").as_deref() {
+    let request = Obj::parse(&line);
+    let field = |key: &str| request.as_ref().ok().and_then(|r| r.s(key).ok());
+    match field("op") {
         Some("ping") => send(&mut writer, &ServeEvent::Pong),
         Some("tail") => {
-            let Some(id) = sfetch_bench::driver::jfield_str(&line, "id") else {
+            let Some(id) = field("id").map(str::to_owned) else {
                 send(&mut writer, &ServeEvent::Error { req: String::new(), msg: "tail: missing id".into() });
                 return;
             };
@@ -764,6 +796,36 @@ fn write_mirror(store_dir: &Path, id: &str, log: &RequestLog) {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    #[test]
+    fn serve_flags_reject_bad_values_without_panicking() {
+        let args = |list: &[&str]| list.iter().map(|a| (*a).to_owned()).collect::<Vec<_>>();
+        let base = ["--socket", "s.sock", "--store", "st"];
+        let cfg = DaemonConfig::from_args(&args(&[
+            &base[..],
+            &["--procs", "3", "--max-retries", "0", "--store-cap-bytes", "4096"],
+        ]
+        .concat()))
+        .expect("good flags");
+        assert_eq!((cfg.procs, cfg.max_retries, cfg.store_cap_bytes), (3, 0, Some(4096)));
+        assert_eq!(cfg.socket, PathBuf::from("s.sock"));
+        for (extra, want) in [
+            (&["--procs", "0"][..], "--procs requires a number >= 1"),
+            (&["--procs", "x"], "--procs requires a number >= 1"),
+            (&["--procs"], "--procs requires a number >= 1"),
+            (&["--max-retries", "-1"], "--max-retries requires a number"),
+            (&["--store-cap-bytes", "0"], "--store-cap-bytes requires a byte count >= 1"),
+            (&["--store-cap-bytes", "1e9"], "--store-cap-bytes requires a byte count >= 1"),
+            (&["--jobs", "2"], "unknown serve argument"),
+        ] {
+            let err = DaemonConfig::from_args(&args(&[&base[..], extra].concat()))
+                .err()
+                .unwrap_or_else(|| panic!("{extra:?} must be rejected"));
+            assert!(err.to_string().contains(want), "{extra:?}: {err}");
+        }
+        let err = DaemonConfig::from_args(&args(&["--socket", "s.sock"])).err();
+        assert!(err.is_some_and(|e| e.to_string().contains("--store DIR")));
+    }
 
     #[test]
     fn request_log_streams_and_replays() {

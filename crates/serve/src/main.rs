@@ -4,7 +4,7 @@
 //! ```text
 //! # Resident daemon: one warm store, one ledger per request family.
 //! sfetch-serve serve --socket /tmp/sfetch.sock --store /tmp/sfetch-store \
-//!     [--procs N] [--max-retries N]
+//!     [--procs N] [--max-retries N] [--store-cap-bytes B]
 //!
 //! # Submit a grid request and stream the raw result events to stdout.
 //! sfetch-serve submit --socket /tmp/sfetch.sock \
@@ -27,7 +27,6 @@
 
 use std::io::{BufRead, BufReader, Write};
 use std::os::unix::net::UnixStream;
-use std::path::PathBuf;
 use std::process::ExitCode;
 
 use sfetch_bench::driver::{or_die, submit_and_collect, ArgDefaults, CommonArgs, ServeEvent};
@@ -43,38 +42,20 @@ fn usage() -> ExitCode {
     ExitCode::FAILURE
 }
 
-/// Pulls `--flag VALUE` out of an argument list.
+/// Pulls `--flag VALUE` out of a client's argument list.
 fn take_flag(args: &mut Vec<String>, flag: &str) -> Option<String> {
     let at = args.iter().position(|a| a == flag)?;
     if at + 1 >= args.len() {
-        panic!("{flag} requires a value");
+        return None;
     }
     args.remove(at);
     Some(args.remove(at))
 }
 
-fn run_serve(mut args: Vec<String>) -> ExitCode {
-    let socket = take_flag(&mut args, "--socket").map(PathBuf::from);
-    let store = take_flag(&mut args, "--store").map(PathBuf::from);
-    let procs = take_flag(&mut args, "--procs")
-        .map(|v| v.parse().expect("--procs requires a number >= 1"))
-        .unwrap_or_else(|| std::thread::available_parallelism().map_or(2, |n| n.get()));
-    let max_retries = take_flag(&mut args, "--max-retries")
-        .map(|v| v.parse().expect("--max-retries requires a number"))
-        .unwrap_or(3);
-    let store_cap_bytes = take_flag(&mut args, "--store-cap-bytes")
-        .map(|v| v.parse().expect("--store-cap-bytes requires a byte count >= 1"));
-    let (Some(socket), Some(store)) = (socket, store) else {
-        return usage();
-    };
-    if !args.is_empty() {
-        eprintln!("error: unknown serve arguments {args:?}");
-        return ExitCode::FAILURE;
-    }
+fn run_serve(args: Vec<String>) -> ExitCode {
+    let cfg = or_die(DaemonConfig::from_args(&args));
     let stop = signals::install();
-    let daemon =
-        Daemon::new(DaemonConfig { socket, store_dir: store, procs, max_retries, store_cap_bytes });
-    match daemon.run(stop) {
+    match Daemon::new(cfg).run(stop) {
         Ok(()) => ExitCode::SUCCESS,
         Err(e) => {
             eprintln!("error: {e}");
@@ -136,7 +117,8 @@ fn run_ping(mut args: Vec<String>) -> ExitCode {
     let Some(sock) = take_flag(&mut args, "--socket") else {
         return usage();
     };
-    let stream = match one_line_op(&sock, "{\"op\":\"ping\"}") {
+    let ping = sfetch_obs::Row::new().s("op", "ping").finish();
+    let stream = match one_line_op(&sock, &ping) {
         Ok(s) => s,
         Err(e) => {
             eprintln!("error: {e}");

@@ -21,57 +21,6 @@ use sfetch_isa::Addr;
 /// Magic + version tag of the checkpoint wire format.
 const MAGIC: u64 = 0x5346_4348_4b50_5431; // "SFCHKPT1"
 
-/// FNV-1a 64-bit offset basis.
-const FNV_OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
-/// FNV-1a 64-bit prime.
-const FNV_PRIME: u64 = 0x0000_0100_0000_01b3;
-
-/// Incremental FNV-1a 64-bit hasher — the digest primitive behind
-/// checkpoint integrity checks and workload fingerprints. Hand-rolled
-/// (like the checkpoint wire format itself) because the build
-/// environment has no hashing crates; FNV is deterministic across
-/// platforms and processes, which `std`'s `DefaultHasher` explicitly
-/// does not guarantee.
-#[derive(Debug, Clone, Copy)]
-pub struct Digest(u64);
-
-impl Digest {
-    /// Starts a fresh digest.
-    pub fn new() -> Self {
-        Digest(FNV_OFFSET)
-    }
-
-    /// Folds raw bytes into the digest.
-    pub fn write_bytes(&mut self, bytes: &[u8]) {
-        for &b in bytes {
-            self.0 = (self.0 ^ u64::from(b)).wrapping_mul(FNV_PRIME);
-        }
-    }
-
-    /// Folds one little-endian word into the digest.
-    pub fn write_u64(&mut self, v: u64) {
-        self.write_bytes(&v.to_le_bytes());
-    }
-
-    /// The digest value accumulated so far.
-    pub fn finish(&self) -> u64 {
-        self.0
-    }
-}
-
-impl Default for Digest {
-    fn default() -> Self {
-        Self::new()
-    }
-}
-
-/// FNV-1a 64-bit digest of a byte buffer in one call.
-pub fn digest_bytes(bytes: &[u8]) -> u64 {
-    let mut d = Digest::new();
-    d.write_bytes(bytes);
-    d.finish()
-}
-
 /// Complete architectural state of an [`crate::Executor`].
 ///
 /// `cond_loop_remaining` encodes `Option<u32>` with `u32::MAX` as the
@@ -111,7 +60,7 @@ impl ArchCheckpoint {
     /// warm-state digest the `sfetch-sample` checkpoint store records
     /// and verifies on load.
     pub fn digest(&self) -> u64 {
-        digest_bytes(&self.to_bytes())
+        sfetch_tab::fnv64(&self.to_bytes())
     }
 
     /// Serializes the checkpoint to a flat byte buffer.

@@ -1,5 +1,7 @@
 //! The architectural executor: deterministic committed-path generation.
 
+use std::hash::Hasher as _;
+
 use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
 
@@ -403,7 +405,7 @@ impl<'a> OracleSource<'a> {
 /// (a few ns per instruction) against the minutes of simulation the
 /// store amortizes.
 pub fn trace_fingerprint(image: &CodeImage, seed: u64, prefix: u64) -> u64 {
-    let mut d = crate::ckpt::Digest::new();
+    let mut d = sfetch_tab::FnvHasher::default();
     d.write_u64(image.base().get());
     d.write_u64(image.entry().get());
     d.write_u64(image.len_insts() as u64);

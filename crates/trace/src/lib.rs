@@ -14,7 +14,7 @@
 //!   trace; seeded, so *train* vs *ref* inputs are just different seeds),
 //! * [`ArchCheckpoint`] — serializable architectural state so a long
 //!   trace can be suspended and resumed bit-identically (the basis of the
-//!   `sfetch-sample` shard runner),
+//!   `sfetch-sample` checkpoint store; digests use [`sfetch_tab::fnv64`]),
 //! * [`profile_cfg`] — runs a training execution to produce the
 //!   [`sfetch_cfg::EdgeProfile`] consumed by the layout optimizer,
 //! * [`stream::StreamExtractor`] — segments a trace into *instruction
@@ -45,7 +45,7 @@ pub mod record;
 pub mod stats;
 pub mod stream;
 
-pub use ckpt::{digest_bytes, ArchCheckpoint, Digest};
+pub use ckpt::ArchCheckpoint;
 pub use exec::{trace_fingerprint, Executor, OracleSource};
 pub use profile::profile_cfg;
 pub use record::{DynControl, DynInst};

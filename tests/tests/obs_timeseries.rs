@@ -10,7 +10,7 @@ use sfetch_bench::obs::{ts_columns, ts_delta, TS_KEY};
 use sfetch_cfg::{layout, CodeImage};
 use sfetch_core::{CycleBuckets, ProcessorConfig, SimStats};
 use sfetch_fetch::EngineKind;
-use sfetch_obs::TimeSeriesSink;
+use sfetch_obs::{Obj, TimeSeriesSink};
 use sfetch_sample::{CheckpointStore, SampleConfig, StoredSampler};
 use sfetch_workloads::phased::{self, PhasedParams};
 
@@ -89,14 +89,15 @@ fn interval_rows_sum_exactly_to_the_aggregate_across_window_boundaries() {
         let mut from_rows = vec![0u64; cols.len()];
         let mut n_rows = 0u64;
         for line in text.lines().skip(1) {
+            let row = Obj::parse(line).expect("row parses");
             for (i, c) in cols.iter().enumerate() {
-                from_rows[i] += parse_u64(line, c).unwrap_or_else(|| {
-                    panic!("interval {interval}: column {c} missing from row {line}")
+                from_rows[i] += row.u::<u64>(c).unwrap_or_else(|e| {
+                    panic!("interval {interval}: row {line}: {e}")
                 });
             }
-            let row_cycles = parse_u64(line, "cycles").unwrap();
+            let row_cycles = row.u::<u64>("cycles").unwrap();
             let row_buckets: u64 =
-                CycleBuckets::NAMES.iter().map(|n| parse_u64(line, n).unwrap()).sum();
+                CycleBuckets::NAMES.iter().map(|n| row.u::<u64>(n).unwrap()).sum();
             assert_eq!(row_buckets, row_cycles, "row bucket columns must sum to cycles");
             n_rows += 1;
         }
@@ -140,13 +141,4 @@ fn run_range_stats_matches_run_range_serial_and_parallel() {
     let parallel_full = parallel.run_range_stats(EngineKind::Stream, pcfg, 0..windows, 3);
     assert_eq!(serial_full, parallel_full, "parallel fan-out must preserve window order");
     let _ = std::fs::remove_dir_all(store.root());
-}
-
-/// Extracts `"key": N` from one JSONL line.
-fn parse_u64(line: &str, key: &str) -> Option<u64> {
-    let pat = format!("\"{key}\":");
-    let at = line.find(&pat)? + pat.len();
-    let rest = &line[at..];
-    let end = rest.find([',', '}']).unwrap_or(rest.len());
-    rest[..end].trim().parse().ok()
 }
