@@ -117,7 +117,8 @@ impl CommonArgs {
     /// # Errors
     ///
     /// [`GridError::Cli`] on an unknown flag, a missing or malformed
-    /// value, or an out-of-range count.
+    /// value, or an out-of-range count; [`GridError::UnknownBench`] on
+    /// a `--bench` name no workload answers to.
     pub fn parse_list(args: Vec<String>, d: &ArgDefaults) -> Result<Self, GridError> {
         let mut benches = d.benches.to_owned();
         let mut engines = d.engines.to_owned();
@@ -163,9 +164,13 @@ impl CommonArgs {
             i += 2;
         }
         let obs = ObsOpts::extract(&mut rest)?;
+        let benches: Vec<String> = benches.split(',').map(|b| b.trim().to_owned()).collect();
+        for b in &benches {
+            crate::check_bench(b)?;
+        }
         Ok(CommonArgs {
             opts: HarnessOpts::from_arg_list(&rest)?,
-            benches: benches.split(',').map(|b| b.trim().to_owned()).collect(),
+            benches,
             engines: parse_engines(&engines)?,
             widths: parse_widths(&widths)?,
             procs,
@@ -443,7 +448,9 @@ impl GridRequest {
     ///
     /// # Errors
     ///
-    /// A readable message on a malformed line.
+    /// A readable message on a malformed line, including the
+    /// [`GridError::UnknownBench`] text for a bench no workload answers
+    /// to.
     pub fn parse_submit(line: &str) -> Result<(String, GridRequest), String> {
         let obj = Obj::parse(line)?;
         if obj.s("op")? != "submit" {
@@ -454,6 +461,7 @@ impl GridRequest {
             return Err("submit: empty id".into());
         }
         let bench = obj.s("bench")?.to_owned();
+        crate::check_bench(&bench).map_err(|e| e.to_string())?;
         let engines = parse_engines(obj.s("engines")?).map_err(|e| e.to_string())?;
         let widths = parse_widths(obj.s("widths")?).map_err(|e| e.to_string())?;
         let total = obj.u("total")?;
@@ -798,6 +806,11 @@ mod tests {
         let err = GridRequest::parse_submit(&pf_no_mshrs)
             .expect_err("pf without mshrs capacity must be rejected");
         assert!(err.contains("mshrs"), "err: {err}");
+        // An unknown bench used to reach the daemon's workload build and
+        // panic its scheduler; it is refused here, listing the valid names.
+        let nope = good.replace("\"bench\":\"phased\"", "\"bench\":\"nope\"");
+        let err = GridRequest::parse_submit(&nope).expect_err("unknown bench must be rejected");
+        assert!(err.contains("\"nope\"") && err.contains("gzip") && err.contains("phased"), "err: {err}");
     }
 
     #[test]
@@ -938,6 +951,8 @@ mod tests {
             (&["--procs"], "--procs requires"),
             (&["--grid-total"], "--grid-total"),
             (&["--engines", "warp"], "unknown engine"),
+            (&["--bench", "nope"], "unknown benchmark \"nope\""),
+            (&["--benches", "gzip,nope"], "want one of gzip"),
             (&["--interval", "x"], "--interval"),
         ];
         for (list, want) in cases {

@@ -50,6 +50,8 @@ pub enum GridError {
         /// What was wrong.
         what: String,
     },
+    /// A benchmark name that is neither a suite member nor `phased`.
+    UnknownBench(String),
     /// Shard outputs do not merge into a consistent grid.
     Merge {
         /// The offending `engine/width` cell.
@@ -66,6 +68,11 @@ impl fmt::Display for GridError {
             GridError::Io { what, path, err } => write!(f, "{what} {}: {err}", path.display()),
             GridError::ShardParse { line: 0, what } => write!(f, "shard file: {what}"),
             GridError::ShardParse { line, what } => write!(f, "shard file line {line}: {what}"),
+            GridError::UnknownBench(name) => write!(
+                f,
+                "unknown benchmark {name:?} (want one of {})",
+                crate::bench_names().join(", ")
+            ),
             GridError::Merge { cell, what } => write!(f, "cell {cell}: {what}"),
         }
     }

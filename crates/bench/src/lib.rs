@@ -443,20 +443,53 @@ pub fn ablation_workloads(opts: HarnessOpts) -> Vec<Workload> {
     out
 }
 
+/// Every name [`workload_by_name`] accepts: the suite members in the
+/// paper's Fig. 9 order, then [`phased::LONG_NAME`].
+pub fn bench_names() -> Vec<&'static str> {
+    let mut names: Vec<&'static str> =
+        sfetch_workloads::suite::all_specs().iter().map(|s| s.name).collect();
+    names.push(phased::LONG_NAME);
+    names
+}
+
+/// Checks a bench name from outside the program without building its
+/// workload.
+///
+/// # Errors
+///
+/// [`grid::GridError::UnknownBench`] unless [`bench_names`] lists it.
+pub fn check_bench(name: &str) -> Result<(), grid::GridError> {
+    if bench_names().contains(&name) {
+        Ok(())
+    } else {
+        Err(grid::GridError::UnknownBench(name.to_owned()))
+    }
+}
+
 /// Builds a named workload: a suite member, or the registered phased
 /// long-horizon workload under its [`phased::LONG_NAME`].
+///
+/// # Errors
+///
+/// [`grid::GridError::UnknownBench`] (listing the valid names) on any
+/// other name.
+pub fn try_workload_by_name(name: &str) -> Result<Workload, grid::GridError> {
+    if name == phased::LONG_NAME {
+        return Ok(phased::long_workload());
+    }
+    sfetch_workloads::suite::by_name(name)
+        .map(sfetch_workloads::suite::build)
+        .ok_or_else(|| grid::GridError::UnknownBench(name.to_owned()))
+}
+
+/// [`try_workload_by_name`] for names already checked (the grid
+/// binaries' parsed `--bench`).
 ///
 /// # Panics
 ///
 /// Panics on an unknown name.
 pub fn workload_by_name(name: &str) -> Workload {
-    if name == phased::LONG_NAME {
-        return phased::long_workload();
-    }
-    sfetch_workloads::suite::build(
-        sfetch_workloads::suite::by_name(name)
-            .unwrap_or_else(|| panic!("unknown benchmark {name:?} (suite member or \"phased\")")),
-    )
+    try_workload_by_name(name).unwrap_or_else(|e| panic!("{e}"))
 }
 
 /// Runs the whole grid for the given widths/layouts/engines with up to

@@ -1,20 +1,31 @@
 //! `sfetch-serve`: a **resident simulation daemon** owning one warm
 //! checkpoint store and one fleet ledger per request family.
 //!
-//! The one-shot binaries pay their fixed costs — architectural
-//! fast-forward, functional warming, ledger replay — on every
-//! invocation. A resident process pays them once and amortizes them
-//! across every experiment a working session throws at it:
+//! The one-shot binaries pay their fixed costs — workload build,
+//! architectural fast-forward, functional warming, ledger replay — on
+//! every invocation. A resident process pays them once and amortizes
+//! them across every experiment a working session throws at it:
 //!
+//! - **Resident workloads.** A bench's workload (program generation,
+//!   train profile, both layouts) is built on the first request that
+//!   names it and shared by every later family run of the daemon's
+//!   life. The build is deterministic, so fingerprints and family tags
+//!   are those of a fresh build.
 //! - **Request dedup (singleflight).** Requests are grouped by
 //!   [`GridRequest::family_tag`] — the fingerprint of everything a
 //!   cell's output bytes depend on — and each family's canonical cells
-//!   live in one persistent [`sfetch_fleet::Ledger`]. Two overlapping
-//!   requests submitted concurrently union their cells into one run:
-//!   the overlap is computed once and streamed to both subscribers
-//!   (`shared` counter); a resubmit finds every cell `Done` in the
-//!   ledger and resumes with **zero** recomputation (`resumed`
-//!   counter).
+//!   live in one persistent [`sfetch_fleet::Ledger`]. Requests queued
+//!   together (everything that arrived while the previous run was busy)
+//!   union their cells into one run: the overlap is computed once and
+//!   streamed to every subscriber (`shared` counter). A request that
+//!   misses a run finds its cells `Done` in the ledger and resumes with
+//!   **zero** recomputation (`resumed` counter).
+//! - **Ledger before populate.** A family run opens and re-verifies its
+//!   ledger first, and walks the store's warming-start checkpoints
+//!   (`StoredSampler::populate`) only if some cell is still not `Done`.
+//!   A pure resubmit reads no checkpoint at all; a `Done` cell whose
+//!   output rotted is demoted to `Pending` by the ledger and so still
+//!   gets its checkpoints.
 //! - **Incremental result streaming.** Each client connection receives
 //!   line-JSON [`ServeEvent`]s as cells complete — per-window `point`
 //!   rows plus running `estimate` (confidence-interval) updates —
@@ -22,12 +33,16 @@
 //!   the same `merge_grid` the one-shot bins use, so the final table is
 //!   byte-identical to a local run.
 //! - **Warm-engine-state banking.** Requests submitted with
-//!   `warm_bank` run their cells through
-//!   `StoredSampler::with_warm_bank`, so the detailed-warming walk of a
-//!   window is persisted per (engine, config, workload, offset) and
-//!   resident reruns skip it. Banked state changes host time only,
-//!   never output bytes, so banked and unbanked requests share one
-//!   family.
+//!   `warm_bank` persist each window's post-warming engine state per
+//!   (engine, config, workload, offset), so resident reruns skip the
+//!   detailed-warming walk. Banked state changes host time only, never
+//!   output bytes, so banked and unbanked requests share one family.
+//!
+//! Nothing on the request path sleeps. `accept` blocks; the scheduler
+//! blocks on a condvar that every submit and the stop signal; and one
+//! watcher thread — the only poller, because the stop flag is a plain
+//! atomic a signal handler raises — wakes both on stop. In-process
+//! workers are joined as soon as they finish (see [`ThreadHandle`]).
 //!
 //! The wire protocol (one JSON object per line over a Unix domain
 //! socket) is defined in [`sfetch_bench::driver`] — the daemon and the
@@ -46,12 +61,13 @@ use std::os::unix::net::{UnixListener, UnixStream};
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{Arc, Condvar, Mutex};
+use std::thread::JoinHandle;
 use std::time::Duration;
 
 use sfetch_bench::driver::{cell_group_bodies, validate_shard_text, GridRequest, ServeEvent};
 use sfetch_bench::grid::parse_shard_file;
 use sfetch_bench::grid::GridError;
-use sfetch_bench::{flag_value, number, positive, workload_by_name, HarnessOpts};
+use sfetch_bench::{flag_value, number, positive, try_workload_by_name, HarnessOpts};
 use sfetch_fleet::{
     now_ms, run_fleet_notify, seal, CellId, FleetConfig, FleetError, HeartbeatGuard, Launcher,
     Ledger, PollResult, WorkerHandle,
@@ -72,6 +88,10 @@ const READ_TIMEOUT: Duration = Duration::from_secs(30);
 /// How long the startup probe waits for an incumbent daemon's pong.
 const PROBE_TIMEOUT: Duration = Duration::from_secs(2);
 
+/// How often the stop watcher reads the stop flag — the daemon's one
+/// poll, and never on a request's path.
+const STOP_POLL: Duration = Duration::from_millis(20);
+
 // ---------------------------------------------------------------------
 // In-process cell workers
 // ---------------------------------------------------------------------
@@ -91,28 +111,39 @@ pub struct ThreadLauncher {
 }
 
 impl ThreadLauncher {
-    /// Builds a launcher for one family run.
+    /// Builds a launcher for one family run over the daemon's resident
+    /// workload.
     pub fn new(w: Arc<Workload>, scfg: SampleConfig, opts: HarnessOpts, store_dir: PathBuf) -> Self {
         ThreadLauncher { w, scfg, opts, store_dir, ids: AtomicU64::new(1) }
     }
 }
 
-/// Handle to one in-process cell worker.
+/// Handle to one in-process cell worker. It owns the worker's
+/// [`JoinHandle`] and joins it the moment a poll finds the body
+/// returned, so every worker the supervisor saw exit has fully exited
+/// before the next lease group — or the next family run — starts one.
+/// That matters for memory, not just tidiness: glibc hands a thread
+/// that starts while another is still exiting a fresh malloc arena,
+/// and the memory the old arena keeps stays resident, so unjoined
+/// back-to-back runs ratchet the daemon's RSS up. A killed (timed-out)
+/// worker is never joined: dropping its handle detaches it.
 pub struct ThreadHandle {
-    done: Arc<AtomicBool>,
-    err: Arc<Mutex<Option<String>>>,
+    thread: Option<JoinHandle<Result<(), String>>>,
     id: u64,
 }
 
 impl WorkerHandle for ThreadHandle {
     fn poll(&mut self) -> PollResult {
-        if !self.done.load(Ordering::SeqCst) {
+        if self.thread.as_ref().is_some_and(|t| !t.is_finished()) {
             return PollResult::Running;
         }
-        match self.err.lock().expect("worker error lock").take() {
-            None => PollResult::Exited { success: true, detail: "ok".into() },
-            Some(e) => PollResult::Exited { success: false, detail: e },
-        }
+        let (success, detail) = match self.thread.take().map(JoinHandle::join) {
+            Some(Ok(Ok(()))) => (true, "ok".to_owned()),
+            Some(Ok(Err(e))) => (false, e),
+            Some(Err(_)) => (false, "worker panicked".to_owned()),
+            None => (false, "worker already reaped".to_owned()),
+        };
+        PollResult::Exited { success, detail }
     }
 
     fn kill(&mut self) {
@@ -152,35 +183,26 @@ impl Launcher for ThreadLauncher {
         outs: &[PathBuf],
         heartbeat: &Path,
     ) -> Result<ThreadHandle, FleetError> {
-        let done = Arc::new(AtomicBool::new(false));
-        let err: Arc<Mutex<Option<String>>> = Arc::new(Mutex::new(None));
-        let (done2, err2) = (Arc::clone(&done), Arc::clone(&err));
         let (w, scfg, opts) = (Arc::clone(&self.w), self.scfg, self.opts);
         let (cells, outs, heartbeat, store_dir) =
             (cells.to_vec(), outs.to_vec(), heartbeat.to_path_buf(), self.store_dir.clone());
-        std::thread::spawn(move || {
+        let thread = std::thread::spawn(move || -> Result<(), String> {
             let _hb = HeartbeatGuard::start(&heartbeat, HEARTBEAT_EVERY);
-            let res = (|| -> Result<(), String> {
-                let store = CheckpointStore::open(&store_dir)
-                    .map_err(|e| e.to_string())?
-                    .with_cap_bytes(opts.store_cap_bytes);
-                // One batched sweep produces every cell's body; each is
-                // sealed and written atomically so the supervisor can
-                // validate (and charge) each cell independently.
-                let bodies = cell_group_bodies(&w, &cells, scfg, &opts, &store)?;
-                for (body, out) in bodies.iter().zip(&outs) {
-                    let tmp = out.with_extension("part");
-                    std::fs::write(&tmp, seal(body).as_bytes()).map_err(|e| e.to_string())?;
-                    std::fs::rename(&tmp, out).map_err(|e| e.to_string())?;
-                }
-                Ok(())
-            })();
-            if let Err(e) = res {
-                *err2.lock().expect("worker error lock") = Some(e);
+            let store = CheckpointStore::open(&store_dir)
+                .map_err(|e| e.to_string())?
+                .with_cap_bytes(opts.store_cap_bytes);
+            // One batched sweep produces every cell's body; each is
+            // sealed and written atomically so the supervisor can
+            // validate (and charge) each cell independently.
+            let bodies = cell_group_bodies(&w, &cells, scfg, &opts, &store)?;
+            for (body, out) in bodies.iter().zip(&outs) {
+                let tmp = out.with_extension("part");
+                std::fs::write(&tmp, seal(body).as_bytes()).map_err(|e| e.to_string())?;
+                std::fs::rename(&tmp, out).map_err(|e| e.to_string())?;
             }
-            done2.store(true, Ordering::SeqCst);
+            Ok(())
         });
-        Ok(ThreadHandle { done, err, id: self.ids.fetch_add(1, Ordering::SeqCst) })
+        Ok(ThreadHandle { thread: Some(thread), id: self.ids.fetch_add(1, Ordering::SeqCst) })
     }
 }
 
@@ -244,11 +266,66 @@ struct Pending {
     log: Arc<RequestLog>,
 }
 
+/// Requests waiting for the scheduler, and the stop latch, under one
+/// lock: a submit either lands before the scheduler's last drain or is
+/// refused — never stranded behind a scheduler that already exited.
+#[derive(Default)]
+struct Queue {
+    pending: Vec<Pending>,
+    stopping: bool,
+}
+
 #[derive(Default)]
 struct SharedState {
-    queue: Mutex<Vec<Pending>>,
+    queue: Mutex<Queue>,
+    /// Signalled by every submit and by stop; the scheduler blocks on it.
+    wake: Condvar,
     logs: Mutex<BTreeMap<String, Arc<RequestLog>>>,
-    stopping: AtomicBool,
+}
+
+impl SharedState {
+    /// Queues a request and wakes the scheduler — or, once the daemon
+    /// is stopping, ends the request's stream with an `error` event.
+    /// Returns whether the request was queued.
+    fn submit(&self, p: Pending) -> bool {
+        let mut q = self.queue.lock().expect("queue lock");
+        if q.stopping {
+            drop(q);
+            let msg = "the daemon is shutting down".to_owned();
+            p.log.push(ServeEvent::Error { req: p.id, msg }.to_line());
+            p.log.finish();
+            return false;
+        }
+        q.pending.push(p);
+        self.wake.notify_one();
+        true
+    }
+
+    /// Latches stop and wakes the scheduler so it can drain and exit.
+    fn stop(&self) {
+        self.queue.lock().expect("queue lock").stopping = true;
+        self.wake.notify_all();
+    }
+
+    fn stopping(&self) -> bool {
+        self.queue.lock().expect("queue lock").stopping
+    }
+
+    /// Blocks until a request is queued, then takes every queued request
+    /// — all that arrived while the previous batch ran coalesce into
+    /// this one. `None` once stopping with nothing left to run.
+    fn next_batch(&self) -> Option<Vec<Pending>> {
+        let mut q = self.queue.lock().expect("queue lock");
+        loop {
+            if !q.pending.is_empty() {
+                return Some(std::mem::take(&mut q.pending));
+            }
+            if q.stopping {
+                return None;
+            }
+            q = self.wake.wait(q).expect("queue wait");
+        }
+    }
 }
 
 // ---------------------------------------------------------------------
@@ -391,7 +468,6 @@ impl Daemon {
         }
         let listener = UnixListener::bind(&self.cfg.socket)
             .map_err(|e| format!("bind {}: {e}", self.cfg.socket.display()))?;
-        listener.set_nonblocking(true).map_err(|e| format!("nonblocking listener: {e}"))?;
         eprintln!(
             "serve: listening on {} (store {})",
             self.cfg.socket.display(),
@@ -407,24 +483,41 @@ impl Daemon {
             std::thread::spawn(move || scheduler_loop(&state, &store_dir, procs, max_retries, cap))
         };
 
-        while !stop.load(Ordering::SeqCst) {
-            match listener.accept() {
-                Ok((stream, _)) => {
-                    let state = Arc::clone(&state);
-                    let store_dir = self.cfg.store_dir.clone();
-                    std::thread::spawn(move || handle_conn(&state, &store_dir, stream));
+        std::thread::scope(|s| {
+            // The stop flag is a plain atomic (a signal handler raises
+            // it), so one thread off the request path watches it, then
+            // wakes the blocked scheduler and the blocked `accept` below
+            // — the latter by connecting to our own socket.
+            s.spawn(|| {
+                while !stop.load(Ordering::SeqCst) {
+                    std::thread::sleep(STOP_POLL);
                 }
-                Err(e) if e.kind() == std::io::ErrorKind::WouldBlock => {
-                    std::thread::sleep(Duration::from_millis(10));
+                eprintln!("serve: stop requested, draining");
+                state.stop();
+                if let Err(e) = UnixStream::connect(&self.cfg.socket) {
+                    eprintln!("serve: cannot wake the accept loop: {e}");
                 }
-                Err(e) => {
-                    eprintln!("serve: accept failed: {e}");
-                    std::thread::sleep(Duration::from_millis(100));
+            });
+            for conn in listener.incoming() {
+                if state.stopping() {
+                    break;
+                }
+                match conn {
+                    Ok(stream) => {
+                        let state = Arc::clone(&state);
+                        let store_dir = self.cfg.store_dir.clone();
+                        // Detached: a connection lives as long as its
+                        // client keeps reading, which shutdown must not
+                        // wait on.
+                        std::thread::spawn(move || handle_conn(&state, &store_dir, stream));
+                    }
+                    Err(e) => {
+                        eprintln!("serve: accept failed: {e}");
+                        std::thread::sleep(Duration::from_millis(100));
+                    }
                 }
             }
-        }
-        eprintln!("serve: stop requested, draining");
-        state.stopping.store(true, Ordering::SeqCst);
+        });
         let _ = scheduler.join();
         let _ = std::fs::remove_file(&self.cfg.socket);
         eprintln!("serve: shut down cleanly");
@@ -500,11 +593,7 @@ fn handle_conn(state: &SharedState, store_dir: &Path, stream: UnixStream) {
                     req.widths.len(),
                     req.family_tag()
                 );
-                state.queue.lock().expect("queue lock").push(Pending {
-                    id,
-                    req,
-                    log: Arc::clone(&log),
-                });
+                state.submit(Pending { id, req, log: Arc::clone(&log) });
                 stream_log(&log, &mut writer);
             }
             Err(e) => send(&mut writer, &ServeEvent::Error { req: String::new(), msg: e }),
@@ -558,29 +647,9 @@ fn scheduler_loop(
     max_retries: u32,
     store_cap_bytes: Option<u64>,
 ) {
-    loop {
-        let mut batch: Vec<Pending> = {
-            let mut q = state.queue.lock().expect("queue lock");
-            std::mem::take(&mut *q)
-        };
-        if !batch.is_empty() {
-            // Brief coalescing window: clients submitting "at the same
-            // time" (a fleet of figure bins, the CI smoke's concurrent
-            // pair) land in one batch, so their overlap is shared in
-            // flight rather than resumed from the ledger a moment
-            // later. Either way the work runs once; batching just
-            // streams it to everyone on the first pass.
-            std::thread::sleep(Duration::from_millis(50));
-            let mut q = state.queue.lock().expect("queue lock");
-            batch.append(&mut *q);
-        }
-        if batch.is_empty() {
-            if state.stopping.load(Ordering::SeqCst) {
-                return;
-            }
-            std::thread::sleep(Duration::from_millis(10));
-            continue;
-        }
+    // One workload per bench for the daemon's life, built on first use.
+    let mut workloads: BTreeMap<String, Arc<Workload>> = BTreeMap::new();
+    while let Some(batch) = state.next_batch() {
         // Group the drained batch by family: one ledger run per family,
         // every member's cells unioned into it.
         let mut families: BTreeMap<u64, Vec<Pending>> = BTreeMap::new();
@@ -588,9 +657,29 @@ fn scheduler_loop(
             families.entry(p.req.family_tag()).or_default().push(p);
         }
         for (tag, members) in families {
-            run_family(store_dir, procs, max_retries, store_cap_bytes, tag, &members);
+            let bench = &members[0].req.bench;
+            if !workloads.contains_key(bench) {
+                match try_workload_by_name(bench) {
+                    Ok(w) => workloads.insert(bench.clone(), Arc::new(w)),
+                    Err(e) => {
+                        fail_family(tag, &members, &e.to_string());
+                        continue;
+                    }
+                };
+            }
+            let w = &workloads[bench];
+            run_family(store_dir, procs, max_retries, store_cap_bytes, w, tag, &members);
         }
     }
+}
+
+/// Ends every member's stream with an `error` event.
+fn fail_family(tag: u64, members: &[Pending], msg: &str) {
+    for m in members {
+        m.log.push(ServeEvent::Error { req: m.id.clone(), msg: msg.to_owned() }.to_line());
+        m.log.finish();
+    }
+    eprintln!("serve: family {tag:016x} failed: {msg}");
 }
 
 /// Runs one family batch: union the members' canonical cells into the
@@ -601,16 +690,11 @@ fn run_family(
     procs: usize,
     max_retries: u32,
     store_cap_bytes: Option<u64>,
+    w: &Arc<Workload>,
     tag: u64,
     members: &[Pending],
 ) {
-    let fail_all = |msg: &str| {
-        for m in members {
-            m.log.push(ServeEvent::Error { req: m.id.clone(), msg: msg.to_owned() }.to_line());
-            m.log.finish();
-        }
-        eprintln!("serve: family {tag:016x} failed: {msg}");
-    };
+    let fail_all = |msg: &str| fail_family(tag, members, msg);
 
     // The family tag pins everything output-relevant, so the first
     // member's request is a valid representative — except the host-time
@@ -625,26 +709,6 @@ fn run_family(
     opts.store_cap_bytes = store_cap_bytes;
     let scfg = rep.scfg;
     let windows = rep.windows();
-
-    let w = Arc::new(workload_by_name(&rep.bench));
-    let store = match CheckpointStore::open(store_dir) {
-        Ok(s) => s.with_cap_bytes(store_cap_bytes),
-        Err(e) => return fail_all(&format!("open store: {e}")),
-    };
-    // One architectural walk banks the family's warming-start
-    // checkpoints; on the resident warm store this is verification
-    // traffic only.
-    {
-        let img = w.image(LayoutChoice::Optimized);
-        let fp = w.fingerprint(LayoutChoice::Optimized);
-        let mut populate = StoredSampler::new(img, fp, w.ref_seed(), scfg, &store);
-        let computed = populate.populate(windows);
-        eprintln!(
-            "serve: [{}] {windows} windows ready ({computed} computed, {} loaded warm)",
-            w.name(),
-            populate.stats().hits
-        );
-    }
 
     // Union of canonical cells; per cell, which members subscribe.
     let mut cells: Vec<CellId> = Vec::new();
@@ -671,6 +735,27 @@ fn run_family(
             Err(e) => return fail_all(&format!("open ledger: {e}")),
         };
 
+    // Only a run with cells left to compute needs the family's
+    // warming-start checkpoints: one architectural walk banks them (on
+    // the resident warm store, verification traffic only). A run the
+    // ledger already answers in full skips the walk.
+    let (_, _, done, _) = ledger.counts();
+    if done < cells.len() {
+        let store = match CheckpointStore::open(store_dir) {
+            Ok(s) => s.with_cap_bytes(store_cap_bytes),
+            Err(e) => return fail_all(&format!("open store: {e}")),
+        };
+        let img = w.image(LayoutChoice::Optimized);
+        let fp = w.fingerprint(LayoutChoice::Optimized);
+        let mut populate = StoredSampler::new(img, fp, w.ref_seed(), scfg, &store);
+        let computed = populate.populate(windows);
+        eprintln!(
+            "serve: [{}] {windows} windows ready ({computed} computed, {} loaded warm)",
+            w.name(),
+            populate.stats().hits
+        );
+    }
+
     let mut cfg = FleetConfig::new(procs.min(cells.len()).max(1));
     cfg.max_retries = max_retries;
     cfg.req = members.iter().map(|m| m.id.as_str()).collect::<Vec<_>>().join(",");
@@ -678,7 +763,7 @@ fn run_family(
     // `batch` and share one batched sweep per worker thread.
     cfg.group = opts.batch;
 
-    let launcher = ThreadLauncher::new(Arc::clone(&w), scfg, opts, store_dir.to_path_buf());
+    let launcher = ThreadLauncher::new(Arc::clone(w), scfg, opts, store_dir.to_path_buf());
     // Per-member singleflight counters: a fresh cell is *computed* for
     // its first subscriber and *shared* for every other subscriber; a
     // ledger hit is *resumed* for all of them.
@@ -845,6 +930,41 @@ mod tests {
         let (all, done) = log.wait_from(0);
         assert_eq!(all.len(), 3);
         assert!(done);
+    }
+
+    #[test]
+    fn unknown_bench_fails_its_family_and_the_scheduler_drains_on() {
+        // `parse_submit` refuses unknown names, so queue the request
+        // directly: the scheduler's own workload lookup must end the
+        // stream with an `error` event instead of panicking, then drain
+        // the rest of the queue and exit on stop.
+        let request = |bench: &str| GridRequest {
+            bench: bench.to_owned(),
+            engines: sfetch_bench::grid::parse_engines("stream").expect("engine"),
+            widths: vec![8],
+            total: 1,
+            scfg: SampleConfig::default(),
+            opts: HarnessOpts::default(),
+        };
+        let state = SharedState::default();
+        let logs: Vec<Arc<RequestLog>> = (0..2).map(|_| Arc::new(RequestLog::default())).collect();
+        for (i, log) in logs.iter().enumerate() {
+            let pending = Pending { id: format!("r{i}"), req: request("nope"), log: Arc::clone(log) };
+            assert!(state.submit(pending), "a running daemon queues");
+        }
+        state.stop();
+        let late = Arc::new(RequestLog::default());
+        let pending = Pending { id: "late".into(), req: request("gzip"), log: Arc::clone(&late) };
+        assert!(!state.submit(pending), "a stopping daemon refuses new work");
+        assert!(late.wait_from(0).0[0].contains("shutting down"));
+        scheduler_loop(&state, Path::new("unused-store"), 1, 0, None);
+        for log in &logs {
+            let (lines, done) = log.wait_from(0);
+            assert!(done);
+            assert_eq!(lines.len(), 1, "{lines:?}");
+            assert!(lines[0].contains("\"ev\":\"error\""), "{}", lines[0]);
+            assert!(lines[0].contains("unknown benchmark \\\"nope\\\""), "{}", lines[0]);
+        }
     }
 
     #[test]

@@ -100,14 +100,57 @@ impl TestDaemon {
     fn submit(&self, id: &str, req: &GridRequest) -> StreamOutcome {
         submit_and_collect(&self.socket, id, req, |_| {}).expect("submit")
     }
+
+    /// Sends one raw protocol line and returns the daemon's first reply.
+    fn first_reply(&self, line: &str) -> String {
+        use std::io::{BufRead, BufReader, Write};
+        let s = std::os::unix::net::UnixStream::connect(&self.socket).expect("connect");
+        let mut w = s.try_clone().expect("clone");
+        w.write_all(format!("{line}\n").as_bytes()).expect("send");
+        let mut reply = String::new();
+        BufReader::new(s).read_line(&mut reply).expect("read");
+        reply
+    }
+
+    /// The store's checkpoint entry files.
+    fn checkpoints(&self) -> Vec<PathBuf> {
+        std::fs::read_dir(&self.store)
+            .expect("read store")
+            .map(|e| e.expect("store entry").path())
+            .filter(|p| p.extension().is_some_and(|x| x == "sfckpt"))
+            .collect()
+    }
+
+    /// Raises the stop flag and returns how long `Daemon::run` took to
+    /// return, or `None` (leaving the daemon thread detached) if it had
+    /// not returned after 10 s.
+    fn stop(&mut self) -> Option<Duration> {
+        let t = Instant::now();
+        self.stop.store(true, Ordering::SeqCst);
+        let thread = self.thread.take()?;
+        while !thread.is_finished() {
+            if t.elapsed() > Duration::from_secs(10) {
+                return None;
+            }
+            std::thread::sleep(Duration::from_millis(1));
+        }
+        thread.join().expect("daemon thread");
+        Some(t.elapsed())
+    }
+}
+
+/// Panics unless `out`'s streamed merge is bit-identical to a storeless
+/// in-process run of `req` — exactly what the one-shot binaries print.
+fn assert_matches_oracle(req: &GridRequest, out: &StreamOutcome) {
+    let scfg = quick_schedule();
+    let windows = req.windows();
+    let runs = merge_grid(&req.grid(), windows, &out.points, scfg.confidence).expect("merge");
+    verify_merged(&workload_by_name(BENCH), &runs, scfg, &req.opts, windows);
 }
 
 impl Drop for TestDaemon {
     fn drop(&mut self) {
-        self.stop.store(true, Ordering::SeqCst);
-        if let Some(t) = self.thread.take() {
-            let _ = t.join();
-        }
+        self.stop();
         if let Some(root) = self.store.parent() {
             let _ = std::fs::remove_dir_all(root);
         }
@@ -150,13 +193,9 @@ fn overlapping_requests_share_work_and_merge_byte_identically() {
     // Byte-identity: the streamed merge must be bit-identical to a
     // storeless in-process oracle (verify_merged panics on divergence),
     // i.e. exactly what the one-shot binaries print.
-    let w = workload_by_name(BENCH);
     let scfg = quick_schedule();
-    for (req, out) in [(&req_a, &out_a), (&req_b, &out_b)] {
-        let runs =
-            merge_grid(&req.grid(), windows, &out.points, scfg.confidence).expect("merge");
-        verify_merged(&w, &runs, scfg, &req.opts, windows);
-    }
+    assert_matches_oracle(&req_a, &out_a);
+    assert_matches_oracle(&req_b, &out_b);
 
     // Resubmission under a fresh id: every cell resumes from the
     // ledger with zero recomputation.
@@ -178,7 +217,6 @@ fn overlapping_requests_share_work_and_merge_byte_identically() {
 
 #[test]
 fn second_daemon_refuses_live_socket_and_first_keeps_serving() {
-    use std::io::{BufRead, BufReader, Write};
     let d = TestDaemon::start("takeover");
 
     // A second daemon pointed at the live socket must refuse to start
@@ -196,12 +234,7 @@ fn second_daemon_refuses_live_socket_and_first_keeps_serving() {
     assert!(err.contains("answered ping"), "got: {err}");
 
     // The incumbent must still be serving on the untouched socket.
-    let s = std::os::unix::net::UnixStream::connect(&d.socket)
-        .expect("first daemon lost its socket");
-    let mut w = s.try_clone().expect("clone");
-    w.write_all(b"{\"op\":\"ping\"}\n").expect("send");
-    let mut line = String::new();
-    BufReader::new(s).read_line(&mut line).expect("read");
+    let line = d.first_reply("{\"op\":\"ping\"}");
     assert!(line.contains("\"ev\":\"pong\""), "got: {line}");
 }
 
@@ -250,23 +283,14 @@ fn stale_socket_is_reclaimed() {
 
 #[test]
 fn daemon_rejects_duplicate_and_malformed_requests() {
-    use std::io::{BufRead, BufReader, Write};
     let d = TestDaemon::start("reject");
 
     // Malformed submit: readable error event, no crash.
-    let s = std::os::unix::net::UnixStream::connect(&d.socket).expect("connect");
-    let mut w = s.try_clone().expect("clone");
-    w.write_all(b"{\"op\":\"submit\",\"id\":\"x\",\"bench\":\"gzip\"}\n").expect("send");
-    let mut line = String::new();
-    BufReader::new(s).read_line(&mut line).expect("read");
+    let line = d.first_reply("{\"op\":\"submit\",\"id\":\"x\",\"bench\":\"gzip\"}");
     assert!(line.contains("\"ev\":\"error\""), "got: {line}");
 
     // Ping answers pong.
-    let s = std::os::unix::net::UnixStream::connect(&d.socket).expect("connect");
-    let mut w = s.try_clone().expect("clone");
-    w.write_all(b"{\"op\":\"ping\"}\n").expect("send");
-    let mut line = String::new();
-    BufReader::new(s).read_line(&mut line).expect("read");
+    let line = d.first_reply("{\"op\":\"ping\"}");
     assert!(line.contains("\"ev\":\"pong\""), "got: {line}");
 
     // A duplicate id is refused while the first stream exists.
@@ -278,4 +302,96 @@ fn daemon_rejects_duplicate_and_malformed_requests() {
         err.as_ref().is_err_and(|e| e.contains("duplicate request id")),
         "got: {err:?}"
     );
+}
+
+#[test]
+fn unknown_bench_is_refused_and_the_daemon_keeps_serving() {
+    let d = TestDaemon::start("nope");
+
+    // An unknown bench used to panic the scheduler thread, after which
+    // every request was accepted and never answered. It is now refused
+    // at parse time with the valid names listed.
+    let mut bad = request(&[EngineKind::Stream]);
+    bad.bench = "nope".into();
+    let reply = d.first_reply(&bad.submit_line("bad"));
+    assert!(reply.contains("\"ev\":\"error\""), "got: {reply}");
+    assert!(reply.contains("unknown benchmark") && reply.contains(BENCH), "got: {reply}");
+
+    // A valid request on the same daemon still completes, byte-identical
+    // to the one-shot output.
+    let req = request(&[EngineKind::Stream, EngineKind::Ev8]);
+    let out = d.submit("good", &req);
+    assert_eq!(out.status, "complete");
+    assert_eq!(out.computed, 2);
+    assert_matches_oracle(&req, &out);
+}
+
+#[test]
+fn resubmit_reads_no_checkpoints() {
+    let d = TestDaemon::start("nockpt");
+    let req = request(&[EngineKind::Stream, EngineKind::Ev8]);
+    let first = d.submit("first", &req);
+    assert_eq!(first.status, "complete");
+    assert_eq!(first.computed, 2);
+
+    // Take the family's warming-start checkpoints away. A resubmit the
+    // ledger answers in full must not need them: were the populate walk
+    // still run, it would recompute and re-save every one.
+    let ckpts = d.checkpoints();
+    assert!(!ckpts.is_empty(), "the cold run must have banked checkpoints");
+    for p in &ckpts {
+        std::fs::remove_file(p).expect("remove checkpoint");
+    }
+
+    let again = d.submit("again", &req);
+    assert_eq!(again.status, "complete");
+    assert_eq!((again.computed, again.resumed, again.shared), (0, 2, 0));
+    let scfg = quick_schedule();
+    let merge = |out: &StreamOutcome| {
+        let runs = merge_grid(&req.grid(), req.windows(), &out.points, scfg.confidence);
+        format!("{:?}", runs.expect("merge"))
+    };
+    assert_eq!(merge(&first), merge(&again), "the resumed merge must equal the first");
+    assert!(d.checkpoints().is_empty(), "a pure resubmit re-created checkpoints");
+}
+
+#[test]
+fn request_queued_behind_a_run_completes_and_idle_stop_is_prompt() {
+    let mut d = TestDaemon::start("queue");
+
+    // Two families (B's horizon is one window longer), so B can never
+    // join A's run: it is submitted once A's run has opened its ledger
+    // and must wait for the scheduler's next wakeup.
+    let req_a = request(&[EngineKind::Stream, EngineKind::Ev8]);
+    let mut req_b = request(&[EngineKind::Ftb]);
+    req_b.total = TOTAL + quick_schedule().interval;
+    req_b.opts.grid_total = req_b.total;
+    assert_ne!(req_a.family_tag(), req_b.family_tag());
+    let ledger_a =
+        d.store.join("fleet").join(format!("{:016x}", req_a.family_tag())).join("cells.ledger");
+    let a_done = AtomicBool::new(false);
+    let (out_a, out_b, b_during_a) = std::thread::scope(|s| {
+        let ta = s.spawn(|| {
+            let out = d.submit("a", &req_a);
+            a_done.store(true, Ordering::SeqCst);
+            out
+        });
+        let deadline = Instant::now() + Duration::from_secs(60);
+        while !ledger_a.exists() {
+            assert!(Instant::now() < deadline, "A's family run never started");
+            std::thread::sleep(Duration::from_millis(2));
+        }
+        let b_during_a = !a_done.load(Ordering::SeqCst);
+        let out_b = d.submit("b", &req_b);
+        (ta.join().expect("client a"), out_b, b_during_a)
+    });
+    assert!(b_during_a, "B must be submitted while A's run is in flight");
+    assert_eq!((out_a.status.as_str(), out_a.computed), ("complete", 2));
+    assert_eq!((out_b.status.as_str(), out_b.computed), ("complete", 1));
+    assert_eq!(out_b.points.len() as u64, req_b.windows());
+
+    // Idle now: `accept` and the scheduler are blocked, and raising the
+    // stop flag must still bring `run` back promptly.
+    let took = d.stop().expect("an idle daemon must return from run after stop");
+    assert!(took < Duration::from_secs(2), "idle daemon took {took:?} to stop");
 }
