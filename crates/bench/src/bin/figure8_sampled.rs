@@ -215,7 +215,7 @@ fn run_parent(a: &CommonArgs) -> ExitCode {
     let mut degraded = false;
     let runs = if a.procs > 1 {
         // Populate once, then fan the grid across fleet workers.
-        populate_store(&w, scfg, windows, &store, &format!("store {}", store_dir.display()));
+        populate_store(&w, scfg, windows, &store, &format!("store {}:", store_dir.display()));
         let procs = a.procs.min((grid.len() as u64 * windows) as usize).max(1);
         let (runs, d) = or_die(run_fleet_cells(a, a.bench(), &grid, &store_dir, procs));
         degraded = d;

@@ -126,7 +126,7 @@ fn main() -> ExitCode {
             // engine × window cells across fleet workers.
             let w = workload_by_name(bench);
             let store = store.as_ref().expect("local store");
-            populate_store(&w, scfg, windows, store, &format!("  [{}] store", w.name()));
+            populate_store(&w, scfg, windows, store, &format!("  [{}] store:", w.name()));
             let (runs, d) = or_die(run_fleet_cells(&a, bench, &grid, &store_dir, a.procs));
             degraded |= d;
             runs

@@ -13,13 +13,11 @@
 //! L1i once warm) records how much fetch-stall time the non-blocking
 //! miss pipeline recovers.
 //!
-//! Two v4 additions: `redecode_ab` measures the stream engine's
-//! decoded-line cache (wrong-path re-decode elimination) at a 1024-entry
-//! ROB, asserting bit-identical simulated statistics with the cache on
-//! or off; and `sampling_ab` runs the 50M-instruction phased workload
-//! both straight through and under SMARTS sampling (`sfetch-sample`),
-//! recording the IPC estimate, its confidence interval, the relative
-//! error against the full run, and the wall-clock speedup.
+//! The v4 addition is `sampling_ab`: the 50M-instruction phased
+//! workload both straight through and under SMARTS sampling
+//! (`sfetch-sample`), recording the IPC estimate, its confidence
+//! interval, the relative error against the full run, and the
+//! wall-clock speedup.
 //!
 //! The v5 addition is the **`calibration_grid`** section: the full
 //! Fig. 8 engines × widths grid on the 50M phased workload, measured by
@@ -123,7 +121,7 @@ use sfetch_core::{
     CycleBuckets, NullObserver, Observer, PrefetchConfig, Processor, ProcessorConfig, SimStats,
 };
 use sfetch_obs::KonataTrace;
-use sfetch_fetch::{EngineKind, FetchEngine, StreamEngine};
+use sfetch_fetch::EngineKind;
 use sfetch_sample::{
     estimate, run_full_detailed, run_sampled_jobs, CheckpointStore, Estimate, SamplePoint,
     StoredSampler,
@@ -179,19 +177,18 @@ impl TimedLeg {
     }
 }
 
-/// Warms up a fresh processor around an explicitly built engine, then
-/// times exactly the measured window. Returns the decoded-line-cache
-/// counters alongside (zeros for engines without one).
-fn timed_run_engine(
+/// Warms up a fresh processor, then times exactly the measured window.
+fn timed_run(
     w: &Workload,
-    engine: Box<dyn FetchEngine>,
+    kind: EngineKind,
     mut pc: ProcessorConfig,
     legacy_scan: bool,
     warmup: u64,
     insts: u64,
-) -> (sfetch_core::SimStats, TimedLeg, (u64, u64)) {
+) -> (sfetch_core::SimStats, TimedLeg) {
     pc.legacy_scan = legacy_scan;
     let image = w.image(LayoutChoice::Optimized);
+    let engine = kind.build_for(pc.width, image.entry(), &pc.prefetch, &pc.front);
     let mut p = Processor::new(pc, engine, w.cfg(), image, w.ref_seed());
     p.run(warmup);
     p.reset_stats();
@@ -199,23 +196,7 @@ fn timed_run_engine(
     p.run(insts);
     let wall_s = t0.elapsed().as_secs_f64();
     let stats = p.stats();
-    let decode = p.engine().decode_counters();
-    (stats, TimedLeg { wall_s, cycles: stats.cycles, committed: stats.committed }, decode)
-}
-
-/// Warms up a fresh processor, then times exactly the measured window.
-fn timed_run(
-    w: &Workload,
-    kind: EngineKind,
-    pc: ProcessorConfig,
-    legacy_scan: bool,
-    warmup: u64,
-    insts: u64,
-) -> (sfetch_core::SimStats, TimedLeg) {
-    let image = w.image(LayoutChoice::Optimized);
-    let engine = kind.build_for(pc.width, image.entry(), &pc.prefetch, &pc.front);
-    let (stats, leg, _) = timed_run_engine(w, engine, pc, legacy_scan, warmup, insts);
-    (stats, leg)
+    (stats, TimedLeg { wall_s, cycles: stats.cycles, committed: stats.committed })
 }
 
 fn measure_engine(workloads: &[Workload], kind: EngineKind, opts: HarnessOpts) -> EngineRow {
@@ -384,47 +365,6 @@ fn measure_prefetch_ab(w: &Workload, kind: EngineKind, opts: HarnessOpts) -> [Pr
             polluting: stats.prefetch.polluting,
         }
     })
-}
-
-/// The wrong-path re-decode A/B: stream engine at a 1024-entry ROB (deep
-/// speculation — each misprediction re-fetches, and without the cache
-/// re-decodes, the recovery region), decoded-line cache on vs off.
-/// Simulated statistics are asserted bit-identical, so the wall-clock
-/// ratio is a pure host-side delta. Best-of-3 per leg. Measurement
-/// verdict: the cache **loses** ~2–3% (decode on the interned image is
-/// one array read), which is why it defaults off; the A/B stays to keep
-/// the negative result on the record.
-fn measure_redecode(w: &Workload, opts: HarnessOpts) -> (TimedLeg, TimedLeg, (u64, u64)) {
-    let mut pc = ProcessorConfig::table2(8);
-    pc.rob_entries = LARGE_ROB;
-    let entry = w.image(LayoutChoice::Optimized).entry();
-    let mut best: [Option<(sfetch_core::SimStats, TimedLeg)>; 2] = [None, None];
-    let mut counters = (0, 0);
-    for _rep in 0..3 {
-        for (slot, cached) in [(0, true), (1, false)] {
-            let eng = StreamEngine::table2(8, entry);
-            let eng = if cached { eng.with_decode_cache() } else { eng };
-            let (stats, leg, dec) =
-                timed_run_engine(w, Box::new(eng), pc, opts.legacy_scan, opts.warmup, opts.insts);
-            if cached {
-                counters = dec;
-            }
-            match &best[slot] {
-                Some((prev_stats, prev)) => {
-                    assert_eq!(&stats, prev_stats, "repeat runs must be deterministic");
-                    if leg.wall_s < prev.wall_s {
-                        best[slot] = Some((stats, leg));
-                    }
-                }
-                None => best[slot] = Some((stats, leg)),
-            }
-        }
-    }
-    let [on, off] = best;
-    let (on_stats, on_leg) = on.expect("ran");
-    let (off_stats, off_leg) = off.expect("ran");
-    assert_eq!(on_stats, off_stats, "decode cache changed simulated results — not a pure host win");
-    (on_leg, off_leg, counters)
 }
 
 /// The tracing-off vs tracing-on A/B record.
@@ -1081,18 +1021,6 @@ fn main() {
         ab_rows.push((kind, off, on));
     }
 
-    // Wrong-path re-decode A/B: decoded-line cache on/off at ROB 1024.
-    let (dec_on, dec_off, (dec_hits, dec_misses)) = measure_redecode(large_w, opts);
-    let dec_speedup = dec_off.ns_per_cycle() / dec_on.ns_per_cycle();
-    println!(
-        "\nwrong-path re-decode point (decoded-line cache, rob_entries = {LARGE_ROB}, Streams/{}):\n  \
-         cache on {:.2} ns/cyc, cache off {:.2} ns/cyc → {dec_speedup:.2}× \
-         ({dec_hits} line hits / {dec_misses} misses)",
-        large_w.name(),
-        dec_on.ns_per_cycle(),
-        dec_off.ns_per_cycle(),
-    );
-
     // Sampling A/B: the long-horizon phased workload, full vs sampled.
     eprintln!("building phased long-horizon workload…");
     let (phased_w, phased_build_s) = timed(phased::long_workload);
@@ -1242,7 +1170,6 @@ fn main() {
         &front_rows,
         (large_w.name(), &event, &scan, speedup),
         (ab_w.name(), &ab_rows),
-        (large_w.name(), &dec_on, &dec_off, dec_speedup, (dec_hits, dec_misses)),
         (phased_w.name(), &full, &sampled, &est, windows, phased_build_s),
         (phased_w.name(), &calib, full.ipc),
         (phased_w.name(), &fleet),
@@ -1265,7 +1192,6 @@ fn render_json(
     front_rows: &[FrontRow],
     large_rob: (&str, &TimedLeg, &TimedLeg, f64),
     prefetch_ab: (&str, &[(EngineKind, PrefetchLeg, PrefetchLeg)]),
-    redecode_ab: (&str, &TimedLeg, &TimedLeg, f64, (u64, u64)),
     sampling_ab: (&str, &SamplingLeg, &SamplingLeg, &Estimate, u64, f64),
     calibration: (&str, &CalibrationGrid, f64),
     fleet: (&str, &FleetResilience),
@@ -1365,21 +1291,6 @@ fn render_json(
         }
     }
     s.push_str("    ]\n");
-    s.push_str("  },\n");
-    let (rd_bench, rd_on, rd_off, rd_speedup, (rd_hits, rd_misses)) = redecode_ab;
-    s.push_str("  \"redecode_ab\": {\n");
-    let _ = writeln!(s, "    \"bench\": \"{rd_bench}\", \"engine\": \"Streams\", \"width\": 8,");
-    let _ = writeln!(s, "    \"rob_entries\": {LARGE_ROB}, \"insts\": {},", opts.insts);
-    for (name, leg) in [("cache_on", rd_on), ("cache_off", rd_off)] {
-        let _ = writeln!(
-            s,
-            "    \"{name}\": {{\"wall_s\": {:.3}, \"ns_per_cycle\": {:.2}}},",
-            leg.wall_s,
-            leg.ns_per_cycle()
-        );
-    }
-    let _ = writeln!(s, "    \"decode_hits\": {rd_hits}, \"decode_misses\": {rd_misses},");
-    let _ = writeln!(s, "    \"speedup\": {rd_speedup:.3}");
     s.push_str("  },\n");
     let (sa_bench, sa_full, sa_sampled, sa_est, sa_windows, sa_build_s) = sampling_ab;
     let sa_rel_err = if sa_full.ipc > 0.0 {

@@ -220,7 +220,7 @@ pub fn resolve_store(cli: Option<&str>, fallback: PathBuf) -> (PathBuf, bool) {
 
 /// Populates a workload's warming-start checkpoints (one architectural
 /// walk; pure verification traffic on a warm store) and prints the
-/// store-readiness line the CI smoke legs grep for.
+/// store-readiness line the CI smoke legs grep for, after `prefix`.
 pub fn populate_store(
     w: &Workload,
     scfg: SampleConfig,
@@ -233,7 +233,7 @@ pub fn populate_store(
     let mut populate = StoredSampler::new(img, fp, w.ref_seed(), scfg, store);
     let computed = populate.populate(windows);
     eprintln!(
-        "{prefix}: {windows} windows ready ({computed} computed, {} loaded warm)",
+        "{prefix} {windows} windows ready ({computed} computed, {} loaded warm)",
         populate.stats().hits
     );
 }

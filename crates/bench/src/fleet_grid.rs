@@ -1,24 +1,33 @@
 //! The fleet-backed grid runner: `sfetch_fleet`'s leased-cell
 //! supervisor specialized to the sampled engines × widths grid.
 //!
-//! This module owns both halves of the worker protocol:
+//! This module owns the one orchestration path every grid request runs
+//! through, and both halves of the worker protocol:
 //!
+//! * **Family run** — [`run_family`] opens a family's cell ledger under
+//!   `<store>/fleet/<tag>/`, populates the store when (and only when) a
+//!   caller asks and some cell is still to compute, sizes the
+//!   supervisor's leases through [`lease_group`], and drives
+//!   [`sfetch_fleet::run_fleet`] with whatever [`Launcher`] the caller
+//!   brings. The launcher is the only difference between `--procs`
+//!   (OS processes) and the resident daemon (threads).
 //! * **Parent** — [`run_fleet_grid`] decomposes the grid into
-//!   *(engine, width, window-range)* cells, opens the cell ledger next
-//!   to the checkpoint store (keyed by a config fingerprint, so a
-//!   re-invocation with the same experiment resumes and anything else
-//!   starts fresh), and drives [`sfetch_fleet::run_fleet`] over
-//!   re-spawns of the current executable. Completed cells merge through
+//!   *(engine, width, window-range)* cells, keys the ledger by a config
+//!   fingerprint (so a re-invocation with the same experiment resumes
+//!   and anything else starts fresh), runs the family over re-spawns of
+//!   the current executable, and merges the completed cells through
 //!   [`crate::grid::merge_grid`] (strict) or
 //!   [`crate::grid::merge_grid_partial`] (degraded, with an explicit
 //!   incomplete-cell report) — never a panic.
-//! * **Child** — [`maybe_run_fleet_child`], called first thing in every
-//!   grid binary's `main`, recognizes the `--fleet-cell` protocol,
-//!   runs exactly one cell's window range through the shared checkpoint
-//!   store, writes the sealed shard file atomically, and exits. Under
-//!   [`sfetch_fleet::chaos::CHAOS_ENV`] the child consults the
-//!   deterministic fault schedule first and crashes / stalls / mangles
-//!   its output accordingly — the parent is deliberately left unaware.
+//! * **Worker** — [`run_cell_group`] is the one worker body: process
+//!   children and the daemon's threads both heartbeat, run the group's
+//!   shared sweep, seal each cell's shard and write it atomically.
+//!   [`maybe_run_fleet_child`], called first thing in every grid
+//!   binary's `main`, recognizes the `--fleet-cell` protocol and runs
+//!   that body. Under [`sfetch_fleet::chaos::CHAOS_ENV`] the child
+//!   consults the deterministic fault schedule first and crashes /
+//!   stalls / mangles its output accordingly — the parent is
+//!   deliberately left unaware.
 //!
 //! Because each cell's windows resume from checkpoints that derive only
 //! from the workload (never from which worker ran them or how often),
@@ -31,19 +40,20 @@ use std::process::{Command, Stdio};
 use std::time::Duration;
 
 use sfetch_fleet::{
-    chaos, fnv64, now_ms, seal, CellId, FleetConfig, FleetError, FleetReport, HeartbeatGuard,
-    Ledger, ProcessGroupLauncher,
+    chaos, fnv64, now_ms, seal, CellDone, CellId, FleetConfig, FleetError, FleetReport,
+    HeartbeatGuard, Launcher, Ledger, ProcessLauncher,
 };
-use sfetch_sample::{window_range, SampleConfig, SamplePoint, ShardSpec};
+use sfetch_sample::{window_range, CheckpointStore, SampleConfig, SamplePoint, ShardSpec};
+use sfetch_workloads::Workload;
 
-use crate::driver::validate_shard_text;
+use crate::driver::{cell_group_bodies, validate_shard_text};
 use crate::grid::{
     engine_key, merge_grid, merge_grid_partial, parse_shard_file, write_shard_atomic, CellRun,
     GridCell, GridError, GRID_SHARD_SCHEMA,
 };
 use crate::{workload_by_name, HarnessOpts};
 
-/// How often fleet workers touch their heartbeat file.
+/// How often a worker ([`run_cell_group`]) touches its heartbeat file.
 const HEARTBEAT_EVERY: Duration = Duration::from_millis(200);
 
 /// Everything [`run_fleet_grid`] needs beyond the harness options.
@@ -167,9 +177,12 @@ fn config_tag(spec: &FleetGridSpec<'_>) -> u64 {
     fnv64(key.as_bytes())
 }
 
-/// Cells leased to one worker: `min(batch, ceil(cells / procs))`, so
-/// the pool's workers split the same-range cells evenly and each group
-/// shares one batched sweep. Chaos runs stay singleton, so the
+/// Cells leased to one worker: `min(batch, ceil(cells / procs))`, where
+/// `procs` is the number of processes the cells are split across. Each
+/// process's workers split the same-range cells evenly and each group
+/// shares one batched sweep. In-process (thread) workers pass 1: they
+/// share one process, and a group's sweep already fans its windows
+/// across `--jobs` threads. Chaos runs stay singleton, so the
 /// deterministic per-cell fault schedule keeps its meaning.
 pub fn lease_group(batch: usize, chaos: bool, n_cells: usize, procs: usize) -> usize {
     if chaos {
@@ -179,9 +192,105 @@ pub fn lease_group(batch: usize, chaos: bool, n_cells: usize, procs: usize) -> u
     }
 }
 
-/// Runs the grid under the fleet supervisor. The checkpoint store at
-/// `spec.store_dir` must already be populated (one architectural walk,
-/// [`crate::driver::populate_store`]).
+/// How [`run_family`] runs one family's cells: where its ledger lives
+/// and how the supervisor leases, times out and tags the work.
+pub struct FamilyRun<'a> {
+    /// Ledger fingerprint: the family's cells live in
+    /// `<store_dir>/fleet/<tag as 16 hex digits>/cells.ledger`, and a
+    /// ledger found there under another tag is rotated aside, never
+    /// resumed.
+    pub tag: u64,
+    /// The checkpoint store the workers read (and the fleet's home).
+    pub store_dir: &'a Path,
+    /// Maximum concurrent workers.
+    pub workers: usize,
+    /// Processes the cells are split across ([`lease_group`]'s
+    /// `procs`): the worker count for process workers, 1 for threads.
+    pub split: usize,
+    /// `--batch` cap on a lease group.
+    pub batch: usize,
+    /// Chaos runs lease singleton groups.
+    pub chaos: bool,
+    /// Per-cell retry budget.
+    pub max_retries: u32,
+    /// Optional per-cell timeout in seconds: sets the timeout floor and
+    /// initial guess and caps heartbeat staleness.
+    pub cell_timeout_s: Option<u64>,
+    /// Request tag stamped on every supervisor event (empty = none).
+    pub req: String,
+}
+
+impl FamilyRun<'_> {
+    /// The family's ledger directory (also holds `events.jsonl`, the
+    /// cell outputs and, after a degraded exit, `degraded.json`).
+    pub fn work_dir(&self) -> PathBuf {
+        self.store_dir.join("fleet").join(format!("{:016x}", self.tag))
+    }
+}
+
+/// Runs one family of cells to quiescence — the single orchestration
+/// path behind `--procs` grids and the resident daemon. Opens (or
+/// resumes) the family ledger, then runs `populate` if one is given
+/// and some cell is still not `Done` (a ledger that answers every cell
+/// needs no checkpoints), sizes the leases through [`lease_group`], and
+/// drives the supervisor over `launcher`. `log` gets the supervisor's
+/// progress lines; `notify` gets every `Done` cell as it becomes
+/// available (see [`sfetch_fleet::run_fleet`]).
+///
+/// # Errors
+///
+/// Infrastructure failures only: the ledger, a worker spawn, or a
+/// failed `populate` (reported as [`FleetError::Io`] on the store).
+pub fn run_family<L: Launcher>(
+    run: &FamilyRun<'_>,
+    cells: &[CellId],
+    launcher: &L,
+    populate: Option<&dyn Fn() -> Result<(), String>>,
+    log: &mut dyn FnMut(&str),
+    notify: &mut dyn FnMut(&CellDone),
+) -> Result<FleetReport, FleetError> {
+    let work_dir = run.work_dir();
+    std::fs::create_dir_all(&work_dir)
+        .map_err(|e| FleetError::io("create fleet work dir", &work_dir, e))?;
+    let (mut ledger, resume) = Ledger::open(
+        work_dir.join("cells.ledger"),
+        run.tag,
+        cells,
+        now_ms(),
+        &validate_shard_text,
+    )?;
+    if resume.resumed_done > 0 || resume.expired_leases > 0 || resume.invalidated > 0 {
+        log(&format!(
+            "resumed ledger — {} done cells kept, {} expired leases re-offered, \
+             {} invalidated outputs recomputed",
+            resume.resumed_done, resume.expired_leases, resume.invalidated
+        ));
+    }
+    if let Some(populate) = populate {
+        let (_, _, done, _) = ledger.counts();
+        if done < cells.len() {
+            populate().map_err(|e| FleetError::io("populate store", run.store_dir, e))?;
+        }
+    }
+
+    let mut cfg = FleetConfig::new(run.workers.min(cells.len()).max(1));
+    cfg.max_retries = run.max_retries;
+    cfg.req.clone_from(&run.req);
+    // A worker claims a group of same-range cells and drives them from
+    // one shared sweep; `--batch N` caps the group.
+    cfg.group = lease_group(run.batch, run.chaos, cells.len(), run.split);
+    if let Some(s) = run.cell_timeout_s {
+        let ms = s.max(1) * 1000;
+        cfg.timeout_floor_ms = ms;
+        cfg.timeout_initial_ms = ms;
+        cfg.heartbeat_stale_ms = cfg.heartbeat_stale_ms.min(ms);
+    }
+    sfetch_fleet::run_fleet(&cfg, &mut ledger, launcher, &validate_shard_text, resume, log, notify)
+}
+
+/// Runs the grid under the fleet supervisor with one OS process per
+/// worker. The checkpoint store at `spec.store_dir` must already be
+/// populated (one architectural walk, [`crate::driver::populate_store`]).
 ///
 /// # Errors
 ///
@@ -190,41 +299,21 @@ pub fn lease_group(batch: usize, chaos: bool, n_cells: usize, procs: usize) -> u
 pub fn run_fleet_grid(spec: &FleetGridSpec<'_>) -> Result<FleetGridOutcome, FleetGridError> {
     let windows = spec.scfg.windows(spec.total);
     let cell_ids = decompose(spec.grid, windows, spec.procs);
-    let tag = config_tag(spec);
-    let work_dir = spec.store_dir.join("fleet").join(format!("{tag:016x}"));
-    std::fs::create_dir_all(&work_dir)
-        .map_err(|e| FleetError::io("create fleet work dir", &work_dir, e))?;
-
-    let (mut ledger, resume) = Ledger::open(
-        work_dir.join("cells.ledger"),
-        tag,
-        &cell_ids,
-        now_ms(),
-        &validate_shard_text,
-    )?;
-    if resume.resumed_done > 0 || resume.expired_leases > 0 || resume.invalidated > 0 {
-        eprintln!(
-            "fleet: resumed ledger — {} done cells kept, {} expired leases re-offered, \
-             {} invalidated outputs recomputed",
-            resume.resumed_done, resume.expired_leases, resume.invalidated
-        );
-    }
-
-    let mut cfg = FleetConfig::new(spec.procs.min(cell_ids.len()).max(1));
-    cfg.max_retries = spec.max_retries;
-    // A worker claims a group of same-range cells and drives them from
-    // one shared sweep; `--batch N` caps the group.
-    cfg.group = lease_group(spec.opts.batch, spec.chaos.is_some(), cell_ids.len(), cfg.procs);
-    if let Some(s) = spec.cell_timeout_s {
-        let ms = s.max(1) * 1000;
-        cfg.timeout_floor_ms = ms;
-        cfg.timeout_initial_ms = ms;
-        cfg.heartbeat_stale_ms = cfg.heartbeat_stale_ms.min(ms);
-    }
+    let run = FamilyRun {
+        tag: config_tag(spec),
+        store_dir: spec.store_dir,
+        workers: spec.procs,
+        split: spec.procs,
+        batch: spec.opts.batch,
+        chaos: spec.chaos.is_some(),
+        max_retries: spec.max_retries,
+        cell_timeout_s: spec.cell_timeout_s,
+        req: String::new(),
+    };
 
     let exe = std::env::current_exe()
         .map_err(|e| FleetError::Spawn { cell: "<any>".into(), err: e.to_string() })?;
-    let launcher = ProcessGroupLauncher::new(
+    let launcher = ProcessLauncher::new(
         |cells: &[CellId], attempts: &[u32], outs: &[PathBuf], hb: &Path| {
             let mut cmd = Command::new(&exe);
             // Repeated `--fleet-cell`/`--fleet-out` pairs, in matching
@@ -277,13 +366,13 @@ pub fn run_fleet_grid(spec: &FleetGridSpec<'_>) -> Result<FleetGridOutcome, Flee
         },
     );
 
-    let report = sfetch_fleet::run_fleet(
-        &cfg,
-        &mut ledger,
+    let report = run_family(
+        &run,
+        &cell_ids,
         &launcher,
-        &validate_shard_text,
-        resume,
+        None,
         &mut |msg| eprintln!("fleet: {msg}"),
+        &mut |_done| {},
     )?;
 
     // Merge the verified cell outputs.
@@ -309,7 +398,7 @@ pub fn run_fleet_grid(spec: &FleetGridSpec<'_>) -> Result<FleetGridOutcome, Flee
         eprint!("{}", hist.render("fleet:   "));
     }
 
-    Ok(FleetGridOutcome { runs, incomplete, report, work_dir })
+    Ok(FleetGridOutcome { runs, incomplete, report, work_dir: run.work_dir() })
 }
 
 /// Prints the degradation report (stderr) for a partial outcome,
@@ -387,19 +476,13 @@ fn degraded_json(outcome: &FleetGridOutcome) -> String {
 // Child protocol
 // ---------------------------------------------------------------------
 
+/// A `--fleet-cell` child's arguments: the group's work order (repeated
+/// `--fleet-cell`/`--fleet-out` pairs, in matching order), plus the
+/// bench to build and the attempt chaos keys its faults on.
 struct ChildArgs {
-    /// The leased group: repeated `--fleet-cell` flags, one per cell
-    /// (singleton in classic mode).
-    cells: Vec<CellId>,
+    job: CellGroupJob,
     bench: String,
-    scfg: SampleConfig,
-    store: PathBuf,
-    /// Per-cell output paths, parallel to `cells` (repeated
-    /// `--fleet-out`, in the same order).
-    outs: Vec<PathBuf>,
-    heartbeat: PathBuf,
     attempt: u32,
-    opts: HarnessOpts,
 }
 
 fn parse_child_args(args: &[String]) -> Result<ChildArgs, String> {
@@ -493,24 +576,70 @@ fn parse_child_args(args: &[String]) -> Result<ChildArgs, String> {
         ));
     }
     Ok(ChildArgs {
-        cells,
+        job: CellGroupJob {
+            cells,
+            outs,
+            heartbeat: heartbeat.ok_or("--fleet-heartbeat is required")?,
+            store_dir: store.ok_or("--fleet-store is required")?,
+            scfg: scfg.ok_or("--fleet-sample is required")?,
+            opts,
+        },
         bench: bench.ok_or("--fleet-bench is required")?,
-        scfg: scfg.ok_or("--fleet-sample is required")?,
-        store: store.ok_or("--fleet-store is required")?,
-        outs,
-        heartbeat: heartbeat.ok_or("--fleet-heartbeat is required")?,
         attempt,
-        opts,
     })
 }
 
-fn run_fleet_child(a: &ChildArgs) -> Result<bool, String> {
+/// One leased cell group's work order: the cells, where each cell's
+/// sealed shard goes, the heartbeat to keep fresh, and the store and
+/// model the sweep runs against.
+pub struct CellGroupJob {
+    /// The group (same window range; a singleton under per-cell leases).
+    pub cells: Vec<CellId>,
+    /// Per-cell output paths, parallel to `cells`.
+    pub outs: Vec<PathBuf>,
+    /// The heartbeat file the supervisor health-checks.
+    pub heartbeat: PathBuf,
+    /// The checkpoint store directory.
+    pub store_dir: PathBuf,
+    /// Sampling schedule.
+    pub scfg: SampleConfig,
+    /// Simulation-model and execution options.
+    pub opts: HarnessOpts,
+}
+
+/// The one worker body, shared by fleet child processes and the
+/// daemon's in-process workers: heartbeat, open the store, run the
+/// group's shared sweep ([`cell_group_bodies`]), seal each cell's body
+/// and write it with [`write_shard_atomic`]. `finish` sees each sealed
+/// text before it is written — the identity everywhere except the chaos
+/// child, which mangles it there.
+///
+/// # Errors
+///
+/// A readable message on a store, sweep or write failure.
+pub fn run_cell_group(
+    w: &Workload,
+    job: &CellGroupJob,
+    finish: &mut dyn FnMut(String) -> String,
+) -> Result<(), String> {
+    let _hb = HeartbeatGuard::start(&job.heartbeat, HEARTBEAT_EVERY);
+    let store = CheckpointStore::open(&job.store_dir)
+        .map_err(|e| format!("open store: {e}"))?
+        .with_cap_bytes(job.opts.store_cap_bytes);
+    let bodies = cell_group_bodies(w, &job.cells, job.scfg, &job.opts, &store)?;
+    for (body, out) in bodies.iter().zip(&job.outs) {
+        write_shard_atomic(out, &finish(seal(body))).map_err(|e| e.to_string())?;
+    }
+    Ok(())
+}
+
+fn run_fleet_child(a: ChildArgs) -> Result<bool, String> {
     // Chaos first: the fault schedule is a pure function of
     // (seed, cell, attempt), consulted before any real work. The parent
     // forces singleton groups under chaos, so the first cell *is* the
     // group.
     let fault = match chaos::seed_from_env() {
-        Some(seed) => chaos::fault_for(seed, &a.cells[0], a.attempt),
+        Some(seed) => chaos::fault_for(seed, &a.job.cells[0], a.attempt),
         None => chaos::Fault::None,
     };
     match fault {
@@ -528,25 +657,16 @@ fn run_fleet_child(a: &ChildArgs) -> Result<bool, String> {
         _ => {}
     }
 
-    let _hb = HeartbeatGuard::start(&a.heartbeat, HEARTBEAT_EVERY);
     let w = workload_by_name(&a.bench);
-    let store = sfetch_sample::CheckpointStore::open(&a.store)
-        .map_err(|e| format!("open store: {e}"))?
-        .with_cap_bytes(a.opts.store_cap_bytes);
-    // The single cell-execution path shared with the daemon's
-    // in-process workers; a multi-cell group rides one batched sweep.
-    let bodies = crate::driver::cell_group_bodies(&w, &a.cells, a.scfg, &a.opts, &store)?;
-
+    // Chaos mangles the sealed text before the (still atomic) write:
+    // the injected faults model *logical* corruption; torn physical
+    // writes are prevented by the temp + rename discipline itself.
     let mut exit_nonzero = false;
-    for (body, out) in bodies.iter().zip(&a.outs) {
-        let sealed = seal(body);
+    run_cell_group(&w, &a.job, &mut |sealed| {
         let (text, nonzero) = chaos::mangle_output(fault, &sealed);
         exit_nonzero |= nonzero;
-        // Atomic even when chaos-mangled: the injected faults model
-        // *logical* corruption; torn physical writes are prevented by the
-        // temp + rename discipline itself.
-        write_shard_atomic(out, &text).map_err(|e| e.to_string())?;
-    }
+        text
+    })?;
     Ok(exit_nonzero)
 }
 
@@ -558,7 +678,7 @@ pub fn maybe_run_fleet_child() {
     if !args.iter().any(|a| a == "--fleet-cell") {
         return;
     }
-    match parse_child_args(&args).and_then(|a| run_fleet_child(&a)) {
+    match parse_child_args(&args).and_then(run_fleet_child) {
         Ok(false) => std::process::exit(0),
         Ok(true) => std::process::exit(3), // chaos: valid file, lying exit
         Err(msg) => {
@@ -615,20 +735,6 @@ mod tests {
         type Handle = Exited;
         fn launch(
             &self,
-            cell: &CellId,
-            attempt: u32,
-            out: &Path,
-            hb: &Path,
-        ) -> Result<Exited, FleetError> {
-            self.launch_group(
-                std::slice::from_ref(cell),
-                &[attempt],
-                std::slice::from_ref(&out.to_path_buf()),
-                hb,
-            )
-        }
-        fn launch_group(
-            &self,
             cells: &[CellId],
             _attempts: &[u32],
             outs: &[PathBuf],
@@ -646,31 +752,36 @@ mod tests {
         }
     }
 
-    /// Group sizes the supervisor leases for the Fig. 8 grid (12 cells,
-    /// 4 windows) under the production lease rule.
-    fn leased_groups(batch: usize, chaos: bool, procs: usize, tag: &str) -> Vec<usize> {
+    /// Group sizes [`run_family`] leases for the Fig. 8 grid (12 cells,
+    /// 4 windows, one same-range cell per pair) with `workers`
+    /// concurrent workers split across `split` processes.
+    fn leased_groups(
+        batch: usize,
+        chaos: bool,
+        workers: usize,
+        split: usize,
+        tag: &str,
+    ) -> Vec<usize> {
         let grid = cells(&crate::grid::grid_engines(), &crate::grid::FIG8_WIDTHS);
-        let ids = decompose(&grid, 4, procs);
+        let ids = decompose(&grid, 4, workers);
         assert!(ids.iter().all(|c| (c.lo, c.hi) == (0, 4)), "one same-range cell per pair");
         let dir = std::env::temp_dir()
             .join(format!("sfetch-lease-{tag}-{}", std::process::id()));
         let _ = std::fs::remove_dir_all(&dir);
-        std::fs::create_dir_all(&dir).expect("mk tmp");
-        let (mut ledger, resume) =
-            Ledger::open(dir.join("cells.ledger"), 1, &ids, now_ms(), &validate_shard_text)
-                .expect("open ledger");
-        let mut cfg = FleetConfig::new(procs.min(ids.len()));
-        cfg.group = lease_group(batch, chaos, ids.len(), cfg.procs);
+        let run = FamilyRun {
+            tag: 1,
+            store_dir: &dir,
+            workers,
+            split,
+            batch,
+            chaos,
+            max_retries: 3,
+            cell_timeout_s: None,
+            req: String::new(),
+        };
         let launcher = RecordingLauncher(Default::default());
-        let report = sfetch_fleet::run_fleet(
-            &cfg,
-            &mut ledger,
-            &launcher,
-            &validate_shard_text,
-            resume,
-            &mut |_msg| {},
-        )
-        .expect("run_fleet");
+        let report = run_family(&run, &ids, &launcher, None, &mut |_msg| {}, &mut |_done| {})
+            .expect("run_family");
         assert_eq!(report.done.len(), ids.len(), "every cell completes");
         assert_eq!(report.spawned as usize, launcher.0.borrow().len());
         let _ = std::fs::remove_dir_all(&dir);
@@ -680,9 +791,14 @@ mod tests {
     #[test]
     fn leases_split_same_range_cells_across_the_pool() {
         let uncapped = HarnessOpts::default().batch;
-        assert_eq!(leased_groups(uncapped, false, 2, "default"), vec![6, 6]);
-        assert_eq!(leased_groups(1, false, 2, "batch1"), vec![1; 12]);
-        assert_eq!(leased_groups(uncapped, true, 2, "chaos"), vec![1; 12]);
+        // Process workers: the pool splits the grid.
+        assert_eq!(leased_groups(uncapped, false, 2, 2, "default"), vec![6, 6]);
+        assert_eq!(leased_groups(1, false, 2, 2, "batch1"), vec![1; 12]);
+        assert_eq!(leased_groups(uncapped, true, 2, 2, "chaos"), vec![1; 12]);
+        // Thread workers (the daemon's cold 12-cell family at procs 2)
+        // share one process: only `--batch` splits the group.
+        assert_eq!(leased_groups(uncapped, false, 2, 1, "serve"), vec![12]);
+        assert_eq!(leased_groups(5, false, 2, 1, "serve-batch5"), vec![5, 5, 2]);
         // A cap below the even split wins; one process takes the grid.
         assert_eq!(lease_group(4, false, 12, 2), 4);
         assert_eq!(lease_group(uncapped, false, 12, 1), 12);
@@ -717,14 +833,14 @@ mod tests {
         .map(|s| (*s).to_owned())
         .collect();
         let a = parse_child_args(&args).expect("parses");
-        assert_eq!(a.cells, vec![CellId::new("stream", 8, 0, 4)]);
-        assert_eq!(a.outs, vec![PathBuf::from("/tmp/out.json")]);
+        assert_eq!(a.job.cells, vec![CellId::new("stream", 8, 0, 4)]);
+        assert_eq!(a.job.outs, vec![PathBuf::from("/tmp/out.json")]);
         assert_eq!(a.bench, "phased");
         assert_eq!(a.attempt, 1);
-        assert_eq!(a.opts.jobs, 2);
-        assert!(a.opts.legacy_scan);
-        assert_eq!(a.opts.front, crate::FrontMode::Legacy);
-        assert_eq!(a.opts.grid_prefetch, crate::GridPrefetchMode::Shared);
+        assert_eq!(a.job.opts.jobs, 2);
+        assert!(a.job.opts.legacy_scan);
+        assert_eq!(a.job.opts.front, crate::FrontMode::Legacy);
+        assert_eq!(a.job.opts.grid_prefetch, crate::GridPrefetchMode::Shared);
         assert!(parse_child_args(&args[2..]).is_err(), "missing --fleet-cell is an error");
     }
 
@@ -757,12 +873,12 @@ mod tests {
         full.extend(["--fleet-heartbeat".to_owned(), "/tmp/hb".to_owned()]);
         let a = parse_child_args(&full).expect("parses");
         assert_eq!(
-            a.cells,
+            a.job.cells,
             vec![CellId::new("stream", 8, 0, 4), CellId::new("ev8", 8, 0, 4)],
             "cells keep their flag order"
         );
-        assert_eq!(a.outs, vec![PathBuf::from("/tmp/a.json"), PathBuf::from("/tmp/b.json")]);
-        assert_eq!(a.opts.store_cap_bytes, Some(4096));
+        assert_eq!(a.job.outs, vec![PathBuf::from("/tmp/a.json"), PathBuf::from("/tmp/b.json")]);
+        assert_eq!(a.job.opts.store_cap_bytes, Some(4096));
         // A cell without its out file is a protocol error.
         let mut unbalanced = full.clone();
         unbalanced.extend(["--fleet-cell".to_owned(), "ftb:8:0-4".to_owned()]);

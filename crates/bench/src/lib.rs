@@ -17,7 +17,7 @@
 //! | `ablation_sts` | selective trace storage on/off |
 //! | `figure8_sampled` | Fig. 8 grid at paper-scale horizons via the sampler + checkpoint store; `--procs N` fans it across fleet worker processes, merged bit-identically |
 //! | `figure9_sampled` | Fig. 9 per-benchmark comparison, sampled through the store |
-//! | `perfstats` | host throughput per engine + the sampling/redecode A/Bs + the store-backed calibration grid → `BENCH_5.json` |
+//! | `perfstats` | host throughput per engine + the sampling A/B + the store-backed calibration grid → `BENCH_5.json` |
 //! | `all` | everything above, in sequence |
 //!
 //! Run with `--inst N` / `--warmup N` to change the measured window

@@ -184,15 +184,6 @@ pub trait FetchEngine {
         Err("engine does not support warm-state banking".to_string())
     }
 
-    /// Host-side decoded-line-cache counters `(hits, misses)`; `(0, 0)`
-    /// for engines without one or with the cache disabled. Deliberately
-    /// separate from [`FetchEngine::stats`]: the cache is a host
-    /// optimization and simulated statistics are bit-identical with it
-    /// on or off.
-    fn decode_counters(&self) -> (u64, u64) {
-        (0, 0)
-    }
-
     /// Why the engine delivered nothing during the *current* cycle (the
     /// most recent [`FetchEngine::cycle`] call):
     /// [`crate::StallCause::None`] when it delivered, was never asked, or

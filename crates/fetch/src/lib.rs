@@ -28,7 +28,6 @@
 #![warn(missing_docs)]
 
 pub mod bundle;
-pub mod decode;
 pub mod engine;
 pub mod ev8;
 pub mod front;
@@ -41,7 +40,6 @@ pub mod trace_cache;
 pub use bundle::{
     BranchPrediction, Checkpoint, CommittedControl, CommittedInst, FetchedInst, ResolvedBranch,
 };
-pub use decode::{DecodeCache, DecodedInst};
 pub use engine::{EngineKind, FetchEngine, FetchEngineStats, WARM_FORMAT_VERSION};
 pub use ev8::Ev8Engine;
 pub use front::FrontPipeline;

@@ -20,7 +20,6 @@ use sfetch_prefetch::{Lookahead, PrefetchConfig};
 use crate::bundle::{
     BranchPrediction, Checkpoint, CommittedInst, FetchedInst, ResolvedBranch,
 };
-use crate::decode::DecodeCache;
 use crate::engine::{FetchEngine, FetchEngineStats};
 use crate::ftq::{FetchRequest, Ftq};
 use crate::port::IcachePort;
@@ -65,16 +64,6 @@ pub struct StreamEngine {
     open: Vec<OpenStream>,
     /// Reusable lookahead scratch for the prefetch drive stage.
     la_buf: Vec<(Addr, u32)>,
-    /// Decoded-line cache serving the fetch inner loop; survives
-    /// redirects, so post-squash re-fetches of recently decoded lines
-    /// skip the per-slot image walk. Simulated results are bit-identical
-    /// with it on or off. **Off by default**: the ROADMAP hypothesis that
-    /// wrong-path re-decode costs host time did not survive measurement —
-    /// with the interned image a decode is one bounds-checked array read,
-    /// and the cache's indexing overhead makes it a ~2–3% *loss* at ROB
-    /// 1024 (`redecode_ab` in BENCH_4.json). Kept behind this builder
-    /// for measurement and as the hook if decode ever grows real work.
-    decode: Option<DecodeCache>,
     stats: FetchEngineStats,
 }
 
@@ -104,7 +93,6 @@ impl StreamEngine {
             max_stream,
             open: Vec::with_capacity(MAX_OPEN),
             la_buf: Vec::with_capacity(ftq_entries),
-            decode: None,
             stats: FetchEngineStats::default(),
         }
     }
@@ -113,26 +101,6 @@ impl StreamEngine {
     pub fn with_prefetch(mut self, pf: &PrefetchConfig) -> Self {
         self.port = IcachePort::from_config(pf);
         self
-    }
-
-    /// Enables the decoded-line cache (builder-style). Used by the
-    /// `redecode_ab` measurement leg and the differential tests; the
-    /// simulated results are bit-identical with the cache on or off.
-    pub fn with_decode_cache(mut self) -> Self {
-        self.decode = Some(DecodeCache::new());
-        self
-    }
-
-    /// Disables the decoded-line cache (builder-style; the default).
-    pub fn without_decode_cache(mut self) -> Self {
-        self.decode = None;
-        self
-    }
-
-    /// Host-side decoded-line cache counters `(hits, misses)`; zeros when
-    /// the cache is disabled.
-    pub fn decode_counters(&self) -> (u64, u64) {
-        self.decode.as_ref().map_or((0, 0), DecodeCache::counters)
     }
 
     /// Whether a front-end tracking this engine's predictor state would
@@ -295,55 +263,24 @@ impl FetchEngine for StreamEngine {
             .min(req.cur.insts_to_line_end(line) as u32)
             .max(1);
         let term_pc = req.term_pc();
-        if let Some(dc) = self.decode.as_mut() {
-            // Cached decode: the fetch group never crosses a line (`k` is
-            // clipped to the line end), so one cache lookup serves it. A
-            // short run means the group ran off the image mid-way — the
-            // per-slot path below would have delivered the same prefix
-            // before going idle.
-            let run = dc.run(image, req.cur, k, line);
-            let mut pc = req.cur;
-            for di in run {
-                let is_term = req.term.is_some() && pc == term_pc;
-                let pred = if di.is_control {
-                    Some(if is_term {
-                        BranchPrediction { taken: true, target: req.next }
-                    } else {
-                        // Embedded branches are implicitly not-taken (§3.2).
-                        BranchPrediction { taken: false, target: di.target }
-                    })
-                } else {
-                    None
-                };
-                let cp = if is_term { req.cp_term } else { req.cp_embedded };
-                out.push(FetchedInst { pc, inst: di.inst, pred, cp });
-                pc = pc.next_inst();
-            }
-            if run.len() < k as usize {
+        for i in 0..k {
+            let pc = req.cur.offset_insts(u64::from(i));
+            let Some(ii) = image.inst_at(pc) else {
                 // Wrong path ran off the image: go idle until redirected.
                 self.ftq.clear();
                 return;
-            }
-        } else {
-            for i in 0..k {
-                let pc = req.cur.offset_insts(u64::from(i));
-                let Some(ii) = image.inst_at(pc) else {
-                    // Wrong path ran off the image: go idle until redirected.
-                    self.ftq.clear();
-                    return;
-                };
-                let is_term = req.term.is_some() && pc == term_pc;
-                let pred = ii.control.map(|attr| {
-                    if is_term {
-                        BranchPrediction { taken: true, target: req.next }
-                    } else {
-                        // Embedded branches are implicitly not-taken (§3.2).
-                        BranchPrediction { taken: false, target: attr.target.unwrap_or(Addr::NULL) }
-                    }
-                });
-                let cp = if is_term { req.cp_term } else { req.cp_embedded };
-                out.push(FetchedInst { pc, inst: ii.inst, pred, cp });
-            }
+            };
+            let is_term = req.term.is_some() && pc == term_pc;
+            let pred = ii.control.map(|attr| {
+                if is_term {
+                    BranchPrediction { taken: true, target: req.next }
+                } else {
+                    // Embedded branches are implicitly not-taken (§3.2).
+                    BranchPrediction { taken: false, target: attr.target.unwrap_or(Addr::NULL) }
+                }
+            });
+            let cp = if is_term { req.cp_term } else { req.cp_embedded };
+            out.push(FetchedInst { pc, inst: ii.inst, pred, cp });
         }
         let head = self.ftq.head().expect("head exists");
         head.consume(k);
@@ -455,10 +392,6 @@ impl FetchEngine for StreamEngine {
             }
             self.commit(&ci);
         }
-    }
-
-    fn decode_counters(&self) -> (u64, u64) {
-        StreamEngine::decode_counters(self)
     }
 
     fn stall_probe(&self) -> crate::StallCause {

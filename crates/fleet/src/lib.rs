@@ -70,8 +70,8 @@ pub use error::FleetError;
 pub use heartbeat::HeartbeatGuard;
 pub use ledger::{CellState, Ledger, ResumeSummary, LEDGER_SCHEMA};
 pub use supervisor::{
-    run_fleet, run_fleet_notify, CellDone, FleetConfig, FleetReport, Launcher, PollResult,
-    ProcessGroupLauncher, ProcessLauncher, WorkerHandle,
+    run_fleet, CellDone, FleetConfig, FleetReport, Launcher, PollResult, ProcessLauncher,
+    WorkerHandle,
 };
 pub use sfetch_tab::fnv64;
 pub use trailer::{seal, unseal, TrailerError};

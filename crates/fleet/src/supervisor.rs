@@ -21,9 +21,12 @@
 //!   `Failed` and the run completes over the remaining cells, reporting
 //!   an explicit incomplete list instead of panicking.
 //!
-//! Workers are abstract ([`Launcher`] / [`WorkerHandle`]) so tests can
-//! drive the loop with scripted in-process workers; production uses
-//! [`ProcessLauncher`] over `std::process::Command`.
+//! Workers are abstract ([`Launcher`] / [`WorkerHandle`]): the `--procs`
+//! grid runs them as OS processes ([`ProcessLauncher`] over
+//! `std::process::Command`), the resident daemon as threads of its own
+//! process (`sfetch_serve::ThreadLauncher`), and the unit tests as
+//! scripted in-process workers. Every launcher takes a whole leased
+//! cell group, so the loop has one launch path whatever the group size.
 
 use std::path::{Path, PathBuf};
 use std::process::{Child, Command};
@@ -126,13 +129,17 @@ pub trait WorkerHandle {
     fn worker_id(&self) -> u64;
 }
 
-/// Launches a worker for one (cell, attempt). The worker must write its
-/// sealed output to `out` (atomically — temp + rename) and touch
+/// Launches one worker for a leased cell group: a compatible set of
+/// cells (same window range) that the worker drives from one shared
+/// sweep — a singleton under per-cell leasing ([`FleetConfig::group`]
+/// = 1). The worker must write one sealed output per cell, to the
+/// matching entry of `outs` (atomically — temp + rename), and touch
 /// `heartbeat` while it makes progress.
 pub trait Launcher {
     /// The handle type for launched workers.
     type Handle: WorkerHandle;
-    /// Starts a worker.
+    /// Starts a worker for `cells`; `attempts` and `outs` run parallel
+    /// to `cells`.
     ///
     /// # Errors
     ///
@@ -141,50 +148,20 @@ pub trait Launcher {
     /// is an expected, retried event).
     fn launch(
         &self,
-        cell: &CellId,
-        attempt: u32,
-        out: &Path,
-        heartbeat: &Path,
-    ) -> Result<Self::Handle, FleetError>;
-
-    /// Starts **one** worker covering a whole compatible cell group
-    /// (same window range), writing one sealed output file per cell.
-    /// The default delegates singleton groups to [`Launcher::launch`]
-    /// and rejects larger ones — a launcher must opt in to group
-    /// execution before [`FleetConfig::group`] may exceed 1.
-    ///
-    /// # Errors
-    ///
-    /// [`FleetError::Spawn`] when the worker cannot be started (or the
-    /// launcher does not support groups).
-    fn launch_group(
-        &self,
         cells: &[CellId],
         attempts: &[u32],
         outs: &[PathBuf],
         heartbeat: &Path,
-    ) -> Result<Self::Handle, FleetError> {
-        if let ([cell], [attempt], [out]) = (cells, attempts, outs) {
-            self.launch(cell, *attempt, out, heartbeat)
-        } else {
-            Err(FleetError::Spawn {
-                cell: cells.first().map(CellId::to_string).unwrap_or_default(),
-                err: format!(
-                    "launcher cannot run a {}-cell group (needs FleetConfig::group = 1)",
-                    cells.len()
-                ),
-            })
-        }
-    }
+    ) -> Result<Self::Handle, FleetError>;
 }
 
-/// [`Launcher`] over real OS processes: a closure builds the
-/// `Command` for each (cell, attempt, out, heartbeat).
-pub struct ProcessLauncher<F: Fn(&CellId, u32, &Path, &Path) -> Command> {
+/// [`Launcher`] over real OS processes: a closure builds the `Command`
+/// for each (cell group, attempts, out files, heartbeat).
+pub struct ProcessLauncher<F: Fn(&[CellId], &[u32], &[PathBuf], &Path) -> Command> {
     build: F,
 }
 
-impl<F: Fn(&CellId, u32, &Path, &Path) -> Command> ProcessLauncher<F> {
+impl<F: Fn(&[CellId], &[u32], &[PathBuf], &Path) -> Command> ProcessLauncher<F> {
     /// Wraps the command builder.
     pub fn new(build: F) -> Self {
         ProcessLauncher { build }
@@ -217,58 +194,10 @@ impl WorkerHandle for ProcessHandle {
     }
 }
 
-impl<F: Fn(&CellId, u32, &Path, &Path) -> Command> Launcher for ProcessLauncher<F> {
+impl<F: Fn(&[CellId], &[u32], &[PathBuf], &Path) -> Command> Launcher for ProcessLauncher<F> {
     type Handle = ProcessHandle;
 
     fn launch(
-        &self,
-        cell: &CellId,
-        attempt: u32,
-        out: &Path,
-        heartbeat: &Path,
-    ) -> Result<ProcessHandle, FleetError> {
-        let mut cmd = (self.build)(cell, attempt, out, heartbeat);
-        let child = cmd
-            .spawn()
-            .map_err(|e| FleetError::Spawn { cell: cell.to_string(), err: e.to_string() })?;
-        Ok(ProcessHandle { child })
-    }
-}
-
-/// [`Launcher`] over real OS processes with **group** support: a
-/// closure builds the `Command` for each (cell group, attempts, out
-/// files, heartbeat). Singleton groups go through the same closure, so
-/// the per-cell and grouped paths can never drift.
-pub struct ProcessGroupLauncher<F: Fn(&[CellId], &[u32], &[PathBuf], &Path) -> Command> {
-    build: F,
-}
-
-impl<F: Fn(&[CellId], &[u32], &[PathBuf], &Path) -> Command> ProcessGroupLauncher<F> {
-    /// Wraps the group command builder.
-    pub fn new(build: F) -> Self {
-        ProcessGroupLauncher { build }
-    }
-}
-
-impl<F: Fn(&[CellId], &[u32], &[PathBuf], &Path) -> Command> Launcher for ProcessGroupLauncher<F> {
-    type Handle = ProcessHandle;
-
-    fn launch(
-        &self,
-        cell: &CellId,
-        attempt: u32,
-        out: &Path,
-        heartbeat: &Path,
-    ) -> Result<ProcessHandle, FleetError> {
-        self.launch_group(
-            std::slice::from_ref(cell),
-            &[attempt],
-            std::slice::from_ref(&out.to_path_buf()),
-            heartbeat,
-        )
-    }
-
-    fn launch_group(
         &self,
         cells: &[CellId],
         attempts: &[u32],
@@ -490,37 +419,23 @@ fn claim_group(ledger: &Ledger, now: u64, max: usize) -> Vec<CellId> {
 /// human-readable progress lines (callers route it to stderr so stdout
 /// stays byte-comparable across chaos and clean runs).
 ///
+/// `notify` receives each `Done` cell **as it becomes available** —
+/// first every cell resumed verified from the ledger (in deterministic
+/// cell order, before any worker is spawned), then each in-run
+/// completion the moment its output validates. Every `Done` cell in
+/// the final [`FleetReport`] is notified exactly once; `Failed` cells
+/// never are. This is what lets a resident server stream merged points
+/// to a client while the grid is still running; batch callers pass a
+/// no-op and read the report.
+///
 /// # Errors
 ///
 /// Infrastructure failures only ([`FleetError`]): an unwritable ledger,
 /// an unspawnable worker. Cell failures are *not* errors — they are
 /// retried and, past the budget, reported in
 /// [`FleetReport::incomplete`].
-pub fn run_fleet<L: Launcher>(
-    cfg: &FleetConfig,
-    ledger: &mut Ledger,
-    launcher: &L,
-    validate: &dyn Fn(&str) -> Result<u64, String>,
-    resume: ResumeSummary,
-    log: &mut dyn FnMut(&str),
-) -> Result<FleetReport, FleetError> {
-    run_fleet_notify(cfg, ledger, launcher, validate, resume, log, &mut |_done| {})
-}
-
-/// [`run_fleet`] with an incremental-results hook: `notify` receives
-/// each `Done` cell **as it becomes available** — first every cell
-/// resumed verified from the ledger (in deterministic cell order,
-/// before any worker is spawned), then each in-run completion the
-/// moment its output validates. Every `Done` cell in the final
-/// [`FleetReport`] was notified exactly once; `Failed` cells are never
-/// notified. This is what lets a resident server stream merged points
-/// to a client while the grid is still running.
-///
-/// # Errors
-///
-/// As [`run_fleet`].
 #[allow(clippy::too_many_lines)]
-pub fn run_fleet_notify<L: Launcher>(
+pub fn run_fleet<L: Launcher>(
     cfg: &FleetConfig,
     ledger: &mut Ledger,
     launcher: &L,
@@ -741,7 +656,7 @@ pub fn run_fleet_notify<L: Launcher>(
             for out in &outs {
                 let _ = std::fs::remove_file(out);
             }
-            let handle = launcher.launch_group(&group, &attempt_hints, &outs, &heartbeat)?;
+            let handle = launcher.launch(&group, &attempt_hints, &outs, &heartbeat)?;
             let deadline = now + timeout;
             let mut attempts = Vec::with_capacity(group.len());
             for cell in &group {
@@ -847,19 +762,33 @@ mod tests {
     use std::cell::RefCell;
     use std::collections::HashMap;
 
-    /// Scripted in-process "worker": decides per (cell, attempt) what to
-    /// leave on disk and how to exit, all instantly.
+    /// Scripted in-process "worker": decides per (first cell, attempt)
+    /// what its group leaves on disk and how it exits, all instantly.
     enum Script {
-        /// Write `validate`-passing output and exit 0.
+        /// Write `validate`-passing output for every cell and exit 0.
         Ok,
-        /// Exit nonzero (optionally leaving a valid file behind).
+        /// Exit nonzero (optionally leaving valid files behind).
         FailExit { leave_valid_file: bool },
         /// Never exit, never heartbeat.
         Hang,
     }
 
+    /// Runs each leased group as one scripted worker and records the
+    /// group sizes it was handed.
     struct TestLauncher {
         scripts: RefCell<HashMap<(String, u32), Script>>,
+        launches: RefCell<Vec<usize>>,
+    }
+
+    impl TestLauncher {
+        fn new(scripts: Vec<((&CellId, u32), Script)>) -> Self {
+            TestLauncher {
+                scripts: RefCell::new(
+                    scripts.into_iter().map(|((c, a), s)| ((c.to_string(), a), s)).collect(),
+                ),
+                launches: RefCell::new(Vec::new()),
+            }
+        }
     }
 
     struct TestHandle {
@@ -884,28 +813,40 @@ mod tests {
         type Handle = TestHandle;
         fn launch(
             &self,
-            cell: &CellId,
-            attempt: u32,
-            out: &Path,
+            cells: &[CellId],
+            attempts: &[u32],
+            outs: &[PathBuf],
             _hb: &Path,
         ) -> Result<TestHandle, FleetError> {
-            let mut scripts = self.scripts.borrow_mut();
-            let script =
-                scripts.remove(&(cell.to_string(), attempt)).unwrap_or(Script::Ok);
+            let id = {
+                let mut l = self.launches.borrow_mut();
+                l.push(cells.len());
+                1000 + l.len() as u64
+            };
+            let script = self
+                .scripts
+                .borrow_mut()
+                .remove(&(cells[0].to_string(), attempts[0]))
+                .unwrap_or(Script::Ok);
+            let write_all = || {
+                for (cell, out) in cells.iter().zip(outs) {
+                    std::fs::write(out, format!("OUT {cell}\n")).expect("write out");
+                }
+            };
             let result = match script {
                 Script::Ok => {
-                    std::fs::write(out, format!("OUT {cell}\n")).expect("write out");
+                    write_all();
                     Some(PollResult::Exited { success: true, detail: "ok".into() })
                 }
                 Script::FailExit { leave_valid_file } => {
                     if leave_valid_file {
-                        std::fs::write(out, format!("OUT {cell}\n")).expect("write out");
+                        write_all();
                     }
                     Some(PollResult::Exited { success: false, detail: "exit 3".into() })
                 }
                 Script::Hang => None,
             };
-            Ok(TestHandle { result, id: 1000 + u64::from(attempt) })
+            Ok(TestHandle { result, id })
         }
     }
 
@@ -941,19 +882,23 @@ mod tests {
         (ledger, resume, dir)
     }
 
+    fn run_with(
+        cfg: &FleetConfig,
+        ledger: &mut Ledger,
+        resume: ResumeSummary,
+        launcher: &TestLauncher,
+    ) -> FleetReport {
+        run_fleet(cfg, ledger, launcher, &validate_out, resume, &mut |_msg| {}, &mut |_done| {})
+            .expect("run_fleet")
+    }
+
     fn run(
         cfg: &FleetConfig,
         ledger: &mut Ledger,
         resume: ResumeSummary,
         scripts: Vec<((&CellId, u32), Script)>,
     ) -> FleetReport {
-        let launcher = TestLauncher {
-            scripts: RefCell::new(
-                scripts.into_iter().map(|((c, a), s)| ((c.to_string(), a), s)).collect(),
-            ),
-        };
-        run_fleet(cfg, ledger, &launcher, &validate_out, resume, &mut |_msg| {})
-            .expect("run_fleet")
+        run_with(cfg, ledger, resume, &TestLauncher::new(scripts))
     }
 
     #[test]
@@ -1032,17 +977,13 @@ mod tests {
         let cells =
             vec![CellId::new("a", 4, 0, 2), CellId::new("a", 8, 0, 2), CellId::new("bad", 4, 0, 2)];
         let (mut ledger, resume, dir) = setup("notify", &cells);
-        let launcher = TestLauncher {
-            scripts: RefCell::new(
-                (0..3)
-                    .map(|a| {
-                        ((cells[2].to_string(), a), Script::FailExit { leave_valid_file: false })
-                    })
-                    .collect(),
-            ),
-        };
+        let launcher = TestLauncher::new(
+            (0..3)
+                .map(|a| ((&cells[2], a), Script::FailExit { leave_valid_file: false }))
+                .collect(),
+        );
         let mut streamed: Vec<(CellId, bool)> = Vec::new();
-        let report = run_fleet_notify(
+        let report = run_fleet(
             &fast_cfg(),
             &mut ledger,
             &launcher,
@@ -1064,8 +1005,8 @@ mod tests {
                 .expect("reopen");
         assert_eq!(resume.resumed_done, 2);
         let mut streamed: Vec<(CellId, bool)> = Vec::new();
-        let launcher = TestLauncher { scripts: RefCell::new(HashMap::new()) };
-        let report = run_fleet_notify(
+        let launcher = TestLauncher::new(vec![]);
+        let report = run_fleet(
             &fast_cfg(),
             &mut ledger,
             &launcher,
@@ -1084,58 +1025,6 @@ mod tests {
         let _ = std::fs::remove_dir_all(&dir);
     }
 
-    /// Group-capable scripted launcher: one "worker" writes every out
-    /// file of its group; a scripted group index fails instead.
-    struct TestGroupLauncher {
-        fail_spawn_index: Option<u64>,
-        launches: RefCell<Vec<usize>>,
-    }
-
-    impl Launcher for TestGroupLauncher {
-        type Handle = TestHandle;
-        fn launch(
-            &self,
-            cell: &CellId,
-            attempt: u32,
-            out: &Path,
-            hb: &Path,
-        ) -> Result<TestHandle, FleetError> {
-            self.launch_group(
-                std::slice::from_ref(cell),
-                &[attempt],
-                std::slice::from_ref(&out.to_path_buf()),
-                hb,
-            )
-        }
-        fn launch_group(
-            &self,
-            cells: &[CellId],
-            _attempts: &[u32],
-            outs: &[PathBuf],
-            _hb: &Path,
-        ) -> Result<TestHandle, FleetError> {
-            let n = {
-                let mut l = self.launches.borrow_mut();
-                l.push(cells.len());
-                l.len() as u64
-            };
-            if self.fail_spawn_index == Some(n) {
-                // Worker dies without writing anything.
-                return Ok(TestHandle {
-                    result: Some(PollResult::Exited { success: false, detail: "exit 9".into() }),
-                    id: 2000 + n,
-                });
-            }
-            for (cell, out) in cells.iter().zip(outs) {
-                std::fs::write(out, format!("OUT {cell}\n")).expect("write out");
-            }
-            Ok(TestHandle {
-                result: Some(PollResult::Exited { success: true, detail: "ok".into() }),
-                id: 2000 + n,
-            })
-        }
-    }
-
     #[test]
     fn group_leasing_runs_compatible_cells_on_one_worker() {
         // Four cells over the same window range: with group = 2 they
@@ -1150,10 +1039,8 @@ mod tests {
         let mut cfg = fast_cfg();
         cfg.procs = 1;
         cfg.group = 2;
-        let launcher = TestGroupLauncher { fail_spawn_index: None, launches: RefCell::new(vec![]) };
-        let report =
-            run_fleet(&cfg, &mut ledger, &launcher, &validate_out, resume, &mut |_msg| {})
-                .expect("run_fleet");
+        let launcher = TestLauncher::new(vec![]);
+        let report = run_with(&cfg, &mut ledger, resume, &launcher);
         assert_eq!(report.done.len(), 4);
         assert!(report.incomplete.is_empty());
         assert_eq!(report.spawned, 2, "two 2-cell groups, not four singleton workers");
@@ -1170,10 +1057,8 @@ mod tests {
         let mut cfg = fast_cfg();
         cfg.procs = 1;
         cfg.group = 4;
-        let launcher = TestGroupLauncher { fail_spawn_index: None, launches: RefCell::new(vec![]) };
-        let report =
-            run_fleet(&cfg, &mut ledger, &launcher, &validate_out, resume, &mut |_msg| {})
-                .expect("run_fleet");
+        let launcher = TestLauncher::new(vec![]);
+        let report = run_with(&cfg, &mut ledger, resume, &launcher);
         assert_eq!(report.done.len(), 2);
         assert_eq!(report.spawned, 2);
         assert_eq!(*launcher.launches.borrow(), vec![1, 1]);
@@ -1187,30 +1072,17 @@ mod tests {
         let mut cfg = fast_cfg();
         cfg.procs = 1;
         cfg.group = 2;
-        // First (grouped) worker dies; the retries succeed.
-        let launcher =
-            TestGroupLauncher { fail_spawn_index: Some(1), launches: RefCell::new(vec![]) };
-        let report =
-            run_fleet(&cfg, &mut ledger, &launcher, &validate_out, resume, &mut |_msg| {})
-                .expect("run_fleet");
+        // First (grouped) worker dies without writing anything; the
+        // retries succeed.
+        let report = run(
+            &cfg,
+            &mut ledger,
+            resume,
+            vec![((&cells[0], 0), Script::FailExit { leave_valid_file: false })],
+        );
         assert_eq!(report.done.len(), 2, "both cells recovered on retry");
         assert_eq!(report.retries, 2, "the group failure charged both cells");
         assert!(report.done.iter().all(|d| d.attempts == 1));
-        let _ = std::fs::remove_dir_all(&dir);
-    }
-
-    #[test]
-    fn default_launcher_rejects_groups_beyond_one() {
-        let cells = vec![CellId::new("a", 4, 0, 2), CellId::new("a", 8, 0, 2)];
-        let (mut ledger, resume, dir) = setup("group-reject", &cells);
-        let mut cfg = fast_cfg();
-        cfg.group = 2;
-        // TestLauncher only implements the per-cell hook; asking it for
-        // a 2-cell group is a spawn (infrastructure) error, not a retry.
-        let launcher = TestLauncher { scripts: RefCell::new(HashMap::new()) };
-        let err = run_fleet(&cfg, &mut ledger, &launcher, &validate_out, resume, &mut |_msg| {})
-            .expect_err("group on a non-group launcher must fail loudly");
-        assert!(matches!(err, FleetError::Spawn { .. }));
         let _ = std::fs::remove_dir_all(&dir);
     }
 

@@ -50,15 +50,15 @@ use std::time::Instant;
 use sfetch_cfg::CodeImage;
 use sfetch_core::{Processor, ProcessorConfig, SimStats};
 use sfetch_fetch::{Checkpoint, CommittedInst, EngineKind, ResolvedBranch};
-use sfetch_isa::wire::{WireReader, WireWriter};
+use sfetch_isa::wire::WireWriter;
 use sfetch_mem::{MemoryConfig, MemoryHierarchy};
 use sfetch_trace::{DynInst, Executor, OracleSource};
 
 use crate::config::SampleConfig;
 use crate::runner::{committed_record, point_from_stats, SamplePoint, WARM_BATCH};
 use crate::store::{
-    warm_model_digest, CheckpointStore, StoreKey, StoreMiss, StoreStats, StoredSampler, WarmEntry,
-    WarmTiming,
+    load_warm_fitting, warm_model_digest, CheckpointStore, StoreKey, StoreMiss, StoreStats,
+    StoredSampler, WarmEntry, WarmTiming,
 };
 
 /// Committed-path records the recorder keeps beyond the detailed span:
@@ -79,7 +79,8 @@ pub struct BatchCell {
 
 /// How one cell of one window obtains its warm state.
 enum CellSource {
-    /// Restore from this verified banked entry.
+    /// Restore from this verified banked entry (its checkpoint fits the
+    /// image; its engine and memory state are decoded by the worker).
     Banked(std::sync::Arc<WarmEntry>),
     /// Replay engine/memory warming from the shared buffer; bank the
     /// result under the key when one is present.
@@ -202,14 +203,11 @@ impl<'a> BatchSampler<'a> {
             let plans: Vec<WindowPlan<'a>> =
                 (w..w + chunk).map(|i| self.resolve_plan(i, models_ref)).collect();
             self.timing.ff_ns += t0.elapsed().as_nanos() as u64;
-            if jobs == 1 {
-                for plan in plans {
-                    let (rows, ns) = run_batch_window(image, cells, &scfg, store, models_ref, plan);
-                    self.timing.warm_ns += ns;
-                    for (ci, row) in rows.into_iter().enumerate() {
-                        out[ci].push(row);
-                    }
-                }
+            let results: Vec<_> = if jobs == 1 {
+                plans
+                    .into_iter()
+                    .map(|plan| run_batch_window(image, cells, &scfg, store, models_ref, plan))
+                    .collect()
             } else {
                 std::thread::scope(|s| {
                     let handles: Vec<_> = plans
@@ -220,14 +218,18 @@ impl<'a> BatchSampler<'a> {
                             })
                         })
                         .collect();
-                    for h in handles {
-                        let (rows, ns) = h.join().expect("batch window worker");
-                        self.timing.warm_ns += ns;
-                        for (ci, row) in rows.into_iter().enumerate() {
-                            out[ci].push(row);
-                        }
-                    }
-                });
+                    handles.into_iter().map(|h| h.join().expect("batch window worker")).collect()
+                })
+            };
+            for (i, (rows, ns)) in (w..).zip(results) {
+                self.timing.warm_ns += ns;
+                for (ci, row) in rows.into_iter().enumerate() {
+                    let row = match row {
+                        Some(row) => row,
+                        None => self.rewarm(i, &cells[ci], models[ci]),
+                    };
+                    out[ci].push(row);
+                }
             }
             self.timing.windows += chunk;
             w += chunk;
@@ -255,26 +257,18 @@ impl<'a> BatchSampler<'a> {
     fn resolve_plan(&mut self, w: u64, models: &[u64]) -> WindowPlan<'a> {
         let mut sources = Vec::with_capacity(models.len());
         if self.warm_bank {
-            let key = StoreKey {
-                fingerprint: self.fingerprint,
-                seed: self.seed,
-                at_inst: self.inner.warming_start(w),
-            };
+            let key = self.warming_key(w);
             for &model in models {
-                match self.store.load_warm(&key, model) {
+                match load_warm_fitting(self.store, &key, model, self.image) {
                     Ok(entry) => {
                         self.warm_stats.hits += 1;
                         sources.push(CellSource::Banked(entry));
+                        continue;
                     }
-                    Err(StoreMiss::Absent) => {
-                        self.warm_stats.misses += 1;
-                        sources.push(CellSource::Replay { bank_to: Some(key) });
-                    }
-                    Err(StoreMiss::Rejected(_)) => {
-                        self.warm_stats.rejected += 1;
-                        sources.push(CellSource::Replay { bank_to: Some(key) });
-                    }
+                    Err(StoreMiss::Absent) => self.warm_stats.misses += 1,
+                    Err(StoreMiss::Rejected(_)) => self.warm_stats.rejected += 1,
                 }
+                sources.push(CellSource::Replay { bank_to: Some(key) });
             }
         } else {
             sources.extend(models.iter().map(|_| CellSource::Replay { bank_to: None }));
@@ -283,27 +277,52 @@ impl<'a> BatchSampler<'a> {
         // checkpoint (the functional state after Wf does not depend on
         // the timing model), so any of them can seat the recorder.
         let all_banked = sources.iter().all(|s| matches!(s, CellSource::Banked(_)));
-        if all_banked {
-            let first = sources
-                .iter()
-                .find_map(|s| match s {
-                    CellSource::Banked(e) => Some(e),
-                    CellSource::Replay { .. } => None,
-                })
-                .expect("non-empty cell set");
-            let rec = Executor::from_checkpoint(self.image, &first.ckpt);
-            WindowPlan { w, rec, warm_span: 0, sources }
-        } else {
-            let rec = self.inner.snapshot(w);
-            WindowPlan { w, rec, warm_span: self.scfg.warm_func, sources }
+        match sources.first() {
+            Some(CellSource::Banked(entry)) if all_banked => {
+                let rec = Executor::from_checkpoint(self.image, &entry.ckpt);
+                WindowPlan { w, rec, warm_span: 0, sources }
+            }
+            _ => {
+                let rec = self.inner.snapshot(w);
+                WindowPlan { w, rec, warm_span: self.scfg.warm_func, sources }
+            }
         }
+    }
+
+    /// The store key of window `w`'s warming start.
+    fn warming_key(&self, w: u64) -> StoreKey {
+        let at_inst = self.inner.warming_start(w);
+        StoreKey { fingerprint: self.fingerprint, seed: self.seed, at_inst }
+    }
+
+    /// Re-runs one cell of window `w` warmed live after a worker found
+    /// its banked entry undecodable: the entry counts as rejected, and
+    /// the live warming rebanks it.
+    fn rewarm(&mut self, w: u64, cell: &BatchCell, model: u64) -> (SamplePoint, SimStats) {
+        self.warm_stats.hits -= 1;
+        self.warm_stats.rejected += 1;
+        let sources = vec![CellSource::Replay { bank_to: Some(self.warming_key(w)) }];
+        let rec = self.inner.snapshot(w);
+        let plan = WindowPlan { w, rec, warm_span: self.scfg.warm_func, sources };
+        let (rows, ns) = run_batch_window(
+            self.image,
+            std::slice::from_ref(cell),
+            &self.scfg,
+            self.store,
+            &[model],
+            plan,
+        );
+        self.timing.warm_ns += ns;
+        rows.into_iter().flatten().next().expect("a live-warmed cell always runs")
     }
 }
 
 /// One window's batched sweep: record the shared committed-path buffer
 /// once, warm memory once per width, then warm/restore + measure every
-/// cell against the buffer. Returns per-cell results in cell order plus
-/// the nanoseconds spent outside measurement (recording + warming).
+/// cell against the buffer. Returns per-cell results in cell order —
+/// `None` for a cell whose banked entry does not decode, which the
+/// caller re-runs warmed live — plus the nanoseconds spent outside
+/// measurement (recording + warming).
 fn run_batch_window<'a>(
     image: &'a CodeImage,
     cells: &[BatchCell],
@@ -311,7 +330,7 @@ fn run_batch_window<'a>(
     store: &CheckpointStore,
     models: &[u64],
     plan: WindowPlan<'a>,
-) -> (Vec<(SamplePoint, SimStats)>, u64) {
+) -> (Vec<Option<(SamplePoint, SimStats)>>, u64) {
     let WindowPlan { w, mut rec, warm_span, sources } = plan;
     let mut warm_ns = 0u64;
     let t0 = Instant::now();
@@ -404,22 +423,13 @@ fn run_batch_window<'a>(
     for (ci, ((cell, src), &model)) in cells.iter().zip(sources).zip(models).enumerate() {
         let t1 = Instant::now();
         let (mut engine, mem) = match src {
-            CellSource::Banked(entry) => {
-                // Same reconstruction discipline as the per-window
-                // path: the entry passed digest checks, so a failure
-                // here is a format bug — fail loudly.
-                let mut engine =
-                    cell.kind.build_for(cell.pcfg.width, start, &cell.pcfg.prefetch, &cell.pcfg.front);
-                engine
-                    .load_warm_state(&entry.engine)
-                    .expect("digest-verified engine warm state must load");
-                let mut mem = MemoryHierarchy::new(MemoryConfig::table2(cell.pcfg.width));
-                let mut r = WireReader::new(&entry.mem);
-                mem.load_warm_wire(&mut r)
-                    .and_then(|()| r.finish())
-                    .expect("digest-verified memory warm state must load");
-                (engine, mem)
-            }
+            CellSource::Banked(entry) => match entry.restore(cell.kind, &cell.pcfg) {
+                Ok(state) => state,
+                Err(_) => {
+                    out.push(None);
+                    continue;
+                }
+            },
             CellSource::Replay { bank_to } => {
                 let engine = engines[ci].take().expect("engine warmed for every replay cell");
                 let mem = mems
@@ -459,7 +469,7 @@ fn run_batch_window<'a>(
         p.reset_stats();
         p.run(scfg.measure);
         let stats = p.stats();
-        out.push((point_from_stats(w, scfg, &stats), stats));
+        out.push(Some((point_from_stats(w, scfg, &stats), stats)));
     }
     (out, warm_ns)
 }

@@ -46,7 +46,7 @@ use std::time::Instant;
 
 use sfetch_cfg::CodeImage;
 use sfetch_core::{ProcessorConfig, SimStats};
-use sfetch_fetch::EngineKind;
+use sfetch_fetch::{EngineKind, FetchEngine};
 use sfetch_isa::wire::{WireReader, WireWriter};
 use sfetch_mem::{MemoryConfig, MemoryHierarchy};
 use sfetch_trace::{ArchCheckpoint, Executor};
@@ -680,6 +680,49 @@ pub struct WarmEntry {
     pub mem: Vec<u8>,
 }
 
+impl WarmEntry {
+    /// Decodes this entry for one cell: a `kind` fetch engine and a
+    /// memory hierarchy under `pcfg`, each loaded with the banked warm
+    /// state. An entry can pass every digest check and still fail here
+    /// (a format bug, or bytes re-sealed under a valid digest), so the
+    /// runners treat an error as a rejected entry: they warm the window
+    /// live and rebank it. Decoding runs on the window workers, one cell
+    /// at a time, so it stays parallel and never holds more than one
+    /// cell's decoded state per worker.
+    ///
+    /// # Errors
+    ///
+    /// The first engine or memory decoding failure.
+    pub(crate) fn restore(
+        &self,
+        kind: EngineKind,
+        pcfg: &ProcessorConfig,
+    ) -> Result<(Box<dyn FetchEngine>, MemoryHierarchy), String> {
+        let mut engine = kind.build_for(pcfg.width, self.ckpt.pc, &pcfg.prefetch, &pcfg.front);
+        engine.load_warm_state(&self.engine).map_err(|e| format!("engine warm state: {e}"))?;
+        let mut mem = MemoryHierarchy::new(MemoryConfig::table2(pcfg.width));
+        let mut r = WireReader::new(&self.mem);
+        mem.load_warm_wire(&mut r)
+            .and_then(|()| r.finish())
+            .map_err(|e| format!("memory warm state: {e}"))?;
+        Ok((engine, mem))
+    }
+}
+
+/// [`CheckpointStore::load_warm`], also rejecting an entry whose
+/// embedded checkpoint does not fit `image` — checked while the runner
+/// resolves the window, before anything resumes from that checkpoint.
+pub(crate) fn load_warm_fitting(
+    store: &CheckpointStore,
+    key: &StoreKey,
+    model: u64,
+    image: &CodeImage,
+) -> Result<Arc<WarmEntry>, StoreMiss> {
+    let entry = store.load_warm(key, model)?;
+    entry.ckpt.fits(image).map_err(StoreMiss::Rejected)?;
+    Ok(entry)
+}
+
 /// Digest of everything a warm-state entry depends on *beyond* the
 /// trace: the engine kind and wire-format version, the pipe width (cache
 /// geometry and engine tables), the front-pipeline and prefetch
@@ -826,7 +869,7 @@ impl<'a> StoredSampler<'a> {
     /// earlier stored window, or the trace start) and saved.
     pub fn snapshot(&mut self, w: u64) -> Executor<'a> {
         let target = self.warming_start(w);
-        match self.store.load(&self.key_at(target)) {
+        match self.load_fitting(target) {
             Ok(cp) => {
                 self.stats.hits += 1;
                 return Executor::from_checkpoint(self.image, &cp);
@@ -853,6 +896,14 @@ impl<'a> StoredSampler<'a> {
         snap
     }
 
+    /// The stored checkpoint at `at_inst`, rejected unless it fits this
+    /// sampler's image.
+    fn load_fitting(&self, at_inst: u64) -> Result<ArchCheckpoint, StoreMiss> {
+        let cp = self.store.load(&self.key_at(at_inst))?;
+        cp.fits(self.image).map_err(StoreMiss::Rejected)?;
+        Ok(cp)
+    }
+
     /// An executor positioned at or before `target`: the closest earlier
     /// window's stored checkpoint if any verifies, else the trace start.
     fn nearest_start(&mut self, w: u64, target: u64) -> Executor<'a> {
@@ -861,7 +912,7 @@ impl<'a> StoredSampler<'a> {
             if at > target {
                 continue;
             }
-            if let Ok(cp) = self.store.load(&self.key_at(at)) {
+            if let Ok(cp) = self.load_fitting(at) {
                 self.stats.hits += 1;
                 return Executor::from_checkpoint(self.image, &cp);
             }
@@ -918,20 +969,19 @@ impl<'a> StoredSampler<'a> {
     /// architectural snapshot at the warming start (tagged with the key
     /// to bank the warming result under, when banking is on).
     fn resolve_warm_source(&mut self, w: u64, model: u64) -> WarmSource<'a> {
-        if self.warm_bank {
-            let key = self.key_at(self.warming_start(w));
-            match self.store.load_warm(&key, model) {
-                Ok(entry) => {
-                    self.warm_stats.hits += 1;
-                    return WarmSource::Banked(entry);
-                }
-                Err(StoreMiss::Absent) => self.warm_stats.misses += 1,
-                Err(StoreMiss::Rejected(_)) => self.warm_stats.rejected += 1,
-            }
-            WarmSource::Snapshot(self.snapshot(w), Some(key))
-        } else {
-            WarmSource::Snapshot(self.snapshot(w), None)
+        if !self.warm_bank {
+            return WarmSource::Snapshot(self.snapshot(w), None);
         }
+        let key = self.key_at(self.warming_start(w));
+        match load_warm_fitting(self.store, &key, model, self.image) {
+            Ok(entry) => {
+                self.warm_stats.hits += 1;
+                return WarmSource::Banked(entry);
+            }
+            Err(StoreMiss::Absent) => self.warm_stats.misses += 1,
+            Err(StoreMiss::Rejected(_)) => self.warm_stats.rejected += 1,
+        }
+        WarmSource::Snapshot(self.snapshot(w), Some(key))
     }
 
     /// The chunked serial-resolve / parallel-simulate loop shared by the
@@ -954,12 +1004,11 @@ impl<'a> StoredSampler<'a> {
             let sources: Vec<(u64, WarmSource<'a>)> =
                 (w..w + chunk).map(|i| (i, self.resolve_warm_source(i, model))).collect();
             self.timing.ff_ns += t0.elapsed().as_nanos() as u64;
-            if jobs == 1 {
-                for (i, src) in sources {
-                    let (p, s, ns) = run_one(image, kind, pcfg, &scfg, store, model, i, src);
-                    self.timing.warm_ns += ns;
-                    out.push((p, s));
-                }
+            let results: Vec<_> = if jobs == 1 {
+                sources
+                    .into_iter()
+                    .map(|(i, src)| run_one(image, kind, pcfg, &scfg, store, model, i, src))
+                    .collect()
             } else {
                 std::thread::scope(|s| {
                     let handles: Vec<_> = sources
@@ -970,12 +1019,22 @@ impl<'a> StoredSampler<'a> {
                             })
                         })
                         .collect();
-                    for h in handles {
-                        let (p, st, ns) = h.join().expect("window worker");
-                        self.timing.warm_ns += ns;
-                        out.push((p, st));
-                    }
+                    handles.into_iter().map(|h| h.join().expect("window worker")).collect()
+                })
+            };
+            for (i, result) in (w..).zip(results) {
+                // `None`: the window's banked entry passed its digest but
+                // did not decode. It counts as rejected; warm live, rebank.
+                let (p, st, ns) = result.unwrap_or_else(|| {
+                    self.warm_stats.hits -= 1;
+                    self.warm_stats.rejected += 1;
+                    let key = self.key_at(self.warming_start(i));
+                    let src = WarmSource::Snapshot(self.snapshot(i), Some(key));
+                    run_one(image, kind, pcfg, &scfg, store, model, i, src)
+                        .expect("a live-warmed window always runs")
                 });
+                self.timing.warm_ns += ns;
+                out.push((p, st));
             }
             self.timing.windows += chunk;
             w += chunk;
@@ -998,8 +1057,9 @@ impl<'a> StoredSampler<'a> {
 /// One window end-to-end from its resolved warm source: restore or warm
 /// (banking a live-warmed result when asked to), then measure. Returns
 /// the point, the measured stats, and the nanoseconds the warm phase
-/// took. Runs on worker threads; every output is deterministic except
-/// the timing.
+/// took — or `None` when a banked entry does not decode, for the caller
+/// to re-run the window warmed live. Runs on worker threads; every
+/// output is deterministic except the timing.
 #[allow(clippy::too_many_arguments)]
 fn run_one<'a>(
     image: &'a CodeImage,
@@ -1010,25 +1070,13 @@ fn run_one<'a>(
     model: u64,
     w: u64,
     src: WarmSource<'a>,
-) -> (SamplePoint, SimStats, u64) {
+) -> Option<(SamplePoint, SimStats, u64)> {
     let t0 = Instant::now();
     let ww = match src {
         WarmSource::Banked(entry) => {
-            // The entry passed magic/version/key/model/digest checks, so
-            // a reconstruction failure here is a format bug, not data
-            // corruption — surface it loudly rather than quietly
-            // recomputing what a test should have caught.
-            let exec = Executor::from_checkpoint(image, &entry.ckpt);
-            let mut engine = kind.build_for(pcfg.width, exec.pc(), &pcfg.prefetch, &pcfg.front);
-            engine
-                .load_warm_state(&entry.engine)
-                .expect("digest-verified engine warm state must load");
-            let mut mem = MemoryHierarchy::new(MemoryConfig::table2(pcfg.width));
-            let mut r = WireReader::new(&entry.mem);
-            mem.load_warm_wire(&mut r)
-                .and_then(|()| r.finish())
-                .expect("digest-verified memory warm state must load");
-            WarmedWindow { exec, engine, mem }
+            let (engine, mem) = entry.restore(kind, &pcfg).ok()?;
+            // The checkpoint was checked to fit `image` at resolve time.
+            WarmedWindow { exec: Executor::from_checkpoint(image, &entry.ckpt), engine, mem }
         }
         WarmSource::Snapshot(exec, bank_to) => {
             let ww = warm_window(kind, pcfg, scfg, exec);
@@ -1051,7 +1099,7 @@ fn run_one<'a>(
     };
     let warm_ns = t0.elapsed().as_nanos() as u64;
     let (stats, _) = measure_window(image, pcfg, scfg, ww, false);
-    (point_from_stats(w, scfg, &stats), stats, warm_ns)
+    Some((point_from_stats(w, scfg, &stats), stats, warm_ns))
 }
 
 #[cfg(test)]

@@ -20,12 +20,16 @@
 //!   streamed to every subscriber (`shared` counter). A request that
 //!   misses a run finds its cells `Done` in the ledger and resumes with
 //!   **zero** recomputation (`resumed` counter).
-//! - **Ledger before populate.** A family run opens and re-verifies its
-//!   ledger first, and walks the store's warming-start checkpoints
-//!   (`StoredSampler::populate`) only if some cell is still not `Done`.
-//!   A pure resubmit reads no checkpoint at all; a `Done` cell whose
+//! - **One orchestration path.** A family run is
+//!   [`sfetch_bench::fleet_grid::run_family`] — the runner behind
+//!   `--procs` grids — with [`ThreadLauncher`] in place of child
+//!   processes. It opens and re-verifies the family ledger first and
+//!   walks the store's warming-start checkpoints
+//!   (`StoredSampler::populate`) only if some cell is still not `Done`,
+//!   so a pure resubmit reads no checkpoint at all; a `Done` cell whose
 //!   output rotted is demoted to `Pending` by the ledger and so still
-//!   gets its checkpoints.
+//!   gets its checkpoints. Thread workers share this one process, so
+//!   compatible cells lease in groups of the request's `--batch`.
 //! - **Incremental result streaming.** Each client connection receives
 //!   line-JSON [`ServeEvent`]s as cells complete — per-window `point`
 //!   rows plus running `estimate` (confidence-interval) updates —
@@ -46,14 +50,12 @@
 //!
 //! The wire protocol (one JSON object per line over a Unix domain
 //! socket) is defined in [`sfetch_bench::driver`] — the daemon and the
-//! clients share one codec, one cell-execution path
-//! ([`sfetch_bench::driver::cell_group_bodies`]), and one validator, so
-//! the resident and one-shot paths cannot drift. Requests submitted
-//! with `--batch N` lease compatible cells (same window range) in
-//! groups of up to `N`, and each group shares one batched sweep — one
-//! fast-forward, one functional reference stream — through the same
-//! [`BatchSampler`](sfetch_sample::BatchSampler) the one-shot grids
-//! use, so resident output stays byte-identical.
+//! clients share one codec, one family runner, one worker body
+//! ([`sfetch_bench::fleet_grid::run_cell_group`]), and one validator, so
+//! the resident and one-shot paths cannot drift. Each lease group shares
+//! one batched sweep — one fast-forward, one functional reference
+//! stream — through the same [`BatchSampler`](sfetch_sample::BatchSampler)
+//! the one-shot grids use, so resident output stays byte-identical.
 
 use std::collections::BTreeMap;
 use std::io::{BufRead, BufReader, Write};
@@ -64,23 +66,16 @@ use std::sync::{Arc, Condvar, Mutex};
 use std::thread::JoinHandle;
 use std::time::Duration;
 
-use sfetch_bench::driver::{cell_group_bodies, validate_shard_text, GridRequest, ServeEvent};
-use sfetch_bench::grid::parse_shard_file;
-use sfetch_bench::grid::GridError;
+use sfetch_bench::driver::{populate_store, GridRequest, ServeEvent};
+use sfetch_bench::fleet_grid::{self, run_cell_group, CellGroupJob, FamilyRun};
+use sfetch_bench::grid::{parse_shard_file, GridError};
 use sfetch_bench::{flag_value, number, positive, try_workload_by_name, HarnessOpts};
-use sfetch_fleet::{
-    now_ms, run_fleet_notify, seal, CellId, FleetConfig, FleetError, HeartbeatGuard, Launcher,
-    Ledger, PollResult, WorkerHandle,
-};
+use sfetch_fleet::{CellId, FleetError, Launcher, PollResult, WorkerHandle};
 use sfetch_obs::{Obj, Row};
-use sfetch_sample::{estimate, CheckpointStore, SampleConfig, StoredSampler};
-use sfetch_workloads::{LayoutChoice, Workload};
+use sfetch_sample::{estimate, CheckpointStore, SampleConfig};
+use sfetch_workloads::Workload;
 
 pub mod signals;
-
-/// How often in-process cell workers touch their heartbeat file
-/// (matches the fleet's process workers).
-const HEARTBEAT_EVERY: Duration = Duration::from_millis(200);
 
 /// How long the daemon waits for a connected client's first line.
 const READ_TIMEOUT: Duration = Duration::from_secs(30);
@@ -96,12 +91,11 @@ const STOP_POLL: Duration = Duration::from_millis(20);
 // In-process cell workers
 // ---------------------------------------------------------------------
 
-/// [`Launcher`] over **threads** of the daemon process: each worker
-/// opens the shared store, runs
-/// [`sfetch_bench::driver::cell_group_bodies`] — the exact code path
-/// fleet *process* workers run, batched sweep included — seals each
-/// body and writes it atomically to its own output file. The
-/// supervisor's retry/timeout machinery applies unchanged.
+/// [`Launcher`] over **threads** of the daemon process: each worker runs
+/// [`sfetch_bench::fleet_grid::run_cell_group`] — the exact body fleet
+/// *process* workers run, batched sweep and atomic shard writes
+/// included — over the daemon's resident workload. The supervisor's
+/// retry/timeout machinery applies unchanged.
 pub struct ThreadLauncher {
     w: Arc<Workload>,
     scfg: SampleConfig,
@@ -163,45 +157,21 @@ impl Launcher for ThreadLauncher {
 
     fn launch(
         &self,
-        cell: &CellId,
-        attempt: u32,
-        out: &Path,
-        heartbeat: &Path,
-    ) -> Result<ThreadHandle, FleetError> {
-        self.launch_group(
-            std::slice::from_ref(cell),
-            &[attempt],
-            std::slice::from_ref(&out.to_path_buf()),
-            heartbeat,
-        )
-    }
-
-    fn launch_group(
-        &self,
         cells: &[CellId],
         _attempts: &[u32],
         outs: &[PathBuf],
         heartbeat: &Path,
     ) -> Result<ThreadHandle, FleetError> {
-        let (w, scfg, opts) = (Arc::clone(&self.w), self.scfg, self.opts);
-        let (cells, outs, heartbeat, store_dir) =
-            (cells.to_vec(), outs.to_vec(), heartbeat.to_path_buf(), self.store_dir.clone());
-        let thread = std::thread::spawn(move || -> Result<(), String> {
-            let _hb = HeartbeatGuard::start(&heartbeat, HEARTBEAT_EVERY);
-            let store = CheckpointStore::open(&store_dir)
-                .map_err(|e| e.to_string())?
-                .with_cap_bytes(opts.store_cap_bytes);
-            // One batched sweep produces every cell's body; each is
-            // sealed and written atomically so the supervisor can
-            // validate (and charge) each cell independently.
-            let bodies = cell_group_bodies(&w, &cells, scfg, &opts, &store)?;
-            for (body, out) in bodies.iter().zip(&outs) {
-                let tmp = out.with_extension("part");
-                std::fs::write(&tmp, seal(body).as_bytes()).map_err(|e| e.to_string())?;
-                std::fs::rename(&tmp, out).map_err(|e| e.to_string())?;
-            }
-            Ok(())
-        });
+        let w = Arc::clone(&self.w);
+        let job = CellGroupJob {
+            cells: cells.to_vec(),
+            outs: outs.to_vec(),
+            heartbeat: heartbeat.to_path_buf(),
+            store_dir: self.store_dir.clone(),
+            scfg: self.scfg,
+            opts: self.opts,
+        };
+        let thread = std::thread::spawn(move || run_cell_group(&w, &job, &mut |sealed| sealed));
         Ok(ThreadHandle { thread: Some(thread), id: self.ids.fetch_add(1, Ordering::SeqCst) })
     }
 }
@@ -682,9 +652,9 @@ fn fail_family(tag: u64, members: &[Pending], msg: &str) {
     eprintln!("serve: family {tag:016x} failed: {msg}");
 }
 
-/// Runs one family batch: union the members' canonical cells into the
-/// family ledger, execute under the fleet supervisor with in-process
-/// workers, and fan each completed cell out to its subscribers.
+/// Runs one family batch: union the members' canonical cells, run them
+/// through the shared [`fleet_grid::run_family`] with in-process workers, and fan
+/// each completed cell out to its subscribers.
 fn run_family(
     store_dir: &Path,
     procs: usize,
@@ -694,8 +664,6 @@ fn run_family(
     tag: u64,
     members: &[Pending],
 ) {
-    let fail_all = |msg: &str| fail_family(tag, members, msg);
-
     // The family tag pins everything output-relevant, so the first
     // member's request is a valid representative — except the host-time
     // knobs, which we take as the batch's most generous ask.
@@ -724,45 +692,29 @@ fn run_family(
         }
     }
 
-    let work_dir = store_dir.join("fleet").join(format!("{tag:016x}"));
-    if let Err(e) = std::fs::create_dir_all(&work_dir) {
-        return fail_all(&format!("create fleet work dir: {e}"));
-    }
-    let validate = |text: &str| validate_shard_text(text);
-    let (mut ledger, resume) =
-        match Ledger::open(work_dir.join("cells.ledger"), tag, &cells, now_ms(), &validate) {
-            Ok(v) => v,
-            Err(e) => return fail_all(&format!("open ledger: {e}")),
-        };
-
     // Only a run with cells left to compute needs the family's
     // warming-start checkpoints: one architectural walk banks them (on
     // the resident warm store, verification traffic only). A run the
     // ledger already answers in full skips the walk.
-    let (_, _, done, _) = ledger.counts();
-    if done < cells.len() {
-        let store = match CheckpointStore::open(store_dir) {
-            Ok(s) => s.with_cap_bytes(store_cap_bytes),
-            Err(e) => return fail_all(&format!("open store: {e}")),
-        };
-        let img = w.image(LayoutChoice::Optimized);
-        let fp = w.fingerprint(LayoutChoice::Optimized);
-        let mut populate = StoredSampler::new(img, fp, w.ref_seed(), scfg, &store);
-        let computed = populate.populate(windows);
-        eprintln!(
-            "serve: [{}] {windows} windows ready ({computed} computed, {} loaded warm)",
-            w.name(),
-            populate.stats().hits
-        );
-    }
-
-    let mut cfg = FleetConfig::new(procs.min(cells.len()).max(1));
-    cfg.max_retries = max_retries;
-    cfg.req = members.iter().map(|m| m.id.as_str()).collect::<Vec<_>>().join(",");
-    // Compatible cells (same window range) lease in groups of up to
-    // `batch` and share one batched sweep per worker thread.
-    cfg.group = opts.batch;
-
+    let populate = || -> Result<(), String> {
+        let store = CheckpointStore::open(store_dir)
+            .map_err(|e| format!("open store: {e}"))?
+            .with_cap_bytes(store_cap_bytes);
+        populate_store(w, scfg, windows, &store, &format!("serve: [{}]", w.name()));
+        Ok(())
+    };
+    let run = FamilyRun {
+        tag,
+        store_dir,
+        workers: procs,
+        // Thread workers share this one process.
+        split: 1,
+        batch: opts.batch,
+        chaos: false,
+        max_retries,
+        cell_timeout_s: None,
+        req: members.iter().map(|m| m.id.as_str()).collect::<Vec<_>>().join(","),
+    };
     let launcher = ThreadLauncher::new(Arc::clone(w), scfg, opts, store_dir.to_path_buf());
     // Per-member singleflight counters: a fresh cell is *computed* for
     // its first subscriber and *shared* for every other subscriber; a
@@ -772,12 +724,11 @@ fn run_family(
     let mut shared = vec![0u64; members.len()];
     let confidence = scfg.confidence;
 
-    let report = run_fleet_notify(
-        &cfg,
-        &mut ledger,
+    let report = fleet_grid::run_family(
+        &run,
+        &cells,
         &launcher,
-        &validate,
-        resume,
+        Some(&populate),
         &mut |line| eprintln!("serve: [{tag:016x}] {line}"),
         &mut |done| {
             let key = done.cell.to_string();
@@ -856,7 +807,7 @@ fn run_family(
                 );
             }
         }
-        Err(e) => fail_all(&format!("fleet run: {e}")),
+        Err(e) => fail_family(tag, members, &format!("fleet run: {e}")),
     }
 }
 

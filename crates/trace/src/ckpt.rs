@@ -16,6 +16,7 @@
 //! per image instruction slot), so a checkpoint of a 256K-instruction
 //! image is ≈2MB; shard runners write one per shard, not one per window.
 
+use sfetch_cfg::CodeImage;
 use sfetch_isa::Addr;
 
 /// Magic + version tag of the checkpoint wire format.
@@ -61,6 +62,28 @@ impl ArchCheckpoint {
     /// and verifies on load.
     pub fn digest(&self) -> u64 {
         sfetch_tab::fnv64(&self.to_bytes())
+    }
+
+    /// Checks that the checkpoint's tables match `image` — one cursor
+    /// triple per block, one execution count per instruction slot — so
+    /// [`crate::Executor::from_checkpoint`] can resume it there. A
+    /// well-formed checkpoint taken on another program or layout fails.
+    ///
+    /// # Errors
+    ///
+    /// A description of the first mismatch.
+    pub fn fits(&self, image: &CodeImage) -> Result<(), String> {
+        let blocks = image.control().num_blocks();
+        if [&self.cond_pattern_idx, &self.cond_loop_remaining, &self.indirect_idx]
+            .iter()
+            .any(|v| v.len() != blocks)
+        {
+            return Err("checkpoint was not captured on this image (block count mismatch)".into());
+        }
+        if self.exec_count.len() != image.len_insts() {
+            return Err("checkpoint was not captured on this image (slot count mismatch)".into());
+        }
+        Ok(())
     }
 
     /// Serializes the checkpoint to a flat byte buffer.

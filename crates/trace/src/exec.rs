@@ -151,20 +151,15 @@ impl<'a> Executor<'a> {
     ///
     /// # Panics
     ///
-    /// Panics if the checkpoint's table sizes do not match `image` (the
-    /// checkpoint was taken on a different program or layout).
+    /// Panics if the checkpoint does not fit `image`
+    /// ([`crate::ArchCheckpoint::fits`]: it was taken on a different
+    /// program or layout). Callers restoring checkpoints from outside
+    /// bytes check `fits` first.
     pub fn from_checkpoint(image: &'a CodeImage, cp: &crate::ArchCheckpoint) -> Self {
+        if let Err(e) = cp.fits(image) {
+            panic!("{e}");
+        }
         let ctl = image.control();
-        assert_eq!(
-            cp.cond_pattern_idx.len(),
-            ctl.num_blocks(),
-            "checkpoint was not captured on this image (block count mismatch)"
-        );
-        assert_eq!(
-            cp.exec_count.len(),
-            image.len_insts(),
-            "checkpoint was not captured on this image (slot count mismatch)"
-        );
         Executor {
             image,
             ctl,

@@ -1,7 +1,8 @@
 //! Cross-crate correctness of the checkpoint store (`sfetch_sample::store`):
 //! suspend/resume through *disk* is bit-identical to running straight
 //! through, warm-store replays equal cold-store runs byte-for-byte, and
-//! damaged store entries are rejected and recomputed — never trusted.
+//! damaged store entries — warm-bank entries re-sealed under a valid
+//! digest included — are rejected and recomputed, never trusted.
 
 use proptest::prelude::*;
 
@@ -9,7 +10,8 @@ use sfetch_cfg::{layout, CodeImage};
 use sfetch_core::ProcessorConfig;
 use sfetch_fetch::EngineKind;
 use sfetch_sample::{
-    CheckpointStore, SampleConfig, Sampler, StoreKey, StoreMiss, StoredSampler,
+    warm_model_digest, BatchCell, BatchSampler, CheckpointStore, SampleConfig, Sampler,
+    StoreKey, StoreMiss, StoredSampler,
 };
 use sfetch_workloads::phased::{self, PhasedParams};
 
@@ -37,6 +39,132 @@ fn tmp_store(tag: &str) -> CheckpointStore {
     ));
     let _ = std::fs::remove_dir_all(&dir);
     CheckpointStore::open(dir).expect("open store")
+}
+
+/// Resizes a serialized checkpoint's execution counts by `delta` words
+/// and fixes its slot-count word (word 10), so it still parses but no
+/// longer fits the image it was taken on.
+fn resize_ckpt(ckpt: &mut Vec<u8>, delta: i64) {
+    let n = delta.unsigned_abs() as usize * 8;
+    if delta < 0 {
+        ckpt.truncate(ckpt.len() - n);
+    } else {
+        ckpt.extend(std::iter::repeat_n(0u8, n));
+    }
+    let slots = u64::from_le_bytes(ckpt[80..88].try_into().expect("n_slots"));
+    let fixed = slots.checked_add_signed(delta).expect("slot count stays positive");
+    ckpt[80..88].copy_from_slice(&fixed.to_le_bytes());
+}
+
+/// Resizes one length-prefixed segment of a warm-bank entry payload
+/// (0 = checkpoint, 1 = engine state, 2 = memory state) by `delta` and
+/// rewrites its length prefix. Engine and memory segments lose or gain
+/// trailing bytes; the checkpoint goes through [`resize_ckpt`].
+fn resize_segment(payload: &[u8], segment: usize, delta: i64) -> Vec<u8> {
+    let mut segs: Vec<Vec<u8>> = Vec::new();
+    let mut at = 0;
+    while at < payload.len() {
+        let len = u64::from_le_bytes(payload[at..at + 8].try_into().expect("len")) as usize;
+        segs.push(payload[at + 8..at + 8 + len].to_vec());
+        at += 8 + len;
+    }
+    assert_eq!(segs.len(), 3, "checkpoint, engine and memory segments");
+    let seg = &mut segs[segment];
+    if segment == 0 {
+        resize_ckpt(seg, delta);
+    } else if delta < 0 {
+        seg.truncate(seg.len() - delta.unsigned_abs() as usize);
+    } else {
+        seg.extend(std::iter::repeat_n(0u8, delta as usize));
+    }
+    let mut out = Vec::new();
+    for seg in &segs {
+        out.extend_from_slice(&(seg.len() as u64).to_le_bytes());
+        out.extend_from_slice(seg);
+    }
+    out
+}
+
+/// Re-seals a warm-bank entry file around a new payload: header words 6
+/// and 7 are the payload's FNV-1a digest and length.
+fn reseal_warm_entry(file: &[u8], payload: &[u8]) -> Vec<u8> {
+    let mut out = file[..64].to_vec();
+    out[48..56].copy_from_slice(&sfetch_fleet::fnv64(payload).to_le_bytes());
+    out[56..64].copy_from_slice(&(payload.len() as u64).to_le_bytes());
+    out.extend_from_slice(payload);
+    out
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(12))]
+
+    /// A warm-bank entry that passes every digest check but does not
+    /// decode — a resized checkpoint, engine or memory segment re-sealed
+    /// under a valid digest — is rejected, warmed live and rebanked by
+    /// both runners: points stay bit-identical to an unbanked run, the
+    /// rejection is counted, and the entry is rewritten as it was.
+    #[test]
+    fn resealed_undecodable_warm_entries_are_rejected_and_rebanked(
+        segment in 0usize..3,
+        magnitude in 1i64..4,
+        grow in any::<bool>(),
+        window in 0u64..2,
+        victim in 0usize..2,
+    ) {
+        let delta = if grow { magnitude } else { -magnitude };
+        let img = phased_image(11);
+        let scfg = quick_schedule();
+        let cells = [
+            BatchCell { kind: EngineKind::Stream, pcfg: ProcessorConfig::table2(8) },
+            BatchCell { kind: EngineKind::Ev8, pcfg: ProcessorConfig::table2(4) },
+        ];
+        let (seed, windows) = (5u64, 2u64);
+        let fp = sfetch_trace::trace_fingerprint(&img, seed, 4096);
+        let store = tmp_store("warm-reseal");
+        let root = store.root().to_path_buf();
+        let run = |bank: bool| {
+            let store = CheckpointStore::open(&root).expect("reopen store");
+            let mut batch = BatchSampler::new(&img, fp, seed, scfg, &store).with_warm_bank(bank);
+            let pts = batch.run_range_points(&cells, 0..windows, 1);
+            (pts, batch.warm_bank_stats())
+        };
+        let (unbanked, _) = run(false);
+        let (banked, stats) = run(true);
+        prop_assert_eq!(&banked, &unbanked);
+        prop_assert_eq!(stats.misses, 2 * windows, "the first banked run banks every entry");
+
+        let cell = cells[victim];
+        let key = StoreKey {
+            fingerprint: fp,
+            seed,
+            at_inst: window * scfg.interval + scfg.fast_forward(),
+        };
+        let model = warm_model_digest(cell.kind, &cell.pcfg, &scfg);
+        let path = store.warm_entry_path(&key, model);
+        let good = std::fs::read(&path).expect("banked entry");
+        let bad = reseal_warm_entry(&good, &resize_segment(&good[64..], segment, delta));
+        let reopen = || CheckpointStore::open(&root).expect("reopen store");
+        std::fs::write(&path, &bad).expect("plant entry");
+        let planted = reopen().load_warm(&key, model);
+        prop_assert!(planted.is_ok(), "the mutation passes every digest check");
+
+        // The batched runner (the production grid path).
+        let (again, stats) = run(true);
+        prop_assert_eq!(&again, &unbanked);
+        prop_assert_eq!(stats.rejected, 1);
+        prop_assert_eq!(stats.hits, 2 * windows - 1);
+        prop_assert!(std::fs::read(&path).expect("rebanked entry") == good, "entry rewritten");
+
+        // The per-window runner.
+        std::fs::write(&path, &bad).expect("plant entry");
+        let store = reopen();
+        let mut single = StoredSampler::new(&img, fp, seed, scfg, &store).with_warm_bank(true);
+        let pts = single.run_range(cell.kind, cell.pcfg, 0..windows, 1);
+        prop_assert_eq!(&pts, &unbanked[victim]);
+        prop_assert_eq!(single.warm_bank_stats().rejected, 1);
+        prop_assert!(std::fs::read(&path).expect("rebanked entry") == good, "entry rewritten");
+        let _ = std::fs::remove_dir_all(&root);
+    }
 }
 
 proptest! {
@@ -169,5 +297,39 @@ fn damaged_entries_are_rejected_and_recomputed() {
     for w in 0..windows {
         assert!(store.load(&key(w)).is_ok(), "window {w} entry healed");
     }
+    let _ = std::fs::remove_dir_all(store.root());
+}
+
+/// A stored checkpoint that passes its digest but was not captured on
+/// the sampler's image (its execution counts resized, re-sealed under a
+/// valid digest) is rejected and recomputed, never resumed.
+#[test]
+fn resealed_checkpoint_that_does_not_fit_is_rejected() {
+    let img = phased_image(5);
+    let scfg = quick_schedule();
+    let pcfg = ProcessorConfig::table2(8);
+    let store = tmp_store("misfit");
+    let fp = sfetch_trace::trace_fingerprint(&img, 9, 4096);
+    let mut cold = StoredSampler::new(&img, fp, 9, scfg, &store);
+    let want = cold.run_range(EngineKind::Stream, pcfg, 0..2, 1);
+
+    // Words 5 and 6 of a store entry header are the payload's FNV-1a
+    // digest and length.
+    let key = StoreKey { fingerprint: fp, seed: 9, at_inst: scfg.interval + scfg.fast_forward() };
+    let path = store.entry_path(&key);
+    let good = std::fs::read(&path).expect("read entry 1");
+    let mut payload = good[56..].to_vec();
+    resize_ckpt(&mut payload, -1);
+    let mut bad = good[..56].to_vec();
+    bad[40..48].copy_from_slice(&sfetch_fleet::fnv64(&payload).to_le_bytes());
+    bad[48..56].copy_from_slice(&(payload.len() as u64).to_le_bytes());
+    bad.extend_from_slice(&payload);
+    std::fs::write(&path, &bad).expect("plant entry 1");
+    assert!(store.load(&key).is_ok(), "the mutation passes every digest check");
+
+    let mut again = StoredSampler::new(&img, fp, 9, scfg, &store);
+    assert_eq!(again.run_range(EngineKind::Stream, pcfg, 0..2, 1), want);
+    assert_eq!(again.stats().rejected, 1);
+    assert_eq!(std::fs::read(&path).expect("healed entry 1"), good, "entry rewritten");
     let _ = std::fs::remove_dir_all(store.root());
 }

@@ -7,7 +7,8 @@
 //!
 //! (The in-crate supervisor tests script workers in-process; these run
 //! the `ProcessLauncher` path end-to-end — spawn, kill, exit-status
-//! plumbing — which only exists on a real shell, hence `cfg(unix)`.)
+//! plumbing — which only exists on a real shell, hence `cfg(unix)`.
+//! Per-cell scenarios lease singleton groups.)
 #![cfg(unix)]
 
 use std::path::{Path, PathBuf};
@@ -17,8 +18,8 @@ use sfetch_bench::fleet_grid::{decompose, lease_group};
 use sfetch_bench::grid::{cells, grid_engines, FIG8_WIDTHS};
 use sfetch_bench::HarnessOpts;
 use sfetch_fleet::{
-    fnv64, now_ms, run_fleet, CellId, FleetConfig, FleetReport, Ledger, ProcessGroupLauncher,
-    ProcessLauncher, ResumeSummary,
+    fnv64, now_ms, run_fleet, CellId, FleetConfig, FleetReport, Ledger, ProcessLauncher,
+    ResumeSummary,
 };
 
 const CONFIG: u64 = 0xc4a05;
@@ -84,10 +85,12 @@ fn run_scripted(
     script_for: impl Fn(&CellId, u32, &Path, &Path) -> String,
 ) -> FleetReport {
     let (mut ledger, resume) = open_ledger(dir, cells);
-    let launcher = ProcessLauncher::new(|cell: &CellId, attempt: u32, out: &Path, hb: &Path| {
-        sh(script_for(cell, attempt, out, hb))
-    });
-    run_fleet(cfg, &mut ledger, &launcher, &validate, resume, &mut |_msg| {}).expect("run_fleet")
+    let launcher =
+        ProcessLauncher::new(|cells: &[CellId], attempts: &[u32], outs: &[PathBuf], hb: &Path| {
+            sh(script_for(&cells[0], attempts[0], &outs[0], hb))
+        });
+    run_fleet(cfg, &mut ledger, &launcher, &validate, resume, &mut |_msg| {}, &mut |_done| {})
+        .expect("run_fleet")
 }
 
 fn done_texts(report: &FleetReport) -> Vec<(String, String)> {
@@ -200,13 +203,14 @@ fn default_grid_spawns_one_worker_per_process() {
     cfg.group = lease_group(HarnessOpts::default().batch, false, ids.len(), cfg.procs);
     let (mut ledger, resume) = open_ledger(&dir, &ids);
     let launcher =
-        ProcessGroupLauncher::new(|group: &[CellId], _attempts: &[u32], outs: &[PathBuf], hb: &Path| {
+        ProcessLauncher::new(|group: &[CellId], _attempts: &[u32], outs: &[PathBuf], hb: &Path| {
             let scripts: Vec<String> =
                 group.iter().zip(outs).map(|(cell, out)| good_script(cell, out, hb)).collect();
             sh(scripts.join(" && "))
         });
     let report =
-        run_fleet(&cfg, &mut ledger, &launcher, &validate, resume, &mut |_msg| {}).expect("run");
+        run_fleet(&cfg, &mut ledger, &launcher, &validate, resume, &mut |_msg| {}, &mut |_done| {})
+            .expect("run");
     assert_eq!(report.done.len(), 12, "every cell completes");
     assert_eq!(report.spawned, 2, "two 6-cell groups, not twelve one-cell workers");
     assert!(report.summary_line().contains("spawned=2"));

@@ -7,8 +7,8 @@ use proptest::prelude::*;
 
 use sfetch_cfg::gen::{GenParams, ProgramGenerator};
 use sfetch_cfg::{layout, CfgBuilder, CodeImage, CondBehavior, TripCount};
-use sfetch_core::{simulate, Processor, ProcessorConfig};
-use sfetch_fetch::{EngineKind, StreamEngine};
+use sfetch_core::{simulate, ProcessorConfig};
+use sfetch_fetch::EngineKind;
 use sfetch_sample::{
     estimate, merge_points, run_full_detailed, run_sampled, window_range, SampleConfig,
     SamplePoint, Sampler, ShardSpec,
@@ -86,30 +86,6 @@ fn serialized_shard_split_merges_bit_identically() {
         estimate(&merged, scfg.confidence),
         "aggregates must match too"
     );
-}
-
-/// The stream engine's decoded-line cache is a host-side optimization:
-/// simulated statistics are bit-identical with it on or off, across
-/// enough instructions to exercise squash/recovery re-fetches.
-#[test]
-fn decode_cache_is_bit_identical() {
-    let cfg = ProgramGenerator::new(GenParams::small(), 77).generate();
-    let lay = layout::natural(&cfg);
-    let img = CodeImage::build(&cfg, &lay);
-    let run = |cached: bool| {
-        let eng = StreamEngine::table2(8, img.entry());
-        let eng = if cached { eng.with_decode_cache() } else { eng.without_decode_cache() };
-        let mut p =
-            Processor::new(ProcessorConfig::table2(8), Box::new(eng), &cfg, &img, 13);
-        p.run(60_000);
-        (p.stats(), p.engine().decode_counters())
-    };
-    let (with_cache, (hits, misses)) = run(true);
-    let (without, zeros) = run(false);
-    assert_eq!(with_cache, without, "decode cache changed simulated results");
-    assert!(hits > 0, "cache saw traffic");
-    assert!(hits > misses, "hot loops must mostly hit");
-    assert_eq!(zeros, (0, 0), "disabled cache reports no counters");
 }
 
 /// A strictly deterministic, periodic program: every branch is a fixed

@@ -7,7 +7,7 @@ use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
-use sfetch_bench::driver::{submit_and_collect, GridRequest, StreamOutcome};
+use sfetch_bench::driver::{submit_and_collect, GridRequest, ServeEvent, StreamOutcome};
 use sfetch_bench::grid::{merge_grid, verify_merged};
 use sfetch_bench::{workload_by_name, HarnessOpts};
 use sfetch_fetch::EngineKind;
@@ -394,4 +394,50 @@ fn request_queued_behind_a_run_completes_and_idle_stop_is_prompt() {
     // stop flag must still bring `run` back promptly.
     let took = d.stop().expect("an idle daemon must return from run after stop");
     assert!(took < Duration::from_secs(2), "idle daemon took {took:?} to stop");
+}
+
+#[test]
+fn client_hanging_up_mid_stream_stalls_no_one() {
+    use std::io::{BufRead, BufReader, Write};
+    let d = TestDaemon::start("hangup");
+
+    // Client A submits, reads its `accepted` line and hangs up while its
+    // cells are still being computed.
+    let req_a = request(&[EngineKind::Stream, EngineKind::Ev8]);
+    {
+        let s = std::os::unix::net::UnixStream::connect(&d.socket).expect("connect");
+        let mut w = s.try_clone().expect("clone");
+        w.write_all(format!("{}\n", req_a.submit_line("a")).as_bytes()).expect("send");
+        let mut first = String::new();
+        BufReader::new(s).read_line(&mut first).expect("read");
+        assert!(first.contains("\"ev\":\"accepted\""), "got: {first}");
+    }
+
+    // Client B's overlapping request is served in full, byte-identical
+    // to the one-shot output.
+    let req_b = request(&[EngineKind::Ev8, EngineKind::Ftb]);
+    let out_b = d.submit("b", &req_b);
+    assert_eq!(out_b.status, "complete");
+    assert_matches_oracle(&req_b, &out_b);
+
+    // A's stream lived on without its reader: `tail` replays all of it,
+    // ending in `final`, and its points still merge to the oracle.
+    let s = std::os::unix::net::UnixStream::connect(&d.socket).expect("connect");
+    let mut w = s.try_clone().expect("clone");
+    w.write_all(b"{\"op\":\"tail\",\"id\":\"a\"}\n").expect("send");
+    let lines: Vec<String> =
+        BufReader::new(s).lines().map(|l| l.expect("read tail")).collect();
+    assert!(lines[0].contains("\"ev\":\"accepted\""), "got: {}", lines[0]);
+    let last = lines.last().expect("tail replayed nothing");
+    assert!(last.contains("\"ev\":\"final\"") && last.contains("\"complete\""), "got: {last}");
+    let points = lines
+        .iter()
+        .filter_map(|line| match ServeEvent::parse(line) {
+            Ok(ServeEvent::Point { engine, width, point }) => Some((engine, width, point)),
+            _ => None,
+        })
+        .collect();
+    let status = "complete".to_owned();
+    let out_a = StreamOutcome { points, status, computed: 0, resumed: 0, shared: 0 };
+    assert_matches_oracle(&req_a, &out_a);
 }
