@@ -1,5 +1,5 @@
 //! Runs every experiment in sequence (figures 8 and 9, tables 1–3, all
-//! ablations, perfstats) by re-invoking the sibling binaries, forwarding
+//! ablations, calibrate) by re-invoking the sibling binaries, forwarding
 //! `--inst` / `--warmup` / `--jobs`. Results go to stdout; EXPERIMENTS.md
 //! records a reference run.
 //!
@@ -27,7 +27,7 @@ fn main() {
         "ablation_predictor",
         "ablation_ftq",
         "ablation_sts",
-        "perfstats",
+        "calibrate",
     ] {
         println!("\n===================== {bin} =====================");
         let status = Command::new(dir.join(bin))

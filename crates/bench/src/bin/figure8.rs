@@ -1,14 +1,15 @@
 //! Figure 8 reproduction: harmonic-mean IPC of the four fetch
 //! architectures at pipe widths 2, 4 and 8, with baseline and
-//! layout-optimized code.
+//! layout-optimized code, closing with the paper's five 8-wide
+//! headline ratios ([`sfetch_bench::fig8_ratios`]; `calibrate` records
+//! the same numbers under both front models in `BENCH_11.json`).
 //!
 //! ```text
 //! cargo run --release -p sfetch-bench --bin figure8 [-- --inst N --warmup N]
 //! ```
 
 use sfetch_bench::grid::{grid_engines, FIG8_WIDTHS};
-use sfetch_bench::{hmean_ipc, print_engine_table, run_grid, HarnessOpts};
-use sfetch_fetch::EngineKind;
+use sfetch_bench::{fig8_ratios, hmean_ipc, print_engine_table, run_grid, HarnessOpts};
 use sfetch_workloads::{LayoutChoice, Suite};
 
 fn main() {
@@ -31,23 +32,12 @@ fn main() {
     }
 
     // The paper's headline ratios, 8-wide:
-    let s = |k, l| hmean_ipc(&points, k, l, 8);
-    let streams_o = s(EngineKind::Stream, LayoutChoice::Optimized);
-    let ev8_o = s(EngineKind::Ev8, LayoutChoice::Optimized);
-    let ftb_o = s(EngineKind::Ftb, LayoutChoice::Optimized);
-    let tc_o = s(EngineKind::TraceCache, LayoutChoice::Optimized);
-    let streams_b = s(EngineKind::Stream, LayoutChoice::Base);
-    let ev8_b = s(EngineKind::Ev8, LayoutChoice::Base);
-    let tc_b = s(EngineKind::TraceCache, LayoutChoice::Base);
+    let r = fig8_ratios(&points).measured_pct;
     println!("\n8-wide headline ratios (paper: +10% vs EV8, +4% vs FTB, -1.5% vs TC with optimized code;");
     println!("                        +10% vs EV8, -4..5% vs TC with base code)");
-    println!("  optimized: streams/EV8 {:+.1}%  streams/FTB {:+.1}%  streams/TC {:+.1}%",
-        (streams_o / ev8_o - 1.0) * 100.0,
-        (streams_o / ftb_o - 1.0) * 100.0,
-        (streams_o / tc_o - 1.0) * 100.0
+    println!(
+        "  optimized: streams/EV8 {:+.1}%  streams/FTB {:+.1}%  streams/TC {:+.1}%",
+        r[0], r[1], r[2]
     );
-    println!("  base:      streams/EV8 {:+.1}%  streams/TC {:+.1}%",
-        (streams_b / ev8_b - 1.0) * 100.0,
-        (streams_b / tc_b - 1.0) * 100.0
-    );
+    println!("  base:      streams/EV8 {:+.1}%  streams/TC {:+.1}%", r[3], r[4]);
 }

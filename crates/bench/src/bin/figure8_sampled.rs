@@ -7,7 +7,7 @@
 //! axes come from the shared `sfetch_bench::grid` definition, so the
 //! two binaries can never drift apart) on the ~330KB-footprint phased
 //! workload over tens of millions of instructions — the regime where
-//! the paper's fetch-architecture spread actually opens up. Every
+//! the fetch architectures' differences actually open up. Every
 //! window resumes from the checkpoint store: the first run pays the
 //! architectural fast-forward once, every later run (any engine or
 //! width) starts directly at functional warming.
@@ -17,9 +17,9 @@
 //!     [--bench phased] [--grid-total N] [--grid-sample U,Wf,Wd,D[,Wm]] \
 //!     [--engines all|…] [--widths all|…] [--store DIR] \
 //!     [--procs N] [--verify] [--chaos SEED] [--max-retries N] \
-//!     [--cell-timeout SECS] [--spread-floor F] \
+//!     [--cell-timeout SECS] \
 //!     [--jobs N] [--batch N] [--store-cap-bytes N] \
-//!     [--legacy-scan] [--prefetch K] [--warm-bank] \
+//!     [--prefetch K] [--warm-bank] \
 //!     [--front-pipeline legacy|engine] [--grid-prefetch shared|natural] \
 //!     [--serve SOCKET] [--req ID] \
 //!     [--obs-dir DIR] [--interval N] [--ptrace LO-HI]
@@ -62,17 +62,16 @@
 //! oracle is storeless), which puts the entire daemon path under test.
 //!
 //! Per-point output is the sampled IPC with its 95% confidence
-//! interval; the closing lines report the 8-wide engine spread against
-//! the paper's ~3.5× (Fig. 8c) and the store traffic (how much
-//! fast-forward work was reused vs computed).
+//! interval, plus the store traffic (how much fast-forward work was
+//! reused vs computed) on stderr. The comparison against the paper's
+//! Fig. 8 claims — five relative ratios at 8-wide — is `figure8`'s
+//! closing lines; `calibrate` records those ratios and this grid's
+//! default estimates in `BENCH_11.json`.
 //!
 //! By default each cell simulates its engine's **own** front-pipeline
 //! model and natural prefetch policy (`--front-pipeline engine
-//! --grid-prefetch natural`) — the Fig. 8 calibration this binary
-//! exists to measure; `--front-pipeline legacy --grid-prefetch shared`
-//! reproduces the historical shared-front grid bit-for-bit.
-//! `--spread-floor F` makes the run fail (exit 1) when the 8-wide
-//! engine spread falls below `F` — the CI calibration leg's guard.
+//! --grid-prefetch natural`); `--front-pipeline legacy --grid-prefetch
+//! shared` reproduces the historical shared-front grid bit-for-bit.
 
 use std::io::Write as _;
 use std::path::Path;
@@ -84,7 +83,7 @@ use sfetch_bench::driver::{
 };
 use sfetch_bench::fleet_grid::maybe_run_fleet_child;
 use sfetch_bench::grid::{
-    cells, merge_grid, print_grid_table, run_sampled_grid, spread_at_width, verify_merged, CellRun,
+    cells, merge_grid, print_grid_table, run_sampled_grid, verify_merged, CellRun,
 };
 use sfetch_bench::obs::write_sampled_obs;
 use sfetch_bench::workload_by_name;
@@ -107,36 +106,6 @@ fn print_panels(a: &CommonArgs, runs: &[CellRun]) {
             );
         }
     }
-    if let Some((min, max, ratio)) = spread_at_width(runs, 8) {
-        println!(
-            "\n8-wide engine spread: {max:.3} / {min:.3} = {ratio:.2}× (paper Fig. 8c: ~3.5× \
-             across its engine set)"
-        );
-    }
-}
-
-/// `--spread-floor` guard; returns whether the floor failed.
-fn check_spread_floor(a: &CommonArgs, runs: &[CellRun]) -> bool {
-    let Some(floor) = a.spread_floor else {
-        return false;
-    };
-    match spread_at_width(runs, 8) {
-        Some((_, _, ratio)) if ratio >= floor => {
-            println!("spread floor OK: {ratio:.3}× >= {floor:.3}×");
-            false
-        }
-        Some((_, _, ratio)) => {
-            eprintln!(
-                "error: 8-wide engine spread {ratio:.3}× is below the required floor \
-                 {floor:.3}× — the per-engine calibration regressed"
-            );
-            true
-        }
-        None => {
-            eprintln!("error: --spread-floor needs >= 2 engines at width 8");
-            true
-        }
-    }
 }
 
 /// `--verify` leg — the oracle is **storeless**, so it validates the
@@ -152,11 +121,9 @@ fn maybe_verify(a: &CommonArgs, runs: &[CellRun], windows: u64, degraded: bool) 
     }
 }
 
-fn exit_for(floor_failed: bool, degraded: bool) -> ExitCode {
+fn exit_for(degraded: bool) -> ExitCode {
     let _ = std::io::stdout().flush();
-    if floor_failed {
-        ExitCode::FAILURE
-    } else if degraded {
+    if degraded {
         ExitCode::from(2)
     } else {
         ExitCode::SUCCESS
@@ -189,8 +156,7 @@ fn run_serve(a: &CommonArgs, sock: &Path) -> ExitCode {
         out.computed, out.resumed, out.shared
     );
     maybe_verify(a, &runs, windows, degraded);
-    let floor_failed = check_spread_floor(a, &runs);
-    exit_for(floor_failed, degraded)
+    exit_for(degraded)
 }
 
 fn run_parent(a: &CommonArgs) -> ExitCode {
@@ -240,9 +206,7 @@ fn run_parent(a: &CommonArgs) -> ExitCode {
 
     finish_store(store_is_temp, &store_dir, &store, true);
     let _ = std::fs::remove_dir_all(&tmp);
-
-    let floor_failed = check_spread_floor(a, &runs);
-    exit_for(floor_failed, degraded)
+    exit_for(degraded)
 }
 
 fn main() -> ExitCode {

@@ -91,8 +91,6 @@ pub struct CommonArgs {
     pub max_retries: u32,
     /// `--cell-timeout SECS`.
     pub cell_timeout: Option<u64>,
-    /// `--spread-floor F`.
-    pub spread_floor: Option<f64>,
     /// `--serve SOCKET`: submit to a resident `sfetch-serve` daemon at
     /// this Unix socket instead of simulating locally.
     pub serve: Option<PathBuf>,
@@ -129,7 +127,6 @@ impl CommonArgs {
         let mut chaos = None;
         let mut max_retries = 3u32;
         let mut cell_timeout = None;
-        let mut spread_floor = None;
         let mut serve = None;
         let mut req_id = None;
         let mut rest: Vec<String> = Vec::new();
@@ -145,7 +142,6 @@ impl CommonArgs {
                 "--chaos" => chaos = Some(flag_value(&args, i, "a seed", number)?),
                 "--max-retries" => max_retries = flag_value(&args, i, "a number", number)?,
                 "--cell-timeout" => cell_timeout = Some(flag_value(&args, i, "seconds", number)?),
-                "--spread-floor" => spread_floor = Some(flag_value(&args, i, "a ratio", number)?),
                 "--serve" => serve = Some(PathBuf::from(text(i)?)),
                 "--req" => req_id = Some(text(i)?),
                 "--verify" => {
@@ -179,7 +175,6 @@ impl CommonArgs {
             chaos,
             max_retries,
             cell_timeout,
-            spread_floor,
             serve,
             req_id,
             obs,
@@ -368,8 +363,8 @@ pub struct GridRequest {
     pub total: u64,
     /// Sampling schedule.
     pub scfg: SampleConfig,
-    /// Simulated-model options (legacy scan, prefetch, front pipeline,
-    /// grid prefetch) plus jobs/warm-bank execution knobs.
+    /// Simulated-model options (prefetch, front pipeline, grid
+    /// prefetch) plus jobs/warm-bank execution knobs.
     pub opts: HarnessOpts,
 }
 
@@ -389,14 +384,15 @@ impl GridRequest {
     /// excluded (each cell already carries its own), as are `jobs`,
     /// `batch` and `warm_bank` (host-time knobs, bit-identical
     /// results): two overlapping requests must land in the same ledger
-    /// family so the ledger dedupes their shared cells.
+    /// family so the ledger dedupes their shared cells. The key keeps
+    /// the literal `legacy=false` of builds that could select the scan
+    /// back end, so families their daemons left in a store still resume.
     pub fn family_tag(&self) -> u64 {
         let key = format!(
-            "serve-family|{GRID_SHARD_SCHEMA}|{}|{}|{}|legacy={}|pf={}:{}|front={}|gridpf={}",
+            "serve-family|{GRID_SHARD_SCHEMA}|{}|{}|{}|legacy=false|pf={}:{}|front={}|gridpf={}",
             self.bench,
             self.scfg.to_spec(),
             self.total,
-            self.opts.legacy_scan,
             self.opts.prefetch.kind,
             self.opts.prefetch.mshrs,
             self.opts.front.as_str(),
@@ -433,7 +429,6 @@ impl GridRequest {
             )
             .u("total", self.total)
             .s("sample", &self.scfg.to_spec())
-            .b("legacy", self.opts.legacy_scan)
             .s("pf", &self.opts.prefetch.kind.to_string())
             .u("mshrs", self.opts.prefetch.mshrs as u64)
             .s("front", self.opts.front.as_str())
@@ -469,7 +464,6 @@ impl GridRequest {
         let mut opts = HarnessOpts {
             grid_total: total,
             grid_sample: scfg,
-            legacy_scan: optional(obj.b("legacy"))?.unwrap_or(false),
             warm_bank: optional(obj.b("warm_bank"))?.unwrap_or(false),
             ..HarnessOpts::default()
         };
@@ -827,7 +821,7 @@ mod tests {
         c.total = 4_000_000;
         assert_ne!(a.family_tag(), c.family_tag(), "the horizon is output-relevant");
         let mut d = req();
-        d.opts.legacy_scan = true;
+        d.opts.front = crate::FrontMode::Legacy;
         assert_ne!(a.family_tag(), d.family_tag(), "the simulated model is output-relevant");
     }
 
@@ -916,7 +910,6 @@ mod tests {
                 "--widths",
                 "8",
                 "--warm-bank",
-                "--legacy-scan",
                 "--grid-total",
                 "2000000",
                 "--batch",
@@ -927,7 +920,7 @@ mod tests {
             &DEFAULTS,
         )
         .expect("parses");
-        assert!(a.opts.warm_bank && a.opts.legacy_scan);
+        assert!(a.opts.warm_bank);
         assert_eq!(a.opts.batch, 4);
         assert_eq!(a.opts.store_cap_bytes, Some(1_048_576));
         assert_eq!(a.opts.grid_total, 2_000_000);
@@ -954,6 +947,10 @@ mod tests {
             (&["--bench", "nope"], "unknown benchmark \"nope\""),
             (&["--benches", "gzip,nope"], "want one of gzip"),
             (&["--interval", "x"], "--interval"),
+            (&["--legacy-scan"], "unknown argument --legacy-scan"),
+            (&["--spread-floor", "1.2"], "unknown argument --spread-floor"),
+            (&["--sample-total", "5"], "unknown argument --sample-total"),
+            (&["--sample", "500000,60000,5000,5000"], "unknown argument --sample"),
         ];
         for (list, want) in cases {
             let err = match CommonArgs::parse_list(args(list), &DEFAULTS) {

@@ -155,19 +155,19 @@ pub fn decompose(grid: &[GridCell], windows: u64, procs: usize) -> Vec<CellId> {
 
 /// The experiment fingerprint keying the ledger: everything a cell's
 /// output bytes depend on. Same fingerprint → safe to resume; anything
-/// else → fresh ledger.
+/// else → fresh ledger. The key keeps the literal `legacy=false` of
+/// builds that could select the scan back end, so their ledgers resume.
 fn config_tag(spec: &FleetGridSpec<'_>) -> u64 {
     let engines: Vec<&str> =
         spec.grid.iter().map(|c| engine_key(c.engine)).collect::<Vec<_>>();
     let widths: Vec<String> = spec.grid.iter().map(|c| c.width.to_string()).collect();
     let key = format!(
-        "{GRID_SHARD_SCHEMA}|{}|{}|{}|{}|{}|legacy={}|pf={}:{}|front={}|gridpf={}|chaos={:?}",
+        "{GRID_SHARD_SCHEMA}|{}|{}|{}|{}|{}|legacy=false|pf={}:{}|front={}|gridpf={}|chaos={:?}",
         spec.bench,
         spec.scfg.to_spec(),
         spec.total,
         engines.join(","),
         widths.join(","),
-        spec.opts.legacy_scan,
         spec.opts.prefetch.kind,
         spec.opts.prefetch.mshrs,
         spec.opts.front.as_str(),
@@ -343,9 +343,6 @@ pub fn run_fleet_grid(spec: &FleetGridSpec<'_>) -> Result<FleetGridOutcome, Flee
                 .arg(spec.opts.front.as_str())
                 .arg("--fleet-grid-prefetch")
                 .arg(spec.opts.grid_prefetch.as_str());
-            if spec.opts.legacy_scan {
-                cmd.arg("--fleet-legacy-scan");
-            }
             if spec.opts.warm_bank {
                 cmd.arg("--fleet-warm-bank");
             }
@@ -526,11 +523,6 @@ fn parse_child_args(args: &[String]) -> Result<ChildArgs, String> {
             }
             "--fleet-jobs" => {
                 opts.jobs = take(i)?.parse().map_err(|e| format!("--fleet-jobs: {e}"))?
-            }
-            "--fleet-legacy-scan" => {
-                opts.legacy_scan = true;
-                i += 1;
-                continue;
             }
             // Note: deliberately absent from `config_tag` — banked warm
             // state changes host time only, never the output bytes, so a
@@ -788,6 +780,42 @@ mod tests {
         launcher.0.into_inner()
     }
 
+    /// Both ledger tags of the default `figure8_sampled` request, as
+    /// the builds that still had the scan back-end switch computed
+    /// them: stores and daemon ledgers those builds wrote must resume,
+    /// so the literal `legacy=false` stays in both keys.
+    #[test]
+    fn default_request_tags_match_the_stores_older_builds_wrote() {
+        let opts = HarnessOpts::default();
+        let req = crate::driver::GridRequest {
+            bench: "phased".into(),
+            engines: crate::grid::grid_engines().to_vec(),
+            widths: crate::grid::FIG8_WIDTHS.to_vec(),
+            total: opts.grid_total,
+            scfg: opts.grid_sample,
+            opts,
+        };
+        let grid = req.grid();
+        let spec = FleetGridSpec {
+            bench: "phased",
+            grid: &grid,
+            scfg: req.scfg,
+            total: req.total,
+            opts: &opts,
+            store_dir: Path::new("unused"),
+            procs: 2,
+            chaos: None,
+            max_retries: 3,
+            cell_timeout_s: None,
+        };
+        assert_eq!(req.family_tag(), 0xa8c1_9684_ce08_138c, "daemon family tag moved");
+        assert_eq!(config_tag(&spec), 0xe23b_8570_4e52_98de, "fleet ledger tag moved");
+        // Their submit lines carried a `"legacy"` key; it is ignored.
+        let line = req.submit_line("old").replace("\"pf\"", "\"legacy\":false,\"pf\"");
+        let (_, back) = crate::driver::GridRequest::parse_submit(&line).expect("older submit line");
+        assert_eq!(back.family_tag(), req.family_tag());
+    }
+
     #[test]
     fn leases_split_same_range_cells_across_the_pool() {
         let uncapped = HarnessOpts::default().batch;
@@ -827,7 +855,6 @@ mod tests {
             "legacy",
             "--fleet-grid-prefetch",
             "shared",
-            "--fleet-legacy-scan",
         ]
         .iter()
         .map(|s| (*s).to_owned())
@@ -838,7 +865,6 @@ mod tests {
         assert_eq!(a.bench, "phased");
         assert_eq!(a.attempt, 1);
         assert_eq!(a.job.opts.jobs, 2);
-        assert!(a.job.opts.legacy_scan);
         assert_eq!(a.job.opts.front, crate::FrontMode::Legacy);
         assert_eq!(a.job.opts.grid_prefetch, crate::GridPrefetchMode::Shared);
         assert!(parse_child_args(&args[2..]).is_err(), "missing --fleet-cell is an error");

@@ -4,9 +4,9 @@
 //!
 //! Before this module, every figure binary re-declared its own engine
 //! and width axes; a drifted axis would have silently compared
-//! different grids. `figure8`/`figure9` and their `_sampled` siblings
-//! and `perfstats`' calibration section all pull the axes, the
-//! sampled-grid schedule, and the engine-key spellings from here.
+//! different grids. `figure8`/`figure9`, their `_sampled` siblings and
+//! `calibrate` all pull the axes, the sampled-grid schedule, and the
+//! engine-key spellings from here.
 
 use std::fmt;
 use std::ops::Range;
@@ -190,9 +190,9 @@ pub fn parse_widths(spec: &str) -> Result<Vec<usize>, GridError> {
 }
 
 /// The processor configuration of a grid cell under the harness options:
-/// Table 2 at the cell's width, honoring `--legacy-scan`,
-/// `--front-pipeline` (the cell engine's front model under
-/// [`crate::FrontMode::PerEngine`]), and the cell's prefetch policy —
+/// Table 2 at the cell's width, honoring `--front-pipeline` (the cell
+/// engine's front model under [`crate::FrontMode::PerEngine`]) and the
+/// cell's prefetch policy —
 /// `--prefetch` under [`crate::GridPrefetchMode::Shared`], the engine's
 /// [`sfetch_fetch::EngineKind::natural_prefetch`] under
 /// [`crate::GridPrefetchMode::Natural`].
@@ -202,7 +202,6 @@ pub fn parse_widths(spec: &str) -> Result<Vec<usize>, GridError> {
 /// windows — sweeping these axes inside the grid is warm-store cheap.
 pub fn cell_config(cell: GridCell, opts: &HarnessOpts) -> ProcessorConfig {
     let mut pcfg = ProcessorConfig::table2(cell.width);
-    pcfg.legacy_scan = opts.legacy_scan;
     pcfg.prefetch = match opts.grid_prefetch {
         crate::GridPrefetchMode::Shared => opts.prefetch,
         crate::GridPrefetchMode::Natural => {
@@ -544,20 +543,6 @@ pub fn print_grid_table(runs: &[CellRun]) {
             100.0 * r.estimate.rel_half_width
         );
     }
-}
-
-/// The engine IPC spread (max/min) among `runs` at one width — the
-/// quantity compared against the paper's Fig. 8 (~3.5× at 8-wide
-/// optimized).
-pub fn spread_at_width(runs: &[CellRun], width: usize) -> Option<(f64, f64, f64)> {
-    let ipcs: Vec<f64> = runs
-        .iter()
-        .filter(|r| r.cell.width == width && r.estimate.ipc > 0.0)
-        .map(|r| r.estimate.ipc)
-        .collect();
-    let min = ipcs.iter().copied().fold(f64::INFINITY, f64::min);
-    let max = ipcs.iter().copied().fold(0.0f64, f64::max);
-    (ipcs.len() >= 2).then_some((min, max, max / min))
 }
 
 #[cfg(test)]

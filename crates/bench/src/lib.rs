@@ -17,22 +17,20 @@
 //! | `ablation_sts` | selective trace storage on/off |
 //! | `figure8_sampled` | Fig. 8 grid at paper-scale horizons via the sampler + checkpoint store; `--procs N` fans it across fleet worker processes, merged bit-identically |
 //! | `figure9_sampled` | Fig. 9 per-benchmark comparison, sampled through the store |
-//! | `perfstats` | host throughput per engine + the sampling A/B + the store-backed calibration grid → `BENCH_5.json` |
+//! | `calibrate` | the paper's five Fig. 8 ratios under both front models + the default sampled grid → `BENCH_11.json` |
 //! | `all` | everything above, in sequence |
 //!
 //! Run with `--inst N` / `--warmup N` to change the measured window
 //! (defaults: 1M measured after 200k warmup per point) and `--jobs N` to
 //! bound worker threads (default: all cores). `--long` appends the
-//! long-horizon phased workload to the ablation set; `--sample` /
-//! `--sample-total` configure the sampled-simulation schedule (see
+//! long-horizon phased workload to the ablation set; `--grid-total` /
+//! `--grid-sample` configure the sampled grid (see
 //! [`sfetch_sample::SampleConfig`]). Every grid point owns its
 //! `Processor` and derives only from its workload + configuration, so
 //! parallel runs are bit-identical to serial ones.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
-
-use std::time::Instant;
 
 use sfetch_core::{
     metrics::harmonic_mean, simulate, FrontPipeline, PrefetchConfig, PrefetchKind, Processor,
@@ -139,10 +137,6 @@ pub struct HarnessOpts {
     pub warmup: u64,
     /// Maximum simulation worker threads.
     pub jobs: usize,
-    /// Simulate with the legacy per-cycle ROB scan instead of the
-    /// event-driven scheduler (differential testing / A-B measurement;
-    /// results are bit-identical, only host throughput differs).
-    pub legacy_scan: bool,
     /// Instruction-prefetch configuration applied to every grid point
     /// (default: disabled — the legacy blocking L1i). Honored by the
     /// `run_point`-based grids and `ablation_prefetch`; the
@@ -153,13 +147,8 @@ pub struct HarnessOpts {
     /// default so tier-1 runtimes stay bounded; `ablation_workloads`
     /// appends it when set.
     pub long: bool,
-    /// Committed instructions of the sampling A/B's long run
-    /// (`--sample-total N`; `perfstats` only).
-    pub sample_total: u64,
-    /// The U/W/D sampling schedule (`--sample U,Wf,Wd,D`).
-    pub sample: SampleConfig,
     /// Committed instructions of the sampled calibration grid
-    /// (`--grid-total N`; the `*_sampled` bins and `perfstats`).
+    /// (`--grid-total N`; the `*_sampled` bins and `calibrate`).
     pub grid_total: u64,
     /// The calibration grid's sampling schedule (`--grid-sample
     /// U,Wf,Wd,D[,Wm]`; default [`grid::calibration_schedule`]).
@@ -203,11 +192,8 @@ impl Default for HarnessOpts {
             insts: 1_000_000,
             warmup: 200_000,
             jobs: sfetch_workloads::default_jobs(),
-            legacy_scan: false,
             prefetch: PrefetchConfig::none(),
             long: false,
-            sample_total: 50_000_000,
-            sample: SampleConfig::default(),
             grid_total: 50_000_000,
             grid_sample: grid::calibration_schedule(),
             front: FrontMode::default(),
@@ -220,10 +206,9 @@ impl Default for HarnessOpts {
 }
 
 impl HarnessOpts {
-    /// Parses `--inst N`, `--warmup N`, `--jobs N`, `--legacy-scan`,
+    /// Parses `--inst N`, `--warmup N`, `--jobs N`,
     /// `--prefetch KIND` (`none|next-line|stream|mana`), `--mshrs N`,
-    /// `--long`, `--sample-total N`, `--sample U,Wf,Wd,D`,
-    /// `--grid-total N`, `--grid-sample U,Wf,Wd,D[,Wm]`,
+    /// `--long`, `--grid-total N`, `--grid-sample U,Wf,Wd,D[,Wm]`,
     /// `--front-pipeline legacy|engine`, `--grid-prefetch
     /// shared|natural`, `--warm-bank`, `--batch N` and
     /// `--store-cap-bytes N` from the process arguments, exiting with
@@ -239,11 +224,6 @@ impl HarnessOpts {
     /// [`grid::GridError::Cli`] naming the flag on an unknown argument
     /// or a missing, malformed or out-of-range value.
     pub fn from_arg_list(args: &[String]) -> Result<Self, grid::GridError> {
-        let schedule = |i: usize| {
-            let spec = flag_value(args, i, "U,Wf,Wd,D[,Wm]", |v| Some(v.to_owned()))?;
-            SampleConfig::parse(&spec)
-                .map_err(|e| grid::GridError::Cli(format!("bad {} schedule: {e}", args[i])))
-        };
         let mut o = Self::default();
         let mut pf_kind = PrefetchKind::None;
         let mut mshrs_override: Option<usize> = None;
@@ -251,7 +231,6 @@ impl HarnessOpts {
         while i < args.len() {
             let flag = args[i].as_str();
             match flag {
-                "--legacy-scan" => o.legacy_scan = true,
                 "--long" => o.long = true,
                 "--warm-bank" => o.warm_bank = true,
                 "--inst" => o.insts = flag_value(args, i, "a number", number)?,
@@ -266,10 +245,13 @@ impl HarnessOpts {
                     )?
                 }
                 "--mshrs" => mshrs_override = Some(flag_value(args, i, "a number", number)?),
-                "--sample-total" => o.sample_total = flag_value(args, i, "a number", number)?,
-                "--sample" => o.sample = schedule(i)?,
                 "--grid-total" => o.grid_total = flag_value(args, i, "a number", number)?,
-                "--grid-sample" => o.grid_sample = schedule(i)?,
+                "--grid-sample" => {
+                    let spec = flag_value(args, i, "U,Wf,Wd,D[,Wm]", |v| Some(v.to_owned()))?;
+                    o.grid_sample = SampleConfig::parse(&spec).map_err(|e| {
+                        grid::GridError::Cli(format!("bad --grid-sample schedule: {e}"))
+                    })?
+                }
                 "--front-pipeline" => {
                     o.front = flag_value(args, i, "one of: legacy, engine", FrontMode::parse)?
                 }
@@ -284,15 +266,14 @@ impl HarnessOpts {
                 other => {
                     return Err(grid::GridError::Cli(format!(
                         "unknown argument {other}; supported: --inst N, --warmup N, --jobs N, \
-                         --legacy-scan, --prefetch none|next-line|stream|mana, --mshrs N, \
-                         --long, --sample-total N, --sample U,Wf,Wd,D, --grid-total N, \
-                         --grid-sample U,Wf,Wd,D, --front-pipeline legacy|engine, \
+                         --prefetch none|next-line|stream|mana, --mshrs N, --long, \
+                         --grid-total N, --grid-sample U,Wf,Wd,D, --front-pipeline legacy|engine, \
                          --grid-prefetch shared|natural, --warm-bank, --batch N, \
                          --store-cap-bytes N"
                     )))
                 }
             }
-            i += if matches!(flag, "--legacy-scan" | "--long" | "--warm-bank") { 1 } else { 2 };
+            i += if matches!(flag, "--long" | "--warm-bank") { 1 } else { 2 };
         }
         // Combine after parsing so --prefetch / --mshrs are order-free.
         o.prefetch = if pf_kind == PrefetchKind::None {
@@ -366,7 +347,6 @@ pub fn run_point(
 ) -> RunPoint {
     let image = w.image(layout);
     let mut pc = ProcessorConfig::table2(width);
-    pc.legacy_scan = opts.legacy_scan;
     pc.prefetch = opts.prefetch;
     pc.front = opts.front.front_for(engine);
     let stats = simulate(w.cfg(), image, engine, pc, w.ref_seed(), opts.warmup, opts.insts);
@@ -385,8 +365,7 @@ pub fn run_custom(
     opts: HarnessOpts,
 ) -> SimStats {
     let image = w.image(layout);
-    let mut pc = ProcessorConfig::table2(width);
-    pc.legacy_scan = opts.legacy_scan;
+    let pc = ProcessorConfig::table2(width);
     // `opts.prefetch` is deliberately NOT applied here: the caller built
     // the engine without a prefetcher attached, so enabling the miss
     // pipeline alone would change the timing model while the output
@@ -578,11 +557,53 @@ pub fn print_engine_table(
     }
 }
 
-/// Wall-clock timing of a closure, for host-throughput reporting.
-pub fn timed<R>(f: impl FnOnce() -> R) -> (R, f64) {
-    let t0 = Instant::now();
-    let r = f();
-    (r, t0.elapsed().as_secs_f64())
+/// Pipe width of the paper's headline Fig. 8 ratios.
+pub const FIG8_RATIO_WIDTH: usize = 8;
+
+/// One of the paper's headline Fig. 8 claims: the streams engine's
+/// 8-wide harmonic-mean IPC relative to `rival`'s on `layout` code.
+#[derive(Debug, Clone, Copy)]
+pub struct Fig8Claim {
+    /// Code layout both engines run.
+    pub layout: LayoutChoice,
+    /// The engine streams is compared against.
+    pub rival: EngineKind,
+    /// The paper's value of `streams / rival - 1`, in percent.
+    pub paper_pct: f64,
+}
+
+/// The paper's five 8-wide Fig. 8 claims: with optimized code streams
+/// is +10% over EV8, +4% over FTB and −1.5% against the trace cache;
+/// with base code +10% over EV8 and −4 to −5% (taken as −4.5%) against
+/// the trace cache.
+pub const FIG8_CLAIMS: [Fig8Claim; 5] = [
+    Fig8Claim { layout: LayoutChoice::Optimized, rival: EngineKind::Ev8, paper_pct: 10.0 },
+    Fig8Claim { layout: LayoutChoice::Optimized, rival: EngineKind::Ftb, paper_pct: 4.0 },
+    Fig8Claim { layout: LayoutChoice::Optimized, rival: EngineKind::TraceCache, paper_pct: -1.5 },
+    Fig8Claim { layout: LayoutChoice::Base, rival: EngineKind::Ev8, paper_pct: 10.0 },
+    Fig8Claim { layout: LayoutChoice::Base, rival: EngineKind::TraceCache, paper_pct: -4.5 },
+];
+
+/// The [`FIG8_CLAIMS`] as measured on one grid run, in claim order.
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub struct Fig8Ratios {
+    /// Measured `streams / rival - 1`, in percent.
+    pub measured_pct: [f64; 5],
+    /// Signed error `measured - paper`, in percentage points.
+    pub err_pp: [f64; 5],
+    /// Sum of the absolute errors, in percentage points: the one
+    /// number calibration work drives down.
+    pub abs_err_sum_pp: f64,
+}
+
+/// Measures the [`FIG8_CLAIMS`] on a grid's points: suite harmonic-mean
+/// IPC at [`FIG8_RATIO_WIDTH`], streams against each claim's rival.
+pub fn fig8_ratios(points: &[RunPoint]) -> Fig8Ratios {
+    let ipc = |engine, layout| hmean_ipc(points, engine, layout, FIG8_RATIO_WIDTH);
+    let measured_pct = FIG8_CLAIMS
+        .map(|c| (ipc(EngineKind::Stream, c.layout) / ipc(c.rival, c.layout) - 1.0) * 100.0);
+    let err_pp: [f64; 5] = std::array::from_fn(|i| measured_pct[i] - FIG8_CLAIMS[i].paper_pct);
+    Fig8Ratios { measured_pct, err_pp, abs_err_sum_pp: err_pp.iter().map(|e| e.abs()).sum() }
 }
 
 #[cfg(test)]
@@ -624,5 +645,34 @@ mod tests {
         assert_eq!(o.grid_prefetch, GridPrefetchMode::Shared);
         assert!(o.front.front_for(EngineKind::Ev8).is_legacy());
         assert!(!FrontMode::PerEngine.front_for(EngineKind::Ev8).is_legacy());
+    }
+
+    #[test]
+    fn fig8_ratios_compare_streams_at_eight_wide() {
+        // One bench; committed instructions per 1000 cycles set each IPC.
+        let point = |engine, layout, width, committed| {
+            let stats = SimStats { committed, cycles: 1000, ..SimStats::default() };
+            RunPoint { bench: "b", engine, layout, width, stats }
+        };
+        let (o, b) = (LayoutChoice::Optimized, LayoutChoice::Base);
+        let points = [
+            point(EngineKind::Stream, o, 8, 1200),
+            point(EngineKind::Ev8, o, 8, 1000),
+            point(EngineKind::Ftb, o, 8, 1200),
+            point(EngineKind::TraceCache, o, 8, 1500),
+            point(EngineKind::Stream, b, 8, 1000),
+            point(EngineKind::Ev8, b, 8, 1000),
+            point(EngineKind::TraceCache, b, 8, 800),
+            // Other widths never enter the ratios.
+            point(EngineKind::Stream, o, 4, 9000),
+            point(EngineKind::Ev8, b, 2, 10),
+        ];
+        let r = fig8_ratios(&points);
+        let close = |got: &[f64], want: &[f64]| {
+            got.iter().zip(want).all(|(g, w)| (g - w).abs() < 1e-9)
+        };
+        assert!(close(&r.measured_pct, &[20.0, 0.0, -20.0, 0.0, 25.0]), "{r:?}");
+        assert!(close(&r.err_pp, &[10.0, -4.0, -18.5, -10.0, 29.5]), "{r:?}");
+        assert!((r.abs_err_sum_pp - 72.0).abs() < 1e-9, "{r:?}");
     }
 }

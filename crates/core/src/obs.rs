@@ -7,9 +7,9 @@
 //! [`Observer::ENABLED`] to `false`; every hook call in the processor is
 //! guarded by that associated constant, so the no-observer instantiation
 //! monomorphizes the hooks away entirely — tracing-off runs are
-//! bit-identical to the pre-observer simulator with no measurable
-//! overhead (the `<2%` wall-clock contract is asserted by the perfstats
-//! harness).
+//! bit-identical to the pre-observer simulator (pinned by the
+//! `cycle_accounting` tests); the host-time cost of an attached observer
+//! is measured by `perfbench` (`bench.trace_overhead`).
 //!
 //! Concrete sinks (the Konata pipeline-trace writer) live in the
 //! dependency-free `sfetch-obs` crate; the adapter implementing this

@@ -4,10 +4,11 @@
 //! fetch→decode→rename latency, a fixed decode-redirect bubble, and a free
 //! (zero-cycle) fetch restart after an execute-time squash. At warmed long
 //! horizons that makes the engines converge — BENCH_5 measured a 1.07×
-//! 8-wide IPC spread on the phased 50M workload against the paper's ~3.5×
-//! (Fig. 8c) — because the only remaining difference between engines was
-//! their prediction accuracy, not the *cost* of their pipeline
-//! organizations.
+//! 8-wide IPC spread on the phased 50M workload — because the only
+//! remaining difference between engines was their prediction accuracy,
+//! not the *cost* of their pipeline organizations. (The paper's Fig. 8
+//! claims are five relative ratios at 8-wide, not a spread; `calibrate`
+//! records how far each front model sits from them.)
 //!
 //! [`FrontPipeline`] makes those costs explicit and per-engine:
 //!

@@ -126,8 +126,9 @@ impl Default for SampleConfig {
     /// supplying the partial-stream entries plain commit training cannot)
     /// — and the L2's data working set needs the same depth (a 200k
     /// cache-warming tail re-introduced a −8% bias). At this schedule
-    /// the 50M-instruction sampling A/B lands within ~1% of the full run
-    /// at ≥10× wall-clock speedup on one core.
+    /// the 50M-instruction sampled run landed within ~1% of the full run
+    /// at ≥10× wall-clock speedup on one core (`BENCH_4.json`
+    /// `sampling_ab`).
     fn default() -> Self {
         SampleConfig {
             interval: 2_750_000,

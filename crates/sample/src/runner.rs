@@ -388,7 +388,8 @@ fn simulate_window<'a>(
 }
 
 /// Runs a whole sampled simulation over `total_insts` committed
-/// instructions and aggregates the estimate (serial windows).
+/// instructions and aggregates the estimate (serial windows; see
+/// [`Sampler::run_parallel`] for the bit-identical threaded walk).
 pub fn run_sampled(
     image: &CodeImage,
     kind: EngineKind,
@@ -397,22 +398,7 @@ pub fn run_sampled(
     total_insts: u64,
     scfg: &SampleConfig,
 ) -> SampledRun {
-    run_sampled_jobs(image, kind, pcfg, seed, total_insts, scfg, 1)
-}
-
-/// [`run_sampled`] with up to `jobs` window-simulation worker threads;
-/// bit-identical to the serial run for any `jobs`.
-pub fn run_sampled_jobs(
-    image: &CodeImage,
-    kind: EngineKind,
-    pcfg: ProcessorConfig,
-    seed: u64,
-    total_insts: u64,
-    scfg: &SampleConfig,
-    jobs: usize,
-) -> SampledRun {
-    let mut s = Sampler::new(image, kind, pcfg, *scfg, seed);
-    let points = s.run_parallel(scfg.windows(total_insts), jobs);
+    let points = Sampler::new(image, kind, pcfg, *scfg, seed).run(scfg.windows(total_insts));
     let estimate = estimate(&points, scfg.confidence);
     SampledRun { points, estimate }
 }
@@ -420,8 +406,8 @@ pub fn run_sampled_jobs(
 /// The sampling-**disabled** mode: one straight-through detailed
 /// simulation, constructed exactly as [`sfetch_core::simulate`]
 /// constructs it (the lockstep tests assert bit-identical statistics) —
-/// but without needing the `Cfg`, so it also serves the full-run leg of
-/// the sampling A/B.
+/// but without needing the `Cfg`, so it also serves as the full-run
+/// ground truth a sampled estimate is checked against.
 pub fn run_full_detailed(
     image: &CodeImage,
     kind: EngineKind,
@@ -513,9 +499,9 @@ mod tests {
         let pcfg = ProcessorConfig::table2(4);
         let serial = run_sampled(&img, EngineKind::Stream, pcfg, 11, 320_000, &scfg);
         for jobs in [2, 3, 8] {
-            let par = run_sampled_jobs(&img, EngineKind::Stream, pcfg, 11, 320_000, &scfg, jobs);
-            assert_eq!(serial.points, par.points, "jobs = {jobs}");
-            assert_eq!(serial.estimate, par.estimate, "jobs = {jobs}");
+            let par = Sampler::new(&img, EngineKind::Stream, pcfg, scfg, 11)
+                .run_parallel(scfg.windows(320_000), jobs);
+            assert_eq!(serial.points, par, "jobs = {jobs}");
         }
     }
 

@@ -781,13 +781,6 @@ pub struct WarmTiming {
     pub windows: u64,
 }
 
-impl WarmTiming {
-    /// Mean per-window warming cost in nanoseconds.
-    pub fn warm_ns_per_window(&self) -> u64 {
-        self.warm_ns.checked_div(self.windows).unwrap_or(0)
-    }
-}
-
 /// How one window's warm state will be obtained.
 // One value per window in flight; the size gap vs the `Arc`'d banked
 // variant is irrelevant at that count.
@@ -1453,7 +1446,6 @@ mod tests {
         assert_eq!(t.windows, 3);
         assert!(t.warm_ns > 0, "live warming takes measurable time");
         assert!(t.ff_ns > 0, "snapshot resolution takes measurable time");
-        assert_eq!(t.warm_ns_per_window(), t.warm_ns / 3);
         let _ = std::fs::remove_dir_all(store.root());
     }
 

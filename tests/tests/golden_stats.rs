@@ -43,7 +43,7 @@ use sfetch_core::{CycleBuckets, FrontPipeline, SimStats};
 use sfetch_fetch::EngineKind;
 use sfetch_workloads::{LayoutChoice, Suite};
 
-/// The BENCH perfstats measurement window.
+/// The measurement window of the BENCH engine tables.
 const WARMUP: u64 = 40_000;
 const INSTS: u64 = 200_000;
 

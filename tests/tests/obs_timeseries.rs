@@ -6,7 +6,9 @@
 //! ([`StoredSampler::run_range_stats`]) returns the same sample points
 //! as the point-only path, serial or parallel.
 
+use sfetch_bench::grid::{cell_config, grid_engines, GridCell};
 use sfetch_bench::obs::{ts_columns, ts_delta, TS_KEY};
+use sfetch_bench::HarnessOpts;
 use sfetch_cfg::{layout, CodeImage};
 use sfetch_core::{CycleBuckets, ProcessorConfig, SimStats};
 use sfetch_fetch::EngineKind;
@@ -140,5 +142,25 @@ fn run_range_stats_matches_run_range_serial_and_parallel() {
     let mut parallel = StoredSampler::new(&img, fp, 7, scfg, &store);
     let parallel_full = parallel.run_range_stats(EngineKind::Stream, pcfg, 0..windows, 3);
     assert_eq!(serial_full, parallel_full, "parallel fan-out must preserve window order");
+    let _ = std::fs::remove_dir_all(store.root());
+}
+
+/// Every engine at the sampled grid's 8-wide cell configuration (its
+/// own front model and natural prefetch policy, the grid defaults)
+/// attributes every cycle of every sampled window to exactly one bucket.
+#[test]
+fn every_grid_engine_accounts_every_sampled_cycle_at_eight_wide() {
+    let store = tmp_store("grid8");
+    let img = phased_image(5);
+    let fp = sfetch_trace::trace_fingerprint(&img, 7, 4096);
+    let opts = HarnessOpts::default();
+    for engine in grid_engines() {
+        let pcfg = cell_config(GridCell { engine, width: 8 }, &opts);
+        let mut sampler = StoredSampler::new(&img, fp, 7, quick_schedule(), &store);
+        for (_, s) in sampler.run_range_stats(engine, pcfg, 0..3, 2) {
+            assert!(s.cycles > 0, "{engine}: windows must simulate");
+            assert_eq!(s.buckets.sum(), s.cycles, "{engine}: window accounting must be exhaustive");
+        }
+    }
     let _ = std::fs::remove_dir_all(store.root());
 }
