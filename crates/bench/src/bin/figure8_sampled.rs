@@ -164,7 +164,6 @@ fn run_parent(a: &CommonArgs) -> ExitCode {
     let grid = cells(&a.engines, &a.widths);
     let scfg = a.opts.grid_sample;
     let windows = scfg.windows(a.opts.grid_total);
-    assert!(windows >= 1, "grid-total {} yields no windows", a.opts.grid_total);
     eprintln!(
         "{}: sampled Fig. 8 grid — {} cells × {} windows over {} insts",
         w.name(),
@@ -174,7 +173,10 @@ fn run_parent(a: &CommonArgs) -> ExitCode {
     );
 
     let tmp = std::env::temp_dir().join(format!("sfetch-fig8s-{}", std::process::id()));
-    std::fs::create_dir_all(&tmp).expect("create temp dir");
+    or_die(
+        std::fs::create_dir_all(&tmp)
+            .map_err(|e| format!("create temp dir {}: {e}", tmp.display())),
+    );
     let (store_dir, store_is_temp) = resolve_store(a.store.as_deref(), tmp.join("store"));
     let store = or_die(CheckpointStore::open(&store_dir)).with_cap_bytes(a.opts.store_cap_bytes);
 

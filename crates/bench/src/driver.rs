@@ -467,6 +467,7 @@ impl GridRequest {
             warm_bank: optional(obj.b("warm_bank"))?.unwrap_or(false),
             ..HarnessOpts::default()
         };
+        opts.grid_windows().map_err(|e| format!("submit: {e}"))?;
         for (key, slot) in [("jobs", &mut opts.jobs), ("batch", &mut opts.batch)] {
             if let Some(v) = optional(obj.u::<u64>(key))? {
                 *slot = usize::try_from(v).ok().filter(|&v| v >= 1).ok_or_else(|| {
@@ -805,6 +806,11 @@ mod tests {
         let nope = good.replace("\"bench\":\"phased\"", "\"bench\":\"nope\"");
         let err = GridRequest::parse_submit(&nope).expect_err("unknown bench must be rejected");
         assert!(err.contains("\"nope\"") && err.contains("gzip") && err.contains("phased"), "err: {err}");
+        // A horizon shorter than one interval used to be accepted and
+        // answered `complete` with zero windows.
+        let short = good.replace("\"total\":2000000", "\"total\":1");
+        let err = GridRequest::parse_submit(&short).expect_err("zero windows must be rejected");
+        assert!(err.contains("yields no sampled windows"), "err: {err}");
     }
 
     #[test]
@@ -912,6 +918,8 @@ mod tests {
                 "--warm-bank",
                 "--grid-total",
                 "2000000",
+                "--grid-sample",
+                "500000,60000,5000,5000",
                 "--batch",
                 "4",
                 "--store-cap-bytes",
@@ -924,6 +932,7 @@ mod tests {
         assert_eq!(a.opts.batch, 4);
         assert_eq!(a.opts.store_cap_bytes, Some(1_048_576));
         assert_eq!(a.opts.grid_total, 2_000_000);
+        assert_eq!(a.opts.grid_sample.interval, 500_000);
         assert_eq!(a.engines, vec![EngineKind::Stream, EngineKind::Ev8]);
         assert_eq!(a.widths, vec![8]);
     }
@@ -943,6 +952,7 @@ mod tests {
             (&["--batch", "0"], "--batch"),
             (&["--procs"], "--procs requires"),
             (&["--grid-total"], "--grid-total"),
+            (&["--grid-total", "1"], "--grid-total 1 yields no sampled windows"),
             (&["--engines", "warp"], "unknown engine"),
             (&["--bench", "nope"], "unknown benchmark \"nope\""),
             (&["--benches", "gzip,nope"], "want one of gzip"),

@@ -242,8 +242,8 @@ pub fn run_cell_range(
 /// one [`BatchSampler`] — one recorded functional walk per window per
 /// group instead of one per window per cell. Returns per-cell window
 /// lists in cell order plus the total checkpoint-store traffic.
-/// Bit-identical per cell for any `batch` (and to the per-window
-/// [`sfetch_sample::StoredSampler`] reference the tests hold it to).
+/// Bit-identical per cell for any `batch`, and to the storeless
+/// [`sfetch_sample::Sampler`] the tests and `--verify` hold it to.
 pub fn run_cells_batched(
     w: &Workload,
     cells: &[GridCell],

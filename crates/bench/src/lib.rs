@@ -290,7 +290,26 @@ impl HarnessOpts {
                 o.prefetch.kind
             )));
         }
+        o.grid_windows()?;
         Ok(o)
+    }
+
+    /// Sampled windows per cell of the calibration grid: `--grid-total`
+    /// over the `--grid-sample` interval. The one horizon check the CLI
+    /// parser and the daemon's submit parser share.
+    ///
+    /// # Errors
+    ///
+    /// [`grid::GridError::Cli`] when the horizon is shorter than one
+    /// sampling interval and so yields no window.
+    pub(crate) fn grid_windows(&self) -> Result<u64, grid::GridError> {
+        match self.grid_sample.windows(self.grid_total) {
+            0 => Err(grid::GridError::Cli(format!(
+                "--grid-total {} yields no sampled windows (one window needs {} instructions)",
+                self.grid_total, self.grid_sample.interval
+            ))),
+            n => Ok(n),
+        }
     }
 }
 

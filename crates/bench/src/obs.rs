@@ -193,10 +193,10 @@ pub fn capture_ptrace(
 /// driven by one [`BatchSampler`] over the shared functional reference
 /// stream, and `batches.jsonl` records which time series came out of
 /// which sweep (per-batch attribution). Because the batched sweep is
-/// bit-identical to the per-window [`sfetch_sample::StoredSampler`]
-/// reference (the tier-1 differential oracle), the emitted rows are the
-/// same bytes at any batch size — only the attribution manifest and the
-/// wall time change.
+/// bit-identical to the storeless [`sfetch_sample::Sampler`] for any
+/// group shape (the tier-1 differential oracle), the emitted rows are
+/// the same bytes at any batch size — only the attribution manifest and
+/// the wall time change.
 ///
 /// Every sink is checked on the way out: the time-series totals must
 /// equal the accumulated per-window [`SimStats`] exactly (the

@@ -1,24 +1,24 @@
-//! **Batched multi-window execution**: one functional sweep drives N
-//! detailed windows.
+//! **The store-backed window sweep**: one functional walk drives every
+//! cell's detailed window.
 //!
-//! The [`crate::StoredSampler`] already removed the fast-forward cost from
-//! the configurations × windows grid, but every *cell* (engine × width)
-//! still re-walks each window's functional-warming span with its own
-//! [`sfetch_trace::Executor`] — once to feed the cache/predictor warming
-//! loop, and implicitly again as the detailed phase's commit oracle. For
+//! The checkpoint store removed the fast-forward cost from the
+//! configurations × windows grid, but a window still needs its
+//! functional-warming span walked — once to feed the cache/predictor
+//! warming loop, and again as the detailed phase's commit oracle. For
 //! the paper's calibration schedule that is `Wf + Wd + D ≈ 910k`
 //! architectural instructions *per cell per window*, and the grid runs 12
-//! cells over the same 4 windows: ~92 % of grid host time is the same
-//! functional walk repeated with different timing models attached.
+//! cells over the same 4 windows: walked per cell, ~92 % of grid host
+//! time would be the same functional walk repeated with different timing
+//! models attached.
 //!
-//! [`BatchSampler`] batches the cells that sample the *same* window: the
-//! shared functional reference stream is advanced **once** per window,
-//! and every in-flight detailed window consumes it in lockstep:
+//! `run_batch_window` is the one code path that warms and measures a
+//! window against the store. The shared functional reference stream is
+//! advanced **once** per window, and every cell consumes it in lockstep:
 //!
 //! * **engine warming** feeds each `WARM_BATCH`-sized chunk of committed
 //!   records — converted once, while cache-hot — to every replaying
-//!   cell's [`sfetch_fetch::FetchEngine::warm_block`], in the exact
-//!   chunking the per-cell path uses;
+//!   cell's [`sfetch_fetch::FetchEngine::warm_block`], in the same
+//!   chunking the storeless [`crate::Sampler`] uses;
 //! * **memory warming** rides the same sweep, once per distinct pipe
 //!   width (cache warming depends only on the width's line geometry,
 //!   never on the engine), and is cloned into each same-width cell;
@@ -27,20 +27,20 @@
 //!   detailed span (`Vec<DynInst>` — only `Wd + D` + the run-ahead
 //!   margin is ever buffered) — no second executor walks the window.
 //!
-//! Bit-identity with the per-window [`crate::StoredSampler`] path is by
+//! [`crate::StoredSampler`] resolves each window's plan (checkpoint
+//! store, warm bank) and drives the sweep for one cell
+//! ([`crate::StoredSampler::run_range`]) or a group ([`BatchSampler`]).
+//! Bit-identity with the storeless [`crate::Sampler`] holds by
 //! construction: the recorded buffer *is* the committed-path sequence a
 //! live executor would produce (the executor is deterministic), the
 //! warming loops consume it in the same order and chunking, and the
 //! processor consumes oracle records identically whether they come from a
-//! live walk or the buffer (asserted by the module tests and the
-//! `tests/tests/batch_identity.rs` differential oracle, including a
-//! proptest over random schedules and cell mixes).
+//! live walk or the buffer. The module tests and the
+//! `tests/tests/batch_identity.rs` differential oracle assert it against
+//! `Sampler`, including a proptest over random schedules and cell mixes.
 //!
-//! Warm-state banking composes: banked entries written by this module are
-//! byte-identical to [`crate::StoredSampler`]'s (same post-warm
-//! checkpoint, same serialized engine/memory state), so a bank populated
-//! by either runner is a hit for the other. When *every* cell of a window
-//! restores from the bank, the shared sweep shrinks to the detailed span
+//! Warm-state banking composes: when *every* cell of a window restores
+//! from the bank, the shared sweep shrinks to the detailed span
 //! (`Wd + D` + oracle margin) — the batch and the bank multiply rather
 //! than merely coexist.
 
@@ -56,10 +56,7 @@ use sfetch_trace::{DynInst, Executor, OracleSource};
 
 use crate::config::SampleConfig;
 use crate::runner::{committed_record, point_from_stats, SamplePoint, WARM_BATCH};
-use crate::store::{
-    load_warm_fitting, warm_model_digest, CheckpointStore, StoreKey, StoreMiss, StoreStats,
-    StoredSampler, WarmEntry, WarmTiming,
-};
+use crate::store::{CheckpointStore, StoreKey, StoreStats, StoredSampler, WarmEntry, WarmTiming};
 
 /// Committed-path records the recorder keeps beyond the detailed span:
 /// the processor's oracle runs ahead of commit by at most the in-flight
@@ -78,7 +75,7 @@ pub struct BatchCell {
 }
 
 /// How one cell of one window obtains its warm state.
-enum CellSource {
+pub(crate) enum CellSource {
     /// Restore from this verified banked entry (its checkpoint fits the
     /// image; its engine and memory state are decoded by the worker).
     Banked(std::sync::Arc<WarmEntry>),
@@ -92,31 +89,22 @@ enum CellSource {
 
 /// One window's resolved execution plan: where the shared recorder
 /// starts, how much of the sweep is warming, and each cell's source.
-struct WindowPlan<'a> {
-    w: u64,
-    rec: Executor<'a>,
+pub(crate) struct WindowPlan<'a> {
+    pub(crate) w: u64,
+    pub(crate) rec: Executor<'a>,
     /// Recorded instructions that belong to functional warming: `Wf`,
     /// or `0` when every cell restores from the warm bank (the sweep
     /// then starts at the post-warm checkpoint).
-    warm_span: u64,
-    sources: Vec<CellSource>,
+    pub(crate) warm_span: u64,
+    pub(crate) sources: Vec<CellSource>,
 }
 
-/// The batched multi-window runner (see the module docs).
-///
-/// Owns a [`StoredSampler`] for architectural-checkpoint resolution, so
-/// checkpoint-store traffic, reuse, and on-miss population behave
-/// exactly as in the per-window path.
+/// A [`StoredSampler`] driving a group of cells through each window's
+/// shared sweep. Every method delegates to the inner runner, so store,
+/// bank and timing counters are the same ones a one-cell
+/// [`StoredSampler::run_range`] accumulates.
 pub struct BatchSampler<'a> {
-    image: &'a CodeImage,
-    fingerprint: u64,
-    seed: u64,
-    scfg: SampleConfig,
-    store: &'a CheckpointStore,
     inner: StoredSampler<'a>,
-    warm_bank: bool,
-    warm_stats: StoreStats,
-    timing: WarmTiming,
 }
 
 impl<'a> BatchSampler<'a> {
@@ -133,26 +121,13 @@ impl<'a> BatchSampler<'a> {
         scfg: SampleConfig,
         store: &'a CheckpointStore,
     ) -> Self {
-        scfg.validate();
-        BatchSampler {
-            image,
-            fingerprint,
-            seed,
-            scfg,
-            store,
-            inner: StoredSampler::new(image, fingerprint, seed, scfg, store),
-            warm_bank: false,
-            warm_stats: StoreStats::default(),
-            timing: WarmTiming::default(),
-        }
+        BatchSampler { inner: StoredSampler::new(image, fingerprint, seed, scfg, store) }
     }
 
-    /// Enables (or disables) warm-engine-state banking, exactly as
-    /// [`StoredSampler::with_warm_bank`] — banked entries are
-    /// interchangeable between the two runners.
-    pub fn with_warm_bank(mut self, on: bool) -> Self {
-        self.warm_bank = on;
-        self
+    /// Enables (or disables) warm-engine-state banking
+    /// ([`StoredSampler::with_warm_bank`]).
+    pub fn with_warm_bank(self, on: bool) -> Self {
+        BatchSampler { inner: self.inner.with_warm_bank(on) }
     }
 
     /// Checkpoint-store traffic accumulated so far.
@@ -163,19 +138,19 @@ impl<'a> BatchSampler<'a> {
     /// Warm-state bank traffic accumulated so far (one probe per cell
     /// per window when banking is on).
     pub fn warm_bank_stats(&self) -> StoreStats {
-        self.warm_stats
+        self.inner.warm_bank_stats()
     }
 
     /// Host-time breakdown accumulated so far. `warm_ns` covers the
     /// shared recording sweep plus all per-cell warming/restores.
     pub fn timing(&self) -> WarmTiming {
-        self.timing
+        self.inner.timing()
     }
 
     /// Runs windows `range` for every cell with up to `jobs` in-flight
     /// window sweeps, returning `[cell][window]`-indexed results in the
     /// order of `cells` and of the range. Bit-identical to running each
-    /// cell through [`StoredSampler::run_range_stats`], for any `jobs`
+    /// cell through the storeless [`crate::Sampler`], for any `jobs`
     /// and any banking state.
     ///
     /// # Panics
@@ -187,54 +162,7 @@ impl<'a> BatchSampler<'a> {
         range: Range<u64>,
         jobs: usize,
     ) -> Vec<Vec<(SamplePoint, SimStats)>> {
-        assert!(!cells.is_empty(), "batch needs at least one cell");
-        let jobs = jobs.max(1);
-        let models: Vec<u64> =
-            cells.iter().map(|c| warm_model_digest(c.kind, &c.pcfg, &self.scfg)).collect();
-        let windows = (range.end.saturating_sub(range.start)) as usize;
-        let mut out: Vec<Vec<(SamplePoint, SimStats)>> =
-            cells.iter().map(|_| Vec::with_capacity(windows)).collect();
-        let (image, scfg, store) = (self.image, self.scfg, self.store);
-        let models_ref = &models;
-        let mut w = range.start;
-        while w < range.end {
-            let chunk = (range.end - w).min(jobs as u64);
-            let t0 = Instant::now();
-            let plans: Vec<WindowPlan<'a>> =
-                (w..w + chunk).map(|i| self.resolve_plan(i, models_ref)).collect();
-            self.timing.ff_ns += t0.elapsed().as_nanos() as u64;
-            let results: Vec<_> = if jobs == 1 {
-                plans
-                    .into_iter()
-                    .map(|plan| run_batch_window(image, cells, &scfg, store, models_ref, plan))
-                    .collect()
-            } else {
-                std::thread::scope(|s| {
-                    let handles: Vec<_> = plans
-                        .into_iter()
-                        .map(|plan| {
-                            s.spawn(move || {
-                                run_batch_window(image, cells, &scfg, store, models_ref, plan)
-                            })
-                        })
-                        .collect();
-                    handles.into_iter().map(|h| h.join().expect("batch window worker")).collect()
-                })
-            };
-            for (i, (rows, ns)) in (w..).zip(results) {
-                self.timing.warm_ns += ns;
-                for (ci, row) in rows.into_iter().enumerate() {
-                    let row = match row {
-                        Some(row) => row,
-                        None => self.rewarm(i, &cells[ci], models[ci]),
-                    };
-                    out[ci].push(row);
-                }
-            }
-            self.timing.windows += chunk;
-            w += chunk;
-        }
-        out
+        self.inner.run_cells(cells, range, jobs)
     }
 
     /// [`BatchSampler::run_range`] keeping only the sample points.
@@ -249,72 +177,6 @@ impl<'a> BatchSampler<'a> {
             .map(|rows| rows.into_iter().map(|(p, _)| p).collect())
             .collect()
     }
-
-    /// Resolves one window's plan, serially: probe the warm bank per
-    /// cell (when banking is on), then position the shared recorder —
-    /// at the post-warm checkpoint when every cell restores, else at
-    /// the warming start via the checkpoint store.
-    fn resolve_plan(&mut self, w: u64, models: &[u64]) -> WindowPlan<'a> {
-        let mut sources = Vec::with_capacity(models.len());
-        if self.warm_bank {
-            let key = self.warming_key(w);
-            for &model in models {
-                match load_warm_fitting(self.store, &key, model, self.image) {
-                    Ok(entry) => {
-                        self.warm_stats.hits += 1;
-                        sources.push(CellSource::Banked(entry));
-                        continue;
-                    }
-                    Err(StoreMiss::Absent) => self.warm_stats.misses += 1,
-                    Err(StoreMiss::Rejected(_)) => self.warm_stats.rejected += 1,
-                }
-                sources.push(CellSource::Replay { bank_to: Some(key) });
-            }
-        } else {
-            sources.extend(models.iter().map(|_| CellSource::Replay { bank_to: None }));
-        }
-        // All banked entries of one window carry the same architectural
-        // checkpoint (the functional state after Wf does not depend on
-        // the timing model), so any of them can seat the recorder.
-        let all_banked = sources.iter().all(|s| matches!(s, CellSource::Banked(_)));
-        match sources.first() {
-            Some(CellSource::Banked(entry)) if all_banked => {
-                let rec = Executor::from_checkpoint(self.image, &entry.ckpt);
-                WindowPlan { w, rec, warm_span: 0, sources }
-            }
-            _ => {
-                let rec = self.inner.snapshot(w);
-                WindowPlan { w, rec, warm_span: self.scfg.warm_func, sources }
-            }
-        }
-    }
-
-    /// The store key of window `w`'s warming start.
-    fn warming_key(&self, w: u64) -> StoreKey {
-        let at_inst = self.inner.warming_start(w);
-        StoreKey { fingerprint: self.fingerprint, seed: self.seed, at_inst }
-    }
-
-    /// Re-runs one cell of window `w` warmed live after a worker found
-    /// its banked entry undecodable: the entry counts as rejected, and
-    /// the live warming rebanks it.
-    fn rewarm(&mut self, w: u64, cell: &BatchCell, model: u64) -> (SamplePoint, SimStats) {
-        self.warm_stats.hits -= 1;
-        self.warm_stats.rejected += 1;
-        let sources = vec![CellSource::Replay { bank_to: Some(self.warming_key(w)) }];
-        let rec = self.inner.snapshot(w);
-        let plan = WindowPlan { w, rec, warm_span: self.scfg.warm_func, sources };
-        let (rows, ns) = run_batch_window(
-            self.image,
-            std::slice::from_ref(cell),
-            &self.scfg,
-            self.store,
-            &[model],
-            plan,
-        );
-        self.timing.warm_ns += ns;
-        rows.into_iter().flatten().next().expect("a live-warmed cell always runs")
-    }
 }
 
 /// One window's batched sweep: record the shared committed-path buffer
@@ -323,7 +185,7 @@ impl<'a> BatchSampler<'a> {
 /// `None` for a cell whose banked entry does not decode, which the
 /// caller re-runs warmed live — plus the nanoseconds spent outside
 /// measurement (recording + warming).
-fn run_batch_window<'a>(
+pub(crate) fn run_batch_window<'a>(
     image: &'a CodeImage,
     cells: &[BatchCell],
     scfg: &SampleConfig,
@@ -356,7 +218,7 @@ fn run_batch_window<'a>(
     // Functional memory warming rides the same sweep, once per distinct
     // width among the replay-warmed cells (cache warming depends only
     // on the width's line geometry, never on the engine), each with its
-    // own line-dedup cursor. The per-cell loop in `warm_window`
+    // own line-dedup cursor. The storeless sampler's warming loop
     // interleaves engine and memory updates, but neither ever reads the
     // other, so this lands on bit-identical cache state.
     let mut mems: Vec<(usize, MemoryHierarchy, u64, u64)> = Vec::new();
@@ -403,8 +265,8 @@ fn run_batch_window<'a>(
         .iter()
         .any(|s| matches!(s, CellSource::Replay { bank_to: Some(_) }));
     // The post-warm architectural checkpoint every banked entry of this
-    // window shares — captured mid-sweep, exactly where the per-window
-    // path's warming executor stops.
+    // window shares — captured mid-sweep, exactly where a live warming
+    // walk stops.
     let ckpt_post_warm = needs_bank.then(|| rec.checkpoint());
 
     // Only the detailed span + oracle run-ahead margin is recorded as
@@ -454,9 +316,11 @@ fn run_batch_window<'a>(
             }
         };
         warm_ns += t1.elapsed().as_nanos() as u64;
-        // The detailed phase of `measure_window`, verbatim — except the
-        // commit oracle replays the shared buffer from the post-warm
-        // offset instead of walking a live executor.
+        // The detailed phase of the storeless sampler's window, except
+        // that the commit oracle replays the shared buffer from the
+        // post-warm offset instead of walking a live executor. Banked
+        // and live-warmed state enter on the same footing: the redirect
+        // rebuilds every fetch-side cursor either way.
         engine.redirect(
             0,
             start,
@@ -513,20 +377,19 @@ mod tests {
         ]
     }
 
-    /// Per-window oracle: the same cells through `StoredSampler`.
+    /// The storeless oracle: each cell through a live [`crate::Sampler`]
+    /// that skips to the range start, full per-window `SimStats`.
     fn serial_oracle(
         img: &CodeImage,
-        store: &CheckpointStore,
         cells: &[BatchCell],
         range: std::ops::Range<u64>,
-        warm_bank: bool,
     ) -> Vec<Vec<(SamplePoint, SimStats)>> {
         cells
             .iter()
             .map(|c| {
-                StoredSampler::new(img, 0xba7c, 7, quick_cfg(), store)
-                    .with_warm_bank(warm_bank)
-                    .run_range_stats(c.kind, c.pcfg, range.clone(), 1)
+                let mut s = crate::Sampler::new(img, c.kind, c.pcfg, quick_cfg(), 7);
+                s.skip(range.start);
+                range.clone().map(|_| s.next_window_full()).collect()
             })
             .collect()
     }
@@ -538,7 +401,7 @@ mod tests {
         let cells = cells();
         let mut b = BatchSampler::new(&img, 0xba7c, 7, quick_cfg(), &store);
         let got = b.run_range(&cells, 0..3, 2);
-        let want = serial_oracle(&img, &store, &cells, 0..3, false);
+        let want = serial_oracle(&img, &cells, 0..3);
         assert_eq!(got, want, "batched output must be bit-identical per cell per window");
         let _ = std::fs::remove_dir_all(store.root());
     }
@@ -548,7 +411,7 @@ mod tests {
         let img = image();
         let store = tmp_store("bank");
         let cells = cells();
-        let baseline = serial_oracle(&img, &store, &cells, 0..2, false);
+        let baseline = serial_oracle(&img, &cells, 0..2);
 
         // First banked run populates: every probe misses.
         let mut b1 = BatchSampler::new(&img, 0xba7c, 7, quick_cfg(), &store).with_warm_bank(true);
@@ -567,20 +430,23 @@ mod tests {
         let _ = std::fs::remove_dir_all(store.root());
     }
 
+    /// Group shape does not key the bank: entries banked by a multi-cell
+    /// sweep are hits for a later one-cell run, which then skips the
+    /// checkpoint path and stays bit-identical.
     #[test]
-    fn batch_banked_entries_interoperate_with_stored_sampler() {
+    fn multi_cell_banked_entries_hit_for_a_one_cell_run() {
         let img = image();
-        let store = tmp_store("interop");
+        let store = tmp_store("group-shape");
         let cells = cells();
-        // Batch populates the bank …
         let mut b = BatchSampler::new(&img, 0xba7c, 7, quick_cfg(), &store).with_warm_bank(true);
         let batched = b.run_range(&cells, 0..2, 1);
-        // … and the per-window runner hits it, bit-identically.
-        let mut s =
+        let mut one =
             StoredSampler::new(&img, 0xba7c, 7, quick_cfg(), &store).with_warm_bank(true);
-        let serial = s.run_range_stats(cells[0].kind, cells[0].pcfg, 0..2, 1);
-        assert_eq!(batched[0], serial);
-        assert_eq!(s.warm_bank_stats().hits, 2, "per-window runner must hit batch-banked entries");
+        let points = one.run_range(cells[2].kind, cells[2].pcfg, 0..2, 1);
+        assert_eq!(points, batched[2].iter().map(|(p, _)| *p).collect::<Vec<_>>());
+        assert_eq!(one.warm_bank_stats().hits, 2, "the one-cell run must hit group-banked entries");
+        assert_eq!(one.warm_bank_stats().misses, 0);
+        assert_eq!(one.stats(), StoreStats::default(), "fully banked windows load no checkpoint");
         let _ = std::fs::remove_dir_all(store.root());
     }
 
@@ -591,7 +457,7 @@ mod tests {
         let cells = vec![BatchCell { kind: EngineKind::TraceCache, pcfg: ProcessorConfig::table2(4) }];
         let mut b = BatchSampler::new(&img, 0xba7c, 7, quick_cfg(), &store);
         let got = b.run_range(&cells, 1..3, 1);
-        let want = serial_oracle(&img, &store, &cells, 1..3, false);
+        let want = serial_oracle(&img, &cells, 1..3);
         assert_eq!(got, want);
         let _ = std::fs::remove_dir_all(store.root());
     }

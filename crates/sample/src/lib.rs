@@ -46,6 +46,15 @@
 //! a warm store turns the whole configurations × windows grid into jobs
 //! that start directly at functional warming ([`StoredSampler`]).
 //!
+//! Two window runners exist, and only two. The store-backed one is the
+//! [`batch`] sweep: [`StoredSampler`] resolves each window's warming
+//! state through the store and its warm bank, then one functional walk
+//! per window warms and measures every cell — one cell
+//! ([`StoredSampler::run_range`]) or a whole group ([`BatchSampler`]).
+//! The storeless [`Sampler`] walks the trace live and is the reference
+//! the store-backed runner is held to (`--verify`, the differential
+//! tests).
+//!
 //! With sampling disabled, [`run_full_detailed`] is today's sim loop —
 //! bit-identical to [`sfetch_core::simulate`], locksteped in tests.
 //!

@@ -256,14 +256,15 @@ pub(crate) fn committed_record(d: &DynInst) -> CommittedInst {
     }
 }
 
-/// Runs one window simulation and folds the result into a [`SamplePoint`].
-/// With `capture_post` the third element is the executor state right
-/// after functional warming (= the snapshot advanced `Wf` instructions),
-/// which the serial sampler adopts as its master to avoid re-walking the
-/// horizon; the parallel path skips the clone (it would be discarded).
-/// Crate-visible so the checkpoint store's [`crate::StoredSampler`] runs
-/// byte-for-byte the same window simulation as the live [`Sampler`].
-pub(crate) fn window_point<'a>(
+/// Runs one window simulation ([`warm_window`] + [`measure_window`]) and
+/// folds the result into a [`SamplePoint`]. With `capture_post` the
+/// third element is the executor state right after functional warming
+/// (= the snapshot advanced `Wf` instructions), which the serial sampler
+/// adopts as its master to avoid re-walking the horizon; the parallel
+/// path skips the clone (it would be discarded). This live walk is the
+/// reference the store-backed sweep ([`crate::batch`]) is held to; it
+/// touches neither the checkpoint store nor the warm bank.
+fn window_point<'a>(
     image: &'a CodeImage,
     kind: EngineKind,
     pcfg: ProcessorConfig,
@@ -272,7 +273,8 @@ pub(crate) fn window_point<'a>(
     snap: Executor<'a>,
     capture_post: bool,
 ) -> (SamplePoint, SimStats, Option<Executor<'a>>) {
-    let (stats, post_warm) = simulate_window(image, kind, pcfg, scfg, snap, capture_post);
+    let ww = warm_window(kind, pcfg, scfg, snap);
+    let (stats, post_warm) = measure_window(image, pcfg, scfg, ww, capture_post);
     (point_from_stats(window, scfg, &stats), stats, post_warm)
 }
 
@@ -294,21 +296,20 @@ pub(crate) fn point_from_stats(window: u64, scfg: &SampleConfig, stats: &SimStat
 /// The product of one window's functional-warming phase: the executor at
 /// the window start (= warming start advanced `Wf` instructions), the
 /// warmed fetch engine, and the warmed (pre-pipeline) memory hierarchy.
-/// Everything [`measure_window`] needs — and exactly the state the
-/// checkpoint store's warm bank serializes.
-pub(crate) struct WarmedWindow<'a> {
+/// Everything [`measure_window`] needs.
+struct WarmedWindow<'a> {
     /// Executor positioned at the window's detailed-warmup start.
-    pub exec: Executor<'a>,
+    exec: Executor<'a>,
     /// Fetch engine with warmed commit-side structures.
-    pub engine: Box<dyn FetchEngine>,
+    engine: Box<dyn FetchEngine>,
     /// Memory hierarchy with warmed cache tag/LRU state.
-    pub mem: MemoryHierarchy,
+    mem: MemoryHierarchy,
 }
 
 /// Functional warming over `Wf` architectural instructions into fresh
 /// caches/predictors (the memory hierarchy only over the last `warm_mem`
 /// — cache state converges far faster than predictor tables).
-pub(crate) fn warm_window<'a>(
+fn warm_window<'a>(
     kind: EngineKind,
     pcfg: ProcessorConfig,
     scfg: &SampleConfig,
@@ -348,10 +349,8 @@ pub(crate) fn warm_window<'a>(
 /// cursor to the window start (the watchdog-style redirect: no branch
 /// kind, clean checkpoint), then run `Wd` discarded + `D` measured
 /// instructions. With `capture_post`, also returns the pre-detail
-/// executor state. Warm state restored from the bank enters here on the
-/// exact same footing as state warmed live — the redirect rebuilds every
-/// fetch-side cursor either way.
-pub(crate) fn measure_window<'a>(
+/// executor state.
+fn measure_window<'a>(
     image: &'a CodeImage,
     pcfg: ProcessorConfig,
     scfg: &SampleConfig,
@@ -372,19 +371,6 @@ pub(crate) fn measure_window<'a>(
     p.reset_stats();
     p.run(scfg.measure);
     (p.stats(), post_warm)
-}
-
-/// One independent window simulation ([`warm_window`] + [`measure_window`]).
-fn simulate_window<'a>(
-    image: &'a CodeImage,
-    kind: EngineKind,
-    pcfg: ProcessorConfig,
-    scfg: &SampleConfig,
-    exec: Executor<'a>,
-    capture_post: bool,
-) -> (SimStats, Option<Executor<'a>>) {
-    let ww = warm_window(kind, pcfg, scfg, exec);
-    measure_window(image, pcfg, scfg, ww, capture_post)
 }
 
 /// Runs a whole sampled simulation over `total_insts` committed

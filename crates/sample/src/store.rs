@@ -26,20 +26,23 @@
 //!   schedule-agnostic: two schedules whose warming starts coincide
 //!   share entries.
 //! * [`CheckpointStore`] — one file per entry, written atomically
-//!   (temp + rename, safe under concurrent shard processes), carrying a
-//!   versioned header and the checkpoint's **warm-state digest**
-//!   ([`ArchCheckpoint::digest`]); a corrupt, version-mismatched, or
-//!   mis-keyed entry is *rejected and recomputed*, never trusted
-//!   ([`StoreMiss::Rejected`]).
-//! * [`StoredSampler`] — the store-aware window runner: it resolves
+//!   (temp + rename, safe under concurrent shard processes). Checkpoints
+//!   and banked warm state share one sealed-entry format: a versioned
+//!   header carrying the entry's key words and its payload's digest
+//!   and length. A corrupt, version-mismatched, or mis-keyed entry is
+//!   *rejected and recomputed*, never trusted ([`StoreMiss::Rejected`]).
+//! * [`StoredSampler`] — the store-backed window runner: it resolves
 //!   each window's warming-start state through the store (loading on
-//!   hit, walking the trace and saving on miss) and then runs the same
-//!   window simulation as [`crate::Sampler`], producing bit-identical
-//!   [`SamplePoint`]s. On a warm store no run ever fast-forwards:
-//!   windows — across any engine, width, process, or machine — start
-//!   directly at functional warming.
+//!   hit, walking the trace and saving on miss) and, with banking on,
+//!   each cell's post-warming state through the warm bank, then runs
+//!   the window through the batched sweep ([`crate::batch`]), producing
+//!   [`SamplePoint`]s bit-identical to the storeless [`crate::Sampler`]'s.
+//!   On a warm store no run ever fast-forwards: windows — across any
+//!   engine, width, process, or machine — start directly at functional
+//!   warming.
 
 use std::io::Write as _;
+use std::ops::Range;
 use std::path::{Path, PathBuf};
 use std::sync::Arc;
 use std::time::Instant;
@@ -51,10 +54,9 @@ use sfetch_isa::wire::{WireReader, WireWriter};
 use sfetch_mem::{MemoryConfig, MemoryHierarchy};
 use sfetch_trace::{ArchCheckpoint, Executor};
 
+use crate::batch::{run_batch_window, BatchCell, CellSource, WindowPlan};
 use crate::config::SampleConfig;
-use crate::runner::{
-    measure_window, point_from_stats, warm_window, window_point, SamplePoint, WarmedWindow,
-};
+use crate::runner::SamplePoint;
 
 /// Magic word of a store entry ("SFCKSTOR").
 const STORE_MAGIC: u64 = 0x5346_434b_5354_4f52;
@@ -77,6 +79,13 @@ pub struct StoreKey {
     pub seed: u64,
     /// Committed-instruction offset the checkpoint captures.
     pub at_inst: u64,
+}
+
+impl StoreKey {
+    /// The key words a checkpoint entry is filed under, in header order.
+    fn words(&self) -> [u64; 3] {
+        [self.fingerprint, self.seed, self.at_inst]
+    }
 }
 
 /// Why a [`CheckpointStore::load`] returned no checkpoint.
@@ -163,6 +172,16 @@ pub struct CheckpointStore {
     cap_bytes: Option<u64>,
     cap: std::sync::Arc<std::sync::Mutex<CapState>>,
     /// Byte budget of the in-memory warm-entry read cache; `0` disables.
+    /// Always `WARM_CACHE_DEFAULT_BYTES` outside the unit tests.
+    ///
+    /// Warm entries enter the cache when this handle banks or
+    /// digest-verifies them, so a resident process's resubmissions skip
+    /// the disk read and re-verification entirely; least-recently-served
+    /// entries are dropped first once the budget is full. The cache holds
+    /// only content this handle produced or verified (entries are
+    /// deterministic functions of their address, so a resident copy
+    /// cannot go stale), and cap eviction drops the resident copy
+    /// together with the file.
     warm_cache_bytes: u64,
     warm_cache: std::sync::Arc<std::sync::Mutex<WarmCache>>,
 }
@@ -194,26 +213,6 @@ impl CheckpointStore {
     /// functions of their key). `None` disables shedding.
     pub fn with_cap_bytes(mut self, cap: Option<u64>) -> Self {
         self.cap_bytes = cap;
-        self
-    }
-
-    /// The configured byte cap, if any.
-    pub fn cap_bytes(&self) -> Option<u64> {
-        self.cap_bytes
-    }
-
-    /// Bounds the in-memory warm-entry read cache (`0` disables it).
-    ///
-    /// Warm entries enter the cache when this handle banks or
-    /// digest-verifies them, so a resident process's resubmissions skip
-    /// the disk read and re-verification entirely; least-recently-served
-    /// entries are dropped first once `bytes` of payload are resident.
-    /// The cache holds only content this handle produced or verified
-    /// (entries are deterministic functions of their address, so a
-    /// resident copy cannot go stale), and cap eviction drops the
-    /// resident copy together with the file.
-    pub fn with_warm_cache_bytes(mut self, bytes: u64) -> Self {
-        self.warm_cache_bytes = bytes;
         self
     }
 
@@ -397,48 +396,12 @@ impl CheckpointStore {
     /// contents are never returned.
     pub fn load(&self, key: &StoreKey) -> Result<ArchCheckpoint, StoreMiss> {
         let path = self.entry_path(key);
-        let bytes = match std::fs::read(&path) {
-            Ok(b) => b,
-            Err(e) if e.kind() == std::io::ErrorKind::NotFound => return Err(StoreMiss::Absent),
-            Err(e) => return Err(StoreMiss::Rejected(format!("unreadable entry: {e}"))),
-        };
-        let reject = |why: String| Err(StoreMiss::Rejected(why));
-        if bytes.len() < HEADER_WORDS * 8 {
-            return reject(format!("header truncated ({} bytes)", bytes.len()));
-        }
-        let word = |i: usize| {
-            u64::from_le_bytes(bytes[i * 8..(i + 1) * 8].try_into().expect("8-byte slice"))
-        };
-        if word(0) != STORE_MAGIC {
-            return reject("bad store magic".into());
-        }
-        if word(1) != STORE_VERSION {
-            return reject(format!("format version {} != {STORE_VERSION}", word(1)));
-        }
-        if word(2) != key.fingerprint || word(3) != key.seed || word(4) != key.at_inst {
-            return reject("entry key fields do not match the requested key".into());
-        }
-        let digest = word(5);
-        let payload_len = word(6) as usize;
-        let payload = &bytes[HEADER_WORDS * 8..];
-        if payload.len() != payload_len {
-            return reject(format!(
-                "payload length {} != recorded {payload_len}",
-                payload.len()
-            ));
-        }
-        if sfetch_tab::fnv64(payload) != digest {
-            return reject("warm-state digest mismatch (corrupt entry)".into());
-        }
-        let cp = match ArchCheckpoint::from_bytes(payload) {
-            Ok(cp) => cp,
-            Err(e) => return reject(format!("checkpoint payload: {e}")),
-        };
+        let (cp, _) = CHECKPOINT_ENTRY.open(&path, &key.words(), ArchCheckpoint::from_bytes)?;
         if cp.seq != key.at_inst {
-            return reject(format!(
+            return Err(StoreMiss::Rejected(format!(
                 "checkpoint is at instruction {}, key says {}",
                 cp.seq, key.at_inst
-            ));
+            )));
         }
         self.lease(&path);
         Self::touch(&path);
@@ -458,27 +421,8 @@ impl CheckpointStore {
     /// an offset it does not capture would poison every later replay.
     pub fn save(&self, key: &StoreKey, cp: &ArchCheckpoint) -> std::io::Result<()> {
         assert_eq!(cp.seq, key.at_inst, "checkpoint offset must match its key");
-        let payload = cp.to_bytes();
-        let mut out = Vec::with_capacity(HEADER_WORDS * 8 + payload.len());
-        for w in [
-            STORE_MAGIC,
-            STORE_VERSION,
-            key.fingerprint,
-            key.seed,
-            key.at_inst,
-            sfetch_tab::fnv64(&payload),
-            payload.len() as u64,
-        ] {
-            out.extend_from_slice(&w.to_le_bytes());
-        }
-        out.extend_from_slice(&payload);
         let path = self.entry_path(key);
-        let tmp = path.with_extension(format!("tmp.{}", std::process::id()));
-        {
-            let mut f = std::fs::File::create(&tmp)?;
-            f.write_all(&out)?;
-        }
-        std::fs::rename(&tmp, &path)?;
+        CHECKPOINT_ENTRY.seal(&path, &key.words(), &cp.to_bytes())?;
         self.lease(&path);
         self.enforce_cap();
         Ok(())
@@ -525,59 +469,22 @@ impl CheckpointStore {
             Self::touch(&path);
             return Ok(entry);
         }
-        let bytes = match std::fs::read(&path) {
-            Ok(b) => b,
-            Err(e) if e.kind() == std::io::ErrorKind::NotFound => return Err(StoreMiss::Absent),
-            Err(e) => return Err(StoreMiss::Rejected(format!("unreadable entry: {e}"))),
-        };
-        let reject = |why: String| Err(StoreMiss::Rejected(why));
-        if bytes.len() < WARM_HEADER_WORDS * 8 {
-            return reject(format!("header truncated ({} bytes)", bytes.len()));
-        }
-        let word = |i: usize| {
-            u64::from_le_bytes(bytes[i * 8..(i + 1) * 8].try_into().expect("8-byte slice"))
-        };
-        if word(0) != WARM_MAGIC {
-            return reject("bad warm-entry magic".into());
-        }
-        if word(1) != WARM_VERSION {
-            return reject(format!("warm format version {} != {WARM_VERSION}", word(1)));
-        }
-        if word(2) != key.fingerprint || word(3) != key.seed || word(4) != key.at_inst {
-            return reject("entry key fields do not match the requested key".into());
-        }
-        if word(5) != model {
-            return reject("entry model digest does not match the requested model".into());
-        }
-        let digest = word(6);
-        let payload_len = word(7) as usize;
-        let payload = &bytes[WARM_HEADER_WORDS * 8..];
-        if payload.len() != payload_len {
-            return reject(format!("payload length {} != recorded {payload_len}", payload.len()));
-        }
-        if sfetch_tab::fnv64(payload) != digest {
-            return reject("warm-entry digest mismatch (corrupt entry)".into());
-        }
-        let mut r = WireReader::new(payload);
-        let parse = (|| -> Result<WarmEntry, String> {
+        let (entry, payload_len) = WARM_ENTRY.open(&path, &warm_words(key, model), |p| {
+            let mut r = WireReader::new(p);
             let ckpt = ArchCheckpoint::from_bytes(r.bytes()?)?;
             let engine = r.bytes()?.to_vec();
             let mem = r.bytes()?.to_vec();
             r.finish()?;
             Ok(WarmEntry { ckpt, engine, mem })
-        })();
-        let entry = match parse {
-            Ok(e) => e,
-            Err(e) => return reject(format!("warm-entry payload: {e}")),
-        };
+        })?;
         // The embedded checkpoint sits at the *end* of functional warming;
         // its exact offset is model-dependent (warm_func lives in the
         // model digest), so only the lower bound is checkable here.
         if entry.ckpt.seq < key.at_inst {
-            return reject(format!(
+            return Err(StoreMiss::Rejected(format!(
                 "embedded checkpoint at instruction {} precedes warming start {}",
                 entry.ckpt.seq, key.at_inst
-            ));
+            )));
         }
         let entry = Arc::new(entry);
         self.warm_cache_put(&path, &entry, payload_len as u64);
@@ -607,27 +514,8 @@ impl CheckpointStore {
         pw.bytes(&entry.engine);
         pw.bytes(&entry.mem);
         let payload = pw.into_bytes();
-        let mut out = Vec::with_capacity(WARM_HEADER_WORDS * 8 + payload.len());
-        for w in [
-            WARM_MAGIC,
-            WARM_VERSION,
-            key.fingerprint,
-            key.seed,
-            key.at_inst,
-            model,
-            sfetch_tab::fnv64(&payload),
-            payload.len() as u64,
-        ] {
-            out.extend_from_slice(&w.to_le_bytes());
-        }
-        out.extend_from_slice(&payload);
         let path = self.warm_entry_path(key, model);
-        let tmp = path.with_extension(format!("tmp.{}", std::process::id()));
-        {
-            let mut f = std::fs::File::create(&tmp)?;
-            f.write_all(&out)?;
-        }
-        std::fs::rename(&tmp, &path)?;
+        WARM_ENTRY.seal(&path, &warm_words(key, model), &payload)?;
         // Write-through: what this process just banked stays resident,
         // so its own resubmissions never re-read what they wrote.
         self.warm_cache_put(&path, &Arc::new(entry.clone()), payload.len() as u64);
@@ -637,16 +525,106 @@ impl CheckpointStore {
     }
 }
 
+/// The key words a warm-state entry is filed under: its checkpoint key
+/// plus the warm-model digest.
+fn warm_words(key: &StoreKey, model: u64) -> [u64; 4] {
+    let [fingerprint, seed, at_inst] = key.words();
+    [fingerprint, seed, at_inst, model]
+}
+
+/// One sealed-entry format. Both entry kinds lay a file out the same
+/// way: a header of little-endian words — magic, format version, the key
+/// words the entry is filed under, the payload's FNV-1a digest and the
+/// payload length — then the payload.
+struct EntryFormat {
+    /// Names the entry kind in rejection messages.
+    what: &'static str,
+    magic: u64,
+    version: u64,
+}
+
+/// Architectural checkpoints (`.sfckpt`), keyed by [`StoreKey::words`].
+const CHECKPOINT_ENTRY: EntryFormat =
+    EntryFormat { what: "checkpoint", magic: STORE_MAGIC, version: STORE_VERSION };
+
+/// Banked warm state (`.sfwarm`), keyed by [`warm_words`].
+const WARM_ENTRY: EntryFormat =
+    EntryFormat { what: "warm-entry", magic: WARM_MAGIC, version: WARM_VERSION };
+
+impl EntryFormat {
+    /// Writes `payload` sealed under `key` to `path`, atomically (temp +
+    /// rename, safe under concurrent processes).
+    fn seal(&self, path: &Path, key: &[u64], payload: &[u8]) -> std::io::Result<()> {
+        let head = [self.magic, self.version]
+            .into_iter()
+            .chain(key.iter().copied())
+            .chain([sfetch_tab::fnv64(payload), payload.len() as u64]);
+        let mut out = Vec::with_capacity((key.len() + 4) * 8 + payload.len());
+        for w in head {
+            out.extend_from_slice(&w.to_le_bytes());
+        }
+        out.extend_from_slice(payload);
+        let tmp = path.with_extension(format!("tmp.{}", std::process::id()));
+        {
+            let mut f = std::fs::File::create(&tmp)?;
+            f.write_all(&out)?;
+        }
+        std::fs::rename(&tmp, path)
+    }
+
+    /// Reads the entry at `path`, verifies every header word against this
+    /// format and `key` and the payload against its recorded length and
+    /// digest, then decodes the payload. Returns the decoded value and
+    /// the payload length.
+    fn open<T>(
+        &self,
+        path: &Path,
+        key: &[u64],
+        decode: impl FnOnce(&[u8]) -> Result<T, String>,
+    ) -> Result<(T, usize), StoreMiss> {
+        let bytes = match std::fs::read(path) {
+            Ok(b) => b,
+            Err(e) if e.kind() == std::io::ErrorKind::NotFound => return Err(StoreMiss::Absent),
+            Err(e) => return Err(StoreMiss::Rejected(format!("unreadable entry: {e}"))),
+        };
+        let reject = |why: String| Err(StoreMiss::Rejected(why));
+        let words = key.len() + 4;
+        if bytes.len() < words * 8 {
+            return reject(format!("header truncated ({} bytes)", bytes.len()));
+        }
+        let word = |i: usize| {
+            u64::from_le_bytes(bytes[i * 8..(i + 1) * 8].try_into().expect("8-byte slice"))
+        };
+        if word(0) != self.magic {
+            return reject(format!("bad {} magic", self.what));
+        }
+        if word(1) != self.version {
+            return reject(format!("{} format version {} != {}", self.what, word(1), self.version));
+        }
+        if key.iter().enumerate().any(|(i, &k)| word(2 + i) != k) {
+            return reject("entry key fields do not match the requested key".into());
+        }
+        let (digest, recorded) = (word(words - 2), word(words - 1));
+        let payload = &bytes[words * 8..];
+        if payload.len() as u64 != recorded {
+            return reject(format!("payload length {} != recorded {recorded}", payload.len()));
+        }
+        if sfetch_tab::fnv64(payload) != digest {
+            return reject(format!("{} digest mismatch (corrupt entry)", self.what));
+        }
+        match decode(payload) {
+            Ok(v) => Ok((v, payload.len())),
+            Err(e) => reject(format!("{} payload: {e}", self.what)),
+        }
+    }
+}
+
 /// One entry file as seen by cap enforcement.
 struct EntryFile {
     path: PathBuf,
     len: u64,
     mtime: std::time::SystemTime,
 }
-
-/// Words in a store-entry header (magic, version, fingerprint, seed,
-/// at_inst, payload digest, payload length).
-const HEADER_WORDS: usize = 7;
 
 /// Magic word of a warm-state entry ("SFWMBANK").
 const WARM_MAGIC: u64 = 0x5346_574d_4241_4e4b;
@@ -658,10 +636,6 @@ const WARM_MAGIC: u64 = 0x5346_574d_4241_4e4b;
 /// [`sfetch_fetch::WARM_FORMAT_VERSION`]), so an engine format bump
 /// re-keys entries rather than rejecting them one by one.
 pub const WARM_VERSION: u64 = 1;
-
-/// Words in a warm-state entry header (magic, version, fingerprint,
-/// seed, at_inst, model digest, payload digest, payload length).
-const WARM_HEADER_WORDS: usize = 8;
 
 /// One banked warm-state entry: everything a resident rerun needs to
 /// start a window directly at its detailed phase, skipping the warming
@@ -709,20 +683,6 @@ impl WarmEntry {
     }
 }
 
-/// [`CheckpointStore::load_warm`], also rejecting an entry whose
-/// embedded checkpoint does not fit `image` — checked while the runner
-/// resolves the window, before anything resumes from that checkpoint.
-pub(crate) fn load_warm_fitting(
-    store: &CheckpointStore,
-    key: &StoreKey,
-    model: u64,
-    image: &CodeImage,
-) -> Result<Arc<WarmEntry>, StoreMiss> {
-    let entry = store.load_warm(key, model)?;
-    entry.ckpt.fits(image).map_err(StoreMiss::Rejected)?;
-    Ok(entry)
-}
-
 /// Digest of everything a warm-state entry depends on *beyond* the
 /// trace: the engine kind and wire-format version, the pipe width (cache
 /// geometry and engine tables), the front-pipeline and prefetch
@@ -741,18 +701,22 @@ pub fn warm_model_digest(kind: EngineKind, pcfg: &ProcessorConfig, scfg: &Sample
     sfetch_tab::fnv64(desc.as_bytes())
 }
 
-/// The store-aware sampled-window runner.
+/// The store-backed window runner.
 ///
 /// Where [`crate::Sampler`] owns a live master executor that must walk
 /// the whole trace, a `StoredSampler` resolves each window's
 /// warming-start state *by content*: load from the [`CheckpointStore`]
 /// if present and valid, otherwise walk the trace from the nearest
 /// earlier stored state (or the trace start) and save the result for
-/// every later experiment. The window simulation itself is byte-for-
-/// byte the one [`crate::Sampler`] runs, so the produced
-/// [`SamplePoint`]s are **bit-identical** to a storeless run — asserted
-/// by `tests/tests/checkpoint_store.rs` and by the grid binaries'
-/// `--verify` legs.
+/// every later experiment. With warm banking on, it first probes the
+/// bank for each cell's post-warming state. The window itself then runs
+/// through the batched sweep ([`crate::batch`]) — the one code path that
+/// warms and measures a window against the store — whether the call
+/// covers one cell ([`StoredSampler::run_range`]) or a whole group
+/// ([`crate::BatchSampler`]). The produced [`SamplePoint`]s are
+/// **bit-identical** to the storeless [`crate::Sampler`]'s — asserted by
+/// `tests/tests/batch_identity.rs` and by the grid binaries' `--verify`
+/// legs.
 pub struct StoredSampler<'a> {
     image: &'a CodeImage,
     fingerprint: u64,
@@ -767,10 +731,11 @@ pub struct StoredSampler<'a> {
 }
 
 /// Wall-clock breakdown of where a [`StoredSampler`] run's host time
-/// went, per phase. `warm_ns` is the per-window functional-warming (or,
-/// on a banked hit, warm-state-restore) cost — the quantity warm-engine-
-/// state banking exists to shrink; `ff_ns` is the serial snapshot
-/// resolution (fast-forward walking and store IO).
+/// went, per phase. `warm_ns` covers each window's shared recording
+/// sweep plus every cell's functional warming (or, on a banked hit,
+/// warm-state restore) — the quantity warm-engine-state banking exists
+/// to shrink; `ff_ns` is the serial snapshot resolution (fast-forward
+/// walking, store and bank IO).
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct WarmTiming {
     /// Nanoseconds resolving warming-start snapshots (serial).
@@ -779,18 +744,6 @@ pub struct WarmTiming {
     pub warm_ns: u64,
     /// Windows covered by the above.
     pub windows: u64,
-}
-
-/// How one window's warm state will be obtained.
-// One value per window in flight; the size gap vs the `Arc`'d banked
-// variant is irrelevant at that count.
-#[allow(clippy::large_enum_variant)]
-enum WarmSource<'a> {
-    /// Warm live from this snapshot; bank the result under the key when
-    /// one is present.
-    Snapshot(Executor<'a>, Option<StoreKey>),
-    /// Restore from this verified banked entry.
-    Banked(Arc<WarmEntry>),
 }
 
 impl<'a> StoredSampler<'a> {
@@ -836,8 +789,9 @@ impl<'a> StoredSampler<'a> {
         self.stats
     }
 
-    /// Warm-state bank traffic accumulated so far (all zero unless
-    /// [`StoredSampler::with_warm_bank`] enabled banking).
+    /// Warm-state bank traffic accumulated so far: one probe per cell
+    /// per window (all zero unless [`StoredSampler::with_warm_bank`]
+    /// enabled banking).
     pub fn warm_bank_stats(&self) -> StoreStats {
         self.warm_stats
     }
@@ -913,126 +867,155 @@ impl<'a> StoredSampler<'a> {
         Executor::from_image(self.image, self.seed)
     }
 
-    /// Runs window `w` for one engine/configuration, returning the
-    /// sample point and the measured phase's full [`SimStats`].
-    pub fn run_window(
-        &mut self,
-        kind: EngineKind,
-        pcfg: ProcessorConfig,
-        w: u64,
-    ) -> (SamplePoint, SimStats) {
-        let snap = self.snapshot(w);
-        let (point, stats, _) =
-            window_point(self.image, kind, pcfg, &self.scfg, w, snap, false);
-        (point, stats)
-    }
-
     /// Runs windows `range` for one engine/configuration with up to
-    /// `jobs` worker threads. Snapshots are resolved serially through
-    /// the store (cheap on a warm store); the window simulations — the
-    /// expensive part — fan out. Bit-identical to a serial run for any
-    /// `jobs`, like every parallel path in this repository — and
-    /// bit-identical with warm-state banking on or off.
+    /// `jobs` in-flight windows: a one-cell call into the batched sweep
+    /// (see [`crate::BatchSampler::run_range`]), accumulating into this
+    /// runner's store, bank and timing counters. Bit-identical for any
+    /// `jobs` and with warm-state banking on or off.
     pub fn run_range(
         &mut self,
         kind: EngineKind,
         pcfg: ProcessorConfig,
-        range: std::ops::Range<u64>,
+        range: Range<u64>,
         jobs: usize,
     ) -> Vec<SamplePoint> {
-        self.run_range_core(kind, pcfg, range, jobs).into_iter().map(|(p, _)| p).collect()
+        let mut rows = self.run_cells(&[BatchCell { kind, pcfg }], range, jobs);
+        rows.pop().expect("one row per cell").into_iter().map(|(p, _)| p).collect()
     }
 
-    /// [`StoredSampler::run_range`], but returning each window's full
-    /// measured-phase [`SimStats`] alongside its [`SamplePoint`] — the
-    /// sampled runners' time-series sinks consume the per-window stats
-    /// while the grid aggregation keeps using the points.
-    pub fn run_range_stats(
+    /// Runs windows `range` for every cell with up to `jobs` in-flight
+    /// window sweeps, returning `[cell][window]`-indexed results in the
+    /// order of `cells` and of the range. Each chunk of windows resolves
+    /// its warm sources serially (store and bank IO) and then sweeps its
+    /// windows in parallel ([`run_batch_window`]).
+    ///
+    /// # Panics
+    ///
+    /// Panics if `cells` is empty.
+    pub(crate) fn run_cells(
         &mut self,
-        kind: EngineKind,
-        pcfg: ProcessorConfig,
-        range: std::ops::Range<u64>,
+        cells: &[BatchCell],
+        range: Range<u64>,
         jobs: usize,
-    ) -> Vec<(SamplePoint, SimStats)> {
-        self.run_range_core(kind, pcfg, range, jobs)
-    }
-
-    /// Resolves one window's warm source, serially: a verified banked
-    /// warm-state entry when banking is on and one exists, else the
-    /// architectural snapshot at the warming start (tagged with the key
-    /// to bank the warming result under, when banking is on).
-    fn resolve_warm_source(&mut self, w: u64, model: u64) -> WarmSource<'a> {
-        if !self.warm_bank {
-            return WarmSource::Snapshot(self.snapshot(w), None);
-        }
-        let key = self.key_at(self.warming_start(w));
-        match load_warm_fitting(self.store, &key, model, self.image) {
-            Ok(entry) => {
-                self.warm_stats.hits += 1;
-                return WarmSource::Banked(entry);
-            }
-            Err(StoreMiss::Absent) => self.warm_stats.misses += 1,
-            Err(StoreMiss::Rejected(_)) => self.warm_stats.rejected += 1,
-        }
-        WarmSource::Snapshot(self.snapshot(w), Some(key))
-    }
-
-    /// The chunked serial-resolve / parallel-simulate loop shared by the
-    /// range runners.
-    fn run_range_core(
-        &mut self,
-        kind: EngineKind,
-        pcfg: ProcessorConfig,
-        range: std::ops::Range<u64>,
-        jobs: usize,
-    ) -> Vec<(SamplePoint, SimStats)> {
+    ) -> Vec<Vec<(SamplePoint, SimStats)>> {
+        assert!(!cells.is_empty(), "batch needs at least one cell");
         let jobs = jobs.max(1);
+        let models: Vec<u64> =
+            cells.iter().map(|c| warm_model_digest(c.kind, &c.pcfg, &self.scfg)).collect();
+        let windows = (range.end.saturating_sub(range.start)) as usize;
+        let mut out: Vec<Vec<(SamplePoint, SimStats)>> =
+            cells.iter().map(|_| Vec::with_capacity(windows)).collect();
         let (image, scfg, store) = (self.image, self.scfg, self.store);
-        let model = warm_model_digest(kind, &pcfg, &scfg);
-        let mut out = Vec::with_capacity((range.end - range.start) as usize);
+        let models_ref = &models;
         let mut w = range.start;
         while w < range.end {
             let chunk = (range.end - w).min(jobs as u64);
             let t0 = Instant::now();
-            let sources: Vec<(u64, WarmSource<'a>)> =
-                (w..w + chunk).map(|i| (i, self.resolve_warm_source(i, model))).collect();
+            let plans: Vec<WindowPlan<'a>> =
+                (w..w + chunk).map(|i| self.resolve_plan(i, models_ref)).collect();
             self.timing.ff_ns += t0.elapsed().as_nanos() as u64;
             let results: Vec<_> = if jobs == 1 {
-                sources
+                plans
                     .into_iter()
-                    .map(|(i, src)| run_one(image, kind, pcfg, &scfg, store, model, i, src))
+                    .map(|plan| run_batch_window(image, cells, &scfg, store, models_ref, plan))
                     .collect()
             } else {
                 std::thread::scope(|s| {
-                    let handles: Vec<_> = sources
+                    let handles: Vec<_> = plans
                         .into_iter()
-                        .map(|(i, src)| {
+                        .map(|plan| {
                             s.spawn(move || {
-                                run_one(image, kind, pcfg, &scfg, store, model, i, src)
+                                run_batch_window(image, cells, &scfg, store, models_ref, plan)
                             })
                         })
                         .collect();
-                    handles.into_iter().map(|h| h.join().expect("window worker")).collect()
+                    handles.into_iter().map(|h| h.join().expect("batch window worker")).collect()
                 })
             };
-            for (i, result) in (w..).zip(results) {
-                // `None`: the window's banked entry passed its digest but
-                // did not decode. It counts as rejected; warm live, rebank.
-                let (p, st, ns) = result.unwrap_or_else(|| {
-                    self.warm_stats.hits -= 1;
-                    self.warm_stats.rejected += 1;
-                    let key = self.key_at(self.warming_start(i));
-                    let src = WarmSource::Snapshot(self.snapshot(i), Some(key));
-                    run_one(image, kind, pcfg, &scfg, store, model, i, src)
-                        .expect("a live-warmed window always runs")
-                });
+            for (i, (rows, ns)) in (w..).zip(results) {
                 self.timing.warm_ns += ns;
-                out.push((p, st));
+                for (ci, row) in rows.into_iter().enumerate() {
+                    let row = match row {
+                        Some(row) => row,
+                        None => self.rewarm(i, &cells[ci], models[ci]),
+                    };
+                    out[ci].push(row);
+                }
             }
             self.timing.windows += chunk;
             w += chunk;
         }
         out
+    }
+
+    /// Resolves one window's plan, serially: probe the warm bank per
+    /// cell (when banking is on), then position the shared recorder —
+    /// at the post-warm checkpoint when every cell restores, else at
+    /// the warming start via the checkpoint store.
+    fn resolve_plan(&mut self, w: u64, models: &[u64]) -> WindowPlan<'a> {
+        let mut sources = Vec::with_capacity(models.len());
+        if self.warm_bank {
+            let key = self.key_at(self.warming_start(w));
+            for &model in models {
+                match self.load_warm_fitting(&key, model) {
+                    Ok(entry) => {
+                        self.warm_stats.hits += 1;
+                        sources.push(CellSource::Banked(entry));
+                        continue;
+                    }
+                    Err(StoreMiss::Absent) => self.warm_stats.misses += 1,
+                    Err(StoreMiss::Rejected(_)) => self.warm_stats.rejected += 1,
+                }
+                sources.push(CellSource::Replay { bank_to: Some(key) });
+            }
+        } else {
+            sources.extend(models.iter().map(|_| CellSource::Replay { bank_to: None }));
+        }
+        // All banked entries of one window carry the same architectural
+        // checkpoint (the functional state after Wf does not depend on
+        // the timing model), so any of them can seat the recorder.
+        let all_banked = sources.iter().all(|s| matches!(s, CellSource::Banked(_)));
+        match sources.first() {
+            Some(CellSource::Banked(entry)) if all_banked => {
+                let rec = Executor::from_checkpoint(self.image, &entry.ckpt);
+                WindowPlan { w, rec, warm_span: 0, sources }
+            }
+            _ => {
+                let rec = self.snapshot(w);
+                WindowPlan { w, rec, warm_span: self.scfg.warm_func, sources }
+            }
+        }
+    }
+
+    /// [`CheckpointStore::load_warm`], also rejecting an entry whose
+    /// embedded checkpoint does not fit this runner's image — checked
+    /// while the window resolves, before anything resumes from it.
+    fn load_warm_fitting(&self, key: &StoreKey, model: u64) -> Result<Arc<WarmEntry>, StoreMiss> {
+        let entry = self.store.load_warm(key, model)?;
+        entry.ckpt.fits(self.image).map_err(StoreMiss::Rejected)?;
+        Ok(entry)
+    }
+
+    /// Re-runs one cell of window `w` warmed live after a worker found
+    /// its banked entry undecodable: the entry counts as rejected, and
+    /// the live warming rebanks it.
+    fn rewarm(&mut self, w: u64, cell: &BatchCell, model: u64) -> (SamplePoint, SimStats) {
+        self.warm_stats.hits -= 1;
+        self.warm_stats.rejected += 1;
+        let bank_to = Some(self.key_at(self.warming_start(w)));
+        let sources = vec![CellSource::Replay { bank_to }];
+        let rec = self.snapshot(w);
+        let plan = WindowPlan { w, rec, warm_span: self.scfg.warm_func, sources };
+        let (rows, ns) = run_batch_window(
+            self.image,
+            std::slice::from_ref(cell),
+            &self.scfg,
+            self.store,
+            &[model],
+            plan,
+        );
+        self.timing.warm_ns += ns;
+        rows.into_iter().flatten().next().expect("a live-warmed cell always runs")
     }
 
     /// Ensures every window in `0..windows` has a stored checkpoint
@@ -1045,54 +1028,6 @@ impl<'a> StoredSampler<'a> {
         }
         self.stats.misses + self.stats.rejected - before.misses - before.rejected
     }
-}
-
-/// One window end-to-end from its resolved warm source: restore or warm
-/// (banking a live-warmed result when asked to), then measure. Returns
-/// the point, the measured stats, and the nanoseconds the warm phase
-/// took — or `None` when a banked entry does not decode, for the caller
-/// to re-run the window warmed live. Runs on worker threads; every
-/// output is deterministic except the timing.
-#[allow(clippy::too_many_arguments)]
-fn run_one<'a>(
-    image: &'a CodeImage,
-    kind: EngineKind,
-    pcfg: ProcessorConfig,
-    scfg: &SampleConfig,
-    store: &CheckpointStore,
-    model: u64,
-    w: u64,
-    src: WarmSource<'a>,
-) -> Option<(SamplePoint, SimStats, u64)> {
-    let t0 = Instant::now();
-    let ww = match src {
-        WarmSource::Banked(entry) => {
-            let (engine, mem) = entry.restore(kind, &pcfg).ok()?;
-            // The checkpoint was checked to fit `image` at resolve time.
-            WarmedWindow { exec: Executor::from_checkpoint(image, &entry.ckpt), engine, mem }
-        }
-        WarmSource::Snapshot(exec, bank_to) => {
-            let ww = warm_window(kind, pcfg, scfg, exec);
-            if let Some(key) = bank_to {
-                if let Some(engine_bytes) = ww.engine.warm_state() {
-                    let mut mw = WireWriter::new();
-                    ww.mem.save_warm_wire(&mut mw);
-                    let entry = WarmEntry {
-                        ckpt: ww.exec.checkpoint(),
-                        engine: engine_bytes,
-                        mem: mw.into_bytes(),
-                    };
-                    // Best-effort, like checkpoint saves: a read-only
-                    // store degrades to warming every run.
-                    let _ = store.save_warm(&key, model, &entry);
-                }
-            }
-            ww
-        }
-    };
-    let warm_ns = t0.elapsed().as_nanos() as u64;
-    let (stats, _) = measure_window(image, pcfg, scfg, ww, false);
-    Some((point_from_stats(w, scfg, &stats), stats, warm_ns))
 }
 
 #[cfg(test)]
@@ -1112,6 +1047,14 @@ mod tests {
             .join(format!("sfetch-store-test-{tag}-{}", std::process::id()));
         let _ = std::fs::remove_dir_all(&dir);
         CheckpointStore::open(dir).expect("open store")
+    }
+
+    impl CheckpointStore {
+        /// Bounds the warm-entry read cache (`0` disables it).
+        fn with_warm_cache_bytes(mut self, bytes: u64) -> Self {
+            self.warm_cache_bytes = bytes;
+            self
+        }
     }
 
     fn quick_cfg() -> SampleConfig {
@@ -1154,7 +1097,7 @@ mod tests {
 
         // Flip one payload byte: digest verification must reject.
         let mut bytes = pristine.clone();
-        bytes[HEADER_WORDS * 8 + 40] ^= 0xff;
+        bytes[7 * 8 + 40] ^= 0xff; // past the seven header words
         std::fs::write(&path, &bytes).expect("rewrite");
         assert!(
             matches!(store.load(&key), Err(StoreMiss::Rejected(why)) if why.contains("digest")),
@@ -1463,10 +1406,10 @@ mod tests {
         // A second runner asks for window 2 first, then 0 — the walker
         // must rewind through the store, not panic or drift.
         let mut ooo = StoredSampler::new(&img, fp, 11, scfg, &store);
-        let (p2, _) = ooo.run_window(EngineKind::Ftb, pcfg, 2);
-        let (p0, _) = ooo.run_window(EngineKind::Ftb, pcfg, 0);
-        assert_eq!(p2, in_order[2]);
-        assert_eq!(p0, in_order[0]);
+        let p2 = ooo.run_range(EngineKind::Ftb, pcfg, 2..3, 1);
+        let p0 = ooo.run_range(EngineKind::Ftb, pcfg, 0..1, 1);
+        assert_eq!(p2, in_order[2..3]);
+        assert_eq!(p0, in_order[0..1]);
         assert_eq!(ooo.stats().hits, 2);
         let _ = std::fs::remove_dir_all(store.root());
     }
@@ -1568,6 +1511,34 @@ mod tests {
             "unleased entry was shed"
         );
         assert_eq!(capped.evicted(), 2);
+        let _ = std::fs::remove_dir_all(store.root());
+    }
+
+    /// The sealed-entry codec writes the bytes earlier builds wrote: a
+    /// fixed checkpoint entry and a fixed warm entry hash to the values
+    /// those builds produced, so the stores they left keep loading.
+    #[test]
+    fn sealed_entry_bytes_match_earlier_builds() {
+        let img = image();
+        let store = tmp_store("pinned");
+        let key = StoreKey { fingerprint: 0x5eed_f00d, seed: 3, at_inst: 1_000 };
+        let mut ex = Executor::from_image(&img, 3);
+        ex.nth(999);
+        let cp = ex.checkpoint();
+        store.save(&key, &cp).expect("save");
+        let warm = WarmEntry { ckpt: cp.clone(), engine: vec![1, 2, 3, 4, 5], mem: vec![9; 17] };
+        store.save_warm(&key, 0xabcd, &warm).expect("save warm");
+        let digest = |p: PathBuf| sfetch_tab::fnv64(&std::fs::read(p).expect("entry bytes"));
+        assert_eq!(digest(store.entry_path(&key)), 0x99eb_e3fc_b1d9_cd1c, "checkpoint entry bytes");
+        assert_eq!(
+            digest(store.warm_entry_path(&key, 0xabcd)),
+            0x6147_ce29_d432_42b7,
+            "warm entry bytes"
+        );
+        // And they read back through a fresh handle (no resident copy).
+        let fresh = CheckpointStore::open(store.root()).expect("reopen store");
+        assert_eq!(fresh.load(&key), Ok(cp));
+        assert_eq!(fresh.load_warm(&key, 0xabcd).as_deref(), Ok(&warm));
         let _ = std::fs::remove_dir_all(store.root());
     }
 }

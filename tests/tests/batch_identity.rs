@@ -1,9 +1,11 @@
-//! Differential oracle for **batched multi-window execution**: for any
+//! Differential oracle for the **store-backed window sweep**: for any
 //! cell mix (engine × width × front pipeline), any window schedule, any
 //! batch size and any banking state, [`BatchSampler`] must produce
 //! per-window results **bit-identical** to running every cell through
-//! the per-window [`StoredSampler`] — the full `SimStats`, not just the
-//! IPC. The squash-heavy phased workload additionally pins the case
+//! the storeless [`Sampler`] — the full `SimStats`, not just the IPC.
+//! The oracle walks the trace live, so it shares neither the checkpoint
+//! store, the warm bank nor the recorded sweep with the runner under
+//! test. The squash-heavy phased workload additionally pins the case
 //! where measured windows straddle the in-flight batch boundary, and
 //! the full Fig. 8 grid pins the production grid paths byte for byte
 //! at every batch cap, the uncapped default included.
@@ -21,9 +23,7 @@ use sfetch_cfg::gen::{GenParams, ProgramGenerator};
 use sfetch_cfg::{layout, CodeImage};
 use sfetch_core::{ProcessorConfig, SimStats};
 use sfetch_fetch::{EngineKind, FrontPipeline};
-use sfetch_sample::{
-    BatchCell, BatchSampler, CheckpointStore, SamplePoint, SampleConfig, StoredSampler,
-};
+use sfetch_sample::{BatchCell, BatchSampler, CheckpointStore, SamplePoint, SampleConfig, Sampler};
 use sfetch_workloads::LayoutChoice;
 
 fn tmp_store(tag: &str) -> CheckpointStore {
@@ -33,26 +33,29 @@ fn tmp_store(tag: &str) -> CheckpointStore {
     CheckpointStore::open(dir).expect("open store")
 }
 
-/// The per-window oracle: each cell independently through `StoredSampler`.
-#[allow(clippy::too_many_arguments)]
-fn serial_oracle(
+/// The storeless oracle: one cell's windows `range` through a live
+/// [`Sampler`] that skips to the range start.
+fn storeless(
     img: &CodeImage,
-    fingerprint: u64,
     seed: u64,
     scfg: SampleConfig,
-    store: &CheckpointStore,
+    c: BatchCell,
+    range: std::ops::Range<u64>,
+) -> Vec<(SamplePoint, SimStats)> {
+    let mut s = Sampler::new(img, c.kind, c.pcfg, scfg, seed);
+    s.skip(range.start);
+    range.map(|_| s.next_window_full()).collect()
+}
+
+/// [`storeless`] for every cell, in cell order.
+fn serial_oracle(
+    img: &CodeImage,
+    seed: u64,
+    scfg: SampleConfig,
     cells: &[BatchCell],
     range: std::ops::Range<u64>,
-    warm_bank: bool,
 ) -> Vec<Vec<(SamplePoint, SimStats)>> {
-    cells
-        .iter()
-        .map(|c| {
-            StoredSampler::new(img, fingerprint, seed, scfg, store)
-                .with_warm_bank(warm_bank)
-                .run_range_stats(c.kind, c.pcfg, range.clone(), 1)
-        })
-        .collect()
+    cells.iter().map(|&c| storeless(img, seed, scfg, c, range.clone())).collect()
 }
 
 fn cell(kind: EngineKind, width: usize, engine_front: bool) -> BatchCell {
@@ -83,8 +86,8 @@ fn phased_squash_heavy_windows_straddle_batch_boundaries() {
         EngineKind::ALL.iter().map(|&k| cell(k, 8, true)).collect();
     let store = tmp_store("phased");
     let got = BatchSampler::new(img, fp, w.ref_seed(), scfg, &store).run_range(&cells, 0..3, 2);
-    let want = serial_oracle(img, fp, w.ref_seed(), scfg, &store, &cells, 0..3, false);
-    assert_eq!(got, want, "phased batched windows must match the per-window oracle bit-for-bit");
+    let want = serial_oracle(img, w.ref_seed(), scfg, &cells, 0..3);
+    assert_eq!(got, want, "phased batched windows must match the storeless oracle bit-for-bit");
     let mispredictions: u64 = got.iter().flatten().map(|(_, s)| s.mispredictions).sum();
     assert!(mispredictions > 0, "phased windows must actually exercise squash recovery");
     let _ = std::fs::remove_dir_all(store.root());
@@ -94,14 +97,13 @@ fn phased_squash_heavy_windows_straddle_batch_boundaries() {
 /// one-shot through `run_sampled_grid` and through the fleet worker
 /// body (`cell_group_bodies` over a 12-process `decompose`, which splits
 /// every cell mid-range into one-window chunks, leased in
-/// `lease_group` groups), must render the per-window reference's point
+/// `lease_group` groups), must render the storeless reference's point
 /// lines at `--batch 1`, at a cap that splits the grid, and at the
 /// default (uncapped) options.
 #[test]
 fn full_grid_is_byte_identical_at_every_batch_cap() {
     let w = workload_by_name("phased");
     let img = w.image(LayoutChoice::Optimized);
-    let fp = w.fingerprint(LayoutChoice::Optimized);
     let scfg = SampleConfig {
         interval: 40_000,
         warm_func: 6_000,
@@ -118,10 +120,10 @@ fn full_grid_is_byte_identical_at_every_batch_cap() {
     let reference: Vec<String> = grid
         .iter()
         .flat_map(|&c| {
-            StoredSampler::new(img, fp, w.ref_seed(), scfg, &store)
-                .run_range(c.engine, cell_config(c, &base), 0..windows, 1)
+            let bc = BatchCell { kind: c.engine, pcfg: cell_config(c, &base) };
+            storeless(img, w.ref_seed(), scfg, bc, 0..windows)
                 .iter()
-                .map(|p| point_line(c, p))
+                .map(|(p, _)| point_line(c, p))
                 .collect::<Vec<_>>()
         })
         .collect();
@@ -154,7 +156,7 @@ proptest! {
 
     /// Random (front pipeline, engine, width, batch size, window
     /// schedule, banking) → full per-window `SimStats` equality with the
-    /// per-window path.
+    /// storeless sampler.
     #[test]
     fn batched_execution_is_bit_identical_to_per_window(
         gen_seed in 0u64..200,
@@ -190,10 +192,8 @@ proptest! {
         let mut b = BatchSampler::new(&img, gen_seed, exec_seed, scfg, &store)
             .with_warm_bank(warm_bank);
         let got = b.run_range(&cells, range.clone(), jobs);
-        let want = serial_oracle(
-            &img, gen_seed, exec_seed, scfg, &store, &cells, range.clone(), warm_bank,
-        );
-        prop_assert_eq!(&got, &want, "batched output diverged from the per-window oracle");
+        let want = serial_oracle(&img, exec_seed, scfg, &cells, range.clone());
+        prop_assert_eq!(&got, &want, "batched output diverged from the storeless oracle");
 
         // A banked rerun (restoring warm state the first pass saved)
         // must also reproduce the same bytes.

@@ -100,9 +100,10 @@ proptest! {
 
     /// A warm-bank entry that passes every digest check but does not
     /// decode — a resized checkpoint, engine or memory segment re-sealed
-    /// under a valid digest — is rejected, warmed live and rebanked by
-    /// both runners: points stay bit-identical to an unbanked run, the
-    /// rejection is counted, and the entry is rewritten as it was.
+    /// under a valid digest — is rejected, warmed live and rebanked by a
+    /// group sweep and by a one-cell run alike: points stay bit-identical
+    /// to an unbanked run, the rejection is counted, and the entry is
+    /// rewritten as it was.
     #[test]
     fn resealed_undecodable_warm_entries_are_rejected_and_rebanked(
         segment in 0usize..3,
@@ -148,14 +149,14 @@ proptest! {
         let planted = reopen().load_warm(&key, model);
         prop_assert!(planted.is_ok(), "the mutation passes every digest check");
 
-        // The batched runner (the production grid path).
+        // A group sweep (the production grid path).
         let (again, stats) = run(true);
         prop_assert_eq!(&again, &unbanked);
         prop_assert_eq!(stats.rejected, 1);
         prop_assert_eq!(stats.hits, 2 * windows - 1);
         prop_assert!(std::fs::read(&path).expect("rebanked entry") == good, "entry rewritten");
 
-        // The per-window runner.
+        // A one-cell run through the same sweep.
         std::fs::write(&path, &bad).expect("plant entry");
         let store = reopen();
         let mut single = StoredSampler::new(&img, fp, seed, scfg, &store).with_warm_bank(true);

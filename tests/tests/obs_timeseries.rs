@@ -1,10 +1,10 @@
 //! The cycle-accounting time-series contract, end to end: interval rows
 //! emitted by [`TimeSeriesSink`] over sampled windows sum **exactly** to
-//! the aggregate [`SimStats`] — across [`StoredSampler`] window
-//! boundaries, for every interval choice, with no cycle dropped or
-//! double-counted — and the stats-carrying sampler entry point
-//! ([`StoredSampler::run_range_stats`]) returns the same sample points
-//! as the point-only path, serial or parallel.
+//! the aggregate [`SimStats`] — across store-backed window boundaries,
+//! for every interval choice, with no cycle dropped or double-counted —
+//! and the stats-carrying entry point ([`BatchSampler::run_range`])
+//! returns the same sample points as the point-only
+//! [`StoredSampler::run_range`], serial or parallel.
 
 use sfetch_bench::grid::{cell_config, grid_engines, GridCell};
 use sfetch_bench::obs::{ts_columns, ts_delta, TS_KEY};
@@ -13,7 +13,9 @@ use sfetch_cfg::{layout, CodeImage};
 use sfetch_core::{CycleBuckets, ProcessorConfig, SimStats};
 use sfetch_fetch::EngineKind;
 use sfetch_obs::{Obj, TimeSeriesSink};
-use sfetch_sample::{CheckpointStore, SampleConfig, StoredSampler};
+use sfetch_sample::{
+    BatchCell, BatchSampler, CheckpointStore, SampleConfig, SamplePoint, StoredSampler,
+};
 use sfetch_workloads::phased::{self, PhasedParams};
 
 fn phased_image(seed: u64) -> CodeImage {
@@ -39,13 +41,25 @@ fn tmp_store(tag: &str) -> CheckpointStore {
     CheckpointStore::open(dir).expect("open store")
 }
 
+/// One cell's windows `0..windows` through the store-backed sweep, with
+/// each window's full stats.
+fn cell_windows(
+    img: &CodeImage,
+    store: &CheckpointStore,
+    kind: EngineKind,
+    pcfg: ProcessorConfig,
+    windows: u64,
+    jobs: usize,
+) -> Vec<(SamplePoint, SimStats)> {
+    let fp = sfetch_trace::trace_fingerprint(img, 7, 4096);
+    let mut sampler = BatchSampler::new(img, fp, 7, quick_schedule(), store);
+    sampler.run_range(&[BatchCell { kind, pcfg }], 0..windows, jobs).remove(0)
+}
+
 /// Runs `windows` sampled windows and returns their per-window stats.
 fn sampled_stats(store: &CheckpointStore, windows: u64, jobs: usize) -> Vec<SimStats> {
     let img = phased_image(5);
-    let fp = sfetch_trace::trace_fingerprint(&img, 7, 4096);
-    let mut sampler = StoredSampler::new(&img, fp, 7, quick_schedule(), store);
-    sampler
-        .run_range_stats(EngineKind::Stream, ProcessorConfig::table2(4), 0..windows, jobs)
+    cell_windows(&img, store, EngineKind::Stream, ProcessorConfig::table2(4), windows, jobs)
         .into_iter()
         .map(|(_, s)| s)
         .collect()
@@ -113,34 +127,31 @@ fn interval_rows_sum_exactly_to_the_aggregate_across_window_boundaries() {
     let _ = std::fs::remove_dir_all(store.root());
 }
 
-/// The stats-carrying entry point agrees with the point-only path, and
+/// The stats-carrying entry point agrees with the point-only one, and
 /// the parallel fan-out with the serial order: same sample points, same
 /// per-window stats, warm store or cold.
 #[test]
-fn run_range_stats_matches_run_range_serial_and_parallel() {
+fn stats_and_point_runs_agree_serial_and_parallel() {
     let store = tmp_store("par");
     let windows = 5u64;
     let img = phased_image(5);
     let fp = sfetch_trace::trace_fingerprint(&img, 7, 4096);
-    let scfg = quick_schedule();
     let pcfg = ProcessorConfig::table2(4);
 
-    let mut points_only = StoredSampler::new(&img, fp, 7, scfg, &store);
+    let mut points_only = StoredSampler::new(&img, fp, 7, quick_schedule(), &store);
     let points = points_only.run_range(EngineKind::Stream, pcfg, 0..windows, 1);
 
-    let mut serial = StoredSampler::new(&img, fp, 7, scfg, &store);
-    let serial_full = serial.run_range_stats(EngineKind::Stream, pcfg, 0..windows, 1);
+    let serial_full = cell_windows(&img, &store, EngineKind::Stream, pcfg, windows, 1);
     assert_eq!(
         points,
         serial_full.iter().map(|(p, _)| *p).collect::<Vec<_>>(),
-        "run_range_stats must visit the same sample points"
+        "the stats-carrying run must visit the same sample points"
     );
     for (p, s) in &serial_full {
         assert_eq!((p.committed, p.cycles), (s.committed, s.cycles));
     }
 
-    let mut parallel = StoredSampler::new(&img, fp, 7, scfg, &store);
-    let parallel_full = parallel.run_range_stats(EngineKind::Stream, pcfg, 0..windows, 3);
+    let parallel_full = cell_windows(&img, &store, EngineKind::Stream, pcfg, windows, 3);
     assert_eq!(serial_full, parallel_full, "parallel fan-out must preserve window order");
     let _ = std::fs::remove_dir_all(store.root());
 }
@@ -152,12 +163,10 @@ fn run_range_stats_matches_run_range_serial_and_parallel() {
 fn every_grid_engine_accounts_every_sampled_cycle_at_eight_wide() {
     let store = tmp_store("grid8");
     let img = phased_image(5);
-    let fp = sfetch_trace::trace_fingerprint(&img, 7, 4096);
     let opts = HarnessOpts::default();
     for engine in grid_engines() {
         let pcfg = cell_config(GridCell { engine, width: 8 }, &opts);
-        let mut sampler = StoredSampler::new(&img, fp, 7, quick_schedule(), &store);
-        for (_, s) in sampler.run_range_stats(engine, pcfg, 0..3, 2) {
+        for (_, s) in cell_windows(&img, &store, engine, pcfg, 3, 2) {
             assert!(s.cycles > 0, "{engine}: windows must simulate");
             assert_eq!(s.buckets.sum(), s.cycles, "{engine}: window accounting must be exhaustive");
         }

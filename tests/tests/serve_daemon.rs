@@ -289,7 +289,15 @@ fn daemon_rejects_duplicate_and_malformed_requests() {
     let line = d.first_reply("{\"op\":\"submit\",\"id\":\"x\",\"bench\":\"gzip\"}");
     assert!(line.contains("\"ev\":\"error\""), "got: {line}");
 
-    // Ping answers pong.
+    // A horizon shorter than one interval yields no window: refused
+    // with an error event instead of a zero-window `complete`.
+    let mut short = request(&[EngineKind::Stream]);
+    short.total = short.scfg.interval - 1;
+    let line = d.first_reply(&short.submit_line("short"));
+    assert!(line.contains("\"ev\":\"error\""), "got: {line}");
+    assert!(line.contains("yields no sampled windows"), "got: {line}");
+
+    // Ping answers pong: the daemon keeps serving.
     let line = d.first_reply("{\"op\":\"ping\"}");
     assert!(line.contains("\"ev\":\"pong\""), "got: {line}");
 
