@@ -6,6 +6,11 @@
 //! [`Terminator`] and cloned its `behavior`/`callees`/`targets` vectors on
 //! every dynamic control instruction. The interned path must be ≥ 20% faster
 //! per instruction.
+//!
+//! A second group times the checkpoint fast-forward on the registered
+//! long-horizon `phased` program: the record walk (`next()` per
+//! instruction, records dropped) against the block-granular state-only
+//! walk ([`Executor::advance`]) over the same span.
 
 use criterion::{criterion_group, criterion_main, Criterion, Throughput};
 use std::hint::black_box;
@@ -242,5 +247,32 @@ fn bench_oracle(c: &mut Criterion) {
     g.finish();
 }
 
-criterion_group!(benches, bench_oracle);
+/// Instructions per fast-forward iteration.
+const FF: u64 = 2_000_000;
+
+fn bench_fast_forward(c: &mut Criterion) {
+    let w = sfetch_workloads::phased::long_workload();
+    let img = w.image(LayoutChoice::Optimized);
+    let mut g = c.benchmark_group("fast_forward");
+    g.throughput(Throughput::Elements(FF));
+    g.bench_function("record_walk", |b| {
+        b.iter(|| {
+            let mut ex = Executor::from_image(img, w.ref_seed());
+            for _ in 0..FF {
+                ex.next();
+            }
+            black_box(ex.pc())
+        })
+    });
+    g.bench_function("advance", |b| {
+        b.iter(|| {
+            let mut ex = Executor::from_image(img, w.ref_seed());
+            ex.advance(FF);
+            black_box(ex.pc())
+        })
+    });
+    g.finish();
+}
+
+criterion_group!(benches, bench_oracle, bench_fast_forward);
 criterion_main!(benches);

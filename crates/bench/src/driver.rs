@@ -228,8 +228,9 @@ pub fn populate_store(
     let mut populate = StoredSampler::new(img, fp, w.ref_seed(), scfg, store);
     let computed = populate.populate(windows);
     eprintln!(
-        "{prefix} {windows} windows ready ({computed} computed, {} loaded warm)",
-        populate.stats().hits
+        "{prefix} {windows} windows ready ({computed} computed, {} loaded warm, {:.3}s fast-forward)",
+        populate.stats().hits,
+        populate.timing().ff_ns as f64 / 1e9
     );
 }
 

@@ -117,11 +117,15 @@ pub fn cells(engines: &[EngineKind], widths: &[usize]) -> Vec<GridCell> {
 /// ~1M-instruction warming horizon.
 ///
 /// The sparsity is deliberate: per window, the fast-forward span
-/// (~11.6M instructions at plain-walk speed) dominates the warm + .
-/// detailed span (~910k at warming speed), which is exactly the cost
-/// the checkpoint store amortizes — a warm-store rerun of a grid cell
-/// skips the fast-forward entirely and runs ≥3× faster (recorded in
-/// `BENCH_5.json`'s `calibration_grid.store_ab`). The denser SMARTS
+/// (~11.6M instructions) is the cost the checkpoint store amortizes.
+/// At record-walk speed (`Executor::next`, 7–9 ns/inst on `phased`) it
+/// outweighed the warm + detailed span (~910k at warming speed), and a
+/// warm-store rerun of a grid cell, skipping the fast-forward, ran ≥3×
+/// faster (3.89×, recorded with that walk in `BENCH_5.json`'s
+/// `calibration_grid.store_ab`). The store now fast-forwards with the
+/// block-granular `Executor::advance` (1.0–1.4 ns/inst, ~12–16 ms per
+/// window), so a cold cell pays mostly its warming span and the store
+/// saves correspondingly less. The denser SMARTS
 /// schedule ([`SampleConfig::default`]) remains the accuracy reference
 /// (BENCH_4 `sampling_ab`: 0.64% error at 18 windows); this one trades
 /// window count for per-experiment cost, and every grid point records

@@ -20,12 +20,14 @@
 //! simulator does.
 
 use std::fmt;
+use std::sync::OnceLock;
 
 use sfetch_isa::{Addr, BranchKind, StaticInst, INST_BYTES};
 
 use crate::control::ControlTable;
 use crate::graph::{BlockId, Cfg, Terminator};
 use crate::layout::Layout;
+use crate::runs::RunTable;
 
 /// Default base address of the code segment.
 pub const CODE_BASE: u64 = 0x0040_0000;
@@ -69,6 +71,8 @@ pub struct CodeImage {
     n_fixups: usize,
     n_elided: usize,
     control: ControlTable,
+    /// Built on first use: only images something fast-forwards pay for it.
+    runs: OnceLock<RunTable>,
 }
 
 impl CodeImage {
@@ -293,7 +297,17 @@ impl CodeImage {
 
         let entry = block_addr[cfg.entry_block().index()];
         let control = ControlTable::build(cfg, &block_addr);
-        CodeImage { base, insts, owners, block_addr, entry, n_fixups, n_elided, control }
+        CodeImage {
+            base,
+            insts,
+            owners,
+            block_addr,
+            entry,
+            n_fixups,
+            n_elided,
+            control,
+            runs: OnceLock::new(),
+        }
     }
 
     /// Base address of the code segment.
@@ -386,6 +400,15 @@ impl CodeImage {
     #[inline]
     pub fn control(&self) -> &ControlTable {
         &self.control
+    }
+
+    /// The per-slot straight-line run table: distances to the next control
+    /// and memory slot, which let a state-only walk cross a run of
+    /// sequential instructions in one step. Built on the first call (one
+    /// pass over the slots, 8 bytes per slot) and kept for the image's
+    /// lifetime.
+    pub fn runs(&self) -> &RunTable {
+        self.runs.get_or_init(|| RunTable::build(&self.insts))
     }
 
     /// Number of fix-up jumps the layout inserted.

@@ -44,6 +44,7 @@ pub mod image;
 pub mod layout;
 pub mod normalize;
 pub mod profile;
+pub mod runs;
 
 pub use behavior::{CondBehavior, IndirectSelect, TripCount};
 pub use builder::CfgBuilder;
@@ -52,3 +53,4 @@ pub use graph::{BasicBlock, BlockId, Cfg, FuncId, Function, Terminator};
 pub use image::{CodeImage, ControlAttr, ImageInst};
 pub use layout::{Layout, LayoutKind};
 pub use profile::EdgeProfile;
+pub use runs::RunTable;

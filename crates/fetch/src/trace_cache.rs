@@ -707,11 +707,16 @@ impl FetchEngine for TraceCacheEngine {
         for _ in 0..n {
             pcs.push(r.addr()?);
         }
+        let dirs = r.u8()?;
+        let n_cond = r.u8()?;
+        if n_cond > MAX_COND {
+            return Err(format!("fill unit of {n_cond} conditionals exceeds MAX_COND"));
+        }
         self.fill = FillUnit {
             start: has_start.then_some(start),
             pcs,
-            dirs: r.u8()?,
-            n_cond: r.u8()?,
+            dirs,
+            n_cond,
             mispredicted: r.bool()?,
             interior_taken: r.bool()?,
         };

@@ -147,3 +147,18 @@ fn cross_engine_payloads_are_rejected() {
         );
     }
 }
+
+#[test]
+fn trace_cache_fill_unit_over_the_conditional_cap_is_rejected() {
+    // The trace-cache payload ends with the fill unit's direction bits,
+    // conditional count and two flags, then the 11 statistics counters.
+    let bytes = warmed(EngineKind::TraceCache, 50).warm_state().expect("warm state");
+    let n_cond_at = bytes.len() - 11 * 8 - 3;
+    for n_cond in [sfetch_fetch::trace_cache::MAX_COND + 1, 8, 0xff] {
+        let mut bad = bytes.clone();
+        bad[n_cond_at] = n_cond;
+        let mut fresh = EngineKind::TraceCache.build(8, ENTRY);
+        let err = fresh.load_warm_state(&bad).expect_err("an over-cap fill unit must not load");
+        assert!(err.contains("MAX_COND"), "unexpected error: {err}");
+    }
+}

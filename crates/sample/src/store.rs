@@ -735,7 +735,7 @@ pub struct StoredSampler<'a> {
 /// sweep plus every cell's functional warming (or, on a banked hit,
 /// warm-state restore) — the quantity warm-engine-state banking exists
 /// to shrink; `ff_ns` is the serial snapshot resolution (fast-forward
-/// walking, store and bank IO).
+/// walking, store and bank IO), [`StoredSampler::populate`] included.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct WarmTiming {
     /// Nanoseconds resolving warming-start snapshots (serial).
@@ -833,9 +833,7 @@ impl<'a> StoredSampler<'a> {
             self.walker = Some(self.nearest_start(w, target));
         }
         let walker = self.walker.as_mut().expect("walker installed above");
-        for _ in walker.committed()..target {
-            walker.next();
-        }
+        walker.advance(target - walker.committed());
         let snap = walker.clone();
         // Best-effort save: a read-only store directory degrades to
         // recomputing every run, it does not break correctness.
@@ -1018,14 +1016,17 @@ impl<'a> StoredSampler<'a> {
         rows.into_iter().flatten().next().expect("a live-warmed cell always runs")
     }
 
-    /// Ensures every window in `0..windows` has a stored checkpoint
-    /// (the shard parent's one-pass populate), returning the number
-    /// that had to be computed.
+    /// Ensures every window in `0..windows` has a stored checkpoint (one
+    /// architectural walk), returning the number that had to be
+    /// computed. Its host time, walking and store IO, adds to
+    /// [`WarmTiming::ff_ns`].
     pub fn populate(&mut self, windows: u64) -> u64 {
         let before = self.stats;
+        let t0 = Instant::now();
         for w in 0..windows {
             let _ = self.snapshot(w);
         }
+        self.timing.ff_ns += t0.elapsed().as_nanos() as u64;
         self.stats.misses + self.stats.rejected - before.misses - before.rejected
     }
 }
@@ -1534,6 +1535,17 @@ mod tests {
             digest(store.warm_entry_path(&key, 0xabcd)),
             0x6147_ce29_d432_42b7,
             "warm entry bytes"
+        );
+        // A checkpoint the populate walk wrote (fast-forwarded past the
+        // first window): the bytes a build whose populate walked `next()`
+        // record by record wrote.
+        let mut populate = StoredSampler::new(&img, key.fingerprint, key.seed, quick_cfg(), &store);
+        assert_eq!(populate.populate(2), 2);
+        let walked = StoreKey { at_inst: populate.warming_start(1), ..key };
+        assert_eq!(
+            digest(store.entry_path(&walked)),
+            0x6479_8eca_4958_84f9,
+            "populated checkpoint bytes"
         );
         // And they read back through a fresh handle (no resident copy).
         let fresh = CheckpointStore::open(store.root()).expect("reopen store");

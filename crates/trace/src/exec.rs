@@ -5,7 +5,7 @@ use std::hash::Hasher as _;
 use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
 
-use sfetch_cfg::{Cfg, CodeImage, CondCtl, ControlTable, IndirectCtl, TripCount};
+use sfetch_cfg::{Cfg, CodeImage, CondCtl, ControlAttr, ControlTable, IndirectCtl, TripCount};
 use sfetch_isa::Addr;
 
 use crate::record::{DynControl, DynInst};
@@ -254,13 +254,62 @@ impl<'a> Executor<'a> {
         }
     }
 
-    /// Executes one instruction and advances the architectural state.
-    fn step(&mut self) -> DynInst {
-        // Fast slot resolution: the committed path only ever produces
-        // in-image, instruction-aligned pcs, so the alignment check of the
-        // general `slot_of` lookup is unnecessary here.
+    /// Resolves one control slot: evaluates its behaviour model and
+    /// updates the call stack, returning `(taken, target)`. The one place
+    /// branch kinds are matched — the record walk ([`Iterator::next`]) and
+    /// the state-only walk ([`Executor::advance`]) both resolve through it.
+    #[inline]
+    fn resolve(&mut self, attr: &ControlAttr) -> (bool, Addr) {
+        use sfetch_isa::BranchKind as BK;
+        if attr.is_fixup {
+            return (true, attr.target.expect("fixup jumps are direct"));
+        }
+        let owner = attr.owner;
+        match attr.kind {
+            BK::Jump => (true, attr.target.expect("jumps are direct")),
+            BK::Cond => {
+                let ctl = self.ctl.cond_of(owner);
+                let logical = self.eval_cond(owner, ctl);
+                let physical = logical ^ attr.flipped;
+                (physical, attr.target.expect("cond branches are direct"))
+            }
+            BK::Call => {
+                self.call_stack.push(attr.fallthrough);
+                (true, attr.target.expect("calls are direct"))
+            }
+            BK::IndirectCall => {
+                let ic = self.ctl.indirect_of(owner);
+                let entry = self.pick_indirect(owner, ic);
+                self.call_stack.push(attr.fallthrough);
+                (true, entry)
+            }
+            BK::Return => {
+                // An empty stack means `main` returned; restart the
+                // program (the generator's main never does, but
+                // hand-built programs may).
+                let t = self.call_stack.pop().unwrap_or_else(|| self.image.entry());
+                (true, t)
+            }
+            BK::IndirectJump => {
+                let ic = self.ctl.indirect_of(owner);
+                (true, self.pick_indirect(owner, ic))
+            }
+        }
+    }
+
+    /// Slot of the current pc. The committed path only ever produces
+    /// in-image, instruction-aligned pcs, so the alignment check of the
+    /// general `slot_of` lookup is unnecessary here.
+    #[inline]
+    fn current_slot(&self) -> usize {
         let slot = self.pc.insts_since(self.base) as usize;
         assert!(slot < self.n_slots, "executor left the image at {}", self.pc);
+        slot
+    }
+
+    /// Executes one instruction and advances the architectural state.
+    fn step(&mut self) -> DynInst {
+        let slot = self.current_slot();
         let ii = self.image.inst(slot);
         let pc = self.pc;
 
@@ -271,42 +320,7 @@ impl<'a> Executor<'a> {
         });
 
         let control = ii.control.map(|attr| {
-            use sfetch_isa::BranchKind as BK;
-            let owner = attr.owner;
-            let (taken, target) = if attr.is_fixup {
-                (true, attr.target.expect("fixup jumps are direct"))
-            } else {
-                match attr.kind {
-                    BK::Jump => (true, attr.target.expect("jumps are direct")),
-                    BK::Cond => {
-                        let ctl = self.ctl.cond_of(owner);
-                        let logical = self.eval_cond(owner, ctl);
-                        let physical = logical ^ attr.flipped;
-                        (physical, attr.target.expect("cond branches are direct"))
-                    }
-                    BK::Call => {
-                        self.call_stack.push(attr.fallthrough);
-                        (true, attr.target.expect("calls are direct"))
-                    }
-                    BK::IndirectCall => {
-                        let ic = self.ctl.indirect_of(owner);
-                        let entry = self.pick_indirect(owner, ic);
-                        self.call_stack.push(attr.fallthrough);
-                        (true, entry)
-                    }
-                    BK::Return => {
-                        // An empty stack means `main` returned; restart the
-                        // program (the generator's main never does, but
-                        // hand-built programs may).
-                        let t = self.call_stack.pop().unwrap_or_else(|| self.image.entry());
-                        (true, t)
-                    }
-                    BK::IndirectJump => {
-                        let ic = self.ctl.indirect_of(owner);
-                        (true, self.pick_indirect(owner, ic))
-                    }
-                }
-            };
+            let (taken, target) = self.resolve(&attr);
             let next_pc = if taken { target } else { attr.fallthrough };
             DynControl { kind: attr.kind, taken, target, next_pc, is_fixup: attr.is_fixup }
         });
@@ -318,6 +332,49 @@ impl<'a> Executor<'a> {
         let rec = DynInst { seq: self.seq, pc, inst: ii.inst, mem_addr, control };
         self.seq += 1;
         rec
+    }
+
+    /// Moves the architectural state exactly `n` committed instructions
+    /// forward without producing their records: afterwards the executor
+    /// is in the state `n` calls to [`Iterator::next`] would leave it in
+    /// (same [`Executor::checkpoint`], same trace from here on).
+    ///
+    /// The walk is block-granular. A straight-line run of slots with no
+    /// control instruction is crossed in one step — `pc` and the commit
+    /// count jump by the run length, and only the run's memory slots get
+    /// their execution counts bumped, found by hopping between them via
+    /// the image's [`sfetch_cfg::RunTable`]. Control slots resolve
+    /// through the same code the record walk uses. This is the
+    /// fast-forward for callers that throw the records away (checkpoint
+    /// population); it costs a fraction of the record walk per
+    /// instruction on programs whose runs are long.
+    pub fn advance(&mut self, mut n: u64) {
+        let runs = self.image.runs();
+        while n > 0 {
+            let slot = self.current_slot();
+            let run = u64::from(runs.to_control(slot));
+            // A control slot is crossed alone; a run up to its end or `n`.
+            let k = if run == 0 { 1 } else { run.min(n) };
+            let end = slot + k as usize;
+            let mut s = slot + runs.to_memory(slot) as usize;
+            while s < end {
+                self.exec_count[s] += 1;
+                s += 1 + runs.to_memory(s + 1) as usize;
+            }
+            self.pc = if run == 0 {
+                let attr = self.image.inst(slot).control.expect("a run of zero is a control slot");
+                let (taken, target) = self.resolve(&attr);
+                if taken {
+                    target
+                } else {
+                    attr.fallthrough
+                }
+            } else {
+                self.pc.offset_insts(k)
+            };
+            self.seq += k;
+            n -= k;
+        }
     }
 }
 

@@ -12,6 +12,8 @@
 //!
 //! * [`Executor`] — deterministic, infinite iterator of [`DynInst`]s (the
 //!   trace; seeded, so *train* vs *ref* inputs are just different seeds),
+//!   plus [`Executor::advance`], the state-only fast-forward that crosses
+//!   straight-line runs block by block without producing records,
 //! * [`ArchCheckpoint`] — serializable architectural state so a long
 //!   trace can be suspended and resumed bit-identically (the basis of the
 //!   `sfetch-sample` checkpoint store; digests use [`sfetch_tab::fnv64`]),

@@ -2,7 +2,9 @@
 //! suspend/resume through *disk* is bit-identical to running straight
 //! through, warm-store replays equal cold-store runs byte-for-byte, and
 //! damaged store entries — warm-bank entries re-sealed under a valid
-//! digest included — are rejected and recomputed, never trusted.
+//! digest included — are rejected and recomputed, never trusted. Bytes
+//! flipped inside a re-sealed warm entry's engine or memory segment never
+//! panic a run.
 
 use proptest::prelude::*;
 
@@ -56,11 +58,9 @@ fn resize_ckpt(ckpt: &mut Vec<u8>, delta: i64) {
     ckpt[80..88].copy_from_slice(&fixed.to_le_bytes());
 }
 
-/// Resizes one length-prefixed segment of a warm-bank entry payload
-/// (0 = checkpoint, 1 = engine state, 2 = memory state) by `delta` and
-/// rewrites its length prefix. Engine and memory segments lose or gain
-/// trailing bytes; the checkpoint goes through [`resize_ckpt`].
-fn resize_segment(payload: &[u8], segment: usize, delta: i64) -> Vec<u8> {
+/// Splits a warm-bank entry payload into its three length-prefixed
+/// segments (0 = checkpoint, 1 = engine state, 2 = memory state).
+fn split_segments(payload: &[u8]) -> Vec<Vec<u8>> {
     let mut segs: Vec<Vec<u8>> = Vec::new();
     let mut at = 0;
     while at < payload.len() {
@@ -69,6 +69,24 @@ fn resize_segment(payload: &[u8], segment: usize, delta: i64) -> Vec<u8> {
         at += 8 + len;
     }
     assert_eq!(segs.len(), 3, "checkpoint, engine and memory segments");
+    segs
+}
+
+/// Joins segments back into a payload, rewriting the length prefixes.
+fn join_segments(segs: &[Vec<u8>]) -> Vec<u8> {
+    let mut out = Vec::new();
+    for seg in segs {
+        out.extend_from_slice(&(seg.len() as u64).to_le_bytes());
+        out.extend_from_slice(seg);
+    }
+    out
+}
+
+/// Resizes one segment of a warm-bank entry payload by `delta`. Engine
+/// and memory segments lose or gain trailing bytes; the checkpoint goes
+/// through [`resize_ckpt`].
+fn resize_segment(payload: &[u8], segment: usize, delta: i64) -> Vec<u8> {
+    let mut segs = split_segments(payload);
     let seg = &mut segs[segment];
     if segment == 0 {
         resize_ckpt(seg, delta);
@@ -77,12 +95,32 @@ fn resize_segment(payload: &[u8], segment: usize, delta: i64) -> Vec<u8> {
     } else {
         seg.extend(std::iter::repeat_n(0u8, delta as usize));
     }
-    let mut out = Vec::new();
-    for seg in &segs {
-        out.extend_from_slice(&(seg.len() as u64).to_le_bytes());
-        out.extend_from_slice(seg);
+    join_segments(&segs)
+}
+
+/// Bytes at each end of a segment that [`flip_segment`] aims at: the
+/// structural fields (format version, table geometry, fill units, open
+/// streams, counters) sit there, the bulk tables in between.
+const FLIP_EDGE: u64 = 256;
+
+/// XORs bytes inside one segment of a warm-bank entry payload, keeping
+/// every length intact. Each flip `(region, at, mask)` lands in the
+/// segment's head (region 0), its tail (region 1) or anywhere (region 2),
+/// at offset `at` modulo that span.
+fn flip_segment(payload: &[u8], segment: usize, flips: &[(u8, u64, u8)]) -> Vec<u8> {
+    let mut segs = split_segments(payload);
+    let seg = &mut segs[segment];
+    let len = seg.len() as u64;
+    let edge = len.min(FLIP_EDGE);
+    for &(region, at, mask) in flips {
+        let i = match region {
+            0 => at % edge,
+            1 => len - edge + at % edge,
+            _ => at % len,
+        };
+        seg[i as usize] ^= mask;
     }
-    out
+    join_segments(&segs)
 }
 
 /// Re-seals a warm-bank entry file around a new payload: header words 6
@@ -164,6 +202,60 @@ proptest! {
         prop_assert_eq!(&pts, &unbanked[victim]);
         prop_assert_eq!(single.warm_bank_stats().rejected, 1);
         prop_assert!(std::fs::read(&path).expect("rebanked entry") == good, "entry rewritten");
+        let _ = std::fs::remove_dir_all(&root);
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(24))]
+
+    /// Hostile warm-bank bytes: flipping bytes inside one engine's
+    /// warm-state segment, or inside the memory segment, and re-sealing
+    /// the entry under a valid digest never panics a run. The entry
+    /// either fails to decode — then it is rejected, warmed live and
+    /// rebanked, with points bit-identical to an unbanked run — or it
+    /// decodes cleanly into some other warm state.
+    #[test]
+    fn resealed_flipped_warm_segments_never_panic(
+        victim in 0usize..4,
+        segment in 1usize..3,
+        flips in prop::collection::vec((0u8..3, any::<u64>(), 1u8..=255), 1..6),
+    ) {
+        let img = phased_image(11);
+        let scfg = quick_schedule();
+        let cells: Vec<BatchCell> = EngineKind::ALL
+            .iter()
+            .map(|&kind| BatchCell { kind, pcfg: ProcessorConfig::table2(4) })
+            .collect();
+        let (seed, windows) = (5u64, 1u64);
+        let fp = sfetch_trace::trace_fingerprint(&img, seed, 4096);
+        let store = tmp_store("warm-flip");
+        let root = store.root().to_path_buf();
+        let run = |bank: bool| {
+            let store = CheckpointStore::open(&root).expect("reopen store");
+            let mut batch = BatchSampler::new(&img, fp, seed, scfg, &store).with_warm_bank(bank);
+            let pts = batch.run_range_points(&cells, 0..windows, 1);
+            (pts, batch.warm_bank_stats())
+        };
+        let (unbanked, _) = run(false);
+        run(true);
+
+        let cell = cells[victim];
+        let key = StoreKey { fingerprint: fp, seed, at_inst: scfg.fast_forward() };
+        let model = warm_model_digest(cell.kind, &cell.pcfg, &scfg);
+        let path = store.warm_entry_path(&key, model);
+        let good = std::fs::read(&path).expect("banked entry");
+        let bad = reseal_warm_entry(&good, &flip_segment(&good[64..], segment, &flips));
+        std::fs::write(&path, &bad).expect("plant entry");
+
+        let (again, stats) = run(true);
+        if stats.rejected == 1 {
+            prop_assert_eq!(&again, &unbanked);
+            prop_assert!(std::fs::read(&path).expect("rebanked entry") == good, "entry rewritten");
+        } else {
+            prop_assert_eq!(stats.rejected, 0);
+            prop_assert_eq!(stats.hits, cells.len() as u64, "the flipped entry decodes cleanly");
+        }
         let _ = std::fs::remove_dir_all(&root);
     }
 }
