@@ -12,12 +12,13 @@
 //!
 //! ```text
 //! cargo run --release -p sfetch-bench --bin ablation_prefetch \
-//!     [-- --inst N --warmup N --jobs N --mshrs N --long]
+//!     [-- --inst N --warmup N --jobs N --prefetch K --mshrs N --long]
 //! ```
 //!
 //! `--mshrs N` resizes the MSHR file of every non-`none` row (default
-//! 8); the `--prefetch` flag is ignored here — this binary sweeps all
-//! policies by construction. `--long` appends the long-horizon phased
+//! 8). Like every binary, this one takes `--mshrs` only next to a
+//! `--prefetch` policy; which policy is ignored here — this binary
+//! sweeps all policies by construction. `--long` appends the long-horizon phased
 //! workload (`sfetch_workloads::phased`), whose rotating hot sets
 //! overflow the L1i and give every policy real misses to chase.
 

@@ -20,16 +20,13 @@
 //!     --grid-total N --grid-sample U,Wf,Wd,D[,Wm]]
 //! ```
 
-use sfetch_bench::driver::or_die;
-use sfetch_bench::grid::{
-    cells, engine_key, grid_engines, print_grid_table, run_sampled_grid, CellRun, FIG8_WIDTHS,
-};
+use sfetch_bench::driver::{or_die, run_in_process, GridRequest, RunStore};
+use sfetch_bench::grid::{engine_key, grid_engines, print_grid_table, CellRun, FIG8_WIDTHS};
 use sfetch_bench::{
     fig8_ratios, hmean_ipc, run_grid, FrontMode, HarnessOpts, RunPoint, FIG8_CLAIMS,
     FIG8_RATIO_WIDTH,
 };
 use sfetch_obs::jsonl::Row;
-use sfetch_sample::CheckpointStore;
 use sfetch_workloads::{phased, LayoutChoice, Suite};
 
 /// Schema tag of the record.
@@ -88,14 +85,18 @@ fn front_record(front: FrontMode, points: &[RunPoint]) -> String {
 
 /// The default sampled grid's estimates, through a temporary store.
 fn sampled_grid(opts: &HarnessOpts, windows: u64) -> Vec<CellRun> {
+    let req = GridRequest {
+        bench: phased::LONG_NAME.to_owned(),
+        engines: grid_engines().to_vec(),
+        widths: FIG8_WIDTHS.to_vec(),
+        total: opts.grid_total,
+        scfg: opts.grid_sample,
+        opts: *opts,
+    };
     let w = phased::long_workload();
-    let grid = cells(&grid_engines(), &FIG8_WIDTHS);
-    eprintln!("{}: sampled grid — {} cells × {windows} windows", w.name(), grid.len());
-    let dir = std::env::temp_dir().join(format!("sfetch-calibrate-{}", std::process::id()));
-    let store = or_die(CheckpointStore::open(&dir)).with_cap_bytes(opts.store_cap_bytes);
-    let (runs, _) = run_sampled_grid(&w, &grid, opts.grid_sample, opts.grid_total, opts, &store);
-    let _ = std::fs::remove_dir_all(&dir);
-    runs
+    eprintln!("{}: sampled grid — {} cells × {windows} windows", w.name(), req.grid().len());
+    let store = or_die(RunStore::open(None, opts.store_cap_bytes));
+    run_in_process(&w, &req, &store)
 }
 
 fn main() {

@@ -74,20 +74,14 @@
 //! shared` reproduces the historical shared-front grid bit-for-bit.
 
 use std::io::Write as _;
-use std::path::Path;
 use std::process::ExitCode;
 
 use sfetch_bench::driver::{
-    finish_store, or_die, populate_store, resolve_store, run_fleet_cells, submit_and_collect,
-    ArgDefaults, CommonArgs, ServeEvent,
+    announce_kept_store, or_die, run_request, ArgDefaults, CommonArgs, RequestRun,
 };
 use sfetch_bench::fleet_grid::maybe_run_fleet_child;
-use sfetch_bench::grid::{
-    cells, merge_grid, print_grid_table, run_sampled_grid, verify_merged, CellRun,
-};
-use sfetch_bench::obs::write_sampled_obs;
-use sfetch_bench::workload_by_name;
-use sfetch_sample::CheckpointStore;
+use sfetch_bench::grid::{print_grid_table, verify_merged, CellRun};
+use sfetch_bench::try_workload_by_name;
 
 fn print_panels(a: &CommonArgs, runs: &[CellRun]) {
     for (panel, &width) in a.widths.iter().enumerate() {
@@ -108,109 +102,6 @@ fn print_panels(a: &CommonArgs, runs: &[CellRun]) {
     }
 }
 
-/// `--verify` leg — the oracle is **storeless**, so it validates the
-/// local store path and the daemon stream path alike.
-fn maybe_verify(a: &CommonArgs, runs: &[CellRun], windows: u64, degraded: bool) {
-    if a.verify && !degraded {
-        eprintln!("\nverifying merged grid against a storeless in-process rerun…");
-        let w = workload_by_name(a.bench());
-        verify_merged(&w, runs, a.opts.grid_sample, &a.opts, windows);
-        println!("verify OK: store-backed grid is bit-identical to a storeless single-process run");
-    } else if a.verify {
-        eprintln!("verify skipped: degraded result has incomplete cells");
-    }
-}
-
-fn exit_for(degraded: bool) -> ExitCode {
-    let _ = std::io::stdout().flush();
-    if degraded {
-        ExitCode::from(2)
-    } else {
-        ExitCode::SUCCESS
-    }
-}
-
-/// `--serve SOCKET`: submit to the resident daemon, merge the streamed
-/// points client-side, render the identical table.
-fn run_serve(a: &CommonArgs, sock: &Path) -> ExitCode {
-    let req = a.request(a.bench());
-    let grid = req.grid();
-    let windows = req.windows();
-    let id = a.req_id.clone().unwrap_or_else(|| format!("fig8-{}", std::process::id()));
-    eprintln!(
-        "serve: submitting {id} ({} cells × {windows} windows) to {}",
-        grid.len(),
-        sock.display()
-    );
-    let out = or_die(submit_and_collect(sock, &id, &req, |line| {
-        if let Ok(ServeEvent::Cell { cell, resumed, .. }) = ServeEvent::parse(line) {
-            eprintln!("  [{id}] cell {cell} {}", if resumed { "resumed" } else { "done" });
-        }
-    }));
-    let degraded = out.status != "complete";
-    let runs = or_die(merge_grid(&grid, windows, &out.points, req.scfg.confidence));
-    print_grid_table(&runs);
-    print_panels(a, &runs);
-    eprintln!(
-        "serve: {} cells computed, {} resumed, {} shared with concurrent requests",
-        out.computed, out.resumed, out.shared
-    );
-    maybe_verify(a, &runs, windows, degraded);
-    exit_for(degraded)
-}
-
-fn run_parent(a: &CommonArgs) -> ExitCode {
-    let w = workload_by_name(a.bench());
-    let grid = cells(&a.engines, &a.widths);
-    let scfg = a.opts.grid_sample;
-    let windows = scfg.windows(a.opts.grid_total);
-    eprintln!(
-        "{}: sampled Fig. 8 grid — {} cells × {} windows over {} insts",
-        w.name(),
-        grid.len(),
-        windows,
-        a.opts.grid_total
-    );
-
-    let tmp = std::env::temp_dir().join(format!("sfetch-fig8s-{}", std::process::id()));
-    or_die(
-        std::fs::create_dir_all(&tmp)
-            .map_err(|e| format!("create temp dir {}: {e}", tmp.display())),
-    );
-    let (store_dir, store_is_temp) = resolve_store(a.store.as_deref(), tmp.join("store"));
-    let store = or_die(CheckpointStore::open(&store_dir)).with_cap_bytes(a.opts.store_cap_bytes);
-
-    let mut degraded = false;
-    let runs = if a.procs > 1 {
-        // Populate once, then fan the grid across fleet workers.
-        populate_store(&w, scfg, windows, &store, &format!("store {}:", store_dir.display()));
-        let procs = a.procs.min((grid.len() as u64 * windows) as usize).max(1);
-        let (runs, d) = or_die(run_fleet_cells(a, a.bench(), &grid, &store_dir, procs));
-        degraded = d;
-        runs
-    } else {
-        let (runs, traffic) = run_sampled_grid(&w, &grid, scfg, a.opts.grid_total, &a.opts, &store);
-        eprintln!(
-            "store traffic: {} hits, {} computed, {} rejected",
-            traffic.hits, traffic.misses, traffic.rejected
-        );
-        runs
-    };
-
-    print_grid_table(&runs);
-    print_panels(a, &runs);
-
-    if a.obs.enabled() {
-        or_die(write_sampled_obs(&w, &grid, scfg, windows, &a.opts, &a.obs, &store));
-    }
-
-    maybe_verify(a, &runs, windows, degraded);
-
-    finish_store(store_is_temp, &store_dir, &store, true);
-    let _ = std::fs::remove_dir_all(&tmp);
-    exit_for(degraded)
-}
-
 fn main() -> ExitCode {
     maybe_run_fleet_child();
     let a = CommonArgs::parse(&ArgDefaults {
@@ -219,8 +110,27 @@ fn main() -> ExitCode {
         widths: "all",
         procs: 1,
     });
-    match a.serve.clone() {
-        Some(sock) => run_serve(&a, &sock),
-        None => run_parent(&a),
+    let req = a.request(a.bench());
+    let RequestRun { runs, degraded, workload } = or_die(run_request(&a, &req, &a.obs));
+    print_grid_table(&runs);
+    print_panels(&a, &runs);
+
+    // The oracle is storeless, so it validates the local store path and
+    // the daemon stream path alike.
+    if a.verify && !degraded {
+        eprintln!("\nverifying merged grid against a storeless in-process rerun…");
+        let w = workload.unwrap_or_else(|| or_die(try_workload_by_name(&req.bench)));
+        verify_merged(&w, &runs, req.scfg, &req.opts, req.windows());
+        println!("verify OK: store-backed grid is bit-identical to a storeless single-process run");
+    } else if a.verify {
+        eprintln!("verify skipped: degraded result has incomplete cells");
+    }
+
+    announce_kept_store(&a);
+    let _ = std::io::stdout().flush();
+    if degraded {
+        ExitCode::from(2)
+    } else {
+        ExitCode::SUCCESS
     }
 }

@@ -48,17 +48,11 @@
 
 use std::process::ExitCode;
 
-use sfetch_bench::driver::{
-    finish_store, or_die, populate_store, resolve_store, run_fleet_cells, submit_and_collect,
-    ArgDefaults, CommonArgs,
-};
+use sfetch_bench::driver::{announce_kept_store, or_die, run_request, ArgDefaults, CommonArgs};
 use sfetch_bench::fleet_grid::maybe_run_fleet_child;
-use sfetch_bench::grid::{cells, merge_grid, run_sampled_grid, CellRun, FIG9_WIDTH};
-use sfetch_bench::obs::write_sampled_obs;
-use sfetch_bench::workload_by_name;
+use sfetch_bench::grid::FIG9_WIDTH;
 use sfetch_core::metrics::harmonic_mean;
 use sfetch_fetch::EngineKind;
-use sfetch_sample::CheckpointStore;
 
 /// Default benchmark set: the quick ablation subset plus the
 /// long-horizon phased workload.
@@ -73,19 +67,7 @@ fn main() -> ExitCode {
         procs: 1,
     });
     a.widths = vec![FIG9_WIDTH];
-    let scfg = a.opts.grid_sample;
-    let windows = scfg.windows(a.opts.grid_total);
-
-    let serving = a.serve.is_some();
-    let tmp = std::env::temp_dir().join(format!("sfetch-fig9s-{}", std::process::id()));
-    let (store_dir, store_is_temp) = resolve_store(a.store.as_deref(), tmp.clone());
-    // Under --serve the daemon owns the (warm) store; nothing local.
-    let store = if serving {
-        None
-    } else {
-        Some(or_die(CheckpointStore::open(&store_dir)).with_cap_bytes(a.opts.store_cap_bytes))
-    };
-    let grid = cells(&a.engines, &a.widths);
+    let windows = a.opts.grid_sample.windows(a.opts.grid_total);
     let mut degraded = false;
 
     println!(
@@ -96,81 +78,31 @@ fn main() -> ExitCode {
     println!(
         "{:<10} {}",
         "bench",
-        a.engines
-            .iter()
-            .map(|k| format!("{:>22}", k.to_string()))
-            .collect::<String>()
+        a.engines.iter().map(|k| format!("{:>22}", k.to_string())).collect::<String>()
     );
     let mut per_engine: Vec<(EngineKind, Vec<f64>)> =
         a.engines.iter().map(|&k| (k, Vec::new())).collect();
-    for bench in &a.benches.clone() {
-        let runs: Vec<CellRun> = if let Some(sock) = &a.serve {
-            // Resident path: one request per benchmark, merged from the
-            // daemon's result stream.
-            let req = a.request(bench);
-            let id = a
-                .req_id
-                .as_deref()
-                .map(|base| format!("{base}-{bench}"))
-                .unwrap_or_else(|| format!("fig9-{}-{bench}", std::process::id()));
-            let out = or_die(submit_and_collect(sock, &id, &req, |_| {}));
-            eprintln!(
-                "  [{bench}] serve: {} computed, {} resumed, {} shared",
-                out.computed, out.resumed, out.shared
-            );
-            degraded |= out.status != "complete";
-            or_die(merge_grid(&grid, windows, &out.points, scfg.confidence))
-        } else if a.procs > 1 {
-            // Populate this benchmark's checkpoints once, then fan the
-            // engine × window cells across fleet workers.
-            let w = workload_by_name(bench);
-            let store = store.as_ref().expect("local store");
-            populate_store(&w, scfg, windows, store, &format!("  [{}] store:", w.name()));
-            let (runs, d) = or_die(run_fleet_cells(&a, bench, &grid, &store_dir, a.procs));
-            degraded |= d;
-            runs
-        } else {
-            let w = workload_by_name(bench);
-            let store = store.as_ref().expect("local store");
-            let (runs, traffic) =
-                run_sampled_grid(&w, &grid, scfg, a.opts.grid_total, &a.opts, store);
-            eprintln!(
-                "  [{}] store: {} hits, {} computed, {} rejected",
-                w.name(),
-                traffic.hits,
-                traffic.misses,
-                traffic.rejected
-            );
-            runs
-        };
-        if a.obs.enabled() && !serving {
-            // Per-benchmark subdirectory: one time-series file per
-            // engine, plus optional pipeline traces, per bench.
-            let w = workload_by_name(bench);
-            let mut per_bench = a.obs.clone();
-            per_bench.dir = a.obs.dir.as_ref().map(|d| d.join(bench));
-            let store = store.as_ref().expect("local store");
-            or_die(write_sampled_obs(&w, &grid, scfg, windows, &a.opts, &per_bench, store));
-        }
-        let row: String = runs
+    for bench in &a.benches {
+        // Per-benchmark observability subdirectory: one time-series
+        // file per engine, plus optional pipeline traces, per bench.
+        let mut obs = a.obs.clone();
+        obs.dir = a.obs.dir.as_ref().map(|d| d.join(bench));
+        let out = or_die(run_request(&a, &a.request(bench), &obs));
+        degraded |= out.degraded;
+        let row: String = out
+            .runs
             .iter()
             .map(|r| {
-                format!(
-                    "{:>13.2} ±{:>5.2}%",
-                    r.estimate.ipc,
-                    100.0 * r.estimate.rel_half_width
-                )
+                format!("{:>13.2} ±{:>5.2}%", r.estimate.ipc, 100.0 * r.estimate.rel_half_width)
             })
             .collect();
         println!("{:<10} {row}", bench);
-        for (slot, r) in per_engine.iter_mut().zip(&runs) {
+        for (slot, r) in per_engine.iter_mut().zip(&out.runs) {
             slot.1.push(r.estimate.ipc);
         }
     }
-    let hmeans: String = per_engine
-        .iter()
-        .map(|(_, v)| format!("{:>13.2}        ", harmonic_mean(v)))
-        .collect();
+    let hmeans: String =
+        per_engine.iter().map(|(_, v)| format!("{:>13.2}        ", harmonic_mean(v))).collect();
     println!("{:<10} {hmeans}", "Hmean");
 
     // The paper's Fig. 9 observation, restated for the sampled run:
@@ -191,8 +123,10 @@ fn main() -> ExitCode {
         );
     }
 
-    if let Some(store) = &store {
-        finish_store(store_is_temp, &store_dir, store, true);
+    announce_kept_store(&a);
+    if degraded {
+        ExitCode::from(2)
+    } else {
+        ExitCode::SUCCESS
     }
-    if degraded { ExitCode::from(2) } else { ExitCode::SUCCESS }
 }

@@ -1,15 +1,23 @@
 //! Shared driver plumbing for the sampled-grid binaries and the
 //! resident daemon (`sfetch-serve`).
 //!
-//! `figure8_sampled`, `figure9_sampled` and the daemon share one
-//! argument parser, store resolution, populate, fleet dispatch and
-//! degradation exit codes, so the one-shot bins and the resident path
-//! can never drift apart.
+//! A [`GridRequest`] is the one description of a grid experiment: one
+//! benchmark's engines × widths grid under one sampling schedule and
+//! one simulated model. `figure8_sampled`, `figure9_sampled` and the
+//! daemon share one argument parser that builds it, and the bins run it
+//! through one dispatch, [`run_request`]: submitted to a daemon
+//! (`--serve`), fanned across fleet worker processes (`--procs`), or in
+//! process ([`run_in_process`], which `calibrate` calls directly). The
+//! dispatch owns the checkpoint store's life ([`RunStore`]), the
+//! populate, the progress lines and the merge; the bins keep only their
+//! own tables, `--obs-dir` layout and `--verify`.
 //!
 //! The module also defines the **line-JSON serve protocol**: a
-//! [`GridRequest`] (one experiment = one benchmark's engines × widths
-//! grid under one sampling schedule) serializes to a single `submit`
-//! line over a Unix socket, and the daemon streams [`ServeEvent`] lines
+//! [`GridRequest`] serializes to a single `submit` line
+//! ([`GridRequest::submit_line`], read back by the validating
+//! [`GridRequest::parse_submit`]) — over a Unix socket to the daemon,
+//! and as the one `--fleet-req` argument of a fleet worker process
+//! ([`crate::fleet_grid`]). The daemon streams [`ServeEvent`] lines
 //! back — `accepted`, one `cell` per completed ledger cell, one `point`
 //! per sampled window, per-cell `estimate` updates, and a terminal
 //! `final` carrying the request's singleflight counters. A client
@@ -27,6 +35,7 @@
 //! recomputation on resubmit.
 
 use std::path::{Path, PathBuf};
+use std::sync::atomic::{AtomicUsize, Ordering};
 
 use sfetch_fetch::EngineKind;
 use sfetch_fleet::{fnv64, CellId};
@@ -34,12 +43,13 @@ use sfetch_obs::jsonl::{optional, Obj, Row};
 use sfetch_sample::{CheckpointStore, SampleConfig, SamplePoint, StoredSampler};
 use sfetch_workloads::{LayoutChoice, Workload};
 
-use crate::fleet_grid::{degradation_exit, run_fleet_grid, FleetGridError, FleetGridSpec};
+use crate::fleet_grid::{degradation_exit, run_fleet_grid, FleetGridSpec};
 use crate::grid::{
-    cells, engine_key, parse_engines, parse_widths, point_fields, point_line, read_point,
-    run_cells_batched, CellRun, GridCell, GridError, GRID_SHARD_SCHEMA,
+    cells, engine_key, merge_grid, parse_engines, parse_widths, point_fields, point_line,
+    read_point, run_cells_batched, run_sampled_grid, CellRun, GridCell, GridError,
+    GRID_SHARD_SCHEMA,
 };
-use crate::obs::ObsOpts;
+use crate::obs::{write_sampled_obs, ObsOpts};
 use crate::{flag_value, number, positive, HarnessOpts};
 
 /// Exits with a readable message instead of a panic backtrace.
@@ -201,15 +211,168 @@ impl CommonArgs {
 }
 
 // ---------------------------------------------------------------------
-// One-shot plumbing shared by the bins
+// One grid request, end to end
 // ---------------------------------------------------------------------
 
-/// Resolves the checkpoint-store directory: an explicit `--store DIR`
-/// persists, otherwise `fallback` is used and flagged temporary.
-pub fn resolve_store(cli: Option<&str>, fallback: PathBuf) -> (PathBuf, bool) {
-    match cli {
-        Some(dir) => (PathBuf::from(dir), false),
-        None => (fallback, true),
+/// What [`run_request`] hands back to a grid binary.
+pub struct RequestRun {
+    /// Merged per-cell estimates. A degraded fleet run carries the
+    /// windows that exist (wider confidence intervals).
+    pub runs: Vec<CellRun>,
+    /// Some fleet cells failed permanently (the degradation report is
+    /// printed and recorded), or the daemon answered `degraded`.
+    pub degraded: bool,
+    /// The request's workload, built once by a local run; `None` under
+    /// `--serve`.
+    pub workload: Option<Workload>,
+}
+
+/// Runs one grid request the way the invocation asks — submitted to a
+/// resident daemon (`--serve`), fanned across fleet worker processes
+/// (`--procs N`), or in process — the one place that choice is made.
+///
+/// A local run owns its checkpoint store from open to close: `--store
+/// DIR`, or a temporary directory removed at the end, capped by
+/// `--store-cap-bytes`, and populated once before a fleet fans out. The
+/// `obs` side pass (`--obs-dir`) runs while the store is open. The
+/// progress lines go to stderr; stdout is left to the caller's tables.
+///
+/// # Errors
+///
+/// A readable message on an unknown bench, a store, fleet or daemon
+/// failure, or a merge inconsistency.
+pub fn run_request(a: &CommonArgs, req: &GridRequest, obs: &ObsOpts) -> Result<RequestRun, String> {
+    let grid = req.grid();
+    let windows = req.windows();
+    if let Some(sock) = &a.serve {
+        // One request per bench: only a multi-bench run suffixes the id.
+        let id = match &a.req_id {
+            Some(id) if a.benches.len() == 1 => id.clone(),
+            Some(id) => format!("{id}-{}", req.bench),
+            None => format!("{}-{}", req.bench, std::process::id()),
+        };
+        eprintln!(
+            "serve: submitting {id} ({} cells × {windows} windows) to {}",
+            grid.len(),
+            sock.display()
+        );
+        let out = submit_and_collect(sock, &id, req, |line| {
+            if let Ok(ServeEvent::Cell { cell, resumed, .. }) = ServeEvent::parse(line) {
+                eprintln!("  [{id}] cell {cell} {}", if resumed { "resumed" } else { "done" });
+            }
+        })?;
+        eprintln!(
+            "serve: {} cells computed, {} resumed, {} shared with concurrent requests",
+            out.computed, out.resumed, out.shared
+        );
+        let runs = merge_grid(&grid, windows, &out.points, req.scfg.confidence)
+            .map_err(|e| e.to_string())?;
+        return Ok(RequestRun { runs, degraded: out.status != "complete", workload: None });
+    }
+
+    let w = crate::try_workload_by_name(&req.bench).map_err(|e| e.to_string())?;
+    eprintln!(
+        "{}: sampled grid — {} cells × {windows} windows over {} insts",
+        w.name(),
+        grid.len(),
+        req.total
+    );
+    let store = RunStore::open(a.store.as_deref(), req.opts.store_cap_bytes)?;
+    let (runs, degraded) = if a.procs > 1 {
+        let store_dir = store.root();
+        populate_store(&w, req.scfg, windows, &store, &format!("store {}:", store_dir.display()));
+        let outcome = run_fleet_grid(&FleetGridSpec {
+            bench: &req.bench,
+            grid: &grid,
+            scfg: req.scfg,
+            total: req.total,
+            opts: &req.opts,
+            store_dir,
+            procs: a.procs.min((grid.len() as u64 * windows) as usize).max(1),
+            chaos: a.chaos,
+            max_retries: a.max_retries,
+            cell_timeout_s: a.cell_timeout,
+        })
+        .map_err(|e| e.to_string())?;
+        let degraded = degradation_exit(&outcome) != 0;
+        (outcome.runs, degraded)
+    } else {
+        (run_in_process(&w, req, &store), false)
+    };
+    if obs.enabled() {
+        write_sampled_obs(&w, &grid, req.scfg, windows, &req.opts, obs, &store)
+            .map_err(|e| format!("write observability artifacts: {e}"))?;
+    }
+    Ok(RequestRun { runs, degraded, workload: Some(w) })
+}
+
+/// The in-process leg of [`run_request`]: the request's grid on `w`
+/// through `store` in one batched sweep, printing the store traffic.
+pub fn run_in_process(w: &Workload, req: &GridRequest, store: &CheckpointStore) -> Vec<CellRun> {
+    let (runs, traffic) = run_sampled_grid(w, &req.grid(), req.scfg, req.total, &req.opts, store);
+    eprintln!(
+        "store traffic: {} hits, {} computed, {} rejected",
+        traffic.hits, traffic.misses, traffic.rejected
+    );
+    runs
+}
+
+/// The checkpoint store of one local grid run: `--store DIR`, kept, or
+/// a fresh temporary directory, removed when the run drops it.
+pub struct RunStore {
+    store: CheckpointStore,
+    temp: bool,
+}
+
+impl RunStore {
+    /// Opens `dir`, or a new temporary store when `None`, capped at
+    /// `cap` bytes.
+    ///
+    /// # Errors
+    ///
+    /// A readable message when the directory cannot be created.
+    pub fn open(dir: Option<&str>, cap: Option<u64>) -> Result<Self, String> {
+        static NEXT: AtomicUsize = AtomicUsize::new(0);
+        let (dir, temp) = match dir {
+            Some(dir) => (PathBuf::from(dir), false),
+            None => {
+                let n = NEXT.fetch_add(1, Ordering::Relaxed);
+                (
+                    std::env::temp_dir().join(format!("sfetch-store-{}-{n}", std::process::id())),
+                    true,
+                )
+            }
+        };
+        let store = CheckpointStore::open(&dir)
+            .map_err(|e| format!("open store {}: {e}", dir.display()))?
+            .with_cap_bytes(cap);
+        Ok(RunStore { store, temp })
+    }
+}
+
+impl std::ops::Deref for RunStore {
+    type Target = CheckpointStore;
+
+    fn deref(&self) -> &CheckpointStore {
+        &self.store
+    }
+}
+
+impl Drop for RunStore {
+    fn drop(&mut self) {
+        if self.temp {
+            let _ = std::fs::remove_dir_all(self.store.root());
+        }
+    }
+}
+
+/// Prints where a local `--store DIR` run left its checkpoints: the
+/// closing stdout line of the sampled grid binaries.
+pub fn announce_kept_store(a: &CommonArgs) {
+    if let (Some(dir), None) = (&a.store, &a.serve) {
+        if let Ok(store) = CheckpointStore::open(dir) {
+            println!("store kept at {} ({} entries)", Path::new(dir).display(), store.entries());
+        }
     }
 }
 
@@ -232,46 +395,6 @@ pub fn populate_store(
         populate.stats().hits,
         populate.timing().ff_ns as f64 / 1e9
     );
-}
-
-/// Drops a temporary store, or announces a kept persistent one.
-pub fn finish_store(store_is_temp: bool, store_dir: &Path, store: &CheckpointStore, announce: bool) {
-    if store_is_temp {
-        let _ = std::fs::remove_dir_all(store_dir);
-    } else if announce {
-        println!("store kept at {} ({} entries)", store_dir.display(), store.entries());
-    }
-}
-
-/// The fleet-supervised fan-out: leased cells, retries, resume, chaos.
-/// Returns the merged runs and whether the result is degraded (some
-/// cells permanently failed; the degradation report has been printed
-/// and recorded).
-///
-/// # Errors
-///
-/// Infrastructure failures only ([`FleetGridError`]).
-pub fn run_fleet_cells(
-    a: &CommonArgs,
-    bench: &str,
-    grid: &[GridCell],
-    store_dir: &Path,
-    procs: usize,
-) -> Result<(Vec<CellRun>, bool), FleetGridError> {
-    let outcome = run_fleet_grid(&FleetGridSpec {
-        bench,
-        grid,
-        scfg: a.opts.grid_sample,
-        total: a.opts.grid_total,
-        opts: &a.opts,
-        store_dir,
-        procs,
-        chaos: a.chaos,
-        max_retries: a.max_retries,
-        cell_timeout_s: a.cell_timeout,
-    })?;
-    let degraded = degradation_exit(&outcome) != 0;
-    Ok((outcome.runs, degraded))
 }
 
 /// Runs a **compatible group** of [`CellId`]s (same window range) and
@@ -487,31 +610,8 @@ impl GridRequest {
         let pf = optional(obj.s("pf"))?.unwrap_or("none");
         let kind =
             sfetch_core::PrefetchKind::parse(pf).ok_or_else(|| format!("bad pf {pf:?}"))?;
-        opts.prefetch = if kind == sfetch_core::PrefetchKind::None {
-            sfetch_core::PrefetchConfig::none()
-        } else {
-            sfetch_core::PrefetchConfig::enabled(kind)
-        };
-        if let Some(m) = optional(obj.u::<u64>("mshrs"))? {
-            if kind == sfetch_core::PrefetchKind::None {
-                // `submit_line` always writes the field; 0 is the only
-                // value consistent with a disabled prefetcher.
-                if m > 0 {
-                    return Err(GridError::Cli(format!(
-                        "submit: mshrs {m} given but prefetch is \"none\""
-                    ))
-                    .to_string());
-                }
-            } else {
-                opts.prefetch.mshrs =
-                    usize::try_from(m).ok().filter(|&m| m >= 1).ok_or_else(|| {
-                        GridError::Cli(format!(
-                            "submit: mshrs must be >= 1 with prefetch {kind} (got {m})"
-                        ))
-                        .to_string()
-                    })?;
-            }
-        }
+        opts.prefetch = crate::prefetch_config(kind, optional(obj.u("mshrs"))?)
+            .map_err(|e| format!("submit: {e}"))?;
         Ok((id, GridRequest { bench, engines, widths, total, scfg, opts }))
     }
 }
@@ -962,6 +1062,8 @@ mod tests {
             (&["--spread-floor", "1.2"], "unknown argument --spread-floor"),
             (&["--sample-total", "5"], "unknown argument --sample-total"),
             (&["--sample", "500000,60000,5000,5000"], "unknown argument --sample"),
+            (&["--mshrs", "4"], "mshrs 4 given but prefetch is none"),
+            (&["--prefetch", "stream", "--mshrs", "0"], "requires mshrs >= 1"),
         ];
         for (list, want) in cases {
             let err = match CommonArgs::parse_list(args(list), &DEFAULTS) {

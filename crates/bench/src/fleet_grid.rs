@@ -22,6 +22,12 @@
 //! * **Worker** — [`run_cell_group`] is the one worker body: process
 //!   children and the daemon's threads both heartbeat, run the group's
 //!   shared sweep, seal each cell's shard and write it atomically.
+//!   A process child's work order is one argument: `--fleet-req`, the
+//!   request's [`GridRequest::submit_line`], decoded by the same
+//!   [`GridRequest::parse_submit`] the daemon socket uses. Only what is
+//!   per process rides alongside — the `--fleet-cell`/`--fleet-out`
+//!   pairs, heartbeat, store, store cap and attempt — and one builder,
+//!   `child_args`, writes the whole argv.
 //!   [`maybe_run_fleet_child`], called first thing in every grid
 //!   binary's `main`, recognizes the `--fleet-cell` protocol and runs
 //!   that body. Under [`sfetch_fleet::chaos::CHAOS_ENV`] the child
@@ -35,6 +41,7 @@
 //! same merged bytes — the property the chaos tests and the CI leg
 //! assert.
 
+use std::ffi::{OsStr, OsString};
 use std::path::{Path, PathBuf};
 use std::process::{Command, Stdio};
 use std::time::Duration;
@@ -46,19 +53,19 @@ use sfetch_fleet::{
 use sfetch_sample::{window_range, CheckpointStore, SampleConfig, SamplePoint, ShardSpec};
 use sfetch_workloads::Workload;
 
-use crate::driver::{cell_group_bodies, validate_shard_text};
+use crate::driver::{cell_group_bodies, validate_shard_text, GridRequest};
 use crate::grid::{
     engine_key, merge_grid, merge_grid_partial, parse_shard_file, write_shard_atomic, CellRun,
     GridCell, GridError, GRID_SHARD_SCHEMA,
 };
-use crate::{workload_by_name, HarnessOpts};
+use crate::{try_workload_by_name, HarnessOpts};
 
 /// How often a worker ([`run_cell_group`]) touches its heartbeat file.
 const HEARTBEAT_EVERY: Duration = Duration::from_millis(200);
 
 /// Everything [`run_fleet_grid`] needs beyond the harness options.
 pub struct FleetGridSpec<'a> {
-    /// Benchmark name (resolved via [`workload_by_name`] in children).
+    /// Benchmark name (resolved via [`try_workload_by_name`] in children).
     pub bench: &'a str,
     /// The (engine, width) grid.
     pub grid: &'a [GridCell],
@@ -311,48 +318,32 @@ pub fn run_fleet_grid(spec: &FleetGridSpec<'_>) -> Result<FleetGridOutcome, Flee
         req: String::new(),
     };
 
+    // The workers' work order: this request, over the grid's own axes.
+    let mut req = GridRequest {
+        bench: spec.bench.to_owned(),
+        engines: Vec::new(),
+        widths: Vec::new(),
+        total: spec.total,
+        scfg: spec.scfg,
+        opts: *spec.opts,
+    };
+    for c in spec.grid {
+        if !req.engines.contains(&c.engine) {
+            req.engines.push(c.engine);
+        }
+        if !req.widths.contains(&c.width) {
+            req.widths.push(c.width);
+        }
+    }
     let exe = std::env::current_exe()
         .map_err(|e| FleetError::Spawn { cell: "<any>".into(), err: e.to_string() })?;
     let launcher = ProcessLauncher::new(
         |cells: &[CellId], attempts: &[u32], outs: &[PathBuf], hb: &Path| {
             let mut cmd = Command::new(&exe);
-            // Repeated `--fleet-cell`/`--fleet-out` pairs, in matching
-            // order, carry the whole group; singleton groups produce
-            // exactly the historical argument list.
-            for (cell, out) in cells.iter().zip(outs) {
-                cmd.arg("--fleet-cell").arg(cell.to_string());
-                cmd.arg("--fleet-out").arg(out);
-            }
-            cmd.arg("--fleet-bench")
-                .arg(spec.bench)
-                .arg("--fleet-sample")
-                .arg(spec.scfg.to_spec())
-                .arg("--fleet-store")
-                .arg(spec.store_dir)
-                .arg("--fleet-jobs")
-                .arg(spec.opts.jobs.to_string())
-                // Chaos (the attempt's only consumer) runs singleton
-                // groups, so the first attempt index is the group's.
-                .arg("--fleet-attempt")
-                .arg(attempts.first().copied().unwrap_or(0).to_string())
-                .arg("--fleet-heartbeat")
-                .arg(hb)
-                // Always explicit: the child's defaults must never decide
-                // the simulated front or prefetch model.
-                .arg("--fleet-front")
-                .arg(spec.opts.front.as_str())
-                .arg("--fleet-grid-prefetch")
-                .arg(spec.opts.grid_prefetch.as_str());
-            if spec.opts.warm_bank {
-                cmd.arg("--fleet-warm-bank");
-            }
-            if let Some(cap) = spec.opts.store_cap_bytes {
-                cmd.arg("--fleet-store-cap-bytes").arg(cap.to_string());
-            }
-            if spec.opts.prefetch.mshrs > 0 {
-                cmd.arg("--fleet-prefetch").arg(spec.opts.prefetch.kind.to_string());
-                cmd.arg("--fleet-mshrs").arg(spec.opts.prefetch.mshrs.to_string());
-            }
+            // Chaos (the attempt's only consumer) runs singleton groups,
+            // so the first attempt index is the group's.
+            let attempt = attempts.first().copied().unwrap_or(0);
+            cmd.args(child_args(&req, spec.store_dir, cells, outs, hb, attempt));
             if let Some(seed) = spec.chaos {
                 cmd.env(chaos::CHAOS_ENV, seed.to_string());
             }
@@ -473,8 +464,37 @@ fn degraded_json(outcome: &FleetGridOutcome) -> String {
 // Child protocol
 // ---------------------------------------------------------------------
 
-/// A `--fleet-cell` child's arguments: the group's work order (repeated
-/// `--fleet-cell`/`--fleet-out` pairs, in matching order), plus the
+/// A fleet worker's argv: the group's `--fleet-cell`/`--fleet-out`
+/// pairs in matching order, the work order as one `--fleet-req`
+/// [`GridRequest::submit_line`], and what belongs to this process alone
+/// — heartbeat, store, the request's store cap and the attempt. The one
+/// builder of the child protocol; [`maybe_run_fleet_child`] reads it
+/// back.
+pub(crate) fn child_args(
+    req: &GridRequest,
+    store_dir: &Path,
+    cells: &[CellId],
+    outs: &[PathBuf],
+    heartbeat: &Path,
+    attempt: u32,
+) -> Vec<OsString> {
+    let mut args: Vec<OsString> = Vec::new();
+    let mut push = |flag: &str, value: &OsStr| args.extend([flag.into(), value.to_owned()]);
+    for (cell, out) in cells.iter().zip(outs) {
+        push("--fleet-cell", cell.to_string().as_ref());
+        push("--fleet-out", out.as_ref());
+    }
+    push("--fleet-req", req.submit_line("fleet").as_ref());
+    push("--fleet-heartbeat", heartbeat.as_ref());
+    push("--fleet-store", store_dir.as_ref());
+    if let Some(cap) = req.opts.store_cap_bytes {
+        push("--fleet-store-cap-bytes", cap.to_string().as_ref());
+    }
+    push("--fleet-attempt", attempt.to_string().as_ref());
+    args
+}
+
+/// A fleet worker's decoded arguments: the group's work order, the
 /// bench to build and the attempt chaos keys its faults on.
 struct ChildArgs {
     job: CellGroupJob,
@@ -482,79 +502,35 @@ struct ChildArgs {
     attempt: u32,
 }
 
-fn parse_child_args(args: &[String]) -> Result<ChildArgs, String> {
+/// Reads [`child_args`] back. The request goes through
+/// [`GridRequest::parse_submit`], the parser the daemon socket uses.
+fn parse_child_args(args: &[OsString]) -> Result<ChildArgs, String> {
+    let mut req = None;
     let mut cells = Vec::new();
-    let mut bench = None;
-    let mut scfg = None;
-    let mut store = None;
     let mut outs = Vec::new();
     let mut heartbeat = None;
+    let mut store = None;
+    let mut cap = None;
     let mut attempt = 0u32;
-    let mut opts = HarnessOpts::default();
-    let mut pf_kind: Option<String> = None;
-    let mut mshrs: Option<usize> = None;
-    let mut i = 0;
-    let take = |i: usize| -> Result<&String, String> {
-        args.get(i + 1).ok_or_else(|| format!("{} requires a value", args[i]))
-    };
-    while i < args.len() {
-        match args[i].as_str() {
-            "--fleet-cell" => cells.push(CellId::parse(take(i)?)?),
-            "--fleet-bench" => bench = Some(take(i)?.clone()),
-            "--fleet-sample" => {
-                scfg = Some(SampleConfig::parse(take(i)?).map_err(|e| e.to_string())?)
-            }
-            "--fleet-store" => store = Some(PathBuf::from(take(i)?)),
+    for pair in args.chunks(2) {
+        let flag = pair[0].to_string_lossy();
+        let value = pair.get(1).ok_or_else(|| format!("{flag} requires a value"))?;
+        let text = || value.to_str().ok_or_else(|| format!("{flag}: value is not UTF-8"));
+        match &*flag {
+            "--fleet-req" => req = Some(GridRequest::parse_submit(text()?)?.1),
+            "--fleet-cell" => cells.push(CellId::parse(text()?)?),
+            "--fleet-out" => outs.push(PathBuf::from(value)),
+            "--fleet-heartbeat" => heartbeat = Some(PathBuf::from(value)),
+            "--fleet-store" => store = Some(PathBuf::from(value)),
             "--fleet-store-cap-bytes" => {
-                opts.store_cap_bytes = Some(
-                    take(i)?
-                        .parse::<u64>()
-                        .ok()
-                        .filter(|&c| c >= 1)
-                        .ok_or_else(|| {
-                            format!("--fleet-store-cap-bytes must be >= 1 (got {:?})", args[i + 1])
-                        })?,
-                )
+                cap = Some(crate::positive(text()?).ok_or_else(|| {
+                    format!("--fleet-store-cap-bytes must be >= 1 (got {value:?})")
+                })?)
             }
-            "--fleet-out" => outs.push(PathBuf::from(take(i)?)),
-            "--fleet-heartbeat" => heartbeat = Some(PathBuf::from(take(i)?)),
             "--fleet-attempt" => {
-                attempt = take(i)?.parse().map_err(|e| format!("--fleet-attempt: {e}"))?
-            }
-            "--fleet-jobs" => {
-                opts.jobs = take(i)?.parse().map_err(|e| format!("--fleet-jobs: {e}"))?
-            }
-            // Note: deliberately absent from `config_tag` — banked warm
-            // state changes host time only, never the output bytes, so a
-            // banked rerun must resume the un-banked ledger (and vice
-            // versa) with zero recomputation.
-            "--fleet-warm-bank" => {
-                opts.warm_bank = true;
-                i += 1;
-                continue;
-            }
-            "--fleet-prefetch" => pf_kind = Some(take(i)?.clone()),
-            "--fleet-front" => {
-                opts.front = crate::FrontMode::parse(take(i)?)
-                    .ok_or_else(|| format!("bad --fleet-front {:?}", args[i + 1]))?
-            }
-            "--fleet-grid-prefetch" => {
-                opts.grid_prefetch = crate::GridPrefetchMode::parse(take(i)?)
-                    .ok_or_else(|| format!("bad --fleet-grid-prefetch {:?}", args[i + 1]))?
-            }
-            "--fleet-mshrs" => {
-                mshrs = Some(take(i)?.parse().map_err(|e| format!("--fleet-mshrs: {e}"))?)
+                attempt = text()?.parse().map_err(|e| format!("--fleet-attempt: {e}"))?
             }
             other => return Err(format!("unknown fleet child argument {other:?}")),
-        }
-        i += 2;
-    }
-    if let Some(kind) = pf_kind {
-        let kind = sfetch_core::PrefetchKind::parse(&kind)
-            .ok_or_else(|| format!("bad --fleet-prefetch {kind:?}"))?;
-        opts.prefetch = sfetch_core::PrefetchConfig::enabled(kind);
-        if let Some(m) = mshrs {
-            opts.prefetch.mshrs = m;
         }
     }
     if cells.is_empty() {
@@ -567,16 +543,17 @@ fn parse_child_args(args: &[String]) -> Result<ChildArgs, String> {
             outs.len()
         ));
     }
+    let req: GridRequest = req.ok_or("--fleet-req is required")?;
     Ok(ChildArgs {
         job: CellGroupJob {
             cells,
             outs,
             heartbeat: heartbeat.ok_or("--fleet-heartbeat is required")?,
             store_dir: store.ok_or("--fleet-store is required")?,
-            scfg: scfg.ok_or("--fleet-sample is required")?,
-            opts,
+            scfg: req.scfg,
+            opts: HarnessOpts { store_cap_bytes: cap, ..req.opts },
         },
-        bench: bench.ok_or("--fleet-bench is required")?,
+        bench: req.bench,
         attempt,
     })
 }
@@ -649,7 +626,7 @@ fn run_fleet_child(a: ChildArgs) -> Result<bool, String> {
         _ => {}
     }
 
-    let w = workload_by_name(&a.bench);
+    let w = try_workload_by_name(&a.bench).map_err(|e| e.to_string())?;
     // Chaos mangles the sealed text before the (still atomic) write:
     // the injected faults model *logical* corruption; torn physical
     // writes are prevented by the temp + rename discipline itself.
@@ -666,7 +643,7 @@ fn run_fleet_child(a: ChildArgs) -> Result<bool, String> {
 /// spawned as a fleet worker (`--fleet-cell …`), runs the cell and
 /// exits; otherwise returns so the binary proceeds normally.
 pub fn maybe_run_fleet_child() {
-    let args: Vec<String> = std::env::args().skip(1).collect();
+    let args: Vec<OsString> = std::env::args_os().skip(1).collect();
     if !args.iter().any(|a| a == "--fleet-cell") {
         return;
     }
@@ -832,83 +809,124 @@ mod tests {
         assert_eq!(lease_group(uncapped, false, 12, 1), 12);
     }
 
+    /// The default Fig. 8 request on a small schedule.
+    fn request() -> GridRequest {
+        let scfg = SampleConfig::parse("1000000,50000,5000,5000").expect("schedule");
+        let opts =
+            HarnessOpts { grid_total: 4_000_000, grid_sample: scfg, ..HarnessOpts::default() };
+        GridRequest {
+            bench: "phased".into(),
+            engines: crate::grid::grid_engines().to_vec(),
+            widths: crate::grid::FIG8_WIDTHS.to_vec(),
+            total: opts.grid_total,
+            scfg,
+            opts,
+        }
+    }
+
+    fn os(args: &[&str]) -> Vec<OsString> {
+        args.iter().map(OsString::from).collect()
+    }
+
+    /// Encodes `req` and `cells` through [`child_args`] and decodes them
+    /// as a worker would, next to the work order the daemon's
+    /// `ThreadLauncher` builds for the same request: its schedule and
+    /// options, the family's store and the leased cells.
+    fn round_trip(req: &GridRequest, cells: &[CellId]) -> (ChildArgs, CellGroupJob) {
+        let outs: Vec<PathBuf> =
+            (0..cells.len()).map(|i| PathBuf::from(format!("/tmp/out-{i}.json"))).collect();
+        let (hb, store) = (Path::new("/tmp/out.hb"), Path::new("/tmp/store"));
+        let argv = child_args(req, store, cells, &outs, hb, 1);
+        let got = parse_child_args(&argv).expect("parses");
+        let want = CellGroupJob {
+            cells: cells.to_vec(),
+            outs,
+            heartbeat: hb.to_path_buf(),
+            store_dir: store.to_path_buf(),
+            scfg: req.scfg,
+            opts: req.opts,
+        };
+        (got, want)
+    }
+
     #[test]
     fn child_args_roundtrip() {
-        let args: Vec<String> = [
-            "--fleet-cell",
-            "stream:8:0-4",
-            "--fleet-bench",
-            "phased",
-            "--fleet-sample",
-            "1000000,50000,5000,5000",
-            "--fleet-store",
-            "/tmp/store",
-            "--fleet-jobs",
-            "2",
-            "--fleet-attempt",
-            "1",
-            "--fleet-out",
-            "/tmp/out.json",
-            "--fleet-heartbeat",
-            "/tmp/out.hb",
-            "--fleet-front",
-            "legacy",
-            "--fleet-grid-prefetch",
-            "shared",
-        ]
-        .iter()
-        .map(|s| (*s).to_owned())
-        .collect();
-        let a = parse_child_args(&args).expect("parses");
-        assert_eq!(a.job.cells, vec![CellId::new("stream", 8, 0, 4)]);
-        assert_eq!(a.job.outs, vec![PathBuf::from("/tmp/out.json")]);
-        assert_eq!(a.bench, "phased");
-        assert_eq!(a.attempt, 1);
-        assert_eq!(a.job.opts.jobs, 2);
-        assert_eq!(a.job.opts.front, crate::FrontMode::Legacy);
-        assert_eq!(a.job.opts.grid_prefetch, crate::GridPrefetchMode::Shared);
-        assert!(parse_child_args(&args[2..]).is_err(), "missing --fleet-cell is an error");
+        let cell = [CellId::new("stream", 8, 0, 4)];
+        let mut cases = vec![("default", request())];
+        let mut legacy = request();
+        legacy.opts.front = crate::FrontMode::Legacy;
+        legacy.opts.grid_prefetch = crate::GridPrefetchMode::Shared;
+        cases.push(("legacy/shared", legacy));
+        let mut pf = request();
+        pf.opts.prefetch =
+            crate::prefetch_config(sfetch_core::PrefetchKind::StreamDirected, Some(4))
+                .expect("stream with 4 MSHRs");
+        cases.push(("stream, 4 MSHRs", pf));
+        let mut banked = request();
+        banked.opts.warm_bank = true;
+        cases.push(("--warm-bank", banked));
+        let mut jobs = request();
+        jobs.opts.jobs = 3;
+        cases.push(("jobs 3", jobs));
+        let mut capped = request();
+        capped.opts.store_cap_bytes = Some(4096);
+        cases.push(("store cap", capped));
+        for (what, req) in &cases {
+            let (got, want) = round_trip(req, &cell);
+            assert_eq!(got.bench, req.bench, "{what}");
+            assert_eq!(got.attempt, 1, "{what}");
+            assert_eq!(got.job.cells, want.cells, "{what}");
+            assert_eq!(got.job.outs, want.outs, "{what}");
+            assert_eq!(got.job.heartbeat, want.heartbeat, "{what}");
+            assert_eq!(got.job.store_dir, want.store_dir, "{what}");
+            assert_eq!(got.job.scfg, want.scfg, "{what}");
+            // `Debug` lists every option field, so this compares them all.
+            assert_eq!(format!("{:?}", got.job.opts), format!("{:?}", want.opts), "{what}");
+        }
     }
 
     #[test]
     fn child_args_carry_cell_groups_in_order() {
-        let args: Vec<String> = [
-            "--fleet-cell",
-            "stream:8:0-4",
-            "--fleet-out",
-            "/tmp/a.json",
-            "--fleet-cell",
-            "ev8:8:0-4",
-            "--fleet-out",
-            "/tmp/b.json",
-            "--fleet-bench",
-            "phased",
-            "--fleet-sample",
-            "1000000,50000,5000,5000",
-            "--fleet-store",
-            "/tmp/store",
-            "--fleet-store-cap-bytes",
-            "4096",
-            "--fleet-out-missing-guard",
-        ]
-        .iter()
-        .take(16) // drop the trailing guard flag; it is not a real arg
-        .map(|s| (*s).to_owned())
-        .collect();
-        let mut full = args.clone();
-        full.extend(["--fleet-heartbeat".to_owned(), "/tmp/hb".to_owned()]);
-        let a = parse_child_args(&full).expect("parses");
-        assert_eq!(
-            a.job.cells,
-            vec![CellId::new("stream", 8, 0, 4), CellId::new("ev8", 8, 0, 4)],
-            "cells keep their flag order"
-        );
-        assert_eq!(a.job.outs, vec![PathBuf::from("/tmp/a.json"), PathBuf::from("/tmp/b.json")]);
-        assert_eq!(a.job.opts.store_cap_bytes, Some(4096));
-        // A cell without its out file is a protocol error.
-        let mut unbalanced = full.clone();
-        unbalanced.extend(["--fleet-cell".to_owned(), "ftb:8:0-4".to_owned()]);
-        assert!(parse_child_args(&unbalanced).is_err(), "cells and outs must pair up");
+        let group = [CellId::new("stream", 8, 0, 4), CellId::new("ev8", 8, 0, 4)];
+        let (got, want) = round_trip(&request(), &group);
+        assert_eq!(got.job.cells, group, "cells keep their flag order");
+        assert_eq!(got.job.outs, want.outs, "each cell keeps its out file");
+        // A cell without its out file is a protocol error, and so is a
+        // missing cell.
+        let mut argv =
+            child_args(&request(), Path::new("/s"), &group, &want.outs, Path::new("/h"), 0);
+        argv.extend(os(&["--fleet-cell", "ftb:8:0-4"]));
+        assert!(parse_child_args(&argv).is_err(), "cells and outs must pair up");
+        let no_cell = child_args(&request(), Path::new("/s"), &[], &[], Path::new("/h"), 0);
+        assert!(parse_child_args(&no_cell).is_err(), "missing --fleet-cell is an error");
+    }
+
+    /// Outside bytes on the child's command line: an unknown bench, a
+    /// malformed or missing request, a dangling flag. Each is an error
+    /// for `maybe_run_fleet_child` to report, never a panic.
+    #[test]
+    fn child_args_reject_hostile_requests() {
+        let cell = [CellId::new("stream", 8, 0, 4)];
+        let outs = [PathBuf::from("/tmp/o.json")];
+        let argv = child_args(&request(), Path::new("/s"), &cell, &outs, Path::new("/h"), 0);
+        let at = argv.iter().position(|a| a == "--fleet-req").expect("request flag") + 1;
+        let line = argv[at].to_str().expect("utf-8").to_owned();
+        let with_req = |line: &str| {
+            let mut argv = argv.clone();
+            argv[at] = line.into();
+            parse_child_args(&argv).err()
+        };
+        let err = with_req(&line.replace("\"phased\"", "\"nope\"")).expect("unknown bench");
+        assert!(err.contains("unknown benchmark \"nope\""), "{err}");
+        for bad in ["", "{", "not json", &line.replace("\"submit\"", "\"tail\"")] {
+            assert!(with_req(bad).is_some(), "malformed request {bad:?} must be rejected");
+        }
+        let mut no_req = argv.clone();
+        no_req.drain(at - 1..=at);
+        assert!(parse_child_args(&no_req).is_err(), "missing --fleet-req is an error");
+        let mut dangling = argv.clone();
+        dangling.push("--fleet-attempt".into());
+        assert!(parse_child_args(&dangling).is_err(), "a flag without its value is an error");
     }
 
     #[test]

@@ -428,7 +428,8 @@ pub fn verify_merged(
 }
 
 /// Merges shard-file tuples back into per-cell window lists, verifying
-/// every cell has exactly windows `0..windows`.
+/// every cell has exactly windows `0..windows`: [`merge_grid_partial`]
+/// with any incomplete cell an error.
 ///
 /// # Errors
 ///
@@ -441,27 +442,14 @@ pub fn merge_grid(
     all: &[(String, usize, SamplePoint)],
     confidence: sfetch_sample::Confidence,
 ) -> Result<Vec<CellRun>, GridError> {
-    cells
-        .iter()
-        .map(|&cell| {
-            let name = format!("{}/{}", engine_key(cell.engine), cell.width);
-            let pts: Vec<SamplePoint> = all
-                .iter()
-                .filter(|(k, w, _)| k == engine_key(cell.engine) && *w == cell.width)
-                .map(|(_, _, p)| *p)
-                .collect();
-            let points = sfetch_sample::merge_points(pts)
-                .map_err(|what| GridError::Merge { cell: name.clone(), what })?;
-            if points.len() as u64 != windows {
-                return Err(GridError::Merge {
-                    cell: name,
-                    what: format!("merged {} windows, expected {windows}", points.len()),
-                });
-            }
-            let estimate = estimate(&points, confidence);
-            Ok(CellRun { cell, points, estimate })
-        })
-        .collect()
+    let merged = merge_grid_partial(cells, windows, all, confidence)?;
+    match merged.incomplete.first() {
+        None => Ok(merged.runs),
+        Some((cell, have, want)) => Err(GridError::Merge {
+            cell: format!("{}/{}", engine_key(cell.engine), cell.width),
+            what: format!("merged {have} windows, expected {want}"),
+        }),
+    }
 }
 
 /// A degraded merge: what [`merge_grid_partial`] salvaged when some

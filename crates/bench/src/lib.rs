@@ -45,9 +45,8 @@ pub mod driver;
 pub mod fleet_grid;
 pub mod grid;
 pub mod obs;
-pub mod progress;
 
-pub use progress::{GridProgress, Reporter};
+pub use sfetch_obs::{GridProgress, Reporter};
 
 /// Which front-pipeline model the grids simulate
 /// (`--front-pipeline legacy|engine`).
@@ -226,7 +225,7 @@ impl HarnessOpts {
     pub fn from_arg_list(args: &[String]) -> Result<Self, grid::GridError> {
         let mut o = Self::default();
         let mut pf_kind = PrefetchKind::None;
-        let mut mshrs_override: Option<usize> = None;
+        let mut mshrs: Option<u64> = None;
         let mut i = 0;
         while i < args.len() {
             let flag = args[i].as_str();
@@ -244,7 +243,7 @@ impl HarnessOpts {
                         PrefetchKind::parse,
                     )?
                 }
-                "--mshrs" => mshrs_override = Some(flag_value(args, i, "a number", number)?),
+                "--mshrs" => mshrs = Some(flag_value(args, i, "a number", number)?),
                 "--grid-total" => o.grid_total = flag_value(args, i, "a number", number)?,
                 "--grid-sample" => {
                     let spec = flag_value(args, i, "U,Wf,Wd,D[,Wm]", |v| Some(v.to_owned()))?;
@@ -276,20 +275,7 @@ impl HarnessOpts {
             i += if matches!(flag, "--long" | "--warm-bank") { 1 } else { 2 };
         }
         // Combine after parsing so --prefetch / --mshrs are order-free.
-        o.prefetch = if pf_kind == PrefetchKind::None {
-            PrefetchConfig::none()
-        } else {
-            PrefetchConfig::enabled(pf_kind)
-        };
-        if let Some(m) = mshrs_override {
-            o.prefetch.mshrs = m;
-        }
-        if o.prefetch.kind != PrefetchKind::None && o.prefetch.mshrs == 0 {
-            return Err(grid::GridError::Cli(format!(
-                "--prefetch {} requires --mshrs >= 1",
-                o.prefetch.kind
-            )));
-        }
+        o.prefetch = prefetch_config(pf_kind, mshrs)?;
         o.grid_windows()?;
         Ok(o)
     }
@@ -309,6 +295,35 @@ impl HarnessOpts {
                 self.grid_total, self.grid_sample.interval
             ))),
             n => Ok(n),
+        }
+    }
+}
+
+/// The one `(kind, mshrs)` check behind `--prefetch`/`--mshrs` and a
+/// submit line's `pf`/`mshrs`: an enabled policy takes `mshrs` MSHRs (8
+/// when absent) and needs at least one; `none`, the blocking L1i, takes
+/// none.
+///
+/// # Errors
+///
+/// [`grid::GridError::Cli`] on an enabled policy with 0 MSHRs or on
+/// MSHRs given to `none`.
+pub fn prefetch_config(
+    kind: PrefetchKind,
+    mshrs: Option<u64>,
+) -> Result<PrefetchConfig, grid::GridError> {
+    let bad = grid::GridError::Cli;
+    match (kind, mshrs) {
+        (PrefetchKind::None, None | Some(0)) => Ok(PrefetchConfig::none()),
+        (PrefetchKind::None, Some(m)) => Err(bad(format!("mshrs {m} given but prefetch is none"))),
+        (_, Some(0)) => Err(bad(format!("prefetch {kind} requires mshrs >= 1 (got 0)"))),
+        (_, m) => {
+            let mut pf = PrefetchConfig::enabled(kind);
+            if let Some(m) = m {
+                pf.mshrs =
+                    usize::try_from(m).map_err(|_| bad(format!("mshrs {m} is out of range")))?;
+            }
+            Ok(pf)
         }
     }
 }
@@ -441,7 +456,7 @@ pub fn ablation_workloads(opts: HarnessOpts) -> Vec<Workload> {
     out
 }
 
-/// Every name [`workload_by_name`] accepts: the suite members in the
+/// Every name [`try_workload_by_name`] accepts: the suite members in the
 /// paper's Fig. 9 order, then [`phased::LONG_NAME`].
 pub fn bench_names() -> Vec<&'static str> {
     let mut names: Vec<&'static str> =
@@ -478,16 +493,6 @@ pub fn try_workload_by_name(name: &str) -> Result<Workload, grid::GridError> {
     sfetch_workloads::suite::by_name(name)
         .map(sfetch_workloads::suite::build)
         .ok_or_else(|| grid::GridError::UnknownBench(name.to_owned()))
-}
-
-/// [`try_workload_by_name`] for names already checked (the grid
-/// binaries' parsed `--bench`).
-///
-/// # Panics
-///
-/// Panics on an unknown name.
-pub fn workload_by_name(name: &str) -> Workload {
-    try_workload_by_name(name).unwrap_or_else(|e| panic!("{e}"))
 }
 
 /// Runs the whole grid for the given widths/layouts/engines with up to

@@ -174,6 +174,30 @@ impl ControlTable {
         self.blocks.len()
     }
 
+    /// Checks per-block executor cursors read from outside bytes: a
+    /// conditional pattern's cursor must index its pattern and a cyclic
+    /// indirect's cursor its cycle, since the executor indexes both
+    /// without a modulo. Other blocks' cursors are never read.
+    ///
+    /// # Errors
+    ///
+    /// A description of the first cursor out of range.
+    pub fn check_cursors(&self, pattern_idx: &[u32], indirect_idx: &[u32]) -> Result<(), String> {
+        for (b, ((ctl, &p), &i)) in
+            self.blocks.iter().zip(pattern_idx).zip(indirect_idx).enumerate()
+        {
+            let (cursor, len, what) = match *ctl {
+                BlockCtl::Cond(CondCtl::Pattern { len, .. }) if len > 0 => (p, len, "pattern"),
+                BlockCtl::Indirect(ic) if ic.cyclic_len > 0 => (i, ic.cyclic_len, "indirect cycle"),
+                _ => continue,
+            };
+            if cursor >= len {
+                return Err(format!("block {b}: {what} cursor {cursor} out of range 0..{len}"));
+            }
+        }
+        Ok(())
+    }
+
     /// The interned conditional record of `b`.
     ///
     /// # Panics

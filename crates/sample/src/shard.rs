@@ -1,5 +1,4 @@
-//! Shard math: splitting a sampled run's windows across processes and
-//! merging their results.
+//! Shard math: splitting a sampled run's windows across processes.
 //!
 //! Windows are assigned in **contiguous chunks** (not round-robin) so a
 //! shard needs exactly one architectural checkpoint — the unit boundary
@@ -9,8 +8,6 @@
 //! split is bit-identical to the single-process run.
 
 use std::ops::Range;
-
-use crate::runner::SamplePoint;
 
 /// One shard's identity within a run: `index` of `count`.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -30,28 +27,6 @@ pub fn window_range(total_windows: u64, spec: ShardSpec) -> Range<u64> {
     let lo = spec.index * base + spec.index.min(extra);
     let hi = lo + base + u64::from(spec.index < extra);
     lo..hi
-}
-
-/// Merges per-shard window results back into one run: sorts by window
-/// index and verifies the set is exactly `0..n` with no duplicates or
-/// holes.
-///
-/// # Errors
-///
-/// Reports the first duplicate or missing window index.
-pub fn merge_points(mut all: Vec<SamplePoint>) -> Result<Vec<SamplePoint>, String> {
-    all.sort_by_key(|p| p.window);
-    for (i, p) in all.iter().enumerate() {
-        let expect = i as u64;
-        if p.window != expect {
-            return Err(if p.window < expect || (i > 0 && all[i - 1].window == p.window) {
-                format!("duplicate window {} in merged shard output", p.window)
-            } else {
-                format!("missing window {expect} in merged shard output")
-            });
-        }
-    }
-    Ok(all)
 }
 
 #[cfg(test)]
@@ -82,25 +57,5 @@ mod tests {
             let len = r.end - r.start;
             assert!((12..=13).contains(&len));
         }
-    }
-
-    fn point(window: u64) -> SamplePoint {
-        SamplePoint {
-            window,
-            start_inst: 0,
-            committed: 1,
-            cycles: 1,
-            stall_cycles: 0,
-            mispredictions: 0,
-        }
-    }
-
-    #[test]
-    fn merge_detects_holes_and_duplicates() {
-        let merged = merge_points(vec![point(2), point(0), point(1)]).expect("complete");
-        assert_eq!(merged.iter().map(|p| p.window).collect::<Vec<_>>(), vec![0, 1, 2]);
-        assert!(merge_points(vec![point(0), point(2)]).expect_err("hole").contains("missing"));
-        assert!(merge_points(vec![point(0), point(0)]).expect_err("dup").contains("duplicate"));
-        assert!(merge_points(Vec::new()).expect("empty ok").is_empty());
     }
 }

@@ -19,6 +19,8 @@
 use sfetch_cfg::CodeImage;
 use sfetch_isa::Addr;
 
+use crate::exec::HIST_LEN;
+
 /// Magic + version tag of the checkpoint wire format.
 const MAGIC: u64 = 0x5346_4348_4b50_5431; // "SFCHKPT1"
 
@@ -65,23 +67,37 @@ impl ArchCheckpoint {
     }
 
     /// Checks that the checkpoint's tables match `image` — one cursor
-    /// triple per block, one execution count per instruction slot — so
-    /// [`crate::Executor::from_checkpoint`] can resume it there. A
-    /// well-formed checkpoint taken on another program or layout fails.
+    /// triple per block, one execution count per instruction slot — and
+    /// that the executor can resume it there without panicking: the pc
+    /// and every return address are instruction slots of the image, each
+    /// pattern and indirect-cycle cursor is in range, and the history
+    /// length is within its saturation bound. A well-formed checkpoint
+    /// taken on another program or layout fails, and so does one whose
+    /// bytes were altered into an impossible state.
     ///
     /// # Errors
     ///
     /// A description of the first mismatch.
     pub fn fits(&self, image: &CodeImage) -> Result<(), String> {
-        let blocks = image.control().num_blocks();
+        let ctl = image.control();
         if [&self.cond_pattern_idx, &self.cond_loop_remaining, &self.indirect_idx]
             .iter()
-            .any(|v| v.len() != blocks)
+            .any(|v| v.len() != ctl.num_blocks())
         {
             return Err("checkpoint was not captured on this image (block count mismatch)".into());
         }
         if self.exec_count.len() != image.len_insts() {
             return Err("checkpoint was not captured on this image (slot count mismatch)".into());
+        }
+        ctl.check_cursors(&self.cond_pattern_idx, &self.indirect_idx)?;
+        if image.slot_of(self.pc).is_none() {
+            return Err(format!("pc {} is not an instruction slot of this image", self.pc));
+        }
+        if let Some(a) = self.call_stack.iter().find(|&&a| image.slot_of(a).is_none()) {
+            return Err(format!("return address {a} is not an instruction slot of this image"));
+        }
+        if self.hist_len > HIST_LEN {
+            return Err(format!("history length {} exceeds {HIST_LEN}", self.hist_len));
         }
         Ok(())
     }
@@ -232,6 +248,39 @@ mod tests {
         let mut long = cp.to_bytes();
         long.extend_from_slice(&[0u8; 8]);
         assert!(ArchCheckpoint::from_bytes(&long).is_err(), "trailing");
+    }
+
+    /// Each field the executor trusts on resume, pushed out of range,
+    /// makes `fits` refuse the checkpoint instead of letting the
+    /// executor panic on it.
+    #[test]
+    fn fits_rejects_states_the_executor_cannot_resume() {
+        // Mid-size, so the program has cyclic indirect transfers.
+        let cfg = ProgramGenerator::new(GenParams::default_int(), 12).generate();
+        let img = CodeImage::build(&cfg, &layout::natural(&cfg));
+        let mut ex = Executor::from_image(&img, 3);
+        // Deep enough that the call stack holds return addresses.
+        while ex.call_depth() == 0 {
+            ex.next();
+        }
+        let cp = ex.checkpoint();
+        assert_eq!(cp.fits(&img), Ok(()));
+        let past_end = img.base().offset_insts(img.len_insts() as u64);
+        type Break = fn(&mut ArchCheckpoint, Addr);
+        let cases: [(&str, Break); 6] = [
+            ("pc", |cp, _| cp.pc = Addr::new(cp.pc.get() + 1)),
+            ("pc", |cp, end| cp.pc = end),
+            ("return address", |cp, end| cp.call_stack[0] = end),
+            ("pattern cursor", |cp, _| cp.cond_pattern_idx.fill(u32::MAX - 1)),
+            ("indirect cycle cursor", |cp, _| cp.indirect_idx.fill(u32::MAX - 1)),
+            ("history length", |cp, _| cp.hist_len = u32::MAX),
+        ];
+        for (what, break_it) in cases {
+            let mut bad = cp.clone();
+            break_it(&mut bad, past_end);
+            let err = bad.fits(&img).expect_err(what);
+            assert!(err.contains(what), "{what}: {err}");
+        }
     }
 
     #[test]

@@ -12,7 +12,7 @@ use crate::record::{DynControl, DynInst};
 
 /// Maximum conditional-outcome history retained for
 /// [`sfetch_cfg::CondBehavior::Correlated`] evaluation.
-const HIST_LEN: u32 = 16;
+pub(crate) const HIST_LEN: u32 = 16;
 
 /// Per-branch evaluation state.
 #[derive(Debug, Clone, Default)]

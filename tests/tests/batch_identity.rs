@@ -18,7 +18,7 @@ use sfetch_bench::grid::{
     cell_config, cells, grid_engines, merge_grid, parse_shard_body, point_line, run_sampled_grid,
     CellRun, FIG8_WIDTHS,
 };
-use sfetch_bench::{workload_by_name, HarnessOpts};
+use sfetch_bench::{try_workload_by_name, HarnessOpts};
 use sfetch_cfg::gen::{GenParams, ProgramGenerator};
 use sfetch_cfg::{layout, CodeImage};
 use sfetch_core::{ProcessorConfig, SimStats};
@@ -71,7 +71,7 @@ fn cell(kind: EngineKind, width: usize, engine_front: bool) -> BatchCell {
 /// lands in the next chunk).
 #[test]
 fn phased_squash_heavy_windows_straddle_batch_boundaries() {
-    let w = workload_by_name("phased");
+    let w = try_workload_by_name("phased").expect("registered bench");
     let img = w.image(LayoutChoice::Optimized);
     let fp = w.fingerprint(LayoutChoice::Optimized);
     let scfg = SampleConfig {
@@ -102,7 +102,7 @@ fn phased_squash_heavy_windows_straddle_batch_boundaries() {
 /// default (uncapped) options.
 #[test]
 fn full_grid_is_byte_identical_at_every_batch_cap() {
-    let w = workload_by_name("phased");
+    let w = try_workload_by_name("phased").expect("registered bench");
     let img = w.image(LayoutChoice::Optimized);
     let scfg = SampleConfig {
         interval: 40_000,

@@ -3,8 +3,10 @@
 //! through, warm-store replays equal cold-store runs byte-for-byte, and
 //! damaged store entries — warm-bank entries re-sealed under a valid
 //! digest included — are rejected and recomputed, never trusted. Bytes
-//! flipped inside a re-sealed warm entry's engine or memory segment never
-//! panic a run.
+//! flipped inside a re-sealed warm entry's segments or a re-sealed
+//! checkpoint entry never panic a run.
+
+use std::ops::Range;
 
 use proptest::prelude::*;
 
@@ -98,37 +100,61 @@ fn resize_segment(payload: &[u8], segment: usize, delta: i64) -> Vec<u8> {
     join_segments(&segs)
 }
 
-/// Bytes at each end of a segment that [`flip_segment`] aims at: the
+/// Bytes at each end of a segment that [`flip_bytes`] aims at: the
 /// structural fields (format version, table geometry, fill units, open
 /// streams, counters) sit there, the bulk tables in between.
 const FLIP_EDGE: u64 = 256;
 
+/// XORs bytes of `bytes`, keeping its length. Each flip `(region, at,
+/// mask)` lands in the head (region 0), the tail (region 1), anywhere
+/// (region 2) or inside `spans[region - 3]` (anywhere when there is no
+/// such span), at offset `at` modulo that span.
+fn flip_bytes(bytes: &mut [u8], flips: &[(u8, u64, u8)], spans: &[Range<usize>]) {
+    let len = bytes.len() as u64;
+    let edge = len.min(FLIP_EDGE);
+    for &(region, at, mask) in flips {
+        let span = usize::from(region).checked_sub(3).and_then(|r| spans.get(r));
+        let i = match (region, span) {
+            (0, _) => at % edge,
+            (1, _) => len - edge + at % edge,
+            (_, Some(s)) => s.start as u64 + at % (s.end - s.start) as u64,
+            _ => at % len,
+        };
+        bytes[i as usize] ^= mask;
+    }
+}
+
+/// The bytes of a serialized checkpoint the executor resumes from as
+/// is: its pc word, and (past the counter and table-size words) every
+/// per-block cursor and the call stack.
+fn ckpt_state_spans(ckpt: &[u8]) -> [Range<usize>; 2] {
+    let word = |i: usize| u64::from_le_bytes(ckpt[8 * i..8 * i + 8].try_into().expect("word"));
+    let (n_blocks, n_stack) = (word(8) as usize, word(9) as usize);
+    [40..48, 88..8 * (11 + 3 * n_blocks + n_stack)]
+}
+
 /// XORs bytes inside one segment of a warm-bank entry payload, keeping
-/// every length intact. Each flip `(region, at, mask)` lands in the
-/// segment's head (region 0), its tail (region 1) or anywhere (region 2),
-/// at offset `at` modulo that span.
+/// every length intact (see [`flip_bytes`]; a checkpoint segment's
+/// spans are its [`ckpt_state_spans`]).
 fn flip_segment(payload: &[u8], segment: usize, flips: &[(u8, u64, u8)]) -> Vec<u8> {
     let mut segs = split_segments(payload);
     let seg = &mut segs[segment];
-    let len = seg.len() as u64;
-    let edge = len.min(FLIP_EDGE);
-    for &(region, at, mask) in flips {
-        let i = match region {
-            0 => at % edge,
-            1 => len - edge + at % edge,
-            _ => at % len,
-        };
-        seg[i as usize] ^= mask;
-    }
+    let spans = if segment == 0 { ckpt_state_spans(seg).to_vec() } else { Vec::new() };
+    flip_bytes(seg, flips, &spans);
     join_segments(&segs)
 }
 
-/// Re-seals a warm-bank entry file around a new payload: header words 6
-/// and 7 are the payload's FNV-1a digest and length.
-fn reseal_warm_entry(file: &[u8], payload: &[u8]) -> Vec<u8> {
-    let mut out = file[..64].to_vec();
-    out[48..56].copy_from_slice(&sfetch_fleet::fnv64(payload).to_le_bytes());
-    out[56..64].copy_from_slice(&(payload.len() as u64).to_le_bytes());
+/// Header bytes of a warm-bank entry and of a `.sfckpt` entry: magic,
+/// version, the key words (four and three), digest and length.
+const WARM_HEADER: usize = 64;
+const CKPT_HEADER: usize = 56;
+
+/// Re-seals an entry file around a new payload: the header's last two
+/// words are the payload's FNV-1a digest and length.
+fn reseal(file: &[u8], header: usize, payload: &[u8]) -> Vec<u8> {
+    let mut out = file[..header].to_vec();
+    out[header - 16..header - 8].copy_from_slice(&sfetch_fleet::fnv64(payload).to_le_bytes());
+    out[header - 8..].copy_from_slice(&(payload.len() as u64).to_le_bytes());
     out.extend_from_slice(payload);
     out
 }
@@ -181,7 +207,7 @@ proptest! {
         let model = warm_model_digest(cell.kind, &cell.pcfg, &scfg);
         let path = store.warm_entry_path(&key, model);
         let good = std::fs::read(&path).expect("banked entry");
-        let bad = reseal_warm_entry(&good, &resize_segment(&good[64..], segment, delta));
+        let bad = reseal(&good, WARM_HEADER, &resize_segment(&good[WARM_HEADER..], segment, delta));
         let reopen = || CheckpointStore::open(&root).expect("reopen store");
         std::fs::write(&path, &bad).expect("plant entry");
         let planted = reopen().load_warm(&key, model);
@@ -207,19 +233,21 @@ proptest! {
 }
 
 proptest! {
-    #![proptest_config(ProptestConfig::with_cases(24))]
+    #![proptest_config(ProptestConfig::with_cases(32))]
 
-    /// Hostile warm-bank bytes: flipping bytes inside one engine's
-    /// warm-state segment, or inside the memory segment, and re-sealing
-    /// the entry under a valid digest never panics a run. The entry
-    /// either fails to decode — then it is rejected, warmed live and
-    /// rebanked, with points bit-identical to an unbanked run — or it
-    /// decodes cleanly into some other warm state.
+    /// Hostile store bytes: flipping bytes inside one segment of a
+    /// warm-bank entry — its checkpoint, one engine's warm state or the
+    /// memory state — or inside a `.sfckpt` checkpoint entry, and
+    /// re-sealing the entry under a valid digest, never panics a run.
+    /// The entry either fails to decode or to fit the image — then it is
+    /// rejected and recomputed (a warm entry rebanked), with points
+    /// bit-identical to an untouched run — or it decodes cleanly into
+    /// some other state.
     #[test]
     fn resealed_flipped_warm_segments_never_panic(
         victim in 0usize..4,
-        segment in 1usize..3,
-        flips in prop::collection::vec((0u8..3, any::<u64>(), 1u8..=255), 1..6),
+        target in 0usize..4,
+        flips in prop::collection::vec((0u8..5, any::<u64>(), 1u8..=255), 1..6),
     ) {
         let img = phased_image(11);
         let scfg = quick_schedule();
@@ -235,26 +263,45 @@ proptest! {
             let store = CheckpointStore::open(&root).expect("reopen store");
             let mut batch = BatchSampler::new(&img, fp, seed, scfg, &store).with_warm_bank(bank);
             let pts = batch.run_range_points(&cells, 0..windows, 1);
-            (pts, batch.warm_bank_stats())
+            (pts, batch.warm_bank_stats(), batch.stats())
         };
-        let (unbanked, _) = run(false);
+        let (unbanked, _, _) = run(false);
         run(true);
 
-        let cell = cells[victim];
         let key = StoreKey { fingerprint: fp, seed, at_inst: scfg.fast_forward() };
-        let model = warm_model_digest(cell.kind, &cell.pcfg, &scfg);
-        let path = store.warm_entry_path(&key, model);
-        let good = std::fs::read(&path).expect("banked entry");
-        let bad = reseal_warm_entry(&good, &flip_segment(&good[64..], segment, &flips));
-        std::fs::write(&path, &bad).expect("plant entry");
+        if target < 3 {
+            // Segment `target` of the victim cell's warm entry.
+            let cell = cells[victim];
+            let model = warm_model_digest(cell.kind, &cell.pcfg, &scfg);
+            let path = store.warm_entry_path(&key, model);
+            let good = std::fs::read(&path).expect("banked entry");
+            let payload = flip_segment(&good[WARM_HEADER..], target, &flips);
+            std::fs::write(&path, reseal(&good, WARM_HEADER, &payload)).expect("plant entry");
 
-        let (again, stats) = run(true);
-        if stats.rejected == 1 {
-            prop_assert_eq!(&again, &unbanked);
-            prop_assert!(std::fs::read(&path).expect("rebanked entry") == good, "entry rewritten");
+            let (again, stats, _) = run(true);
+            if stats.rejected == 1 {
+                prop_assert_eq!(&again, &unbanked);
+                prop_assert!(std::fs::read(&path).expect("rebanked entry") == good, "entry rewritten");
+            } else {
+                prop_assert_eq!(stats.rejected, 0);
+                prop_assert_eq!(stats.hits, cells.len() as u64, "the flipped entry decodes cleanly");
+            }
         } else {
-            prop_assert_eq!(stats.rejected, 0);
-            prop_assert_eq!(stats.hits, cells.len() as u64, "the flipped entry decodes cleanly");
+            // The window's checkpoint entry, which an unbanked run reads.
+            let path = store.entry_path(&key);
+            let good = std::fs::read(&path).expect("stored checkpoint");
+            let mut payload = good[CKPT_HEADER..].to_vec();
+            let spans = ckpt_state_spans(&payload);
+            flip_bytes(&mut payload, &flips, &spans);
+            std::fs::write(&path, reseal(&good, CKPT_HEADER, &payload)).expect("plant entry");
+
+            let (again, _, stats) = run(false);
+            if stats.rejected == 1 {
+                prop_assert_eq!(&again, &unbanked);
+            } else {
+                prop_assert_eq!(stats.rejected, 0);
+                prop_assert_eq!(stats.hits, 1, "the flipped entry decodes cleanly");
+            }
         }
         let _ = std::fs::remove_dir_all(&root);
     }

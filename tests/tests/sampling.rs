@@ -5,13 +5,14 @@
 
 use proptest::prelude::*;
 
+use sfetch_bench::grid::{merge_grid, GridCell, GridError};
 use sfetch_cfg::gen::{GenParams, ProgramGenerator};
 use sfetch_cfg::{layout, CfgBuilder, CodeImage, CondBehavior, TripCount};
 use sfetch_core::{simulate, ProcessorConfig};
 use sfetch_fetch::EngineKind;
 use sfetch_sample::{
-    estimate, merge_points, run_full_detailed, run_sampled, window_range, SampleConfig,
-    SamplePoint, Sampler, ShardSpec,
+    estimate, run_full_detailed, run_sampled, window_range, Confidence, SampleConfig, SamplePoint,
+    Sampler, ShardSpec,
 };
 use sfetch_trace::ArchCheckpoint;
 use sfetch_workloads::phased::{self, PhasedParams};
@@ -79,13 +80,51 @@ fn serialized_shard_split_merges_bit_identically() {
         assert_eq!(child.window(), range.start);
         sharded.extend(child.run(range.end - range.start));
     }
-    let merged = merge_points(sharded).expect("complete set of windows");
-    assert_eq!(single.points, merged, "sharded windows must equal the single-process run");
+    let cell = GridCell { engine: EngineKind::Stream, width: 4 };
+    let tuples: Vec<_> = sharded.into_iter().rev().map(|p| ("stream".to_owned(), 4, p)).collect();
+    let merged = merge_grid(&[cell], windows, &tuples, scfg.confidence)
+        .expect("complete set of windows")
+        .remove(0);
+    assert_eq!(single.points, merged.points, "sharded windows must equal the single-process run");
     assert_eq!(
         single.estimate,
-        estimate(&merged, scfg.confidence),
+        estimate(&merged.points, scfg.confidence),
         "aggregates must match too"
     );
+}
+
+/// The merge every grid result goes through refuses a hole or a
+/// duplicate window instead of estimating over it.
+#[test]
+fn merge_grid_detects_holes_and_duplicates() {
+    let cell = GridCell { engine: EngineKind::Ev8, width: 8 };
+    let tuple = |window| {
+        let p = SamplePoint {
+            window,
+            start_inst: 0,
+            committed: 1,
+            cycles: 1,
+            stall_cycles: 0,
+            mispredictions: 0,
+        };
+        ("ev8".to_owned(), 8, p)
+    };
+    let conf = Confidence::default();
+    let merged = merge_grid(&[cell], 3, &[tuple(2), tuple(0), tuple(1)], conf).expect("complete");
+    assert_eq!(merged[0].points.iter().map(|p| p.window).collect::<Vec<_>>(), vec![0, 1, 2]);
+    for (tuples, want) in [
+        (vec![tuple(0), tuple(2)], "merged 2 windows, expected 3"),
+        (vec![tuple(0), tuple(0), tuple(1)], "duplicate window 0"),
+        (vec![tuple(0), tuple(1), tuple(3)], "window 3 out of range"),
+        (vec![], "merged 0 windows, expected 3"),
+    ] {
+        match merge_grid(&[cell], 3, &tuples, conf) {
+            Err(e @ GridError::Merge { .. }) => {
+                assert!(e.to_string().contains(want), "{e} lacks {want:?}")
+            }
+            other => panic!("{tuples:?}: want a merge error, got {other:?}"),
+        }
+    }
 }
 
 /// A strictly deterministic, periodic program: every branch is a fixed

@@ -9,7 +9,7 @@ use std::time::{Duration, Instant};
 
 use sfetch_bench::driver::{submit_and_collect, GridRequest, ServeEvent, StreamOutcome};
 use sfetch_bench::grid::{merge_grid, verify_merged};
-use sfetch_bench::{workload_by_name, HarnessOpts};
+use sfetch_bench::{try_workload_by_name, HarnessOpts};
 use sfetch_fetch::EngineKind;
 use sfetch_sample::SampleConfig;
 use sfetch_serve::{Daemon, DaemonConfig};
@@ -145,7 +145,8 @@ fn assert_matches_oracle(req: &GridRequest, out: &StreamOutcome) {
     let scfg = quick_schedule();
     let windows = req.windows();
     let runs = merge_grid(&req.grid(), windows, &out.points, scfg.confidence).expect("merge");
-    verify_merged(&workload_by_name(BENCH), &runs, scfg, &req.opts, windows);
+    let w = try_workload_by_name(BENCH).expect("registered bench");
+    verify_merged(&w, &runs, scfg, &req.opts, windows);
 }
 
 impl Drop for TestDaemon {
