@@ -9,10 +9,12 @@
 
 use std::process::Command;
 
+use sfetch_bench::driver::{or_die, process_args};
+
 fn main() {
     // Validate the flags before fanning out.
     let _ = sfetch_bench::HarnessOpts::from_args();
-    let args: Vec<String> = std::env::args().skip(1).collect();
+    let args = or_die(process_args());
     let me = std::env::current_exe().expect("current exe path");
     let dir = me.parent().expect("target dir");
     for bin in [

@@ -22,6 +22,12 @@
 //! Exit status: 0 complete, 2 degraded (some cells permanently failed),
 //! 1 error.
 //!
+//! `--verify` reruns each benchmark's cells through a **storeless**
+//! live sampler and asserts its merged grid is bit-identical, printing
+//! one `verify OK: <bench>` line per benchmark after the table (a
+//! degraded benchmark is skipped with a `verify skipped` line on
+//! stderr).
+//!
 //! With `--serve SOCKET` nothing is simulated locally: each benchmark
 //! is submitted to a resident `sfetch-serve` daemon as its own request,
 //! the streamed points are merged client-side, and the printed table is
@@ -32,7 +38,7 @@
 //! cargo run --release -p sfetch-bench --bin figure9_sampled -- \
 //!     [--benches gzip,gcc,crafty,twolf,phased] [--engines all|…] \
 //!     [--grid-total N] [--grid-sample U,Wf,Wd,D[,Wm]] [--store DIR] \
-//!     [--procs N] [--chaos SEED] [--max-retries N] [--cell-timeout S] \
+//!     [--procs N] [--verify] [--chaos SEED] [--max-retries N] [--cell-timeout S] \
 //!     [--jobs N] [--prefetch K] [--warm-bank] \
 //!     [--front-pipeline legacy|engine] [--grid-prefetch shared|natural] \
 //!     [--serve SOCKET] [--req ID] \
@@ -50,7 +56,8 @@ use std::process::ExitCode;
 
 use sfetch_bench::driver::{announce_kept_store, or_die, run_request, ArgDefaults, CommonArgs};
 use sfetch_bench::fleet_grid::maybe_run_fleet_child;
-use sfetch_bench::grid::FIG9_WIDTH;
+use sfetch_bench::grid::{verify_merged, FIG9_WIDTH};
+use sfetch_bench::try_workload_by_name;
 use sfetch_core::metrics::harmonic_mean;
 use sfetch_fetch::EngineKind;
 
@@ -80,6 +87,7 @@ fn main() -> ExitCode {
         "bench",
         a.engines.iter().map(|k| format!("{:>22}", k.to_string())).collect::<String>()
     );
+    let mut verdicts = Vec::new();
     let mut per_engine: Vec<(EngineKind, Vec<f64>)> =
         a.engines.iter().map(|&k| (k, Vec::new())).collect();
     for bench in &a.benches {
@@ -87,8 +95,22 @@ fn main() -> ExitCode {
         // file per engine, plus optional pipeline traces, per bench.
         let mut obs = a.obs.clone();
         obs.dir = a.obs.dir.as_ref().map(|d| d.join(bench));
-        let out = or_die(run_request(&a, &a.request(bench), &obs));
+        let req = a.request(bench);
+        let out = or_die(run_request(&a, &req, &obs));
         degraded |= out.degraded;
+        // The storeless oracle, per bench, on the workload the dispatch
+        // built (or, after a daemon run, a fresh one).
+        if a.verify && !out.degraded {
+            eprintln!("{bench}: verifying merged grid against a storeless in-process rerun…");
+            let w = out.workload.unwrap_or_else(|| or_die(try_workload_by_name(bench)));
+            verify_merged(&w, &out.runs, req.scfg, &req.opts, req.windows());
+            verdicts.push(format!(
+                "verify OK: {bench}: store-backed grid is bit-identical to a storeless \
+                 single-process run"
+            ));
+        } else if a.verify {
+            eprintln!("verify skipped: degraded result has incomplete cells");
+        }
         let row: String = out
             .runs
             .iter()
@@ -123,6 +145,9 @@ fn main() -> ExitCode {
         );
     }
 
+    for line in verdicts {
+        println!("{line}");
+    }
     announce_kept_store(&a);
     if degraded {
         ExitCode::from(2)

@@ -34,6 +34,7 @@
 //! computed once, streamed to every subscriber, and resumed with zero
 //! recomputation on resubmit.
 
+use std::ffi::OsString;
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicUsize, Ordering};
 
@@ -51,6 +52,25 @@ use crate::grid::{
 };
 use crate::obs::{write_sampled_obs, ObsOpts};
 use crate::{flag_value, number, positive, HarnessOpts};
+
+/// [`process_args`] over an explicit argument list.
+fn utf8_args(args: impl IntoIterator<Item = OsString>) -> Result<Vec<String>, GridError> {
+    args.into_iter()
+        .map(|a| {
+            a.into_string().map_err(|a| GridError::Cli(format!("argument {a:?} is not UTF-8")))
+        })
+        .collect()
+}
+
+/// The process arguments after the program name, as UTF-8 strings.
+///
+/// # Errors
+///
+/// [`GridError::Cli`] naming the first argument that is not valid
+/// UTF-8 (the parsers match flags as text).
+pub fn process_args() -> Result<Vec<String>, GridError> {
+    utf8_args(std::env::args_os().skip(1))
+}
 
 /// Exits with a readable message instead of a panic backtrace.
 pub fn or_die<T, E: std::fmt::Display>(r: Result<T, E>) -> T {
@@ -115,7 +135,7 @@ impl CommonArgs {
     /// Parses the process arguments (see [`CommonArgs::parse_list`]),
     /// exiting with `error: …` and status 1 on malformed arguments.
     pub fn parse(d: &ArgDefaults) -> Self {
-        or_die(Self::parse_list(std::env::args().skip(1).collect(), d))
+        or_die(process_args().and_then(|args| Self::parse_list(args, d)))
     }
 
     /// Parses an explicit argument list. Flags this parser does not own
@@ -855,6 +875,19 @@ mod tests {
             scfg: SampleConfig::parse("500000,60000,5000,5000").expect("spec"),
             opts,
         }
+    }
+
+    #[test]
+    fn utf8_args_reject_a_non_utf8_argument() {
+        use std::os::unix::ffi::OsStringExt as _;
+        let ok = utf8_args(["--inst", "5"].map(OsString::from)).expect("utf-8 arguments");
+        assert_eq!(ok, ["--inst", "5"]);
+        let bad = OsString::from_vec(vec![b'-', 0xff]);
+        let err = utf8_args([OsString::from("--inst"), bad]).expect_err("non-UTF-8 argument");
+        assert!(
+            matches!(&err, GridError::Cli(m) if m.contains("not UTF-8")),
+            "typed CLI error, got {err:?}"
+        );
     }
 
     #[test]

@@ -213,7 +213,7 @@ impl HarnessOpts {
     /// `--store-cap-bytes N` from the process arguments, exiting with
     /// `error: …` and status 1 on malformed arguments.
     pub fn from_args() -> Self {
-        driver::or_die(Self::from_arg_list(&std::env::args().skip(1).collect::<Vec<String>>()))
+        driver::or_die(driver::process_args().and_then(|args| Self::from_arg_list(&args)))
     }
 
     /// Parses an explicit argument list (see [`HarnessOpts::from_args`]).

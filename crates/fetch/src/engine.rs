@@ -171,12 +171,22 @@ pub trait FetchEngine {
     /// (FTQ, I-cache port, in-flight deliveries) are excluded: they are
     /// factory-fresh after warming and rebuilt by the post-warm resync
     /// redirect. Returns `None` for engines without banking support.
+    ///
+    /// The commit-side state depends only on the engine kind and the
+    /// committed records it was fed — never on `width`, the
+    /// [`sfetch_prefetch::PrefetchConfig`] or the
+    /// [`crate::front::FrontPipeline`]: `commit`, `commit_block` and
+    /// `warm_block` must not read them. The batched sampling sweep relies
+    /// on it: it warms one engine per kind and restores every other
+    /// configuration of that kind from these bytes.
+    /// `tests/tests/warm_state.rs` pins it for every kind.
     fn warm_state(&self) -> Option<Vec<u8>> {
         None
     }
 
     /// Restores warm state captured by [`FetchEngine::warm_state`] into a
-    /// freshly built engine of the *same* configuration. Any mismatch
+    /// freshly built engine of the *same* kind, at any width, prefetch
+    /// configuration or front pipeline. Any mismatch
     /// (geometry, version, trailing bytes) is an error — callers treat a
     /// failed load as a cache miss and rewarm from scratch.
     fn load_warm_state(&mut self, bytes: &[u8]) -> Result<(), String> {

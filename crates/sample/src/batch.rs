@@ -6,22 +6,31 @@
 //! functional-warming span walked — once to feed the cache/predictor
 //! warming loop, and again as the detailed phase's commit oracle. For
 //! the paper's calibration schedule that is `Wf + Wd + D ≈ 910k`
-//! architectural instructions *per cell per window*, and the grid runs 12
-//! cells over the same 4 windows: walked per cell, ~92 % of grid host
-//! time would be the same functional walk repeated with different timing
-//! models attached.
+//! architectural instructions per window, and the Fig. 8 grid runs 12
+//! cells (4 engine kinds × 3 widths) over the same windows. Neither the
+//! walk nor the warming it feeds needs repeating per cell: the walk is
+//! the same for every cell, and the warm state differs only by engine
+//! kind (engines) or by width (caches).
 //!
 //! `run_batch_window` is the one code path that warms and measures a
 //! window against the store. The shared functional reference stream is
 //! advanced **once** per window, and every cell consumes it in lockstep:
 //!
-//! * **engine warming** feeds each `WARM_BATCH`-sized chunk of committed
-//!   records — converted once, while cache-hot — to every replaying
-//!   cell's [`sfetch_fetch::FetchEngine::warm_block`], in the same
-//!   chunking the storeless [`crate::Sampler`] uses;
+//! * **engine warming** runs once per engine kind: each `WARM_BATCH`-sized
+//!   chunk of committed records — converted once, while cache-hot — goes
+//!   to the [`sfetch_fetch::FetchEngine::warm_block`] of each kind's
+//!   *leader* (its first replaying cell), in the same chunking the
+//!   storeless [`crate::Sampler`] uses. Every other replaying cell of
+//!   the kind is built fresh at its own width, prefetch and front and
+//!   restored from the leader's
+//!   [`sfetch_fetch::FetchEngine::warm_state`] bytes, which depend on
+//!   none of those (the trait's contract; a kind without warm-state
+//!   support warms each of its cells itself);
 //! * **memory warming** rides the same sweep, once per distinct pipe
 //!   width (cache warming depends only on the width's line geometry,
-//!   never on the engine), and is cloned into each same-width cell;
+//!   never on the engine), and is cloned into each same-width cell — a
+//!   window makes engine kinds + distinct widths warming passes (7 for
+//!   the default grid), not cells + widths (15);
 //! * the **detailed phase** runs a full per-window [`Processor`] whose
 //!   commit oracle is [`OracleSource::Replay`] over the recorded
 //!   detailed span (`Vec<DynInst>` — only `Wd + D` + the run-ahead
@@ -33,30 +42,35 @@
 //! Bit-identity with the storeless [`crate::Sampler`] holds by
 //! construction: the recorded buffer *is* the committed-path sequence a
 //! live executor would produce (the executor is deterministic), the
-//! warming loops consume it in the same order and chunking, and the
-//! processor consumes oracle records identically whether they come from a
-//! live walk or the buffer. The module tests and the
+//! warming loops consume it in the same order and chunking, a restored
+//! follower holds exactly the state its own warming would have built,
+//! and the processor consumes oracle records identically whether they
+//! come from a live walk or the buffer. The module tests and the
 //! `tests/tests/batch_identity.rs` differential oracle assert it against
-//! `Sampler`, including a proptest over random schedules and cell mixes.
+//! `Sampler`, including the full grid (every kind with two followers)
+//! and a proptest over random schedules and cell mixes.
 //!
 //! Warm-state banking composes: when *every* cell of a window restores
 //! from the bank, the shared sweep shrinks to the detailed span
 //! (`Wd + D` + oracle margin) — the batch and the bank multiply rather
-//! than merely coexist.
+//! than merely coexist. A follower banks its leader's warm-state bytes
+//! unchanged, so its entry is the one its own warming would have filed.
 
 use std::ops::Range;
 use std::time::Instant;
 
 use sfetch_cfg::CodeImage;
 use sfetch_core::{Processor, ProcessorConfig, SimStats};
-use sfetch_fetch::{Checkpoint, CommittedInst, EngineKind, ResolvedBranch};
+use sfetch_fetch::{Checkpoint, CommittedInst, EngineKind, FetchEngine, ResolvedBranch};
 use sfetch_isa::wire::WireWriter;
 use sfetch_mem::{MemoryConfig, MemoryHierarchy};
 use sfetch_trace::{DynInst, Executor, OracleSource};
 
 use crate::config::SampleConfig;
 use crate::runner::{committed_record, point_from_stats, SamplePoint, WARM_BATCH};
-use crate::store::{CheckpointStore, StoreKey, StoreStats, StoredSampler, WarmEntry, WarmTiming};
+use crate::store::{
+    restore_engine, CheckpointStore, StoreKey, StoreStats, StoredSampler, WarmEntry, WarmTiming,
+};
 
 /// Committed-path records the recorder keeps beyond the detailed span:
 /// the processor's oracle runs ahead of commit by at most the in-flight
@@ -180,11 +194,11 @@ impl<'a> BatchSampler<'a> {
 }
 
 /// One window's batched sweep: record the shared committed-path buffer
-/// once, warm memory once per width, then warm/restore + measure every
-/// cell against the buffer. Returns per-cell results in cell order —
-/// `None` for a cell whose banked entry does not decode, which the
-/// caller re-runs warmed live — plus the nanoseconds spent outside
-/// measurement (recording + warming).
+/// once, warm one engine per engine kind and memory once per width, then
+/// restore + measure every cell against the buffer. Returns per-cell
+/// results in cell order — `None` for a cell whose banked entry does not
+/// decode, which the caller re-runs warmed live — plus the nanoseconds
+/// spent outside measurement (recording + warming).
 pub(crate) fn run_batch_window<'a>(
     image: &'a CodeImage,
     cells: &[BatchCell],
@@ -197,24 +211,35 @@ pub(crate) fn run_batch_window<'a>(
     let mut warm_ns = 0u64;
     let t0 = Instant::now();
 
-    // Replay cells warm in lockstep with the single recording sweep:
-    // every `WARM_BATCH` chunk of committed records is converted once
-    // and fed to all replaying engines while it is still cache-hot. The
-    // alternative — buffering the whole warming span and letting each
-    // cell re-scan it — reads a window-sized record buffer from DRAM
-    // once per cell, which costs more than the executor walks it saves.
-    // Engines never share state, so the interleaving is bit-identical
-    // to warming each cell to completion in turn.
+    // Engine warming runs once per engine kind. A replay cell's leader
+    // is the first replay cell of its kind; only leaders are warmed.
+    // Commit-side warm state depends on the kind and the committed
+    // records alone, never on width, prefetch or front (the
+    // `FetchEngine::warm_state` contract), so every other replay cell of
+    // that kind — a follower — is built fresh at its own configuration
+    // and restored from its leader's warm-state bytes. A kind whose
+    // engines serialize no warm state (probed on the leader's fresh
+    // engine, once a follower appears) makes each of its cells its own
+    // leader.
     let warm_pc = rec.pc();
-    let mut engines: Vec<Option<Box<dyn sfetch_fetch::FetchEngine>>> = cells
-        .iter()
-        .enumerate()
-        .map(|(ci, cell)| {
-            matches!(sources[ci], CellSource::Replay { .. }).then(|| {
-                cell.kind.build_for(cell.pcfg.width, warm_pc, &cell.pcfg.prefetch, &cell.pcfg.front)
-            })
-        })
-        .collect();
+    let mut engines: Vec<Option<Box<dyn FetchEngine>>> = Vec::with_capacity(cells.len());
+    let mut leader: Vec<usize> = Vec::with_capacity(cells.len());
+    let mut shares: Vec<Option<bool>> = vec![None; cells.len()];
+    for (ci, cell) in cells.iter().enumerate() {
+        let replay = matches!(sources[ci], CellSource::Replay { .. });
+        let kind_leader =
+            (0..ci).find(|&l| leader[l] == l && engines[l].is_some() && cells[l].kind == cell.kind);
+        let follows = kind_leader.filter(|&l| {
+            replay
+                && *shares[l].get_or_insert_with(|| {
+                    engines[l].as_ref().is_some_and(|e| e.warm_state().is_some())
+                })
+        });
+        leader.push(follows.unwrap_or(ci));
+        engines.push((replay && follows.is_none()).then(|| {
+            cell.kind.build_for(cell.pcfg.width, warm_pc, &cell.pcfg.prefetch, &cell.pcfg.front)
+        }));
+    }
     // Functional memory warming rides the same sweep, once per distinct
     // width among the replay-warmed cells (cache warming depends only
     // on the width's line geometry, never on the engine), each with its
@@ -232,6 +257,14 @@ pub(crate) fn run_batch_window<'a>(
         let line_bytes = mem.l1i_line_bytes();
         mems.push((cell.pcfg.width, mem, line_bytes, u64::MAX));
     }
+    // Leaders warm in lockstep with the single recording sweep: every
+    // `WARM_BATCH` chunk of committed records is converted once and fed
+    // to all leaders while it is still cache-hot. The alternative —
+    // buffering the whole warming span and letting each leader re-scan
+    // it — reads a window-sized record buffer from DRAM once per
+    // leader, which costs more than the executor walks it saves.
+    // Engines never share state, so the interleaving is bit-identical
+    // to warming each leader to completion in turn.
     let mem_from = scfg.warm_func - scfg.warm_mem;
     let mut chunk: Vec<CommittedInst> = Vec::with_capacity(WARM_BATCH);
     for i in 0..warm_span {
@@ -259,6 +292,15 @@ pub(crate) fn run_batch_window<'a>(
     if !chunk.is_empty() {
         for e in engines.iter_mut().flatten() {
             e.warm_block(&chunk);
+        }
+    }
+    // Each leader's warm state, serialized once when a follower restores
+    // from it or a cell of its kind banks it.
+    let mut warm_bytes: Vec<Option<Vec<u8>>> = vec![None; cells.len()];
+    for (ci, &l) in leader.iter().enumerate() {
+        let banks = matches!(sources[ci], CellSource::Replay { bank_to: Some(_) });
+        if (l != ci || banks) && warm_bytes[l].is_none() {
+            warm_bytes[l] = engines[l].as_ref().and_then(|e| e.warm_state());
         }
     }
     let needs_bank = sources
@@ -293,19 +335,27 @@ pub(crate) fn run_batch_window<'a>(
                 }
             },
             CellSource::Replay { bank_to } => {
-                let engine = engines[ci].take().expect("engine warmed for every replay cell");
+                let l = leader[ci];
+                let engine = if l == ci {
+                    engines[ci].take().expect("engine warmed for every leader")
+                } else {
+                    let bytes =
+                        warm_bytes[l].as_deref().expect("leader serialized for its followers");
+                    restore_engine(cell.kind, &cell.pcfg, warm_pc, bytes)
+                        .expect("a leader's warm state loads into every engine of its kind")
+                };
                 let mem = mems
                     .iter()
                     .find(|&&(width, ..)| width == cell.pcfg.width)
                     .map(|(_, m, ..)| m.clone())
                     .expect("memory warmed for every replay width");
                 if let Some(key) = bank_to {
-                    if let Some(engine_bytes) = engine.warm_state() {
+                    if let Some(engine_bytes) = &warm_bytes[l] {
                         let mut mw = WireWriter::new();
                         mem.save_warm_wire(&mut mw);
                         let entry = WarmEntry {
                             ckpt: ckpt_post_warm.clone().expect("checkpoint recorded for banking"),
-                            engine: engine_bytes,
+                            engine: engine_bytes.clone(),
                             mem: mw.into_bytes(),
                         };
                         // Best-effort, like every store save.

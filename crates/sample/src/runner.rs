@@ -240,7 +240,9 @@ fn advance(e: &mut Executor<'_>, n: u64) {
     }
 }
 
-pub(crate) fn committed_record(d: &DynInst) -> CommittedInst {
+/// The warming record of one committed instruction: what functional
+/// warming feeds [`sfetch_fetch::FetchEngine::warm_block`].
+pub fn committed_record(d: &DynInst) -> CommittedInst {
     CommittedInst {
         pc: d.pc,
         control: d.control.map(|c| CommittedControl {

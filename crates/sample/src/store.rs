@@ -672,8 +672,7 @@ impl WarmEntry {
         kind: EngineKind,
         pcfg: &ProcessorConfig,
     ) -> Result<(Box<dyn FetchEngine>, MemoryHierarchy), String> {
-        let mut engine = kind.build_for(pcfg.width, self.ckpt.pc, &pcfg.prefetch, &pcfg.front);
-        engine.load_warm_state(&self.engine).map_err(|e| format!("engine warm state: {e}"))?;
+        let engine = restore_engine(kind, pcfg, self.ckpt.pc, &self.engine)?;
         let mut mem = MemoryHierarchy::new(MemoryConfig::table2(pcfg.width));
         let mut r = WireReader::new(&self.mem);
         mem.load_warm_wire(&mut r)
@@ -681,6 +680,26 @@ impl WarmEntry {
             .map_err(|e| format!("memory warm state: {e}"))?;
         Ok((engine, mem))
     }
+}
+
+/// A fresh `kind` engine under `pcfg`, starting fetch at `entry`, loaded
+/// with commit-side warm state ([`FetchEngine::warm_state`] bytes). The
+/// bytes may come from an engine of the same kind at another width,
+/// prefetch or front (the state depends on none of them): the banked
+/// restore and the batched sweep's same-kind followers both land here.
+///
+/// # Errors
+///
+/// The engine's decoding failure.
+pub(crate) fn restore_engine(
+    kind: EngineKind,
+    pcfg: &ProcessorConfig,
+    entry: sfetch_isa::Addr,
+    bytes: &[u8],
+) -> Result<Box<dyn FetchEngine>, String> {
+    let mut engine = kind.build_for(pcfg.width, entry, &pcfg.prefetch, &pcfg.front);
+    engine.load_warm_state(bytes).map_err(|e| format!("engine warm state: {e}"))?;
+    Ok(engine)
 }
 
 /// Digest of everything a warm-state entry depends on *beyond* the
@@ -1551,6 +1570,35 @@ mod tests {
         let fresh = CheckpointStore::open(store.root()).expect("reopen store");
         assert_eq!(fresh.load(&key), Ok(cp));
         assert_eq!(fresh.load_warm(&key, 0xabcd).as_deref(), Ok(&warm));
+        let _ = std::fs::remove_dir_all(store.root());
+    }
+
+    /// A warm entry banked by a same-kind follower — restored from its
+    /// leader's warm state rather than warmed itself, here at another
+    /// width and front — hashes to the value earlier builds, which
+    /// warmed every cell, wrote for the same cell.
+    #[test]
+    fn follower_banked_warm_entry_matches_earlier_builds() {
+        let img = image();
+        let store = tmp_store("follower-pinned");
+        let (fingerprint, seed) = (0x5eed_f00d, 3);
+        let leader = BatchCell { kind: EngineKind::TraceCache, pcfg: ProcessorConfig::table2(2) };
+        let mut pcfg = ProcessorConfig::table2(8);
+        pcfg.front = sfetch_fetch::FrontPipeline::for_engine(EngineKind::TraceCache);
+        let follower = BatchCell { kind: EngineKind::TraceCache, pcfg };
+        let mut b = crate::BatchSampler::new(&img, fingerprint, seed, quick_cfg(), &store)
+            .with_warm_bank(true);
+        let _ = b.run_range(&[leader, follower], 1..2, 1);
+        let at_inst =
+            StoredSampler::new(&img, fingerprint, seed, quick_cfg(), &store).warming_start(1);
+        let key = StoreKey { fingerprint, seed, at_inst };
+        let model = warm_model_digest(follower.kind, &follower.pcfg, &quick_cfg());
+        let bytes = std::fs::read(store.warm_entry_path(&key, model)).expect("follower entry");
+        assert_eq!(
+            sfetch_tab::fnv64(&bytes),
+            0xe680_b610_a3c6_438e,
+            "follower-banked warm entry bytes"
+        );
         let _ = std::fs::remove_dir_all(store.root());
     }
 }

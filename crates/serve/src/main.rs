@@ -29,7 +29,9 @@ use std::io::{BufRead, BufReader, Write};
 use std::os::unix::net::UnixStream;
 use std::process::ExitCode;
 
-use sfetch_bench::driver::{or_die, submit_and_collect, ArgDefaults, CommonArgs, ServeEvent};
+use sfetch_bench::driver::{
+    or_die, process_args, submit_and_collect, ArgDefaults, CommonArgs, ServeEvent,
+};
 use sfetch_serve::{signals, Daemon, DaemonConfig};
 
 fn usage() -> ExitCode {
@@ -139,7 +141,7 @@ fn run_ping(mut args: Vec<String>) -> ExitCode {
 }
 
 fn main() -> ExitCode {
-    let mut args: Vec<String> = std::env::args().skip(1).collect();
+    let mut args = or_die(process_args());
     if args.is_empty() {
         return usage();
     }

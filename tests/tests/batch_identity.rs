@@ -8,7 +8,10 @@
 //! test. The squash-heavy phased workload additionally pins the case
 //! where measured windows straddle the in-flight batch boundary, and
 //! the full Fig. 8 grid pins the production grid paths byte for byte
-//! at every batch cap, the uncapped default included.
+//! at every batch cap, the uncapped default included. The sweep warms
+//! one engine per engine kind and restores the kind's other cells from
+//! its warm state; the full-grid cases give every kind two such
+//! followers, under both fronts, a shared prefetcher and warm banking.
 
 use proptest::prelude::*;
 
@@ -18,11 +21,12 @@ use sfetch_bench::grid::{
     cell_config, cells, grid_engines, merge_grid, parse_shard_body, point_line, run_sampled_grid,
     CellRun, FIG8_WIDTHS,
 };
-use sfetch_bench::{try_workload_by_name, HarnessOpts};
+use sfetch_bench::{try_workload_by_name, FrontMode, GridPrefetchMode, HarnessOpts};
 use sfetch_cfg::gen::{GenParams, ProgramGenerator};
 use sfetch_cfg::{layout, CodeImage};
 use sfetch_core::{ProcessorConfig, SimStats};
 use sfetch_fetch::{EngineKind, FrontPipeline};
+use sfetch_prefetch::{PrefetchConfig, PrefetchKind};
 use sfetch_sample::{BatchCell, BatchSampler, CheckpointStore, SamplePoint, SampleConfig, Sampler};
 use sfetch_workloads::LayoutChoice;
 
@@ -58,6 +62,18 @@ fn serial_oracle(
     cells.iter().map(|&c| storeless(img, seed, scfg, c, range.clone())).collect()
 }
 
+/// The short window schedule the deterministic cases run.
+fn quick_cfg() -> SampleConfig {
+    SampleConfig {
+        interval: 40_000,
+        warm_func: 6_000,
+        warm_mem: 6_000,
+        warm_detail: 1_000,
+        measure: 2_000,
+        ..Default::default()
+    }
+}
+
 fn cell(kind: EngineKind, width: usize, engine_front: bool) -> BatchCell {
     let mut pcfg = ProcessorConfig::table2(width);
     pcfg.front =
@@ -74,14 +90,7 @@ fn phased_squash_heavy_windows_straddle_batch_boundaries() {
     let w = try_workload_by_name("phased").expect("registered bench");
     let img = w.image(LayoutChoice::Optimized);
     let fp = w.fingerprint(LayoutChoice::Optimized);
-    let scfg = SampleConfig {
-        interval: 40_000,
-        warm_func: 6_000,
-        warm_mem: 6_000,
-        warm_detail: 1_000,
-        measure: 2_000,
-        ..Default::default()
-    };
+    let scfg = quick_cfg();
     let cells: Vec<BatchCell> =
         EngineKind::ALL.iter().map(|&k| cell(k, 8, true)).collect();
     let store = tmp_store("phased");
@@ -104,14 +113,7 @@ fn phased_squash_heavy_windows_straddle_batch_boundaries() {
 fn full_grid_is_byte_identical_at_every_batch_cap() {
     let w = try_workload_by_name("phased").expect("registered bench");
     let img = w.image(LayoutChoice::Optimized);
-    let scfg = SampleConfig {
-        interval: 40_000,
-        warm_func: 6_000,
-        warm_mem: 6_000,
-        warm_detail: 1_000,
-        measure: 2_000,
-        ..Default::default()
-    };
+    let scfg = quick_cfg();
     let windows = 2;
     let total = windows * scfg.interval;
     let grid = cells(&grid_engines(), &FIG8_WIDTHS);
@@ -148,6 +150,72 @@ fn full_grid_is_byte_identical_at_every_batch_cap() {
         let merged = merge_grid(&grid, windows, &tuples, scfg.confidence).expect("merge");
         assert_eq!(lines(&merged), reference, "fleet-body grid at batch {}", opts.batch);
     }
+    let _ = std::fs::remove_dir_all(store.root());
+}
+
+/// The full Fig. 8 grid in one sweep: every engine kind has one leader
+/// (its 2-wide cell) warmed on the shared stream and two followers (4-
+/// and 8-wide) restored from the leader's warm state. Under the
+/// per-engine front with natural prefetch, the legacy front, and a
+/// shared stream prefetcher with 4 MSHRs, every cell must match the
+/// storeless oracle, which warms each cell itself; `jobs = 2` over
+/// windows 1..4 straddles the in-flight batch boundary.
+#[test]
+fn full_grid_followers_match_the_storeless_oracle() {
+    let w = try_workload_by_name("phased").expect("registered bench");
+    let img = w.image(LayoutChoice::Optimized);
+    let fp = w.fingerprint(LayoutChoice::Optimized);
+    let scfg = quick_cfg();
+    let grid = cells(&EngineKind::ALL, &FIG8_WIDTHS);
+    let shared_stream = HarnessOpts {
+        grid_prefetch: GridPrefetchMode::Shared,
+        prefetch: PrefetchConfig {
+            mshrs: 4,
+            ..PrefetchConfig::enabled(PrefetchKind::StreamDirected)
+        },
+        ..HarnessOpts::default()
+    };
+    let legacy = HarnessOpts { front: FrontMode::Legacy, ..HarnessOpts::default() };
+    for (tag, opts) in
+        [("engine", HarnessOpts::default()), ("legacy", legacy), ("mshrs", shared_stream)]
+    {
+        let batch: Vec<BatchCell> = grid
+            .iter()
+            .map(|&c| BatchCell { kind: c.engine, pcfg: cell_config(c, &opts) })
+            .collect();
+        let store = tmp_store(&format!("followers-{tag}"));
+        let got = BatchSampler::new(img, fp, w.ref_seed(), scfg, &store).run_range(&batch, 1..4, 2);
+        let want = serial_oracle(img, w.ref_seed(), scfg, &batch, 1..4);
+        assert_eq!(got, want, "{tag}: grid cells must match the storeless oracle bit-for-bit");
+        let _ = std::fs::remove_dir_all(store.root());
+    }
+}
+
+/// Warm banking with followers: the first banked run files an entry for
+/// every cell — followers bank their leader's bytes — and a second run
+/// restores all 12 cells of every window from the bank. Both match the
+/// storeless oracle.
+#[test]
+fn warm_bank_files_follower_entries_and_hits_every_cell() {
+    let w = try_workload_by_name("phased").expect("registered bench");
+    let img = w.image(LayoutChoice::Optimized);
+    let fp = w.fingerprint(LayoutChoice::Optimized);
+    let scfg = quick_cfg();
+    let batch: Vec<BatchCell> = cells(&EngineKind::ALL, &FIG8_WIDTHS)
+        .into_iter()
+        .map(|c| BatchCell { kind: c.engine, pcfg: cell_config(c, &HarnessOpts::default()) })
+        .collect();
+    let windows = 3u64;
+    let probes = batch.len() as u64 * windows;
+    let want = serial_oracle(img, w.ref_seed(), scfg, &batch, 0..windows);
+    let store = tmp_store("bank-followers");
+    let mut first = BatchSampler::new(img, fp, w.ref_seed(), scfg, &store).with_warm_bank(true);
+    assert_eq!(first.run_range(&batch, 0..windows, 2), want, "banking run");
+    assert_eq!((first.warm_bank_stats().hits, first.warm_bank_stats().misses), (0, probes));
+    let mut second = BatchSampler::new(img, fp, w.ref_seed(), scfg, &store).with_warm_bank(true);
+    assert_eq!(second.run_range(&batch, 0..windows, 2), want, "bank-restored run");
+    let bank = second.warm_bank_stats();
+    assert_eq!((bank.hits, bank.misses, bank.rejected), (probes, 0, 0), "every cell restores");
     let _ = std::fs::remove_dir_all(store.root());
 }
 
