@@ -12,7 +12,9 @@
 //!   brings. The launcher is the only difference between `--procs`
 //!   (OS processes) and the resident daemon (threads).
 //! * **Parent** — [`run_fleet_grid`] decomposes the grid into
-//!   *(engine, width, window-range)* cells, keys the ledger by a config
+//!   *(engine, width, window-range)* cells ([`decompose`]: by default
+//!   one window range per worker, every pair over it, so each window is
+//!   walked and warmed once), keys the ledger by a config
 //!   fingerprint (so a re-invocation with the same experiment resumes
 //!   and anything else starts fresh), runs the family over re-spawns of
 //!   the current executable, and merges the completed cells through
@@ -141,13 +143,21 @@ impl From<GridError> for FleetGridError {
     }
 }
 
-/// Decomposes the grid into fleet cells: every (engine, width) pair
-/// split into enough window chunks that the pool stays busy (≈ 2 cells
-/// per worker), chunk sizes differing by at most one window.
-pub fn decompose(grid: &[GridCell], windows: u64, procs: usize) -> Vec<CellId> {
+/// Decomposes the grid into fleet cells, one per (engine, width) pair
+/// and window range, chunk sizes differing by at most one window.
+/// `cap` is the lease-group cap ([`lease_group`]'s `batch`, 1 under
+/// chaos). When a group can hold every pair (the default), the windows
+/// split into `min(procs, windows)` contiguous ranges, so a worker
+/// leases the whole grid over its own range and walks and warms each
+/// of its windows once. Below that cap (`--batch 1`, small caps,
+/// chaos) every pair splits into enough chunks to keep the pool busy
+/// (≈ 2 cells per worker), so those runs keep their cell ids and chaos
+/// fault schedules.
+pub fn decompose(grid: &[GridCell], windows: u64, procs: usize, cap: usize) -> Vec<CellId> {
     let pairs = grid.len().max(1);
-    let target = (2 * procs.max(1)).div_ceil(pairs) as u64;
-    let n_chunks = target.clamp(1, windows.max(1));
+    let procs = procs.max(1);
+    let target = if cap >= pairs { procs } else { (2 * procs).div_ceil(pairs) };
+    let n_chunks = (target as u64).clamp(1, windows.max(1));
     let mut out = Vec::new();
     for cell in grid {
         for j in 0..n_chunks {
@@ -186,16 +196,22 @@ fn config_tag(spec: &FleetGridSpec<'_>) -> u64 {
 
 /// Cells leased to one worker: `min(batch, ceil(cells / procs))`, where
 /// `procs` is the number of processes the cells are split across. Each
-/// process's workers split the same-range cells evenly and each group
-/// shares one batched sweep. In-process (thread) workers pass 1: they
+/// group is same-range cells sharing one batched sweep; over the
+/// default [`decompose`] (one range per process) a group is every pair
+/// over one range. In-process (thread) workers pass 1: they
 /// share one process, and a group's sweep already fans its windows
 /// across `--jobs` threads. Chaos runs stay singleton, so the
 /// deterministic per-cell fault schedule keeps its meaning.
 pub fn lease_group(batch: usize, chaos: bool, n_cells: usize, procs: usize) -> usize {
+    lease_cap(batch, chaos).min(n_cells.div_ceil(procs.max(1))).max(1)
+}
+
+/// The most cells one lease group may hold: `--batch`, or 1 under chaos.
+fn lease_cap(batch: usize, chaos: bool) -> usize {
     if chaos {
         1
     } else {
-        batch.min(n_cells.div_ceil(procs.max(1))).max(1)
+        batch
     }
 }
 
@@ -305,7 +321,8 @@ pub fn run_family<L: Launcher>(
 /// the budget, reported via [`FleetGridOutcome::incomplete`].
 pub fn run_fleet_grid(spec: &FleetGridSpec<'_>) -> Result<FleetGridOutcome, FleetGridError> {
     let windows = spec.scfg.windows(spec.total);
-    let cell_ids = decompose(spec.grid, windows, spec.procs);
+    let cap = lease_cap(spec.opts.batch, spec.chaos.is_some());
+    let cell_ids = decompose(spec.grid, windows, spec.procs, cap);
     let run = FamilyRun {
         tag: config_tag(spec),
         store_dir: spec.store_dir,
@@ -667,26 +684,36 @@ mod tests {
     #[test]
     fn decompose_partitions_every_pair() {
         let grid = cells(&[EngineKind::Stream, EngineKind::Ev8], &[4, 8]);
-        for (windows, procs) in [(4u64, 2usize), (7, 3), (1, 8), (16, 1)] {
-            let ids = decompose(&grid, windows, procs);
-            for pair in &grid {
-                let mut covered: Vec<bool> = vec![false; windows as usize];
-                for id in ids.iter().filter(|c| {
-                    c.engine == engine_key(pair.engine) && c.width == pair.width
-                }) {
-                    for w in id.lo..id.hi {
-                        assert!(!covered[w as usize], "window {w} covered twice");
-                        covered[w as usize] = true;
+        let uncapped = HarnessOpts::default().batch;
+        for cap in [1, 5, uncapped] {
+            for (windows, procs) in [(4u64, 2usize), (7, 3), (1, 8), (3, 5), (16, 1)] {
+                let ids = decompose(&grid, windows, procs, cap);
+                for pair in &grid {
+                    let mut covered: Vec<bool> = vec![false; windows as usize];
+                    for id in ids.iter().filter(|c| {
+                        c.engine == engine_key(pair.engine) && c.width == pair.width
+                    }) {
+                        for w in id.lo..id.hi {
+                            assert!(!covered[w as usize], "window {w} covered twice");
+                            covered[w as usize] = true;
+                        }
                     }
+                    assert!(covered.iter().all(|&c| c), "every window covered exactly once");
                 }
-                assert!(covered.iter().all(|&c| c), "every window covered exactly once");
+                // A cap that holds every pair gives one range per worker
+                // (at most one per window), each range shared by all pairs.
+                if cap >= grid.len() {
+                    let ranges = procs.min(windows as usize);
+                    assert_eq!(ids.len(), grid.len() * ranges, "cap {cap}, {windows}w/{procs}p");
+                }
             }
         }
     }
 
-    /// In-process launcher: records each leased group's size and writes
-    /// a valid sealed output per cell, so the worker "exits" at once.
-    struct RecordingLauncher(std::cell::RefCell<Vec<usize>>);
+    /// In-process launcher: records each leased group's size and window
+    /// range and writes a valid sealed output per cell, so the worker
+    /// "exits" at once.
+    struct RecordingLauncher(std::cell::RefCell<Vec<(usize, u64, u64)>>);
 
     struct Exited(u64);
 
@@ -710,7 +737,8 @@ mod tests {
             _hb: &Path,
         ) -> Result<Exited, FleetError> {
             let mut groups = self.0.borrow_mut();
-            groups.push(cells.len());
+            assert!(cells.iter().all(|c| (c.lo, c.hi) == (cells[0].lo, cells[0].hi)));
+            groups.push((cells.len(), cells[0].lo, cells[0].hi));
             for (cell, out) in cells.iter().zip(outs) {
                 let header =
                     Row::new().s("schema", GRID_SHARD_SCHEMA).s("cell", &cell.to_string()).finish();
@@ -721,19 +749,26 @@ mod tests {
         }
     }
 
-    /// Group sizes [`run_family`] leases for the Fig. 8 grid (12 cells,
-    /// 4 windows, one same-range cell per pair) with `workers`
-    /// concurrent workers split across `split` processes.
+    /// The leases [`run_family`] makes for the Fig. 8 grid (4 windows)
+    /// with `workers` concurrent workers: per group, its size and window
+    /// range. Process workers (`daemon` false) lease the cells
+    /// [`run_fleet_grid`] decomposes; the daemon's thread workers share
+    /// one process and lease the request's canonical cells, as the
+    /// daemon does.
     fn leased_groups(
         batch: usize,
         chaos: bool,
         workers: usize,
-        split: usize,
+        daemon: bool,
         tag: &str,
-    ) -> Vec<usize> {
-        let grid = cells(&crate::grid::grid_engines(), &crate::grid::FIG8_WIDTHS);
-        let ids = decompose(&grid, 4, workers);
-        assert!(ids.iter().all(|c| (c.lo, c.hi) == (0, 4)), "one same-range cell per pair");
+    ) -> Vec<(usize, u64, u64)> {
+        let req = GridRequest { opts: HarnessOpts { batch, ..request().opts }, ..request() };
+        assert_eq!(req.windows(), 4, "the Fig. 8 grid over 4 windows");
+        let (ids, split) = if daemon {
+            (req.canonical_cells(), 1)
+        } else {
+            (decompose(&req.grid(), req.windows(), workers, lease_cap(batch, chaos)), workers)
+        };
         let dir = std::env::temp_dir()
             .join(format!("sfetch-lease-{tag}-{}", std::process::id()));
         let _ = std::fs::remove_dir_all(&dir);
@@ -796,14 +831,23 @@ mod tests {
     #[test]
     fn leases_split_same_range_cells_across_the_pool() {
         let uncapped = HarnessOpts::default().batch;
-        // Process workers: the pool splits the grid.
-        assert_eq!(leased_groups(uncapped, false, 2, 2, "default"), vec![6, 6]);
-        assert_eq!(leased_groups(1, false, 2, 2, "batch1"), vec![1; 12]);
-        assert_eq!(leased_groups(uncapped, true, 2, 2, "chaos"), vec![1; 12]);
+        // Process workers: each leases every pair over its own windows.
+        assert_eq!(leased_groups(uncapped, false, 2, false, "default"), [(12, 0, 2), (12, 2, 4)]);
+        assert_eq!(
+            leased_groups(uncapped, false, 3, false, "procs3"),
+            [(12, 0, 2), (12, 2, 3), (12, 3, 4)]
+        );
+        // A cap below the pair count, and chaos, keep the per-pair cells.
+        assert_eq!(leased_groups(1, false, 2, false, "batch1"), [(1, 0, 4); 12]);
+        assert_eq!(leased_groups(uncapped, true, 2, false, "chaos"), [(1, 0, 4); 12]);
+        assert_eq!(leased_groups(5, false, 2, false, "batch5"), [(5, 0, 4), (5, 0, 4), (2, 0, 4)]);
         // Thread workers (the daemon's cold 12-cell family at procs 2)
         // share one process: only `--batch` splits the group.
-        assert_eq!(leased_groups(uncapped, false, 2, 1, "serve"), vec![12]);
-        assert_eq!(leased_groups(5, false, 2, 1, "serve-batch5"), vec![5, 5, 2]);
+        assert_eq!(leased_groups(uncapped, false, 2, true, "serve"), [(12, 0, 4)]);
+        assert_eq!(
+            leased_groups(5, false, 2, true, "serve-batch5"),
+            [(5, 0, 4), (5, 0, 4), (2, 0, 4)]
+        );
         // A cap below the even split wins; one process takes the grid.
         assert_eq!(lease_group(4, false, 12, 2), 4);
         assert_eq!(lease_group(uncapped, false, 12, 1), 12);

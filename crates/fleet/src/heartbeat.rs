@@ -10,16 +10,17 @@
 //! deadline would fire.
 
 use std::path::{Path, PathBuf};
-use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::Arc;
+use std::sync::mpsc::{self, RecvTimeoutError};
 use std::time::Duration;
 
 /// RAII heartbeat: spawns a thread on construction that rewrites the
 /// heartbeat file every `interval`, and stops it on drop. Dropping the
 /// guard (including via panic unwind) ends the heartbeat, so a worker
-/// that stops making progress stops looking alive.
+/// that stops making progress stops looking alive. The drop wakes the
+/// thread out of its wait instead of waiting out the interval, so a
+/// worker exits as soon as its work is written.
 pub struct HeartbeatGuard {
-    stop: Arc<AtomicBool>,
+    stop: mpsc::Sender<()>,
     thread: Option<std::thread::JoinHandle<()>>,
 }
 
@@ -31,14 +32,11 @@ impl HeartbeatGuard {
     pub fn start(path: impl Into<PathBuf>, interval: Duration) -> Self {
         let path = path.into();
         beat(&path);
-        let stop = Arc::new(AtomicBool::new(false));
-        let stop2 = Arc::clone(&stop);
+        let (stop, wake) = mpsc::channel();
+        // A timed-out wait is the next beat; a stop message (or a
+        // dropped sender) ends the thread at once.
         let thread = std::thread::spawn(move || {
-            while !stop2.load(Ordering::Relaxed) {
-                std::thread::sleep(interval);
-                if stop2.load(Ordering::Relaxed) {
-                    break;
-                }
+            while let Err(RecvTimeoutError::Timeout) = wake.recv_timeout(interval) {
                 beat(&path);
             }
         });
@@ -52,7 +50,7 @@ fn beat(path: &Path) {
 
 impl Drop for HeartbeatGuard {
     fn drop(&mut self) {
-        self.stop.store(true, Ordering::Relaxed);
+        let _ = self.stop.send(());
         if let Some(t) = self.thread.take() {
             let _ = t.join();
         }
@@ -79,6 +77,21 @@ mod tests {
         std::thread::sleep(Duration::from_millis(30));
         let mtime2 = std::fs::metadata(&hb).and_then(|m| m.modified()).expect("mtime");
         assert_eq!(mtime, mtime2, "no beats after the guard is dropped");
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    /// Dropping the guard wakes the heartbeat thread mid-wait: a worker
+    /// with a 10 s interval must not sit out the interval on exit.
+    #[test]
+    fn heartbeat_stops_promptly_on_drop() {
+        let dir = std::env::temp_dir().join(format!("sfetch-hb-prompt-{}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&dir);
+        std::fs::create_dir_all(&dir).expect("mk tmp");
+        let guard = HeartbeatGuard::start(dir.join("worker.hb"), Duration::from_secs(10));
+        let t0 = std::time::Instant::now();
+        drop(guard);
+        let took = t0.elapsed();
+        assert!(took < Duration::from_millis(500), "drop took {took:?}");
         let _ = std::fs::remove_dir_all(&dir);
     }
 }

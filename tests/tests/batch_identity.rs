@@ -135,7 +135,7 @@ fn full_grid_is_byte_identical_at_every_batch_cap() {
     for opts in [HarnessOpts { batch: 1, ..base }, HarnessOpts { batch: 5, ..base }, base] {
         let (runs, _) = run_sampled_grid(&w, &grid, scfg, total, &opts, &store);
         assert_eq!(lines(&runs), reference, "one-shot grid at batch {}", opts.batch);
-        let ids = decompose(&grid, windows, 12);
+        let ids = decompose(&grid, windows, 12, opts.batch);
         let mut tuples = Vec::new();
         for lo in 0..windows {
             let same_range: Vec<_> = ids.iter().filter(|c| c.lo == lo).cloned().collect();

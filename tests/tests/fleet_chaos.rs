@@ -191,19 +191,23 @@ fn hung_worker_is_killed_and_recovered() {
 }
 
 /// The production lease rule over real processes: the default-options
-/// Fig. 8 grid (12 same-range cells) on a 2-process pool leases two
-/// 6-cell groups, so exactly two workers spawn, each writing every
-/// output of its group.
+/// Fig. 8 grid on a 2-process pool decomposes into every pair over
+/// windows `0..2` and `2..4` (24 cells) and leases one 12-cell group
+/// per range, so exactly two workers spawn, each writing every output
+/// of its group.
 #[test]
 fn default_grid_spawns_one_worker_per_process() {
     let grid = cells(&grid_engines(), &FIG8_WIDTHS);
-    let ids = decompose(&grid, 4, 2);
+    let batch = HarnessOpts::default().batch;
+    let ids = decompose(&grid, 4, 2, batch);
     let dir = fresh_dir("lease");
     let mut cfg = fast_cfg();
-    cfg.group = lease_group(HarnessOpts::default().batch, false, ids.len(), cfg.procs);
+    cfg.group = lease_group(batch, false, ids.len(), cfg.procs);
     let (mut ledger, resume) = open_ledger(&dir, &ids);
+    let ranges = std::sync::Mutex::new(Vec::new());
     let launcher =
         ProcessLauncher::new(|group: &[CellId], _attempts: &[u32], outs: &[PathBuf], hb: &Path| {
+            ranges.lock().expect("ranges").push((group.len(), group[0].lo, group[0].hi));
             let scripts: Vec<String> =
                 group.iter().zip(outs).map(|(cell, out)| good_script(cell, out, hb)).collect();
             sh(scripts.join(" && "))
@@ -211,9 +215,14 @@ fn default_grid_spawns_one_worker_per_process() {
     let report =
         run_fleet(&cfg, &mut ledger, &launcher, &validate, resume, &mut |_msg| {}, &mut |_done| {})
             .expect("run");
-    assert_eq!(report.done.len(), 12, "every cell completes");
-    assert_eq!(report.spawned, 2, "two 6-cell groups, not twelve one-cell workers");
+    assert_eq!(report.done.len(), 24, "every (pair, range) cell completes");
+    assert_eq!(report.spawned, 2, "two 12-cell groups, not twenty-four one-cell workers");
     assert!(report.summary_line().contains("spawned=2"));
+    assert_eq!(
+        ranges.into_inner().expect("ranges"),
+        [(12, 0, 2), (12, 2, 4)],
+        "each worker leases every pair over its own half of the windows"
+    );
     let _ = std::fs::remove_dir_all(&dir);
 }
 
