@@ -51,10 +51,13 @@
 //! and a proptest over random schedules and cell mixes.
 //!
 //! Warm-state banking composes: when *every* cell of a window restores
-//! from the bank, the shared sweep shrinks to the detailed span
-//! (`Wd + D` + oracle margin) — the batch and the bank multiply rather
-//! than merely coexist. A follower banks its leader's warm-state bytes
-//! unchanged, so its entry is the one its own warming would have filed.
+//! from the bank, the recorder skips the warming span with the
+//! state-only `Executor::advance` from the window's stored checkpoint,
+//! and the shared sweep shrinks to the detailed span (`Wd + D` + oracle
+//! margin) — the batch and the bank multiply rather than merely
+//! coexist. A banked entry holds only engine and memory warm state; a
+//! follower banks its leader's warm-state bytes unchanged, so its entry
+//! is the one its own warming would have filed.
 
 use std::ops::Range;
 use std::time::Instant;
@@ -90,8 +93,8 @@ pub struct BatchCell {
 
 /// How one cell of one window obtains its warm state.
 pub(crate) enum CellSource {
-    /// Restore from this verified banked entry (its checkpoint fits the
-    /// image; its engine and memory state are decoded by the worker).
+    /// Restore from this digest-verified banked entry (its engine and
+    /// memory state are decoded by the worker).
     Banked(std::sync::Arc<WarmEntry>),
     /// Replay engine/memory warming from the shared buffer; bank the
     /// result under the key when one is present.
@@ -107,8 +110,8 @@ pub(crate) struct WindowPlan<'a> {
     pub(crate) w: u64,
     pub(crate) rec: Executor<'a>,
     /// Recorded instructions that belong to functional warming: `Wf`,
-    /// or `0` when every cell restores from the warm bank (the sweep
-    /// then starts at the post-warm checkpoint).
+    /// or `0` when every cell restores from the warm bank (the recorder
+    /// was then advanced past the warming span before the sweep).
     pub(crate) warm_span: u64,
     pub(crate) sources: Vec<CellSource>,
 }
@@ -303,13 +306,6 @@ pub(crate) fn run_batch_window<'a>(
             warm_bytes[l] = engines[l].as_ref().and_then(|e| e.warm_state());
         }
     }
-    let needs_bank = sources
-        .iter()
-        .any(|s| matches!(s, CellSource::Replay { bank_to: Some(_) }));
-    // The post-warm architectural checkpoint every banked entry of this
-    // window shares — captured mid-sweep, exactly where a live warming
-    // walk stops.
-    let ckpt_post_warm = needs_bank.then(|| rec.checkpoint());
 
     // Only the detailed span + oracle run-ahead margin is recorded as
     // full committed-path records: it is what the replay oracle needs.
@@ -321,13 +317,14 @@ pub(crate) fn run_batch_window<'a>(
     }
     warm_ns += t0.elapsed().as_nanos() as u64;
 
-    // Detailed-phase start: the pc of the first post-warm instruction.
+    // Detailed-phase start: the pc of the first post-warm instruction,
+    // where every cell's engine, banked or warmed here, resumes fetch.
     let start = buf[0].pc;
     let mut out = Vec::with_capacity(cells.len());
     for (ci, ((cell, src), &model)) in cells.iter().zip(sources).zip(models).enumerate() {
         let t1 = Instant::now();
         let (mut engine, mem) = match src {
-            CellSource::Banked(entry) => match entry.restore(cell.kind, &cell.pcfg) {
+            CellSource::Banked(entry) => match entry.restore(cell.kind, &cell.pcfg, start) {
                 Ok(state) => state,
                 Err(_) => {
                     out.push(None);
@@ -354,7 +351,6 @@ pub(crate) fn run_batch_window<'a>(
                         let mut mw = WireWriter::new();
                         mem.save_warm_wire(&mut mw);
                         let entry = WarmEntry {
-                            ckpt: ckpt_post_warm.clone().expect("checkpoint recorded for banking"),
                             engine: engine_bytes.clone(),
                             mem: mw.into_bytes(),
                         };
@@ -477,12 +473,26 @@ mod tests {
         assert_eq!(r2, baseline);
         assert_eq!(b2.warm_bank_stats().hits, (cells.len() * 2) as u64);
         assert_eq!(b2.warm_bank_stats().misses, 0);
+
+        // A fully banked window whose checkpoint is gone (as after a cap
+        // eviction) walks to its warming start again, saves the same
+        // checkpoint, and still restores every cell from the bank.
+        let at_inst = b2.inner.warming_start(0);
+        let ckpt0 = store.entry_path(&StoreKey { fingerprint: 0xba7c, seed: 7, at_inst });
+        let pristine = std::fs::read(&ckpt0).expect("window 0 checkpoint");
+        std::fs::remove_file(&ckpt0).expect("evict window 0 checkpoint");
+        let mut b3 = BatchSampler::new(&img, 0xba7c, 7, quick_cfg(), &store).with_warm_bank(true);
+        let r3 = b3.run_range(&cells, 0..2, 2);
+        assert_eq!(r3, baseline);
+        assert_eq!(b3.stats(), StoreStats { hits: 1, misses: 1, rejected: 0 });
+        assert_eq!(std::fs::read(&ckpt0).expect("checkpoint saved again"), pristine);
+        assert_eq!(b3.warm_bank_stats().hits, (cells.len() * 2) as u64);
         let _ = std::fs::remove_dir_all(store.root());
     }
 
     /// Group shape does not key the bank: entries banked by a multi-cell
-    /// sweep are hits for a later one-cell run, which then skips the
-    /// checkpoint path and stays bit-identical.
+    /// sweep are hits for a later one-cell run, which then starts each
+    /// window from its stored checkpoint and stays bit-identical.
     #[test]
     fn multi_cell_banked_entries_hit_for_a_one_cell_run() {
         let img = image();
@@ -496,7 +506,11 @@ mod tests {
         assert_eq!(points, batched[2].iter().map(|(p, _)| *p).collect::<Vec<_>>());
         assert_eq!(one.warm_bank_stats().hits, 2, "the one-cell run must hit group-banked entries");
         assert_eq!(one.warm_bank_stats().misses, 0);
-        assert_eq!(one.stats(), StoreStats::default(), "fully banked windows load no checkpoint");
+        assert_eq!(
+            one.stats(),
+            StoreStats { hits: 2, misses: 0, rejected: 0 },
+            "each fully banked window loads its one checkpoint"
+        );
         let _ = std::fs::remove_dir_all(store.root());
     }
 

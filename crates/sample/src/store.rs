@@ -159,7 +159,7 @@ struct WarmCache {
 }
 
 /// Default byte budget of the warm-entry read cache: comfortably holds
-/// a full calibration grid's warm set (12 cells × 4 windows ≈ 75 MB)
+/// a full calibration grid's warm set (12 cells × 4 windows ≈ 26 MB)
 /// without letting a long-lived daemon grow unbounded.
 const WARM_CACHE_DEFAULT_BYTES: u64 = 256 << 20;
 
@@ -453,8 +453,9 @@ impl CheckpointStore {
     /// Loads and fully verifies the warm-state entry stored under
     /// `(key, model)`. Same discipline as [`CheckpointStore::load`]:
     /// *any* verification failure — magic, version, key or model fields,
-    /// truncation, payload digest, segment structure, or embedded
-    /// checkpoint offset — rejects the entry for recomputation.
+    /// truncation, payload digest, or segment structure — rejects the
+    /// entry for recomputation. Whether the engine and memory bytes
+    /// decode is checked later, per cell, when a window worker restores it.
     ///
     /// # Errors
     ///
@@ -471,21 +472,11 @@ impl CheckpointStore {
         }
         let (entry, payload_len) = WARM_ENTRY.open(&path, &warm_words(key, model), |p| {
             let mut r = WireReader::new(p);
-            let ckpt = ArchCheckpoint::from_bytes(r.bytes()?)?;
             let engine = r.bytes()?.to_vec();
             let mem = r.bytes()?.to_vec();
             r.finish()?;
-            Ok(WarmEntry { ckpt, engine, mem })
+            Ok(WarmEntry { engine, mem })
         })?;
-        // The embedded checkpoint sits at the *end* of functional warming;
-        // its exact offset is model-dependent (warm_func lives in the
-        // model digest), so only the lower bound is checkable here.
-        if entry.ckpt.seq < key.at_inst {
-            return Err(StoreMiss::Rejected(format!(
-                "embedded checkpoint at instruction {} precedes warming start {}",
-                entry.ckpt.seq, key.at_inst
-            )));
-        }
         let entry = Arc::new(entry);
         self.warm_cache_put(&path, &entry, payload_len as u64);
         self.lease(&path);
@@ -493,24 +484,15 @@ impl CheckpointStore {
         Ok(entry)
     }
 
-    /// Writes a warm-state entry under `(key, model)`, atomically.
+    /// Writes a warm-state entry under `(key, model)`, atomically. The
+    /// payload is two length-prefixed segments, engine then memory state;
+    /// the window's architectural state stays in its one `.sfckpt`.
     ///
     /// # Errors
     ///
     /// Propagates filesystem failures.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the embedded checkpoint precedes the warming start the
-    /// key names — banking state from before the warming walk would
-    /// poison every resident rerun.
     pub fn save_warm(&self, key: &StoreKey, model: u64, entry: &WarmEntry) -> std::io::Result<()> {
-        assert!(
-            entry.ckpt.seq >= key.at_inst,
-            "warm-state checkpoint must not precede its warming start"
-        );
         let mut pw = WireWriter::new();
-        pw.bytes(&entry.ckpt.to_bytes());
         pw.bytes(&entry.engine);
         pw.bytes(&entry.mem);
         let payload = pw.into_bytes();
@@ -630,23 +612,24 @@ struct EntryFile {
 const WARM_MAGIC: u64 = 0x5346_574d_4241_4e4b;
 
 /// Warm-state entry format version. Bumped whenever the entry layout
-/// changes; older entries are then rejected and recomputed. Engine-level
+/// changes; older entries are then rejected and recomputed (version 1
+/// entries also embedded the post-warm checkpoint). Engine-level
 /// wire-format evolution is carried by the *model digest* instead
 /// ([`warm_model_digest`] folds in
 /// [`sfetch_fetch::WARM_FORMAT_VERSION`]), so an engine format bump
 /// re-keys entries rather than rejecting them one by one.
-pub const WARM_VERSION: u64 = 1;
+pub const WARM_VERSION: u64 = 2;
 
-/// One banked warm-state entry: everything a resident rerun needs to
-/// start a window directly at its detailed phase, skipping the warming
-/// walk — the post-warming architectural checkpoint, the fetch engine's
-/// commit-side warm state ([`sfetch_fetch::FetchEngine::warm_state`]),
-/// and the memory hierarchy's cache tag/LRU state.
+/// One banked warm-state entry: the timing-model state a resident rerun
+/// needs to start a cell's window directly at its detailed phase,
+/// skipping the warming passes — the fetch engine's commit-side warm
+/// state ([`sfetch_fetch::FetchEngine::warm_state`]) and the memory
+/// hierarchy's cache tag/LRU state. The architectural state is not
+/// banked here: it depends on the trace alone, so every cell of a
+/// window reaches the post-warm position from the window's one
+/// `.sfckpt` plus a state-only [`Executor::advance`] over `Wf`.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct WarmEntry {
-    /// Architectural state at the *end* of functional warming (= the
-    /// window's detailed-warmup start).
-    pub ckpt: ArchCheckpoint,
     /// Engine warm-state wire bytes.
     pub engine: Vec<u8>,
     /// Memory-hierarchy warm-state wire bytes
@@ -655,9 +638,10 @@ pub struct WarmEntry {
 }
 
 impl WarmEntry {
-    /// Decodes this entry for one cell: a `kind` fetch engine and a
-    /// memory hierarchy under `pcfg`, each loaded with the banked warm
-    /// state. An entry can pass every digest check and still fail here
+    /// Decodes this entry for one cell: a `kind` fetch engine starting
+    /// fetch at `start` (the detailed phase's first pc) and a memory
+    /// hierarchy under `pcfg`, each loaded with the banked warm state.
+    /// An entry can pass every digest check and still fail here
     /// (a format bug, or bytes re-sealed under a valid digest), so the
     /// runners treat an error as a rejected entry: they warm the window
     /// live and rebank it. Decoding runs on the window workers, one cell
@@ -671,8 +655,9 @@ impl WarmEntry {
         &self,
         kind: EngineKind,
         pcfg: &ProcessorConfig,
+        start: sfetch_isa::Addr,
     ) -> Result<(Box<dyn FetchEngine>, MemoryHierarchy), String> {
-        let engine = restore_engine(kind, pcfg, self.ckpt.pc, &self.engine)?;
+        let engine = restore_engine(kind, pcfg, start, &self.engine)?;
         let mut mem = MemoryHierarchy::new(MemoryConfig::table2(pcfg.width));
         let mut r = WireReader::new(&self.mem);
         mem.load_warm_wire(&mut r)
@@ -966,15 +951,18 @@ impl<'a> StoredSampler<'a> {
     }
 
     /// Resolves one window's plan, serially: probe the warm bank per
-    /// cell (when banking is on), then position the shared recorder —
-    /// at the post-warm checkpoint when every cell restores, else at
-    /// the warming start via the checkpoint store.
+    /// cell (when banking is on), then position the shared recorder at
+    /// the warming start through the checkpoint store
+    /// ([`StoredSampler::snapshot`]). When every cell restores from the
+    /// bank, the recorder then skips the warming span with the
+    /// state-only [`Executor::advance`] (block-granular) and the sweep
+    /// records only the detailed span.
     fn resolve_plan(&mut self, w: u64, models: &[u64]) -> WindowPlan<'a> {
         let mut sources = Vec::with_capacity(models.len());
         if self.warm_bank {
             let key = self.key_at(self.warming_start(w));
             for &model in models {
-                match self.load_warm_fitting(&key, model) {
+                match self.store.load_warm(&key, model) {
                     Ok(entry) => {
                         self.warm_stats.hits += 1;
                         sources.push(CellSource::Banked(entry));
@@ -988,29 +976,13 @@ impl<'a> StoredSampler<'a> {
         } else {
             sources.extend(models.iter().map(|_| CellSource::Replay { bank_to: None }));
         }
-        // All banked entries of one window carry the same architectural
-        // checkpoint (the functional state after Wf does not depend on
-        // the timing model), so any of them can seat the recorder.
-        let all_banked = sources.iter().all(|s| matches!(s, CellSource::Banked(_)));
-        match sources.first() {
-            Some(CellSource::Banked(entry)) if all_banked => {
-                let rec = Executor::from_checkpoint(self.image, &entry.ckpt);
-                WindowPlan { w, rec, warm_span: 0, sources }
-            }
-            _ => {
-                let rec = self.snapshot(w);
-                WindowPlan { w, rec, warm_span: self.scfg.warm_func, sources }
-            }
+        let mut rec = self.snapshot(w);
+        let mut warm_span = self.scfg.warm_func;
+        if sources.iter().all(|s| matches!(s, CellSource::Banked(_))) {
+            rec.advance(warm_span);
+            warm_span = 0;
         }
-    }
-
-    /// [`CheckpointStore::load_warm`], also rejecting an entry whose
-    /// embedded checkpoint does not fit this runner's image — checked
-    /// while the window resolves, before anything resumes from it.
-    fn load_warm_fitting(&self, key: &StoreKey, model: u64) -> Result<Arc<WarmEntry>, StoreMiss> {
-        let entry = self.store.load_warm(key, model)?;
-        entry.ckpt.fits(self.image).map_err(StoreMiss::Rejected)?;
-        Ok(entry)
+        WindowPlan { w, rec, warm_span, sources }
     }
 
     /// Re-runs one cell of window `w` warmed live after a worker found
@@ -1238,8 +1210,8 @@ mod tests {
             assert_eq!(resident.warm_bank_stats().misses, 0);
             assert_eq!(
                 resident.stats(),
-                StoreStats::default(),
-                "{kind:?}: banked windows never touch the checkpoint path"
+                StoreStats { hits: 3, misses: 0, rejected: 0 },
+                "{kind:?}: banked windows start from their stored checkpoints"
             );
             let _ = std::fs::remove_dir_all(store.root());
         }
@@ -1535,8 +1507,10 @@ mod tests {
     }
 
     /// The sealed-entry codec writes the bytes earlier builds wrote: a
-    /// fixed checkpoint entry and a fixed warm entry hash to the values
-    /// those builds produced, so the stores they left keep loading.
+    /// fixed checkpoint entry hashes to the value those builds produced,
+    /// so the stores they left keep loading, and a fixed warm entry to
+    /// the value of the version 2 layout (engine and memory segments;
+    /// version 1 entries are rejected once and rebanked).
     #[test]
     fn sealed_entry_bytes_match_earlier_builds() {
         let img = image();
@@ -1546,13 +1520,13 @@ mod tests {
         ex.nth(999);
         let cp = ex.checkpoint();
         store.save(&key, &cp).expect("save");
-        let warm = WarmEntry { ckpt: cp.clone(), engine: vec![1, 2, 3, 4, 5], mem: vec![9; 17] };
+        let warm = WarmEntry { engine: vec![1, 2, 3, 4, 5], mem: vec![9; 17] };
         store.save_warm(&key, 0xabcd, &warm).expect("save warm");
         let digest = |p: PathBuf| sfetch_tab::fnv64(&std::fs::read(p).expect("entry bytes"));
         assert_eq!(digest(store.entry_path(&key)), 0x99eb_e3fc_b1d9_cd1c, "checkpoint entry bytes");
         assert_eq!(
             digest(store.warm_entry_path(&key, 0xabcd)),
-            0x6147_ce29_d432_42b7,
+            0x4a13_5044_065e_edbd,
             "warm entry bytes"
         );
         // A checkpoint the populate walk wrote (fast-forwarded past the
@@ -1576,7 +1550,10 @@ mod tests {
     /// A warm entry banked by a same-kind follower — restored from its
     /// leader's warm state rather than warmed itself, here at another
     /// width and front — hashes to the value earlier builds, which
-    /// warmed every cell, wrote for the same cell.
+    /// warmed every cell, wrote for the same cell. The pin is the
+    /// version 1 entry those builds wrote with its embedded checkpoint
+    /// segment dropped and resealed as version 2: the engine and memory
+    /// bytes are unchanged.
     #[test]
     fn follower_banked_warm_entry_matches_earlier_builds() {
         let img = image();
@@ -1596,7 +1573,7 @@ mod tests {
         let bytes = std::fs::read(store.warm_entry_path(&key, model)).expect("follower entry");
         assert_eq!(
             sfetch_tab::fnv64(&bytes),
-            0xe680_b610_a3c6_438e,
+            0x478e_1054_889a_8579,
             "follower-banked warm entry bytes"
         );
         let _ = std::fs::remove_dir_all(store.root());

@@ -15,7 +15,7 @@ use sfetch_core::ProcessorConfig;
 use sfetch_fetch::EngineKind;
 use sfetch_sample::{
     warm_model_digest, BatchCell, BatchSampler, CheckpointStore, SampleConfig, Sampler,
-    StoreKey, StoreMiss, StoredSampler,
+    StoreKey, StoreMiss, StoredSampler, WARM_VERSION,
 };
 use sfetch_workloads::phased::{self, PhasedParams};
 
@@ -60,8 +60,8 @@ fn resize_ckpt(ckpt: &mut Vec<u8>, delta: i64) {
     ckpt[80..88].copy_from_slice(&fixed.to_le_bytes());
 }
 
-/// Splits a warm-bank entry payload into its three length-prefixed
-/// segments (0 = checkpoint, 1 = engine state, 2 = memory state).
+/// Splits a warm-bank entry payload into its two length-prefixed
+/// segments (0 = engine state, 1 = memory state).
 fn split_segments(payload: &[u8]) -> Vec<Vec<u8>> {
     let mut segs: Vec<Vec<u8>> = Vec::new();
     let mut at = 0;
@@ -70,7 +70,7 @@ fn split_segments(payload: &[u8]) -> Vec<Vec<u8>> {
         segs.push(payload[at + 8..at + 8 + len].to_vec());
         at += 8 + len;
     }
-    assert_eq!(segs.len(), 3, "checkpoint, engine and memory segments");
+    assert_eq!(segs.len(), 2, "engine and memory segments");
     segs
 }
 
@@ -84,15 +84,12 @@ fn join_segments(segs: &[Vec<u8>]) -> Vec<u8> {
     out
 }
 
-/// Resizes one segment of a warm-bank entry payload by `delta`. Engine
-/// and memory segments lose or gain trailing bytes; the checkpoint goes
-/// through [`resize_ckpt`].
+/// Resizes one segment of a warm-bank entry payload by `delta`: it
+/// loses or gains trailing bytes.
 fn resize_segment(payload: &[u8], segment: usize, delta: i64) -> Vec<u8> {
     let mut segs = split_segments(payload);
     let seg = &mut segs[segment];
-    if segment == 0 {
-        resize_ckpt(seg, delta);
-    } else if delta < 0 {
+    if delta < 0 {
         seg.truncate(seg.len() - delta.unsigned_abs() as usize);
     } else {
         seg.extend(std::iter::repeat_n(0u8, delta as usize));
@@ -134,13 +131,10 @@ fn ckpt_state_spans(ckpt: &[u8]) -> [Range<usize>; 2] {
 }
 
 /// XORs bytes inside one segment of a warm-bank entry payload, keeping
-/// every length intact (see [`flip_bytes`]; a checkpoint segment's
-/// spans are its [`ckpt_state_spans`]).
+/// every length intact (see [`flip_bytes`]).
 fn flip_segment(payload: &[u8], segment: usize, flips: &[(u8, u64, u8)]) -> Vec<u8> {
     let mut segs = split_segments(payload);
-    let seg = &mut segs[segment];
-    let spans = if segment == 0 { ckpt_state_spans(seg).to_vec() } else { Vec::new() };
-    flip_bytes(seg, flips, &spans);
+    flip_bytes(&mut segs[segment], flips, &[]);
     join_segments(&segs)
 }
 
@@ -163,14 +157,14 @@ proptest! {
     #![proptest_config(ProptestConfig::with_cases(12))]
 
     /// A warm-bank entry that passes every digest check but does not
-    /// decode — a resized checkpoint, engine or memory segment re-sealed
-    /// under a valid digest — is rejected, warmed live and rebanked by a
+    /// decode — a resized engine or memory segment re-sealed under a
+    /// valid digest — is rejected, warmed live and rebanked by a
     /// group sweep and by a one-cell run alike: points stay bit-identical
     /// to an unbanked run, the rejection is counted, and the entry is
     /// rewritten as it was.
     #[test]
     fn resealed_undecodable_warm_entries_are_rejected_and_rebanked(
-        segment in 0usize..3,
+        segment in 0usize..2,
         magnitude in 1i64..4,
         grow in any::<bool>(),
         window in 0u64..2,
@@ -236,17 +230,17 @@ proptest! {
     #![proptest_config(ProptestConfig::with_cases(32))]
 
     /// Hostile store bytes: flipping bytes inside one segment of a
-    /// warm-bank entry — its checkpoint, one engine's warm state or the
-    /// memory state — or inside a `.sfckpt` checkpoint entry, and
-    /// re-sealing the entry under a valid digest, never panics a run.
-    /// The entry either fails to decode or to fit the image — then it is
-    /// rejected and recomputed (a warm entry rebanked), with points
-    /// bit-identical to an untouched run — or it decodes cleanly into
-    /// some other state.
+    /// warm-bank entry — one engine's warm state or the memory state —
+    /// or inside a `.sfckpt` checkpoint entry, and re-sealing the entry
+    /// under a valid digest, never panics a run, banked or not (a fully
+    /// banked window starts from that `.sfckpt` too). The entry either
+    /// fails to decode or to fit the image — then it is rejected and
+    /// recomputed (a warm entry rebanked), with points bit-identical to
+    /// an untouched run — or it decodes cleanly into some other state.
     #[test]
     fn resealed_flipped_warm_segments_never_panic(
         victim in 0usize..4,
-        target in 0usize..4,
+        target in 0usize..3,
         flips in prop::collection::vec((0u8..5, any::<u64>(), 1u8..=255), 1..6),
     ) {
         let img = phased_image(11);
@@ -269,7 +263,7 @@ proptest! {
         run(true);
 
         let key = StoreKey { fingerprint: fp, seed, at_inst: scfg.fast_forward() };
-        if target < 3 {
+        if target < 2 {
             // Segment `target` of the victim cell's warm entry.
             let cell = cells[victim];
             let model = warm_model_digest(cell.kind, &cell.pcfg, &scfg);
@@ -287,20 +281,27 @@ proptest! {
                 prop_assert_eq!(stats.hits, cells.len() as u64, "the flipped entry decodes cleanly");
             }
         } else {
-            // The window's checkpoint entry, which an unbanked run reads.
+            // The window's checkpoint entry, which every run reads: an
+            // unbanked one, and a fully banked one planted afresh (the
+            // unbanked leg heals a rejected entry).
             let path = store.entry_path(&key);
             let good = std::fs::read(&path).expect("stored checkpoint");
             let mut payload = good[CKPT_HEADER..].to_vec();
             let spans = ckpt_state_spans(&payload);
             flip_bytes(&mut payload, &flips, &spans);
-            std::fs::write(&path, reseal(&good, CKPT_HEADER, &payload)).expect("plant entry");
-
-            let (again, _, stats) = run(false);
-            if stats.rejected == 1 {
-                prop_assert_eq!(&again, &unbanked);
-            } else {
-                prop_assert_eq!(stats.rejected, 0);
-                prop_assert_eq!(stats.hits, 1, "the flipped entry decodes cleanly");
+            let bad = reseal(&good, CKPT_HEADER, &payload);
+            for bank in [false, true] {
+                std::fs::write(&path, &bad).expect("plant entry");
+                let (again, bank_stats, stats) = run(bank);
+                if stats.rejected == 1 {
+                    prop_assert_eq!(&again, &unbanked);
+                } else {
+                    prop_assert_eq!(stats.rejected, 0);
+                    prop_assert_eq!(stats.hits, 1, "the flipped entry decodes cleanly");
+                }
+                if bank {
+                    prop_assert_eq!(bank_stats.hits, cells.len() as u64, "the bank is untouched");
+                }
             }
         }
         let _ = std::fs::remove_dir_all(&root);
@@ -472,4 +473,63 @@ fn resealed_checkpoint_that_does_not_fit_is_rejected() {
     assert_eq!(again.stats().rejected, 1);
     assert_eq!(std::fs::read(&path).expect("healed entry 1"), good, "entry rewritten");
     let _ = std::fs::remove_dir_all(store.root());
+}
+
+/// A warm entry in an earlier layout is never misread. A version 1
+/// entry — the post-warm checkpoint, engine and memory segments under a
+/// valid digest — is rejected by its version and rebanked as version 2;
+/// the same three segments re-sealed under a version 2 header are
+/// rejected by their trailing segment and never decode. Points stay
+/// bit-identical to an unbanked run either way.
+#[test]
+fn earlier_layout_warm_entries_are_never_misread() {
+    let img = phased_image(11);
+    let scfg = quick_schedule();
+    let cells = [
+        BatchCell { kind: EngineKind::Stream, pcfg: ProcessorConfig::table2(8) },
+        BatchCell { kind: EngineKind::TraceCache, pcfg: ProcessorConfig::table2(4) },
+    ];
+    let (seed, windows) = (5u64, 2u64);
+    let fp = sfetch_trace::trace_fingerprint(&img, seed, 4096);
+    let store = tmp_store("warm-v1");
+    let root = store.root().to_path_buf();
+    let reopen = || CheckpointStore::open(&root).expect("reopen store");
+    let run = |bank: bool| {
+        let store = reopen();
+        let mut batch = BatchSampler::new(&img, fp, seed, scfg, &store).with_warm_bank(bank);
+        let pts = batch.run_range_points(&cells, 0..windows, 1);
+        (pts, batch.warm_bank_stats())
+    };
+    let (unbanked, _) = run(false);
+    run(true);
+
+    let key = StoreKey { fingerprint: fp, seed, at_inst: scfg.interval + scfg.fast_forward() };
+    let model = warm_model_digest(cells[1].kind, &cells[1].pcfg, &scfg);
+    let path = store.warm_entry_path(&key, model);
+    let good = std::fs::read(&path).expect("banked entry");
+    assert_eq!(good[8..16], WARM_VERSION.to_le_bytes());
+    // The checkpoint a version 1 entry embedded: the window's state at
+    // the end of functional warming.
+    let mut rec = sfetch_trace::Executor::from_checkpoint(&img, &store.load(&key).expect("ckpt"));
+    rec.advance(scfg.warm_func);
+    let mut segs = vec![rec.checkpoint().to_bytes()];
+    segs.extend(split_segments(&good[WARM_HEADER..]));
+    let v1_payload = join_segments(&segs);
+
+    let mut v1 = reseal(&good, WARM_HEADER, &v1_payload);
+    v1[8..16].copy_from_slice(&1u64.to_le_bytes());
+    let mislabelled = reseal(&good, WARM_HEADER, &v1_payload);
+    for (bad, reason) in [(v1, "version 1 != 2"), (mislabelled, "trailing bytes")] {
+        std::fs::write(&path, &bad).expect("plant entry");
+        assert!(
+            matches!(reopen().load_warm(&key, model), Err(StoreMiss::Rejected(why)) if why.contains(reason)),
+            "an earlier-layout entry must be rejected by {reason}"
+        );
+        let (again, stats) = run(true);
+        assert_eq!(again, unbanked);
+        assert_eq!(stats.rejected, 1);
+        assert_eq!(stats.hits, 2 * windows - 1);
+        assert_eq!(std::fs::read(&path).expect("rebanked entry"), good, "a version 2 entry in its place");
+    }
+    let _ = std::fs::remove_dir_all(&root);
 }
