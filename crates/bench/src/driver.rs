@@ -300,7 +300,20 @@ pub fn run_request(a: &CommonArgs, req: &GridRequest, obs: &ObsOpts) -> Result<R
     let store = RunStore::open(a.store.as_deref(), req.opts.store_cap_bytes)?;
     let (runs, degraded) = if a.procs > 1 {
         let store_dir = store.root();
-        populate_store(&w, req.scfg, windows, &store, &format!("store {}:", store_dir.display()));
+        // One architectural walk saves every window's warming-start
+        // checkpoint before the fan-out, so no worker process walks
+        // (pure verification traffic on a warm store).
+        let img = w.image(LayoutChoice::Optimized);
+        let fp = w.fingerprint(LayoutChoice::Optimized);
+        let mut populate = StoredSampler::new(img, fp, w.ref_seed(), req.scfg, &store);
+        let computed = populate.populate(windows);
+        eprintln!(
+            "store {}: {windows} windows ready ({computed} computed, {} loaded warm, {:.3}s \
+             fast-forward)",
+            store_dir.display(),
+            populate.stats().hits,
+            populate.timing().ff_ns as f64 / 1e9
+        );
         let outcome = run_fleet_grid(&FleetGridSpec {
             bench: &req.bench,
             grid: &grid,
@@ -394,27 +407,6 @@ pub fn announce_kept_store(a: &CommonArgs) {
             println!("store kept at {} ({} entries)", Path::new(dir).display(), store.entries());
         }
     }
-}
-
-/// Populates a workload's warming-start checkpoints (one architectural
-/// walk; pure verification traffic on a warm store) and prints the
-/// store-readiness line the CI smoke legs grep for, after `prefix`.
-pub fn populate_store(
-    w: &Workload,
-    scfg: SampleConfig,
-    windows: u64,
-    store: &CheckpointStore,
-    prefix: &str,
-) {
-    let img = w.image(LayoutChoice::Optimized);
-    let fp = w.fingerprint(LayoutChoice::Optimized);
-    let mut populate = StoredSampler::new(img, fp, w.ref_seed(), scfg, store);
-    let computed = populate.populate(windows);
-    eprintln!(
-        "{prefix} {windows} windows ready ({computed} computed, {} loaded warm, {:.3}s fast-forward)",
-        populate.stats().hits,
-        populate.timing().ff_ns as f64 / 1e9
-    );
 }
 
 /// Runs a **compatible group** of [`CellId`]s (same window range) and

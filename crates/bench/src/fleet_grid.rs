@@ -5,9 +5,8 @@
 //! through, and both halves of the worker protocol:
 //!
 //! * **Family run** — [`run_family`] opens a family's cell ledger under
-//!   `<store>/fleet/<tag>/`, populates the store when (and only when) a
-//!   caller asks and some cell is still to compute, sizes the
-//!   supervisor's leases through [`lease_group`], and drives
+//!   `<store>/fleet/<tag>/`, sizes the supervisor's leases through
+//!   [`lease_group`], and drives
 //!   [`sfetch_fleet::run_fleet`] with whatever [`Launcher`] the caller
 //!   brings. The launcher is the only difference between `--procs`
 //!   (OS processes) and the resident daemon (threads).
@@ -253,22 +252,19 @@ impl FamilyRun<'_> {
 
 /// Runs one family of cells to quiescence — the single orchestration
 /// path behind `--procs` grids and the resident daemon. Opens (or
-/// resumes) the family ledger, then runs `populate` if one is given
-/// and some cell is still not `Done` (a ledger that answers every cell
-/// needs no checkpoints), sizes the leases through [`lease_group`], and
-/// drives the supervisor over `launcher`. `log` gets the supervisor's
-/// progress lines; `notify` gets every `Done` cell as it becomes
-/// available (see [`sfetch_fleet::run_fleet`]).
+/// resumes) the family ledger, sizes the leases through
+/// [`lease_group`], and drives the supervisor over `launcher`; a ledger
+/// that answers every cell launches nothing. `log` gets the
+/// supervisor's progress lines; `notify` gets every `Done` cell as it
+/// becomes available (see [`sfetch_fleet::run_fleet`]).
 ///
 /// # Errors
 ///
-/// Infrastructure failures only: the ledger, a worker spawn, or a
-/// failed `populate` (reported as [`FleetError::Io`] on the store).
+/// Infrastructure failures only: the ledger or a worker spawn.
 pub fn run_family<L: Launcher>(
     run: &FamilyRun<'_>,
     cells: &[CellId],
     launcher: &L,
-    populate: Option<&dyn Fn() -> Result<(), String>>,
     log: &mut dyn FnMut(&str),
     notify: &mut dyn FnMut(&CellDone),
 ) -> Result<FleetReport, FleetError> {
@@ -289,13 +285,6 @@ pub fn run_family<L: Launcher>(
             resume.resumed_done, resume.expired_leases, resume.invalidated
         ));
     }
-    if let Some(populate) = populate {
-        let (_, _, done, _) = ledger.counts();
-        if done < cells.len() {
-            populate().map_err(|e| FleetError::io("populate store", run.store_dir, e))?;
-        }
-    }
-
     let mut cfg = FleetConfig::new(run.workers.min(cells.len()).max(1));
     cfg.max_retries = run.max_retries;
     cfg.req.clone_from(&run.req);
@@ -313,7 +302,9 @@ pub fn run_family<L: Launcher>(
 
 /// Runs the grid under the fleet supervisor with one OS process per
 /// worker. The checkpoint store at `spec.store_dir` must already be
-/// populated (one architectural walk, [`crate::driver::populate_store`]).
+/// populated (one architectural walk,
+/// [`sfetch_sample::StoredSampler::populate`], as
+/// [`crate::driver::run_request`] does before it calls this).
 ///
 /// # Errors
 ///
@@ -375,7 +366,6 @@ pub fn run_fleet_grid(spec: &FleetGridSpec<'_>) -> Result<FleetGridOutcome, Flee
         &run,
         &cell_ids,
         &launcher,
-        None,
         &mut |msg| eprintln!("fleet: {msg}"),
         &mut |_done| {},
     )?;
@@ -784,7 +774,7 @@ mod tests {
             req: String::new(),
         };
         let launcher = RecordingLauncher(Default::default());
-        let report = run_family(&run, &ids, &launcher, None, &mut |_msg| {}, &mut |_done| {})
+        let report = run_family(&run, &ids, &launcher, &mut |_msg| {}, &mut |_done| {})
             .expect("run_family");
         assert_eq!(report.done.len(), ids.len(), "every cell completes");
         assert_eq!(report.spawned as usize, launcher.0.borrow().len());

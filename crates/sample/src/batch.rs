@@ -36,9 +36,14 @@
 //!   detailed span (`Vec<DynInst>` — only `Wd + D` + the run-ahead
 //!   margin is ever buffered) — no second executor walks the window.
 //!
-//! [`crate::StoredSampler`] resolves each window's plan (checkpoint
-//! store, warm bank) and drives the sweep for one cell
-//! ([`crate::StoredSampler::run_range`]) or a group ([`BatchSampler`]).
+//! [`crate::StoredSampler`] drives the sweep for one cell
+//! ([`crate::StoredSampler::run_range`]) or a group ([`BatchSampler`])
+//! as a pipeline: the calling thread positions each window's recorder
+//! at its warming start through the checkpoint store, in window order,
+//! and queues the window; up to `jobs` workers pull windows and run
+//! their sweeps, each probing the warm bank for its own cells, so
+//! neither the trace walk nor the bank reads hold a window back behind
+//! the others.
 //! Bit-identity with the storeless [`crate::Sampler`] holds by
 //! construction: the recorded buffer *is* the committed-path sequence a
 //! live executor would produce (the executor is deterministic), the
@@ -51,7 +56,7 @@
 //! and a proptest over random schedules and cell mixes.
 //!
 //! Warm-state banking composes: when *every* cell of a window restores
-//! from the bank, the recorder skips the warming span with the
+//! from the bank, the worker skips the warming span with the
 //! state-only `Executor::advance` from the window's stored checkpoint,
 //! and the shared sweep shrinks to the detailed span (`Wd + D` + oracle
 //! margin) — the batch and the bank multiply rather than merely
@@ -72,7 +77,8 @@ use sfetch_trace::{DynInst, Executor, OracleSource};
 use crate::config::SampleConfig;
 use crate::runner::{committed_record, point_from_stats, SamplePoint, WARM_BATCH};
 use crate::store::{
-    restore_engine, CheckpointStore, StoreKey, StoreStats, StoredSampler, WarmEntry, WarmTiming,
+    restore_engine, CheckpointStore, StoreKey, StoreMiss, StoreStats, StoredSampler, WarmEntry,
+    WarmTiming,
 };
 
 /// Committed-path records the recorder keeps beyond the detailed span:
@@ -92,7 +98,7 @@ pub struct BatchCell {
 }
 
 /// How one cell of one window obtains its warm state.
-pub(crate) enum CellSource {
+enum CellSource {
     /// Restore from this digest-verified banked entry (its engine and
     /// memory state are decoded by the worker).
     Banked(std::sync::Arc<WarmEntry>),
@@ -104,16 +110,41 @@ pub(crate) enum CellSource {
     },
 }
 
-/// One window's resolved execution plan: where the shared recorder
-/// starts, how much of the sweep is warming, and each cell's source.
+/// Where a window's cells take their warm state from.
+#[derive(Debug, Clone, Copy)]
+pub(crate) enum Bank {
+    /// Banking off: every cell warms live and banks nothing.
+    Off,
+    /// Probe each cell's entry under this key; a hit restores it, a
+    /// miss or a rejected entry warms live and banks the result.
+    Probe(StoreKey),
+    /// Warm every cell live and bank it under this key, probing nothing
+    /// (the re-run of a cell whose banked entry did not decode).
+    Rebank(StoreKey),
+}
+
+/// One window as the producer hands it to a worker: the shared recorder
+/// positioned at the window's warming start, and where its cells' warm
+/// state comes from.
 pub(crate) struct WindowPlan<'a> {
     pub(crate) w: u64,
     pub(crate) rec: Executor<'a>,
-    /// Recorded instructions that belong to functional warming: `Wf`,
-    /// or `0` when every cell restores from the warm bank (the recorder
-    /// was then advanced past the warming span before the sweep).
-    pub(crate) warm_span: u64,
-    pub(crate) sources: Vec<CellSource>,
+    pub(crate) bank: Bank,
+}
+
+/// What one window's sweep hands back.
+pub(crate) struct WindowRun {
+    pub(crate) w: u64,
+    /// Per-cell results in cell order; `None` for a cell whose banked
+    /// entry passed its digest but does not decode, which the caller
+    /// re-runs warmed live ([`Bank::Rebank`]).
+    pub(crate) rows: Vec<Option<(SamplePoint, SimStats)>>,
+    /// Nanoseconds spent outside measurement: bank probes, recording
+    /// and warming (or the warming-span advance of a fully banked
+    /// window).
+    pub(crate) warm_ns: u64,
+    /// This window's warm-bank probes (all zero unless [`Bank::Probe`]).
+    pub(crate) bank: StoreStats,
 }
 
 /// A [`StoredSampler`] driving a group of cells through each window's
@@ -196,12 +227,13 @@ impl<'a> BatchSampler<'a> {
     }
 }
 
-/// One window's batched sweep: record the shared committed-path buffer
-/// once, warm one engine per engine kind and memory once per width, then
-/// restore + measure every cell against the buffer. Returns per-cell
-/// results in cell order — `None` for a cell whose banked entry does not
-/// decode, which the caller re-runs warmed live — plus the nanoseconds
-/// spent outside measurement (recording + warming).
+/// One window's batched sweep, run on a window worker: probe the warm
+/// bank for each cell (under [`Bank::Probe`]), record the shared
+/// committed-path buffer once, warm one engine per engine kind and
+/// memory once per width, then restore + measure every cell against the
+/// buffer. When every cell restores from the bank, the recorder first
+/// skips the warming span with the state-only [`Executor::advance`]
+/// (block-granular) and the sweep records only the detailed span.
 pub(crate) fn run_batch_window<'a>(
     image: &'a CodeImage,
     cells: &[BatchCell],
@@ -209,10 +241,37 @@ pub(crate) fn run_batch_window<'a>(
     store: &CheckpointStore,
     models: &[u64],
     plan: WindowPlan<'a>,
-) -> (Vec<Option<(SamplePoint, SimStats)>>, u64) {
-    let WindowPlan { w, mut rec, warm_span, sources } = plan;
+) -> WindowRun {
+    let WindowPlan { w, mut rec, bank } = plan;
     let mut warm_ns = 0u64;
     let t0 = Instant::now();
+
+    let mut probes = StoreStats::default();
+    let sources: Vec<CellSource> = models
+        .iter()
+        .map(|&model| match bank {
+            Bank::Off => CellSource::Replay { bank_to: None },
+            Bank::Rebank(key) => CellSource::Replay { bank_to: Some(key) },
+            Bank::Probe(key) => match store.load_warm(&key, model) {
+                Ok(entry) => {
+                    probes.hits += 1;
+                    CellSource::Banked(entry)
+                }
+                Err(miss) => {
+                    match miss {
+                        StoreMiss::Absent => probes.misses += 1,
+                        StoreMiss::Rejected(_) => probes.rejected += 1,
+                    }
+                    CellSource::Replay { bank_to: Some(key) }
+                }
+            },
+        })
+        .collect();
+    let mut warm_span = scfg.warm_func;
+    if sources.iter().all(|s| matches!(s, CellSource::Banked(_))) {
+        rec.advance(warm_span);
+        warm_span = 0;
+    }
 
     // Engine warming runs once per engine kind. A replay cell's leader
     // is the first replay cell of its kind; only leaders are warmed.
@@ -381,7 +440,7 @@ pub(crate) fn run_batch_window<'a>(
         let stats = p.stats();
         out.push(Some((point_from_stats(w, scfg, &stats), stats)));
     }
-    (out, warm_ns)
+    WindowRun { w, rows: out, warm_ns, bank: probes }
 }
 
 #[cfg(test)]
@@ -511,6 +570,29 @@ mod tests {
             StoreStats { hits: 2, misses: 0, rejected: 0 },
             "each fully banked window loads its one checkpoint"
         );
+        let _ = std::fs::remove_dir_all(store.root());
+    }
+
+    /// A worker's panic fails the call with the worker's own message,
+    /// also when every worker dies with windows still to queue.
+    #[test]
+    fn worker_panic_fails_the_call_with_its_own_message() {
+        let img = image();
+        let store = tmp_store("panic");
+        let mut pcfg = ProcessorConfig::table2(4);
+        pcfg.width = 3;
+        let cells = [BatchCell { kind: EngineKind::Stream, pcfg }];
+        let mut b = BatchSampler::new(&img, 0xba7c, 7, quick_cfg(), &store);
+        let err = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+            b.run_range(&cells, 0..6, 2)
+        }))
+        .expect_err("a panicking worker fails the call");
+        let msg = err
+            .downcast_ref::<&str>()
+            .map(|m| m.to_string())
+            .or_else(|| err.downcast_ref::<String>().cloned())
+            .unwrap_or_default();
+        assert!(msg.contains("power of two"), "the worker's own message, got {msg:?}");
         let _ = std::fs::remove_dir_all(store.root());
     }
 

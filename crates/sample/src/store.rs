@@ -33,10 +33,11 @@
 //!   *rejected and recomputed*, never trusted ([`StoreMiss::Rejected`]).
 //! * [`StoredSampler`] — the store-backed window runner: it resolves
 //!   each window's warming-start state through the store (loading on
-//!   hit, walking the trace and saving on miss) and, with banking on,
-//!   each cell's post-warming state through the warm bank, then runs
-//!   the window through the batched sweep ([`crate::batch`]), producing
-//!   [`SamplePoint`]s bit-identical to the storeless [`crate::Sampler`]'s.
+//!   hit, walking the trace and saving on miss) and feeds the window to
+//!   a worker running the batched sweep ([`crate::batch`]), which, with
+//!   banking on, restores each cell's post-warming state from the warm
+//!   bank. The points are bit-identical to the storeless
+//!   [`crate::Sampler`]'s.
 //!   On a warm store no run ever fast-forwards: windows — across any
 //!   engine, width, process, or machine — start directly at functional
 //!   warming.
@@ -54,7 +55,7 @@ use sfetch_isa::wire::{WireReader, WireWriter};
 use sfetch_mem::{MemoryConfig, MemoryHierarchy};
 use sfetch_trace::{ArchCheckpoint, Executor};
 
-use crate::batch::{run_batch_window, BatchCell, CellSource, WindowPlan};
+use crate::batch::{run_batch_window, Bank, BatchCell, WindowPlan, WindowRun};
 use crate::config::SampleConfig;
 use crate::runner::SamplePoint;
 
@@ -712,10 +713,10 @@ pub fn warm_model_digest(kind: EngineKind, pcfg: &ProcessorConfig, scfg: &Sample
 /// warming-start state *by content*: load from the [`CheckpointStore`]
 /// if present and valid, otherwise walk the trace from the nearest
 /// earlier stored state (or the trace start) and save the result for
-/// every later experiment. With warm banking on, it first probes the
-/// bank for each cell's post-warming state. The window itself then runs
-/// through the batched sweep ([`crate::batch`]) — the one code path that
-/// warms and measures a window against the store — whether the call
+/// every later experiment. The window itself then runs through the
+/// batched sweep ([`crate::batch`]) — the one code path that warms and
+/// measures a window against the store, and, with warm banking on,
+/// probes the bank for each cell's post-warming state — whether the call
 /// covers one cell ([`StoredSampler::run_range`]) or a whole group
 /// ([`crate::BatchSampler`]). The produced [`SamplePoint`]s are
 /// **bit-identical** to the storeless [`crate::Sampler`]'s — asserted by
@@ -734,17 +735,20 @@ pub struct StoredSampler<'a> {
     timing: WarmTiming,
 }
 
-/// Wall-clock breakdown of where a [`StoredSampler`] run's host time
-/// went, per phase. `warm_ns` covers each window's shared recording
-/// sweep plus every cell's functional warming (or, on a banked hit,
-/// warm-state restore) — the quantity warm-engine-state banking exists
-/// to shrink; `ff_ns` is the serial snapshot resolution (fast-forward
-/// walking, store and bank IO), [`StoredSampler::populate`] included.
+/// Host-time breakdown of a [`StoredSampler`] run, per phase.
+/// `warm_ns` sums, over the window workers, each window's bank probes,
+/// shared recording sweep and every cell's functional warming (or, on a
+/// banked hit, warm-state restore) — the quantity warm-engine-state
+/// banking exists to shrink. `ff_ns` is the producer's time resolving
+/// warming-start snapshots (fast-forward walking and checkpoint IO),
+/// [`StoredSampler::populate`] included; in a sweep it overlaps the
+/// workers' `warm_ns` rather than preceding it.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct WarmTiming {
-    /// Nanoseconds resolving warming-start snapshots (serial).
+    /// Nanoseconds the producer spent resolving warming-start snapshots.
     pub ff_ns: u64,
-    /// Nanoseconds warming windows live, or restoring banked warm state.
+    /// Nanoseconds warming windows live, or probing and restoring
+    /// banked warm state, summed over the window workers.
     pub warm_ns: u64,
     /// Windows covered by the above.
     pub windows: u64,
@@ -887,9 +891,19 @@ impl<'a> StoredSampler<'a> {
 
     /// Runs windows `range` for every cell with up to `jobs` in-flight
     /// window sweeps, returning `[cell][window]`-indexed results in the
-    /// order of `cells` and of the range. Each chunk of windows resolves
-    /// its warm sources serially (store and bank IO) and then sweeps its
-    /// windows in parallel ([`run_batch_window`]).
+    /// order of `cells` and of the range.
+    ///
+    /// The sweep is a pipeline. The calling thread is the producer: in
+    /// window order it resolves each window's plan
+    /// ([`StoredSampler::resolve_plan`]) and sends it over a queue
+    /// bounded at `jobs` plans, so only O(`jobs`) recorders are ever
+    /// alive. `min(jobs, windows)` workers pull plans as they free up
+    /// and run each window's batched sweep ([`run_batch_window`]),
+    /// probing the warm bank for its cells themselves; no window waits
+    /// for another. After the sweep, the workers' bank counts are merged
+    /// and every cell whose banked entry did not decode is re-run warmed
+    /// live ([`StoredSampler::rewarm`]). A panicking worker fails the
+    /// call with its own panic.
     ///
     /// # Panics
     ///
@@ -904,85 +918,96 @@ impl<'a> StoredSampler<'a> {
         let jobs = jobs.max(1);
         let models: Vec<u64> =
             cells.iter().map(|c| warm_model_digest(c.kind, &c.pcfg, &self.scfg)).collect();
-        let windows = (range.end.saturating_sub(range.start)) as usize;
-        let mut out: Vec<Vec<(SamplePoint, SimStats)>> =
-            cells.iter().map(|_| Vec::with_capacity(windows)).collect();
+        let windows = range.end.saturating_sub(range.start);
         let (image, scfg, store) = (self.image, self.scfg, self.store);
         let models_ref = &models;
-        let mut w = range.start;
-        while w < range.end {
-            let chunk = (range.end - w).min(jobs as u64);
-            let t0 = Instant::now();
-            let plans: Vec<WindowPlan<'a>> =
-                (w..w + chunk).map(|i| self.resolve_plan(i, models_ref)).collect();
-            self.timing.ff_ns += t0.elapsed().as_nanos() as u64;
-            let results: Vec<_> = if jobs == 1 {
-                plans
-                    .into_iter()
-                    .map(|plan| run_batch_window(image, cells, &scfg, store, models_ref, plan))
-                    .collect()
-            } else {
-                std::thread::scope(|s| {
-                    let handles: Vec<_> = plans
-                        .into_iter()
-                        .map(|plan| {
-                            s.spawn(move || {
-                                run_batch_window(image, cells, &scfg, store, models_ref, plan)
-                            })
-                        })
-                        .collect();
-                    handles.into_iter().map(|h| h.join().expect("batch window worker")).collect()
+        let (tx, rx) = std::sync::mpsc::sync_channel::<WindowPlan<'a>>(jobs);
+        // The workers own the receiver, so once every one has exited
+        // (panics included) the producer's `send` fails instead of
+        // blocking on a full queue.
+        let rx = Arc::new(std::sync::Mutex::new(rx));
+        let mut runs: Vec<WindowRun> = std::thread::scope(|s| {
+            let workers: Vec<_> = (0..(jobs as u64).min(windows))
+                .map(|_| {
+                    let rx = Arc::clone(&rx);
+                    s.spawn(move || {
+                        let mut done = Vec::new();
+                        loop {
+                            // The guard drops with this statement: the
+                            // lock is held only while waiting for a plan.
+                            let next = rx.lock().expect("plan queue").recv();
+                            let Ok(plan) = next else { return done };
+                            done.push(run_batch_window(
+                                image, cells, &scfg, store, models_ref, plan,
+                            ));
+                        }
+                    })
                 })
-            };
-            for (i, (rows, ns)) in (w..).zip(results) {
-                self.timing.warm_ns += ns;
-                for (ci, row) in rows.into_iter().enumerate() {
-                    let row = match row {
-                        Some(row) => row,
-                        None => self.rewarm(i, &cells[ci], models[ci]),
-                    };
-                    out[ci].push(row);
+                .collect();
+            drop(rx);
+            for w in range.clone() {
+                let t0 = Instant::now();
+                let plan = self.resolve_plan(w);
+                self.timing.ff_ns += t0.elapsed().as_nanos() as u64;
+                if tx.send(plan).is_err() {
+                    // Every worker is gone; the joins below say why.
+                    break;
                 }
             }
-            self.timing.windows += chunk;
-            w += chunk;
+            drop(tx);
+            let mut runs = Vec::with_capacity(windows as usize);
+            let mut panicked = None;
+            for worker in workers {
+                match worker.join() {
+                    Ok(done) => runs.extend(done),
+                    Err(payload) => {
+                        panicked.get_or_insert(payload);
+                    }
+                }
+            }
+            if let Some(payload) = panicked {
+                std::panic::resume_unwind(payload);
+            }
+            runs
+        });
+        runs.sort_unstable_by_key(|run| run.w);
+
+        // `rewarm` turns a counted hit into a rejection, so every
+        // window's probes are in before any cell is re-run.
+        for run in &runs {
+            self.warm_stats.hits += run.bank.hits;
+            self.warm_stats.misses += run.bank.misses;
+            self.warm_stats.rejected += run.bank.rejected;
+            self.timing.warm_ns += run.warm_ns;
         }
+        let mut out: Vec<Vec<(SamplePoint, SimStats)>> =
+            cells.iter().map(|_| Vec::with_capacity(windows as usize)).collect();
+        for run in runs {
+            for (ci, row) in run.rows.into_iter().enumerate() {
+                let row = match row {
+                    Some(row) => row,
+                    None => self.rewarm(run.w, &cells[ci], models[ci]),
+                };
+                out[ci].push(row);
+            }
+        }
+        self.timing.windows += windows;
         out
     }
 
-    /// Resolves one window's plan, serially: probe the warm bank per
-    /// cell (when banking is on), then position the shared recorder at
-    /// the warming start through the checkpoint store
-    /// ([`StoredSampler::snapshot`]). When every cell restores from the
-    /// bank, the recorder then skips the warming span with the
-    /// state-only [`Executor::advance`] (block-granular) and the sweep
-    /// records only the detailed span.
-    fn resolve_plan(&mut self, w: u64, models: &[u64]) -> WindowPlan<'a> {
-        let mut sources = Vec::with_capacity(models.len());
-        if self.warm_bank {
-            let key = self.key_at(self.warming_start(w));
-            for &model in models {
-                match self.store.load_warm(&key, model) {
-                    Ok(entry) => {
-                        self.warm_stats.hits += 1;
-                        sources.push(CellSource::Banked(entry));
-                        continue;
-                    }
-                    Err(StoreMiss::Absent) => self.warm_stats.misses += 1,
-                    Err(StoreMiss::Rejected(_)) => self.warm_stats.rejected += 1,
-                }
-                sources.push(CellSource::Replay { bank_to: Some(key) });
-            }
+    /// Resolves one window's plan on the producer: positions the shared
+    /// recorder at the window's warming start through the checkpoint
+    /// store ([`StoredSampler::snapshot`]: a checkpoint load, or the
+    /// live walker advancing and saving) and, with banking on, names
+    /// the key the window's worker probes the warm bank under. The bank
+    /// itself is read by the worker.
+    fn resolve_plan(&mut self, w: u64) -> WindowPlan<'a> {
+        let bank = if self.warm_bank {
+            Bank::Probe(self.key_at(self.warming_start(w)))
         } else {
-            sources.extend(models.iter().map(|_| CellSource::Replay { bank_to: None }));
-        }
-        let mut rec = self.snapshot(w);
-        let mut warm_span = self.scfg.warm_func;
-        if sources.iter().all(|s| matches!(s, CellSource::Banked(_))) {
-            rec.advance(warm_span);
-            warm_span = 0;
-        }
-        WindowPlan { w, rec, warm_span, sources }
+            Bank::Off
+        };
+        WindowPlan { w, rec: self.snapshot(w), bank }
     }
 
     /// Re-runs one cell of window `w` warmed live after a worker found
@@ -991,11 +1016,9 @@ impl<'a> StoredSampler<'a> {
     fn rewarm(&mut self, w: u64, cell: &BatchCell, model: u64) -> (SamplePoint, SimStats) {
         self.warm_stats.hits -= 1;
         self.warm_stats.rejected += 1;
-        let bank_to = Some(self.key_at(self.warming_start(w)));
-        let sources = vec![CellSource::Replay { bank_to }];
-        let rec = self.snapshot(w);
-        let plan = WindowPlan { w, rec, warm_span: self.scfg.warm_func, sources };
-        let (rows, ns) = run_batch_window(
+        let bank = Bank::Rebank(self.key_at(self.warming_start(w)));
+        let plan = WindowPlan { w, rec: self.snapshot(w), bank };
+        let run = run_batch_window(
             self.image,
             std::slice::from_ref(cell),
             &self.scfg,
@@ -1003,8 +1026,8 @@ impl<'a> StoredSampler<'a> {
             &[model],
             plan,
         );
-        self.timing.warm_ns += ns;
-        rows.into_iter().flatten().next().expect("a live-warmed cell always runs")
+        self.timing.warm_ns += run.warm_ns;
+        run.rows.into_iter().flatten().next().expect("a live-warmed cell always runs")
     }
 
     /// Ensures every window in `0..windows` has a stored checkpoint (one

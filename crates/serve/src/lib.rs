@@ -23,13 +23,15 @@
 //! - **One orchestration path.** A family run is
 //!   [`sfetch_bench::fleet_grid::run_family`] — the runner behind
 //!   `--procs` grids — with [`ThreadLauncher`] in place of child
-//!   processes. It opens and re-verifies the family ledger first and
-//!   walks the store's warming-start checkpoints
-//!   (`StoredSampler::populate`) only if some cell is still not `Done`,
-//!   so a pure resubmit reads no checkpoint at all; a `Done` cell whose
-//!   output rotted is demoted to `Pending` by the ledger and so still
-//!   gets its checkpoints. Thread workers share this one process, so
-//!   compatible cells lease in groups of the request's `--batch`.
+//!   processes. It opens and re-verifies the family ledger first, and
+//!   only a cell still not `Done` runs, so a pure resubmit reads no
+//!   checkpoint at all; a `Done` cell whose output rotted is demoted to
+//!   `Pending` by the ledger and so runs again. There is no separate
+//!   populate walk: each lease group's sweep positions its windows at
+//!   their warming starts through the store as it goes, overlapped with
+//!   the windows already sweeping. Thread workers share this one
+//!   process, so compatible cells lease in groups of the request's
+//!   `--batch`.
 //! - **Incremental result streaming.** Each client connection receives
 //!   line-JSON [`ServeEvent`]s as cells complete — per-window `point`
 //!   rows plus running `estimate` (confidence-interval) updates —
@@ -66,13 +68,13 @@ use std::sync::{Arc, Condvar, Mutex};
 use std::thread::JoinHandle;
 use std::time::Duration;
 
-use sfetch_bench::driver::{populate_store, GridRequest, ServeEvent};
+use sfetch_bench::driver::{GridRequest, ServeEvent};
 use sfetch_bench::fleet_grid::{self, run_cell_group, CellGroupJob, FamilyRun};
 use sfetch_bench::grid::{parse_shard_file, GridError};
 use sfetch_bench::{flag_value, number, positive, try_workload_by_name, HarnessOpts};
 use sfetch_fleet::{CellId, FleetError, Launcher, PollResult, WorkerHandle};
 use sfetch_obs::{Obj, Row};
-use sfetch_sample::{estimate, CheckpointStore, SampleConfig};
+use sfetch_sample::{estimate, SampleConfig};
 use sfetch_workloads::Workload;
 
 pub mod signals;
@@ -676,7 +678,6 @@ fn run_family(
     // config wins over whatever the requests carried.
     opts.store_cap_bytes = store_cap_bytes;
     let scfg = rep.scfg;
-    let windows = rep.windows();
 
     // Union of canonical cells; per cell, which members subscribe.
     let mut cells: Vec<CellId> = Vec::new();
@@ -692,17 +693,6 @@ fn run_family(
         }
     }
 
-    // Only a run with cells left to compute needs the family's
-    // warming-start checkpoints: one architectural walk banks them (on
-    // the resident warm store, verification traffic only). A run the
-    // ledger already answers in full skips the walk.
-    let populate = || -> Result<(), String> {
-        let store = CheckpointStore::open(store_dir)
-            .map_err(|e| format!("open store: {e}"))?
-            .with_cap_bytes(store_cap_bytes);
-        populate_store(w, scfg, windows, &store, &format!("serve: [{}]", w.name()));
-        Ok(())
-    };
     let run = FamilyRun {
         tag,
         store_dir,
@@ -728,7 +718,6 @@ fn run_family(
         &run,
         &cells,
         &launcher,
-        Some(&populate),
         &mut |line| eprintln!("serve: [{tag:016x}] {line}"),
         &mut |done| {
             let key = done.cell.to_string();

@@ -27,7 +27,10 @@ use sfetch_cfg::{layout, CodeImage};
 use sfetch_core::{ProcessorConfig, SimStats};
 use sfetch_fetch::{EngineKind, FrontPipeline};
 use sfetch_prefetch::{PrefetchConfig, PrefetchKind};
-use sfetch_sample::{BatchCell, BatchSampler, CheckpointStore, SamplePoint, SampleConfig, Sampler};
+use sfetch_sample::{
+    warm_model_digest, BatchCell, BatchSampler, CheckpointStore, SamplePoint, SampleConfig, Sampler,
+    StoreKey,
+};
 use sfetch_workloads::LayoutChoice;
 
 fn tmp_store(tag: &str) -> CheckpointStore {
@@ -84,7 +87,7 @@ fn cell(kind: EngineKind, width: usize, engine_front: bool) -> BatchCell {
 /// Phased pin: its program phases force squash-heavy windows, and the
 /// window range is run at `jobs = 2` so measured windows straddle the
 /// in-flight batch boundary (windows 0–1 sweep concurrently, window 2
-/// lands in the next chunk).
+/// goes to whichever worker frees first).
 #[test]
 fn phased_squash_heavy_windows_straddle_batch_boundaries() {
     let w = try_workload_by_name("phased").expect("registered bench");
@@ -217,6 +220,83 @@ fn warm_bank_files_follower_entries_and_hits_every_cell() {
     let bank = second.warm_bank_stats();
     assert_eq!((bank.hits, bank.misses, bank.rejected), (probes, 0, 0), "every cell restores");
     let _ = std::fs::remove_dir_all(store.root());
+}
+
+/// Bytes ahead of a warm-bank entry's payload: magic, version, the four
+/// key words, digest and length.
+const WARM_HEADER: usize = 64;
+
+/// A warm-bank entry with its engine segment one byte short, re-sealed
+/// under a valid digest: it passes every check `load_warm` makes and
+/// does not decode.
+fn undecodable(entry: &[u8]) -> Vec<u8> {
+    let payload = &entry[WARM_HEADER..];
+    let len = u64::from_le_bytes(payload[..8].try_into().expect("segment length")) as usize;
+    let mut short = (len as u64 - 1).to_le_bytes().to_vec();
+    short.extend_from_slice(&payload[8..7 + len]);
+    short.extend_from_slice(&payload[8 + len..]);
+    let mut out = entry[..WARM_HEADER].to_vec();
+    out[WARM_HEADER - 16..WARM_HEADER - 8]
+        .copy_from_slice(&sfetch_fleet::fnv64(&short).to_le_bytes());
+    out[WARM_HEADER - 8..].copy_from_slice(&(short.len() as u64).to_le_bytes());
+    out.extend_from_slice(&short);
+    out
+}
+
+/// Banked and cold windows in one call, as a request one window further
+/// out than a banked one makes: windows `0..4` banked, then `0..5` at
+/// `jobs` 1, 2 and 3 (two of which do not divide 5). The banked windows
+/// restore on their workers while the fifth walks on from window 3's
+/// checkpoint and warms live; every row matches the storeless oracle
+/// and the bank counts each probe once. A resealed, undecodable entry
+/// in window 2 is rejected once, re-warmed and rebanked, with the same
+/// rows and no counter underflow.
+#[test]
+fn banked_and_cold_windows_share_one_call() {
+    let w = try_workload_by_name("phased").expect("registered bench");
+    let img = w.image(LayoutChoice::Optimized);
+    let fp = w.fingerprint(LayoutChoice::Optimized);
+    let seed = w.ref_seed();
+    let scfg = quick_cfg();
+    let batch: Vec<BatchCell> = cells(&EngineKind::ALL, &[4, 8])
+        .into_iter()
+        .map(|c| BatchCell { kind: c.engine, pcfg: cell_config(c, &HarnessOpts::default()) })
+        .collect();
+    let n = batch.len() as u64;
+    let want = serial_oracle(img, seed, scfg, &batch, 0..5);
+    let want_banked: Vec<_> = want.iter().map(|rows| rows[..4].to_vec()).collect();
+    // The victim follows its kind's 4-wide leader in the sweep.
+    let victim = batch
+        .iter()
+        .position(|c| c.kind == EngineKind::Stream && c.pcfg.width == 8)
+        .expect("stream 8-wide cell");
+    let key = StoreKey { fingerprint: fp, seed, at_inst: 2 * scfg.interval + scfg.fast_forward() };
+    let model = warm_model_digest(batch[victim].kind, &batch[victim].pcfg, &scfg);
+    for jobs in [1, 2, 3] {
+        for plant in [false, true] {
+            let tag = format!("mixed-{jobs}-{plant}");
+            let store = tmp_store(&tag);
+            let mut first = BatchSampler::new(img, fp, seed, scfg, &store).with_warm_bank(true);
+            assert_eq!(first.run_range(&batch, 0..4, jobs), want_banked, "{tag}: banking run");
+            let path = store.warm_entry_path(&key, model);
+            let good = std::fs::read(&path).expect("banked entry");
+            if plant {
+                std::fs::write(&path, undecodable(&good)).expect("plant entry");
+            }
+            let store = CheckpointStore::open(store.root()).expect("reopen store");
+            let mut mixed = BatchSampler::new(img, fp, seed, scfg, &store).with_warm_bank(true);
+            assert_eq!(mixed.run_range(&batch, 0..5, jobs), want, "{tag}: rows");
+            let bank = mixed.warm_bank_stats();
+            let rejected = u64::from(plant);
+            assert_eq!(
+                (bank.hits, bank.misses, bank.rejected),
+                (4 * n - rejected, n, rejected),
+                "{tag}: bank probes"
+            );
+            assert!(std::fs::read(&path).expect("rebanked entry") == good, "{tag}: entry");
+            let _ = std::fs::remove_dir_all(store.root());
+        }
+    }
 }
 
 proptest! {

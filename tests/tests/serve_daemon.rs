@@ -344,8 +344,8 @@ fn resubmit_reads_no_checkpoints() {
     assert_eq!(first.computed, 2);
 
     // Take the family's warming-start checkpoints away. A resubmit the
-    // ledger answers in full must not need them: were the populate walk
-    // still run, it would recompute and re-save every one.
+    // ledger answers in full must not need them: were any window swept
+    // again, its walk would recompute and re-save every one.
     let ckpts = d.checkpoints();
     assert!(!ckpts.is_empty(), "the cold run must have banked checkpoints");
     for p in &ckpts {
