@@ -33,17 +33,17 @@
 //! the warm checkpoint store — the measured grid stays bit-identical
 //! with them on or off.
 //!
-//! With `--procs N` the grid — windows × engines × widths — fans out
-//! across OS processes through the store under the **fleet supervisor**
-//! (`sfetch_fleet`): cells are leased from a persistent ledger, crashed
-//! or hung workers are retried with backoff, and a killed parent
-//! resumes mid-grid on re-invocation. `--chaos SEED` injects
-//! deterministic worker faults to prove the merged output stays
-//! byte-identical. `--verify` reruns every cell through a **storeless**
-//! live sampler and asserts the merged result is bit-identical, so the
-//! store machinery itself is under test. With `--store DIR` checkpoints
-//! persist across invocations. Exit status: 0 complete, 2 degraded,
-//! 1 error.
+//! With `--procs N` the grid runs under the **fleet supervisor**
+//! (`sfetch_fleet`) on up to N worker threads — the family run the
+//! resident daemon uses: cells are leased from a persistent ledger
+//! next to the store, failed, panicked or hung workers are retried with
+//! backoff, and a killed run resumes mid-grid on re-invocation.
+//! `--chaos SEED` injects deterministic worker faults to prove the
+//! merged output stays byte-identical. `--verify` reruns every cell
+//! through a **storeless** live sampler and asserts the merged result
+//! is bit-identical, so the store machinery itself is under test. With
+//! `--store DIR` checkpoints persist across invocations. Exit status:
+//! 0 complete, 2 degraded, 1 error.
 //!
 //! Accuracy note: sampled-IPC accuracy is validated (BENCH_4
 //! `sampling_ab`) for the **stream** engine, whose self-checking
@@ -75,11 +75,11 @@
 
 use std::io::Write as _;
 use std::process::ExitCode;
+use std::sync::Arc;
 
 use sfetch_bench::driver::{
     announce_kept_store, or_die, run_request, ArgDefaults, CommonArgs, RequestRun,
 };
-use sfetch_bench::fleet_grid::maybe_run_fleet_child;
 use sfetch_bench::grid::{print_grid_table, verify_merged, CellRun};
 use sfetch_bench::try_workload_by_name;
 
@@ -103,7 +103,6 @@ fn print_panels(a: &CommonArgs, runs: &[CellRun]) {
 }
 
 fn main() -> ExitCode {
-    maybe_run_fleet_child();
     let a = CommonArgs::parse(&ArgDefaults {
         benches: "phased",
         engines: "all",
@@ -119,7 +118,7 @@ fn main() -> ExitCode {
     // the daemon stream path alike.
     if a.verify && !degraded {
         eprintln!("\nverifying merged grid against a storeless in-process rerun…");
-        let w = workload.unwrap_or_else(|| or_die(try_workload_by_name(&req.bench)));
+        let w = workload.unwrap_or_else(|| Arc::new(or_die(try_workload_by_name(&req.bench))));
         verify_merged(&w, &runs, req.scfg, &req.opts, req.windows());
         println!("verify OK: store-backed grid is bit-identical to a storeless single-process run");
     } else if a.verify {

@@ -15,9 +15,9 @@
 //! the first invocation banks every benchmark's fast-forward state,
 //! every later one — any engine subset — starts warm.
 //!
-//! With `--procs N` each benchmark's windows × engines fan out across
-//! OS processes under the fleet supervisor (`sfetch_fleet`): leased
-//! cells, retry/backoff on worker crashes, resumable ledger. `--chaos`,
+//! With `--procs N` each benchmark's grid runs under the fleet
+//! supervisor (`sfetch_fleet`) on up to N worker threads: leased cells,
+//! retry/backoff on worker failures, resumable ledger. `--chaos`,
 //! `--max-retries` and `--cell-timeout` behave as in `figure8_sampled`.
 //! Exit status: 0 complete, 2 degraded (some cells permanently failed),
 //! 1 error.
@@ -53,9 +53,9 @@
 //! `--serve`.)
 
 use std::process::ExitCode;
+use std::sync::Arc;
 
 use sfetch_bench::driver::{announce_kept_store, or_die, run_request, ArgDefaults, CommonArgs};
-use sfetch_bench::fleet_grid::maybe_run_fleet_child;
 use sfetch_bench::grid::{verify_merged, FIG9_WIDTH};
 use sfetch_bench::try_workload_by_name;
 use sfetch_core::metrics::harmonic_mean;
@@ -66,7 +66,6 @@ use sfetch_fetch::EngineKind;
 const DEFAULT_BENCHES: &str = "gzip,gcc,crafty,twolf,phased";
 
 fn main() -> ExitCode {
-    maybe_run_fleet_child();
     let mut a = CommonArgs::parse(&ArgDefaults {
         benches: DEFAULT_BENCHES,
         engines: "all",
@@ -102,7 +101,7 @@ fn main() -> ExitCode {
         // built (or, after a daemon run, a fresh one).
         if a.verify && !out.degraded {
             eprintln!("{bench}: verifying merged grid against a storeless in-process rerun…");
-            let w = out.workload.unwrap_or_else(|| or_die(try_workload_by_name(bench)));
+            let w = out.workload.unwrap_or_else(|| Arc::new(or_die(try_workload_by_name(bench))));
             verify_merged(&w, &out.runs, req.scfg, &req.opts, req.windows());
             verdicts.push(format!(
                 "verify OK: {bench}: store-backed grid is bit-identical to a storeless \

@@ -6,24 +6,22 @@
 //! one simulated model. `figure8_sampled`, `figure9_sampled` and the
 //! daemon share one argument parser that builds it, and the bins run it
 //! through one dispatch, [`run_request`]: submitted to a daemon
-//! (`--serve`), fanned across fleet worker processes (`--procs`), or in
-//! process ([`run_in_process`], which `calibrate` calls directly). The
-//! dispatch owns the checkpoint store's life ([`RunStore`]), the
-//! populate, the progress lines and the merge; the bins keep only their
-//! own tables, `--obs-dir` layout and `--verify`.
+//! (`--serve`), run as a fleet family on worker threads (`--procs`,
+//! the runner the daemon uses), or in one sweep ([`run_in_process`],
+//! which `calibrate` calls directly). The dispatch owns the checkpoint
+//! store's life ([`RunStore`]), the progress lines and the merge; the
+//! bins keep only their own tables, `--obs-dir` layout and `--verify`.
 //!
 //! The module also defines the **line-JSON serve protocol**: a
 //! [`GridRequest`] serializes to a single `submit` line
 //! ([`GridRequest::submit_line`], read back by the validating
-//! [`GridRequest::parse_submit`]) — over a Unix socket to the daemon,
-//! and as the one `--fleet-req` argument of a fleet worker process
-//! ([`crate::fleet_grid`]). The daemon streams [`ServeEvent`] lines
-//! back — `accepted`, one `cell` per completed ledger cell, one `point`
-//! per sampled window, per-cell `estimate` updates, and a terminal
-//! `final` carrying the request's singleflight counters. A client
-//! merges the streamed points with the same [`crate::grid::merge_grid`]
-//! the one-shot bins use, so the final table is **byte-identical** to a
-//! local run.
+//! [`GridRequest::parse_submit`]) over a Unix socket to the daemon. The
+//! daemon streams [`ServeEvent`] lines back — `accepted`, one `cell` per
+//! completed ledger cell, one `point` per sampled window, per-cell
+//! `estimate` updates, and a terminal `final` carrying the request's
+//! singleflight counters. A client merges the streamed points with the
+//! same [`crate::grid::merge_grid`] the one-shot bins use, so the final
+//! table is **byte-identical** to a local run.
 //!
 //! Requests that must share work carry the same [`GridRequest::family_tag`]
 //! — the fingerprint of everything a cell's output bytes depend on
@@ -37,14 +35,15 @@
 use std::ffi::OsString;
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicUsize, Ordering};
+use std::sync::Arc;
 
 use sfetch_fetch::EngineKind;
 use sfetch_fleet::{fnv64, CellId};
 use sfetch_obs::jsonl::{optional, Obj, Row};
-use sfetch_sample::{CheckpointStore, SampleConfig, SamplePoint, StoredSampler};
-use sfetch_workloads::{LayoutChoice, Workload};
+use sfetch_sample::{CheckpointStore, SampleConfig, SamplePoint};
+use sfetch_workloads::Workload;
 
-use crate::fleet_grid::{degradation_exit, run_fleet_grid, FleetGridSpec};
+use crate::fleet_grid::{degradation_exit, run_fleet_grid_on, FleetGridSpec};
 use crate::grid::{
     cells, engine_key, merge_grid, parse_engines, parse_widths, point_fields, point_line,
     read_point, run_cells_batched, run_sampled_grid, CellRun, GridCell, GridError,
@@ -244,18 +243,18 @@ pub struct RequestRun {
     pub degraded: bool,
     /// The request's workload, built once by a local run; `None` under
     /// `--serve`.
-    pub workload: Option<Workload>,
+    pub workload: Option<Arc<Workload>>,
 }
 
 /// Runs one grid request the way the invocation asks — submitted to a
-/// resident daemon (`--serve`), fanned across fleet worker processes
-/// (`--procs N`), or in process — the one place that choice is made.
+/// resident daemon (`--serve`), as a fleet family on `--procs N` worker
+/// threads, or in one sweep — the one place that choice is made.
 ///
 /// A local run owns its checkpoint store from open to close: `--store
 /// DIR`, or a temporary directory removed at the end, capped by
-/// `--store-cap-bytes`, and populated once before a fleet fans out. The
-/// `obs` side pass (`--obs-dir`) runs while the store is open. The
-/// progress lines go to stderr; stdout is left to the caller's tables.
+/// `--store-cap-bytes`. The `obs` side pass (`--obs-dir`) runs while
+/// the store is open. The progress lines go to stderr; stdout is left
+/// to the caller's tables.
 ///
 /// # Errors
 ///
@@ -290,7 +289,7 @@ pub fn run_request(a: &CommonArgs, req: &GridRequest, obs: &ObsOpts) -> Result<R
         return Ok(RequestRun { runs, degraded: out.status != "complete", workload: None });
     }
 
-    let w = crate::try_workload_by_name(&req.bench).map_err(|e| e.to_string())?;
+    let w = Arc::new(crate::try_workload_by_name(&req.bench).map_err(|e| e.to_string())?);
     eprintln!(
         "{}: sampled grid — {} cells × {windows} windows over {} insts",
         w.name(),
@@ -299,33 +298,21 @@ pub fn run_request(a: &CommonArgs, req: &GridRequest, obs: &ObsOpts) -> Result<R
     );
     let store = RunStore::open(a.store.as_deref(), req.opts.store_cap_bytes)?;
     let (runs, degraded) = if a.procs > 1 {
-        let store_dir = store.root();
-        // One architectural walk saves every window's warming-start
-        // checkpoint before the fan-out, so no worker process walks
-        // (pure verification traffic on a warm store).
-        let img = w.image(LayoutChoice::Optimized);
-        let fp = w.fingerprint(LayoutChoice::Optimized);
-        let mut populate = StoredSampler::new(img, fp, w.ref_seed(), req.scfg, &store);
-        let computed = populate.populate(windows);
-        eprintln!(
-            "store {}: {windows} windows ready ({computed} computed, {} loaded warm, {:.3}s \
-             fast-forward)",
-            store_dir.display(),
-            populate.stats().hits,
-            populate.timing().ff_ns as f64 / 1e9
-        );
-        let outcome = run_fleet_grid(&FleetGridSpec {
-            bench: &req.bench,
-            grid: &grid,
-            scfg: req.scfg,
-            total: req.total,
-            opts: &req.opts,
-            store_dir,
-            procs: a.procs.min((grid.len() as u64 * windows) as usize).max(1),
-            chaos: a.chaos,
-            max_retries: a.max_retries,
-            cell_timeout_s: a.cell_timeout,
-        })
+        let outcome = run_fleet_grid_on(
+            &w,
+            &FleetGridSpec {
+                bench: &req.bench,
+                grid: &grid,
+                scfg: req.scfg,
+                total: req.total,
+                opts: &req.opts,
+                store_dir: store.root(),
+                procs: a.procs,
+                chaos: a.chaos,
+                max_retries: a.max_retries,
+                cell_timeout_s: a.cell_timeout,
+            },
+        )
         .map_err(|e| e.to_string())?;
         let degraded = degradation_exit(&outcome) != 0;
         (outcome.runs, degraded)
@@ -410,8 +397,8 @@ pub fn announce_kept_store(a: &CommonArgs) {
 }
 
 /// Runs a **compatible group** of [`CellId`]s (same window range) and
-/// renders one shard body per cell — the single code path behind fleet
-/// worker processes and the daemon's in-process workers. The whole
+/// renders one shard body per cell — the single code path behind every
+/// fleet worker ([`crate::fleet_grid::cell_group_worker`]). The whole
 /// group shares one batched sweep per window
 /// ([`crate::grid::run_cells_batched`]), the point the fleet's group
 /// leasing exists for; bodies are byte-identical for any group shape.
@@ -465,8 +452,8 @@ pub fn cell_group_bodies(
     Ok(bodies)
 }
 
-/// The shard-output validator shared by every ledger consumer (fleet
-/// parents, the daemon): the trailer must verify and every point line
+/// The shard-output validator shared by every ledger consumer (`--procs`
+/// grids, the daemon): the trailer must verify and every point line
 /// must parse. Returns the digest of the full sealed text.
 ///
 /// # Errors
@@ -475,6 +462,14 @@ pub fn cell_group_bodies(
 pub fn validate_shard_text(text: &str) -> Result<u64, String> {
     crate::grid::parse_shard_file(text).map_err(|e| e.to_string())?;
     Ok(fnv64(text.as_bytes()))
+}
+
+/// A grid's **canonical** ledger cells: exactly one [`CellId`] per
+/// (engine, width) pair covering every window. Canonical (never chunked
+/// by a worker count) so that overlapping requests produce identical
+/// cell ids — the dedup key.
+pub fn canonical_cells(grid: &[GridCell], windows: u64) -> Vec<CellId> {
+    grid.iter().map(|c| CellId::new(engine_key(c.engine), c.width, 0, windows)).collect()
 }
 
 // ---------------------------------------------------------------------
@@ -537,16 +532,9 @@ impl GridRequest {
         fnv64(key.as_bytes())
     }
 
-    /// The request's **canonical** ledger cells: exactly one [`CellId`]
-    /// per (engine, width) pair covering every window. Canonical (never
-    /// chunked by a proc count) so that overlapping requests produce
-    /// identical cell ids — the dedup key.
+    /// The request's **canonical** ledger cells ([`canonical_cells`]).
     pub fn canonical_cells(&self) -> Vec<CellId> {
-        let windows = self.windows();
-        self.grid()
-            .iter()
-            .map(|c| CellId::new(engine_key(c.engine), c.width, 0, windows))
-            .collect()
+        canonical_cells(&self.grid(), self.windows())
     }
 
     /// Renders the `submit` line for this request.

@@ -15,7 +15,7 @@
 //! | `ablation_predictor` | cascaded vs single-level stream predictor |
 //! | `ablation_ftq` | FTQ depth sweep |
 //! | `ablation_sts` | selective trace storage on/off |
-//! | `figure8_sampled` | Fig. 8 grid at paper-scale horizons via the sampler + checkpoint store; `--procs N` fans it across fleet worker processes, merged bit-identically |
+//! | `figure8_sampled` | Fig. 8 grid at paper-scale horizons via the sampler + checkpoint store; `--procs N` runs it as a fleet family on worker threads, merged bit-identically |
 //! | `figure9_sampled` | Fig. 9 per-benchmark comparison, sampled through the store |
 //! | `calibrate` | the paper's five Fig. 8 ratios under both front models + the default sampled grid → `BENCH_11.json` |
 //! | `all` | everything above, in sequence |

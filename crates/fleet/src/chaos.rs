@@ -1,11 +1,10 @@
 //! Deterministic fault injection — the harness that *proves* the fleet
 //! tolerates faults instead of merely claiming to.
 //!
-//! Chaos mode is armed by setting [`CHAOS_ENV`] (`SFETCH_CHAOS`) to a
-//! seed; the parent sets it on worker environments only, so the
-//! supervisor itself always runs clean. Each worker asks
-//! [`fault_for`]`(seed, cell, attempt)` what to do and the answer is a
-//! **pure function** of those three values:
+//! Chaos mode is armed by a seed (`--chaos SEED`) that only the worker
+//! body sees, so the supervisor itself always runs clean. Before any
+//! work, the body asks [`fault_for`]`(seed, cell, attempt)` what to do
+//! and the answer is a **pure function** of those three values:
 //!
 //! * the same seed replays the same fault schedule, byte for byte, so a
 //!   failing chaos run is reproducible from its command line;
@@ -15,40 +14,36 @@
 //!   every chaos run provably converges to the fault-free output.
 //!
 //! The fault menu covers the distinct failure surfaces the supervisor
-//! defends: dying before writing ([`Fault::CrashEarly`]), hanging
+//! defends: failing before writing ([`Fault::CrashEarly`]), hanging
 //! ([`Fault::Stall`] — caught by heartbeat staleness), writing a short
 //! file ([`Fault::WriteTruncated`] — caught by the checksum trailer),
 //! writing a plausible-but-wrong file ([`Fault::WriteCorrupt`] — caught
 //! by the digest), and reporting failure despite a valid file
-//! ([`Fault::ExitNonzeroAfterWrite`] — exit status must win).
+//! ([`Fault::ExitNonzeroAfterWrite`] — the worker's verdict must win).
 
 use crate::cell::CellId;
 use crate::fnv64;
-
-/// Environment variable that arms chaos mode in workers. Its value is
-/// the decimal seed.
-pub const CHAOS_ENV: &str = "SFETCH_CHAOS";
 
 /// What a chaos-armed worker does to itself for one (cell, attempt).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Fault {
     /// Run cleanly.
     None,
-    /// Abort before computing or writing anything — a segfault-shaped
-    /// death the supervisor sees as a nonzero exit with no output.
+    /// Fail before computing or writing anything — the supervisor sees
+    /// a failed exit with no output.
     CrashEarly,
     /// Hang without ever heartbeating — caught by heartbeat staleness
     /// (or the cell deadline), killed, and re-leased.
     Stall,
     /// Write only a prefix of the sealed output — caught by the
-    /// checksum trailer on the parent side.
+    /// checksum trailer on the supervisor side.
     WriteTruncated,
     /// Write a full-length output with a flipped body byte — caught by
     /// the trailer digest.
     WriteCorrupt,
-    /// Write a perfectly valid output but exit nonzero — exit status
-    /// must override the parseable file (the process may know something
-    /// the file doesn't).
+    /// Write a perfectly valid output but report failure — the worker's
+    /// verdict must override the parseable file (the worker may know
+    /// something the file doesn't).
     ExitNonzeroAfterWrite,
 }
 
@@ -75,16 +70,9 @@ pub fn fault_for(seed: u64, cell: &CellId, attempt: u32) -> Fault {
     }
 }
 
-/// Reads the chaos seed from [`CHAOS_ENV`], if armed. A present but
-/// non-numeric value is treated as seed 0 rather than ignored — a typo
-/// should fail loudly in chaos tests, not silently run clean.
-pub fn seed_from_env() -> Option<u64> {
-    std::env::var(CHAOS_ENV).ok().map(|v| v.trim().parse().unwrap_or(0))
-}
-
 /// Mangles a sealed output according to `fault`, returning what the
-/// worker should actually write (and whether it should then exit
-/// nonzero). [`Fault::CrashEarly`] and [`Fault::Stall`] act *before*
+/// worker should actually write (and whether it should then report
+/// failure). [`Fault::CrashEarly`] and [`Fault::Stall`] act *before*
 /// output exists and are handled by the worker directly, not here.
 pub fn mangle_output(fault: Fault, sealed: &str) -> (String, bool) {
     match fault {

@@ -19,7 +19,7 @@ pub enum FleetError {
         /// The underlying error, stringified.
         err: String,
     },
-    /// A worker process could not be spawned at all.
+    /// A worker could not be started at all.
     Spawn {
         /// The cell the worker was meant to run.
         cell: String,

@@ -1,18 +1,16 @@
 //! # sfetch-fleet
 //!
 //! The **fault-tolerant execution layer** between an experiment grid
-//! and the operating system.
+//! and its workers.
 //!
-//! PR 5's shard runner fans the sampled windows × engines × widths grid
-//! across OS processes through the checkpoint store, but its
-//! orchestration was brittle: one lost worker — a crash, a hang, a
-//! truncated output file — killed a multi-hour paper-scale run. The
-//! fix is the same move the paper makes for instruction fetch (a
-//! squashed stream is *re-fetchable* because streams derive only from
-//! the program) and MANA makes for prefetch records (a mispredicted
-//! record is *re-derivable*): make every unit of work **idempotent and
-//! re-offerable**, then survive any individual failure by simply
-//! re-running the cell.
+//! A paper-scale grid (sampled windows × engines × widths) runs for a
+//! long time, and one lost worker — a crash, a hang, a truncated output
+//! file — must not kill it. The fix is the same move the paper makes
+//! for instruction fetch (a squashed stream is *re-fetchable* because
+//! streams derive only from the program) and MANA makes for prefetch
+//! records (a mispredicted record is *re-derivable*): make every unit
+//! of work **idempotent and re-offerable**, then survive any individual
+//! failure by simply re-running the cell.
 //!
 //! The pieces:
 //!
@@ -25,9 +23,10 @@
 //!   Done(digest) | Failed(attempts)`. Leases expire on deadline, so a
 //!   crashed or hung worker's cells are re-offered; `Done` cells are
 //!   skipped on restart (their verified output is reloaded from disk),
-//!   so a `SIGKILL`ed parent resumes mid-grid for free.
-//! * [`Supervisor`](supervisor::run_fleet) — the worker pool: spawns up
-//!   to `procs` workers, health-checks them through shard-file
+//!   so a `SIGKILL`ed run resumes mid-grid for free.
+//! * [`Supervisor`](supervisor::run_fleet) — the worker pool: starts up
+//!   to `procs` workers ([`ThreadLauncher`] runs each on a thread of
+//!   this process), health-checks them through shard-file
 //!   heartbeat mtimes, enforces per-cell timeouts derived from observed
 //!   cell durations (p95 × k with a floor), kills and re-leases
 //!   stragglers, retries failed cells with capped exponential backoff +
@@ -39,9 +38,9 @@
 //!   carries, so a truncated or corrupt shard file is *detected and the
 //!   cell re-run* rather than silently merged short.
 //! * [`chaos`] — the deterministic fault-injection harness
-//!   (`--chaos <seed>` / [`chaos::CHAOS_ENV`]): workers randomly crash
-//!   mid-cell, stall past their deadline, write truncated or corrupt
-//!   shard files, or exit nonzero. Faults are a pure function of
+//!   (`--chaos <seed>`): worker bodies fail before any work, stall past
+//!   their deadline, write truncated or corrupt shard files, or report
+//!   failure after a valid write. Faults are a pure function of
 //!   *(seed, cell, attempt)* and never fire past attempt 1, so every
 //!   chaos run provably converges — and is asserted (in tests and a CI
 //!   leg) to merge **bit-identically** to a fault-free run.
@@ -50,8 +49,8 @@
 //! the std-only `sfetch-obs` observability layer, through which the
 //! supervisor writes a structured `events.jsonl` decision log next to
 //! the ledger): workers are launched through the
-//! [`supervisor::Launcher`] trait, and output validation is a
-//! caller-supplied closure. `sfetch-bench` supplies the grid semantics.
+//! [`supervisor::Launcher`] trait, the thread launcher's worker body and
+//! output validation are caller-supplied closures. `sfetch-bench` supplies the grid semantics.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -65,13 +64,13 @@ pub mod supervisor;
 pub mod trailer;
 
 pub use cell::CellId;
-pub use chaos::{Fault, CHAOS_ENV};
+pub use chaos::Fault;
 pub use error::FleetError;
 pub use heartbeat::HeartbeatGuard;
 pub use ledger::{CellState, Ledger, ResumeSummary, LEDGER_SCHEMA};
 pub use supervisor::{
-    run_fleet, CellDone, FleetConfig, FleetReport, Launcher, PollResult, ProcessLauncher,
-    WorkerHandle,
+    run_fleet, CellDone, FleetConfig, FleetReport, Launcher, PollResult, ThreadHandle,
+    ThreadLauncher, WorkerHandle,
 };
 pub use sfetch_tab::fnv64;
 pub use trailer::{seal, unseal, TrailerError};

@@ -16,20 +16,27 @@
 //!   backoff with deterministic jitter;
 //! * **trusts exit status over file contents**: a worker that exits
 //!   nonzero fails its cell even if it left a parseable output behind
-//!   (the process may know something the file doesn't);
+//!   (the worker may know something the file doesn't);
 //! * degrades gracefully: once a cell exhausts its retry budget it is
 //!   `Failed` and the run completes over the remaining cells, reporting
 //!   an explicit incomplete list instead of panicking.
 //!
 //! Workers are abstract ([`Launcher`] / [`WorkerHandle`]): the `--procs`
-//! grid runs them as OS processes ([`ProcessLauncher`] over
-//! `std::process::Command`), the resident daemon as threads of its own
-//! process (`sfetch_serve::ThreadLauncher`), and the unit tests as
-//! scripted in-process workers. Every launcher takes a whole leased
-//! cell group, so the loop has one launch path whatever the group size.
+//! grid and the resident daemon run them as threads of their own
+//! process ([`ThreadLauncher`] over a caller-supplied worker body),
+//! and the unit tests as scripted in-process workers. Every launcher
+//! takes a whole leased cell group, so the loop has one launch path
+//! whatever the group size.
+//!
+//! A thread cannot be killed: the supervisor's kill (deadline or stale
+//! heartbeat) detaches the worker and charges its cells as usual. A
+//! panic in the body is a failed exit ("worker panicked"), charged and
+//! retried like any other.
 
 use std::path::{Path, PathBuf};
-use std::process::{Child, Command};
+use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::Arc;
+use std::thread::JoinHandle;
 use std::time::Duration;
 
 use sfetch_obs::{JsonlFile, Row};
@@ -112,9 +119,9 @@ pub enum PollResult {
     Running,
     /// Exited.
     Exited {
-        /// Whether the exit status was zero.
+        /// Whether the worker reported success.
         success: bool,
-        /// Human-readable exit detail (code or signal).
+        /// Human-readable exit detail (the worker's error, or a panic).
         detail: String,
     },
 }
@@ -125,7 +132,7 @@ pub trait WorkerHandle {
     fn poll(&mut self) -> PollResult;
     /// Terminates the worker (idempotent; reaps what it can).
     fn kill(&mut self);
-    /// Stable worker identity for the ledger (e.g. the OS pid).
+    /// Stable worker identity for the ledger (e.g. a launch counter).
     fn worker_id(&self) -> u64;
 }
 
@@ -155,47 +162,71 @@ pub trait Launcher {
     ) -> Result<Self::Handle, FleetError>;
 }
 
-/// [`Launcher`] over real OS processes: a closure builds the `Command`
-/// for each (cell group, attempts, out files, heartbeat).
-pub struct ProcessLauncher<F: Fn(&[CellId], &[u32], &[PathBuf], &Path) -> Command> {
-    build: F,
+/// [`Launcher`] over **threads** of this process: each leased group runs
+/// the caller's worker body on a thread of its own. The body takes
+/// [`Launcher::launch`]'s arguments, writes one sealed output per cell
+/// to the matching entry of `outs`, touches the heartbeat while it makes
+/// progress, and reports failure as `Err`.
+pub struct ThreadLauncher<F> {
+    body: Arc<F>,
+    ids: AtomicU64,
 }
 
-impl<F: Fn(&[CellId], &[u32], &[PathBuf], &Path) -> Command> ProcessLauncher<F> {
-    /// Wraps the command builder.
-    pub fn new(build: F) -> Self {
-        ProcessLauncher { build }
+impl<F> ThreadLauncher<F>
+where
+    F: Fn(&[CellId], &[u32], &[PathBuf], &Path) -> Result<(), String> + Send + Sync + 'static,
+{
+    /// Wraps the worker body.
+    pub fn new(body: F) -> Self {
+        ThreadLauncher { body: Arc::new(body), ids: AtomicU64::new(1) }
     }
 }
 
-/// Handle to a spawned OS worker process.
-pub struct ProcessHandle {
-    child: Child,
+/// Handle to one worker thread. It owns the worker's [`JoinHandle`] and
+/// joins it the moment a poll finds the body returned, so every worker
+/// the supervisor saw exit has fully exited before the next lease group
+/// — or the next family run — starts one. That matters for memory, not
+/// just tidiness: glibc hands a thread that starts while another is
+/// still exiting a fresh malloc arena, and the memory the old arena
+/// keeps stays resident, so unjoined back-to-back runs ratchet a
+/// resident process's RSS up. A killed (timed-out) worker is never
+/// joined: dropping its handle detaches it.
+pub struct ThreadHandle {
+    thread: Option<JoinHandle<Result<(), String>>>,
+    id: u64,
 }
 
-impl WorkerHandle for ProcessHandle {
+impl WorkerHandle for ThreadHandle {
     fn poll(&mut self) -> PollResult {
-        match self.child.try_wait() {
-            Ok(None) => PollResult::Running,
-            Ok(Some(status)) => {
-                PollResult::Exited { success: status.success(), detail: status.to_string() }
-            }
-            Err(e) => PollResult::Exited { success: false, detail: format!("wait failed: {e}") },
+        if self.thread.as_ref().is_some_and(|t| !t.is_finished()) {
+            return PollResult::Running;
         }
+        let (success, detail) = match self.thread.take().map(JoinHandle::join) {
+            Some(Ok(Ok(()))) => (true, "ok".to_owned()),
+            Some(Ok(Err(e))) => (false, e),
+            Some(Err(_)) => (false, "worker panicked".to_owned()),
+            None => (false, "worker already reaped".to_owned()),
+        };
+        PollResult::Exited { success, detail }
     }
 
     fn kill(&mut self) {
-        let _ = self.child.kill();
-        let _ = self.child.wait();
+        // Threads cannot be force-killed; the worker is detached and its
+        // eventual output ignored (it writes atomically, so a late write
+        // is a valid file for the *retry* to resume from — idempotence
+        // makes the race harmless).
     }
 
     fn worker_id(&self) -> u64 {
-        u64::from(self.child.id())
+        self.id
     }
 }
 
-impl<F: Fn(&[CellId], &[u32], &[PathBuf], &Path) -> Command> Launcher for ProcessLauncher<F> {
-    type Handle = ProcessHandle;
+impl<F> Launcher for ThreadLauncher<F>
+where
+    F: Fn(&[CellId], &[u32], &[PathBuf], &Path) -> Result<(), String> + Send + Sync + 'static,
+{
+    type Handle = ThreadHandle;
 
     fn launch(
         &self,
@@ -203,13 +234,17 @@ impl<F: Fn(&[CellId], &[u32], &[PathBuf], &Path) -> Command> Launcher for Proces
         attempts: &[u32],
         outs: &[PathBuf],
         heartbeat: &Path,
-    ) -> Result<ProcessHandle, FleetError> {
-        let mut cmd = (self.build)(cells, attempts, outs, heartbeat);
-        let child = cmd.spawn().map_err(|e| FleetError::Spawn {
-            cell: cells.first().map(CellId::to_string).unwrap_or_default(),
-            err: e.to_string(),
-        })?;
-        Ok(ProcessHandle { child })
+    ) -> Result<ThreadHandle, FleetError> {
+        let body = Arc::clone(&self.body);
+        let (group, attempts, outs, heartbeat) =
+            (cells.to_vec(), attempts.to_vec(), outs.to_vec(), heartbeat.to_path_buf());
+        let thread = std::thread::Builder::new()
+            .spawn(move || body(&group, &attempts, &outs, &heartbeat))
+            .map_err(|e| FleetError::Spawn {
+                cell: cells.first().map(CellId::to_string).unwrap_or_default(),
+                err: e.to_string(),
+            })?;
+        Ok(ThreadHandle { thread: Some(thread), id: self.ids.fetch_add(1, Ordering::Relaxed) })
     }
 }
 

@@ -1,6 +1,6 @@
 //! Mutex-guarded progress reporting for parallel runs.
 //!
-//! With `--jobs N` (worker threads) or `--procs N` (the fleet supervisor)
+//! With `--jobs N` (sweep threads) or `--procs N` (fleet worker threads)
 //! progress lines are emitted concurrently; writing them through a shared
 //! [`Reporter`] keeps each line atomic on stderr instead of interleaving
 //! characters from concurrent `eprintln!` calls. This is the one progress

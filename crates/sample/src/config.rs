@@ -213,9 +213,9 @@ impl SampleConfig {
     }
 
     /// Renders the schedule in the `U,Wf,Wd,D,Wm` form
-    /// [`SampleConfig::parse`] accepts — the one way shard parents hand
-    /// their schedule to child processes, so the field order can never
-    /// drift between a binary's formatter and the parser.
+    /// [`SampleConfig::parse`] accepts — the one way a schedule is
+    /// written into submit lines, ledger tags and records, so the field
+    /// order can never drift between a formatter and the parser.
     pub fn to_spec(&self) -> String {
         format!(
             "{},{},{},{},{}",

@@ -34,9 +34,9 @@
 //! own history, so windows are mutually independent — which is exactly
 //! what lets a long run be split into shards: a shard resumes the
 //! executor from an [`sfetch_trace::ArchCheckpoint`] at its first window
-//! and produces *bit-identical* [`SamplePoint`]s to the single-process
-//! run (asserted in CI by the `figure8_sampled --procs 2 --verify` smoke
-//! legs).
+//! and produces *bit-identical* [`SamplePoint`]s to the unsharded run
+//! (asserted by `tests/tests/sampling.rs`, and in CI by the
+//! `figure8_sampled --verify` smoke legs).
 //!
 //! Window independence also makes the fast-forward pass *reusable*: the
 //! state at each window's warming start depends only on the trace, never

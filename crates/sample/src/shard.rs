@@ -1,4 +1,4 @@
-//! Shard math: splitting a sampled run's windows across processes.
+//! Shard math: splitting a sampled run's windows into contiguous ranges.
 //!
 //! Windows are assigned in **contiguous chunks** (not round-robin) so a
 //! shard needs exactly one architectural checkpoint — the unit boundary

@@ -21,17 +21,16 @@
 //!   misses a run finds its cells `Done` in the ledger and resumes with
 //!   **zero** recomputation (`resumed` counter).
 //! - **One orchestration path.** A family run is
-//!   [`sfetch_bench::fleet_grid::run_family`] — the runner behind
-//!   `--procs` grids — with [`ThreadLauncher`] in place of child
-//!   processes. It opens and re-verifies the family ledger first, and
+//!   [`sfetch_bench::fleet_grid::run_family`] over a
+//!   [`ThreadLauncher`] — exactly the run behind `--procs` grids. It
+//!   opens and re-verifies the family ledger first, and
 //!   only a cell still not `Done` runs, so a pure resubmit reads no
 //!   checkpoint at all; a `Done` cell whose output rotted is demoted to
 //!   `Pending` by the ledger and so runs again. There is no separate
 //!   populate walk: each lease group's sweep positions its windows at
 //!   their warming starts through the store as it goes, overlapped with
-//!   the windows already sweeping. Thread workers share this one
-//!   process, so compatible cells lease in groups of the request's
-//!   `--batch`.
+//!   the windows already sweeping. Compatible cells lease in groups of
+//!   the request's `--batch`.
 //! - **Incremental result streaming.** Each client connection receives
 //!   line-JSON [`ServeEvent`]s as cells complete — per-window `point`
 //!   rows plus running `estimate` (confidence-interval) updates —
@@ -47,14 +46,16 @@
 //! Nothing on the request path sleeps. `accept` blocks; the scheduler
 //! blocks on a condvar that every submit and the stop signal; and one
 //! watcher thread — the only poller, because the stop flag is a plain
-//! atomic a signal handler raises — wakes both on stop. In-process
-//! workers are joined as soon as they finish (see [`ThreadHandle`]).
+//! atomic a signal handler raises — wakes both on stop. Worker threads
+//! are joined as soon as they finish (see
+//! [`ThreadHandle`](sfetch_fleet::ThreadHandle)), which keeps the
+//! daemon's RSS flat across runs.
 //!
 //! The wire protocol (one JSON object per line over a Unix domain
 //! socket) is defined in [`sfetch_bench::driver`] — the daemon and the
 //! clients share one codec, one family runner, one worker body
-//! ([`sfetch_bench::fleet_grid::run_cell_group`]), and one validator, so
-//! the resident and one-shot paths cannot drift. Each lease group shares
+//! ([`sfetch_bench::fleet_grid::cell_group_worker`]), and one validator,
+//! so the resident and one-shot paths cannot drift. Each lease group shares
 //! one batched sweep — one fast-forward, one functional reference
 //! stream — through the same [`BatchSampler`](sfetch_sample::BatchSampler)
 //! the one-shot grids use, so resident output stays byte-identical.
@@ -63,18 +64,17 @@ use std::collections::BTreeMap;
 use std::io::{BufRead, BufReader, Write};
 use std::os::unix::net::{UnixListener, UnixStream};
 use std::path::{Path, PathBuf};
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
+use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Arc, Condvar, Mutex};
-use std::thread::JoinHandle;
 use std::time::Duration;
 
 use sfetch_bench::driver::{GridRequest, ServeEvent};
-use sfetch_bench::fleet_grid::{self, run_cell_group, CellGroupJob, FamilyRun};
+use sfetch_bench::fleet_grid::{self, cell_group_worker, FamilyRun};
 use sfetch_bench::grid::{parse_shard_file, GridError};
-use sfetch_bench::{flag_value, number, positive, try_workload_by_name, HarnessOpts};
-use sfetch_fleet::{CellId, FleetError, Launcher, PollResult, WorkerHandle};
+use sfetch_bench::{flag_value, number, positive, try_workload_by_name};
+use sfetch_fleet::{CellId, ThreadLauncher};
 use sfetch_obs::{Obj, Row};
-use sfetch_sample::{estimate, SampleConfig};
+use sfetch_sample::estimate;
 use sfetch_workloads::Workload;
 
 pub mod signals;
@@ -88,95 +88,6 @@ const PROBE_TIMEOUT: Duration = Duration::from_secs(2);
 /// How often the stop watcher reads the stop flag — the daemon's one
 /// poll, and never on a request's path.
 const STOP_POLL: Duration = Duration::from_millis(20);
-
-// ---------------------------------------------------------------------
-// In-process cell workers
-// ---------------------------------------------------------------------
-
-/// [`Launcher`] over **threads** of the daemon process: each worker runs
-/// [`sfetch_bench::fleet_grid::run_cell_group`] — the exact body fleet
-/// *process* workers run, batched sweep and atomic shard writes
-/// included — over the daemon's resident workload. The supervisor's
-/// retry/timeout machinery applies unchanged.
-pub struct ThreadLauncher {
-    w: Arc<Workload>,
-    scfg: SampleConfig,
-    opts: HarnessOpts,
-    store_dir: PathBuf,
-    ids: AtomicU64,
-}
-
-impl ThreadLauncher {
-    /// Builds a launcher for one family run over the daemon's resident
-    /// workload.
-    pub fn new(w: Arc<Workload>, scfg: SampleConfig, opts: HarnessOpts, store_dir: PathBuf) -> Self {
-        ThreadLauncher { w, scfg, opts, store_dir, ids: AtomicU64::new(1) }
-    }
-}
-
-/// Handle to one in-process cell worker. It owns the worker's
-/// [`JoinHandle`] and joins it the moment a poll finds the body
-/// returned, so every worker the supervisor saw exit has fully exited
-/// before the next lease group — or the next family run — starts one.
-/// That matters for memory, not just tidiness: glibc hands a thread
-/// that starts while another is still exiting a fresh malloc arena,
-/// and the memory the old arena keeps stays resident, so unjoined
-/// back-to-back runs ratchet the daemon's RSS up. A killed (timed-out)
-/// worker is never joined: dropping its handle detaches it.
-pub struct ThreadHandle {
-    thread: Option<JoinHandle<Result<(), String>>>,
-    id: u64,
-}
-
-impl WorkerHandle for ThreadHandle {
-    fn poll(&mut self) -> PollResult {
-        if self.thread.as_ref().is_some_and(|t| !t.is_finished()) {
-            return PollResult::Running;
-        }
-        let (success, detail) = match self.thread.take().map(JoinHandle::join) {
-            Some(Ok(Ok(()))) => (true, "ok".to_owned()),
-            Some(Ok(Err(e))) => (false, e),
-            Some(Err(_)) => (false, "worker panicked".to_owned()),
-            None => (false, "worker already reaped".to_owned()),
-        };
-        PollResult::Exited { success, detail }
-    }
-
-    fn kill(&mut self) {
-        // Threads cannot be force-killed; the worker is detached and its
-        // eventual output ignored (it writes atomically, so a late write
-        // is a valid file for the *retry* to resume from — idempotence
-        // makes the race harmless).
-    }
-
-    fn worker_id(&self) -> u64 {
-        self.id
-    }
-}
-
-impl Launcher for ThreadLauncher {
-    type Handle = ThreadHandle;
-
-    fn launch(
-        &self,
-        cells: &[CellId],
-        _attempts: &[u32],
-        outs: &[PathBuf],
-        heartbeat: &Path,
-    ) -> Result<ThreadHandle, FleetError> {
-        let w = Arc::clone(&self.w);
-        let job = CellGroupJob {
-            cells: cells.to_vec(),
-            outs: outs.to_vec(),
-            heartbeat: heartbeat.to_path_buf(),
-            store_dir: self.store_dir.clone(),
-            scfg: self.scfg,
-            opts: self.opts,
-        };
-        let thread = std::thread::spawn(move || run_cell_group(&w, &job, &mut |sealed| sealed));
-        Ok(ThreadHandle { thread: Some(thread), id: self.ids.fetch_add(1, Ordering::SeqCst) })
-    }
-}
 
 // ---------------------------------------------------------------------
 // Per-request result streams
@@ -655,7 +566,7 @@ fn fail_family(tag: u64, members: &[Pending], msg: &str) {
 }
 
 /// Runs one family batch: union the members' canonical cells, run them
-/// through the shared [`fleet_grid::run_family`] with in-process workers, and fan
+/// through the shared [`fleet_grid::run_family`] on worker threads, and fan
 /// each completed cell out to its subscribers.
 fn run_family(
     store_dir: &Path,
@@ -697,15 +608,19 @@ fn run_family(
         tag,
         store_dir,
         workers: procs,
-        // Thread workers share this one process.
-        split: 1,
         batch: opts.batch,
         chaos: false,
         max_retries,
         cell_timeout_s: None,
         req: members.iter().map(|m| m.id.as_str()).collect::<Vec<_>>().join(","),
     };
-    let launcher = ThreadLauncher::new(Arc::clone(w), scfg, opts, store_dir.to_path_buf());
+    let launcher = ThreadLauncher::new(cell_group_worker(
+        Arc::clone(w),
+        store_dir.to_path_buf(),
+        scfg,
+        opts,
+        None,
+    ));
     // Per-member singleflight counters: a fresh cell is *computed* for
     // its first subscriber and *shared* for every other subscriber; a
     // ledger hit is *resumed* for all of them.
@@ -821,6 +736,8 @@ fn write_mirror(store_dir: &Path, id: &str, log: &RequestLog) {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use sfetch_bench::HarnessOpts;
+    use sfetch_sample::SampleConfig;
 
     #[test]
     fn serve_flags_reject_bad_values_without_panicking() {

@@ -16,15 +16,16 @@
 use proptest::prelude::*;
 
 use sfetch_bench::driver::cell_group_bodies;
-use sfetch_bench::fleet_grid::{decompose, lease_group};
+use sfetch_bench::fleet_grid::lease_group;
 use sfetch_bench::grid::{
-    cell_config, cells, grid_engines, merge_grid, parse_shard_body, point_line, run_sampled_grid,
-    CellRun, FIG8_WIDTHS,
+    cell_config, cells, engine_key, grid_engines, merge_grid, parse_shard_body, point_line,
+    run_sampled_grid, CellRun, FIG8_WIDTHS,
 };
 use sfetch_bench::{try_workload_by_name, FrontMode, GridPrefetchMode, HarnessOpts};
 use sfetch_cfg::gen::{GenParams, ProgramGenerator};
 use sfetch_cfg::{layout, CodeImage};
 use sfetch_core::{ProcessorConfig, SimStats};
+use sfetch_fleet::CellId;
 use sfetch_fetch::{EngineKind, FrontPipeline};
 use sfetch_prefetch::{PrefetchConfig, PrefetchKind};
 use sfetch_sample::{
@@ -107,11 +108,11 @@ fn phased_squash_heavy_windows_straddle_batch_boundaries() {
 
 /// Full-grid byte equality across batch caps: the whole Fig. 8 grid,
 /// one-shot through `run_sampled_grid` and through the fleet worker
-/// body (`cell_group_bodies` over a 12-process `decompose`, which splits
-/// every cell mid-range into one-window chunks, leased in
-/// `lease_group` groups), must render the storeless reference's point
-/// lines at `--batch 1`, at a cap that splits the grid, and at the
-/// default (uncapped) options.
+/// body (`cell_group_bodies` over one-window cells of every pair, so
+/// the second window's cells start mid-range, leased in `lease_group`
+/// groups), must render the storeless reference's point lines at
+/// `--batch 1`, at a cap that splits the grid, and at the default
+/// (uncapped) options.
 #[test]
 fn full_grid_is_byte_identical_at_every_batch_cap() {
     let w = try_workload_by_name("phased").expect("registered bench");
@@ -138,12 +139,13 @@ fn full_grid_is_byte_identical_at_every_batch_cap() {
     for opts in [HarnessOpts { batch: 1, ..base }, HarnessOpts { batch: 5, ..base }, base] {
         let (runs, _) = run_sampled_grid(&w, &grid, scfg, total, &opts, &store);
         assert_eq!(lines(&runs), reference, "one-shot grid at batch {}", opts.batch);
-        let ids = decompose(&grid, windows, 12, opts.batch);
         let mut tuples = Vec::new();
         for lo in 0..windows {
-            let same_range: Vec<_> = ids.iter().filter(|c| c.lo == lo).cloned().collect();
-            assert!(same_range.iter().all(|c| c.hi == lo + 1), "one-window chunks");
-            let group = lease_group(opts.batch, false, ids.len(), 12);
+            let same_range: Vec<CellId> = grid
+                .iter()
+                .map(|c| CellId::new(engine_key(c.engine), c.width, lo, lo + 1))
+                .collect();
+            let group = lease_group(opts.batch, false, same_range.len());
             for chunk in same_range.chunks(group) {
                 for body in cell_group_bodies(&w, chunk, scfg, &opts, &store).expect("bodies") {
                     tuples.extend(parse_shard_body(&body).expect("cell body parses"));

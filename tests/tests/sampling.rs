@@ -52,10 +52,10 @@ fn disabled_sampling_locksteps_with_simulate() {
 
 /// A run split into shards through **serialized** architectural
 /// checkpoints merges bit-identically to the single-process run — the
-/// property the multi-process fleet workers (and the CI
-/// `figure8_sampled --procs 2 --verify` smoke legs) rely on. The
+/// property every window resumed from the checkpoint store (and the CI
+/// `figure8_sampled --procs 2 --verify` smoke legs) relies on. The
 /// checkpoint round-trips through bytes here, covering the exact
-/// hand-off the worker processes perform.
+/// hand-off through the store.
 #[test]
 fn serialized_shard_split_merges_bit_identically() {
     let img = small_image(44);
@@ -70,11 +70,11 @@ fn serialized_shard_split_merges_bit_identically() {
     for index in 0..3u64 {
         let spec = ShardSpec { index, count: 3 };
         let range = window_range(windows, spec);
-        // The parent-side walk to this shard's boundary checkpoint.
+        // The walk to this shard's boundary checkpoint.
         let mut walker = Sampler::new(&img, EngineKind::Stream, pcfg, scfg, 5);
         walker.skip(range.start);
         let bytes = walker.checkpoint().to_bytes();
-        // The child side: restore from bytes, run the range.
+        // The resuming side: restore from bytes, run the range.
         let cp = ArchCheckpoint::from_bytes(&bytes).expect("checkpoint round-trip");
         let mut child = Sampler::resume(&img, EngineKind::Stream, pcfg, scfg, &cp);
         assert_eq!(child.window(), range.start);
