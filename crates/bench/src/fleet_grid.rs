@@ -6,9 +6,9 @@
 //!
 //! * **Family run** — [`run_family`] opens a family's cell ledger under
 //!   `<store>/fleet/<tag>/`, sizes the supervisor's leases through
-//!   [`lease_group`], and drives [`sfetch_fleet::run_fleet`] over a
-//!   [`ThreadLauncher`]. `--procs` grids and the resident daemon both
-//!   run their families through it.
+//!   [`lease_group`], and drives [`sfetch_fleet::run_fleet`] with the
+//!   worker body on threads of this process. `--procs` grids and the
+//!   resident daemon both run their families through it.
 //! * **Grid run** — [`run_fleet_grid`] builds the workload once, leases
 //!   the request's canonical cells (one per (engine, width) pair over
 //!   every window, as the daemon does), keys the ledger by a config
@@ -18,11 +18,12 @@
 //!   [`crate::grid::merge_grid`] (strict) or
 //!   [`crate::grid::merge_grid_partial`] (degraded, with an explicit
 //!   incomplete-cell report) — never a panic.
-//! * **Worker** — [`cell_group_worker`] is the one worker body: it
-//!   heartbeats, runs the group's shared sweep, seals each cell's shard
-//!   and writes it atomically. Under `--chaos` it first consults the
-//!   deterministic fault schedule and fails, stalls or mangles its
-//!   output accordingly — the supervisor is deliberately left unaware.
+//! * **Worker** — [`cell_group_worker`] is the one worker body: it runs
+//!   the group's shared sweep and returns each cell's sealed shard text;
+//!   the supervisor validates it and writes it next to the ledger. Under
+//!   `--chaos` it first consults the deterministic fault schedule and
+//!   fails, stalls or mangles its output accordingly — the supervisor is
+//!   deliberately left unaware.
 //!
 //! Because each cell's windows resume from checkpoints that derive only
 //! from the workload (never from which worker ran them or how often),
@@ -36,21 +37,17 @@ use std::time::Duration;
 
 use sfetch_fleet::chaos::{fault_for, mangle_output, Fault};
 use sfetch_fleet::{
-    fnv64, now_ms, seal, CellDone, CellId, FleetConfig, FleetError, FleetReport, HeartbeatGuard,
-    Launcher, Ledger, ThreadLauncher,
+    fnv64, now_ms, seal, CellDone, CellId, FleetConfig, FleetError, FleetReport, Ledger,
 };
 use sfetch_sample::{CheckpointStore, SampleConfig, SamplePoint};
 use sfetch_workloads::Workload;
 
 use crate::driver::{canonical_cells, cell_group_bodies, validate_shard_text};
 use crate::grid::{
-    engine_key, merge_grid, merge_grid_partial, parse_shard_file, write_shard_atomic, CellRun,
-    GridCell, GridError, GRID_SHARD_SCHEMA,
+    engine_key, merge_grid, merge_grid_partial, parse_shard_file, CellRun, GridCell, GridError,
+    GRID_SHARD_SCHEMA,
 };
 use crate::{try_workload_by_name, HarnessOpts};
-
-/// How often a worker ([`cell_group_worker`]) touches its heartbeat file.
-const HEARTBEAT_EVERY: Duration = Duration::from_millis(200);
 
 /// Everything [`run_fleet_grid`] needs beyond the harness options.
 pub struct FleetGridSpec<'a> {
@@ -76,9 +73,8 @@ pub struct FleetGridSpec<'a> {
     /// Per-cell retry budget (`--max-retries N`).
     pub max_retries: u32,
     /// Optional per-cell timeout override in seconds
-    /// (`--cell-timeout SECS`): sets the timeout floor/initial guess
-    /// and caps heartbeat staleness, for tests and smoke legs that
-    /// need fast straggler detection.
+    /// (`--cell-timeout SECS`): sets the timeout floor/initial guess,
+    /// for tests and smoke legs that need fast straggler detection.
     pub cell_timeout_s: Option<u64>,
 }
 
@@ -183,7 +179,7 @@ pub struct FamilyRun<'a> {
     /// Per-cell retry budget.
     pub max_retries: u32,
     /// Optional per-cell timeout in seconds: sets the timeout floor and
-    /// initial guess and caps heartbeat staleness.
+    /// initial guess.
     pub cell_timeout_s: Option<u64>,
     /// Request tag stamped on every supervisor event (empty = none).
     pub req: String,
@@ -200,21 +196,25 @@ impl FamilyRun<'_> {
 /// Runs one family of cells to quiescence — the single orchestration
 /// path behind `--procs` grids and the resident daemon. Opens (or
 /// resumes) the family ledger, sizes the leases through
-/// [`lease_group`], and drives the supervisor over `launcher`; a ledger
-/// that answers every cell launches nothing. `log` gets the
+/// [`lease_group`], and drives the supervisor with `body` as the worker
+/// ([`cell_group_worker`] in production); a ledger that answers every
+/// cell starts nothing. `log` gets the
 /// supervisor's progress lines; `notify` gets every `Done` cell as it
 /// becomes available (see [`sfetch_fleet::run_fleet`]).
 ///
 /// # Errors
 ///
 /// Infrastructure failures only: the ledger or a worker start.
-pub fn run_family<L: Launcher>(
+pub fn run_family<F>(
     run: &FamilyRun<'_>,
     cells: &[CellId],
-    launcher: &L,
+    body: F,
     log: &mut dyn FnMut(&str),
     notify: &mut dyn FnMut(&CellDone),
-) -> Result<FleetReport, FleetError> {
+) -> Result<FleetReport, FleetError>
+where
+    F: Fn(&[CellId], &[u32]) -> Result<Vec<String>, String> + Send + Sync + 'static,
+{
     let work_dir = run.work_dir();
     std::fs::create_dir_all(&work_dir)
         .map_err(|e| FleetError::io("create fleet work dir", &work_dir, e))?;
@@ -242,9 +242,8 @@ pub fn run_family<L: Launcher>(
         let ms = s.max(1) * 1000;
         cfg.timeout_floor_ms = ms;
         cfg.timeout_initial_ms = ms;
-        cfg.heartbeat_stale_ms = cfg.heartbeat_stale_ms.min(ms);
     }
-    sfetch_fleet::run_fleet(&cfg, &mut ledger, launcher, &validate_shard_text, resume, log, notify)
+    sfetch_fleet::run_fleet(&cfg, &mut ledger, body, &validate_shard_text, resume, log, notify)
 }
 
 /// Runs the grid under the fleet supervisor on `spec.procs` worker
@@ -276,17 +275,17 @@ pub(crate) fn run_fleet_grid_on(
         cell_timeout_s: spec.cell_timeout_s,
         req: String::new(),
     };
-    let launcher = ThreadLauncher::new(cell_group_worker(
+    let body = cell_group_worker(
         Arc::clone(w),
         spec.store_dir.to_path_buf(),
         spec.scfg,
         *spec.opts,
         spec.chaos,
-    ));
+    );
     let report = run_family(
         &run,
         &canonical_cells(spec.grid, windows),
-        &launcher,
+        body,
         &mut |msg| eprintln!("fleet: {msg}"),
         &mut |_done| {},
     )?;
@@ -393,26 +392,24 @@ fn degraded_json(outcome: &FleetGridOutcome) -> String {
 // ---------------------------------------------------------------------
 
 /// The one worker body, shared by `--procs` grids and the daemon: for a
-/// leased group it heartbeats, opens the store, runs the group's shared
-/// sweep ([`cell_group_bodies`]), seals each cell's body and writes it
-/// with [`write_shard_atomic`].
+/// leased group it opens the store, runs the group's shared sweep
+/// ([`cell_group_bodies`]) and returns each cell's sealed body, in cell
+/// order.
 ///
 /// With a `chaos` seed it first asks [`fault_for`] about the group's
 /// first cell and attempt (chaos runs lease singleton groups, so the
-/// first cell *is* the group). A crash fails at once, a stall
-/// sleeps without ever heartbeating (staleness catches it, and the
-/// kill detaches the thread), truncation and corruption mangle the
-/// sealed text before the still-atomic write, and a lying exit fails
-/// after a valid write.
+/// first cell *is* the group). A crash fails at once, a stall sleeps
+/// forever (the deadline catches it, and the kill detaches the thread),
+/// truncation and corruption mangle the sealed texts, and a lying exit
+/// fails after computing valid texts.
 pub fn cell_group_worker(
     w: Arc<Workload>,
     store_dir: PathBuf,
     scfg: SampleConfig,
     opts: HarnessOpts,
     chaos: Option<u64>,
-) -> impl Fn(&[CellId], &[u32], &[PathBuf], &Path) -> Result<(), String> + Send + Sync + 'static
-{
-    move |cells: &[CellId], attempts: &[u32], outs: &[PathBuf], heartbeat: &Path| {
+) -> impl Fn(&[CellId], &[u32]) -> Result<Vec<String>, String> + Send + Sync + 'static {
+    move |cells: &[CellId], attempts: &[u32]| {
         let fault = match (chaos, cells.first(), attempts.first()) {
             (Some(seed), Some(cell), Some(&attempt)) => fault_for(seed, cell, attempt),
             _ => Fault::None,
@@ -424,21 +421,16 @@ pub fn cell_group_worker(
             },
             _ => {}
         }
-        let _hb = HeartbeatGuard::start(heartbeat, HEARTBEAT_EVERY);
         let store = CheckpointStore::open(&store_dir)
             .map_err(|e| format!("open store: {e}"))?
             .with_cap_bytes(opts.store_cap_bytes);
         let bodies = cell_group_bodies(&w, cells, scfg, &opts, &store)?;
-        let mut lying = false;
-        for (body, out) in bodies.iter().zip(outs) {
-            let (text, fail) = mangle_output(fault, &seal(body));
-            lying |= fail;
-            write_shard_atomic(out, &text).map_err(|e| e.to_string())?;
+        let (texts, lies): (Vec<String>, Vec<bool>) =
+            bodies.iter().map(|body| mangle_output(fault, &seal(body))).unzip();
+        if lies.contains(&true) {
+            return Err("chaos: failed after computing valid output".to_owned());
         }
-        if lying {
-            return Err("chaos: failed after a valid write".to_owned());
-        }
-        Ok(())
+        Ok(texts)
     }
 }
 
@@ -454,45 +446,6 @@ mod tests {
     use crate::grid::point_line;
     use sfetch_fetch::EngineKind;
     use sfetch_obs::Row;
-
-    /// In-process launcher: records each leased group's size and window
-    /// range and writes a valid sealed output per cell, so the worker
-    /// "exits" at once.
-    struct RecordingLauncher(std::cell::RefCell<Vec<(usize, u64, u64)>>);
-
-    struct Exited(u64);
-
-    impl sfetch_fleet::WorkerHandle for Exited {
-        fn poll(&mut self) -> sfetch_fleet::PollResult {
-            sfetch_fleet::PollResult::Exited { success: true, detail: "ok".into() }
-        }
-        fn kill(&mut self) {}
-        fn worker_id(&self) -> u64 {
-            self.0
-        }
-    }
-
-    impl sfetch_fleet::Launcher for RecordingLauncher {
-        type Handle = Exited;
-        fn launch(
-            &self,
-            cells: &[CellId],
-            _attempts: &[u32],
-            outs: &[PathBuf],
-            _hb: &Path,
-        ) -> Result<Exited, FleetError> {
-            let mut groups = self.0.borrow_mut();
-            assert!(cells.iter().all(|c| (c.lo, c.hi) == (cells[0].lo, cells[0].hi)));
-            groups.push((cells.len(), cells[0].lo, cells[0].hi));
-            for (cell, out) in cells.iter().zip(outs) {
-                let header =
-                    Row::new().s("schema", GRID_SHARD_SCHEMA).s("cell", &cell.to_string()).finish();
-                let body = format!("{header}\n");
-                std::fs::write(out, seal(&body)).expect("write cell output");
-            }
-            Ok(Exited(groups.len() as u64))
-        }
-    }
 
     /// The leases [`run_family`] makes for the Fig. 8 grid's canonical
     /// cells (4 windows) with `workers` concurrent workers: per group,
@@ -519,13 +472,34 @@ mod tests {
             cell_timeout_s: None,
             req: String::new(),
         };
-        let launcher = RecordingLauncher(Default::default());
-        let report = run_family(&run, &ids, &launcher, &mut |_msg| {}, &mut |_done| {})
+        // A recording body: notes each leased group's size and window
+        // range and returns a valid sealed output per cell at once.
+        let groups = Arc::new(std::sync::Mutex::new(Vec::new()));
+        let seen = Arc::clone(&groups);
+        let body = move |cells: &[CellId], _attempts: &[u32]| {
+            assert!(cells.iter().all(|c| (c.lo, c.hi) == (cells[0].lo, cells[0].hi)));
+            seen.lock().expect("groups").push((cells.len(), cells[0].lo, cells[0].hi));
+            Ok(cells
+                .iter()
+                .map(|cell| {
+                    let header = Row::new()
+                        .s("schema", GRID_SHARD_SCHEMA)
+                        .s("cell", &cell.to_string())
+                        .finish();
+                    seal(&format!("{header}\n"))
+                })
+                .collect())
+        };
+        let report = run_family(&run, &ids, body, &mut |_msg| {}, &mut |_done| {})
             .expect("run_family");
         assert_eq!(report.done.len(), ids.len(), "every cell completes");
-        assert_eq!(report.spawned as usize, launcher.0.borrow().len());
+        // Worker threads record in the order they run, not the order
+        // they were leased: compare the groups largest first.
+        let mut groups = groups.lock().expect("groups").clone();
+        groups.sort_by(|a, b| b.cmp(a));
+        assert_eq!(report.spawned as usize, groups.len());
         let _ = std::fs::remove_dir_all(&dir);
-        launcher.0.into_inner()
+        groups
     }
 
     /// Both ledger tags of the default `figure8_sampled` request, as

@@ -1,6 +1,6 @@
 //! The **single source of truth** for the paper's evaluation grid —
 //! engines × pipe widths — plus the store-backed sampled-grid runner
-//! and the shard-file format fleet workers and the daemon write.
+//! and the shard-file format fleet workers return and the supervisor writes.
 //!
 //! Before this module, every figure binary re-declared its own engine
 //! and width axes; a drifted axis would have silently compared
@@ -10,7 +10,6 @@
 
 use std::fmt;
 use std::ops::Range;
-use std::path::{Path, PathBuf};
 
 use sfetch_core::ProcessorConfig;
 use sfetch_fetch::EngineKind;
@@ -33,15 +32,6 @@ pub enum GridError {
     /// A malformed command-line flag or axis spec (engine or width
     /// list).
     Cli(String),
-    /// Filesystem failure on a shard-file path.
-    Io {
-        /// What the grid was doing.
-        what: &'static str,
-        /// The path involved.
-        path: PathBuf,
-        /// The underlying error, stringified.
-        err: String,
-    },
     /// A shard file is truncated, corrupt, or malformed.
     ShardParse {
         /// 1-based line number (0 = whole-file, e.g. a checksum-trailer
@@ -65,7 +55,6 @@ impl fmt::Display for GridError {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         match self {
             GridError::Cli(msg) => f.write_str(msg),
-            GridError::Io { what, path, err } => write!(f, "{what} {}: {err}", path.display()),
             GridError::ShardParse { line: 0, what } => write!(f, "shard file: {what}"),
             GridError::ShardParse { line, what } => write!(f, "shard file line {line}: {what}"),
             GridError::UnknownBench(name) => write!(
@@ -381,24 +370,6 @@ pub fn parse_shard_body(body: &str) -> Result<Vec<(String, usize, SamplePoint)>,
     Ok(out)
 }
 
-/// Writes already-sealed shard `text` **atomically** (temp sibling +
-/// rename), so a reader never observes a half-written shard file and a
-/// died writer leaves either nothing or a complete file.
-///
-/// # Errors
-///
-/// [`GridError::Io`] on any filesystem failure.
-pub fn write_shard_atomic(path: &Path, text: &str) -> Result<(), GridError> {
-    let tmp = path.with_extension("part");
-    std::fs::write(&tmp, text.as_bytes())
-        .map_err(|e| GridError::Io { what: "write shard file", path: tmp.clone(), err: e.to_string() })?;
-    std::fs::rename(&tmp, path).map_err(|e| GridError::Io {
-        what: "rename shard file into place",
-        path: path.to_path_buf(),
-        err: e.to_string(),
-    })
-}
-
 /// Verifies merged shard output against a **storeless** in-process
 /// rerun of every cell: the live [`sfetch_sample::Sampler`] walks the
 /// trace itself, so this oracle is independent of the checkpoint
@@ -618,7 +589,7 @@ mod tests {
         let path = dir.join("shard-0.json");
         let cell = GridCell { engine: EngineKind::Ev8, width: 4 };
         let body = format!("{}\n{}\n", point_line(cell, &point(0)), point_line(cell, &point(1)));
-        write_shard_atomic(&path, &sfetch_fleet::seal(&body)).expect("atomic write");
+        sfetch_fleet::write_atomic(&path, &sfetch_fleet::seal(&body)).expect("atomic write");
         assert!(!path.with_extension("part").exists(), "temp renamed away");
         let text = std::fs::read_to_string(&path).expect("read back");
         assert_eq!(parse_shard_file(&text).expect("sealed file parses").len(), 2);

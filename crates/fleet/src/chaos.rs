@@ -14,11 +14,11 @@
 //!   every chaos run provably converges to the fault-free output.
 //!
 //! The fault menu covers the distinct failure surfaces the supervisor
-//! defends: failing before writing ([`Fault::CrashEarly`]), hanging
-//! ([`Fault::Stall`] — caught by heartbeat staleness), writing a short
-//! file ([`Fault::WriteTruncated`] — caught by the checksum trailer),
-//! writing a plausible-but-wrong file ([`Fault::WriteCorrupt`] — caught
-//! by the digest), and reporting failure despite a valid file
+//! defends: failing before any work ([`Fault::CrashEarly`]), hanging
+//! ([`Fault::Stall`] — caught by the deadline), returning a short
+//! output ([`Fault::WriteTruncated`] — caught by the checksum trailer),
+//! returning a plausible-but-wrong output ([`Fault::WriteCorrupt`] —
+//! caught by the digest), and reporting failure despite a valid output
 //! ([`Fault::ExitNonzeroAfterWrite`] — the worker's verdict must win).
 
 use crate::cell::CellId;
@@ -29,21 +29,21 @@ use crate::fnv64;
 pub enum Fault {
     /// Run cleanly.
     None,
-    /// Fail before computing or writing anything — the supervisor sees
-    /// a failed exit with no output.
+    /// Fail before computing anything — the supervisor sees a failed
+    /// worker with no output.
     CrashEarly,
-    /// Hang without ever heartbeating — caught by heartbeat staleness
-    /// (or the cell deadline), killed, and re-leased.
+    /// Hang — caught by the deadline, killed (detached), and
+    /// re-leased.
     Stall,
-    /// Write only a prefix of the sealed output — caught by the
+    /// Return only a prefix of the sealed output — caught by the
     /// checksum trailer on the supervisor side.
     WriteTruncated,
-    /// Write a full-length output with a flipped body byte — caught by
+    /// Return a full-length output with a flipped body byte — caught by
     /// the trailer digest.
     WriteCorrupt,
-    /// Write a perfectly valid output but report failure — the worker's
-    /// verdict must override the parseable file (the worker may know
-    /// something the file doesn't).
+    /// Compute a perfectly valid output but report failure — the
+    /// worker's verdict must override the parseable text (the worker may
+    /// know something the text doesn't).
     ExitNonzeroAfterWrite,
 }
 
@@ -71,7 +71,7 @@ pub fn fault_for(seed: u64, cell: &CellId, attempt: u32) -> Fault {
 }
 
 /// Mangles a sealed output according to `fault`, returning what the
-/// worker should actually write (and whether it should then report
+/// worker should actually return (and whether it should instead report
 /// failure). [`Fault::CrashEarly`] and [`Fault::Stall`] act *before*
 /// output exists and are handled by the worker directly, not here.
 pub fn mangle_output(fault: Fault, sealed: &str) -> (String, bool) {
@@ -171,7 +171,7 @@ mod tests {
         assert!(crate::trailer::unseal(&corrupt).is_err(), "corruption must not verify");
 
         let (valid, bad_exit) = mangle_output(Fault::ExitNonzeroAfterWrite, &sealed);
-        assert!(bad_exit, "file is valid but the exit status must be nonzero");
+        assert!(bad_exit, "text is valid but the worker must report failure");
         assert!(crate::trailer::unseal(&valid).is_ok());
     }
 }

@@ -4,8 +4,8 @@
 //! and its workers.
 //!
 //! A paper-scale grid (sampled windows × engines × widths) runs for a
-//! long time, and one lost worker — a crash, a hang, a truncated output
-//! file — must not kill it. The fix is the same move the paper makes
+//! long time, and one lost worker — a crash, a hang, a truncated
+//! output — must not kill it. The fix is the same move the paper makes
 //! for instruction fetch (a squashed stream is *re-fetchable* because
 //! streams derive only from the program) and MANA makes for prefetch
 //! records (a mispredicted record is *re-derivable*): make every unit
@@ -24,23 +24,23 @@
 //!   crashed or hung worker's cells are re-offered; `Done` cells are
 //!   skipped on restart (their verified output is reloaded from disk),
 //!   so a `SIGKILL`ed run resumes mid-grid for free.
-//! * [`Supervisor`](supervisor::run_fleet) — the worker pool: starts up
-//!   to `procs` workers ([`ThreadLauncher`] runs each on a thread of
-//!   this process), health-checks them through shard-file
-//!   heartbeat mtimes, enforces per-cell timeouts derived from observed
-//!   cell durations (p95 × k with a floor), kills and re-leases
-//!   stragglers, retries failed cells with capped exponential backoff +
-//!   deterministic jitter, and degrades gracefully: after the retry
-//!   budget, a cell is marked `Failed` and the run completes over the
-//!   remaining cells with an explicit incomplete count instead of
-//!   panicking.
-//! * [`trailer`] — the end-of-file checksum trailer every worker output
-//!   carries, so a truncated or corrupt shard file is *detected and the
+//! * [`Supervisor`](supervisor::run_fleet) — the worker pool: runs up
+//!   to `procs` leased cell groups, each on a worker thread of this
+//!   process, and waits on one completion channel for their results;
+//!   enforces per-lease deadlines derived from observed cell durations
+//!   (p95 × k with a floor), detaches and re-leases stragglers, retries
+//!   failed cells with capped exponential backoff + deterministic
+//!   jitter, writes each validated output atomically next to the
+//!   ledger, and degrades gracefully: after the retry budget, a cell is
+//!   marked `Failed` and the run completes over the remaining cells
+//!   with an explicit incomplete count instead of panicking.
+//! * [`trailer`] — the end-of-text checksum trailer every worker output
+//!   carries, so a truncated or corrupt output is *detected and the
 //!   cell re-run* rather than silently merged short.
 //! * [`chaos`] — the deterministic fault-injection harness
 //!   (`--chaos <seed>`): worker bodies fail before any work, stall past
-//!   their deadline, write truncated or corrupt shard files, or report
-//!   failure after a valid write. Faults are a pure function of
+//!   their deadline, return truncated or corrupt output, or report
+//!   failure after computing valid output. Faults are a pure function of
 //!   *(seed, cell, attempt)* and never fire past attempt 1, so every
 //!   chaos run provably converges — and is asserted (in tests and a CI
 //!   leg) to merge **bit-identically** to a fault-free run.
@@ -48,9 +48,8 @@
 //! The crate is deliberately simulator-agnostic (its only dependency is
 //! the std-only `sfetch-obs` observability layer, through which the
 //! supervisor writes a structured `events.jsonl` decision log next to
-//! the ledger): workers are launched through the
-//! [`supervisor::Launcher`] trait, the thread launcher's worker body and
-//! output validation are caller-supplied closures. `sfetch-bench` supplies the grid semantics.
+//! the ledger): the worker body and the output validation are
+//! caller-supplied closures. `sfetch-bench` supplies the grid semantics.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -58,7 +57,6 @@
 pub mod cell;
 pub mod chaos;
 pub mod error;
-pub mod heartbeat;
 pub mod ledger;
 pub mod supervisor;
 pub mod trailer;
@@ -66,12 +64,8 @@ pub mod trailer;
 pub use cell::CellId;
 pub use chaos::Fault;
 pub use error::FleetError;
-pub use heartbeat::HeartbeatGuard;
 pub use ledger::{CellState, Ledger, ResumeSummary, LEDGER_SCHEMA};
-pub use supervisor::{
-    run_fleet, CellDone, FleetConfig, FleetReport, Launcher, PollResult, ThreadHandle,
-    ThreadLauncher, WorkerHandle,
-};
+pub use supervisor::{run_fleet, write_atomic, CellDone, FleetConfig, FleetReport};
 pub use sfetch_tab::fnv64;
 pub use trailer::{seal, unseal, TrailerError};
 

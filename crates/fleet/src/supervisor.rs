@@ -1,40 +1,38 @@
 //! The supervisor loop: a self-healing worker pool over the ledger.
 //!
-//! A fan-out that spawns N children and blocks on each in order lets
-//! one crashed, hung, or lying worker wedge or kill the whole run; the
+//! A fan-out that spawns N workers and blocks on each in order lets one
+//! crashed, hung, or lying worker wedge or kill the whole run; the
 //! supervisor instead treats workers as cattle:
 //!
-//! * keeps up to `procs` workers alive, leasing each the next claimable
-//!   cell from the [`Ledger`];
-//! * health-checks workers two ways: a hard per-cell deadline (adapted
-//!   from observed cell durations: p95 × `timeout_mult`, floored) and a
-//!   soft heartbeat-staleness bound (a hung worker goes quiet long
-//!   before its deadline);
-//! * on any failure — nonzero exit, missing/truncated/corrupt output,
-//!   timeout, stale heartbeat — kills the worker if needed and charges
-//!   the cell a failure, re-offering it after capped exponential
-//!   backoff with deterministic jitter;
-//! * **trusts exit status over file contents**: a worker that exits
-//!   nonzero fails its cell even if it left a parseable output behind
-//!   (the worker may know something the file doesn't);
+//! * keeps up to `procs` worker threads running, leasing each the next
+//!   claimable cell group from the [`Ledger`];
+//! * runs each group's worker body on a thread of its own, which sends
+//!   `(worker id, result)` on one channel when the body returns (a panic
+//!   becomes `Err("worker panicked")`), and blocks on that channel until
+//!   a completion, the earliest lease deadline or the earliest retry
+//!   backoff expiry — nothing polls;
+//! * enforces a per-lease deadline adapted from observed durations
+//!   (p95 × `timeout_mult`, floored) — the one hang detector;
+//! * on any failure — an `Err` result, a missing or rejected output, a
+//!   missed deadline — charges the cell a failure, re-offering it after
+//!   capped exponential backoff with deterministic jitter;
+//! * **trusts the worker's verdict over its output**: a body that
+//!   returns `Err` fails every cell it was leased, whatever it computed
+//!   (the worker may know something the text doesn't);
+//! * writes each accepted output itself, atomically, to
+//!   `<stem>.cell.json` next to the ledger before marking the cell
+//!   `Done`, so only validated text ever reaches disk;
 //! * degrades gracefully: once a cell exhausts its retry budget it is
 //!   `Failed` and the run completes over the remaining cells, reporting
 //!   an explicit incomplete list instead of panicking.
 //!
-//! Workers are abstract ([`Launcher`] / [`WorkerHandle`]): the `--procs`
-//! grid and the resident daemon run them as threads of their own
-//! process ([`ThreadLauncher`] over a caller-supplied worker body),
-//! and the unit tests as scripted in-process workers. Every launcher
-//! takes a whole leased cell group, so the loop has one launch path
-//! whatever the group size.
-//!
-//! A thread cannot be killed: the supervisor's kill (deadline or stale
-//! heartbeat) detaches the worker and charges its cells as usual. A
-//! panic in the body is a failed exit ("worker panicked"), charged and
-//! retried like any other.
+//! A thread cannot be killed: a worker past its deadline is detached,
+//! its cells are charged as usual, and whatever it sends later is
+//! dropped by its worker id.
 
+use std::panic::{self, AssertUnwindSafe};
 use std::path::{Path, PathBuf};
-use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::mpsc;
 use std::sync::Arc;
 use std::thread::JoinHandle;
 use std::time::Duration;
@@ -67,11 +65,6 @@ pub struct FleetConfig {
     pub backoff_base_ms: u64,
     /// Cap on the exponential retry backoff, ms.
     pub backoff_cap_ms: u64,
-    /// A worker whose heartbeat mtime is older than this is presumed
-    /// hung and killed, ms.
-    pub heartbeat_stale_ms: u64,
-    /// Supervisor poll interval, ms.
-    pub poll_ms: u64,
     /// Request tag stamped (as `"req"`) on every event this run writes
     /// to `events.jsonl`, so a resident daemon's interleaved requests
     /// can be teased apart from one shared log. Empty = untagged
@@ -103,148 +96,10 @@ impl FleetConfig {
             timeout_mult: 4.0,
             backoff_base_ms: 200,
             backoff_cap_ms: 10_000,
-            heartbeat_stale_ms: 15_000,
-            poll_ms: 25,
             req: String::new(),
             events_cap_bytes: 8 << 20,
             group: 1,
         }
-    }
-}
-
-/// What [`WorkerHandle::poll`] observed.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub enum PollResult {
-    /// Still running.
-    Running,
-    /// Exited.
-    Exited {
-        /// Whether the worker reported success.
-        success: bool,
-        /// Human-readable exit detail (the worker's error, or a panic).
-        detail: String,
-    },
-}
-
-/// A live worker the supervisor can poll and kill.
-pub trait WorkerHandle {
-    /// Non-blocking status check.
-    fn poll(&mut self) -> PollResult;
-    /// Terminates the worker (idempotent; reaps what it can).
-    fn kill(&mut self);
-    /// Stable worker identity for the ledger (e.g. a launch counter).
-    fn worker_id(&self) -> u64;
-}
-
-/// Launches one worker for a leased cell group: a compatible set of
-/// cells (same window range) that the worker drives from one shared
-/// sweep — a singleton under per-cell leasing ([`FleetConfig::group`]
-/// = 1). The worker must write one sealed output per cell, to the
-/// matching entry of `outs` (atomically — temp + rename), and touch
-/// `heartbeat` while it makes progress.
-pub trait Launcher {
-    /// The handle type for launched workers.
-    type Handle: WorkerHandle;
-    /// Starts a worker for `cells`; `attempts` and `outs` run parallel
-    /// to `cells`.
-    ///
-    /// # Errors
-    ///
-    /// [`FleetError::Spawn`] when the worker cannot be started at all
-    /// (this aborts the run — distinct from the worker *failing*, which
-    /// is an expected, retried event).
-    fn launch(
-        &self,
-        cells: &[CellId],
-        attempts: &[u32],
-        outs: &[PathBuf],
-        heartbeat: &Path,
-    ) -> Result<Self::Handle, FleetError>;
-}
-
-/// [`Launcher`] over **threads** of this process: each leased group runs
-/// the caller's worker body on a thread of its own. The body takes
-/// [`Launcher::launch`]'s arguments, writes one sealed output per cell
-/// to the matching entry of `outs`, touches the heartbeat while it makes
-/// progress, and reports failure as `Err`.
-pub struct ThreadLauncher<F> {
-    body: Arc<F>,
-    ids: AtomicU64,
-}
-
-impl<F> ThreadLauncher<F>
-where
-    F: Fn(&[CellId], &[u32], &[PathBuf], &Path) -> Result<(), String> + Send + Sync + 'static,
-{
-    /// Wraps the worker body.
-    pub fn new(body: F) -> Self {
-        ThreadLauncher { body: Arc::new(body), ids: AtomicU64::new(1) }
-    }
-}
-
-/// Handle to one worker thread. It owns the worker's [`JoinHandle`] and
-/// joins it the moment a poll finds the body returned, so every worker
-/// the supervisor saw exit has fully exited before the next lease group
-/// — or the next family run — starts one. That matters for memory, not
-/// just tidiness: glibc hands a thread that starts while another is
-/// still exiting a fresh malloc arena, and the memory the old arena
-/// keeps stays resident, so unjoined back-to-back runs ratchet a
-/// resident process's RSS up. A killed (timed-out) worker is never
-/// joined: dropping its handle detaches it.
-pub struct ThreadHandle {
-    thread: Option<JoinHandle<Result<(), String>>>,
-    id: u64,
-}
-
-impl WorkerHandle for ThreadHandle {
-    fn poll(&mut self) -> PollResult {
-        if self.thread.as_ref().is_some_and(|t| !t.is_finished()) {
-            return PollResult::Running;
-        }
-        let (success, detail) = match self.thread.take().map(JoinHandle::join) {
-            Some(Ok(Ok(()))) => (true, "ok".to_owned()),
-            Some(Ok(Err(e))) => (false, e),
-            Some(Err(_)) => (false, "worker panicked".to_owned()),
-            None => (false, "worker already reaped".to_owned()),
-        };
-        PollResult::Exited { success, detail }
-    }
-
-    fn kill(&mut self) {
-        // Threads cannot be force-killed; the worker is detached and its
-        // eventual output ignored (it writes atomically, so a late write
-        // is a valid file for the *retry* to resume from — idempotence
-        // makes the race harmless).
-    }
-
-    fn worker_id(&self) -> u64 {
-        self.id
-    }
-}
-
-impl<F> Launcher for ThreadLauncher<F>
-where
-    F: Fn(&[CellId], &[u32], &[PathBuf], &Path) -> Result<(), String> + Send + Sync + 'static,
-{
-    type Handle = ThreadHandle;
-
-    fn launch(
-        &self,
-        cells: &[CellId],
-        attempts: &[u32],
-        outs: &[PathBuf],
-        heartbeat: &Path,
-    ) -> Result<ThreadHandle, FleetError> {
-        let body = Arc::clone(&self.body);
-        let (group, attempts, outs, heartbeat) =
-            (cells.to_vec(), attempts.to_vec(), outs.to_vec(), heartbeat.to_path_buf());
-        let thread = std::thread::Builder::new()
-            .spawn(move || body(&group, &attempts, &outs, &heartbeat))
-            .map_err(|e| FleetError::Spawn {
-                cell: cells.first().map(CellId::to_string).unwrap_or_default(),
-                err: e.to_string(),
-            })?;
-        Ok(ThreadHandle { thread: Some(thread), id: self.ids.fetch_add(1, Ordering::Relaxed) })
     }
 }
 
@@ -280,7 +135,7 @@ pub struct FleetReport {
     /// Failures charged this run (each implies a retry or a permanent
     /// failure).
     pub retries: u64,
-    /// Workers killed (deadline or stale heartbeat).
+    /// Workers killed on their deadline.
     pub kills: u64,
     /// `Done` cells resumed from a previous run without recomputation.
     pub resumed_done: u64,
@@ -335,12 +190,18 @@ fn backoff_ms(cfg: &FleetConfig, cell: &CellId, attempts: u32) -> u64 {
     exp + jitter
 }
 
-fn mtime_ms(path: &Path) -> Option<u64> {
-    let modified = std::fs::metadata(path).ok()?.modified().ok()?;
-    modified
-        .duration_since(std::time::SystemTime::UNIX_EPOCH)
-        .ok()
-        .map(|d| d.as_millis() as u64)
+/// Writes `text` to `path` **atomically** (temp sibling + rename), so a
+/// reader never observes a half-written cell output and a died writer
+/// leaves either nothing or a complete file.
+///
+/// # Errors
+///
+/// [`FleetError::Io`] on any filesystem failure.
+pub fn write_atomic(path: &Path, text: &str) -> Result<(), FleetError> {
+    let tmp = path.with_extension("part");
+    std::fs::write(&tmp, text).map_err(|e| FleetError::io("write cell output", &tmp, e))?;
+    std::fs::rename(&tmp, path)
+        .map_err(|e| FleetError::io("rename cell output into place", path, e))
 }
 
 /// The supervisor's structured decision log: `events.jsonl` next to the
@@ -404,16 +265,19 @@ impl EventLog {
     }
 }
 
-struct Active<H> {
+/// A worker's report on the completion channel: its id and the body's
+/// result.
+type Completion = (u64, Result<Vec<String>, String>);
+
+struct Active {
+    /// Worker id: the launch count, from 1.
+    id: u64,
     /// The leased group: one cell in classic mode, up to
     /// [`FleetConfig::group`] compatible cells under group leasing.
     cells: Vec<CellId>,
-    /// Per-cell sealed output paths, parallel to `cells`.
-    outs: Vec<PathBuf>,
     /// Per-cell attempt indices, parallel to `cells`.
     attempts: Vec<u32>,
-    handle: H,
-    heartbeat: PathBuf,
+    thread: JoinHandle<()>,
     started_ms: u64,
     deadline_ms: u64,
 }
@@ -446,8 +310,11 @@ fn claim_group(ledger: &Ledger, now: u64, max: usize) -> Vec<CellId> {
 
 /// Runs the fleet to quiescence: every cell `Done` or `Failed`.
 ///
-/// `validate` receives a candidate output text and returns its digest
-/// when (and only when) the text is complete and well-formed — the same
+/// `body` is the worker: it runs one leased cell group (with `attempts`
+/// parallel to the cells) on a thread of its own and returns one sealed
+/// output text per cell, in cell order, or the reason it failed.
+/// `validate` receives each candidate text and returns its digest when
+/// (and only when) the text is complete and well-formed — the same
 /// closure the [`Ledger`] used to re-verify resumed cells, so "done"
 /// means the same thing on every path. `resume` is the summary that
 /// `Ledger::open` returned, folded into the report. `log` receives
@@ -465,20 +332,23 @@ fn claim_group(ledger: &Ledger, now: u64, max: usize) -> Vec<CellId> {
 ///
 /// # Errors
 ///
-/// Infrastructure failures only ([`FleetError`]): an unwritable ledger,
-/// an unspawnable worker. Cell failures are *not* errors — they are
-/// retried and, past the budget, reported in
+/// Infrastructure failures only ([`FleetError`]): an unwritable ledger
+/// or cell output, an unspawnable worker thread. Cell failures are
+/// *not* errors — they are retried and, past the budget, reported in
 /// [`FleetReport::incomplete`].
 #[allow(clippy::too_many_lines)]
-pub fn run_fleet<L: Launcher>(
+pub fn run_fleet<F>(
     cfg: &FleetConfig,
     ledger: &mut Ledger,
-    launcher: &L,
+    body: F,
     validate: &dyn Fn(&str) -> Result<u64, String>,
     resume: ResumeSummary,
     log: &mut dyn FnMut(&str),
     notify: &mut dyn FnMut(&CellDone),
-) -> Result<FleetReport, FleetError> {
+) -> Result<FleetReport, FleetError>
+where
+    F: Fn(&[CellId], &[u32]) -> Result<Vec<String>, String> + Send + Sync + 'static,
+{
     let work_dir = ledger.path().parent().map(Path::to_path_buf).unwrap_or_default();
     let mut events = EventLog::open(&work_dir, &cfg.req, cfg.events_cap_bytes);
     events.emit(
@@ -489,7 +359,9 @@ pub fn run_fleet<L: Launcher>(
             .u("resumed_done", resume.resumed_done)
             .u("invalidated", resume.invalidated),
     );
-    let mut active: Vec<Active<L::Handle>> = Vec::new();
+    let body = Arc::new(body);
+    let (tx, rx) = mpsc::channel::<Completion>();
+    let mut active: Vec<Active> = Vec::new();
     let mut durations: Vec<u64> = Vec::new();
     let mut completed_in_run: Vec<CellId> = Vec::new();
     let mut spawned = 0u64;
@@ -551,120 +423,28 @@ pub fn run_fleet<L: Launcher>(
     loop {
         let now = now_ms();
 
-        // ---- Reap: exits, deadlines, stale heartbeats. -------------
+        // ---- Kill: workers past their deadline. -------------------
+        // A thread cannot be killed: dropping its handle detaches it,
+        // and anything it sends later is dropped by its id below.
         let mut i = 0;
         while i < active.len() {
-            let a = &mut active[i];
-            match a.handle.poll() {
-                PollResult::Exited { success: true, .. } => {
-                    let a = active.swap_remove(i);
-                    let finished = now_ms();
-                    let dur = finished.saturating_sub(a.started_ms);
-                    // One wall-clock observation per worker (the group
-                    // shares a sweep; its cells did not take `dur` each).
-                    durations.push(dur);
-                    // Each cell of the group stands on its own output:
-                    // a bad file charges that cell only.
-                    for ((cell, out), attempt) in
-                        a.cells.iter().zip(&a.outs).zip(a.attempts.iter().copied())
-                    {
-                        match std::fs::read_to_string(out) {
-                            Ok(text) => match validate(&text) {
-                                Ok(digest) => {
-                                    let done = CellDone {
-                                        cell: cell.clone(),
-                                        text: text.clone(),
-                                        attempts: attempt,
-                                        resumed: false,
-                                        dur_ms: dur,
-                                    };
-                                    ledger.complete(cell, digest, out, dur, text)?;
-                                    completed_in_run.push(cell.clone());
-                                    events.emit(
-                                        EventLog::at("done")
-                                            .s("cell", &cell.to_string())
-                                            .u("attempt", u64::from(attempt))
-                                            .u("dur_ms", dur),
-                                    );
-                                    log(&format!(
-                                        "cell {cell} done in {dur}ms (attempt {attempt})"
-                                    ));
-                                    notify(&done);
-                                }
-                                Err(why) => charge(
-                                    ledger,
-                                    cell,
-                                    attempt,
-                                    &format!("output rejected: {why}"),
-                                    &mut retries,
-                                    &mut events,
-                                    log,
-                                )?,
-                            },
-                            Err(e) => charge(
-                                ledger,
-                                cell,
-                                attempt,
-                                &format!("no output file: {e}"),
-                                &mut retries,
-                                &mut events,
-                                log,
-                            )?,
-                        }
-                    }
-                    continue;
-                }
-                PollResult::Exited { success: false, detail } => {
-                    // Exit status wins even if a parseable file exists:
-                    // the worker itself reported failure. A group worker
-                    // failing charges **every** cell it was leased.
-                    let a = active.swap_remove(i);
-                    for (cell, attempt) in a.cells.iter().zip(a.attempts.iter().copied()) {
-                        charge(
-                            ledger,
-                            cell,
-                            attempt,
-                            &format!("worker exited abnormally ({detail})"),
-                            &mut retries,
-                            &mut events,
-                            log,
-                        )?;
-                    }
-                    continue;
-                }
-                PollResult::Running => {
-                    let hb_baseline = mtime_ms(&a.heartbeat).unwrap_or(0).max(a.started_ms);
-                    let stale = now.saturating_sub(hb_baseline) > cfg.heartbeat_stale_ms;
-                    if now >= a.deadline_ms || stale {
-                        let why = if stale {
-                            format!(
-                                "heartbeat stale for {}ms — presumed hung",
-                                now.saturating_sub(hb_baseline)
-                            )
-                        } else {
-                            format!(
-                                "cell deadline exceeded ({}ms)",
-                                a.deadline_ms.saturating_sub(a.started_ms)
-                            )
-                        };
-                        let mut a = active.swap_remove(i);
-                        a.handle.kill();
-                        kills += 1;
-                        for (cell, attempt) in a.cells.iter().zip(a.attempts.iter().copied()) {
-                            events.emit(
-                                EventLog::at("kill")
-                                    .s("cell", &cell.to_string())
-                                    .u("attempt", u64::from(attempt))
-                                    .b("heartbeat_stale", stale)
-                                    .s("why", &why),
-                            );
-                            charge(ledger, cell, attempt, &why, &mut retries, &mut events, log)?;
-                        }
-                        continue;
-                    }
-                }
+            if now < active[i].deadline_ms {
+                i += 1;
+                continue;
             }
-            i += 1;
+            let a = active.swap_remove(i);
+            let why =
+                format!("cell deadline exceeded ({}ms)", a.deadline_ms.saturating_sub(a.started_ms));
+            kills += 1;
+            for (cell, attempt) in a.cells.iter().zip(a.attempts.iter().copied()) {
+                events.emit(
+                    EventLog::at("kill")
+                        .s("cell", &cell.to_string())
+                        .u("attempt", u64::from(attempt))
+                        .s("why", &why),
+                );
+                charge(ledger, cell, attempt, &why, &mut retries, &mut events, log)?;
+            }
         }
 
         // ---- Launch: fill the pool from the ledger. ----------------
@@ -674,71 +454,119 @@ pub fn run_fleet<L: Launcher>(
                 break;
             }
             let timeout = cell_timeout_ms(cfg, &durations);
-            let mut attempt_hints = Vec::with_capacity(group.len());
-            let mut outs = Vec::with_capacity(group.len());
-            for cell in &group {
-                attempt_hints.push(match ledger.state(cell)? {
-                    CellState::Pending { attempts, .. } => *attempts,
-                    CellState::Leased { attempt, .. } => *attempt,
-                    _ => 0,
-                });
-                outs.push(work_dir.join(format!("{}.cell.json", cell.file_stem())));
-            }
-            let heartbeat = work_dir.join(format!("{}.hb", group[0].file_stem()));
-            // A fresh attempt must not inherit a stale heartbeat mtime
-            // or a previous attempt's output.
-            let _ = std::fs::remove_file(&heartbeat);
-            for out in &outs {
-                let _ = std::fs::remove_file(out);
-            }
-            let handle = launcher.launch(&group, &attempt_hints, &outs, &heartbeat)?;
             let deadline = now + timeout;
+            let id = spawned + 1;
             let mut attempts = Vec::with_capacity(group.len());
             for cell in &group {
-                let attempt = ledger.lease(cell, handle.worker_id(), deadline, now)?;
+                let attempt = ledger.lease(cell, id, deadline, now)?;
                 events.emit(
                     EventLog::at("lease")
                         .s("cell", &cell.to_string())
-                        .u("worker", handle.worker_id())
+                        .u("worker", id)
                         .u("attempt", u64::from(attempt))
                         .u("timeout_ms", timeout)
                         .u("group", group.len() as u64),
                 );
                 log(&format!(
-                    "cell {cell}: leased to worker {} (attempt {attempt}, timeout {timeout}ms\
+                    "cell {cell}: leased to worker {id} (attempt {attempt}, timeout {timeout}ms\
                      {})",
-                    handle.worker_id(),
                     if group.len() > 1 { format!(", group of {}", group.len()) } else { String::new() }
                 ));
                 attempts.push(attempt);
             }
+            let (body, tx) = (Arc::clone(&body), tx.clone());
+            let (cells, tries) = (group.clone(), attempts.clone());
+            let thread = std::thread::Builder::new()
+                .spawn(move || {
+                    let result = panic::catch_unwind(AssertUnwindSafe(|| body(&cells, &tries)))
+                        .unwrap_or_else(|_| Err("worker panicked".to_owned()));
+                    // The receiver is gone once the run has ended.
+                    let _ = tx.send((id, result));
+                })
+                .map_err(|e| FleetError::Spawn { cell: group[0].to_string(), err: e.to_string() })?;
             spawned += 1;
             active.push(Active {
+                id,
                 cells: group,
-                outs,
                 attempts,
-                handle,
-                heartbeat,
+                thread,
                 started_ms: now,
                 deadline_ms: deadline,
             });
         }
 
-        // ---- Quiesce or sleep. -------------------------------------
-        if active.is_empty() {
-            if ledger.all_terminal() {
-                break;
-            }
-            // Nothing running and nothing claimable: cells are waiting
-            // out their retry backoff. Sleep until the earliest wakes.
-            match ledger.next_wakeup_ms(now) {
-                Some(at) => {
-                    std::thread::sleep(Duration::from_millis((at - now).clamp(1, 1000)))
+        // ---- Wait: a completion, a deadline or a backoff expiry. ---
+        if active.is_empty() && ledger.all_terminal() {
+            break;
+        }
+        let wake = active.iter().map(|a| a.deadline_ms).chain(ledger.next_wakeup_ms(now)).min();
+        let Some(wake) = wake else { break }; // defensive: nothing can ever progress
+        let wait = Duration::from_millis(wake.saturating_sub(now_ms()));
+        let Ok((id, result)) = rx.recv_timeout(wait) else { continue };
+        let Some(i) = active.iter().position(|a| a.id == id) else {
+            // Killed on its deadline and detached; its cells were charged.
+            log(&format!("worker {id}: result after its deadline dropped"));
+            continue;
+        };
+        let a = active.swap_remove(i);
+        // Join before the next launch, so every worker seen to finish
+        // has fully exited before another lease group — or the next
+        // family run — starts one. glibc hands a thread that starts
+        // while another is still exiting a fresh malloc arena, and the
+        // memory the old arena keeps stays resident, so unjoined
+        // back-to-back runs ratchet a resident process's RSS up.
+        let _ = a.thread.join();
+        let dur = now_ms().saturating_sub(a.started_ms);
+        let texts = match result {
+            Ok(texts) => texts,
+            Err(detail) => {
+                // The worker's verdict wins, and a group worker failing
+                // charges **every** cell it was leased.
+                for (cell, attempt) in a.cells.iter().zip(a.attempts.iter().copied()) {
+                    let why = format!("worker exited abnormally ({detail})");
+                    charge(ledger, cell, attempt, &why, &mut retries, &mut events, log)?;
                 }
-                None => break, // defensive: nothing can ever progress
+                continue;
             }
-        } else {
-            std::thread::sleep(Duration::from_millis(cfg.poll_ms));
+        };
+        // One wall-clock observation per worker (the group shares a
+        // sweep; its cells did not take `dur` each).
+        durations.push(dur);
+        // Each cell of the group stands on its own output: a bad text
+        // charges that cell only.
+        let mut texts = texts.into_iter();
+        for (cell, attempt) in a.cells.iter().zip(a.attempts.iter().copied()) {
+            let checked = texts
+                .next()
+                .ok_or_else(|| "no output for this cell".to_owned())
+                .and_then(|text| validate(&text).map(|digest| (text, digest)));
+            let (text, digest) = match checked {
+                Ok(ok) => ok,
+                Err(why) => {
+                    let why = format!("output rejected: {why}");
+                    charge(ledger, cell, attempt, &why, &mut retries, &mut events, log)?;
+                    continue;
+                }
+            };
+            let out = work_dir.join(format!("{}.cell.json", cell.file_stem()));
+            write_atomic(&out, &text)?;
+            let done = CellDone {
+                cell: cell.clone(),
+                text: text.clone(),
+                attempts: attempt,
+                resumed: false,
+                dur_ms: dur,
+            };
+            ledger.complete(cell, digest, &out, dur, text)?;
+            completed_in_run.push(cell.clone());
+            events.emit(
+                EventLog::at("done")
+                    .s("cell", &cell.to_string())
+                    .u("attempt", u64::from(attempt))
+                    .u("dur_ms", dur),
+            );
+            log(&format!("cell {cell} done in {dur}ms (attempt {attempt})"));
+            notify(&done);
         }
     }
 
@@ -794,94 +622,63 @@ pub fn run_fleet<L: Launcher>(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use std::cell::RefCell;
     use std::collections::HashMap;
+    use std::sync::Mutex;
 
-    /// Scripted in-process "worker": decides per (first cell, attempt)
-    /// what its group leaves on disk and how it exits, all instantly.
+    /// What a scripted worker body does for one (first cell, attempt),
+    /// all at once.
     enum Script {
-        /// Write `validate`-passing output for every cell and exit 0.
+        /// Return `validate`-passing output for every cell.
         Ok,
-        /// Exit nonzero (optionally leaving valid files behind).
-        FailExit { leave_valid_file: bool },
-        /// Never exit, never heartbeat.
+        /// Return `Err` — whatever the body computed is discarded.
+        FailExit,
+        /// Never return.
         Hang,
     }
 
-    /// Runs each leased group as one scripted worker and records the
-    /// group sizes it was handed.
-    struct TestLauncher {
-        scripts: RefCell<HashMap<(String, u32), Script>>,
-        launches: RefCell<Vec<usize>>,
+    /// Scripted worker bodies: runs each leased group as one scripted
+    /// worker and records the group sizes it was handed.
+    #[derive(Clone)]
+    struct Scripted {
+        scripts: Arc<Mutex<HashMap<(String, u32), Script>>>,
+        launches: Arc<Mutex<Vec<usize>>>,
     }
 
-    impl TestLauncher {
+    impl Scripted {
         fn new(scripts: Vec<((&CellId, u32), Script)>) -> Self {
-            TestLauncher {
-                scripts: RefCell::new(
+            Scripted {
+                scripts: Arc::new(Mutex::new(
                     scripts.into_iter().map(|((c, a), s)| ((c.to_string(), a), s)).collect(),
-                ),
-                launches: RefCell::new(Vec::new()),
+                )),
+                launches: Arc::default(),
             }
         }
-    }
 
-    struct TestHandle {
-        result: Option<PollResult>,
-        id: u64,
-    }
-
-    impl WorkerHandle for TestHandle {
-        fn poll(&mut self) -> PollResult {
-            self.result.clone().unwrap_or(PollResult::Running)
-        }
-        fn kill(&mut self) {
-            self.result =
-                Some(PollResult::Exited { success: false, detail: "killed".into() });
-        }
-        fn worker_id(&self) -> u64 {
-            self.id
-        }
-    }
-
-    impl Launcher for TestLauncher {
-        type Handle = TestHandle;
-        fn launch(
+        fn body(
             &self,
-            cells: &[CellId],
-            attempts: &[u32],
-            outs: &[PathBuf],
-            _hb: &Path,
-        ) -> Result<TestHandle, FleetError> {
-            let id = {
-                let mut l = self.launches.borrow_mut();
-                l.push(cells.len());
-                1000 + l.len() as u64
-            };
-            let script = self
-                .scripts
-                .borrow_mut()
-                .remove(&(cells[0].to_string(), attempts[0]))
-                .unwrap_or(Script::Ok);
-            let write_all = || {
-                for (cell, out) in cells.iter().zip(outs) {
-                    std::fs::write(out, format!("OUT {cell}\n")).expect("write out");
+        ) -> impl Fn(&[CellId], &[u32]) -> Result<Vec<String>, String> + Send + Sync + 'static
+        {
+            let me = self.clone();
+            move |cells: &[CellId], attempts: &[u32]| {
+                me.launches.lock().expect("launches").push(cells.len());
+                let script = me
+                    .scripts
+                    .lock()
+                    .expect("scripts")
+                    .remove(&(cells[0].to_string(), attempts[0]))
+                    .unwrap_or(Script::Ok);
+                match script {
+                    Script::Ok => Ok(cells.iter().map(|c| format!("OUT {c}\n")).collect()),
+                    Script::FailExit => Err("exit 3".into()),
+                    Script::Hang => loop {
+                        std::thread::park();
+                    },
                 }
-            };
-            let result = match script {
-                Script::Ok => {
-                    write_all();
-                    Some(PollResult::Exited { success: true, detail: "ok".into() })
-                }
-                Script::FailExit { leave_valid_file } => {
-                    if leave_valid_file {
-                        write_all();
-                    }
-                    Some(PollResult::Exited { success: false, detail: "exit 3".into() })
-                }
-                Script::Hang => None,
-            };
-            Ok(TestHandle { result, id })
+            }
+        }
+
+        fn launches(&self) -> Vec<usize> {
+            self.launches.lock().expect("launches").clone()
         }
     }
 
@@ -902,8 +699,6 @@ mod tests {
             timeout_mult: 4.0,
             backoff_base_ms: 2,
             backoff_cap_ms: 8,
-            heartbeat_stale_ms: 30,
-            poll_ms: 1,
             ..FleetConfig::new(2)
         }
     }
@@ -921,9 +716,9 @@ mod tests {
         cfg: &FleetConfig,
         ledger: &mut Ledger,
         resume: ResumeSummary,
-        launcher: &TestLauncher,
+        scripted: &Scripted,
     ) -> FleetReport {
-        run_fleet(cfg, ledger, launcher, &validate_out, resume, &mut |_msg| {}, &mut |_done| {})
+        run_fleet(cfg, ledger, scripted.body(), &validate_out, resume, &mut |_msg| {}, &mut |_done| {})
             .expect("run_fleet")
     }
 
@@ -933,7 +728,7 @@ mod tests {
         resume: ResumeSummary,
         scripts: Vec<((&CellId, u32), Script)>,
     ) -> FleetReport {
-        run_with(cfg, ledger, resume, &TestLauncher::new(scripts))
+        run_with(cfg, ledger, resume, &Scripted::new(scripts))
     }
 
     #[test]
@@ -957,10 +752,10 @@ mod tests {
             &fast_cfg(),
             &mut ledger,
             resume,
-            vec![((&cells[0], 0), Script::FailExit { leave_valid_file: true })],
+            vec![((&cells[0], 0), Script::FailExit)],
         );
-        // Satellite: the valid file left by the failing exit must NOT
-        // have been trusted — the cell was retried.
+        // The failing exit must NOT have been trusted — the cell was
+        // retried.
         assert_eq!(report.done.len(), 1);
         assert_eq!(report.done[0].attempts, 1, "succeeded on the retry");
         assert_eq!(report.retries, 1);
@@ -976,9 +771,9 @@ mod tests {
             &mut ledger,
             resume,
             vec![
-                ((&cells[0], 0), Script::FailExit { leave_valid_file: false }),
-                ((&cells[0], 1), Script::FailExit { leave_valid_file: false }),
-                ((&cells[0], 2), Script::FailExit { leave_valid_file: false }),
+                ((&cells[0], 0), Script::FailExit),
+                ((&cells[0], 1), Script::FailExit),
+                ((&cells[0], 2), Script::FailExit),
             ],
         );
         assert_eq!(report.done.len(), 1, "the healthy cell still completes");
@@ -1012,16 +807,16 @@ mod tests {
         let cells =
             vec![CellId::new("a", 4, 0, 2), CellId::new("a", 8, 0, 2), CellId::new("bad", 4, 0, 2)];
         let (mut ledger, resume, dir) = setup("notify", &cells);
-        let launcher = TestLauncher::new(
+        let scripted = Scripted::new(
             (0..3)
-                .map(|a| ((&cells[2], a), Script::FailExit { leave_valid_file: false }))
+                .map(|a| ((&cells[2], a), Script::FailExit))
                 .collect(),
         );
         let mut streamed: Vec<(CellId, bool)> = Vec::new();
         let report = run_fleet(
             &fast_cfg(),
             &mut ledger,
-            &launcher,
+            scripted.body(),
             &validate_out,
             resume,
             &mut |_msg| {},
@@ -1040,11 +835,11 @@ mod tests {
                 .expect("reopen");
         assert_eq!(resume.resumed_done, 2);
         let mut streamed: Vec<(CellId, bool)> = Vec::new();
-        let launcher = TestLauncher::new(vec![]);
+        let scripted = Scripted::new(vec![]);
         let report = run_fleet(
             &fast_cfg(),
             &mut ledger,
-            &launcher,
+            scripted.body(),
             &validate_out,
             resume,
             &mut |_msg| {},
@@ -1074,12 +869,12 @@ mod tests {
         let mut cfg = fast_cfg();
         cfg.procs = 1;
         cfg.group = 2;
-        let launcher = TestLauncher::new(vec![]);
-        let report = run_with(&cfg, &mut ledger, resume, &launcher);
+        let scripted = Scripted::new(vec![]);
+        let report = run_with(&cfg, &mut ledger, resume, &scripted);
         assert_eq!(report.done.len(), 4);
         assert!(report.incomplete.is_empty());
         assert_eq!(report.spawned, 2, "two 2-cell groups, not four singleton workers");
-        assert_eq!(*launcher.launches.borrow(), vec![2, 2]);
+        assert_eq!(scripted.launches(), vec![2, 2]);
         let _ = std::fs::remove_dir_all(&dir);
     }
 
@@ -1092,11 +887,11 @@ mod tests {
         let mut cfg = fast_cfg();
         cfg.procs = 1;
         cfg.group = 4;
-        let launcher = TestLauncher::new(vec![]);
-        let report = run_with(&cfg, &mut ledger, resume, &launcher);
+        let scripted = Scripted::new(vec![]);
+        let report = run_with(&cfg, &mut ledger, resume, &scripted);
         assert_eq!(report.done.len(), 2);
         assert_eq!(report.spawned, 2);
-        assert_eq!(*launcher.launches.borrow(), vec![1, 1]);
+        assert_eq!(scripted.launches(), vec![1, 1]);
         let _ = std::fs::remove_dir_all(&dir);
     }
 
@@ -1113,7 +908,7 @@ mod tests {
             &cfg,
             &mut ledger,
             resume,
-            vec![((&cells[0], 0), Script::FailExit { leave_valid_file: false })],
+            vec![((&cells[0], 0), Script::FailExit)],
         );
         assert_eq!(report.done.len(), 2, "both cells recovered on retry");
         assert_eq!(report.retries, 2, "the group failure charged both cells");

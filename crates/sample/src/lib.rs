@@ -85,14 +85,12 @@
 pub mod batch;
 pub mod config;
 pub mod runner;
-pub mod shard;
 pub mod stats;
 pub mod store;
 
 pub use batch::{BatchCell, BatchSampler};
 pub use config::{Confidence, SampleConfig};
 pub use runner::{run_full_detailed, run_sampled, SamplePoint, SampledRun, Sampler};
-pub use shard::{window_range, ShardSpec};
 pub use stats::{estimate, Estimate};
 pub use store::{
     warm_model_digest, CheckpointStore, StoreKey, StoreMiss, StoreStats, StoredSampler,

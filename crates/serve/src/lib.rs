@@ -21,8 +21,8 @@
 //!   misses a run finds its cells `Done` in the ledger and resumes with
 //!   **zero** recomputation (`resumed` counter).
 //! - **One orchestration path.** A family run is
-//!   [`sfetch_bench::fleet_grid::run_family`] over a
-//!   [`ThreadLauncher`] — exactly the run behind `--procs` grids. It
+//!   [`sfetch_bench::fleet_grid::run_family`] on worker threads of the
+//!   daemon — exactly the run behind `--procs` grids. It
 //!   opens and re-verifies the family ledger first, and
 //!   only a cell still not `Done` runs, so a pure resubmit reads no
 //!   checkpoint at all; a `Done` cell whose output rotted is demoted to
@@ -44,12 +44,14 @@
 //!   output bytes, so banked and unbanked requests share one family.
 //!
 //! Nothing on the request path sleeps. `accept` blocks; the scheduler
-//! blocks on a condvar that every submit and the stop signal; and one
-//! watcher thread — the only poller, because the stop flag is a plain
-//! atomic a signal handler raises — wakes both on stop. Worker threads
-//! are joined as soon as they finish (see
-//! [`ThreadHandle`](sfetch_fleet::ThreadHandle)), which keeps the
-//! daemon's RSS flat across runs.
+//! blocks on a condvar that every submit and the stop signal; a family
+//! run's supervisor blocks on its workers' completion channel until a
+//! result, a deadline or a retry backoff comes due; and one watcher
+//! thread — the only poller, because the stop flag is a plain atomic a
+//! signal handler raises — wakes the first two on stop. Worker threads
+//! are joined as soon as they report (see
+//! [`run_fleet`](sfetch_fleet::run_fleet)), which keeps the daemon's RSS
+//! flat across runs.
 //!
 //! The wire protocol (one JSON object per line over a Unix domain
 //! socket) is defined in [`sfetch_bench::driver`] — the daemon and the
@@ -72,7 +74,7 @@ use sfetch_bench::driver::{GridRequest, ServeEvent};
 use sfetch_bench::fleet_grid::{self, cell_group_worker, FamilyRun};
 use sfetch_bench::grid::{parse_shard_file, GridError};
 use sfetch_bench::{flag_value, number, positive, try_workload_by_name};
-use sfetch_fleet::{CellId, ThreadLauncher};
+use sfetch_fleet::CellId;
 use sfetch_obs::{Obj, Row};
 use sfetch_sample::estimate;
 use sfetch_workloads::Workload;
@@ -614,13 +616,7 @@ fn run_family(
         cell_timeout_s: None,
         req: members.iter().map(|m| m.id.as_str()).collect::<Vec<_>>().join(","),
     };
-    let launcher = ThreadLauncher::new(cell_group_worker(
-        Arc::clone(w),
-        store_dir.to_path_buf(),
-        scfg,
-        opts,
-        None,
-    ));
+    let body = cell_group_worker(Arc::clone(w), store_dir.to_path_buf(), scfg, opts, None);
     // Per-member singleflight counters: a fresh cell is *computed* for
     // its first subscriber and *shared* for every other subscriber; a
     // ledger hit is *resumed* for all of them.
@@ -632,7 +628,7 @@ fn run_family(
     let report = fleet_grid::run_family(
         &run,
         &cells,
-        &launcher,
+        body,
         &mut |line| eprintln!("serve: [{tag:016x}] {line}"),
         &mut |done| {
             let key = done.cell.to_string();

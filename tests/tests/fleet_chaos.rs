@@ -1,16 +1,17 @@
 //! Fault-injection integration tests for the fleet supervisor
-//! (`sfetch_fleet::run_fleet`) over the production launcher: worker
-//! threads ([`ThreadLauncher`]) running scripted bodies that fail
-//! before writing, truncate or corrupt their output, lie about their
-//! result, panic, or hang without heartbeating. The supervisor must
-//! converge every time to output byte-identical with a fault-free run,
-//! and a completed ledger must resume with zero recomputation.
+//! (`sfetch_fleet::run_fleet`): worker threads running scripted bodies
+//! that fail before any work, return truncated or corrupt output, lie
+//! about their result, panic, hang, or answer after their deadline. The
+//! supervisor must converge every time to output byte-identical with a
+//! fault-free run, and a completed ledger must resume with zero
+//! recomputation.
 //!
-//! (The in-crate supervisor tests script workers without threads; these
-//! run the `ThreadLauncher` path end to end — spawn, join, detach on
-//! kill, panic plumbing. Per-cell scenarios lease singleton groups.)
+//! (These run the thread path end to end — spawn, join, detach on
+//! kill, panic plumbing, the completion channel and the supervisor's
+//! own output writes. Per-cell scenarios lease singleton groups.)
 
 use std::path::{Path, PathBuf};
+use std::sync::{Arc, Condvar, Mutex};
 use std::time::Duration;
 
 use sfetch_bench::driver::canonical_cells;
@@ -19,7 +20,6 @@ use sfetch_bench::grid::{cells, grid_engines, FIG8_WIDTHS};
 use sfetch_bench::HarnessOpts;
 use sfetch_fleet::{
     fnv64, now_ms, run_fleet, CellId, FleetConfig, FleetReport, Ledger, ResumeSummary,
-    ThreadLauncher,
 };
 
 const CONFIG: u64 = 0xc4a05;
@@ -35,15 +35,11 @@ fn validate(text: &str) -> Result<u64, String> {
     }
 }
 
-/// The canonical (fault-free) worker body for one cell: heartbeat once,
-/// then write the cell's output atomically (temp + rename). The output
-/// depends only on the cell — the idempotence contract real cells get
-/// from checkpointed windows.
-fn good(cell: &CellId, out: &Path, hb: &Path) -> Result<(), String> {
-    std::fs::write(hb, b"").map_err(|e| e.to_string())?;
-    let part = out.with_extension("part");
-    std::fs::write(&part, format!("DATA {cell}\nEND\n")).map_err(|e| e.to_string())?;
-    std::fs::rename(&part, out).map_err(|e| e.to_string())
+/// The canonical (fault-free) output of one cell. It depends only on
+/// the cell — the idempotence contract real cells get from checkpointed
+/// windows.
+fn good(cell: &CellId) -> String {
+    format!("DATA {cell}\nEND\n")
 }
 
 fn fast_cfg() -> FleetConfig {
@@ -51,10 +47,8 @@ fn fast_cfg() -> FleetConfig {
     cfg.max_retries = 2;
     cfg.timeout_floor_ms = 5_000;
     cfg.timeout_initial_ms = 5_000;
-    cfg.heartbeat_stale_ms = 5_000;
     cfg.backoff_base_ms = 2;
     cfg.backoff_cap_ms = 10;
-    cfg.poll_ms = 5;
     cfg
 }
 
@@ -74,14 +68,13 @@ fn run_scripted(
     dir: &Path,
     cells: &[CellId],
     cfg: &FleetConfig,
-    body: impl Fn(&CellId, u32, &Path, &Path) -> Result<(), String> + Send + Sync + 'static,
+    body: impl Fn(&CellId, u32) -> Result<String, String> + Send + Sync + 'static,
 ) -> FleetReport {
     let (mut ledger, resume) = open_ledger(dir, cells);
-    let launcher =
-        ThreadLauncher::new(move |cells: &[CellId], attempts: &[u32], outs: &[PathBuf], hb: &Path| {
-            body(&cells[0], attempts[0], &outs[0], hb)
-        });
-    run_fleet(cfg, &mut ledger, &launcher, &validate, resume, &mut |_msg| {}, &mut |_done| {})
+    let body = move |cells: &[CellId], attempts: &[u32]| {
+        body(&cells[0], attempts[0]).map(|text| vec![text])
+    };
+    run_fleet(cfg, &mut ledger, body, &validate, resume, &mut |_msg| {}, &mut |_done| {})
         .expect("run_fleet")
 }
 
@@ -102,21 +95,18 @@ fn faulty_first_attempts_converge_to_identical_output() {
         CellId::new("clean", 4, 0, 1),
     ];
     let chaos_dir = fresh_dir("faults");
-    let chaos = run_scripted(&chaos_dir, &cells, &fast_cfg(), |cell, attempt, out, hb| {
-        let write = |text: &str| std::fs::write(out, text).map_err(|e| e.to_string());
+    let chaos = run_scripted(&chaos_dir, &cells, &fast_cfg(), |cell, attempt| {
         match (attempt, cell.engine.as_str()) {
             (0, "crash") => Err("crashed".to_owned()),
-            // Writes the header but never the END terminator.
-            (0, "truncate") => write(&format!("DATA {cell}\n")),
-            (0, "corrupt") => write("GARBAGE\nEND\n"),
-            _ => good(cell, out, hb),
+            // The header but never the END terminator.
+            (0, "truncate") => Ok(format!("DATA {cell}\n")),
+            (0, "corrupt") => Ok("GARBAGE\nEND\n".to_owned()),
+            _ => Ok(good(cell)),
         }
     });
 
     let clean_dir = fresh_dir("clean");
-    let clean = run_scripted(&clean_dir, &cells, &fast_cfg(), |cell, _attempt, out, hb| {
-        good(cell, out, hb)
-    });
+    let clean = run_scripted(&clean_dir, &cells, &fast_cfg(), |cell, _attempt| Ok(good(cell)));
 
     assert!(chaos.incomplete.is_empty(), "all cells must converge: {:?}", chaos.incomplete);
     assert_eq!(chaos.retries, 3, "crash, truncate and corrupt each cost one retry");
@@ -129,19 +119,19 @@ fn faulty_first_attempts_converge_to_identical_output() {
     let _ = std::fs::remove_dir_all(&clean_dir);
 }
 
-/// A worker that leaves a perfectly valid output file but reports
+/// A worker that computes a perfectly valid output but reports
 /// failure is a *failed* cell — the worker's verdict wins — and the
 /// retry recomputes it.
 #[test]
 fn lying_exit_status_fails_the_cell_despite_valid_output() {
     let cells = vec![CellId::new("liar", 8, 0, 2)];
     let dir = fresh_dir("liar");
-    let report = run_scripted(&dir, &cells, &fast_cfg(), |cell, attempt, out, hb| {
-        good(cell, out, hb)?;
+    let report = run_scripted(&dir, &cells, &fast_cfg(), |cell, attempt| {
+        let text = good(cell);
         if attempt == 0 {
             Err("lying exit".to_owned())
         } else {
-            Ok(())
+            Ok(text)
         }
     });
     assert_eq!(report.done.len(), 1);
@@ -150,8 +140,8 @@ fn lying_exit_status_fails_the_cell_despite_valid_output() {
     let _ = std::fs::remove_dir_all(&dir);
 }
 
-/// A hung worker that never heartbeats is killed on staleness — its
-/// thread detached — and the cell recovered by a retry.
+/// A hung worker is killed on its deadline — its thread detached — and
+/// the cell recovered by a retry.
 #[test]
 fn hung_worker_is_killed_and_recovered() {
     let cells = vec![CellId::new("slow", 4, 0, 1)];
@@ -159,20 +149,102 @@ fn hung_worker_is_killed_and_recovered() {
     let mut cfg = fast_cfg();
     cfg.timeout_floor_ms = 400;
     cfg.timeout_initial_ms = 400;
-    cfg.heartbeat_stale_ms = 300;
-    let report = run_scripted(&dir, &cells, &cfg, |cell, attempt, out, hb| {
+    let report = run_scripted(&dir, &cells, &cfg, |cell, attempt| {
         if attempt == 0 {
-            // Never writes, never heartbeats; it outlives the run.
+            // Never answers in time; it outlives the run.
             std::thread::sleep(Duration::from_secs(10));
             return Err("woke after the run".to_owned());
         }
-        good(cell, out, hb)
+        Ok(good(cell))
     });
     assert_eq!(report.done.len(), 1, "recovered after the kill");
     assert!(report.kills >= 1, "the straggler must have been killed");
     assert!(report.done[0].attempts >= 1);
     let events = std::fs::read_to_string(dir.join("events.jsonl")).expect("events.jsonl");
-    assert!(events.contains("\"heartbeat_stale\":true"), "killed on staleness: {events}");
+    assert!(
+        events.lines().any(|l| l.contains("\"event\":\"kill\"")
+            && l.contains("\"why\":\"cell deadline exceeded (400ms)\"")),
+        "killed on its deadline: {events}"
+    );
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+/// A worker killed on its deadline that answers later, with valid text,
+/// changes nothing: the cell completes exactly once, from the retry;
+/// `notify` fires once; and the late text never reaches the cell's
+/// output file.
+#[test]
+fn late_result_after_the_kill_is_dropped() {
+    let cells = vec![CellId::new("late", 4, 0, 1)];
+    let dir = fresh_dir("late");
+    let mut cfg = fast_cfg();
+    cfg.timeout_floor_ms = 1_000;
+    cfg.timeout_initial_ms = 1_000;
+    let late = |cell: &CellId| format!("DATA {cell} late\nEND\n");
+    // Attempt 0 answers only once the retry has started (stage 1); the
+    // retry answers only once the supervisor has dropped attempt 0's
+    // late result (stage 2), so that result arrives while the retry
+    // holds the lease.
+    let stage = Arc::new((Mutex::new(0u32), Condvar::new()));
+    // Whether `stage` reached `at_least` within 10 s (so a supervisor
+    // that mishandles the late result fails the test, not hangs it).
+    let wait_for = |stage: &(Mutex<u32>, Condvar), at_least: u32| {
+        let guard = stage.0.lock().expect("stage");
+        let limit = Duration::from_secs(10);
+        let (_guard, waited) =
+            stage.1.wait_timeout_while(guard, limit, |s| *s < at_least).expect("stage");
+        !waited.timed_out()
+    };
+    let advance = |stage: &(Mutex<u32>, Condvar), to: u32| {
+        *stage.0.lock().expect("stage") = to;
+        stage.1.notify_all();
+    };
+    let (mut ledger, resume) = open_ledger(&dir, &cells);
+    let out = dir.join(format!("{}.cell.json", cells[0].file_stem()));
+    let seen = Arc::clone(&stage);
+    let written = out.clone();
+    let body = move |group: &[CellId], attempts: &[u32]| {
+        let cell = &group[0];
+        if attempts[0] == 0 {
+            wait_for(&seen, 1);
+            return Ok(vec![late(cell)]);
+        }
+        advance(&seen, 1);
+        if !wait_for(&seen, 2) {
+            return Err("the late result was never dropped".to_owned());
+        }
+        if written.exists() {
+            return Err("the late result reached disk".to_owned());
+        }
+        Ok(vec![good(cell)])
+    };
+    let mut logged = Vec::new();
+    let mut notified = Vec::new();
+    let report = run_fleet(
+        &cfg,
+        &mut ledger,
+        body,
+        &validate,
+        resume,
+        &mut |msg| {
+            if msg.contains("result after its deadline dropped") {
+                advance(&stage, 2);
+            }
+            logged.push(msg.to_owned());
+        },
+        &mut |d| notified.push((d.cell.clone(), d.text.clone(), d.attempts)),
+    )
+    .expect("no BadTransition: the late result must not complete the cell");
+    assert_eq!(report.done.len(), 1);
+    assert_eq!(report.done[0].attempts, 1, "completed by the retry");
+    assert_eq!(report.done[0].text, good(&cells[0]));
+    assert_eq!((report.kills, report.retries, report.spawned), (1, 1, 2));
+    assert_eq!(notified, vec![(cells[0].clone(), good(&cells[0]), 1)], "notified exactly once");
+    assert!(
+        logged.iter().any(|l| l.contains("result after its deadline dropped")),
+        "the late result reached the supervisor and was dropped: {logged:?}"
+    );
+    assert_eq!(std::fs::read_to_string(out).expect("cell output"), good(&cells[0]));
     let _ = std::fs::remove_dir_all(&dir);
 }
 
@@ -182,11 +254,11 @@ fn hung_worker_is_killed_and_recovered() {
 fn panicking_worker_is_a_failed_retried_cell() {
     let cells = vec![CellId::new("panic", 4, 0, 1), CellId::new("clean", 4, 0, 1)];
     let dir = fresh_dir("panic");
-    let report = run_scripted(&dir, &cells, &fast_cfg(), |cell, attempt, out, hb| {
+    let report = run_scripted(&dir, &cells, &fast_cfg(), |cell, attempt| {
         if attempt == 0 && cell.engine == "panic" {
             panic!("injected worker panic");
         }
-        good(cell, out, hb)
+        Ok(good(cell))
     });
     assert!(report.incomplete.is_empty(), "the run completes: {:?}", report.incomplete);
     assert_eq!(report.done.len(), 2);
@@ -200,7 +272,7 @@ fn panicking_worker_is_a_failed_retried_cell() {
 
 /// The production lease rule over worker threads: the default-options
 /// Fig. 8 grid's canonical cells (every pair over windows `0..4`) lease
-/// as one 12-cell group, so exactly one worker starts, writing every
+/// as one 12-cell group, so exactly one worker starts, returning every
 /// output of its group.
 #[test]
 fn default_grid_spawns_one_worker_per_process() {
@@ -209,16 +281,14 @@ fn default_grid_spawns_one_worker_per_process() {
     let mut cfg = fast_cfg();
     cfg.group = lease_group(HarnessOpts::default().batch, false, ids.len());
     let (mut ledger, resume) = open_ledger(&dir, &ids);
-    let groups = std::sync::Arc::new(std::sync::Mutex::new(Vec::new()));
-    let seen = std::sync::Arc::clone(&groups);
-    let launcher = ThreadLauncher::new(
-        move |group: &[CellId], _attempts: &[u32], outs: &[PathBuf], hb: &Path| {
-            seen.lock().expect("groups").push((group.len(), group[0].lo, group[0].hi));
-            group.iter().zip(outs).try_for_each(|(cell, out)| good(cell, out, hb))
-        },
-    );
+    let groups = Arc::new(Mutex::new(Vec::new()));
+    let seen = Arc::clone(&groups);
+    let body = move |group: &[CellId], _attempts: &[u32]| {
+        seen.lock().expect("groups").push((group.len(), group[0].lo, group[0].hi));
+        Ok(group.iter().map(good).collect())
+    };
     let report =
-        run_fleet(&cfg, &mut ledger, &launcher, &validate, resume, &mut |_msg| {}, &mut |_done| {})
+        run_fleet(&cfg, &mut ledger, body, &validate, resume, &mut |_msg| {}, &mut |_done| {})
             .expect("run");
     assert_eq!(report.done.len(), 12, "every pair's cell completes");
     assert_eq!(report.spawned, 1, "one 12-cell group, not twelve one-cell workers");
@@ -241,16 +311,13 @@ fn completed_run_resumes_with_zero_recompute() {
         CellId::new("b", 8, 0, 1),
     ];
     let dir = fresh_dir("resume");
-    let first = run_scripted(&dir, &cells, &fast_cfg(), |cell, _attempt, out, hb| {
-        good(cell, out, hb)
-    });
+    let first = run_scripted(&dir, &cells, &fast_cfg(), |cell, _attempt| Ok(good(cell)));
     assert_eq!(first.done.len(), 3);
 
     // Second run over the same ledger: any start would break the "zero
     // recompute" guarantee, so the body is a tripwire.
-    let second = run_scripted(&dir, &cells, &fast_cfg(), |_cell, _attempt, _out, _hb| {
-        Err("must never start".to_owned())
-    });
+    let second =
+        run_scripted(&dir, &cells, &fast_cfg(), |_cell, _attempt| Err("must never start".to_owned()));
     assert_eq!(second.spawned, 0, "resume must not start workers");
     assert_eq!(second.resumed_done, 3);
     assert!(second.done.iter().all(|d| d.resumed));

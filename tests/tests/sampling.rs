@@ -11,8 +11,7 @@ use sfetch_cfg::{layout, CfgBuilder, CodeImage, CondBehavior, TripCount};
 use sfetch_core::{simulate, ProcessorConfig};
 use sfetch_fetch::EngineKind;
 use sfetch_sample::{
-    estimate, run_full_detailed, run_sampled, window_range, Confidence, SampleConfig, SamplePoint,
-    Sampler, ShardSpec,
+    estimate, run_full_detailed, run_sampled, Confidence, SampleConfig, SamplePoint, Sampler,
 };
 use sfetch_trace::ArchCheckpoint;
 use sfetch_workloads::phased::{self, PhasedParams};
@@ -67,9 +66,10 @@ fn serialized_shard_split_merges_bit_identically() {
     let single = run_sampled(&img, EngineKind::Stream, pcfg, 5, total, &scfg);
 
     let mut sharded: Vec<SamplePoint> = Vec::new();
-    for index in 0..3u64 {
-        let spec = ShardSpec { index, count: 3 };
-        let range = window_range(windows, spec);
+    // Three contiguous window ranges covering every window.
+    let cuts = [0, windows / 3, 2 * windows / 3, windows];
+    for cut in cuts.windows(2) {
+        let range = cut[0]..cut[1];
         // The walk to this shard's boundary checkpoint.
         let mut walker = Sampler::new(&img, EngineKind::Stream, pcfg, scfg, 5);
         walker.skip(range.start);
