@@ -35,9 +35,10 @@
 //!
 //! With `--procs N` the grid runs under the **fleet supervisor**
 //! (`sfetch_fleet`) on up to N worker threads — the family run the
-//! resident daemon uses: cells are leased from a persistent ledger
-//! next to the store, failed, panicked or hung workers are retried with
-//! backoff, and a killed run resumes mid-grid on re-invocation.
+//! resident daemon uses: cells are leased to worker threads, their
+//! outcomes recorded in a ledger next to the store, failed, panicked or
+//! hung workers are retried at once, and a killed run resumes mid-grid
+//! on re-invocation.
 //! `--chaos SEED` injects deterministic worker faults to prove the
 //! merged output stays byte-identical. `--verify` reruns every cell
 //! through a **storeless** live sampler and asserts the merged result

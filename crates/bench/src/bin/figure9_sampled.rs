@@ -17,7 +17,7 @@
 //!
 //! With `--procs N` each benchmark's grid runs under the fleet
 //! supervisor (`sfetch_fleet`) on up to N worker threads: leased cells,
-//! retry/backoff on worker failures, resumable ledger. `--chaos`,
+//! retries on worker failures, resumable ledger. `--chaos`,
 //! `--max-retries` and `--cell-timeout` behave as in `figure8_sampled`.
 //! Exit status: 0 complete, 2 degraded (some cells permanently failed),
 //! 1 error.

@@ -152,9 +152,10 @@ fn config_tag(spec: &FleetGridSpec<'_>) -> u64 {
 
 /// Cells leased to one worker: `--batch`, or 1 under chaos (so the
 /// deterministic per-cell fault schedule keeps its meaning), at most
-/// `n_cells`. A group is same-range cells sharing one batched sweep,
-/// and that sweep already fans its windows across `--jobs` threads, so
-/// the default lease is every cell of the family in one group.
+/// `n_cells`. A group's cells share one batched sweep (every family's
+/// cells cover the same canonical window range), and that sweep already
+/// fans its windows across `--jobs` threads, so the default lease is
+/// every cell of the family in one group.
 pub fn lease_group(batch: usize, chaos: bool, n_cells: usize) -> usize {
     let cap = if chaos { 1 } else { batch };
     cap.min(n_cells).max(1)
@@ -218,18 +219,12 @@ where
     let work_dir = run.work_dir();
     std::fs::create_dir_all(&work_dir)
         .map_err(|e| FleetError::io("create fleet work dir", &work_dir, e))?;
-    let (mut ledger, resume) = Ledger::open(
-        work_dir.join("cells.ledger"),
-        run.tag,
-        cells,
-        now_ms(),
-        &validate_shard_text,
-    )?;
-    if resume.resumed_done > 0 || resume.expired_leases > 0 || resume.invalidated > 0 {
+    let (mut ledger, resume) =
+        Ledger::open(work_dir.join("cells.ledger"), run.tag, cells, &validate_shard_text)?;
+    if resume.resumed_done > 0 || resume.invalidated > 0 {
         log(&format!(
-            "resumed ledger — {} done cells kept, {} expired leases re-offered, \
-             {} invalidated outputs recomputed",
-            resume.resumed_done, resume.expired_leases, resume.invalidated
+            "resumed ledger — {} done cells kept, {} invalidated outputs recomputed",
+            resume.resumed_done, resume.invalidated
         ));
     }
     let mut cfg = FleetConfig::new(run.workers.min(cells.len()).max(1));

@@ -590,7 +590,8 @@ mod tests {
         let cell = GridCell { engine: EngineKind::Ev8, width: 4 };
         let body = format!("{}\n{}\n", point_line(cell, &point(0)), point_line(cell, &point(1)));
         sfetch_fleet::write_atomic(&path, &sfetch_fleet::seal(&body)).expect("atomic write");
-        assert!(!path.with_extension("part").exists(), "temp renamed away");
+        let files = std::fs::read_dir(&dir).expect("list dir").count();
+        assert_eq!(files, 1, "temp renamed away");
         let text = std::fs::read_to_string(&path).expect("read back");
         assert_eq!(parse_shard_file(&text).expect("sealed file parses").len(), 2);
         let _ = std::fs::remove_dir_all(&dir);

@@ -1,31 +1,38 @@
-//! The persistent **cell ledger**: one line-JSON event per state
-//! transition, replayed on open.
+//! The persistent **cell ledger**: one line-JSON event per recorded
+//! outcome, replayed on open.
 //!
 //! The ledger is the fleet's single source of truth for which work is
 //! done. Each cell walks the state machine
 //!
 //! ```text
-//! Pending ──lease──▶ Leased(worker, deadline)
-//!    ▲                   │ complete        │ fail (attempts ≤ budget)
-//!    │                   ▼                 ▼
-//!    │                 Done(digest)     Pending(attempts, backoff)
-//!    │                                     │ fail (budget exhausted)
-//!    └── lease expiry ◀── crash ──┘        ▼
-//!                                       Failed(attempts)
+//!              done
+//! Pending(a) ───────▶ Done(digest)
+//!   │    ▲
+//!   │    └─ fail, a + 1 ≤ budget: Pending(a + 1)
+//!   └─ fail, a + 1 > budget ──▶ Failed(a + 1)
 //! ```
 //!
-//! and every transition is **appended** to the ledger file before it
-//! takes effect in memory, so the on-disk event log replayed from the
-//! top always reproduces the in-memory state (asserted by proptest in
-//! `tests/tests/fleet_ledger.rs`). Crash recovery falls out of replay:
+//! and only outcomes are recorded: each `done` and `fail` is
+//! **appended** to the ledger file before it takes effect in memory, so
+//! the on-disk event log replayed from the top always reproduces the
+//! in-memory state (asserted by proptest in
+//! `tests/tests/fleet_ledger.rs`). Which worker holds a `Pending` cell
+//! right now is not the ledger's business: the supervisor keeps its
+//! leases in memory, because every worker is a thread of the process
+//! that leased it and no lease can outlive that process. Crash recovery
+//! falls out of replay:
 //!
-//! * a lease whose deadline has passed is re-offered (the worker — or
-//!   the whole parent — died mid-cell; attempts are *not* charged for
-//!   an interrupted lease);
+//! * a cell that was running when the process died is still `Pending`
+//!   at its attempt count, so the next run offers it at once (an
+//!   interrupted attempt is not charged);
 //! * a `Done` cell's recorded output file is re-read and re-verified
 //!   against its recorded digest on open; if it still verifies the cell
 //!   is skipped entirely (zero recompute on resume), otherwise it is
 //!   demoted to `Pending` and recomputed.
+//!
+//! Ledgers written by older builds also hold `lease` lines and a retry
+//! backoff time on each `fail` line; replay ignores both, so such a
+//! store resumes under the same schema tag with nothing recomputed.
 //!
 //! Events are written by [`sfetch_obs::Row`] and replayed through
 //! [`sfetch_obs::Obj`], the workspace's one line-JSON codec: free text
@@ -52,23 +59,11 @@ pub const LEDGER_SCHEMA: &str = "sfetch-fleet-ledger-v1";
 /// The per-cell state machine.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum CellState {
-    /// Not yet run (or re-offered after a failure/expired lease).
+    /// Not yet run, re-offered after a failure, or interrupted by a
+    /// process that died mid-cell.
     Pending {
         /// Failures charged so far.
         attempts: u32,
-        /// Earliest wall-clock ms the cell may be leased again
-        /// (retry backoff; 0 = immediately).
-        not_before_ms: u64,
-    },
-    /// A worker holds the cell until `deadline_ms`.
-    Leased {
-        /// Worker identity (process id).
-        worker: u64,
-        /// Attempt index this lease runs (= failures so far).
-        attempt: u32,
-        /// Wall-clock ms at which the lease expires and the cell is
-        /// re-offered.
-        deadline_ms: u64,
     },
     /// Verified output exists. Terminal (skipped on resume).
     Done {
@@ -90,9 +85,13 @@ pub enum CellState {
 }
 
 impl CellState {
-    /// Whether the cell needs no further work (`Done` or `Failed`).
-    pub fn is_terminal(&self) -> bool {
-        matches!(self, CellState::Done { .. } | CellState::Failed { .. })
+    /// Failures charged so far, in any state.
+    fn attempts(&self) -> u32 {
+        match *self {
+            CellState::Pending { attempts }
+            | CellState::Done { attempts, .. }
+            | CellState::Failed { attempts, .. } => attempts,
+        }
     }
 }
 
@@ -104,9 +103,6 @@ pub struct ResumeSummary {
     /// `Done` cells whose output was missing/corrupt — demoted to
     /// `Pending` and recomputed.
     pub invalidated: u64,
-    /// Leases that had expired (worker or parent died mid-cell) and
-    /// were re-offered.
-    pub expired_leases: u64,
     /// Events replayed from the file.
     pub replayed_events: u64,
 }
@@ -119,16 +115,22 @@ struct CellRecord {
     text: Option<String>,
 }
 
+impl CellRecord {
+    fn pending() -> Self {
+        CellRecord { state: CellState::Pending { attempts: 0 }, out: None, text: None }
+    }
+}
+
 /// The file-backed cell ledger. See the module docs for semantics.
 pub struct Ledger {
     file: JsonlFile,
     /// Open-addressed record table — `state`/`record_mut` lookups land
-    /// once per supervisor poll per cell. Iteration-order determinism
+    /// once per supervisor claim per cell. Iteration-order determinism
     /// lives in `order`, not the table.
     cells: OpenMap<CellId, CellRecord>,
-    /// The opened cell set in sorted order: `cells()`, `next_claimable`
-    /// and the final report all walk this, so claiming stays
-    /// reproducible run to run.
+    /// The opened cell set in sorted order: `cells()` — and so the
+    /// supervisor's claims and the final report — walk this, so claiming
+    /// stays reproducible run to run.
     order: Vec<CellId>,
 }
 
@@ -148,7 +150,6 @@ impl Ledger {
         path: impl Into<PathBuf>,
         config: u64,
         cells: &[CellId],
-        now_ms: u64,
         validate: &dyn Fn(&str) -> Result<u64, String>,
     ) -> Result<(Self, ResumeSummary), FleetError> {
         let path = path.into();
@@ -199,37 +200,23 @@ impl Ledger {
         order.dedup();
         let mut resolved: OpenMap<CellId, CellRecord> = OpenMap::with_capacity(order.len());
         for cell in &order {
-            let mut rec = replayed.remove(cell).unwrap_or(CellRecord {
-                state: CellState::Pending { attempts: 0, not_before_ms: 0 },
-                out: None,
-                text: None,
-            });
-            match &rec.state {
-                CellState::Leased { attempt, deadline_ms, .. } if *deadline_ms <= now_ms => {
-                    // Worker (or parent) died mid-cell: re-offer without
-                    // charging the interrupted attempt.
-                    summary.expired_leases += 1;
-                    rec.state = CellState::Pending { attempts: *attempt, not_before_ms: 0 };
-                }
-                CellState::Done { digest, attempts, .. } => {
-                    let verified = rec.out.as_ref().and_then(|out| {
-                        let text = std::fs::read_to_string(out).ok()?;
-                        (validate(&text) == Ok(*digest)).then_some(text)
-                    });
-                    match verified {
-                        Some(text) => {
-                            summary.resumed_done += 1;
-                            rec.text = Some(text);
-                        }
-                        None => {
-                            summary.invalidated += 1;
-                            rec.state =
-                                CellState::Pending { attempts: *attempts, not_before_ms: 0 };
-                            rec.out = None;
-                        }
+            let mut rec = replayed.remove(cell).unwrap_or_else(CellRecord::pending);
+            if let CellState::Done { digest, attempts, .. } = &rec.state {
+                let verified = rec.out.as_ref().and_then(|out| {
+                    let text = std::fs::read_to_string(out).ok()?;
+                    (validate(&text) == Ok(*digest)).then_some(text)
+                });
+                match verified {
+                    Some(text) => {
+                        summary.resumed_done += 1;
+                        rec.text = Some(text);
+                    }
+                    None => {
+                        summary.invalidated += 1;
+                        rec.state = CellState::Pending { attempts: *attempts };
+                        rec.out = None;
                     }
                 }
-                _ => {}
             }
             resolved.insert(cell.clone(), rec);
         }
@@ -244,27 +231,13 @@ impl Ledger {
             return Ok(()); // A re-opened ledger re-appends nothing; ignore.
         }
         let cell = CellId::parse(obj.s("cell")?)?;
-        let rec = map.entry_or_insert(
-            cell,
-            CellRecord {
-                state: CellState::Pending { attempts: 0, not_before_ms: 0 },
-                out: None,
-                text: None,
-            },
-        );
+        let rec = map.entry_or_insert(cell, CellRecord::pending());
         match ev {
-            "lease" => {
-                rec.state = CellState::Leased {
-                    worker: obj.u("worker")?,
-                    attempt: obj.u("attempt")?,
-                    deadline_ms: obj.u("deadline_ms")?,
-                };
-            }
+            // Older builds persisted leases; a lease never changed what
+            // was computed, so the cell stays at its attempt count.
+            "lease" => {}
             "done" => {
-                let attempts = match rec.state {
-                    CellState::Leased { attempt, .. } => attempt,
-                    _ => 0,
-                };
+                let attempts = rec.state.attempts();
                 let (digest, dur_ms) = (obj.u("digest")?, obj.u("dur_ms")?);
                 rec.state = CellState::Done { digest, attempts, dur_ms };
                 rec.out = optional(obj.s("out"))?.map(PathBuf::from);
@@ -275,8 +248,7 @@ impl Ledger {
                     let last_error = optional(obj.s("why"))?.unwrap_or_default().to_owned();
                     rec.state = CellState::Failed { attempts, last_error };
                 } else {
-                    let not_before_ms = obj.u("not_before_ms")?;
-                    rec.state = CellState::Pending { attempts, not_before_ms };
+                    rec.state = CellState::Pending { attempts };
                 }
             }
             other => return Err(format!("unknown event {other:?}")),
@@ -291,11 +263,7 @@ impl Ledger {
     }
 
     fn record_mut(&mut self, cell: &CellId) -> Result<&mut CellRecord, FleetError> {
-        // Split borrow dance: look up existence first for a clean error.
-        if !self.cells.contains_key(cell) {
-            return Err(FleetError::UnknownCell(cell.to_string()));
-        }
-        Ok(self.cells.get_mut(cell).expect("checked above"))
+        self.cells.get_mut(cell).ok_or_else(|| FleetError::UnknownCell(cell.to_string()))
     }
 
     /// The ledger file's path.
@@ -326,109 +294,11 @@ impl Ledger {
         self.cells.get(cell).and_then(|r| r.text.as_deref())
     }
 
-    /// The next cell a worker may claim at `now_ms`: `Pending` past its
-    /// backoff, or a lease that expired in-run. Deterministic
-    /// (cell order) so runs are reproducible.
-    pub fn next_claimable(&self, now_ms: u64) -> Option<CellId> {
-        self.order
-            .iter()
-            .find(|c| {
-                match self.cells.get(*c).map(|r| &r.state) {
-                    Some(CellState::Pending { not_before_ms, .. }) => *not_before_ms <= now_ms,
-                    Some(CellState::Leased { deadline_ms, .. }) => *deadline_ms <= now_ms,
-                    _ => false,
-                }
-            })
-            .cloned()
-    }
-
-    /// The earliest future wall-clock ms at which a currently
-    /// unclaimable, non-terminal cell becomes claimable (backoff expiry
-    /// or lease deadline). `None` when nothing is waiting on time.
-    pub fn next_wakeup_ms(&self, now_ms: u64) -> Option<u64> {
-        self.cells
-            .values()
-            .filter_map(|r| match r.state {
-                CellState::Pending { not_before_ms, .. } if not_before_ms > now_ms => {
-                    Some(not_before_ms)
-                }
-                CellState::Leased { deadline_ms, .. } if deadline_ms > now_ms => Some(deadline_ms),
-                _ => None,
-            })
-            .min()
-    }
-
-    /// Leases `cell` to `worker` until `deadline_ms`, returning the
-    /// attempt index the worker should run.
+    /// Marks a `Pending` cell `Done` with its verified output.
     ///
     /// # Errors
     ///
-    /// [`FleetError::BadTransition`] when the cell is terminal, still
-    /// inside its retry backoff, or validly leased to another worker
-    /// (**double-lease exclusion** — only an *expired* lease may be
-    /// re-leased).
-    pub fn lease(
-        &mut self,
-        cell: &CellId,
-        worker: u64,
-        deadline_ms: u64,
-        now_ms: u64,
-    ) -> Result<u32, FleetError> {
-        let rec = self.record_mut(cell)?;
-        let attempt = match &rec.state {
-            CellState::Pending { attempts, not_before_ms } => {
-                if *not_before_ms > now_ms {
-                    return Err(FleetError::BadTransition {
-                        cell: cell.to_string(),
-                        err: format!(
-                            "in retry backoff for another {}ms",
-                            *not_before_ms - now_ms
-                        ),
-                    });
-                }
-                *attempts
-            }
-            CellState::Leased { worker: w, deadline_ms: d, attempt } => {
-                if *d > now_ms {
-                    return Err(FleetError::BadTransition {
-                        cell: cell.to_string(),
-                        err: format!("already leased to worker {w} until {d}ms"),
-                    });
-                }
-                *attempt // expired: re-offer without charging the attempt
-            }
-            CellState::Done { .. } => {
-                return Err(FleetError::BadTransition {
-                    cell: cell.to_string(),
-                    err: "already done".into(),
-                })
-            }
-            CellState::Failed { .. } => {
-                return Err(FleetError::BadTransition {
-                    cell: cell.to_string(),
-                    err: "permanently failed".into(),
-                })
-            }
-        };
-        self.append(
-            Row::new()
-                .s("ev", "lease")
-                .s("cell", &cell.to_string())
-                .u("worker", worker)
-                .u("attempt", u64::from(attempt))
-                .u("deadline_ms", deadline_ms),
-        )?;
-        self.record_mut(cell)?.state = CellState::Leased { worker, attempt, deadline_ms };
-        Ok(attempt)
-    }
-
-    /// Marks a leased cell `Done` with its verified output.
-    ///
-    /// # Errors
-    ///
-    /// [`FleetError::BadTransition`] unless the cell is `Leased` (a
-    /// completion may land slightly after its deadline — the work is
-    /// valid either way, so expiry is not checked here).
+    /// [`FleetError::BadTransition`] unless the cell is `Pending`.
     pub fn complete(
         &mut self,
         cell: &CellId,
@@ -437,16 +307,7 @@ impl Ledger {
         dur_ms: u64,
         text: String,
     ) -> Result<(), FleetError> {
-        let rec = self.record_mut(cell)?;
-        let attempts = match &rec.state {
-            CellState::Leased { attempt, .. } => *attempt,
-            other => {
-                return Err(FleetError::BadTransition {
-                    cell: cell.to_string(),
-                    err: format!("complete() requires a lease, state is {other:?}"),
-                })
-            }
-        };
+        let attempts = self.pending_attempts(cell, "complete")?;
         self.append(
             Row::new()
                 .s("ev", "done")
@@ -462,66 +323,43 @@ impl Ledger {
         Ok(())
     }
 
-    /// Charges a failure against a leased cell: back to `Pending` with
-    /// `not_before_ms` backoff, or `Failed` once more than
+    /// Charges a failure against a `Pending` cell: it stays `Pending`,
+    /// one attempt further on, or becomes `Failed` once more than
     /// `max_retries` failures accrue. Returns whether the failure was
     /// permanent.
     ///
     /// # Errors
     ///
-    /// [`FleetError::BadTransition`] unless the cell is `Leased`.
-    pub fn fail(
-        &mut self,
-        cell: &CellId,
-        why: &str,
-        not_before_ms: u64,
-        max_retries: u32,
-    ) -> Result<bool, FleetError> {
-        let rec = self.record_mut(cell)?;
-        let attempts = match &rec.state {
-            CellState::Leased { attempt, .. } => *attempt + 1,
-            other => {
-                return Err(FleetError::BadTransition {
-                    cell: cell.to_string(),
-                    err: format!("fail() requires a lease, state is {other:?}"),
-                })
-            }
-        };
+    /// [`FleetError::BadTransition`] unless the cell is `Pending`.
+    pub fn fail(&mut self, cell: &CellId, why: &str, max_retries: u32) -> Result<bool, FleetError> {
+        let attempts = self.pending_attempts(cell, "fail")? + 1;
         let permanent = attempts > max_retries;
         self.append(
             Row::new()
                 .s("ev", "fail")
                 .s("cell", &cell.to_string())
                 .u("attempts", u64::from(attempts))
-                .u("not_before_ms", not_before_ms)
                 .b("permanent", permanent)
                 .s("why", why),
         )?;
         self.record_mut(cell)?.state = if permanent {
             CellState::Failed { attempts, last_error: why.to_owned() }
         } else {
-            CellState::Pending { attempts, not_before_ms }
+            CellState::Pending { attempts }
         };
         Ok(permanent)
     }
 
-    /// (pending, leased, done, failed) cell counts.
-    pub fn counts(&self) -> (usize, usize, usize, usize) {
-        let mut c = (0, 0, 0, 0);
-        for r in self.cells.values() {
-            match r.state {
-                CellState::Pending { .. } => c.0 += 1,
-                CellState::Leased { .. } => c.1 += 1,
-                CellState::Done { .. } => c.2 += 1,
-                CellState::Failed { .. } => c.3 += 1,
-            }
+    /// The attempt count of a `Pending` cell — the one state `op` may
+    /// record an outcome from.
+    fn pending_attempts(&self, cell: &CellId, op: &str) -> Result<u32, FleetError> {
+        match self.state(cell)? {
+            CellState::Pending { attempts } => Ok(*attempts),
+            other => Err(FleetError::BadTransition {
+                cell: cell.to_string(),
+                err: format!("{op}() requires a pending cell, state is {other:?}"),
+            }),
         }
-        c
-    }
-
-    /// Whether every cell is terminal (`Done` or `Failed`).
-    pub fn all_terminal(&self) -> bool {
-        self.cells.values().all(|r| r.state.is_terminal())
     }
 }
 
@@ -549,59 +387,60 @@ mod tests {
         let dir = tmp("happy");
         let cells = cells2();
         let (mut led, summary) =
-            Ledger::open(dir.join("l.ledger"), 7, &cells, 1000, &no_validate).expect("open");
+            Ledger::open(dir.join("l.ledger"), 7, &cells, &no_validate).expect("open");
         assert_eq!(summary, ResumeSummary::default());
-        assert_eq!(led.next_claimable(1000), Some(cells[0].clone()));
-
-        let attempt = led.lease(&cells[0], 42, 5000, 1000).expect("lease");
-        assert_eq!(attempt, 0);
-        // Double-lease exclusion while the lease is live.
-        assert!(matches!(
-            led.lease(&cells[0], 43, 5000, 2000),
-            Err(FleetError::BadTransition { .. })
-        ));
-        // The other cell is still claimable.
-        assert_eq!(led.next_claimable(1000), Some(cells[1].clone()));
+        assert_eq!(led.cells().collect::<Vec<_>>(), [&cells[0], &cells[1]]);
+        assert!(matches!(led.state(&cells[0]), Ok(CellState::Pending { attempts: 0 })));
 
         let out = dir.join("c0.json");
         std::fs::write(&out, "body").expect("write out");
         led.complete(&cells[0], 99, &out, 123, "body".into()).expect("complete");
         assert!(matches!(led.state(&cells[0]), Ok(CellState::Done { digest: 99, .. })));
         assert_eq!(led.done_text(&cells[0]), Some("body"));
-        // Terminal cells cannot be leased again.
-        assert!(led.lease(&cells[0], 44, 9000, 6000).is_err());
+        // Terminal cells take no further outcome.
+        assert!(matches!(
+            led.complete(&cells[0], 99, &out, 1, "body".into()),
+            Err(FleetError::BadTransition { .. })
+        ));
+        assert!(led.fail(&cells[0], "late", 3).is_err());
+        assert!(matches!(
+            led.fail(&CellId::new("nope", 4, 0, 2), "x", 3),
+            Err(FleetError::UnknownCell(_))
+        ));
         let _ = std::fs::remove_dir_all(&dir);
     }
 
     #[test]
-    fn expired_lease_is_reoffered_and_failures_accrue() {
-        let dir = tmp("expiry");
+    fn older_lease_lines_are_ignored_and_failures_accrue() {
+        let dir = tmp("accrue");
         let cells = cells2();
-        let (mut led, _) =
-            Ledger::open(dir.join("l.ledger"), 7, &cells, 0, &no_validate).expect("open");
-        led.lease(&cells[0], 1, 100, 0).expect("lease");
-        // Deadline passed: claimable again, attempt not charged.
-        assert_eq!(led.next_claimable(100), Some(cells[0].clone()));
-        assert_eq!(led.lease(&cells[0], 2, 300, 150).expect("re-lease"), 0);
+        let path = dir.join("l.ledger");
+        // What an older build left behind when it was killed: a failure
+        // with a retry backoff, then a lease on the retry whose deadline
+        // is far away.
+        let cell = cells[0].to_string();
+        let open = Row::new().s("ev", "open").s("schema", LEDGER_SCHEMA).u("config", 7);
+        let fail = Row::new().s("ev", "fail").s("cell", &cell).u("attempts", 1);
+        let lease = Row::new().s("ev", "lease").s("cell", &cell).u("worker", 9).u("attempt", 1);
+        let lines = [
+            open.u("cells", 2).finish(),
+            fail.u("not_before_ms", 500).b("permanent", false).s("why", "boom").finish(),
+            lease.u("deadline_ms", u64::MAX).finish(),
+        ];
+        std::fs::write(&path, lines.join("\n") + "\n").expect("write older ledger");
+        let (mut led, summary) = Ledger::open(&path, 7, &cells, &no_validate).expect("open");
+        assert_eq!(summary.replayed_events, 2);
+        assert!(matches!(led.state(&cells[0]), Ok(CellState::Pending { attempts: 1 })));
 
-        // Two failures with backoff, third is permanent at max_retries=2.
-        led.fail(&cells[0], "boom", 500, 2).expect("fail 1");
-        assert!(matches!(
-            led.state(&cells[0]),
-            Ok(CellState::Pending { attempts: 1, not_before_ms: 500 })
-        ));
-        // Backoff respected.
-        assert!(led.lease(&cells[0], 3, 900, 400).is_err());
-        led.lease(&cells[0], 3, 900, 500).expect("after backoff");
-        led.fail(&cells[0], "boom again", 1200, 2).expect("fail 2");
-        led.lease(&cells[0], 4, 2000, 1200).expect("lease 3");
-        let permanent = led.fail(&cells[0], "final boom", 3000, 2).expect("fail 3");
-        assert!(permanent);
-        assert!(matches!(
-            led.state(&cells[0]),
-            Ok(CellState::Failed { attempts: 3, .. })
-        ));
-        assert_eq!(led.next_claimable(10_000), Some(cells[1].clone()));
+        // Two more failures: the third is permanent at max_retries = 2.
+        assert!(!led.fail(&cells[0], "boom again", 2).expect("fail 2"));
+        assert!(matches!(led.state(&cells[0]), Ok(CellState::Pending { attempts: 2 })));
+        assert!(led.fail(&cells[0], "final boom", 2).expect("fail 3"));
+        assert!(matches!(led.state(&cells[0]), Ok(CellState::Failed { attempts: 3, .. })));
+        assert!(matches!(led.state(&cells[1]), Ok(CellState::Pending { attempts: 0 })));
+        drop(led);
+        let text = std::fs::read_to_string(&path).expect("read ledger");
+        assert_eq!(text.matches("\"ev\":\"lease\"").count(), 1, "no lease is appended: {text}");
         let _ = std::fs::remove_dir_all(&dir);
     }
 
@@ -617,24 +456,24 @@ mod tests {
             |text: &str| -> Result<u64, String> { Ok(crate::fnv64(text.as_bytes())) };
         let digest = crate::fnv64(body.as_bytes());
         {
-            let (mut led, _) = Ledger::open(&path, 7, &cells, 0, &validate).expect("open");
-            led.lease(&cells[0], 1, 10_000, 0).expect("lease");
+            let (mut led, _) = Ledger::open(&path, 7, &cells, &validate).expect("open");
+            led.fail(&cells[0], "boom", 3).expect("fail");
             led.complete(&cells[0], digest, &out, 5, body.into()).expect("complete");
-            led.lease(&cells[1], 2, 50, 0).expect("lease 2");
-            // Parent "crashes" here: cells[1]'s lease will have expired.
+            led.fail(&cells[1], "boom", 3).expect("fail 2");
+            // Parent "crashes" here, mid-way through cells[1]'s retry.
         }
-        let (led, summary) = Ledger::open(&path, 7, &cells, 1_000, &validate).expect("reopen");
+        let (led, summary) = Ledger::open(&path, 7, &cells, &validate).expect("reopen");
         assert_eq!(summary.resumed_done, 1);
-        assert_eq!(summary.expired_leases, 1);
         assert_eq!(summary.invalidated, 0);
         assert_eq!(led.done_text(&cells[0]), Some(body));
-        assert!(matches!(led.state(&cells[1]), Ok(CellState::Pending { attempts: 0, .. })));
+        assert!(matches!(led.state(&cells[0]), Ok(CellState::Done { attempts: 1, .. })));
+        assert!(matches!(led.state(&cells[1]), Ok(CellState::Pending { attempts: 1 })));
 
         // Corrupt the recorded output: resume must demote to Pending.
         std::fs::write(&out, "rotted").expect("corrupt out");
-        let (led, summary) = Ledger::open(&path, 7, &cells, 2_000, &validate).expect("reopen 2");
+        let (led, summary) = Ledger::open(&path, 7, &cells, &validate).expect("reopen 2");
         assert_eq!(summary.invalidated, 1);
-        assert!(matches!(led.state(&cells[0]), Ok(CellState::Pending { .. })));
+        assert!(matches!(led.state(&cells[0]), Ok(CellState::Pending { attempts: 1 })));
         let _ = std::fs::remove_dir_all(&dir);
     }
 
@@ -644,12 +483,12 @@ mod tests {
         let cells = cells2();
         let path = dir.join("l.ledger");
         {
-            let (mut led, _) = Ledger::open(&path, 7, &cells, 0, &no_validate).expect("open");
-            led.lease(&cells[0], 1, 100, 0).expect("lease");
+            let (mut led, _) = Ledger::open(&path, 7, &cells, &no_validate).expect("open");
+            led.fail(&cells[0], "boom", 3).expect("fail");
         }
-        let (led, summary) = Ledger::open(&path, 8, &cells, 0, &no_validate).expect("reopen");
+        let (led, summary) = Ledger::open(&path, 8, &cells, &no_validate).expect("reopen");
         assert_eq!(summary.replayed_events, 0, "different config starts fresh");
-        assert!(matches!(led.state(&cells[0]), Ok(CellState::Pending { attempts: 0, .. })));
+        assert!(matches!(led.state(&cells[0]), Ok(CellState::Pending { attempts: 0 })));
         assert!(path.with_extension("ledger.stale").exists(), "old ledger rotated aside");
         let _ = std::fs::remove_dir_all(&dir);
     }
@@ -661,11 +500,10 @@ mod tests {
         let path = dir.join("l.ledger");
         let why = "child said \"no\"\nand \\ dumped\ta \x1b[31mstack\r";
         {
-            let (mut led, _) = Ledger::open(&path, 7, &cells, 0, &no_validate).expect("open");
-            led.lease(&cells[0], 1, 100, 0).expect("lease");
-            led.fail(&cells[0], why, 0, 0).expect("fail permanently");
+            let (mut led, _) = Ledger::open(&path, 7, &cells, &no_validate).expect("open");
+            led.fail(&cells[0], why, 0).expect("fail permanently");
         }
-        let (led, _) = Ledger::open(&path, 7, &cells, 0, &no_validate).expect("reopen");
+        let (led, _) = Ledger::open(&path, 7, &cells, &no_validate).expect("reopen");
         match led.state(&cells[0]).expect("state") {
             CellState::Failed { last_error, .. } => assert_eq!(last_error, why),
             other => panic!("expected Failed, got {other:?}"),
@@ -683,12 +521,11 @@ mod tests {
         std::fs::write(&out, body).expect("write out");
         let validate = |text: &str| -> Result<u64, String> { Ok(crate::fnv64(text.as_bytes())) };
         {
-            let (mut led, _) = Ledger::open(&path, 7, &cells, 0, &validate).expect("open");
-            led.lease(&cells[0], 1, 10_000, 0).expect("lease");
+            let (mut led, _) = Ledger::open(&path, 7, &cells, &validate).expect("open");
             led.complete(&cells[0], crate::fnv64(body.as_bytes()), &out, 5, body.into())
                 .expect("complete");
         }
-        let (led, summary) = Ledger::open(&path, 7, &cells, 1_000, &validate).expect("reopen");
+        let (led, summary) = Ledger::open(&path, 7, &cells, &validate).expect("reopen");
         assert_eq!(summary.resumed_done, 1, "the recorded path must name the same file");
         assert_eq!(summary.invalidated, 0);
         assert_eq!(led.done_text(&cells[0]), Some(body));

@@ -19,21 +19,21 @@
 //!   workload and the checkpoint store, so running a cell twice
 //!   produces byte-identical output.
 //! * [`Ledger`] — the persistent cell state machine, one line-JSON
-//!   event per transition: `Pending → Leased(worker, deadline) →
-//!   Done(digest) | Failed(attempts)`. Leases expire on deadline, so a
-//!   crashed or hung worker's cells are re-offered; `Done` cells are
-//!   skipped on restart (their verified output is reloaded from disk),
-//!   so a `SIGKILL`ed run resumes mid-grid for free.
-//! * [`Supervisor`](supervisor::run_fleet) — the worker pool: runs up
-//!   to `procs` leased cell groups, each on a worker thread of this
-//!   process, and waits on one completion channel for their results;
-//!   enforces per-lease deadlines derived from observed cell durations
-//!   (p95 × k with a floor), detaches and re-leases stragglers, retries
-//!   failed cells with capped exponential backoff + deterministic
-//!   jitter, writes each validated output atomically next to the
-//!   ledger, and degrades gracefully: after the retry budget, a cell is
-//!   marked `Failed` and the run completes over the remaining cells
-//!   with an explicit incomplete count instead of panicking.
+//!   event per recorded outcome: `Pending(attempts) → Done(digest) |
+//!   Failed(attempts)`. `Done` cells are skipped on restart (their
+//!   verified output is reloaded from disk), and a cell that was running
+//!   when its process died is still `Pending`, so a `SIGKILL`ed run
+//!   resumes mid-grid at once.
+//! * [`Supervisor`](supervisor::run_fleet) — the worker pool: leases up
+//!   to `procs` cell groups, each to a worker thread of this process,
+//!   holding the leases in memory (no lease outlives the process), and
+//!   waits on one completion channel for their results; enforces
+//!   per-lease deadlines derived from observed cell durations (p95 × k
+//!   with a floor), detaches stragglers, re-offers failed cells at once,
+//!   writes each validated output atomically next to the ledger, and
+//!   degrades gracefully: after the retry budget, a cell is marked
+//!   `Failed` and the run completes over the remaining cells with an
+//!   explicit incomplete count instead of panicking.
 //! * [`trailer`] — the end-of-text checksum trailer every worker output
 //!   carries, so a truncated or corrupt output is *detected and the
 //!   cell re-run* rather than silently merged short.
@@ -69,9 +69,9 @@ pub use supervisor::{run_fleet, write_atomic, CellDone, FleetConfig, FleetReport
 pub use sfetch_tab::fnv64;
 pub use trailer::{seal, unseal, TrailerError};
 
-/// Milliseconds since the Unix epoch — the wall-clock the ledger
-/// persists (leases must stay meaningful across process restarts, so
-/// a monotonic in-process clock is not enough).
+/// Milliseconds since the Unix epoch. It timestamps supervisor events
+/// and measures deadlines within one run; the ledger persists no time,
+/// because no lease has to outlive the process that holds it.
 pub fn now_ms() -> u64 {
     std::time::SystemTime::now()
         .duration_since(std::time::SystemTime::UNIX_EPOCH)

@@ -5,17 +5,21 @@
 //! supervisor instead treats workers as cattle:
 //!
 //! * keeps up to `procs` worker threads running, leasing each the next
-//!   claimable cell group from the [`Ledger`];
+//!   group of claimable cells: `Pending` in the [`Ledger`] and held by
+//!   no live worker. Leases live only in this loop's memory — every
+//!   worker is a thread of this process, so no lease can outlive it, and
+//!   a process killed mid-run leaves its cells `Pending` for the next
+//!   run to take at once;
 //! * runs each group's worker body on a thread of its own, which sends
 //!   `(worker id, result)` on one channel when the body returns (a panic
 //!   becomes `Err("worker panicked")`), and blocks on that channel until
-//!   a completion, the earliest lease deadline or the earliest retry
-//!   backoff expiry — nothing polls;
+//!   a completion or the earliest lease deadline — nothing polls;
 //! * enforces a per-lease deadline adapted from observed durations
-//!   (p95 × `timeout_mult`, floored) — the one hang detector;
+//!   (p95 × `TIMEOUT_MULT` = 4, floored) — the one hang detector;
 //! * on any failure — an `Err` result, a missing or rejected output, a
-//!   missed deadline — charges the cell a failure, re-offering it after
-//!   capped exponential backoff with deterministic jitter;
+//!   missed deadline — charges the cell a failure on the ledger and
+//!   re-offers it at once (a cell's output depends only on the cell, so
+//!   waiting before a retry buys nothing);
 //! * **trusts the worker's verdict over its output**: a body that
 //!   returns `Err` fails every cell it was leased, whatever it computed
 //!   (the worker may know something the text doesn't);
@@ -27,8 +31,8 @@
 //!   an explicit incomplete list instead of panicking.
 //!
 //! A thread cannot be killed: a worker past its deadline is detached,
-//! its cells are charged as usual, and whatever it sends later is
-//! dropped by its worker id.
+//! its cells are charged and re-offered as usual, and whatever it sends
+//! later is dropped by its worker id.
 
 use std::panic::{self, AssertUnwindSafe};
 use std::path::{Path, PathBuf};
@@ -41,7 +45,6 @@ use sfetch_obs::{JsonlFile, Row};
 
 use crate::cell::CellId;
 use crate::error::FleetError;
-use crate::fnv64;
 use crate::ledger::{CellState, Ledger, ResumeSummary};
 use crate::now_ms;
 
@@ -59,12 +62,6 @@ pub struct FleetConfig {
     pub timeout_floor_ms: u64,
     /// Per-cell timeout before enough durations are observed, ms.
     pub timeout_initial_ms: u64,
-    /// Multiplier over the observed p95 cell duration.
-    pub timeout_mult: f64,
-    /// Base of the exponential retry backoff, ms.
-    pub backoff_base_ms: u64,
-    /// Cap on the exponential retry backoff, ms.
-    pub backoff_cap_ms: u64,
     /// Request tag stamped (as `"req"`) on every event this run writes
     /// to `events.jsonl`, so a resident daemon's interleaved requests
     /// can be teased apart from one shared log. Empty = untagged
@@ -76,12 +73,12 @@ pub struct FleetConfig {
     /// daemon's event history stays bounded at ~2× the cap. `0`
     /// disables rotation.
     pub events_cap_bytes: u64,
-    /// Maximum **compatible** cells leased to one worker as a group
-    /// (`1` = classic per-cell leasing). Cells are compatible when they
-    /// cover the same window range, so one worker can drive them all
-    /// from a single shared sweep (`--batch`). Each cell of a group
-    /// still completes or fails individually on the ledger; a worker
-    /// crash/timeout charges every cell it was leased.
+    /// Maximum cells leased to one worker as a group (`1` = classic
+    /// per-cell leasing), so one worker can drive them all from a single
+    /// shared sweep (`--batch`); the caller hands in cells one sweep can
+    /// run together. Each cell of a group still completes or fails
+    /// individually on the ledger; a worker crash/timeout charges every
+    /// cell it was leased.
     pub group: usize,
 }
 
@@ -93,9 +90,6 @@ impl FleetConfig {
             max_retries: 3,
             timeout_floor_ms: 20_000,
             timeout_initial_ms: 600_000,
-            timeout_mult: 4.0,
-            backoff_base_ms: 200,
-            backoff_cap_ms: 10_000,
             req: String::new(),
             events_cap_bytes: 8 << 20,
             group: 1,
@@ -163,9 +157,13 @@ impl FleetReport {
     }
 }
 
-/// Per-cell timeout from observed durations: `p95 × mult` once at least
-/// three cells have completed, floored; the generous initial guess
-/// before that.
+/// Multiplier over the observed p95 cell duration that sets a lease's
+/// deadline.
+const TIMEOUT_MULT: u64 = 4;
+
+/// Per-cell timeout from observed durations: `p95 × TIMEOUT_MULT` once
+/// at least three cells have completed, floored; the generous initial
+/// guess before that.
 fn cell_timeout_ms(cfg: &FleetConfig, durations: &[u64]) -> u64 {
     if durations.len() < 3 {
         return cfg.timeout_initial_ms.max(cfg.timeout_floor_ms);
@@ -174,31 +172,19 @@ fn cell_timeout_ms(cfg: &FleetConfig, durations: &[u64]) -> u64 {
     sorted.sort_unstable();
     let idx = ((sorted.len() as f64 * 0.95).ceil() as usize).clamp(1, sorted.len()) - 1;
     let p95 = sorted[idx];
-    ((p95 as f64 * cfg.timeout_mult) as u64).max(cfg.timeout_floor_ms)
-}
-
-/// Capped exponential backoff with deterministic jitter: the jitter is
-/// hashed from (cell, attempt), so reruns reproduce their schedule and
-/// simultaneous failers do not re-arrive in lockstep.
-fn backoff_ms(cfg: &FleetConfig, cell: &CellId, attempts: u32) -> u64 {
-    let exp = cfg
-        .backoff_base_ms
-        .saturating_mul(1u64 << (attempts.saturating_sub(1)).min(20))
-        .min(cfg.backoff_cap_ms);
-    let jitter_span = cfg.backoff_base_ms / 2 + 1;
-    let jitter = fnv64(format!("{cell}\u{1f}{attempts}").as_bytes()) % jitter_span;
-    exp + jitter
+    p95.saturating_mul(TIMEOUT_MULT).max(cfg.timeout_floor_ms)
 }
 
 /// Writes `text` to `path` **atomically** (temp sibling + rename), so a
 /// reader never observes a half-written cell output and a died writer
-/// leaves either nothing or a complete file.
+/// leaves either nothing or a complete file. The temp name carries the
+/// process id, so two processes writing the same cell never share one.
 ///
 /// # Errors
 ///
 /// [`FleetError::Io`] on any filesystem failure.
 pub fn write_atomic(path: &Path, text: &str) -> Result<(), FleetError> {
-    let tmp = path.with_extension("part");
+    let tmp = path.with_extension(format!("part-{}", std::process::id()));
     std::fs::write(&tmp, text).map_err(|e| FleetError::io("write cell output", &tmp, e))?;
     std::fs::rename(&tmp, path)
         .map_err(|e| FleetError::io("rename cell output into place", path, e))
@@ -273,7 +259,8 @@ struct Active {
     /// Worker id: the launch count, from 1.
     id: u64,
     /// The leased group: one cell in classic mode, up to
-    /// [`FleetConfig::group`] compatible cells under group leasing.
+    /// [`FleetConfig::group`] cells under group leasing. A cell listed
+    /// here is held: no other worker may claim it.
     cells: Vec<CellId>,
     /// Per-cell attempt indices, parallel to `cells`.
     attempts: Vec<u32>,
@@ -282,30 +269,19 @@ struct Active {
     deadline_ms: u64,
 }
 
-/// The next compatible claimable group at `now`: the first claimable
-/// cell plus up to `max - 1` further claimable cells covering the same
-/// window range (the compatibility a shared batched sweep requires).
+/// The next group to lease: the first `max` claimable cells — `Pending`
+/// and held by no live worker — with their attempt counts.
 /// Deterministic (ledger cell order).
-fn claim_group(ledger: &Ledger, now: u64, max: usize) -> Vec<CellId> {
-    let Some(first) = ledger.next_claimable(now) else { return Vec::new() };
-    let mut group = vec![first.clone()];
-    for c in ledger.cells() {
-        if group.len() >= max.max(1) {
-            break;
-        }
-        if *c == first || c.lo != first.lo || c.hi != first.hi {
-            continue;
-        }
-        let claimable = match ledger.state(c) {
-            Ok(CellState::Pending { not_before_ms, .. }) => *not_before_ms <= now,
-            Ok(CellState::Leased { deadline_ms, .. }) => *deadline_ms <= now,
-            _ => false,
-        };
-        if claimable {
-            group.push(c.clone());
-        }
-    }
-    group
+fn claim_group(ledger: &Ledger, active: &[Active], max: usize) -> Vec<(CellId, u32)> {
+    ledger
+        .cells()
+        .filter(|c| !active.iter().any(|a| a.cells.contains(c)))
+        .filter_map(|c| match ledger.state(c) {
+            Ok(CellState::Pending { attempts }) => Some((c.clone(), *attempts)),
+            _ => None,
+        })
+        .take(max.max(1))
+        .collect()
 }
 
 /// Runs the fleet to quiescence: every cell `Done` or `Failed`.
@@ -391,10 +367,7 @@ where
                       events: &mut EventLog,
                       log: &mut dyn FnMut(&str)|
      -> Result<(), FleetError> {
-        let attempts_after = attempt + 1;
-        let now = now_ms();
-        let not_before = now + backoff_ms(cfg, cell, attempts_after);
-        let permanent = ledger.fail(cell, why, not_before, cfg.max_retries)?;
+        let permanent = ledger.fail(cell, why, cfg.max_retries)?;
         *retries += 1;
         if permanent {
             events.emit(
@@ -409,13 +382,9 @@ where
                 EventLog::at("retry")
                     .s("cell", &cell.to_string())
                     .u("attempt", u64::from(attempt))
-                    .u("backoff_ms", not_before - now)
                     .s("why", why),
             );
-            log(&format!(
-                "cell {cell}: attempt {attempt} failed ({why}); retry in {}ms",
-                not_before - now
-            ));
+            log(&format!("cell {cell}: attempt {attempt} failed ({why}); retrying"));
         }
         Ok(())
     };
@@ -449,16 +418,15 @@ where
 
         // ---- Launch: fill the pool from the ledger. ----------------
         while active.len() < cfg.procs {
-            let group = claim_group(ledger, now, cfg.group);
+            let (group, attempts): (Vec<CellId>, Vec<u32>) =
+                claim_group(ledger, &active, cfg.group).into_iter().unzip();
             if group.is_empty() {
                 break;
             }
             let timeout = cell_timeout_ms(cfg, &durations);
             let deadline = now + timeout;
             let id = spawned + 1;
-            let mut attempts = Vec::with_capacity(group.len());
-            for cell in &group {
-                let attempt = ledger.lease(cell, id, deadline, now)?;
+            for (cell, &attempt) in group.iter().zip(&attempts) {
                 events.emit(
                     EventLog::at("lease")
                         .s("cell", &cell.to_string())
@@ -472,7 +440,6 @@ where
                      {})",
                     if group.len() > 1 { format!(", group of {}", group.len()) } else { String::new() }
                 ));
-                attempts.push(attempt);
             }
             let (body, tx) = (Arc::clone(&body), tx.clone());
             let (cells, tries) = (group.clone(), attempts.clone());
@@ -495,12 +462,10 @@ where
             });
         }
 
-        // ---- Wait: a completion, a deadline or a backoff expiry. ---
-        if active.is_empty() && ledger.all_terminal() {
-            break;
-        }
-        let wake = active.iter().map(|a| a.deadline_ms).chain(ledger.next_wakeup_ms(now)).min();
-        let Some(wake) = wake else { break }; // defensive: nothing can ever progress
+        // ---- Wait: a completion or a deadline. ---------------------
+        // Every claimable cell was just launched, so an empty pool means
+        // every cell is terminal.
+        let Some(wake) = active.iter().map(|a| a.deadline_ms).min() else { break };
         let wait = Duration::from_millis(wake.saturating_sub(now_ms()));
         let Ok((id, result)) = rx.recv_timeout(wait) else { continue };
         let Some(i) = active.iter().position(|a| a.id == id) else {
@@ -622,8 +587,9 @@ where
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::fnv64;
     use std::collections::HashMap;
-    use std::sync::Mutex;
+    use std::sync::{Condvar, Mutex};
 
     /// What a scripted worker body does for one (first cell, attempt),
     /// all at once.
@@ -696,9 +662,6 @@ mod tests {
             max_retries: 2,
             timeout_floor_ms: 40,
             timeout_initial_ms: 40,
-            timeout_mult: 4.0,
-            backoff_base_ms: 2,
-            backoff_cap_ms: 8,
             ..FleetConfig::new(2)
         }
     }
@@ -708,7 +671,7 @@ mod tests {
         let _ = std::fs::remove_dir_all(&dir);
         std::fs::create_dir_all(&dir).expect("mk tmp");
         let (ledger, resume) =
-            Ledger::open(dir.join("l.ledger"), 1, cells, now_ms(), &validate_out).expect("open");
+            Ledger::open(dir.join("l.ledger"), 1, cells, &validate_out).expect("open");
         (ledger, resume, dir)
     }
 
@@ -831,8 +794,7 @@ mod tests {
         // once each, flagged resumed.
         drop(ledger);
         let (mut ledger, resume) =
-            Ledger::open(dir.join("l.ledger"), 1, &cells[..2], now_ms(), &validate_out)
-                .expect("reopen");
+            Ledger::open(dir.join("l.ledger"), 1, &cells[..2], &validate_out).expect("reopen");
         assert_eq!(resume.resumed_done, 2);
         let mut streamed: Vec<(CellId, bool)> = Vec::new();
         let scripted = Scripted::new(vec![]);
@@ -875,23 +837,6 @@ mod tests {
         assert!(report.incomplete.is_empty());
         assert_eq!(report.spawned, 2, "two 2-cell groups, not four singleton workers");
         assert_eq!(scripted.launches(), vec![2, 2]);
-        let _ = std::fs::remove_dir_all(&dir);
-    }
-
-    #[test]
-    fn incompatible_ranges_never_share_a_group() {
-        // Different window ranges cannot share one sweep: each cell
-        // must ride its own worker even under group leasing.
-        let cells = vec![CellId::new("a", 4, 0, 2), CellId::new("a", 4, 2, 4)];
-        let (mut ledger, resume, dir) = setup("group-incompat", &cells);
-        let mut cfg = fast_cfg();
-        cfg.procs = 1;
-        cfg.group = 4;
-        let scripted = Scripted::new(vec![]);
-        let report = run_with(&cfg, &mut ledger, resume, &scripted);
-        assert_eq!(report.done.len(), 2);
-        assert_eq!(report.spawned, 2);
-        assert_eq!(scripted.launches(), vec![1, 1]);
         let _ = std::fs::remove_dir_all(&dir);
     }
 
@@ -985,20 +930,86 @@ mod tests {
     }
 
     #[test]
-    fn backoff_grows_caps_and_jitters_deterministically() {
-        let cfg = FleetConfig::new(2);
-        let cell = CellId::new("a", 4, 0, 2);
-        let b1 = backoff_ms(&cfg, &cell, 1);
-        let b2 = backoff_ms(&cfg, &cell, 2);
-        let b3 = backoff_ms(&cfg, &cell, 3);
-        assert!(b1 >= cfg.backoff_base_ms && b1 < 2 * cfg.backoff_base_ms);
-        assert!(b2 >= 2 * cfg.backoff_base_ms, "exponential growth");
-        assert!(b3 > b2);
-        let huge = backoff_ms(&cfg, &cell, 30);
-        assert!(huge <= cfg.backoff_cap_ms + cfg.backoff_base_ms / 2 + 1, "cap binds");
-        assert_eq!(b1, backoff_ms(&cfg, &cell, 1), "jitter is deterministic");
-        let other = CellId::new("b", 8, 0, 2);
-        // Not guaranteed distinct, but these two particular cells are.
-        assert_ne!(backoff_ms(&cfg, &cell, 1), backoff_ms(&cfg, &other, 1));
+    fn a_cell_never_runs_on_two_live_workers() {
+        // More workers than cells, one cell per lease: only the
+        // supervisor's in-memory leases keep a held cell from being
+        // claimed again. Cell `hang` stalls past its deadline once.
+        let cells: Vec<CellId> =
+            ["a", "b", "hang"].iter().map(|e| CellId::new(*e, 4, 0, 2)).collect();
+        let (mut ledger, resume, dir) = setup("exclusive", &cells);
+        let mut cfg = fast_cfg();
+        cfg.procs = 6;
+        cfg.group = 1;
+        cfg.timeout_floor_ms = 1_000;
+        cfg.timeout_initial_ms = 1_000;
+        // One timeline across the workers and the supervisor's log:
+        // (event, cell, attempt), in the order they happened.
+        type Timeline = Mutex<Vec<(&'static str, String, u32)>>;
+        let timeline: Arc<Timeline> = Arc::default();
+        let seen = Arc::clone(&timeline);
+        // First attempts wait at a gate until three have started, so all
+        // three cells are live at once (10 s bound: a wedged supervisor
+        // fails the test rather than hanging it).
+        let gate = Arc::new((Mutex::new(0usize), Condvar::new()));
+        let body = move |group: &[CellId], attempts: &[u32]| {
+            let (cell, attempt) = (group[0].to_string(), attempts[0]);
+            seen.lock().expect("timeline").push(("start", cell.clone(), attempt));
+            if attempt == 0 {
+                let (started, cv) = &*gate;
+                let mut started = started.lock().expect("gate");
+                *started += 1;
+                cv.notify_all();
+                let limit = Duration::from_secs(10);
+                drop(cv.wait_timeout_while(started, limit, |n| *n < 3).expect("gate"));
+            }
+            if cell.starts_with("hang") && attempt == 0 {
+                loop {
+                    std::thread::park(); // killed and detached, never ends
+                }
+            }
+            seen.lock().expect("timeline").push(("end", cell, attempt));
+            Ok(group.iter().map(|c| format!("OUT {c}\n")).collect())
+        };
+        let result = run_fleet(
+            &cfg,
+            &mut ledger,
+            body,
+            &validate_out,
+            resume,
+            &mut |msg| {
+                if msg.contains("deadline exceeded") {
+                    let cell = msg.strip_prefix("cell ").and_then(|m| m.split_once(": "));
+                    let cell = cell.expect("a charge line names its cell").0.to_owned();
+                    timeline.lock().expect("timeline").push(("kill", cell, 0));
+                }
+            },
+            &mut |_done| {},
+        );
+
+        // Replay the timeline: a cell is live from its start until its
+        // end or its worker's kill, and never starts while live.
+        let timeline = timeline.lock().expect("timeline").clone();
+        let mut live: HashMap<String, u32> = HashMap::new();
+        for (event, cell, attempt) in &timeline {
+            match *event {
+                "start" => {
+                    let prior = live.insert(cell.clone(), *attempt);
+                    assert!(prior.is_none(), "{cell} started while live: {timeline:?}");
+                }
+                "end" => assert_eq!(live.remove(cell), Some(*attempt), "{timeline:?}"),
+                _ => assert_eq!(live.remove(cell), Some(0), "kill of a live cell: {timeline:?}"),
+            }
+        }
+        let hang: Vec<(&str, u32)> = timeline
+            .iter()
+            .filter(|(_, c, _)| c.starts_with("hang"))
+            .map(|(e, _, a)| (*e, *a))
+            .collect();
+        let expect = [("start", 0), ("kill", 0), ("start", 1), ("end", 1)];
+        assert_eq!(hang, expect, "the rerun starts only after the kill");
+        let report = result.expect("run");
+        assert_eq!(report.done.len(), 3);
+        assert_eq!((report.kills, report.spawned), (1, 4), "one kill, one rerun");
+        let _ = std::fs::remove_dir_all(&dir);
     }
 }

@@ -1486,7 +1486,7 @@ mod tests {
         let _ = std::fs::remove_dir_all(store.root());
     }
 
-    /// Leased (recently used by this handle) entries are exempt from
+    /// Entries leased by this handle (recently used) are exempt from
     /// eviction: the cap sheds cold history, not the live working set.
     #[test]
     fn cap_never_evicts_leased_entries() {

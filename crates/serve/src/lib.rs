@@ -46,7 +46,7 @@
 //! Nothing on the request path sleeps. `accept` blocks; the scheduler
 //! blocks on a condvar that every submit and the stop signal; a family
 //! run's supervisor blocks on its workers' completion channel until a
-//! result, a deadline or a retry backoff comes due; and one watcher
+//! result or a deadline comes due; and one watcher
 //! thread — the only poller, because the stop flag is a plain atomic a
 //! signal handler raises — wakes the first two on stop. Worker threads
 //! are joined as soon as they report (see

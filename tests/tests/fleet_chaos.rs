@@ -19,8 +19,10 @@ use sfetch_bench::fleet_grid::lease_group;
 use sfetch_bench::grid::{cells, grid_engines, FIG8_WIDTHS};
 use sfetch_bench::HarnessOpts;
 use sfetch_fleet::{
-    fnv64, now_ms, run_fleet, CellId, FleetConfig, FleetReport, Ledger, ResumeSummary,
+    fnv64, run_fleet, CellId, CellState, FleetConfig, FleetReport, Ledger, ResumeSummary,
+    LEDGER_SCHEMA,
 };
+use sfetch_obs::Row;
 
 const CONFIG: u64 = 0xc4a05;
 
@@ -47,8 +49,6 @@ fn fast_cfg() -> FleetConfig {
     cfg.max_retries = 2;
     cfg.timeout_floor_ms = 5_000;
     cfg.timeout_initial_ms = 5_000;
-    cfg.backoff_base_ms = 2;
-    cfg.backoff_cap_ms = 10;
     cfg
 }
 
@@ -60,7 +60,7 @@ fn fresh_dir(tag: &str) -> PathBuf {
 }
 
 fn open_ledger(dir: &Path, cells: &[CellId]) -> (Ledger, ResumeSummary) {
-    Ledger::open(dir.join("cells.ledger"), CONFIG, cells, now_ms(), &validate).expect("open")
+    Ledger::open(dir.join("cells.ledger"), CONFIG, cells, &validate).expect("open")
 }
 
 /// Runs the fleet with a per-(cell, attempt) body over singleton groups.
@@ -323,5 +323,52 @@ fn completed_run_resumes_with_zero_recompute() {
     assert!(second.done.iter().all(|d| d.resumed));
     assert!(second.summary_line().contains("recomputed=0"));
     assert_eq!(done_texts(&first), done_texts(&second));
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+/// What `kill -9` leaves behind: a run that died while a worker held a
+/// cell. Builds that persisted leases left a `lease` line with a
+/// deadline far in the future, which kept the cell out of reach until
+/// it passed; the cell is `Pending` at its attempt instead, and the
+/// rerun takes it at once, well inside the first lease's deadline.
+#[test]
+fn killed_run_resumes_at_once() {
+    let cells = vec![CellId::new("a", 4, 0, 1), CellId::new("b", 4, 0, 1)];
+    let dir = fresh_dir("killed");
+    let (a, b) = (cells[0].to_string(), cells[1].to_string());
+    // The lines such a build wrote, through the same codec.
+    let lease = |cell: &str, worker: u64, attempt: u64| {
+        let row = Row::new().s("ev", "lease").s("cell", cell).u("worker", worker);
+        row.u("attempt", attempt).u("deadline_ms", u64::MAX / 2).finish()
+    };
+    let open = Row::new().s("ev", "open").s("schema", LEDGER_SCHEMA).u("config", CONFIG);
+    let fail = Row::new().s("ev", "fail").s("cell", &a).u("attempts", 1).u("not_before_ms", 0);
+    let lines = [
+        open.u("cells", 2).finish(),
+        lease(&a, 1, 0),
+        fail.b("permanent", false).s("why", "crashed").finish(),
+        lease(&a, 2, 1),
+        lease(&b, 2, 0),
+    ];
+    std::fs::write(dir.join("cells.ledger"), lines.join("\n") + "\n")
+        .expect("write killed run's ledger");
+    let (mut ledger, resume) = open_ledger(&dir, &cells);
+    assert_eq!(ledger.state(&cells[0]).expect("a"), &CellState::Pending { attempts: 1 });
+    assert_eq!(ledger.state(&cells[1]).expect("b"), &CellState::Pending { attempts: 0 });
+
+    // The production deadline: a rerun that waited on the old leases
+    // would sit idle for it.
+    let cfg = FleetConfig::new(2);
+    let started = std::time::Instant::now();
+    let body = |group: &[CellId], _attempts: &[u32]| Ok(group.iter().map(good).collect());
+    let report =
+        run_fleet(&cfg, &mut ledger, body, &validate, resume, &mut |_msg| {}, &mut |_done| {})
+            .expect("run");
+    assert!(started.elapsed() < Duration::from_secs(10), "rerun waited {:?}", started.elapsed());
+    assert!(report.incomplete.is_empty());
+    let attempts: Vec<(String, u32)> =
+        report.done.iter().map(|d| (d.cell.to_string(), d.attempts)).collect();
+    assert_eq!(attempts, [(a, 1), (b, 0)], "the interrupted attempts are not charged");
+    assert!(report.summary_line().contains("recomputed=2 retries=0 kills=0"));
     let _ = std::fs::remove_dir_all(&dir);
 }

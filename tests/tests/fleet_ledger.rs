@@ -1,13 +1,11 @@
 //! Property tests over the fleet cell ledger (`sfetch_fleet::Ledger`):
-//! the file-backed state machine is driven through random operation
+//! the file-backed state machine is driven through random outcome
 //! sequences against a pure in-memory model, then re-opened (replayed)
 //! and checked again — so crash recovery is exercised on every case.
 //!
-//! The three load-bearing invariants from the fleet design:
+//! The two load-bearing invariants of the ledger (that no cell runs on
+//! two live workers is the supervisor's, and is tested there):
 //!
-//! * **double-lease exclusion** — a live lease can never be granted
-//!   twice, but an *expired* lease is re-offered with its attempt count
-//!   preserved (an interrupted worker is not the cell's fault);
 //! * **replay equivalence** — dropping the ledger mid-run (a killed
 //!   parent) and re-opening it reproduces exactly the modeled state;
 //! * **resume idempotence** — `Done` cells whose outputs still verify
@@ -26,34 +24,28 @@ const CONFIG: u64 = 0xfee7;
 
 #[derive(Debug, Clone)]
 enum Op {
-    /// Try to lease cell `cell` for `dur_ms`.
-    Lease { cell: usize, dur_ms: u64 },
     /// Try to complete cell `cell` (writes its output file first).
     Complete { cell: usize },
-    /// Try to charge a failure with `backoff_ms` retry backoff.
-    Fail { cell: usize, backoff_ms: u64 },
-    /// Let wall-clock time pass.
-    Advance { ms: u64 },
+    /// Try to charge cell `cell` a failure.
+    Fail { cell: usize },
 }
 
 /// The vendored proptest stand-in has no `prop_oneof`/`prop_map`, so
-/// ops are generated as raw `(kind, cell, amount)` tuples and decoded.
-fn decode(raw: (u32, usize, u64)) -> Op {
-    let (kind, cell, amount) = raw;
+/// ops are generated as raw `(kind, cell)` tuples and decoded. Failures
+/// are drawn three times as often as completions, so budgets exhaust.
+fn decode(raw: (u32, usize)) -> Op {
+    let (kind, cell) = raw;
     match kind % 4 {
-        0 => Op::Lease { cell, dur_ms: amount.max(1) },
-        1 => Op::Complete { cell },
-        2 => Op::Fail { cell, backoff_ms: amount % 300 },
-        _ => Op::Advance { ms: amount % 400 + 1 },
+        0 => Op::Complete { cell },
+        _ => Op::Fail { cell },
     }
 }
 
 /// The pure model of one cell's state.
 #[derive(Debug, Clone, PartialEq)]
 enum Model {
-    Pending { attempts: u32, not_before: u64 },
-    Leased { attempt: u32, deadline: u64 },
-    Done { digest: u64 },
+    Pending { attempts: u32 },
+    Done { digest: u64, attempts: u32 },
     Failed { attempts: u32 },
 }
 
@@ -61,15 +53,10 @@ fn assert_matches_model(ledger: &Ledger, cells: &[CellId], model: &[Model]) {
     for (cell, m) in cells.iter().zip(model) {
         let state = ledger.state(cell).expect("known cell");
         let ok = match (m, state) {
-            (
-                Model::Pending { attempts, not_before },
-                CellState::Pending { attempts: a, not_before_ms },
-            ) => attempts == a && not_before == not_before_ms,
-            (
-                Model::Leased { attempt, deadline },
-                CellState::Leased { attempt: a, deadline_ms, .. },
-            ) => attempt == a && deadline == deadline_ms,
-            (Model::Done { digest }, CellState::Done { digest: d, .. }) => digest == d,
+            (Model::Pending { attempts }, CellState::Pending { attempts: a }) => attempts == a,
+            (Model::Done { digest, attempts }, CellState::Done { digest: d, attempts: a, .. }) => {
+                (digest, attempts) == (d, a)
+            }
             (Model::Failed { attempts }, CellState::Failed { attempts: a, .. }) => attempts == a,
             _ => false,
         };
@@ -91,49 +78,26 @@ fn validate(text: &str) -> Result<u64, String> {
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(48))]
 
-    /// Random op sequences: every transition's outcome (including every
-    /// rejection) must match the model, and a reopen after the sequence
-    /// — the killed-parent path — must replay to the modeled state with
-    /// every surviving `Done` cell resumed, not recomputed.
+    /// Random outcome sequences: every transition's result (including
+    /// every rejection) must match the model, and a reopen after the
+    /// sequence — the killed-parent path — must replay to the modeled
+    /// state with every surviving `Done` cell resumed, not recomputed.
     #[test]
     fn ledger_matches_model_and_survives_reopen(
-        raw_ops in proptest::collection::vec((0u32..4, 0usize..N_CELLS, 1u64..500), 1..60),
+        raw_ops in proptest::collection::vec((0u32..4, 0usize..N_CELLS), 1..60),
         case in 0u64..1_000_000,
     ) {
         let ops: Vec<Op> = raw_ops.into_iter().map(decode).collect();
         let dir = fresh_dir(&format!("model-{case}"));
         let cells: Vec<CellId> =
             (0..N_CELLS).map(|i| CellId::new("eng", 4, i as u64, i as u64 + 1)).collect();
-        let mut now: u64 = 1_000;
         let (mut ledger, summary) =
-            Ledger::open(dir.join("l.ledger"), CONFIG, &cells, now, &validate).expect("open");
+            Ledger::open(dir.join("l.ledger"), CONFIG, &cells, &validate).expect("open");
         prop_assert_eq!(summary.replayed_events, 0);
-        let mut model: Vec<Model> =
-            vec![Model::Pending { attempts: 0, not_before: 0 }; N_CELLS];
+        let mut model: Vec<Model> = vec![Model::Pending { attempts: 0 }; N_CELLS];
 
         for op in &ops {
             match *op {
-                Op::Advance { ms } => now += ms,
-                Op::Lease { cell, dur_ms } => {
-                    let deadline = now + dur_ms;
-                    let expect = match model[cell] {
-                        Model::Pending { attempts, not_before } if not_before <= now => {
-                            Some(attempts)
-                        }
-                        // Double-lease exclusion: only an expired lease
-                        // may be re-granted, attempt preserved.
-                        Model::Leased { attempt, deadline: d } if d <= now => Some(attempt),
-                        _ => None,
-                    };
-                    let got = ledger.lease(&cells[cell], 7, deadline, now);
-                    match expect {
-                        Some(attempt) => {
-                            prop_assert_eq!(got.expect("lease should succeed"), attempt);
-                            model[cell] = Model::Leased { attempt, deadline };
-                        }
-                        None => prop_assert!(got.is_err(), "lease should be rejected"),
-                    }
-                }
                 Op::Complete { cell } => {
                     let text = format!("output of cell {cell}\n");
                     let digest = fnv64(text.as_bytes());
@@ -141,42 +105,31 @@ proptest! {
                     std::fs::write(&out, &text).expect("write out");
                     let got = ledger.complete(&cells[cell], digest, &out, 5, text);
                     match model[cell] {
-                        Model::Leased { .. } => {
+                        Model::Pending { attempts } => {
                             got.expect("complete should succeed");
-                            model[cell] = Model::Done { digest };
+                            model[cell] = Model::Done { digest, attempts };
                         }
-                        _ => prop_assert!(got.is_err(), "complete requires a lease"),
+                        _ => prop_assert!(got.is_err(), "complete requires a pending cell"),
                     }
                 }
-                Op::Fail { cell, backoff_ms } => {
-                    let not_before = now + backoff_ms;
-                    let got = ledger.fail(&cells[cell], "injected", not_before, MAX_RETRIES);
+                Op::Fail { cell } => {
+                    let got = ledger.fail(&cells[cell], "injected", MAX_RETRIES);
                     match model[cell] {
-                        Model::Leased { attempt, .. } => {
-                            let attempts = attempt + 1;
+                        Model::Pending { attempts } => {
+                            let attempts = attempts + 1;
                             let permanent = attempts > MAX_RETRIES;
                             prop_assert_eq!(got.expect("fail should succeed"), permanent);
                             model[cell] = if permanent {
                                 Model::Failed { attempts }
                             } else {
-                                Model::Pending { attempts, not_before }
+                                Model::Pending { attempts }
                             };
                         }
-                        _ => prop_assert!(got.is_err(), "fail requires a lease"),
+                        _ => prop_assert!(got.is_err(), "fail requires a pending cell"),
                     }
                 }
             }
             assert_matches_model(&ledger, &cells, &model);
-
-            // A Done or Failed cell must never be claimable again.
-            for (i, m) in model.iter().enumerate() {
-                if matches!(m, Model::Done { .. } | Model::Failed { .. }) {
-                    prop_assert_ne!(
-                        ledger.next_claimable(now + (1 << 40)),
-                        Some(cells[i].clone())
-                    );
-                }
-            }
         }
 
         // Parent "killed" here: drop the ledger and replay the file.
@@ -184,26 +137,16 @@ proptest! {
             model.iter().filter(|m| matches!(m, Model::Done { .. })).count() as u64;
         drop(ledger);
         let (reopened, summary) =
-            Ledger::open(dir.join("l.ledger"), CONFIG, &cells, now, &validate).expect("reopen");
-        // Expiry applies at reopen: leases past their deadline demote to
-        // Pending without charging the interrupted attempt.
-        let mut resumed_model = model.clone();
-        for m in &mut resumed_model {
-            if let Model::Leased { attempt, deadline } = *m {
-                if deadline <= now {
-                    *m = Model::Pending { attempts: attempt, not_before: 0 };
-                }
-            }
-        }
-        assert_matches_model(&reopened, &cells, &resumed_model);
+            Ledger::open(dir.join("l.ledger"), CONFIG, &cells, &validate).expect("reopen");
+        assert_matches_model(&reopened, &cells, &model);
         prop_assert_eq!(summary.resumed_done, done_cells, "every Done output re-verified");
         prop_assert_eq!(summary.invalidated, 0);
 
         // Reopen idempotence: a second replay changes nothing more.
         drop(reopened);
         let (again, summary2) =
-            Ledger::open(dir.join("l.ledger"), CONFIG, &cells, now, &validate).expect("reopen 2");
-        assert_matches_model(&again, &cells, &resumed_model);
+            Ledger::open(dir.join("l.ledger"), CONFIG, &cells, &validate).expect("reopen 2");
+        assert_matches_model(&again, &cells, &model);
         prop_assert_eq!(summary2.resumed_done, done_cells);
         let _ = std::fs::remove_dir_all(&dir);
     }
@@ -222,13 +165,12 @@ proptest! {
         let cells: Vec<CellId> =
             (0..N_CELLS).map(|i| CellId::new("eng", 8, i as u64, i as u64 + 1)).collect();
         let (mut ledger, _) =
-            Ledger::open(dir.join("l.ledger"), CONFIG, &cells, 0, &validate).expect("open");
+            Ledger::open(dir.join("l.ledger"), CONFIG, &cells, &validate).expect("open");
         for (i, done) in complete_mask.iter().enumerate() {
             if *done {
                 let text = format!("cell {i} points\n");
                 let out = dir.join(format!("c{i}.out"));
                 std::fs::write(&out, &text).expect("write out");
-                ledger.lease(&cells[i], 1, 10_000, 0).expect("lease");
                 ledger
                     .complete(&cells[i], fnv64(text.as_bytes()), &out, 1, text)
                     .expect("complete");
@@ -249,7 +191,7 @@ proptest! {
             }
         }
         let (reopened, summary) =
-            Ledger::open(dir.join("l.ledger"), CONFIG, &cells, 1, &validate).expect("reopen");
+            Ledger::open(dir.join("l.ledger"), CONFIG, &cells, &validate).expect("reopen");
         prop_assert_eq!(summary.resumed_done, expect_resumed);
         prop_assert_eq!(summary.invalidated, expect_invalidated);
         for i in 0..N_CELLS {

@@ -168,12 +168,10 @@ fn write_ledger(dir: &Path) -> String {
     std::fs::write(&out, &text).expect("write cell output");
     let path = dir.join("cells.ledger");
     let (mut led, _) =
-        Ledger::open(&path, 7, &cells, 0, &validate_shard_text).expect("open ledger");
-    led.lease(&cells[0], 11, 10_000, 0).expect("lease");
+        Ledger::open(&path, 7, &cells, &validate_shard_text).expect("open ledger");
     led.complete(&cells[0], fnv64(text.as_bytes()), &out, 5, text)
         .expect("complete");
-    led.lease(&cells[1], 12, 10_000, 0).expect("lease");
-    led.fail(&cells[1], NASTY_WHY, 0, 0).expect("fail");
+    led.fail(&cells[1], NASTY_WHY, 0).expect("fail");
     drop(led);
     std::fs::read_to_string(&path).expect("read ledger")
 }
@@ -262,7 +260,7 @@ proptest! {
         let path = dir.join("cells.ledger");
         std::fs::write(&path, bad).expect("write mangled ledger");
         let cells = ledger_cells();
-        if let Ok((led, _)) = Ledger::open(&path, 7, &cells, 1_000, &validate_shard_text) {
+        if let Ok((led, _)) = Ledger::open(&path, 7, &cells, &validate_shard_text) {
             if let Ok(CellState::Done { .. }) = led.state(&cells[0]) {
                 prop_assert_eq!(led.done_text(&cells[0]), Some(sealed_shard().as_str()));
             }
@@ -276,14 +274,8 @@ fn row_lines_replay_exactly_through_the_ledger() {
     let dir = tmp("exact");
     write_ledger(&dir);
     let cells = ledger_cells();
-    let (led, summary) = Ledger::open(
-        dir.join("cells.ledger"),
-        7,
-        &cells,
-        1_000,
-        &validate_shard_text,
-    )
-    .expect("reopen");
+    let (led, summary) =
+        Ledger::open(dir.join("cells.ledger"), 7, &cells, &validate_shard_text).expect("reopen");
     assert_eq!(summary.resumed_done, 1);
     match led.state(&cells[1]).expect("state") {
         CellState::Failed { last_error, .. } => assert_eq!(last_error, NASTY_WHY),
@@ -360,7 +352,7 @@ fn older_spacing_fixtures_still_parse() {
     std::fs::write(&path, ledger).expect("write ledger");
     let cells = vec![CellId::new("ev8", 4, 0, 3), CellId::new("stream", 8, 0, 3)];
     let (led, summary) =
-        Ledger::open(&path, 7, &cells, 1_000, &validate_shard_text).expect("older ledger opens");
+        Ledger::open(&path, 7, &cells, &validate_shard_text).expect("older ledger opens");
     assert_eq!(
         (
             summary.resumed_done,
