@@ -170,7 +170,7 @@ pub trait FetchEngine {
     /// structures [`FetchEngine::warm_block`] mutates. Fetch-side cursors
     /// (FTQ, I-cache port, in-flight deliveries) are excluded: they are
     /// factory-fresh after warming and rebuilt by the post-warm resync
-    /// redirect. Returns `None` for engines without banking support.
+    /// redirect. Every engine banks its warm state.
     ///
     /// The commit-side state depends only on the engine kind and the
     /// committed records it was fed — never on `width`, the
@@ -180,19 +180,14 @@ pub trait FetchEngine {
     /// on it: it warms one engine per kind and restores every other
     /// configuration of that kind from these bytes.
     /// `tests/tests/warm_state.rs` pins it for every kind.
-    fn warm_state(&self) -> Option<Vec<u8>> {
-        None
-    }
+    fn warm_state(&self) -> Vec<u8>;
 
     /// Restores warm state captured by [`FetchEngine::warm_state`] into a
     /// freshly built engine of the *same* kind, at any width, prefetch
     /// configuration or front pipeline. Any mismatch
     /// (geometry, version, trailing bytes) is an error — callers treat a
     /// failed load as a cache miss and rewarm from scratch.
-    fn load_warm_state(&mut self, bytes: &[u8]) -> Result<(), String> {
-        let _ = bytes;
-        Err("engine does not support warm-state banking".to_string())
-    }
+    fn load_warm_state(&mut self, bytes: &[u8]) -> Result<(), String>;
 
     /// Why the engine delivered nothing during the *current* cycle (the
     /// most recent [`FetchEngine::cycle`] call):

@@ -293,7 +293,7 @@ impl FetchEngine for Ev8Engine {
         self.port.last_stall()
     }
 
-    fn warm_state(&self) -> Option<Vec<u8>> {
+    fn warm_state(&self) -> Vec<u8> {
         let mut w = WireWriter::new();
         w.u32(crate::engine::WARM_FORMAT_VERSION);
         self.pred.save_wire(&mut w);
@@ -301,7 +301,7 @@ impl FetchEngine for Ev8Engine {
         self.ras.save_wire(&mut w);
         self.ghist.save_wire(&mut w);
         self.stats.save_wire(&mut w);
-        Some(w.into_bytes())
+        w.into_bytes()
     }
 
     fn load_warm_state(&mut self, bytes: &[u8]) -> Result<(), String> {

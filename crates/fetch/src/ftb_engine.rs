@@ -332,7 +332,7 @@ impl FetchEngine for FtbEngine {
         self.port.last_stall()
     }
 
-    fn warm_state(&self) -> Option<Vec<u8>> {
+    fn warm_state(&self) -> Vec<u8> {
         let mut w = WireWriter::new();
         w.u32(crate::engine::WARM_FORMAT_VERSION);
         self.ftb.save_wire(&mut w);
@@ -352,7 +352,7 @@ impl FetchEngine for FtbEngine {
         w.u32(len);
         self.ras.save_wire(&mut w);
         self.stats.save_wire(&mut w);
-        Some(w.into_bytes())
+        w.into_bytes()
     }
 
     fn load_warm_state(&mut self, bytes: &[u8]) -> Result<(), String> {

@@ -637,7 +637,7 @@ impl FetchEngine for TraceCacheEngine {
         self.port.last_stall()
     }
 
-    fn warm_state(&self) -> Option<Vec<u8>> {
+    fn warm_state(&self) -> Vec<u8> {
         let mut w = WireWriter::new();
         w.u32(crate::engine::WARM_FORMAT_VERSION);
         self.pred.save_wire(&mut w);
@@ -669,7 +669,7 @@ impl FetchEngine for TraceCacheEngine {
         w.bool(*mispredicted);
         w.bool(*interior_taken);
         self.stats.save_wire(&mut w);
-        Some(w.into_bytes())
+        w.into_bytes()
     }
 
     fn load_warm_state(&mut self, bytes: &[u8]) -> Result<(), String> {

@@ -65,11 +65,17 @@ fn warmed(kind: EngineKind, iters: usize) -> Box<dyn sfetch_fetch::FetchEngine> 
     eng
 }
 
+/// Every engine banks warm state (`warm_state` and `load_warm_state`
+/// are required trait methods): even a factory-fresh engine's state
+/// loads back into a fresh engine of its kind and re-captures the same
+/// bytes.
 #[test]
 fn all_engines_support_warm_state() {
     for kind in EngineKind::ALL {
-        let eng = kind.build(8, ENTRY);
-        assert!(eng.warm_state().is_some(), "{kind} must support warm-state banking");
+        let bytes = kind.build(8, ENTRY).warm_state();
+        let mut fresh = kind.build(8, ENTRY);
+        fresh.load_warm_state(&bytes).unwrap_or_else(|e| panic!("{kind}: load failed: {e}"));
+        assert_eq!(fresh.warm_state(), bytes, "{kind}: fresh state must round-trip");
     }
 }
 
@@ -77,16 +83,16 @@ fn all_engines_support_warm_state() {
 fn roundtrip_is_byte_identical() {
     for kind in EngineKind::ALL {
         let warm = warmed(kind, 200);
-        let bytes = warm.warm_state().expect("warm state");
+        let bytes = warm.warm_state();
         let mut fresh = kind.build(8, ENTRY);
         assert_ne!(
-            fresh.warm_state().expect("warm state"),
+            fresh.warm_state(),
             bytes,
             "{kind}: warming must actually change the captured state"
         );
         fresh.load_warm_state(&bytes).unwrap_or_else(|e| panic!("{kind}: load failed: {e}"));
         assert_eq!(
-            fresh.warm_state().expect("warm state"),
+            fresh.warm_state(),
             bytes,
             "{kind}: restored engine must re-capture identical bytes"
         );
@@ -100,8 +106,8 @@ fn capture_is_deterministic_across_identical_warmups() {
     // into the wire bytes: two engines warmed identically must serialize
     // identically.
     for kind in EngineKind::ALL {
-        let a = warmed(kind, 120).warm_state().expect("warm state");
-        let b = warmed(kind, 120).warm_state().expect("warm state");
+        let a = warmed(kind, 120).warm_state();
+        let b = warmed(kind, 120).warm_state();
         assert_eq!(a, b, "{kind}: identical warmups must capture identical bytes");
     }
 }
@@ -109,7 +115,7 @@ fn capture_is_deterministic_across_identical_warmups() {
 #[test]
 fn truncated_and_trailing_bytes_are_rejected() {
     for kind in EngineKind::ALL {
-        let bytes = warmed(kind, 50).warm_state().expect("warm state");
+        let bytes = warmed(kind, 50).warm_state();
         let mut fresh = kind.build(8, ENTRY);
         assert!(
             fresh.load_warm_state(&bytes[..bytes.len() - 1]).is_err(),
@@ -128,7 +134,7 @@ fn truncated_and_trailing_bytes_are_rejected() {
 #[test]
 fn version_mismatch_is_rejected() {
     for kind in EngineKind::ALL {
-        let mut bytes = warmed(kind, 50).warm_state().expect("warm state");
+        let mut bytes = warmed(kind, 50).warm_state();
         bytes[0] ^= 0xff; // first u32 is the warm-format version
         let mut fresh = kind.build(8, ENTRY);
         let err = fresh.load_warm_state(&bytes).expect_err("version mismatch must fail");
@@ -138,7 +144,7 @@ fn version_mismatch_is_rejected() {
 
 #[test]
 fn cross_engine_payloads_are_rejected() {
-    let stream_bytes = warmed(EngineKind::Stream, 50).warm_state().expect("warm state");
+    let stream_bytes = warmed(EngineKind::Stream, 50).warm_state();
     for kind in [EngineKind::Ev8, EngineKind::Ftb, EngineKind::TraceCache] {
         let mut eng = kind.build(8, ENTRY);
         assert!(
@@ -152,7 +158,7 @@ fn cross_engine_payloads_are_rejected() {
 fn trace_cache_fill_unit_over_the_conditional_cap_is_rejected() {
     // The trace-cache payload ends with the fill unit's direction bits,
     // conditional count and two flags, then the 11 statistics counters.
-    let bytes = warmed(EngineKind::TraceCache, 50).warm_state().expect("warm state");
+    let bytes = warmed(EngineKind::TraceCache, 50).warm_state();
     let n_cond_at = bytes.len() - 11 * 8 - 3;
     for n_cond in [sfetch_fetch::trace_cache::MAX_COND + 1, 8, 0xff] {
         let mut bad = bytes.clone();

@@ -18,14 +18,12 @@
 //!
 //! * **engine warming** runs once per engine kind: each `WARM_BATCH`-sized
 //!   chunk of committed records — converted once, while cache-hot — goes
-//!   to the [`sfetch_fetch::FetchEngine::warm_block`] of each kind's
-//!   *leader* (its first replaying cell), in the same chunking the
-//!   storeless [`crate::Sampler`] uses. Every other replaying cell of
-//!   the kind is built fresh at its own width, prefetch and front and
-//!   restored from the leader's
-//!   [`sfetch_fetch::FetchEngine::warm_state`] bytes, which depend on
-//!   none of those (the trait's contract; a kind without warm-state
-//!   support warms each of its cells itself);
+//!   to the [`sfetch_fetch::FetchEngine::warm_block`] of the engine of
+//!   each kind's first cell, in the same chunking the storeless
+//!   [`crate::Sampler`] uses. Every other cell of the kind is built
+//!   fresh at its own width, prefetch and front and restored from that
+//!   engine's [`sfetch_fetch::FetchEngine::warm_state`] bytes, which
+//!   depend on none of those (the trait's contract);
 //! * **memory warming** rides the same sweep, once per distinct pipe
 //!   width (cache warming depends only on the width's line geometry,
 //!   never on the engine), and is cloned into each same-width cell — a
@@ -48,21 +46,22 @@
 //! construction: the recorded buffer *is* the committed-path sequence a
 //! live executor would produce (the executor is deterministic), the
 //! warming loops consume it in the same order and chunking, a restored
-//! follower holds exactly the state its own warming would have built,
+//! engine holds exactly the state its own warming would have built,
 //! and the processor consumes oracle records identically whether they
 //! come from a live walk or the buffer. The module tests and the
 //! `tests/tests/batch_identity.rs` differential oracle assert it against
-//! `Sampler`, including the full grid (every kind with two followers)
-//! and a proptest over random schedules and cell mixes.
+//! `Sampler`, including the full grid (every kind at three widths) and
+//! a proptest over random schedules and cell mixes.
 //!
-//! Warm-state banking composes: when *every* cell of a window restores
-//! from the bank, the worker skips the warming span with the
-//! state-only `Executor::advance` from the window's stored checkpoint,
-//! and the shared sweep shrinks to the detailed span (`Wd + D` + oracle
-//! margin) — the batch and the bank multiply rather than merely
-//! coexist. A banked entry holds only engine and memory warm state; a
-//! follower banks its leader's warm-state bytes unchanged, so its entry
-//! is the one its own warming would have filed.
+//! Warm-state banking files the same two states: one engine segment per
+//! kind and one memory segment per width ([`crate::store`]). A worker
+//! probes each segment once — read, digest check and decode — and warms
+//! live, in the same pass, only the kinds and widths whose segment is
+//! absent or rejected, then banks them. When *every* segment hits, the
+//! worker skips the warming span with the state-only
+//! `Executor::advance` from the window's stored checkpoint, and the
+//! shared sweep shrinks to the detailed span (`Wd + D` + oracle margin)
+//! — the batch and the bank multiply rather than merely coexist.
 
 use std::ops::Range;
 use std::time::Instant;
@@ -70,15 +69,16 @@ use std::time::Instant;
 use sfetch_cfg::CodeImage;
 use sfetch_core::{Processor, ProcessorConfig, SimStats};
 use sfetch_fetch::{Checkpoint, CommittedInst, EngineKind, FetchEngine, ResolvedBranch};
-use sfetch_isa::wire::WireWriter;
+use sfetch_isa::wire::{WireReader, WireWriter};
+use sfetch_isa::Addr;
 use sfetch_mem::{MemoryConfig, MemoryHierarchy};
 use sfetch_trace::{DynInst, Executor, OracleSource};
 
 use crate::config::SampleConfig;
 use crate::runner::{committed_record, point_from_stats, SamplePoint, WARM_BATCH};
 use crate::store::{
-    restore_engine, CheckpointStore, StoreKey, StoreMiss, StoreStats, StoredSampler, WarmEntry,
-    WarmTiming,
+    memory_model_digest, warm_model_digest, CheckpointStore, StoreKey, StoreMiss, StoreStats,
+    StoredSampler, WarmTiming,
 };
 
 /// Committed-path records the recorder keeps beyond the detailed span:
@@ -97,54 +97,28 @@ pub struct BatchCell {
     pub pcfg: ProcessorConfig,
 }
 
-/// How one cell of one window obtains its warm state.
-enum CellSource {
-    /// Restore from this digest-verified banked entry (its engine and
-    /// memory state are decoded by the worker).
-    Banked(std::sync::Arc<WarmEntry>),
-    /// Replay engine/memory warming from the shared buffer; bank the
-    /// result under the key when one is present.
-    Replay {
-        /// Bank the warming result under this key (banking enabled).
-        bank_to: Option<StoreKey>,
-    },
-}
-
-/// Where a window's cells take their warm state from.
-#[derive(Debug, Clone, Copy)]
-pub(crate) enum Bank {
-    /// Banking off: every cell warms live and banks nothing.
-    Off,
-    /// Probe each cell's entry under this key; a hit restores it, a
-    /// miss or a rejected entry warms live and banks the result.
-    Probe(StoreKey),
-    /// Warm every cell live and bank it under this key, probing nothing
-    /// (the re-run of a cell whose banked entry did not decode).
-    Rebank(StoreKey),
-}
-
 /// One window as the producer hands it to a worker: the shared recorder
-/// positioned at the window's warming start, and where its cells' warm
-/// state comes from.
+/// positioned at the window's warming start, and the checkpoint key its
+/// warm segments are filed under (`None` with banking off).
 pub(crate) struct WindowPlan<'a> {
     pub(crate) w: u64,
     pub(crate) rec: Executor<'a>,
-    pub(crate) bank: Bank,
+    pub(crate) bank: Option<StoreKey>,
 }
 
 /// What one window's sweep hands back.
 pub(crate) struct WindowRun {
     pub(crate) w: u64,
-    /// Per-cell results in cell order; `None` for a cell whose banked
-    /// entry passed its digest but does not decode, which the caller
-    /// re-runs warmed live ([`Bank::Rebank`]).
-    pub(crate) rows: Vec<Option<(SamplePoint, SimStats)>>,
+    /// Per-cell results in cell order.
+    pub(crate) rows: Vec<(SamplePoint, SimStats)>,
     /// Nanoseconds spent outside measurement: bank probes, recording
     /// and warming (or the warming-span advance of a fully banked
     /// window).
     pub(crate) warm_ns: u64,
-    /// This window's warm-bank probes (all zero unless [`Bank::Probe`]).
+    /// This window's warm-segment probes (all zero with banking off).
     pub(crate) bank: StoreStats,
+    /// Whether the warming span was walked record by record.
+    pub(crate) walked: bool,
 }
 
 /// A [`StoredSampler`] driving a group of cells through each window's
@@ -183,8 +157,8 @@ impl<'a> BatchSampler<'a> {
         self.inner.stats()
     }
 
-    /// Warm-state bank traffic accumulated so far (one probe per cell
-    /// per window when banking is on).
+    /// Warm-state bank traffic accumulated so far
+    /// ([`StoredSampler::warm_bank_stats`]).
     pub fn warm_bank_stats(&self) -> StoreStats {
         self.inner.warm_bank_stats()
     }
@@ -227,112 +201,179 @@ impl<'a> BatchSampler<'a> {
     }
 }
 
-/// One window's batched sweep, run on a window worker: probe the warm
-/// bank for each cell (under [`Bank::Probe`]), record the shared
-/// committed-path buffer once, warm one engine per engine kind and
-/// memory once per width, then restore + measure every cell against the
-/// buffer. When every cell restores from the bank, the recorder first
-/// skips the warming span with the state-only [`Executor::advance`]
-/// (block-granular) and the sweep records only the detailed span.
+/// One engine kind's warm state in a window sweep.
+struct KindWarm {
+    /// The kind's first cell: it runs on `engine`, every other cell of
+    /// the kind restores from `bytes`.
+    first: usize,
+    /// Its engine segment's model digest.
+    model: u64,
+    engine: Option<Box<dyn FetchEngine>>,
+    /// The engine's warm-state bytes: banked, or serialized after live
+    /// warming when another cell or the bank needs them.
+    bytes: Vec<u8>,
+    /// Warms live in this sweep (its segment was absent or rejected).
+    live: bool,
+}
+
+/// One pipe width's warm memory hierarchy in a window sweep.
+struct WidthWarm {
+    width: usize,
+    /// Its memory segment's model digest.
+    model: u64,
+    mem: MemoryHierarchy,
+    /// `Some((line bytes, last warmed line))` — the line-dedup cursor —
+    /// while the width warms live in this sweep.
+    live: Option<(u64, u64)>,
+}
+
+/// A fresh engine for `cell`, starting fetch at `entry`.
+fn build(cell: &BatchCell, entry: Addr) -> Box<dyn FetchEngine> {
+    cell.kind.build_for(cell.pcfg.width, entry, &cell.pcfg.prefetch, &cell.pcfg.front)
+}
+
+/// A fresh engine for `cell` loaded with `bytes` of commit-side warm
+/// state ([`FetchEngine::warm_state`]), which may come from an engine of
+/// the same kind at any width, prefetch or front.
+fn restore_engine(
+    cell: &BatchCell,
+    entry: Addr,
+    bytes: &[u8],
+) -> Result<Box<dyn FetchEngine>, String> {
+    let mut engine = build(cell, entry);
+    engine.load_warm_state(bytes).map_err(|e| format!("engine warm state: {e}"))?;
+    Ok(engine)
+}
+
+/// A `width` memory hierarchy loaded with banked warm-state bytes
+/// ([`MemoryHierarchy::save_warm_wire`]).
+fn restore_memory(width: usize, bytes: &[u8]) -> Result<MemoryHierarchy, String> {
+    let mut mem = MemoryHierarchy::new(MemoryConfig::table2(width));
+    let mut r = WireReader::new(bytes);
+    mem.load_warm_wire(&mut r)
+        .and_then(|()| r.finish())
+        .map_err(|e| format!("memory warm state: {e}"))?;
+    Ok(mem)
+}
+
+/// Probes one warm segment under `bank`: its payload decoded by
+/// `decode`, or `None` — counted in `probes` as a miss, or a rejection
+/// when the store or `decode` refuses it — for the sweep to warm live.
+fn probe<T>(
+    store: &CheckpointStore,
+    bank: Option<&StoreKey>,
+    model: u64,
+    probes: &mut StoreStats,
+    decode: impl FnOnce(Vec<u8>) -> Result<T, String>,
+) -> Option<T> {
+    let loaded = store.load_warm(bank?, model);
+    match loaded.and_then(|bytes| decode(bytes).map_err(StoreMiss::Rejected)) {
+        Ok(state) => {
+            probes.hits += 1;
+            Some(state)
+        }
+        Err(StoreMiss::Absent) => {
+            probes.misses += 1;
+            None
+        }
+        Err(StoreMiss::Rejected(_)) => {
+            probes.rejected += 1;
+            None
+        }
+    }
+}
+
+/// One window's batched sweep, run on a window worker. It resolves one
+/// engine per distinct kind and one memory hierarchy per distinct width:
+/// from its banked segment when the plan banks and the segment loads,
+/// verifies and decodes, otherwise warmed live on the shared
+/// committed-path walk and banked. When every kind and width restores
+/// from the bank, the recorder skips the warming span with the
+/// state-only [`Executor::advance`] (block-granular) instead. The
+/// detailed span is then recorded once and every cell measured against
+/// it: the first cell of a kind runs on the kind's engine, the others on
+/// engines restored from its warm-state bytes, each with a clone of its
+/// width's memory.
 pub(crate) fn run_batch_window<'a>(
     image: &'a CodeImage,
     cells: &[BatchCell],
     scfg: &SampleConfig,
     store: &CheckpointStore,
-    models: &[u64],
     plan: WindowPlan<'a>,
 ) -> WindowRun {
     let WindowPlan { w, mut rec, bank } = plan;
-    let mut warm_ns = 0u64;
     let t0 = Instant::now();
-
+    let warm_pc = rec.pc();
     let mut probes = StoreStats::default();
-    let sources: Vec<CellSource> = models
-        .iter()
-        .map(|&model| match bank {
-            Bank::Off => CellSource::Replay { bank_to: None },
-            Bank::Rebank(key) => CellSource::Replay { bank_to: Some(key) },
-            Bank::Probe(key) => match store.load_warm(&key, model) {
-                Ok(entry) => {
-                    probes.hits += 1;
-                    CellSource::Banked(entry)
-                }
-                Err(miss) => {
-                    match miss {
-                        StoreMiss::Absent => probes.misses += 1,
-                        StoreMiss::Rejected(_) => probes.rejected += 1,
-                    }
-                    CellSource::Replay { bank_to: Some(key) }
-                }
-            },
-        })
-        .collect();
-    let mut warm_span = scfg.warm_func;
-    if sources.iter().all(|s| matches!(s, CellSource::Banked(_))) {
-        rec.advance(warm_span);
-        warm_span = 0;
-    }
 
-    // Engine warming runs once per engine kind. A replay cell's leader
-    // is the first replay cell of its kind; only leaders are warmed.
     // Commit-side warm state depends on the kind and the committed
     // records alone, never on width, prefetch or front (the
-    // `FetchEngine::warm_state` contract), so every other replay cell of
-    // that kind — a follower — is built fresh at its own configuration
-    // and restored from its leader's warm-state bytes. A kind whose
-    // engines serialize no warm state (probed on the leader's fresh
-    // engine, once a follower appears) makes each of its cells its own
-    // leader.
-    let warm_pc = rec.pc();
-    let mut engines: Vec<Option<Box<dyn FetchEngine>>> = Vec::with_capacity(cells.len());
-    let mut leader: Vec<usize> = Vec::with_capacity(cells.len());
-    let mut shares: Vec<Option<bool>> = vec![None; cells.len()];
+    // `FetchEngine::warm_state` contract), and decoding is checked
+    // against the kind's table geometry alone: a segment that loads into
+    // the first cell's engine loads into every engine of the kind.
+    let mut kinds: Vec<KindWarm> = Vec::new();
     for (ci, cell) in cells.iter().enumerate() {
-        let replay = matches!(sources[ci], CellSource::Replay { .. });
-        let kind_leader =
-            (0..ci).find(|&l| leader[l] == l && engines[l].is_some() && cells[l].kind == cell.kind);
-        let follows = kind_leader.filter(|&l| {
-            replay
-                && *shares[l].get_or_insert_with(|| {
-                    engines[l].as_ref().is_some_and(|e| e.warm_state().is_some())
-                })
-        });
-        leader.push(follows.unwrap_or(ci));
-        engines.push((replay && follows.is_none()).then(|| {
-            cell.kind.build_for(cell.pcfg.width, warm_pc, &cell.pcfg.prefetch, &cell.pcfg.front)
-        }));
-    }
-    // Functional memory warming rides the same sweep, once per distinct
-    // width among the replay-warmed cells (cache warming depends only
-    // on the width's line geometry, never on the engine), each with its
-    // own line-dedup cursor. The storeless sampler's warming loop
-    // interleaves engine and memory updates, but neither ever reads the
-    // other, so this lands on bit-identical cache state.
-    let mut mems: Vec<(usize, MemoryHierarchy, u64, u64)> = Vec::new();
-    for (ci, cell) in cells.iter().enumerate() {
-        if !matches!(sources[ci], CellSource::Replay { .. })
-            || mems.iter().any(|&(width, ..)| width == cell.pcfg.width)
-        {
+        if kinds.iter().any(|k| cells[k.first].kind == cell.kind) {
             continue;
         }
-        let mem = MemoryHierarchy::new(MemoryConfig::table2(cell.pcfg.width));
-        let line_bytes = mem.l1i_line_bytes();
-        mems.push((cell.pcfg.width, mem, line_bytes, u64::MAX));
+        let model = warm_model_digest(cell.kind, &cell.pcfg, scfg);
+        let banked = probe(store, bank.as_ref(), model, &mut probes, |bytes| {
+            restore_engine(cell, warm_pc, &bytes).map(|engine| (engine, bytes))
+        });
+        let live = banked.is_none();
+        let (engine, bytes) = banked.unwrap_or_else(|| (build(cell, warm_pc), Vec::new()));
+        kinds.push(KindWarm { first: ci, model, engine: Some(engine), bytes, live });
     }
-    // Leaders warm in lockstep with the single recording sweep: every
-    // `WARM_BATCH` chunk of committed records is converted once and fed
-    // to all leaders while it is still cache-hot. The alternative —
-    // buffering the whole warming span and letting each leader re-scan
-    // it — reads a window-sized record buffer from DRAM once per
-    // leader, which costs more than the executor walks it saves.
-    // Engines never share state, so the interleaving is bit-identical
-    // to warming each leader to completion in turn.
+    // Cache warming depends only on the width's line geometry, never on
+    // the engine. The storeless sampler's warming loop interleaves
+    // engine and memory updates, but neither ever reads the other, so
+    // warming them side by side lands on bit-identical state.
+    let mut widths: Vec<WidthWarm> = Vec::new();
+    for cell in cells {
+        let width = cell.pcfg.width;
+        if widths.iter().any(|m| m.width == width) {
+            continue;
+        }
+        let model = memory_model_digest(width, scfg);
+        let banked = probe(store, bank.as_ref(), model, &mut probes, |bytes| {
+            restore_memory(width, &bytes)
+        });
+        let (mem, live) = match banked {
+            Some(mem) => (mem, None),
+            None => {
+                let mem = MemoryHierarchy::new(MemoryConfig::table2(width));
+                let line_bytes = mem.l1i_line_bytes();
+                (mem, Some((line_bytes, u64::MAX)))
+            }
+        };
+        widths.push(WidthWarm { width, model, mem, live });
+    }
+
+    let walked = kinds.iter().any(|k| k.live) || widths.iter().any(|m| m.live.is_some());
+    if !walked {
+        rec.advance(scfg.warm_func);
+    }
+    // Live engines and hierarchies warm in lockstep with the single
+    // recording sweep: every `WARM_BATCH` chunk of committed records is
+    // converted once and fed to all live engines while it is still
+    // cache-hot. The alternative — buffering the whole warming span and
+    // letting each engine re-scan it — reads a window-sized record buffer
+    // from DRAM once per engine, which costs more than the executor walks
+    // it saves. Engines never share state, so the interleaving is
+    // bit-identical to warming each engine to completion in turn.
+    let warm_span = if walked { scfg.warm_func } else { 0 };
     let mem_from = scfg.warm_func - scfg.warm_mem;
     let mut chunk: Vec<CommittedInst> = Vec::with_capacity(WARM_BATCH);
+    let feed = |kinds: &mut [KindWarm], chunk: &[CommittedInst]| {
+        for k in kinds.iter_mut().filter(|k| k.live) {
+            k.engine.as_mut().expect("live engine").warm_block(chunk);
+        }
+    };
     for i in 0..warm_span {
         let d = rec.next().expect("executor is infinite");
         if i >= mem_from {
-            for (_, mem, line_bytes, last_line) in &mut mems {
+            for WidthWarm { mem, live, .. } in &mut widths {
+                let Some((line_bytes, last_line)) = live else { continue };
                 let line = d.pc.line_index(*line_bytes);
                 if line != *last_line {
                     mem.warm_inst(d.pc);
@@ -345,24 +386,30 @@ pub(crate) fn run_batch_window<'a>(
         }
         chunk.push(committed_record(&d));
         if chunk.len() == WARM_BATCH {
-            for e in engines.iter_mut().flatten() {
-                e.warm_block(&chunk);
-            }
+            feed(&mut kinds, &chunk);
             chunk.clear();
         }
     }
     if !chunk.is_empty() {
-        for e in engines.iter_mut().flatten() {
-            e.warm_block(&chunk);
+        feed(&mut kinds, &chunk);
+    }
+    // Serialize each live engine once, when another cell of its kind
+    // restores from it or the bank files it; bank every live segment.
+    // Saves are best-effort, like every store save.
+    for k in kinds.iter_mut().filter(|k| k.live) {
+        let kind = cells[k.first].kind;
+        if bank.is_some() || cells[k.first + 1..].iter().any(|c| c.kind == kind) {
+            k.bytes = k.engine.as_ref().expect("live engine").warm_state();
+        }
+        if let Some(key) = &bank {
+            let _ = store.save_warm(key, k.model, &k.bytes);
         }
     }
-    // Each leader's warm state, serialized once when a follower restores
-    // from it or a cell of its kind banks it.
-    let mut warm_bytes: Vec<Option<Vec<u8>>> = vec![None; cells.len()];
-    for (ci, &l) in leader.iter().enumerate() {
-        let banks = matches!(sources[ci], CellSource::Replay { bank_to: Some(_) });
-        if (l != ci || banks) && warm_bytes[l].is_none() {
-            warm_bytes[l] = engines[l].as_ref().and_then(|e| e.warm_state());
+    if let Some(key) = &bank {
+        for m in widths.iter().filter(|m| m.live.is_some()) {
+            let mut mw = WireWriter::new();
+            m.mem.save_warm_wire(&mut mw);
+            let _ = store.save_warm(key, m.model, &mw.into_bytes());
         }
     }
 
@@ -374,52 +421,24 @@ pub(crate) fn run_batch_window<'a>(
     for _ in 0..detail_len {
         buf.push(rec.next().expect("executor is infinite"));
     }
-    warm_ns += t0.elapsed().as_nanos() as u64;
+    let mut warm_ns = t0.elapsed().as_nanos() as u64;
 
     // Detailed-phase start: the pc of the first post-warm instruction,
     // where every cell's engine, banked or warmed here, resumes fetch.
     let start = buf[0].pc;
-    let mut out = Vec::with_capacity(cells.len());
-    for (ci, ((cell, src), &model)) in cells.iter().zip(sources).zip(models).enumerate() {
+    let mut rows = Vec::with_capacity(cells.len());
+    for cell in cells {
         let t1 = Instant::now();
-        let (mut engine, mem) = match src {
-            CellSource::Banked(entry) => match entry.restore(cell.kind, &cell.pcfg, start) {
-                Ok(state) => state,
-                Err(_) => {
-                    out.push(None);
-                    continue;
-                }
-            },
-            CellSource::Replay { bank_to } => {
-                let l = leader[ci];
-                let engine = if l == ci {
-                    engines[ci].take().expect("engine warmed for every leader")
-                } else {
-                    let bytes =
-                        warm_bytes[l].as_deref().expect("leader serialized for its followers");
-                    restore_engine(cell.kind, &cell.pcfg, warm_pc, bytes)
-                        .expect("a leader's warm state loads into every engine of its kind")
-                };
-                let mem = mems
-                    .iter()
-                    .find(|&&(width, ..)| width == cell.pcfg.width)
-                    .map(|(_, m, ..)| m.clone())
-                    .expect("memory warmed for every replay width");
-                if let Some(key) = bank_to {
-                    if let Some(engine_bytes) = &warm_bytes[l] {
-                        let mut mw = WireWriter::new();
-                        mem.save_warm_wire(&mut mw);
-                        let entry = WarmEntry {
-                            engine: engine_bytes.clone(),
-                            mem: mw.into_bytes(),
-                        };
-                        // Best-effort, like every store save.
-                        let _ = store.save_warm(&key, model, &entry);
-                    }
-                }
-                (engine, mem)
-            }
-        };
+        let k = kinds.iter_mut().find(|k| cells[k.first].kind == cell.kind).expect("kind resolved");
+        let mut engine = k.engine.take().unwrap_or_else(|| {
+            restore_engine(cell, warm_pc, &k.bytes)
+                .expect("a kind's warm state loads into every engine of the kind")
+        });
+        let mem = widths
+            .iter()
+            .find(|m| m.width == cell.pcfg.width)
+            .map(|m| m.mem.clone())
+            .expect("width resolved");
         warm_ns += t1.elapsed().as_nanos() as u64;
         // The detailed phase of the storeless sampler's window, except
         // that the commit oracle replays the shared buffer from the
@@ -438,9 +457,9 @@ pub(crate) fn run_batch_window<'a>(
         p.reset_stats();
         p.run(scfg.measure);
         let stats = p.stats();
-        out.push(Some((point_from_stats(w, scfg, &stats), stats)));
+        rows.push((point_from_stats(w, scfg, &stats), stats));
     }
-    WindowRun { w, rows: out, warm_ns, bank: probes }
+    WindowRun { w, rows, warm_ns, bank: probes, walked }
 }
 
 #[cfg(test)]
@@ -517,20 +536,22 @@ mod tests {
         let store = tmp_store("bank");
         let cells = cells();
         let baseline = serial_oracle(&img, &cells, 0..2);
+        // Three kinds and three widths: six segments per window.
+        let segments = 6 * 2;
 
         // First banked run populates: every probe misses.
         let mut b1 = BatchSampler::new(&img, 0xba7c, 7, quick_cfg(), &store).with_warm_bank(true);
         let r1 = b1.run_range(&cells, 0..2, 1);
         assert_eq!(r1, baseline);
         assert_eq!(b1.warm_bank_stats().hits, 0);
-        assert_eq!(b1.warm_bank_stats().misses, (cells.len() * 2) as u64);
+        assert_eq!(b1.warm_bank_stats().misses, segments);
 
         // Second run restores every cell from the bank (the sweep then
         // skips the warming span) — still bit-identical.
         let mut b2 = BatchSampler::new(&img, 0xba7c, 7, quick_cfg(), &store).with_warm_bank(true);
         let r2 = b2.run_range(&cells, 0..2, 2);
         assert_eq!(r2, baseline);
-        assert_eq!(b2.warm_bank_stats().hits, (cells.len() * 2) as u64);
+        assert_eq!(b2.warm_bank_stats().hits, segments);
         assert_eq!(b2.warm_bank_stats().misses, 0);
 
         // A fully banked window whose checkpoint is gone (as after a cap
@@ -545,13 +566,15 @@ mod tests {
         assert_eq!(r3, baseline);
         assert_eq!(b3.stats(), StoreStats { hits: 1, misses: 1, rejected: 0 });
         assert_eq!(std::fs::read(&ckpt0).expect("checkpoint saved again"), pristine);
-        assert_eq!(b3.warm_bank_stats().hits, (cells.len() * 2) as u64);
+        assert_eq!(b3.warm_bank_stats().hits, segments);
         let _ = std::fs::remove_dir_all(store.root());
     }
 
-    /// Group shape does not key the bank: entries banked by a multi-cell
-    /// sweep are hits for a later one-cell run, which then starts each
-    /// window from its stored checkpoint and stays bit-identical.
+    /// Group shape does not key the bank: segments banked by a multi-cell
+    /// sweep are hits for a later one-cell run — its kind's engine
+    /// segment and its width's memory segment, two per window — which
+    /// then starts each window from its stored checkpoint and stays
+    /// bit-identical.
     #[test]
     fn multi_cell_banked_entries_hit_for_a_one_cell_run() {
         let img = image();
@@ -563,13 +586,57 @@ mod tests {
             StoredSampler::new(&img, 0xba7c, 7, quick_cfg(), &store).with_warm_bank(true);
         let points = one.run_range(cells[2].kind, cells[2].pcfg, 0..2, 1);
         assert_eq!(points, batched[2].iter().map(|(p, _)| *p).collect::<Vec<_>>());
-        assert_eq!(one.warm_bank_stats().hits, 2, "the one-cell run must hit group-banked entries");
+        assert_eq!(one.warm_bank_stats().hits, 4, "the one-cell run hits group-banked segments");
         assert_eq!(one.warm_bank_stats().misses, 0);
         assert_eq!(
             one.stats(),
             StoreStats { hits: 2, misses: 0, rejected: 0 },
             "each fully banked window loads its one checkpoint"
         );
+        let _ = std::fs::remove_dir_all(store.root());
+    }
+
+    /// The bank's layout: a banked grid of every kind at two widths
+    /// leaves exactly windows × (kinds + widths) segments, one engine
+    /// segment per kind and one memory segment per width, and a fully
+    /// banked rerun hits each of them once and advances over every
+    /// warming span instead of walking it.
+    #[test]
+    fn banked_grid_files_one_segment_per_kind_and_width() {
+        let img = image();
+        let store = tmp_store("layout");
+        let scfg = quick_cfg();
+        let cells: Vec<BatchCell> = [2, 8]
+            .into_iter()
+            .flat_map(|width| {
+                EngineKind::ALL.map(|kind| BatchCell { kind, pcfg: ProcessorConfig::table2(width) })
+            })
+            .collect();
+        let windows = 3u64;
+        let segments = windows * (4 + 2);
+        let want = serial_oracle(&img, &cells, 0..windows);
+
+        let mut cold = BatchSampler::new(&img, 0xba7c, 7, scfg, &store).with_warm_bank(true);
+        assert_eq!(cold.run_range(&cells, 0..windows, 2), want);
+        assert_eq!(cold.warm_bank_stats().misses, segments);
+        assert_eq!(cold.timing().walked_windows, windows);
+        assert_eq!(store.warm_entries() as u64, segments);
+        for w in 0..windows {
+            let at_inst = cold.inner.warming_start(w);
+            let key = StoreKey { fingerprint: 0xba7c, seed: 7, at_inst };
+            for c in &cells {
+                let engine = warm_model_digest(c.kind, &c.pcfg, &scfg);
+                let memory = memory_model_digest(c.pcfg.width, &scfg);
+                assert!(store.warm_entry_path(&key, engine).exists(), "{w}: {:?}", c.kind);
+                assert!(store.warm_entry_path(&key, memory).exists(), "{w}: {}", c.pcfg.width);
+            }
+        }
+
+        let mut rerun = BatchSampler::new(&img, 0xba7c, 7, scfg, &store).with_warm_bank(true);
+        assert_eq!(rerun.run_range(&cells, 0..windows, 2), want);
+        assert_eq!(rerun.warm_bank_stats(), StoreStats { hits: segments, misses: 0, rejected: 0 });
+        assert_eq!(rerun.timing().walked_windows, 0, "a fully banked window walks no warming span");
+        assert_eq!(store.warm_entries() as u64, segments, "the rerun banks nothing new");
         let _ = std::fs::remove_dir_all(store.root());
     }
 

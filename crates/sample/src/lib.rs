@@ -93,6 +93,6 @@ pub use config::{Confidence, SampleConfig};
 pub use runner::{run_full_detailed, run_sampled, SamplePoint, SampledRun, Sampler};
 pub use stats::{estimate, Estimate};
 pub use store::{
-    warm_model_digest, CheckpointStore, StoreKey, StoreMiss, StoreStats, StoredSampler,
-    WarmEntry, WarmTiming, STORE_VERSION, WARM_VERSION,
+    memory_model_digest, warm_model_digest, CheckpointStore, StoreKey, StoreMiss, StoreStats,
+    StoredSampler, WarmTiming, STORE_VERSION, WARM_VERSION,
 };

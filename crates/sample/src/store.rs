@@ -31,12 +31,16 @@
 //!   header carrying the entry's key words and its payload's digest
 //!   and length. A corrupt, version-mismatched, or mis-keyed entry is
 //!   *rejected and recomputed*, never trusted ([`StoreMiss::Rejected`]).
+//!   Warm state is filed by what it depends on: one **engine segment**
+//!   per (window, engine kind) and one **memory segment** per (window,
+//!   width), each under its window's checkpoint key plus a model digest
+//!   ([`warm_model_digest`], [`memory_model_digest`]).
 //! * [`StoredSampler`] — the store-backed window runner: it resolves
 //!   each window's warming-start state through the store (loading on
 //!   hit, walking the trace and saving on miss) and feeds the window to
 //!   a worker running the batched sweep ([`crate::batch`]), which, with
-//!   banking on, restores each cell's post-warming state from the warm
-//!   bank. The points are bit-identical to the storeless
+//!   banking on, restores each kind's engine and each width's memory
+//!   from the warm bank. The points are bit-identical to the storeless
 //!   [`crate::Sampler`]'s.
 //!   On a warm store no run ever fast-forwards: windows — across any
 //!   engine, width, process, or machine — start directly at functional
@@ -50,12 +54,10 @@ use std::time::Instant;
 
 use sfetch_cfg::CodeImage;
 use sfetch_core::{ProcessorConfig, SimStats};
-use sfetch_fetch::{EngineKind, FetchEngine};
-use sfetch_isa::wire::{WireReader, WireWriter};
-use sfetch_mem::{MemoryConfig, MemoryHierarchy};
+use sfetch_fetch::EngineKind;
 use sfetch_trace::{ArchCheckpoint, Executor};
 
-use crate::batch::{run_batch_window, Bank, BatchCell, WindowPlan, WindowRun};
+use crate::batch::{run_batch_window, BatchCell, WindowPlan, WindowRun};
 use crate::config::SampleConfig;
 use crate::runner::SamplePoint;
 
@@ -132,38 +134,6 @@ struct CapState {
     evicted: u64,
 }
 
-/// One resident copy of a digest-verified warm entry (see
-/// [`WarmCache`]).
-#[derive(Debug)]
-struct CachedWarm {
-    entry: Arc<WarmEntry>,
-    /// Serialized payload size — the quantity the cache budget bounds.
-    bytes: u64,
-    /// Logical access stamp for least-recently-served eviction.
-    stamp: u64,
-}
-
-/// In-memory read cache of warm entries this process has banked or
-/// digest-verified, shared across clones (one store directory, one
-/// resident working set). Warm entries are content-addressed and
-/// deterministic, so a resident copy never goes stale; on-disk
-/// verification still guards every *first* load and all cross-process
-/// reuse. Keyed by entry path — the path encodes the full
-/// `(key, model)` address.
-#[derive(Debug, Default)]
-struct WarmCache {
-    map: sfetch_tab::OpenMap<PathBuf, CachedWarm>,
-    bytes: u64,
-    clock: u64,
-    hits: u64,
-    misses: u64,
-}
-
-/// Default byte budget of the warm-entry read cache: comfortably holds
-/// a full calibration grid's warm set (12 cells × 4 windows ≈ 26 MB)
-/// without letting a long-lived daemon grow unbounded.
-const WARM_CACHE_DEFAULT_BYTES: u64 = 256 << 20;
-
 /// A directory of verified, content-addressed architectural checkpoints.
 #[derive(Debug, Clone)]
 pub struct CheckpointStore {
@@ -172,19 +142,6 @@ pub struct CheckpointStore {
     /// sheds — the pre-cap behaviour.
     cap_bytes: Option<u64>,
     cap: std::sync::Arc<std::sync::Mutex<CapState>>,
-    /// Byte budget of the in-memory warm-entry read cache; `0` disables.
-    /// Always `WARM_CACHE_DEFAULT_BYTES` outside the unit tests.
-    ///
-    /// Warm entries enter the cache when this handle banks or
-    /// digest-verifies them, so a resident process's resubmissions skip
-    /// the disk read and re-verification entirely; least-recently-served
-    /// entries are dropped first once the budget is full. The cache holds
-    /// only content this handle produced or verified (entries are
-    /// deterministic functions of their address, so a resident copy
-    /// cannot go stale), and cap eviction drops the resident copy
-    /// together with the file.
-    warm_cache_bytes: u64,
-    warm_cache: std::sync::Arc<std::sync::Mutex<WarmCache>>,
 }
 
 impl CheckpointStore {
@@ -196,13 +153,7 @@ impl CheckpointStore {
     pub fn open(root: impl Into<PathBuf>) -> std::io::Result<Self> {
         let root = root.into();
         std::fs::create_dir_all(&root)?;
-        Ok(CheckpointStore {
-            root,
-            cap_bytes: None,
-            cap: Default::default(),
-            warm_cache_bytes: WARM_CACHE_DEFAULT_BYTES,
-            warm_cache: Default::default(),
-        })
+        Ok(CheckpointStore { root, cap_bytes: None, cap: Default::default() })
     }
 
     /// Caps the store's total entry bytes (checkpoints + warm state).
@@ -215,68 +166,6 @@ impl CheckpointStore {
     pub fn with_cap_bytes(mut self, cap: Option<u64>) -> Self {
         self.cap_bytes = cap;
         self
-    }
-
-    /// Bytes of warm-entry payload currently resident in the read cache.
-    pub fn warm_cache_resident_bytes(&self) -> u64 {
-        self.warm_cache.lock().expect("warm cache lock").bytes
-    }
-
-    /// Serves the resident copy of the warm entry at `path` (a shared
-    /// handle — no payload is copied), stamping it most-recently-served.
-    fn warm_cache_get(&self, path: &Path) -> Option<Arc<WarmEntry>> {
-        if self.warm_cache_bytes == 0 {
-            return None;
-        }
-        let mut c = self.warm_cache.lock().expect("warm cache lock");
-        c.clock += 1;
-        let stamp = c.clock;
-        let Some(hit) = c.map.get_mut(path) else {
-            c.misses += 1;
-            return None;
-        };
-        hit.stamp = stamp;
-        let entry = Arc::clone(&hit.entry);
-        c.hits += 1;
-        Some(entry)
-    }
-
-    /// Read-cache traffic accumulated so far: `(hits, misses)`.
-    pub fn warm_cache_traffic(&self) -> (u64, u64) {
-        let c = self.warm_cache.lock().expect("warm cache lock");
-        (c.hits, c.misses)
-    }
-
-    /// Admits a banked or freshly verified warm entry (`bytes` of
-    /// serialized payload), shedding least-recently-served entries to
-    /// stay under the budget.
-    fn warm_cache_put(&self, path: &Path, entry: &Arc<WarmEntry>, bytes: u64) {
-        if self.warm_cache_bytes == 0 || bytes > self.warm_cache_bytes {
-            return;
-        }
-        let mut c = self.warm_cache.lock().expect("warm cache lock");
-        c.clock += 1;
-        let stamp = c.clock;
-        let fresh = CachedWarm { entry: Arc::clone(entry), bytes, stamp };
-        if let Some(old) = c.map.insert(path.to_path_buf(), fresh) {
-            c.bytes -= old.bytes;
-        }
-        c.bytes += bytes;
-        while c.bytes > self.warm_cache_bytes {
-            let victim = c.map.iter().min_by_key(|(_, v)| v.stamp).map(|(k, _)| k.clone());
-            let Some(k) = victim else { break };
-            if let Some(v) = c.map.remove(&k) {
-                c.bytes -= v.bytes;
-            }
-        }
-    }
-
-    /// Drops the resident copy of `path`, if any (cap eviction).
-    fn warm_cache_drop(&self, path: &Path) {
-        let mut c = self.warm_cache.lock().expect("warm cache lock");
-        if let Some(v) = c.map.remove(path) {
-            c.bytes -= v.bytes;
-        }
     }
 
     /// Entry files this handle evicted to stay under the cap.
@@ -350,10 +239,6 @@ impl CheckpointStore {
             if std::fs::remove_file(&e.path).is_ok() {
                 total -= e.len;
                 st.evicted += 1;
-                // An evicted entry is gone for good: drop the resident
-                // copy too, so the next use recomputes like any other
-                // process would.
-                self.warm_cache_drop(&e.path);
             }
         }
     }
@@ -397,7 +282,7 @@ impl CheckpointStore {
     /// contents are never returned.
     pub fn load(&self, key: &StoreKey) -> Result<ArchCheckpoint, StoreMiss> {
         let path = self.entry_path(key);
-        let (cp, _) = CHECKPOINT_ENTRY.open(&path, &key.words(), ArchCheckpoint::from_bytes)?;
+        let cp = CHECKPOINT_ENTRY.open(&path, &key.words(), ArchCheckpoint::from_bytes)?;
         if cp.seq != key.at_inst {
             return Err(StoreMiss::Rejected(format!(
                 "checkpoint is at instruction {}, key says {}",
@@ -429,7 +314,7 @@ impl CheckpointStore {
         Ok(())
     }
 
-    /// The warm-state entry file a `(key, model digest)` pair addresses.
+    /// The warm-segment file a `(key, model digest)` pair addresses.
     pub fn warm_entry_path(&self, key: &StoreKey, model: u64) -> PathBuf {
         self.root.join(format!(
             "wm-{:016x}-{:016x}-{:012}-{model:016x}.sfwarm",
@@ -437,7 +322,7 @@ impl CheckpointStore {
         ))
     }
 
-    /// Number of warm-state entry files currently in the store (any key).
+    /// Number of warm-segment files currently in the store (any key).
     pub fn warm_entries(&self) -> usize {
         std::fs::read_dir(&self.root)
             .map(|rd| {
@@ -451,65 +336,44 @@ impl CheckpointStore {
             .unwrap_or(0)
     }
 
-    /// Loads and fully verifies the warm-state entry stored under
-    /// `(key, model)`. Same discipline as [`CheckpointStore::load`]:
-    /// *any* verification failure — magic, version, key or model fields,
-    /// truncation, payload digest, or segment structure — rejects the
-    /// entry for recomputation. Whether the engine and memory bytes
-    /// decode is checked later, per cell, when a window worker restores it.
+    /// Loads and verifies the warm segment stored under `(key, model)`
+    /// and returns its payload: an engine segment's
+    /// [`sfetch_fetch::FetchEngine::warm_state`] bytes or a memory
+    /// segment's [`sfetch_mem::MemoryHierarchy::save_warm_wire`] bytes.
+    /// Same discipline as [`CheckpointStore::load`]: *any* verification
+    /// failure — magic, version, key or model fields, truncation, or
+    /// payload digest — rejects the segment for recomputation. Whether
+    /// the payload decodes is checked by the window worker, which
+    /// rejects an undecodable segment the same way.
     ///
     /// # Errors
     ///
-    /// [`StoreMiss::Absent`] when no entry exists; [`StoreMiss::Rejected`]
-    /// when one exists but fails verification.
-    pub fn load_warm(&self, key: &StoreKey, model: u64) -> Result<Arc<WarmEntry>, StoreMiss> {
+    /// [`StoreMiss::Absent`] when no segment exists;
+    /// [`StoreMiss::Rejected`] when one exists but fails verification.
+    pub fn load_warm(&self, key: &StoreKey, model: u64) -> Result<Vec<u8>, StoreMiss> {
         let path = self.warm_entry_path(key, model);
-        // A resident copy was verified (or produced) by this process;
-        // serve it without touching the disk.
-        if let Some(entry) = self.warm_cache_get(&path) {
-            self.lease(&path);
-            Self::touch(&path);
-            return Ok(entry);
-        }
-        let (entry, payload_len) = WARM_ENTRY.open(&path, &warm_words(key, model), |p| {
-            let mut r = WireReader::new(p);
-            let engine = r.bytes()?.to_vec();
-            let mem = r.bytes()?.to_vec();
-            r.finish()?;
-            Ok(WarmEntry { engine, mem })
-        })?;
-        let entry = Arc::new(entry);
-        self.warm_cache_put(&path, &entry, payload_len as u64);
+        let payload = WARM_ENTRY.open(&path, &warm_words(key, model), |p| Ok(p.to_vec()))?;
         self.lease(&path);
         Self::touch(&path);
-        Ok(entry)
+        Ok(payload)
     }
 
-    /// Writes a warm-state entry under `(key, model)`, atomically. The
-    /// payload is two length-prefixed segments, engine then memory state;
-    /// the window's architectural state stays in its one `.sfckpt`.
+    /// Writes a warm segment's payload under `(key, model)`, atomically.
     ///
     /// # Errors
     ///
     /// Propagates filesystem failures.
-    pub fn save_warm(&self, key: &StoreKey, model: u64, entry: &WarmEntry) -> std::io::Result<()> {
-        let mut pw = WireWriter::new();
-        pw.bytes(&entry.engine);
-        pw.bytes(&entry.mem);
-        let payload = pw.into_bytes();
+    pub fn save_warm(&self, key: &StoreKey, model: u64, payload: &[u8]) -> std::io::Result<()> {
         let path = self.warm_entry_path(key, model);
-        WARM_ENTRY.seal(&path, &warm_words(key, model), &payload)?;
-        // Write-through: what this process just banked stays resident,
-        // so its own resubmissions never re-read what they wrote.
-        self.warm_cache_put(&path, &Arc::new(entry.clone()), payload.len() as u64);
+        WARM_ENTRY.seal(&path, &warm_words(key, model), payload)?;
         self.lease(&path);
         self.enforce_cap();
         Ok(())
     }
 }
 
-/// The key words a warm-state entry is filed under: its checkpoint key
-/// plus the warm-model digest.
+/// The key words a warm segment is filed under: its window's checkpoint
+/// key plus the segment's model digest.
 fn warm_words(key: &StoreKey, model: u64) -> [u64; 4] {
     let [fingerprint, seed, at_inst] = key.words();
     [fingerprint, seed, at_inst, model]
@@ -530,9 +394,9 @@ struct EntryFormat {
 const CHECKPOINT_ENTRY: EntryFormat =
     EntryFormat { what: "checkpoint", magic: STORE_MAGIC, version: STORE_VERSION };
 
-/// Banked warm state (`.sfwarm`), keyed by [`warm_words`].
+/// Banked warm segments (`.sfwarm`), keyed by [`warm_words`].
 const WARM_ENTRY: EntryFormat =
-    EntryFormat { what: "warm-entry", magic: WARM_MAGIC, version: WARM_VERSION };
+    EntryFormat { what: "warm-segment", magic: WARM_MAGIC, version: WARM_VERSION };
 
 impl EntryFormat {
     /// Writes `payload` sealed under `key` to `path`, atomically (temp +
@@ -557,14 +421,13 @@ impl EntryFormat {
 
     /// Reads the entry at `path`, verifies every header word against this
     /// format and `key` and the payload against its recorded length and
-    /// digest, then decodes the payload. Returns the decoded value and
-    /// the payload length.
+    /// digest, then decodes the payload.
     fn open<T>(
         &self,
         path: &Path,
         key: &[u64],
         decode: impl FnOnce(&[u8]) -> Result<T, String>,
-    ) -> Result<(T, usize), StoreMiss> {
+    ) -> Result<T, StoreMiss> {
         let bytes = match std::fs::read(path) {
             Ok(b) => b,
             Err(e) if e.kind() == std::io::ErrorKind::NotFound => return Err(StoreMiss::Absent),
@@ -595,10 +458,7 @@ impl EntryFormat {
         if sfetch_tab::fnv64(payload) != digest {
             return reject(format!("{} digest mismatch (corrupt entry)", self.what));
         }
-        match decode(payload) {
-            Ok(v) => Ok((v, payload.len())),
-            Err(e) => reject(format!("{} payload: {e}", self.what)),
-        }
+        decode(payload).or_else(|e| reject(format!("{} payload: {e}", self.what)))
     }
 }
 
@@ -612,97 +472,40 @@ struct EntryFile {
 /// Magic word of a warm-state entry ("SFWMBANK").
 const WARM_MAGIC: u64 = 0x5346_574d_4241_4e4b;
 
-/// Warm-state entry format version. Bumped whenever the entry layout
-/// changes; older entries are then rejected and recomputed (version 1
-/// entries also embedded the post-warm checkpoint). Engine-level
-/// wire-format evolution is carried by the *model digest* instead
-/// ([`warm_model_digest`] folds in
+/// Warm-segment format version. Bumped whenever the segment layout
+/// changes; older entries are then rejected and recomputed. Version 3
+/// files one segment per file: an engine segment per (window, engine
+/// kind) and a memory segment per (window, width). Version 2 entries
+/// held both segments per cell, version 1 entries also the post-warm
+/// checkpoint. Engine-level wire-format evolution is carried by the
+/// *model digest* instead ([`warm_model_digest`] folds in
 /// [`sfetch_fetch::WARM_FORMAT_VERSION`]), so an engine format bump
-/// re-keys entries rather than rejecting them one by one.
-pub const WARM_VERSION: u64 = 2;
+/// re-keys segments rather than rejecting them one by one.
+pub const WARM_VERSION: u64 = 3;
 
-/// One banked warm-state entry: the timing-model state a resident rerun
-/// needs to start a cell's window directly at its detailed phase,
-/// skipping the warming passes — the fetch engine's commit-side warm
-/// state ([`sfetch_fetch::FetchEngine::warm_state`]) and the memory
-/// hierarchy's cache tag/LRU state. The architectural state is not
-/// banked here: it depends on the trace alone, so every cell of a
-/// window reaches the post-warm position from the window's one
-/// `.sfckpt` plus a state-only [`Executor::advance`] over `Wf`.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct WarmEntry {
-    /// Engine warm-state wire bytes.
-    pub engine: Vec<u8>,
-    /// Memory-hierarchy warm-state wire bytes
-    /// ([`sfetch_mem::MemoryHierarchy::save_warm_wire`]).
-    pub mem: Vec<u8>,
-}
-
-impl WarmEntry {
-    /// Decodes this entry for one cell: a `kind` fetch engine starting
-    /// fetch at `start` (the detailed phase's first pc) and a memory
-    /// hierarchy under `pcfg`, each loaded with the banked warm state.
-    /// An entry can pass every digest check and still fail here
-    /// (a format bug, or bytes re-sealed under a valid digest), so the
-    /// runners treat an error as a rejected entry: they warm the window
-    /// live and rebank it. Decoding runs on the window workers, one cell
-    /// at a time, so it stays parallel and never holds more than one
-    /// cell's decoded state per worker.
-    ///
-    /// # Errors
-    ///
-    /// The first engine or memory decoding failure.
-    pub(crate) fn restore(
-        &self,
-        kind: EngineKind,
-        pcfg: &ProcessorConfig,
-        start: sfetch_isa::Addr,
-    ) -> Result<(Box<dyn FetchEngine>, MemoryHierarchy), String> {
-        let engine = restore_engine(kind, pcfg, start, &self.engine)?;
-        let mut mem = MemoryHierarchy::new(MemoryConfig::table2(pcfg.width));
-        let mut r = WireReader::new(&self.mem);
-        mem.load_warm_wire(&mut r)
-            .and_then(|()| r.finish())
-            .map_err(|e| format!("memory warm state: {e}"))?;
-        Ok((engine, mem))
-    }
-}
-
-/// A fresh `kind` engine under `pcfg`, starting fetch at `entry`, loaded
-/// with commit-side warm state ([`FetchEngine::warm_state`] bytes). The
-/// bytes may come from an engine of the same kind at another width,
-/// prefetch or front (the state depends on none of them): the banked
-/// restore and the batched sweep's same-kind followers both land here.
-///
-/// # Errors
-///
-/// The engine's decoding failure.
-pub(crate) fn restore_engine(
-    kind: EngineKind,
-    pcfg: &ProcessorConfig,
-    entry: sfetch_isa::Addr,
-    bytes: &[u8],
-) -> Result<Box<dyn FetchEngine>, String> {
-    let mut engine = kind.build_for(pcfg.width, entry, &pcfg.prefetch, &pcfg.front);
-    engine.load_warm_state(bytes).map_err(|e| format!("engine warm state: {e}"))?;
-    Ok(engine)
-}
-
-/// Digest of everything a warm-state entry depends on *beyond* the
-/// trace: the engine kind and wire-format version, the pipe width (cache
-/// geometry and engine tables), the front-pipeline and prefetch
-/// configurations, and the warming spans. Two cells agreeing on all of
-/// these may share warm entries; any difference re-keys.
-pub fn warm_model_digest(kind: EngineKind, pcfg: &ProcessorConfig, scfg: &SampleConfig) -> u64 {
+/// Digest naming a cell's **engine segment**: what its fetch engine's
+/// commit-side warm state ([`sfetch_fetch::FetchEngine::warm_state`])
+/// depends on beyond the trace — the engine kind, its warm-state wire
+/// format and the functional-warming span. Width, front pipeline and
+/// prefetch configuration do not enter it (the trait's contract), so
+/// every cell of a kind shares one engine segment per window; `_pcfg`
+/// only lets a caller name the segment by the cell it serves.
+pub fn warm_model_digest(kind: EngineKind, _pcfg: &ProcessorConfig, scfg: &SampleConfig) -> u64 {
     let desc = format!(
-        "warmfmt={}|engine={kind:?}|width={}|front={:?}|prefetch={:?}|warm_func={}|warm_mem={}",
+        "warmfmt={}|engine={kind:?}|warm_func={}",
         sfetch_fetch::WARM_FORMAT_VERSION,
-        pcfg.width,
-        pcfg.front,
-        pcfg.prefetch,
         scfg.warm_func,
-        scfg.warm_mem,
     );
+    sfetch_tab::fnv64(desc.as_bytes())
+}
+
+/// Digest naming a width's **memory segment**: what the cache
+/// hierarchy's warm state depends on beyond the trace — the pipe width
+/// (its Table 2 cache geometry) and the warming spans (the hierarchy
+/// warms over the last `warm_mem` of the `warm_func` span).
+pub fn memory_model_digest(width: usize, scfg: &SampleConfig) -> u64 {
+    let desc =
+        format!("memory|width={width}|warm_func={}|warm_mem={}", scfg.warm_func, scfg.warm_mem);
     sfetch_tab::fnv64(desc.as_bytes())
 }
 
@@ -716,7 +519,7 @@ pub fn warm_model_digest(kind: EngineKind, pcfg: &ProcessorConfig, scfg: &Sample
 /// every later experiment. The window itself then runs through the
 /// batched sweep ([`crate::batch`]) — the one code path that warms and
 /// measures a window against the store, and, with warm banking on,
-/// probes the bank for each cell's post-warming state — whether the call
+/// probes the bank for each kind's and width's warm segment — whether the call
 /// covers one cell ([`StoredSampler::run_range`]) or a whole group
 /// ([`crate::BatchSampler`]). The produced [`SamplePoint`]s are
 /// **bit-identical** to the storeless [`crate::Sampler`]'s — asserted by
@@ -737,9 +540,9 @@ pub struct StoredSampler<'a> {
 
 /// Host-time breakdown of a [`StoredSampler`] run, per phase.
 /// `warm_ns` sums, over the window workers, each window's bank probes,
-/// shared recording sweep and every cell's functional warming (or, on a
-/// banked hit, warm-state restore) — the quantity warm-engine-state
-/// banking exists to shrink. `ff_ns` is the producer's time resolving
+/// shared recording sweep, functional warming and every cell's
+/// warm-state restore — the quantity warm-state banking exists to
+/// shrink. `ff_ns` is the producer's time resolving
 /// warming-start snapshots (fast-forward walking and checkpoint IO),
 /// [`StoredSampler::populate`] included; in a sweep it overlaps the
 /// workers' `warm_ns` rather than preceding it.
@@ -752,6 +555,10 @@ pub struct WarmTiming {
     pub warm_ns: u64,
     /// Windows covered by the above.
     pub windows: u64,
+    /// Of those, the windows whose warming span the sweep walked record
+    /// by record because some kind or width warmed live; every other
+    /// window advanced over it from banked state.
+    pub walked_windows: u64,
 }
 
 impl<'a> StoredSampler<'a> {
@@ -797,9 +604,11 @@ impl<'a> StoredSampler<'a> {
         self.stats
     }
 
-    /// Warm-state bank traffic accumulated so far: one probe per cell
-    /// per window (all zero unless [`StoredSampler::with_warm_bank`]
-    /// enabled banking).
+    /// Warm-state bank traffic accumulated so far: one probe per warm
+    /// segment per window — each distinct engine kind and each distinct
+    /// width — all zero unless [`StoredSampler::with_warm_bank`] enabled
+    /// banking. A segment that passes its digest but does not decode
+    /// counts as rejected.
     pub fn warm_bank_stats(&self) -> StoreStats {
         self.warm_stats
     }
@@ -899,11 +708,8 @@ impl<'a> StoredSampler<'a> {
     /// bounded at `jobs` plans, so only O(`jobs`) recorders are ever
     /// alive. `min(jobs, windows)` workers pull plans as they free up
     /// and run each window's batched sweep ([`run_batch_window`]),
-    /// probing the warm bank for its cells themselves; no window waits
-    /// for another. After the sweep, the workers' bank counts are merged
-    /// and every cell whose banked entry did not decode is re-run warmed
-    /// live ([`StoredSampler::rewarm`]). A panicking worker fails the
-    /// call with its own panic.
+    /// probing the warm bank for its segments themselves; no window waits
+    /// for another. A panicking worker fails the call with its own panic.
     ///
     /// # Panics
     ///
@@ -916,11 +722,8 @@ impl<'a> StoredSampler<'a> {
     ) -> Vec<Vec<(SamplePoint, SimStats)>> {
         assert!(!cells.is_empty(), "batch needs at least one cell");
         let jobs = jobs.max(1);
-        let models: Vec<u64> =
-            cells.iter().map(|c| warm_model_digest(c.kind, &c.pcfg, &self.scfg)).collect();
         let windows = range.end.saturating_sub(range.start);
         let (image, scfg, store) = (self.image, self.scfg, self.store);
-        let models_ref = &models;
         let (tx, rx) = std::sync::mpsc::sync_channel::<WindowPlan<'a>>(jobs);
         // The workers own the receiver, so once every one has exited
         // (panics included) the producer's `send` fails instead of
@@ -937,9 +740,7 @@ impl<'a> StoredSampler<'a> {
                             // lock is held only while waiting for a plan.
                             let next = rx.lock().expect("plan queue").recv();
                             let Ok(plan) = next else { return done };
-                            done.push(run_batch_window(
-                                image, cells, &scfg, store, models_ref, plan,
-                            ));
+                            done.push(run_batch_window(image, cells, &scfg, store, plan));
                         }
                     })
                 })
@@ -972,23 +773,16 @@ impl<'a> StoredSampler<'a> {
         });
         runs.sort_unstable_by_key(|run| run.w);
 
-        // `rewarm` turns a counted hit into a rejection, so every
-        // window's probes are in before any cell is re-run.
-        for run in &runs {
+        let mut out: Vec<Vec<(SamplePoint, SimStats)>> =
+            cells.iter().map(|_| Vec::with_capacity(windows as usize)).collect();
+        for run in runs {
             self.warm_stats.hits += run.bank.hits;
             self.warm_stats.misses += run.bank.misses;
             self.warm_stats.rejected += run.bank.rejected;
             self.timing.warm_ns += run.warm_ns;
-        }
-        let mut out: Vec<Vec<(SamplePoint, SimStats)>> =
-            cells.iter().map(|_| Vec::with_capacity(windows as usize)).collect();
-        for run in runs {
-            for (ci, row) in run.rows.into_iter().enumerate() {
-                let row = match row {
-                    Some(row) => row,
-                    None => self.rewarm(run.w, &cells[ci], models[ci]),
-                };
-                out[ci].push(row);
+            self.timing.walked_windows += u64::from(run.walked);
+            for (rows, row) in out.iter_mut().zip(run.rows) {
+                rows.push(row);
             }
         }
         self.timing.windows += windows;
@@ -999,35 +793,11 @@ impl<'a> StoredSampler<'a> {
     /// recorder at the window's warming start through the checkpoint
     /// store ([`StoredSampler::snapshot`]: a checkpoint load, or the
     /// live walker advancing and saving) and, with banking on, names
-    /// the key the window's worker probes the warm bank under. The bank
+    /// the key the window's worker files warm segments under. The bank
     /// itself is read by the worker.
     fn resolve_plan(&mut self, w: u64) -> WindowPlan<'a> {
-        let bank = if self.warm_bank {
-            Bank::Probe(self.key_at(self.warming_start(w)))
-        } else {
-            Bank::Off
-        };
+        let bank = self.warm_bank.then(|| self.key_at(self.warming_start(w)));
         WindowPlan { w, rec: self.snapshot(w), bank }
-    }
-
-    /// Re-runs one cell of window `w` warmed live after a worker found
-    /// its banked entry undecodable: the entry counts as rejected, and
-    /// the live warming rebanks it.
-    fn rewarm(&mut self, w: u64, cell: &BatchCell, model: u64) -> (SamplePoint, SimStats) {
-        self.warm_stats.hits -= 1;
-        self.warm_stats.rejected += 1;
-        let bank = Bank::Rebank(self.key_at(self.warming_start(w)));
-        let plan = WindowPlan { w, rec: self.snapshot(w), bank };
-        let run = run_batch_window(
-            self.image,
-            std::slice::from_ref(cell),
-            &self.scfg,
-            self.store,
-            &[model],
-            plan,
-        );
-        self.timing.warm_ns += run.warm_ns;
-        run.rows.into_iter().flatten().next().expect("a live-warmed cell always runs")
     }
 
     /// Ensures every window in `0..windows` has a stored checkpoint (one
@@ -1062,14 +832,6 @@ mod tests {
             .join(format!("sfetch-store-test-{tag}-{}", std::process::id()));
         let _ = std::fs::remove_dir_all(&dir);
         CheckpointStore::open(dir).expect("open store")
-    }
-
-    impl CheckpointStore {
-        /// Bounds the warm-entry read cache (`0` disables it).
-        fn with_warm_cache_bytes(mut self, bytes: u64) -> Self {
-            self.warm_cache_bytes = bytes;
-            self
-        }
     }
 
     fn quick_cfg() -> SampleConfig {
@@ -1207,7 +969,7 @@ mod tests {
     /// The banking oracle: for every engine, a warm-bank run must be
     /// bit-identical to the storeless live sampler — on the banking
     /// (cold) pass *and* on the resident (banked) rerun, which must
-    /// serve every window from the bank.
+    /// serve every window's engine and memory segment from the bank.
     #[test]
     fn warm_bank_is_bit_identical_to_live_for_every_engine() {
         let img = image();
@@ -1223,14 +985,15 @@ mod tests {
             let mut cold = StoredSampler::new(&img, fp, 7, scfg, &store).with_warm_bank(true);
             let got = cold.run_range(kind, pcfg, 0..3, 1);
             assert_eq!(want, got, "{kind:?}: banking pass must match live");
-            assert_eq!(cold.warm_bank_stats().misses, 3, "{kind:?}: cold bank misses all");
-            assert_eq!(store.warm_entries(), 3, "{kind:?}: warming results banked");
+            assert_eq!(cold.warm_bank_stats().misses, 6, "{kind:?}: cold bank misses all");
+            assert_eq!(store.warm_entries(), 6, "{kind:?}: warming results banked");
 
             let mut resident = StoredSampler::new(&img, fp, 7, scfg, &store).with_warm_bank(true);
             let again = resident.run_range(kind, pcfg, 0..3, 1);
             assert_eq!(want, again, "{kind:?}: banked rerun must match live");
-            assert_eq!(resident.warm_bank_stats().hits, 3, "{kind:?}: rerun fully banked");
+            assert_eq!(resident.warm_bank_stats().hits, 6, "{kind:?}: rerun fully banked");
             assert_eq!(resident.warm_bank_stats().misses, 0);
+            assert_eq!(resident.timing().walked_windows, 0, "{kind:?}: no warming walk");
             assert_eq!(
                 resident.stats(),
                 StoreStats { hits: 3, misses: 0, rejected: 0 },
@@ -1255,40 +1018,54 @@ mod tests {
             let mut par = StoredSampler::new(&img, fp, 7, scfg, &store).with_warm_bank(true);
             let got = par.run_range(EngineKind::Stream, pcfg, 0..4, jobs);
             assert_eq!(want, got, "jobs = {jobs}");
-            assert_eq!(par.warm_bank_stats().hits, 4, "jobs = {jobs}");
+            assert_eq!(par.warm_bank_stats().hits, 8, "jobs = {jobs}");
         }
         let _ = std::fs::remove_dir_all(store.root());
     }
 
-    /// Warm entries are keyed on the model digest: a different engine,
-    /// width, or warming span must not see another cell's entries.
+    /// Warm segments are keyed by what they depend on: another engine
+    /// kind at the same width misses the engine segment but shares the
+    /// memory segment; the same kind at another width shares the engine
+    /// segment but misses the memory segment.
     #[test]
     fn warm_entries_are_model_keyed() {
         let img = image();
         let scfg = quick_cfg();
         let store = tmp_store("bank-model");
         let fp = sfetch_trace::trace_fingerprint(&img, 7, 4096);
+        let run = |kind: EngineKind, width: usize| {
+            let mut s = StoredSampler::new(&img, fp, 7, scfg, &store).with_warm_bank(true);
+            let got = s.run_range(kind, ProcessorConfig::table2(width), 0..2, 1);
+            let mut live = crate::Sampler::new(&img, kind, ProcessorConfig::table2(width), scfg, 7);
+            assert_eq!(got, live.run(2), "{kind:?} at width {width}");
+            s.warm_bank_stats()
+        };
 
-        let mut a = StoredSampler::new(&img, fp, 7, scfg, &store).with_warm_bank(true);
-        let _ = a.run_range(EngineKind::Stream, ProcessorConfig::table2(4), 0..2, 1);
-        assert_eq!(store.warm_entries(), 2);
-
-        // Different engine: banked entries must miss, not collide.
-        let mut b = StoredSampler::new(&img, fp, 7, scfg, &store).with_warm_bank(true);
-        let _ = b.run_range(EngineKind::Ev8, ProcessorConfig::table2(4), 0..2, 1);
-        assert_eq!(b.warm_bank_stats().hits, 0, "cross-engine entries must not be shared");
-        assert_eq!(b.warm_bank_stats().misses, 2);
+        let a = run(EngineKind::Stream, 4);
+        assert_eq!((a.hits, a.misses), (0, 4), "one engine and one memory segment per window");
         assert_eq!(store.warm_entries(), 4);
 
-        // Same engine, different width: also re-keyed (cache geometry).
-        let d8 = warm_model_digest(EngineKind::Stream, &ProcessorConfig::table2(8), &scfg);
+        let b = run(EngineKind::Ev8, 4);
+        assert_eq!((b.hits, b.misses), (2, 2), "cross-engine: only the memory segments hit");
+        assert_eq!(store.warm_entries(), 6);
+
+        let c = run(EngineKind::Stream, 8);
+        assert_eq!((c.hits, c.misses), (2, 2), "cross-width: only the engine segments hit");
+        assert_eq!(store.warm_entries(), 8);
+
         let d4 = warm_model_digest(EngineKind::Stream, &ProcessorConfig::table2(4), &scfg);
-        assert_ne!(d8, d4);
+        let d8 = warm_model_digest(EngineKind::Stream, &ProcessorConfig::table2(8), &scfg);
+        assert_eq!(d4, d8, "engine segments ignore the width");
+        assert_ne!(memory_model_digest(4, &scfg), memory_model_digest(8, &scfg));
+        let half_mem = SampleConfig { warm_mem: scfg.warm_mem / 2, ..scfg };
+        assert_ne!(memory_model_digest(4, &scfg), memory_model_digest(4, &half_mem));
+        let stream4 = ProcessorConfig::table2(4);
+        assert_eq!(d4, warm_model_digest(EngineKind::Stream, &stream4, &half_mem));
         let _ = std::fs::remove_dir_all(store.root());
     }
 
-    /// Corrupt or version-mismatched warm entries are rejected and the
-    /// window silently recomputes — and re-banks a good entry.
+    /// Corrupt or version-mismatched warm segments are rejected and the
+    /// window silently recomputes — and re-banks a good segment.
     #[test]
     fn corrupt_warm_entries_are_rejected_and_recomputed() {
         let img = image();
@@ -1296,98 +1073,44 @@ mod tests {
         let pcfg = ProcessorConfig::table2(4);
         let store = tmp_store("bank-reject");
         let fp = sfetch_trace::trace_fingerprint(&img, 7, 4096);
-        let model = warm_model_digest(EngineKind::Ftb, &pcfg, &scfg);
+        let engine = warm_model_digest(EngineKind::Ftb, &pcfg, &scfg);
+        let memory = memory_model_digest(pcfg.width, &scfg);
 
         let mut cold = StoredSampler::new(&img, fp, 7, scfg, &store).with_warm_bank(true);
         let want = cold.run_range(EngineKind::Ftb, pcfg, 0..2, 1);
 
-        // Corrupt window 0's entry payload; bump window 1's version.
+        // Corrupt window 0's engine segment; bump the version of window
+        // 1's memory segment.
         let key0 = StoreKey { fingerprint: fp, seed: 7, at_inst: cold.warming_start(0) };
         let key1 = StoreKey { fingerprint: fp, seed: 7, at_inst: cold.warming_start(1) };
-        let p0 = store.warm_entry_path(&key0, model);
-        let mut bytes = std::fs::read(&p0).expect("entry 0");
+        let p0 = store.warm_entry_path(&key0, engine);
+        let mut bytes = std::fs::read(&p0).expect("engine segment 0");
         let n = bytes.len();
         bytes[n - 9] ^= 0xff;
         std::fs::write(&p0, &bytes).expect("rewrite");
-        let p1 = store.warm_entry_path(&key1, model);
-        let mut bytes = std::fs::read(&p1).expect("entry 1");
+        let p1 = store.warm_entry_path(&key1, memory);
+        let mut bytes = std::fs::read(&p1).expect("memory segment 1");
         bytes[8..16].copy_from_slice(&(WARM_VERSION + 1).to_le_bytes());
         std::fs::write(&p1, &bytes).expect("rewrite");
+        let rejected = |key: &StoreKey, model: u64, reason: &str| {
+            let got = store.load_warm(key, model);
+            matches!(got, Err(StoreMiss::Rejected(why)) if why.contains(reason))
+        };
+        assert!(rejected(&key0, engine, "digest"));
+        assert!(rejected(&key1, memory, "version"));
 
-        // On-disk corruption is seen by *other* processes (the handle
-        // that banked the entries rightly keeps serving its verified
-        // resident copies); a fresh handle models that.
-        let seen = CheckpointStore::open(store.root()).expect("reopen store");
-        assert!(matches!(seen.load_warm(&key0, model), Err(StoreMiss::Rejected(why)) if why.contains("digest")));
-        assert!(matches!(seen.load_warm(&key1, model), Err(StoreMiss::Rejected(why)) if why.contains("version")));
-
-        let mut again = StoredSampler::new(&img, fp, 7, scfg, &seen).with_warm_bank(true);
+        let mut again = StoredSampler::new(&img, fp, 7, scfg, &store).with_warm_bank(true);
         let got = again.run_range(EngineKind::Ftb, pcfg, 0..2, 1);
-        assert_eq!(want, got, "rejected entries must recompute bit-identically");
+        assert_eq!(want, got, "rejected segments must recompute bit-identically");
         assert_eq!(again.warm_bank_stats().rejected, 2);
-        assert_eq!(again.warm_bank_stats().hits, 0);
+        assert_eq!(again.warm_bank_stats().hits, 2, "the intact segments still serve");
 
-        // The recompute re-banked verified entries.
-        let repaired = CheckpointStore::open(store.root()).expect("reopen store");
-        assert!(repaired.load_warm(&key0, model).is_ok());
-        assert!(repaired.load_warm(&key1, model).is_ok());
-        let mut third = StoredSampler::new(&img, fp, 7, scfg, &repaired).with_warm_bank(true);
+        // The recompute re-banked verified segments.
+        assert!(store.load_warm(&key0, engine).is_ok());
+        assert!(store.load_warm(&key1, memory).is_ok());
+        let mut third = StoredSampler::new(&img, fp, 7, scfg, &store).with_warm_bank(true);
         let _ = third.run_range(EngineKind::Ftb, pcfg, 0..2, 1);
-        assert_eq!(third.warm_bank_stats().hits, 2, "repaired bank serves the next run");
-        let _ = std::fs::remove_dir_all(store.root());
-    }
-
-    /// The write-through read cache serves the banking process's own
-    /// entries without disk reads, stays byte-identical, respects its
-    /// budget LRU, and never outlives cap eviction.
-    #[test]
-    fn warm_cache_serves_resident_entries_and_respects_budget() {
-        let img = image();
-        let scfg = quick_cfg();
-        let pcfg = ProcessorConfig::table2(4);
-        let store = tmp_store("warm-cache");
-        let fp = sfetch_trace::trace_fingerprint(&img, 7, 4096);
-        let model = warm_model_digest(EngineKind::Stream, &pcfg, &scfg);
-
-        let mut cold = StoredSampler::new(&img, fp, 7, scfg, &store).with_warm_bank(true);
-        let want = cold.run_range(EngineKind::Stream, pcfg, 0..2, 1);
-        assert!(store.warm_cache_resident_bytes() > 0, "banking must populate the cache");
-
-        // Delete the files: the banking handle still serves resident
-        // copies (bit-identically); a fresh handle sees the absence.
-        let key0 = StoreKey { fingerprint: fp, seed: 7, at_inst: cold.warming_start(0) };
-        let p0 = store.warm_entry_path(&key0, model);
-        std::fs::remove_file(&p0).expect("remove warm entry");
-        assert!(store.load_warm(&key0, model).is_ok(), "resident copy survives the file");
-        let fresh = CheckpointStore::open(store.root()).expect("reopen store");
-        assert!(matches!(fresh.load_warm(&key0, model), Err(StoreMiss::Absent)));
-        let mut warm = StoredSampler::new(&img, fp, 7, scfg, &store).with_warm_bank(true);
-        let got = warm.run_range(EngineKind::Stream, pcfg, 0..2, 1);
-        assert_eq!(want, got, "cache-served rerun must stay bit-identical");
-        assert_eq!(warm.warm_bank_stats().hits, 2);
-
-        // A one-byte budget caches nothing; zero disables outright.
-        let tiny = CheckpointStore::open(store.root()).expect("reopen").with_warm_cache_bytes(1);
-        let mut t = StoredSampler::new(&img, fp, 7, scfg, &tiny).with_warm_bank(true);
-        let _ = t.run_range(EngineKind::Stream, pcfg, 1..2, 1);
-        assert_eq!(tiny.warm_cache_resident_bytes(), 0, "over-budget entries are not admitted");
-
-        // LRU: with room for roughly one entry, the second admission
-        // sheds the first.
-        let one = fresh.load_warm(
-            &StoreKey { fingerprint: fp, seed: 7, at_inst: cold.warming_start(1) },
-            model,
-        );
-        assert!(one.is_ok(), "window 1 entry still on disk");
-        let lru = CheckpointStore::open(store.root())
-            .expect("reopen")
-            .with_warm_cache_bytes(fresh.warm_cache_resident_bytes() + 8);
-        let mut l = StoredSampler::new(&img, fp, 7, scfg, &lru).with_warm_bank(true);
-        let _ = l.run_range(EngineKind::Stream, pcfg, 0..2, 1);
-        assert!(
-            lru.warm_cache_resident_bytes() <= fresh.warm_cache_resident_bytes() + 8,
-            "cache must stay within its budget"
-        );
+        assert_eq!(third.warm_bank_stats().hits, 4, "repaired bank serves the next run");
         let _ = std::fs::remove_dir_all(store.root());
     }
 
@@ -1531,9 +1254,9 @@ mod tests {
 
     /// The sealed-entry codec writes the bytes earlier builds wrote: a
     /// fixed checkpoint entry hashes to the value those builds produced,
-    /// so the stores they left keep loading, and a fixed warm entry to
-    /// the value of the version 2 layout (engine and memory segments;
-    /// version 1 entries are rejected once and rebanked).
+    /// so the stores they left keep loading. The two warm segments hold
+    /// the engine and memory payloads of the fixed version 2 entry
+    /// earlier builds pinned, sealed as version 3 segments.
     #[test]
     fn sealed_entry_bytes_match_earlier_builds() {
         let img = image();
@@ -1543,14 +1266,20 @@ mod tests {
         ex.nth(999);
         let cp = ex.checkpoint();
         store.save(&key, &cp).expect("save");
-        let warm = WarmEntry { engine: vec![1, 2, 3, 4, 5], mem: vec![9; 17] };
-        store.save_warm(&key, 0xabcd, &warm).expect("save warm");
+        let (engine, memory) = (vec![1, 2, 3, 4, 5], vec![9; 17]);
+        store.save_warm(&key, 0xabcd, &engine).expect("save engine segment");
+        store.save_warm(&key, 0xdcba, &memory).expect("save memory segment");
         let digest = |p: PathBuf| sfetch_tab::fnv64(&std::fs::read(p).expect("entry bytes"));
         assert_eq!(digest(store.entry_path(&key)), 0x99eb_e3fc_b1d9_cd1c, "checkpoint entry bytes");
         assert_eq!(
             digest(store.warm_entry_path(&key, 0xabcd)),
-            0x4a13_5044_065e_edbd,
-            "warm entry bytes"
+            0x944f_bee3_115c_9182,
+            "engine segment bytes"
+        );
+        assert_eq!(
+            digest(store.warm_entry_path(&key, 0xdcba)),
+            0xc5b9_a229_37a0_985c,
+            "memory segment bytes"
         );
         // A checkpoint the populate walk wrote (fast-forwarded past the
         // first window): the bytes a build whose populate walked `next()`
@@ -1563,20 +1292,20 @@ mod tests {
             0x6479_8eca_4958_84f9,
             "populated checkpoint bytes"
         );
-        // And they read back through a fresh handle (no resident copy).
-        let fresh = CheckpointStore::open(store.root()).expect("reopen store");
-        assert_eq!(fresh.load(&key), Ok(cp));
-        assert_eq!(fresh.load_warm(&key, 0xabcd).as_deref(), Ok(&warm));
+        // And they read back.
+        assert_eq!(store.load(&key), Ok(cp));
+        assert_eq!(store.load_warm(&key, 0xabcd), Ok(engine));
+        assert_eq!(store.load_warm(&key, 0xdcba), Ok(memory));
         let _ = std::fs::remove_dir_all(store.root());
     }
 
-    /// A warm entry banked by a same-kind follower — restored from its
-    /// leader's warm state rather than warmed itself, here at another
-    /// width and front — hashes to the value earlier builds, which
-    /// warmed every cell, wrote for the same cell. The pin is the
-    /// version 1 entry those builds wrote with its embedded checkpoint
-    /// segment dropped and resealed as version 2: the engine and memory
-    /// bytes are unchanged.
+    /// The warm segments a same-kind follower's window banks — its
+    /// engine restored from its leader's warm state, here at another
+    /// width and front — hold the engine and memory payloads of the
+    /// version 2 entry earlier builds wrote for the same cell (which
+    /// equal those of the version 1 entry the builds before them wrote,
+    /// which warmed every cell): the leader's engine segment and the
+    /// follower's width's memory segment.
     #[test]
     fn follower_banked_warm_entry_matches_earlier_builds() {
         let img = image();
@@ -1589,15 +1318,23 @@ mod tests {
         let mut b = crate::BatchSampler::new(&img, fingerprint, seed, quick_cfg(), &store)
             .with_warm_bank(true);
         let _ = b.run_range(&[leader, follower], 1..2, 1);
+        assert_eq!(store.warm_entries(), 3, "one engine segment, two memory segments");
         let at_inst =
             StoredSampler::new(&img, fingerprint, seed, quick_cfg(), &store).warming_start(1);
         let key = StoreKey { fingerprint, seed, at_inst };
-        let model = warm_model_digest(follower.kind, &follower.pcfg, &quick_cfg());
-        let bytes = std::fs::read(store.warm_entry_path(&key, model)).expect("follower entry");
+        let segment = |model: u64| {
+            let bytes = std::fs::read(store.warm_entry_path(&key, model)).expect("segment");
+            sfetch_tab::fnv64(&bytes)
+        };
         assert_eq!(
-            sfetch_tab::fnv64(&bytes),
-            0x478e_1054_889a_8579,
-            "follower-banked warm entry bytes"
+            segment(warm_model_digest(follower.kind, &follower.pcfg, &quick_cfg())),
+            0x5a98_13a2_b263_0a0f,
+            "engine segment bytes"
+        );
+        assert_eq!(
+            segment(memory_model_digest(follower.pcfg.width, &quick_cfg())),
+            0x556b_331e_4bb5_1c58,
+            "memory segment bytes"
         );
         let _ = std::fs::remove_dir_all(store.root());
     }

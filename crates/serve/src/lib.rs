@@ -37,10 +37,10 @@
 //!   terminated by a `final` record. The client merges the points with
 //!   the same `merge_grid` the one-shot bins use, so the final table is
 //!   byte-identical to a local run.
-//! - **Warm-engine-state banking.** Requests submitted with
-//!   `warm_bank` persist each window's post-warming engine state per
-//!   (engine, config, workload, offset), so resident reruns skip the
-//!   detailed-warming walk. Banked state changes host time only, never
+//! - **Warm-state banking.** Requests submitted with `warm_bank`
+//!   persist each window's post-warming state per (workload, offset):
+//!   one engine segment per engine kind and one memory segment per
+//!   width, so resident reruns skip the functional-warming walk. Banked state changes host time only, never
 //!   output bytes, so banked and unbanked requests share one family.
 //!
 //! Nothing on the request path sleeps. `accept` blocks; the scheduler

@@ -11,7 +11,8 @@
 //! at every batch cap, the uncapped default included. The sweep warms
 //! one engine per engine kind and restores the kind's other cells from
 //! its warm state; the full-grid cases give every kind two such
-//! followers, under both fronts, a shared prefetcher and warm banking.
+//! restored cells, under both fronts, a shared prefetcher and warm
+//! banking.
 
 use proptest::prelude::*;
 
@@ -158,9 +159,9 @@ fn full_grid_is_byte_identical_at_every_batch_cap() {
     let _ = std::fs::remove_dir_all(store.root());
 }
 
-/// The full Fig. 8 grid in one sweep: every engine kind has one leader
-/// (its 2-wide cell) warmed on the shared stream and two followers (4-
-/// and 8-wide) restored from the leader's warm state. Under the
+/// The full Fig. 8 grid in one sweep: every engine kind's first cell
+/// (2-wide) is warmed on the shared stream and its two other cells (4-
+/// and 8-wide) are restored from that engine's warm state. Under the
 /// per-engine front with natural prefetch, the legacy front, and a
 /// shared stream prefetcher with 4 MSHRs, every cell must match the
 /// storeless oracle, which warms each cell itself; `jobs = 2` over
@@ -196,10 +197,10 @@ fn full_grid_followers_match_the_storeless_oracle() {
     }
 }
 
-/// Warm banking with followers: the first banked run files an entry for
-/// every cell — followers bank their leader's bytes — and a second run
-/// restores all 12 cells of every window from the bank. Both match the
-/// storeless oracle.
+/// Warm banking on the full grid: the first banked run files one engine
+/// segment per kind and one memory segment per width for every window
+/// (7, not one per cell), and a second run restores all 12 cells of
+/// every window from those segments. Both match the storeless oracle.
 #[test]
 fn warm_bank_files_follower_entries_and_hits_every_cell() {
     let w = try_workload_by_name("phased").expect("registered bench");
@@ -211,7 +212,7 @@ fn warm_bank_files_follower_entries_and_hits_every_cell() {
         .map(|c| BatchCell { kind: c.engine, pcfg: cell_config(c, &HarnessOpts::default()) })
         .collect();
     let windows = 3u64;
-    let probes = batch.len() as u64 * windows;
+    let probes = (4 + 3) * windows;
     let want = serial_oracle(img, w.ref_seed(), scfg, &batch, 0..windows);
     let store = tmp_store("bank-followers");
     let mut first = BatchSampler::new(img, fp, w.ref_seed(), scfg, &store).with_warm_bank(true);
@@ -220,28 +221,24 @@ fn warm_bank_files_follower_entries_and_hits_every_cell() {
     let mut second = BatchSampler::new(img, fp, w.ref_seed(), scfg, &store).with_warm_bank(true);
     assert_eq!(second.run_range(&batch, 0..windows, 2), want, "bank-restored run");
     let bank = second.warm_bank_stats();
-    assert_eq!((bank.hits, bank.misses, bank.rejected), (probes, 0, 0), "every cell restores");
+    assert_eq!((bank.hits, bank.misses, bank.rejected), (probes, 0, 0), "every segment restores");
+    assert_eq!(store.warm_entries() as u64, probes);
     let _ = std::fs::remove_dir_all(store.root());
 }
 
-/// Bytes ahead of a warm-bank entry's payload: magic, version, the four
+/// Bytes ahead of a warm segment's payload: magic, version, the four
 /// key words, digest and length.
 const WARM_HEADER: usize = 64;
 
-/// A warm-bank entry with its engine segment one byte short, re-sealed
-/// under a valid digest: it passes every check `load_warm` makes and
-/// does not decode.
+/// A warm engine segment one byte short, re-sealed under a valid
+/// digest: it passes every check `load_warm` makes and does not decode.
 fn undecodable(entry: &[u8]) -> Vec<u8> {
-    let payload = &entry[WARM_HEADER..];
-    let len = u64::from_le_bytes(payload[..8].try_into().expect("segment length")) as usize;
-    let mut short = (len as u64 - 1).to_le_bytes().to_vec();
-    short.extend_from_slice(&payload[8..7 + len]);
-    short.extend_from_slice(&payload[8 + len..]);
+    let short = &entry[WARM_HEADER..entry.len() - 1];
     let mut out = entry[..WARM_HEADER].to_vec();
     out[WARM_HEADER - 16..WARM_HEADER - 8]
-        .copy_from_slice(&sfetch_fleet::fnv64(&short).to_le_bytes());
+        .copy_from_slice(&sfetch_fleet::fnv64(short).to_le_bytes());
     out[WARM_HEADER - 8..].copy_from_slice(&(short.len() as u64).to_le_bytes());
-    out.extend_from_slice(&short);
+    out.extend_from_slice(short);
     out
 }
 
@@ -250,9 +247,9 @@ fn undecodable(entry: &[u8]) -> Vec<u8> {
 /// `jobs` 1, 2 and 3 (two of which do not divide 5). The banked windows
 /// restore on their workers while the fifth walks on from window 3's
 /// checkpoint and warms live; every row matches the storeless oracle
-/// and the bank counts each probe once. A resealed, undecodable entry
-/// in window 2 is rejected once, re-warmed and rebanked, with the same
-/// rows and no counter underflow.
+/// and the bank counts each segment probe once. A resealed, undecodable
+/// engine segment in window 2 is rejected once, rewarmed in the same
+/// pass and rebanked, with the same rows.
 #[test]
 fn banked_and_cold_windows_share_one_call() {
     let w = try_workload_by_name("phased").expect("registered bench");
@@ -264,10 +261,12 @@ fn banked_and_cold_windows_share_one_call() {
         .into_iter()
         .map(|c| BatchCell { kind: c.engine, pcfg: cell_config(c, &HarnessOpts::default()) })
         .collect();
-    let n = batch.len() as u64;
+    // Four kinds and two widths: six segments per window.
+    let n = 4 + 2;
     let want = serial_oracle(img, seed, scfg, &batch, 0..5);
     let want_banked: Vec<_> = want.iter().map(|rows| rows[..4].to_vec()).collect();
-    // The victim follows its kind's 4-wide leader in the sweep.
+    // The victim is the stream kind's engine segment, which its 8-wide
+    // cell restores from too.
     let victim = batch
         .iter()
         .position(|c| c.kind == EngineKind::Stream && c.pcfg.width == 8)

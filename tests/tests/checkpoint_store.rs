@@ -1,9 +1,9 @@
 //! Cross-crate correctness of the checkpoint store (`sfetch_sample::store`):
 //! suspend/resume through *disk* is bit-identical to running straight
 //! through, warm-store replays equal cold-store runs byte-for-byte, and
-//! damaged store entries — warm-bank entries re-sealed under a valid
+//! damaged store entries — warm-bank segments re-sealed under a valid
 //! digest included — are rejected and recomputed, never trusted. Bytes
-//! flipped inside a re-sealed warm entry's segments or a re-sealed
+//! flipped inside a re-sealed engine or memory segment or a re-sealed
 //! checkpoint entry never panic a run.
 
 use std::ops::Range;
@@ -14,8 +14,8 @@ use sfetch_cfg::{layout, CodeImage};
 use sfetch_core::ProcessorConfig;
 use sfetch_fetch::EngineKind;
 use sfetch_sample::{
-    warm_model_digest, BatchCell, BatchSampler, CheckpointStore, SampleConfig, Sampler,
-    StoreKey, StoreMiss, StoredSampler, WARM_VERSION,
+    memory_model_digest, warm_model_digest, BatchCell, BatchSampler, CheckpointStore,
+    SampleConfig, Sampler, StoreKey, StoreMiss, StoredSampler, WARM_VERSION,
 };
 use sfetch_workloads::phased::{self, PhasedParams};
 
@@ -60,41 +60,30 @@ fn resize_ckpt(ckpt: &mut Vec<u8>, delta: i64) {
     ckpt[80..88].copy_from_slice(&fixed.to_le_bytes());
 }
 
-/// Splits a warm-bank entry payload into its two length-prefixed
-/// segments (0 = engine state, 1 = memory state).
-fn split_segments(payload: &[u8]) -> Vec<Vec<u8>> {
-    let mut segs: Vec<Vec<u8>> = Vec::new();
-    let mut at = 0;
-    while at < payload.len() {
-        let len = u64::from_le_bytes(payload[at..at + 8].try_into().expect("len")) as usize;
-        segs.push(payload[at + 8..at + 8 + len].to_vec());
-        at += 8 + len;
-    }
-    assert_eq!(segs.len(), 2, "engine and memory segments");
-    segs
-}
-
-/// Joins segments back into a payload, rewriting the length prefixes.
-fn join_segments(segs: &[Vec<u8>]) -> Vec<u8> {
-    let mut out = Vec::new();
-    for seg in segs {
-        out.extend_from_slice(&(seg.len() as u64).to_le_bytes());
-        out.extend_from_slice(seg);
-    }
-    out
-}
-
-/// Resizes one segment of a warm-bank entry payload by `delta`: it
-/// loses or gains trailing bytes.
-fn resize_segment(payload: &[u8], segment: usize, delta: i64) -> Vec<u8> {
-    let mut segs = split_segments(payload);
-    let seg = &mut segs[segment];
+/// A warm segment's payload resized by `delta`: it loses or gains
+/// trailing bytes.
+fn resize_segment(payload: &[u8], delta: i64) -> Vec<u8> {
+    let mut seg = payload.to_vec();
     if delta < 0 {
         seg.truncate(seg.len() - delta.unsigned_abs() as usize);
     } else {
         seg.extend(std::iter::repeat_n(0u8, delta as usize));
     }
-    join_segments(&segs)
+    seg
+}
+
+/// Window `w`'s checkpoint key, which its warm segments are filed under.
+fn window_key(fingerprint: u64, seed: u64, scfg: &SampleConfig, w: u64) -> StoreKey {
+    StoreKey { fingerprint, seed, at_inst: w * scfg.interval + scfg.fast_forward() }
+}
+
+/// The model digest of `cell`'s engine segment (`segment` 0) or memory
+/// segment (1).
+fn segment_model(cell: &BatchCell, segment: usize, scfg: &SampleConfig) -> u64 {
+    match segment {
+        0 => warm_model_digest(cell.kind, &cell.pcfg, scfg),
+        _ => memory_model_digest(cell.pcfg.width, scfg),
+    }
 }
 
 /// Bytes at each end of a segment that [`flip_bytes`] aims at: the
@@ -130,15 +119,7 @@ fn ckpt_state_spans(ckpt: &[u8]) -> [Range<usize>; 2] {
     [40..48, 88..8 * (11 + 3 * n_blocks + n_stack)]
 }
 
-/// XORs bytes inside one segment of a warm-bank entry payload, keeping
-/// every length intact (see [`flip_bytes`]).
-fn flip_segment(payload: &[u8], segment: usize, flips: &[(u8, u64, u8)]) -> Vec<u8> {
-    let mut segs = split_segments(payload);
-    flip_bytes(&mut segs[segment], flips, &[]);
-    join_segments(&segs)
-}
-
-/// Header bytes of a warm-bank entry and of a `.sfckpt` entry: magic,
+/// Header bytes of a warm segment and of a `.sfckpt` entry: magic,
 /// version, the key words (four and three), digest and length.
 const WARM_HEADER: usize = 64;
 const CKPT_HEADER: usize = 56;
@@ -156,12 +137,12 @@ fn reseal(file: &[u8], header: usize, payload: &[u8]) -> Vec<u8> {
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(12))]
 
-    /// A warm-bank entry that passes every digest check but does not
-    /// decode — a resized engine or memory segment re-sealed under a
-    /// valid digest — is rejected, warmed live and rebanked by a
-    /// group sweep and by a one-cell run alike: points stay bit-identical
-    /// to an unbanked run, the rejection is counted, and the entry is
-    /// rewritten as it was.
+    /// A warm segment that passes every digest check but does not
+    /// decode — an engine or memory segment resized and re-sealed under
+    /// a valid digest — is rejected, warmed live in the same pass and
+    /// rebanked by a group sweep and by a one-cell run alike: points
+    /// stay bit-identical to an unbanked run, the rejection is counted,
+    /// and the segment is rewritten as it was.
     #[test]
     fn resealed_undecodable_warm_entries_are_rejected_and_rebanked(
         segment in 0usize..2,
@@ -177,7 +158,8 @@ proptest! {
             BatchCell { kind: EngineKind::Stream, pcfg: ProcessorConfig::table2(8) },
             BatchCell { kind: EngineKind::Ev8, pcfg: ProcessorConfig::table2(4) },
         ];
-        let (seed, windows) = (5u64, 2u64);
+        // Two kinds and two widths: four segments per window.
+        let (seed, windows, segments) = (5u64, 2u64, 4u64);
         let fp = sfetch_trace::trace_fingerprint(&img, seed, 4096);
         let store = tmp_store("warm-reseal");
         let root = store.root().to_path_buf();
@@ -190,20 +172,16 @@ proptest! {
         let (unbanked, _) = run(false);
         let (banked, stats) = run(true);
         prop_assert_eq!(&banked, &unbanked);
-        prop_assert_eq!(stats.misses, 2 * windows, "the first banked run banks every entry");
+        prop_assert_eq!(stats.misses, segments * windows, "the first banked run banks them all");
 
         let cell = cells[victim];
-        let key = StoreKey {
-            fingerprint: fp,
-            seed,
-            at_inst: window * scfg.interval + scfg.fast_forward(),
-        };
-        let model = warm_model_digest(cell.kind, &cell.pcfg, &scfg);
+        let key = window_key(fp, seed, &scfg, window);
+        let model = segment_model(&cell, segment, &scfg);
         let path = store.warm_entry_path(&key, model);
-        let good = std::fs::read(&path).expect("banked entry");
-        let bad = reseal(&good, WARM_HEADER, &resize_segment(&good[WARM_HEADER..], segment, delta));
+        let good = std::fs::read(&path).expect("banked segment");
+        let bad = reseal(&good, WARM_HEADER, &resize_segment(&good[WARM_HEADER..], delta));
         let reopen = || CheckpointStore::open(&root).expect("reopen store");
-        std::fs::write(&path, &bad).expect("plant entry");
+        std::fs::write(&path, &bad).expect("plant segment");
         let planted = reopen().load_warm(&key, model);
         prop_assert!(planted.is_ok(), "the mutation passes every digest check");
 
@@ -211,17 +189,18 @@ proptest! {
         let (again, stats) = run(true);
         prop_assert_eq!(&again, &unbanked);
         prop_assert_eq!(stats.rejected, 1);
-        prop_assert_eq!(stats.hits, 2 * windows - 1);
-        prop_assert!(std::fs::read(&path).expect("rebanked entry") == good, "entry rewritten");
+        prop_assert_eq!(stats.hits, segments * windows - 1);
+        prop_assert!(std::fs::read(&path).expect("rebanked segment") == good, "segment rewritten");
 
         // A one-cell run through the same sweep.
-        std::fs::write(&path, &bad).expect("plant entry");
+        std::fs::write(&path, &bad).expect("plant segment");
         let store = reopen();
         let mut single = StoredSampler::new(&img, fp, seed, scfg, &store).with_warm_bank(true);
         let pts = single.run_range(cell.kind, cell.pcfg, 0..windows, 1);
         prop_assert_eq!(&pts, &unbanked[victim]);
         prop_assert_eq!(single.warm_bank_stats().rejected, 1);
-        prop_assert!(std::fs::read(&path).expect("rebanked entry") == good, "entry rewritten");
+        prop_assert_eq!(single.warm_bank_stats().hits, 2 * windows - 1);
+        prop_assert!(std::fs::read(&path).expect("rebanked segment") == good, "segment rewritten");
         let _ = std::fs::remove_dir_all(&root);
     }
 }
@@ -229,14 +208,15 @@ proptest! {
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(32))]
 
-    /// Hostile store bytes: flipping bytes inside one segment of a
-    /// warm-bank entry — one engine's warm state or the memory state —
-    /// or inside a `.sfckpt` checkpoint entry, and re-sealing the entry
-    /// under a valid digest, never panics a run, banked or not (a fully
-    /// banked window starts from that `.sfckpt` too). The entry either
-    /// fails to decode or to fit the image — then it is rejected and
-    /// recomputed (a warm entry rebanked), with points bit-identical to
-    /// an untouched run — or it decodes cleanly into some other state.
+    /// Hostile store bytes: flipping bytes inside a warm segment — one
+    /// kind's engine segment or the width's memory segment — or inside a
+    /// `.sfckpt` checkpoint entry, and re-sealing it under a valid
+    /// digest, never panics a run, banked or not (a fully banked window
+    /// starts from that `.sfckpt` too). The entry either fails to decode
+    /// or to fit the image — then it is rejected and recomputed (a warm
+    /// segment rewarmed in the same pass and rebanked), with points
+    /// bit-identical to an untouched run — or it decodes cleanly into
+    /// some other state.
     #[test]
     fn resealed_flipped_warm_segments_never_panic(
         victim in 0usize..4,
@@ -262,23 +242,26 @@ proptest! {
         let (unbanked, _, _) = run(false);
         run(true);
 
-        let key = StoreKey { fingerprint: fp, seed, at_inst: scfg.fast_forward() };
+        // Four kinds and one width: five segments.
+        let segments = 5u64;
+        let key = window_key(fp, seed, &scfg, 0);
         if target < 2 {
-            // Segment `target` of the victim cell's warm entry.
-            let cell = cells[victim];
-            let model = warm_model_digest(cell.kind, &cell.pcfg, &scfg);
-            let path = store.warm_entry_path(&key, model);
-            let good = std::fs::read(&path).expect("banked entry");
-            let payload = flip_segment(&good[WARM_HEADER..], target, &flips);
-            std::fs::write(&path, reseal(&good, WARM_HEADER, &payload)).expect("plant entry");
+            // The victim cell's engine (0) or memory (1) segment.
+            let path = store.warm_entry_path(&key, segment_model(&cells[victim], target, &scfg));
+            let good = std::fs::read(&path).expect("banked segment");
+            let mut payload = good[WARM_HEADER..].to_vec();
+            flip_bytes(&mut payload, &flips, &[]);
+            std::fs::write(&path, reseal(&good, WARM_HEADER, &payload)).expect("plant segment");
 
             let (again, stats, _) = run(true);
             if stats.rejected == 1 {
                 prop_assert_eq!(&again, &unbanked);
-                prop_assert!(std::fs::read(&path).expect("rebanked entry") == good, "entry rewritten");
+                prop_assert_eq!(stats.hits, segments - 1);
+                let rebanked = std::fs::read(&path).expect("rebanked segment");
+                prop_assert!(rebanked == good, "segment rewritten");
             } else {
                 prop_assert_eq!(stats.rejected, 0);
-                prop_assert_eq!(stats.hits, cells.len() as u64, "the flipped entry decodes cleanly");
+                prop_assert_eq!(stats.hits, segments, "the flipped segment decodes cleanly");
             }
         } else {
             // The window's checkpoint entry, which every run reads: an
@@ -300,7 +283,7 @@ proptest! {
                     prop_assert_eq!(stats.hits, 1, "the flipped entry decodes cleanly");
                 }
                 if bank {
-                    prop_assert_eq!(bank_stats.hits, cells.len() as u64, "the bank is untouched");
+                    prop_assert_eq!(bank_stats.hits, segments, "the bank is untouched");
                 }
             }
         }
@@ -475,12 +458,13 @@ fn resealed_checkpoint_that_does_not_fit_is_rejected() {
     let _ = std::fs::remove_dir_all(store.root());
 }
 
-/// A warm entry in an earlier layout is never misread. A version 1
-/// entry — the post-warm checkpoint, engine and memory segments under a
-/// valid digest — is rejected by its version and rebanked as version 2;
-/// the same three segments re-sealed under a version 2 header are
-/// rejected by their trailing segment and never decode. Points stay
-/// bit-identical to an unbanked run either way.
+/// A warm entry in an earlier layout is never misread. A version 2
+/// entry — one cell's engine and memory segments, length-prefixed, under
+/// a digest of the cell's whole configuration — is filed at an address
+/// no segment is read from, so a banked run never reads it and banks its
+/// segments beside it. The same entry sealed at a segment's address is
+/// rejected by its version, rewarmed in the same pass and rebanked as a
+/// version 3 segment. Points stay bit-identical to an unbanked run.
 #[test]
 fn earlier_layout_warm_entries_are_never_misread() {
     let img = phased_image(11);
@@ -489,9 +473,10 @@ fn earlier_layout_warm_entries_are_never_misread() {
         BatchCell { kind: EngineKind::Stream, pcfg: ProcessorConfig::table2(8) },
         BatchCell { kind: EngineKind::TraceCache, pcfg: ProcessorConfig::table2(4) },
     ];
-    let (seed, windows) = (5u64, 2u64);
+    // Two kinds and two widths: four segments per window.
+    let (seed, windows, segments) = (5u64, 2u64, 4u64);
     let fp = sfetch_trace::trace_fingerprint(&img, seed, 4096);
-    let store = tmp_store("warm-v1");
+    let store = tmp_store("warm-v2");
     let root = store.root().to_path_buf();
     let reopen = || CheckpointStore::open(&root).expect("reopen store");
     let run = |bank: bool| {
@@ -503,33 +488,63 @@ fn earlier_layout_warm_entries_are_never_misread() {
     let (unbanked, _) = run(false);
     run(true);
 
-    let key = StoreKey { fingerprint: fp, seed, at_inst: scfg.interval + scfg.fast_forward() };
-    let model = warm_model_digest(cells[1].kind, &cells[1].pcfg, &scfg);
-    let path = store.warm_entry_path(&key, model);
-    let good = std::fs::read(&path).expect("banked entry");
+    let key = window_key(fp, seed, &scfg, 1);
+    let cell = cells[1];
+    let (engine, memory) = (segment_model(&cell, 0, &scfg), segment_model(&cell, 1, &scfg));
+    let engine_path = store.warm_entry_path(&key, engine);
+    let good = std::fs::read(&engine_path).expect("banked engine segment");
     assert_eq!(good[8..16], WARM_VERSION.to_le_bytes());
-    // The checkpoint a version 1 entry embedded: the window's state at
-    // the end of functional warming.
-    let mut rec = sfetch_trace::Executor::from_checkpoint(&img, &store.load(&key).expect("ckpt"));
-    rec.advance(scfg.warm_func);
-    let mut segs = vec![rec.checkpoint().to_bytes()];
-    segs.extend(split_segments(&good[WARM_HEADER..]));
-    let v1_payload = join_segments(&segs);
-
-    let mut v1 = reseal(&good, WARM_HEADER, &v1_payload);
-    v1[8..16].copy_from_slice(&1u64.to_le_bytes());
-    let mislabelled = reseal(&good, WARM_HEADER, &v1_payload);
-    for (bad, reason) in [(v1, "version 1 != 2"), (mislabelled, "trailing bytes")] {
-        std::fs::write(&path, &bad).expect("plant entry");
-        assert!(
-            matches!(reopen().load_warm(&key, model), Err(StoreMiss::Rejected(why)) if why.contains(reason)),
-            "an earlier-layout entry must be rejected by {reason}"
-        );
-        let (again, stats) = run(true);
-        assert_eq!(again, unbanked);
-        assert_eq!(stats.rejected, 1);
-        assert_eq!(stats.hits, 2 * windows - 1);
-        assert_eq!(std::fs::read(&path).expect("rebanked entry"), good, "a version 2 entry in its place");
+    let memory_bytes = reopen().load_warm(&key, memory).expect("banked memory segment");
+    // The version 2 entry earlier builds filed for this cell: both
+    // segments length-prefixed, under the digest of the cell's whole
+    // warm model.
+    let mut v2_payload = Vec::new();
+    for seg in [&good[WARM_HEADER..], &memory_bytes[..]] {
+        v2_payload.extend_from_slice(&(seg.len() as u64).to_le_bytes());
+        v2_payload.extend_from_slice(seg);
     }
+    let v2_model = sfetch_fleet::fnv64(
+        format!(
+            "warmfmt={}|engine={:?}|width={}|front={:?}|prefetch={:?}|warm_func={}|warm_mem={}",
+            sfetch_fetch::WARM_FORMAT_VERSION,
+            cell.kind,
+            cell.pcfg.width,
+            cell.pcfg.front,
+            cell.pcfg.prefetch,
+            scfg.warm_func,
+            scfg.warm_mem,
+        )
+        .as_bytes(),
+    );
+    assert!(v2_model != engine && v2_model != memory, "a version 2 address is no segment's");
+    let v2_entry = |model: u64| {
+        let mut file = good[..WARM_HEADER].to_vec();
+        file[8..16].copy_from_slice(&2u64.to_le_bytes());
+        file[40..48].copy_from_slice(&model.to_le_bytes());
+        reseal(&file, WARM_HEADER, &v2_payload)
+    };
+
+    let by_version = |model: u64| {
+        let got = reopen().load_warm(&key, model);
+        matches!(got, Err(StoreMiss::Rejected(why)) if why.contains("version 2 != 3"))
+    };
+
+    // At its own address: never read.
+    let v2_path = store.warm_entry_path(&key, v2_model);
+    std::fs::write(&v2_path, v2_entry(v2_model)).expect("plant version 2 entry");
+    assert!(by_version(v2_model));
+    let (again, stats) = run(true);
+    assert_eq!(again, unbanked);
+    assert_eq!((stats.hits, stats.misses, stats.rejected), (segments * windows, 0, 0));
+    std::fs::remove_file(&v2_path).expect("remove version 2 entry");
+
+    // At the engine segment's address: rejected by its version.
+    std::fs::write(&engine_path, v2_entry(engine)).expect("plant version 2 entry");
+    assert!(by_version(engine), "a version 2 entry must be rejected by its version");
+    let (again, stats) = run(true);
+    assert_eq!(again, unbanked);
+    assert_eq!((stats.hits, stats.rejected), (segments * windows - 1, 1));
+    let rebanked = std::fs::read(&engine_path).expect("rebanked segment");
+    assert_eq!(rebanked, good, "a version 3 segment in its place");
     let _ = std::fs::remove_dir_all(&root);
 }
