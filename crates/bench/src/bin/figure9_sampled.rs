@@ -20,7 +20,9 @@
 //! retries on worker failures, resumable ledger. `--chaos`,
 //! `--max-retries` and `--cell-timeout` behave as in `figure8_sampled`.
 //! Exit status: 0 complete, 2 degraded (some cells permanently failed),
-//! 1 error.
+//! 1 error. A degraded benchmark prints `n/a` under an engine whose cell
+//! has no windows; each Hmean covers the benchmarks its engine has, and
+//! the stream rank histogram only those every engine has.
 //!
 //! `--verify` reruns each benchmark's cells through a **storeless**
 //! live sampler and asserts its merged grid is bit-identical, printing
@@ -56,10 +58,8 @@ use std::process::ExitCode;
 use std::sync::Arc;
 
 use sfetch_bench::driver::{announce_kept_store, or_die, run_request, ArgDefaults, CommonArgs};
-use sfetch_bench::grid::{verify_merged, FIG9_WIDTH};
+use sfetch_bench::grid::{verify_merged, Fig9Table, FIG9_WIDTH};
 use sfetch_bench::try_workload_by_name;
-use sfetch_core::metrics::harmonic_mean;
-use sfetch_fetch::EngineKind;
 
 /// Default benchmark set: the quick ablation subset plus the
 /// long-horizon phased workload.
@@ -87,8 +87,7 @@ fn main() -> ExitCode {
         a.engines.iter().map(|k| format!("{:>22}", k.to_string())).collect::<String>()
     );
     let mut verdicts = Vec::new();
-    let mut per_engine: Vec<(EngineKind, Vec<f64>)> =
-        a.engines.iter().map(|&k| (k, Vec::new())).collect();
+    let mut table = Fig9Table::new(&a.engines);
     for bench in &a.benches {
         // Per-benchmark observability subdirectory: one time-series
         // file per engine, plus optional pipeline traces, per bench.
@@ -110,34 +109,13 @@ fn main() -> ExitCode {
         } else if a.verify {
             eprintln!("verify skipped: degraded result has incomplete cells");
         }
-        let row: String = out
-            .runs
-            .iter()
-            .map(|r| {
-                format!("{:>13.2} ±{:>5.2}%", r.estimate.ipc, 100.0 * r.estimate.rel_half_width)
-            })
-            .collect();
-        println!("{:<10} {row}", bench);
-        for (slot, r) in per_engine.iter_mut().zip(&out.runs) {
-            slot.1.push(r.estimate.ipc);
-        }
+        println!("{}", table.row(bench, &out.runs));
     }
-    let hmeans: String =
-        per_engine.iter().map(|(_, v)| format!("{:>13.2}        ", harmonic_mean(v))).collect();
-    println!("{:<10} {hmeans}", "Hmean");
+    println!("{}", table.hmean_line());
 
     // The paper's Fig. 9 observation, restated for the sampled run:
     // where does the stream engine rank per benchmark?
-    if let Some(stream_col) = a.engines.iter().position(|&k| k == EngineKind::Stream) {
-        let mut rank_counts = vec![0usize; a.engines.len()];
-        let n_benches = per_engine[0].1.len();
-        for b in 0..n_benches {
-            let mut row: Vec<(f64, usize)> =
-                per_engine.iter().enumerate().map(|(i, (_, v))| (v[b], i)).collect();
-            row.sort_by(|x, y| y.0.partial_cmp(&x.0).expect("finite IPC"));
-            let rank = row.iter().position(|&(_, i)| i == stream_col).expect("ranked");
-            rank_counts[rank] += 1;
-        }
+    if let Some(rank_counts) = table.stream_ranks() {
         println!(
             "\nstreams rank histogram over benchmarks (1st..{}th): {rank_counts:?}",
             a.engines.len()

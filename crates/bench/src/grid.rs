@@ -508,6 +508,75 @@ pub fn print_grid_table(runs: &[CellRun]) {
     }
 }
 
+/// Figure 9's sampled table, filed one benchmark at a time. Each engine
+/// column looks its run up by engine, so a degraded benchmark whose
+/// cell has no windows prints `n/a` where that column's IPC would be
+/// rather than shifting the others left.
+#[derive(Debug, Clone)]
+pub struct Fig9Table {
+    engines: Vec<EngineKind>,
+    /// Per benchmark, each engine column's IPC (`None`: no run).
+    ipcs: Vec<Vec<Option<f64>>>,
+}
+
+impl Fig9Table {
+    /// An empty table over these engine columns.
+    pub fn new(engines: &[EngineKind]) -> Self {
+        Fig9Table { engines: engines.to_vec(), ipcs: Vec::new() }
+    }
+
+    /// Files one benchmark's runs and returns its table line.
+    pub fn row(&mut self, bench: &str, runs: &[CellRun]) -> String {
+        let cols: Vec<Option<&Estimate>> = self
+            .engines
+            .iter()
+            .map(|&k| runs.iter().find(|r| r.cell.engine == k).map(|r| &r.estimate))
+            .collect();
+        self.ipcs.push(cols.iter().map(|e| e.map(|e| e.ipc)).collect());
+        let line: String = cols
+            .iter()
+            .map(|e| match e {
+                Some(e) => format!("{:>13.2} ±{:>5.2}%", e.ipc, 100.0 * e.rel_half_width),
+                None => format!("{:>13}        ", "n/a"),
+            })
+            .collect();
+        format!("{bench:<10} {line}")
+    }
+
+    /// The Hmean line: each engine's harmonic mean over the benchmarks
+    /// it has a run for.
+    pub fn hmean_line(&self) -> String {
+        let cols: String = (0..self.engines.len())
+            .map(|col| {
+                let v: Vec<f64> = self.ipcs.iter().filter_map(|row| row[col]).collect();
+                if v.is_empty() {
+                    format!("{:>13}        ", "n/a")
+                } else {
+                    format!("{:>13.2}        ", sfetch_core::metrics::harmonic_mean(&v))
+                }
+            })
+            .collect();
+        format!("{:<10} {cols}", "Hmean")
+    }
+
+    /// How many benchmarks rank the stream engine 1st, 2nd, … by IPC,
+    /// over the benchmarks every engine has a run for; `None` when the
+    /// stream engine is not a column.
+    pub fn stream_ranks(&self) -> Option<Vec<usize>> {
+        let stream_col = self.engines.iter().position(|&k| k == EngineKind::Stream)?;
+        let mut counts = vec![0usize; self.engines.len()];
+        for row in &self.ipcs {
+            let Some(ipcs) = row.iter().copied().collect::<Option<Vec<f64>>>() else {
+                continue;
+            };
+            let mut ranked: Vec<(f64, usize)> = ipcs.into_iter().zip(0..).collect();
+            ranked.sort_by(|x, y| y.0.partial_cmp(&x.0).expect("finite IPC"));
+            counts[ranked.iter().position(|&(_, i)| i == stream_col).expect("ranked")] += 1;
+        }
+        Some(counts)
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -617,5 +686,40 @@ mod tests {
             merge_grid_partial(&[cell], 2, &dup, conf),
             Err(GridError::Merge { .. })
         ));
+    }
+
+    #[test]
+    fn fig9_table_files_each_ipc_under_its_own_engine() {
+        let conf = sfetch_sample::Confidence::default();
+        // IPC = 5000 / cycles: 2000 cycles give 2.50, 4000 give 1.25.
+        let run = |engine, cycles| {
+            let pts = vec![SamplePoint { cycles, ..point(0) }, SamplePoint { cycles, ..point(1) }];
+            let estimate = estimate(&pts, conf);
+            CellRun { cell: GridCell { engine, width: FIG9_WIDTH }, points: pts, estimate }
+        };
+        let engines = [EngineKind::Ev8, EngineKind::Stream, EngineKind::Ftb];
+        let mut t = Fig9Table::new(&engines);
+        // A degraded bench: the middle engine's cell has no windows, so
+        // the merge leaves it out of `runs`.
+        let degraded = t.row("gzip", &[run(EngineKind::Ev8, 2000), run(EngineKind::Ftb, 4000)]);
+        // A 21-char column: an estimate, or a placeholder (or Hmean)
+        // right-aligned where the estimate's IPC ends.
+        let est = |v| format!("{v:>21}");
+        let col = |v| format!("{v:>13}        ");
+        let line = |bench, a: String, b: String, c: String| format!("{bench:<10} {a}{b}{c}");
+        assert_eq!(degraded, line("gzip", est("2.50 ± 0.00%"), col("n/a"), est("1.25 ± 0.00%")));
+        let all = [
+            run(EngineKind::Ev8, 4000),
+            run(EngineKind::Stream, 2000),
+            run(EngineKind::Ftb, 4000),
+        ];
+        let full = t.row("gcc", &all);
+        assert_eq!(full, line("gcc", est("1.25 ± 0.00%"), est("2.50 ± 0.00%"), est("1.25 ± 0.00%")));
+        // Each Hmean over the benches that engine has: ev8 = H(2.5, 1.25).
+        assert_eq!(t.hmean_line(), line("Hmean", col("1.67"), col("2.50"), col("1.25")));
+        // Only gcc has every engine; stream is first there.
+        assert_eq!(t.stream_ranks(), Some(vec![1, 0, 0]));
+        assert_eq!(Fig9Table::new(&[EngineKind::Ev8]).stream_ranks(), None);
+        assert_eq!(Fig9Table::new(&engines).hmean_line().matches("n/a").count(), 3);
     }
 }

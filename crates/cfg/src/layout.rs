@@ -16,11 +16,10 @@
 //! falls through, inserts fix-up jumps for non-adjacent successors, and
 //! elides jumps to adjacent targets.
 
-use std::collections::HashMap;
-
 use rand::rngs::SmallRng;
 use rand::seq::SliceRandom;
 use rand::SeedableRng;
+use sfetch_tab::FnvMap;
 
 use crate::graph::{BlockId, Cfg, FuncId, Terminator};
 use crate::profile::EdgeProfile;
@@ -110,7 +109,7 @@ pub fn random(cfg: &Cfg, seed: u64) -> Layout {
 /// placement. This is the paper's *layout optimized* binary (spike).
 pub fn pettis_hansen(cfg: &Cfg, profile: &EdgeProfile) -> Layout {
     // --- 1. Per-function chaining ------------------------------------------------
-    let mut func_layouts: HashMap<FuncId, Vec<BlockId>> = HashMap::new();
+    let mut func_layouts: FnvMap<FuncId, Vec<BlockId>> = FnvMap::default();
     for f in cfg.funcs() {
         func_layouts.insert(f.id(), chain_function(cfg, profile, f.id()));
     }
@@ -162,7 +161,7 @@ fn chain_function(cfg: &Cfg, profile: &EdgeProfile, f: FuncId) -> Vec<BlockId> {
     edges.sort_by(|x, y| y.2.cmp(&x.2).then(x.0.cmp(&y.0)).then(x.1.cmp(&y.1)));
 
     // Union-find-ish chain structures.
-    let mut chain_of: HashMap<BlockId, usize> = HashMap::new();
+    let mut chain_of: FnvMap<BlockId, usize> = FnvMap::default();
     let mut chains: Vec<Vec<BlockId>> = Vec::new();
     for &b in blocks {
         chain_of.insert(b, chains.len());
@@ -215,7 +214,7 @@ fn chain_function(cfg: &Cfg, profile: &EdgeProfile, f: FuncId) -> Vec<BlockId> {
 fn order_functions(cfg: &Cfg, profile: &EdgeProfile) -> Vec<FuncId> {
     let n = cfg.num_funcs();
     let mut seqs: Vec<Vec<FuncId>> = cfg.funcs().iter().map(|f| vec![f.id()]).collect();
-    let mut seq_of: HashMap<FuncId, usize> = cfg.funcs().iter().map(|f| (f.id(), f.id().index())).collect();
+    let mut seq_of: FnvMap<FuncId, usize> = cfg.funcs().iter().map(|f| (f.id(), f.id().index())).collect();
 
     let mut call_edges: Vec<(FuncId, FuncId, u64)> = profile.calls().collect();
     call_edges.sort_by(|x, y| y.2.cmp(&x.2).then(x.0.cmp(&y.0)).then(x.1.cmp(&y.1)));
@@ -313,6 +312,44 @@ mod tests {
         // The entry function leads the image (its entry block may sit
         // mid-chain; calls/branches resolve it by address).
         assert_eq!(cfg.block(l.order()[0]).func(), cfg.entry());
+    }
+
+    #[test]
+    fn ph_layout_is_independent_of_profile_insert_order() {
+        use crate::gen::{GenParams, ProgramGenerator};
+        let cfg = ProgramGenerator::new(GenParams::default_int(), 17).generate();
+        // Count every block, edge and call of a static estimate 1–3 times
+        // (so many weights tie), once forward and once in reverse order:
+        // with this many call edges the two maps iterate differently.
+        let est = EdgeProfile::from_expected(&cfg);
+        let mut events: Vec<(u8, usize, usize)> = Vec::new();
+        let times = |w: u64| w as usize % 3 + 1;
+        for b in cfg.blocks() {
+            let w = est.block_count(b.id());
+            events.extend(std::iter::repeat_n((0, b.id().index(), 0), times(w)));
+        }
+        for (a, b, w) in est.edges() {
+            events.extend(std::iter::repeat_n((1, a.index(), b.index()), times(w)));
+        }
+        for (f, g, w) in est.calls() {
+            events.extend(std::iter::repeat_n((2, f.index(), g.index()), times(w)));
+        }
+        assert!(est.calls().count() > 16, "the program has call edges to order");
+        let count = |events: &mut dyn Iterator<Item = &(u8, usize, usize)>| {
+            let mut p = EdgeProfile::new();
+            for &(kind, a, b) in events {
+                match kind {
+                    0 => p.count_block(BlockId::from_index(a)),
+                    1 => p.count_edge(BlockId::from_index(a), BlockId::from_index(b)),
+                    _ => p.count_call(FuncId::from_index(a), FuncId::from_index(b)),
+                }
+            }
+            p
+        };
+        let fwd = count(&mut events.iter());
+        let rev = count(&mut events.iter().rev());
+        assert_eq!(fwd, rev, "same counts");
+        assert_eq!(pettis_hansen(&cfg, &fwd), pettis_hansen(&cfg, &rev));
     }
 
     #[test]

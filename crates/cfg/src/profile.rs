@@ -5,7 +5,7 @@
 //! `sfetch-trace` crate executes the program with a *training seed* and fills
 //! an [`EdgeProfile`]; the evaluation run uses a different seed.
 
-use sfetch_tab::OpenMap;
+use sfetch_tab::FnvMap;
 
 use crate::behavior::CondBehavior;
 use crate::graph::{BlockId, Cfg, FuncId, Terminator};
@@ -14,11 +14,11 @@ use crate::graph::{BlockId, Cfg, FuncId, Terminator};
 /// edge counts and call-graph edge counts.
 #[derive(Debug, Clone, Default, PartialEq)]
 pub struct EdgeProfile {
-    // Open-addressed: `count_*` land once per executed block/edge/call
-    // on the training walk, making these the profile pass's hot maps.
-    block: OpenMap<BlockId, u64>,
-    edge: OpenMap<(BlockId, BlockId), u64>,
-    call: OpenMap<(FuncId, FuncId), u64>,
+    // FNV-keyed: `count_*` land once per executed block/edge/call on the
+    // training walk, making these the profile pass's hot maps.
+    block: FnvMap<BlockId, u64>,
+    edge: FnvMap<(BlockId, BlockId), u64>,
+    call: FnvMap<(FuncId, FuncId), u64>,
 }
 
 impl EdgeProfile {
@@ -29,17 +29,17 @@ impl EdgeProfile {
 
     /// Records one execution of `b`.
     pub fn count_block(&mut self, b: BlockId) {
-        *self.block.entry_or_insert(b, 0) += 1;
+        *self.block.entry(b).or_insert(0) += 1;
     }
 
     /// Records one traversal of the intra-procedural edge `from -> to`.
     pub fn count_edge(&mut self, from: BlockId, to: BlockId) {
-        *self.edge.entry_or_insert((from, to), 0) += 1;
+        *self.edge.entry((from, to)).or_insert(0) += 1;
     }
 
     /// Records one dynamic call `caller -> callee`.
     pub fn count_call(&mut self, caller: FuncId, callee: FuncId) {
-        *self.call.entry_or_insert((caller, callee), 0) += 1;
+        *self.call.entry((caller, callee)).or_insert(0) += 1;
     }
 
     /// Times `b` executed.
@@ -82,8 +82,8 @@ impl EdgeProfile {
         for f in cfg.funcs() {
             w[f.entry().index()] = if f.id() == cfg.entry() { 1000.0 } else { 1.0 };
         }
-        let mut edge_acc: OpenMap<(BlockId, BlockId), f64> = OpenMap::new();
-        let mut call_acc: OpenMap<(FuncId, FuncId), f64> = OpenMap::new();
+        let mut edge_acc: FnvMap<(BlockId, BlockId), f64> = FnvMap::default();
+        let mut call_acc: FnvMap<(FuncId, FuncId), f64> = FnvMap::default();
         let mut block_acc = vec![0.0f64; n];
         for _ in 0..ITERS {
             let mut next = vec![0.0f64; n];
@@ -94,9 +94,9 @@ impl EdgeProfile {
                 }
                 block_acc[blk.id().index()] += src;
                 let push = |to: BlockId, amount: f64,
-                                edge_acc: &mut OpenMap<(BlockId, BlockId), f64>,
+                                edge_acc: &mut FnvMap<(BlockId, BlockId), f64>,
                                 next: &mut Vec<f64>| {
-                    *edge_acc.entry_or_insert((blk.id(), to), 0.0) += amount;
+                    *edge_acc.entry((blk.id(), to)).or_insert(0.0) += amount;
                     next[to.index()] += amount;
                 };
                 match blk.terminator() {
@@ -115,14 +115,14 @@ impl EdgeProfile {
                         push(*not_taken, src * (1.0 - p), &mut edge_acc, &mut next);
                     }
                     Terminator::Call { callee, ret_to } => {
-                        *call_acc.entry_or_insert((blk.func(), *callee), 0.0) += src;
+                        *call_acc.entry((blk.func(), *callee)).or_insert(0.0) += src;
                         push(*ret_to, src, &mut edge_acc, &mut next);
                     }
                     Terminator::IndirectCall { callees, ret_to, .. } => {
                         let total: u64 = callees.iter().map(|&(_, w)| u64::from(w)).sum();
                         for &(c, cw) in callees {
                             let frac = f64::from(cw) / total.max(1) as f64;
-                            *call_acc.entry_or_insert((blk.func(), c), 0.0) += src * frac;
+                            *call_acc.entry((blk.func(), c)).or_insert(0.0) += src * frac;
                         }
                         push(*ret_to, src, &mut edge_acc, &mut next);
                     }

@@ -48,7 +48,7 @@
 use std::path::{Path, PathBuf};
 
 use sfetch_obs::jsonl::{optional, JsonlFile, Obj, Row};
-use sfetch_tab::OpenMap;
+use sfetch_tab::FnvMap;
 
 use crate::cell::CellId;
 use crate::error::FleetError;
@@ -124,10 +124,10 @@ impl CellRecord {
 /// The file-backed cell ledger. See the module docs for semantics.
 pub struct Ledger {
     file: JsonlFile,
-    /// Open-addressed record table — `state`/`record_mut` lookups land
-    /// once per supervisor claim per cell. Iteration-order determinism
-    /// lives in `order`, not the table.
-    cells: OpenMap<CellId, CellRecord>,
+    /// Record table — `state`/`record_mut` lookups land once per
+    /// supervisor claim per cell. Iteration-order determinism lives in
+    /// `order`, not the table.
+    cells: FnvMap<CellId, CellRecord>,
     /// The opened cell set in sorted order: `cells()` — and so the
     /// supervisor's claims and the final report — walk this, so claiming
     /// stays reproducible run to run.
@@ -154,7 +154,7 @@ impl Ledger {
     ) -> Result<(Self, ResumeSummary), FleetError> {
         let path = path.into();
         let mut summary = ResumeSummary::default();
-        let mut replayed: OpenMap<CellId, CellRecord> = OpenMap::new();
+        let mut replayed: FnvMap<CellId, CellRecord> = FnvMap::default();
 
         let existing = match std::fs::read_to_string(&path) {
             Ok(text) => Some(text),
@@ -198,7 +198,7 @@ impl Ledger {
         let mut order: Vec<CellId> = cells.to_vec();
         order.sort();
         order.dedup();
-        let mut resolved: OpenMap<CellId, CellRecord> = OpenMap::with_capacity(order.len());
+        let mut resolved: FnvMap<CellId, CellRecord> = FnvMap::default();
         for cell in &order {
             let mut rec = replayed.remove(cell).unwrap_or_else(CellRecord::pending);
             if let CellState::Done { digest, attempts, .. } = &rec.state {
@@ -224,14 +224,14 @@ impl Ledger {
         Ok((Ledger { file, cells: resolved, order }, summary))
     }
 
-    fn replay_line(line: &str, map: &mut OpenMap<CellId, CellRecord>) -> Result<(), String> {
+    fn replay_line(line: &str, map: &mut FnvMap<CellId, CellRecord>) -> Result<(), String> {
         let obj = Obj::parse(line)?;
         let ev = obj.s("ev")?;
         if ev == "open" {
             return Ok(()); // A re-opened ledger re-appends nothing; ignore.
         }
         let cell = CellId::parse(obj.s("cell")?)?;
-        let rec = map.entry_or_insert(cell, CellRecord::pending());
+        let rec = map.entry(cell).or_insert_with(CellRecord::pending);
         match ev {
             // Older builds persisted leases; a lease never changed what
             // was computed, so the cell stays at its attempt count.

@@ -67,12 +67,6 @@ pub struct FleetConfig {
     /// can be teased apart from one shared log. Empty = untagged
     /// (standalone runs).
     pub req: String,
-    /// Size cap on `events.jsonl`, bytes. When an append would push the
-    /// log past the cap it is rotated to `events.jsonl.1` (replacing
-    /// any previous rotation) and a fresh log started — a resident
-    /// daemon's event history stays bounded at ~2× the cap. `0`
-    /// disables rotation.
-    pub events_cap_bytes: u64,
     /// Maximum cells leased to one worker as a group (`1` = classic
     /// per-cell leasing), so one worker can drive them all from a single
     /// shared sweep (`--batch`); the caller hands in cells one sweep can
@@ -91,7 +85,6 @@ impl FleetConfig {
             timeout_floor_ms: 20_000,
             timeout_initial_ms: 600_000,
             req: String::new(),
-            events_cap_bytes: 8 << 20,
             group: 1,
         }
     }
@@ -176,19 +169,26 @@ fn cell_timeout_ms(cfg: &FleetConfig, durations: &[u64]) -> u64 {
 }
 
 /// Writes `text` to `path` **atomically** (temp sibling + rename), so a
-/// reader never observes a half-written cell output and a died writer
-/// leaves either nothing or a complete file. The temp name carries the
-/// process id, so two processes writing the same cell never share one.
+/// reader never observes a half-written file (a cell output, a daemon's
+/// request mirror) and a died writer leaves either nothing or a complete
+/// file. The temp name carries the process id, so two processes writing
+/// the same path never share one.
 ///
 /// # Errors
 ///
 /// [`FleetError::Io`] on any filesystem failure.
 pub fn write_atomic(path: &Path, text: &str) -> Result<(), FleetError> {
     let tmp = path.with_extension(format!("part-{}", std::process::id()));
-    std::fs::write(&tmp, text).map_err(|e| FleetError::io("write cell output", &tmp, e))?;
+    std::fs::write(&tmp, text).map_err(|e| FleetError::io("write", &tmp, e))?;
     std::fs::rename(&tmp, path)
-        .map_err(|e| FleetError::io("rename cell output into place", path, e))
+        .map_err(|e| FleetError::io("rename into place", path, e))
 }
+
+/// Size cap on `events.jsonl`, bytes. When an append would push the log
+/// past the cap it is rotated to `events.jsonl.1` (replacing any previous
+/// rotation) and a fresh log started — a resident daemon's event history
+/// stays bounded at ~2× the cap.
+const EVENTS_CAP_BYTES: u64 = 8 << 20;
 
 /// The supervisor's structured decision log: `events.jsonl` next to the
 /// ledger, one line-JSON event per lease/completion/kill/retry/degrade
@@ -196,10 +196,10 @@ pub fn write_atomic(path: &Path, text: &str) -> Result<(), FleetError> {
 /// mode so a resumed run extends the same history; every event carries
 /// the run's request tag ([`FleetConfig::req`], when set) so a resident
 /// daemon's interleaved requests stay attributable, and the file
-/// rotates to `events.jsonl.1` at [`FleetConfig::events_cap_bytes`] so
-/// a long-lived daemon's log stays bounded. Best-effort by design: an
-/// unwritable log never fails the run (the ledger, not the event log,
-/// is the source of truth).
+/// rotates to `events.jsonl.1` at [`EVENTS_CAP_BYTES`] so a long-lived
+/// daemon's log stays bounded. Best-effort by design: an unwritable log
+/// never fails the run (the ledger, not the event log, is the source of
+/// truth).
 struct EventLog {
     file: Option<JsonlFile>,
     path: PathBuf,
@@ -326,7 +326,7 @@ where
     F: Fn(&[CellId], &[u32]) -> Result<Vec<String>, String> + Send + Sync + 'static,
 {
     let work_dir = ledger.path().parent().map(Path::to_path_buf).unwrap_or_default();
-    let mut events = EventLog::open(&work_dir, &cfg.req, cfg.events_cap_bytes);
+    let mut events = EventLog::open(&work_dir, &cfg.req, EVENTS_CAP_BYTES);
     events.emit(
         EventLog::at("run_start")
             .u("cells", ledger.cells().count() as u64)

@@ -129,7 +129,7 @@ pub struct StoreStats {
 struct CapState {
     /// Entry files this process has read or written: its live working
     /// set, exempt from eviction by this process.
-    leased: sfetch_tab::OpenMap<PathBuf, ()>,
+    leased: sfetch_tab::FnvSet<PathBuf>,
     /// Entry files evicted by this process to stay under the cap.
     evicted: u64,
 }
@@ -182,7 +182,7 @@ impl CheckpointStore {
     /// Marks an entry file as part of this handle's working set.
     fn lease(&self, path: &Path) {
         let mut st = self.cap.lock().expect("cap state lock");
-        st.leased.insert(path.to_path_buf(), ());
+        st.leased.insert(path.to_path_buf());
     }
 
     /// Best-effort LRU access stamp: bumps the entry's mtime so cap
@@ -233,7 +233,7 @@ impl CheckpointStore {
             if total <= cap {
                 break;
             }
-            if st.leased.contains_key(&e.path) {
+            if st.leased.contains(&e.path) {
                 continue;
             }
             if std::fs::remove_file(&e.path).is_ok() {

@@ -723,10 +723,7 @@ fn write_mirror(store_dir: &Path, id: &str, log: &RequestLog) {
     }
     let mut text = log.snapshot().join("\n");
     text.push('\n');
-    let tmp = path.with_extension("part");
-    if std::fs::write(&tmp, text.as_bytes()).is_ok() {
-        let _ = std::fs::rename(&tmp, &path);
-    }
+    let _ = sfetch_fleet::write_atomic(&path, &text);
 }
 
 #[cfg(test)]

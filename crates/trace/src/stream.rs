@@ -12,7 +12,7 @@
 //! next-stream predictor.
 
 use sfetch_isa::{Addr, BranchKind};
-use sfetch_tab::OpenMap;
+use sfetch_tab::FnvMap;
 
 use crate::record::DynInst;
 
@@ -103,8 +103,8 @@ pub struct StreamStats {
     pub max_len: u32,
     /// Histogram over length buckets `1-8, 9-16, 17-24, 25-32, 33+`.
     pub hist: [u64; 5],
-    // Open-addressed: hit once per extracted stream on the commit path.
-    unique: OpenMap<(Addr, u32), u64>,
+    // FNV-keyed: hit once per extracted stream on the commit path.
+    unique: FnvMap<(Addr, u32), u64>,
 }
 
 impl StreamStats {
@@ -126,7 +126,7 @@ impl StreamStats {
             _ => 4,
         };
         self.hist[bucket] += 1;
-        *self.unique.entry_or_insert((s.start, s.len), 0) += 1;
+        *self.unique.entry((s.start, s.len)).or_insert(0) += 1;
     }
 
     /// Mean stream length in instructions (the paper's Table 1 "size").
@@ -254,6 +254,29 @@ mod tests {
         // top-1 = the 20-inst stream: 20/28 coverage.
         assert!((st.coverage_of_top(1) - 20.0 / 28.0).abs() < 1e-9);
         assert!((st.coverage_of_top(10) - 1.0).abs() < 1e-9);
+    }
+
+    #[test]
+    fn coverage_is_independent_of_insert_order() {
+        // Streams of 1..=64 instructions, each added 1..=3 times, so many
+        // distinct streams tie on `count × len` (e.g. 2 × 4 and 1 × 8).
+        let streams: Vec<Stream> = (0..400u64)
+            .flat_map(|i| {
+                let len = (i * 7 % 64) as u32 + 1;
+                let start = Addr::new(0x1000 + i * 0x40);
+                let s = Stream { start, len, term: None, next: Addr::NULL };
+                std::iter::repeat_n(s, (i % 3) as usize + 1)
+            })
+            .collect();
+        let (mut fwd, mut rev) = (StreamStats::new(), StreamStats::new());
+        streams.iter().for_each(|s| fwd.add(s));
+        streams.iter().rev().for_each(|s| rev.add(s));
+        assert_eq!(fwd, rev);
+        assert_eq!(fwd.unique_streams(), 400);
+        for n in 0..=401 {
+            let (f, r) = (fwd.coverage_of_top(n), rev.coverage_of_top(n));
+            assert_eq!(f.to_bits(), r.to_bits(), "top {n}");
+        }
     }
 
     #[test]
