@@ -23,9 +23,10 @@ fn bench_engines(c: &mut Criterion) {
         g.bench_function(format!("{kind}"), |b| {
             b.iter(|| {
                 let image = w.image(LayoutChoice::Optimized);
-                let engine = kind.build(8, image.entry());
+                let pc = ProcessorConfig::table2(8);
+                let engine = kind.build_for(8, image.entry(), &pc.prefetch, &pc.front);
                 let mut p = Processor::new(
-                    ProcessorConfig::table2(8),
+                    pc,
                     engine,
                     w.cfg(),
                     image,
@@ -47,9 +48,10 @@ fn bench_layouts(c: &mut Criterion) {
         g.bench_function(format!("{layout}"), |b| {
             b.iter(|| {
                 let image = w.image(layout);
-                let engine = EngineKind::Stream.build(8, image.entry());
+                let pc = ProcessorConfig::table2(8);
+                let engine = EngineKind::Stream.build_for(8, image.entry(), &pc.prefetch, &pc.front);
                 let mut p = Processor::new(
-                    ProcessorConfig::table2(8),
+                    pc,
                     engine,
                     w.cfg(),
                     image,
@@ -71,9 +73,10 @@ fn bench_widths(c: &mut Criterion) {
         g.bench_function(format!("{width}-wide"), |b| {
             b.iter(|| {
                 let image = w.image(LayoutChoice::Optimized);
-                let engine = EngineKind::Stream.build(width, image.entry());
+                let pc = ProcessorConfig::table2(width);
+                let engine = EngineKind::Stream.build_for(width, image.entry(), &pc.prefetch, &pc.front);
                 let mut p = Processor::new(
-                    ProcessorConfig::table2(width),
+                    pc,
                     engine,
                     w.cfg(),
                     image,

@@ -27,7 +27,7 @@ fn run(w: &Workload, rob_entries: usize, legacy_scan: bool) -> u64 {
     let mut pc = ProcessorConfig::table2(8);
     pc.rob_entries = rob_entries;
     pc.legacy_scan = legacy_scan;
-    let engine = EngineKind::Stream.build(8, image.entry());
+    let engine = EngineKind::Stream.build_for(8, image.entry(), &pc.prefetch, &pc.front);
     let mut p = Processor::new(pc, engine, w.cfg(), image, w.ref_seed());
     p.run(N);
     p.stats().cycles

@@ -61,6 +61,8 @@
 //! one-shot stdout, while the daemon's warm store and ledger dedupe the
 //! work across every concurrent client. `--verify` still works (the
 //! oracle is storeless), which puts the entire daemon path under test.
+//! The observability flags need the local store, so `--serve` refuses
+//! them.
 //!
 //! Per-point output is the sampled IPC with its 95% confidence
 //! interval, plus the store traffic (how much fast-forward work was

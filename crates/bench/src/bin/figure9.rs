@@ -5,7 +5,7 @@
 //! cargo run --release -p sfetch-bench --bin figure9 [-- --inst N --warmup N]
 //! ```
 
-use sfetch_bench::grid::{grid_engines, FIG9_WIDTH};
+use sfetch_bench::grid::{grid_engines, rank_label, FIG9_WIDTH};
 use sfetch_bench::{run_grid, HarnessOpts, RunPoint};
 use sfetch_core::metrics::harmonic_mean;
 use sfetch_fetch::EngineKind;
@@ -73,8 +73,9 @@ fn main() {
         stream_rank_counts[rank] += 1;
     }
     println!(
-        "\nstreams rank histogram over benchmarks (1st/2nd/3rd/4th): {:?} (paper: best in 5, \
+        "\nstreams rank histogram over benchmarks ({}): {:?} (paper: best in 5, \
          at least 2nd in all but one)",
+        rank_label(stream_rank_counts.len()),
         stream_rank_counts
     );
 }

@@ -51,14 +51,13 @@
 //! cycle-accounting time series (and, with `--ptrace`, Konata pipeline
 //! traces) into `DIR/<bench>/` — a pure side pass over the warm
 //! checkpoint store that leaves the reported IPC numbers untouched.
-//! (`--obs-dir` needs the local store, so it is ignored under
-//! `--serve`.)
+//! (`--obs-dir` needs the local store, so `--serve` refuses it.)
 
 use std::process::ExitCode;
 use std::sync::Arc;
 
 use sfetch_bench::driver::{announce_kept_store, or_die, run_request, ArgDefaults, CommonArgs};
-use sfetch_bench::grid::{verify_merged, Fig9Table, FIG9_WIDTH};
+use sfetch_bench::grid::{rank_label, verify_merged, Fig9Table, FIG9_WIDTH};
 use sfetch_bench::try_workload_by_name;
 
 /// Default benchmark set: the quick ablation subset plus the
@@ -117,8 +116,8 @@ fn main() -> ExitCode {
     // where does the stream engine rank per benchmark?
     if let Some(rank_counts) = table.stream_ranks() {
         println!(
-            "\nstreams rank histogram over benchmarks (1st..{}th): {rank_counts:?}",
-            a.engines.len()
+            "\nstreams rank histogram over benchmarks ({}): {rank_counts:?}",
+            rank_label(rank_counts.len())
         );
     }
 

@@ -96,9 +96,10 @@ pub struct ArgDefaults {
 }
 
 /// The command-line surface shared by `figure8_sampled`,
-/// `figure9_sampled` and `sfetch-serve submit`. Flags a given binary
-/// does not act on are accepted and ignored — the cost of one parser
-/// that can never drift between the one-shot and resident paths.
+/// `figure9_sampled` and `sfetch-serve submit` — one parser that can
+/// never drift between the one-shot and resident paths. The
+/// observability flags write local side passes, so they are refused
+/// with `--serve`, where no local run happens.
 pub struct CommonArgs {
     /// Harness options (`--grid-total`, `--jobs`, `--warm-bank`, …).
     pub opts: HarnessOpts,
@@ -144,8 +145,9 @@ impl CommonArgs {
     /// # Errors
     ///
     /// [`GridError::Cli`] on an unknown flag, a missing or malformed
-    /// value, or an out-of-range count; [`GridError::UnknownBench`] on
-    /// a `--bench` name no workload answers to.
+    /// value, an out-of-range count, or an observability flag with
+    /// `--serve`; [`GridError::UnknownBench`] on a `--bench` name no
+    /// workload answers to.
     pub fn parse_list(args: Vec<String>, d: &ArgDefaults) -> Result<Self, GridError> {
         let mut benches = d.benches.to_owned();
         let mut engines = d.engines.to_owned();
@@ -189,6 +191,13 @@ impl CommonArgs {
             i += 2;
         }
         let obs = ObsOpts::extract(&mut rest)?;
+        if serve.is_some() && (obs.dir.is_some() || obs.interval != 0 || obs.ptrace.is_some()) {
+            return Err(GridError::Cli(
+                "--obs-dir, --interval and --ptrace need a local run: they cannot be combined \
+                 with --serve"
+                    .into(),
+            ));
+        }
         let benches: Vec<String> = benches.split(',').map(|b| b.trim().to_owned()).collect();
         for b in &benches {
             crate::check_bench(b)?;
@@ -1077,6 +1086,9 @@ mod tests {
             (&["--sample", "500000,60000,5000,5000"], "unknown argument --sample"),
             (&["--mshrs", "4"], "mshrs 4 given but prefetch is none"),
             (&["--prefetch", "stream", "--mshrs", "0"], "requires mshrs >= 1"),
+            (&["--serve", "s.sock", "--obs-dir", "o"], "cannot be combined with --serve"),
+            (&["--interval", "8000", "--serve", "s.sock"], "cannot be combined with --serve"),
+            (&["--serve", "s.sock", "--ptrace", "1-2"], "cannot be combined with --serve"),
         ];
         for (list, want) in cases {
             let err = match CommonArgs::parse_list(args(list), &DEFAULTS) {

@@ -577,9 +577,34 @@ impl Fig9Table {
     }
 }
 
+/// The head of a rank histogram over `places` ranks: `1st/2nd/…`, one
+/// English ordinal per place (`1st/2nd/3rd/4th` for four engines).
+pub fn rank_label(places: usize) -> String {
+    let ordinal = |n: usize| {
+        let suffix = match (n % 10, n % 100) {
+            (_, 11..=13) => "th",
+            (1, _) => "st",
+            (2, _) => "nd",
+            (3, _) => "rd",
+            _ => "th",
+        };
+        format!("{n}{suffix}")
+    };
+    (1..=places).map(ordinal).collect::<Vec<_>>().join("/")
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    #[test]
+    fn rank_label_spells_each_place() {
+        assert_eq!(rank_label(2), "1st/2nd");
+        assert_eq!(rank_label(4), "1st/2nd/3rd/4th");
+        assert_eq!(rank_label(1), "1st");
+        let many = rank_label(23);
+        assert!(many.contains("/11th/12th/13th/") && many.ends_with("/21st/22nd/23rd"), "{many}");
+    }
 
     #[test]
     fn cells_are_width_major_and_complete() {

@@ -916,7 +916,7 @@ mod tests {
         let cfg = ProgramGenerator::new(GenParams::small(), 42).generate();
         let image = CodeImage::build(&cfg, &layout::natural(&cfg));
         let pc = ProcessorConfig::table2(width);
-        let engine = kind.build(width, image.entry());
+        let engine = kind.build_for(width, image.entry(), &pc.prefetch, &pc.front);
         let mut p = Processor::new(pc, engine, &cfg, &image, 7);
         p.run(insts);
         p.stats()
@@ -941,8 +941,9 @@ mod tests {
         let cfg = ProgramGenerator::new(GenParams::small(), 10).generate();
         let image = CodeImage::build(&cfg, &layout::natural(&cfg));
         let n = 30_000u64;
-        let engine = EngineKind::Stream.build(4, image.entry());
-        let mut p = Processor::new(ProcessorConfig::table2(4), engine, &cfg, &image, 3);
+        let pc = ProcessorConfig::table2(4);
+        let engine = EngineKind::Stream.build_for(4, image.entry(), &pc.prefetch, &pc.front);
+        let mut p = Processor::new(pc, engine, &cfg, &image, 3);
         p.run(n);
         let s = p.stats();
 
@@ -995,8 +996,9 @@ mod tests {
     fn warmup_reset_clears_counters_but_keeps_state() {
         let cfg = ProgramGenerator::new(GenParams::small(), 42).generate();
         let image = CodeImage::build(&cfg, &layout::natural(&cfg));
-        let engine = EngineKind::Stream.build(4, image.entry());
-        let mut p = Processor::new(ProcessorConfig::table2(4), engine, &cfg, &image, 7);
+        let pc = ProcessorConfig::table2(4);
+        let engine = EngineKind::Stream.build_for(4, image.entry(), &pc.prefetch, &pc.front);
+        let mut p = Processor::new(pc, engine, &cfg, &image, 7);
         p.run(10_000);
         let warm = p.stats();
         p.reset_stats();

@@ -20,10 +20,9 @@ fn lockstep(kind: EngineKind, width: usize, cycles: u64, gen_seed: u64, exec_see
     pc_event.legacy_scan = false;
     let mut pc_scan = pc_event;
     pc_scan.legacy_scan = true;
-    let mut event =
-        Processor::new(pc_event, kind.build(width, image.entry()), &cfg, &image, exec_seed);
-    let mut scan =
-        Processor::new(pc_scan, kind.build(width, image.entry()), &cfg, &image, exec_seed);
+    let build = || kind.build_for(width, image.entry(), &pc_event.prefetch, &pc_event.front);
+    let mut event = Processor::new(pc_event, build(), &cfg, &image, exec_seed);
+    let mut scan = Processor::new(pc_scan, build(), &cfg, &image, exec_seed);
     for c in 0..cycles {
         event.cycle();
         scan.cycle();

@@ -12,6 +12,26 @@ use crate::bundle::{Checkpoint, CommittedInst, FetchedInst, ResolvedBranch};
 /// then rejected at load and recomputed.
 pub const WARM_FORMAT_VERSION: u32 = 1;
 
+/// Starts an engine warm-state payload: a writer holding the
+/// [`WARM_FORMAT_VERSION`] header. Every [`FetchEngine::warm_state`]
+/// begins here.
+pub(crate) fn warm_writer() -> WireWriter {
+    let mut w = WireWriter::new();
+    w.u32(WARM_FORMAT_VERSION);
+    w
+}
+
+/// Opens a warm-state payload written after [`warm_writer`]'s header,
+/// refusing any other [`WARM_FORMAT_VERSION`].
+pub(crate) fn warm_reader(bytes: &[u8]) -> Result<WireReader<'_>, String> {
+    let mut r = WireReader::new(bytes);
+    let v = r.u32()?;
+    if v != WARM_FORMAT_VERSION {
+        return Err(format!("warm-state version {v} != {WARM_FORMAT_VERSION}"));
+    }
+    Ok(r)
+}
+
 /// Aggregate fetch-engine statistics (engine-agnostic).
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct FetchEngineStats {
@@ -227,28 +247,14 @@ impl EngineKind {
         [EngineKind::Ev8, EngineKind::Ftb, EngineKind::Stream, EngineKind::TraceCache];
 
     /// Builds the engine with its Table 2 configuration for the given
-    /// pipeline width, starting fetch at `entry` (no prefetcher).
-    pub fn build(self, width: usize, entry: Addr) -> Box<dyn FetchEngine> {
-        self.build_with_prefetch(width, entry, &sfetch_prefetch::PrefetchConfig::none())
-    }
-
-    /// Builds the engine with an I-cache prefetch configuration attached.
-    /// `PrefetchConfig::none()` is identical to [`EngineKind::build`].
-    /// Uses the neutral [`crate::front::FrontPipeline::legacy`] front
-    /// pipeline (shadow-branch discovery off).
-    pub fn build_with_prefetch(
-        self,
-        width: usize,
-        entry: Addr,
-        pf: &sfetch_prefetch::PrefetchConfig,
-    ) -> Box<dyn FetchEngine> {
-        self.build_for(width, entry, pf, &crate::front::FrontPipeline::legacy())
-    }
-
-    /// Builds the engine with a prefetch configuration and a front-pipeline
-    /// model. The [`crate::front::FrontPipeline`]'s timing knobs (depth,
-    /// redirect penalty, misfetch bubble) live in the processor; the
-    /// engine itself consumes only the shadow-branch-discovery switch.
+    /// pipeline width, starting fetch at `entry`, with a prefetch
+    /// configuration and a front-pipeline model — the one way to build an
+    /// engine by kind. `PrefetchConfig::none()` with
+    /// [`crate::front::FrontPipeline::legacy`] is the plain engine: the
+    /// blocking I-cache port and no shadow-branch discovery. The front
+    /// pipeline's timing knobs (depth, redirect penalty, misfetch bubble)
+    /// live in the processor; the engine itself consumes only the
+    /// shadow-branch-discovery switch.
     pub fn build_for(
         self,
         width: usize,

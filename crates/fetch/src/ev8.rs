@@ -9,7 +9,6 @@
 //! a full misprediction here.
 
 use sfetch_cfg::CodeImage;
-use sfetch_isa::wire::{WireReader, WireWriter};
 use sfetch_isa::{Addr, BranchKind};
 use sfetch_mem::MemoryHierarchy;
 use sfetch_predictors::{Btb, GlobalHistory, Ras, TwoBcGskew};
@@ -18,7 +17,7 @@ use sfetch_prefetch::{Lookahead, PrefetchConfig};
 use crate::bundle::{
     BranchPrediction, Checkpoint, CommittedInst, FetchedInst, ResolvedBranch,
 };
-use crate::engine::{FetchEngine, FetchEngineStats};
+use crate::engine::{warm_reader, warm_writer, FetchEngine, FetchEngineStats};
 use crate::front::FrontPipeline;
 use crate::port::IcachePort;
 
@@ -294,8 +293,7 @@ impl FetchEngine for Ev8Engine {
     }
 
     fn warm_state(&self) -> Vec<u8> {
-        let mut w = WireWriter::new();
-        w.u32(crate::engine::WARM_FORMAT_VERSION);
+        let mut w = warm_writer();
         self.pred.save_wire(&mut w);
         self.btb.save_wire(&mut w);
         self.ras.save_wire(&mut w);
@@ -305,11 +303,7 @@ impl FetchEngine for Ev8Engine {
     }
 
     fn load_warm_state(&mut self, bytes: &[u8]) -> Result<(), String> {
-        let mut r = WireReader::new(bytes);
-        let v = r.u32()?;
-        if v != crate::engine::WARM_FORMAT_VERSION {
-            return Err(format!("warm-state version {v} != {}", crate::engine::WARM_FORMAT_VERSION));
-        }
+        let mut r = warm_reader(bytes)?;
         self.pred.load_wire(&mut r)?;
         self.btb.load_wire(&mut r)?;
         self.ras.load_wire(&mut r)?;

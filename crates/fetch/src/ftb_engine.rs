@@ -12,19 +12,16 @@
 use std::collections::HashSet;
 
 use sfetch_cfg::CodeImage;
-use sfetch_isa::wire::{WireReader, WireWriter};
 use sfetch_isa::{Addr, BranchKind};
 use sfetch_mem::MemoryHierarchy;
 use sfetch_predictors::{Ftb, FtbEntry, GlobalHistory, PerceptronPredictor, Ras};
-use sfetch_prefetch::{Lookahead, PrefetchConfig};
+use sfetch_prefetch::PrefetchConfig;
 
-use crate::bundle::{
-    BranchPrediction, Checkpoint, CommittedInst, FetchedInst, ResolvedBranch,
-};
-use crate::engine::{FetchEngine, FetchEngineStats};
+use crate::bundle::{Checkpoint, CommittedInst, FetchedInst, ResolvedBranch};
+use crate::decoupled::DecoupledFront;
+use crate::engine::{warm_reader, warm_writer, FetchEngine, FetchEngineStats};
 use crate::front::FrontPipeline;
-use crate::ftq::{FetchRequest, Ftq};
-use crate::port::IcachePort;
+use crate::ftq::FetchRequest;
 
 /// Maximum fetch-block length in instructions (bounded length field).
 const MAX_BLOCK: u32 = 64;
@@ -39,20 +36,15 @@ struct BlockBuilder {
 /// The FTB + perceptron front-end.
 #[derive(Debug)]
 pub struct FtbEngine {
-    width: usize,
+    front: DecoupledFront,
     ftb: Ftb,
     pred: PerceptronPredictor,
     ras: Ras,
     ghist: GlobalHistory,
-    ftq: Ftq,
-    pred_pc: Addr,
-    port: IcachePort,
     /// Branch pcs ever observed taken — the commit-side terminator set
     /// (idealized as unbounded; the FTB itself is the bounded structure).
     taken_ever: HashSet<Addr>,
     builder: BlockBuilder,
-    /// Reusable lookahead scratch for the prefetch drive stage.
-    la_buf: Vec<(Addr, u32)>,
     shadow: bool,
     stats: FetchEngineStats,
 }
@@ -62,17 +54,13 @@ impl FtbEngine {
     /// 512-perceptron predictor, 8-entry RAS, 4-entry FTQ.
     pub fn table2(width: usize, entry: Addr) -> Self {
         FtbEngine {
-            width,
+            front: DecoupledFront::new(width, entry, 4),
             ftb: Ftb::new(2048, 4),
             pred: PerceptronPredictor::table2(),
             ras: Ras::new(8),
             ghist: GlobalHistory::new(),
-            ftq: Ftq::new(4),
-            pred_pc: entry,
-            port: IcachePort::blocking(),
             taken_ever: HashSet::new(),
             builder: BlockBuilder::default(),
-            la_buf: Vec::with_capacity(4),
             shadow: false,
             stats: FetchEngineStats::default(),
         }
@@ -80,7 +68,7 @@ impl FtbEngine {
 
     /// Attaches an I-cache prefetch configuration (builder-style).
     pub fn with_prefetch(mut self, pf: &PrefetchConfig) -> Self {
-        self.port = IcachePort::from_config(pf);
+        self.front.set_prefetch(pf);
         self
     }
 
@@ -118,97 +106,60 @@ impl FtbEngine {
         }
     }
 
-    /// Prefetch drive stage over the FTQ occupancy + prediction cursor.
-    fn drive_prefetch(&mut self, now: u64, mem: &mut MemoryHierarchy) {
-        if !self.port.has_prefetcher() {
-            return;
-        }
-        self.la_buf.clear();
-        self.la_buf.extend(self.ftq.iter().map(|r| (r.cur, r.remaining.max(1))));
-        let ctx = Lookahead {
-            demand: self.ftq.head_addr(),
-            queued: &self.la_buf,
-            predicted_next: Some(self.pred_pc),
-            line_bytes: mem.l1i_line_bytes(),
-        };
-        self.port.drive(now, mem, &ctx);
-    }
-
-    fn prediction_stage(&mut self, mem: &MemoryHierarchy) {
-        if !self.ftq.has_space() {
-            return;
-        }
-        let start = self.pred_pc;
+    fn prediction_stage(&mut self, line_bytes: u64) {
+        let Some(start) = self.front.next_lookup() else { return };
         self.stats.predictor_lookups += 1;
-        match self.ftb.lookup(start) {
-            Some(entry) => {
-                self.stats.predictor_hits += 1;
-                let len = entry.len.clamp(1, MAX_BLOCK);
-                let term_pc = start.offset_insts(u64::from(len) - 1);
-                let ras_pre = self.ras.snapshot();
-                let ghist_pre = self.ghist.snapshot();
-                // `next` is the *predicted* next fetch address: the target
-                // when the terminator is predicted taken, the fall-through
-                // for a predicted-not-taken conditional. The delivered
-                // terminator prediction recovers the direction from
-                // `next != fall-through` (conditional targets can never
-                // equal their fall-through in a well-formed image).
-                let next = match entry.kind {
-                    BranchKind::Cond => {
-                        let dir = self.pred.predict(term_pc, self.ghist.spec());
-                        self.ghist.push_spec(dir);
-                        if dir {
-                            entry.target
-                        } else {
-                            term_pc.next_inst()
-                        }
-                    }
-                    BranchKind::Jump | BranchKind::IndirectJump => entry.target,
-                    BranchKind::Call | BranchKind::IndirectCall => {
-                        self.ras.push(term_pc.next_inst());
-                        entry.target
-                    }
-                    BranchKind::Return => self.ras.pop(),
-                };
-                let ras_post = self.ras.snapshot();
-                self.ftq.push(FetchRequest {
-                    start,
-                    cur: start,
-                    remaining: len,
-                    term: Some(entry.kind),
-                    next,
-                    predicted: true,
-                    cp_embedded: Checkpoint { ghist: ghist_pre, path: Default::default(), ras: ras_pre },
-                    cp_term: Checkpoint { ghist: ghist_pre, path: Default::default(), ras: ras_post },
-                });
-                self.pred_pc = next;
+        let Some(entry) = self.ftb.lookup(start) else {
+            // FTB miss: fetch sequentially to the end of the line; the
+            // block is built at commit once its terminator is known.
+            let cp = Checkpoint {
+                ghist: self.ghist.snapshot(),
+                path: Default::default(),
+                ras: self.ras.snapshot(),
+            };
+            self.front.push_sequential(line_bytes, cp);
+            return;
+        };
+        self.stats.predictor_hits += 1;
+        let len = entry.len.clamp(1, MAX_BLOCK);
+        let term_pc = start.offset_insts(u64::from(len) - 1);
+        let ras_pre = self.ras.snapshot();
+        let ghist_pre = self.ghist.snapshot();
+        // `next` is the *predicted* next fetch address: the target when
+        // the terminator is predicted taken, the fall-through for a
+        // predicted-not-taken conditional.
+        let next = match entry.kind {
+            BranchKind::Cond => {
+                let dir = self.pred.predict(term_pc, self.ghist.spec());
+                self.ghist.push_spec(dir);
+                if dir {
+                    entry.target
+                } else {
+                    term_pc.next_inst()
+                }
             }
-            None => {
-                // FTB miss: fetch sequentially to the end of the line; the
-                // block is built at commit once its terminator is known.
-                let line = mem.l1i_line_bytes();
-                let len = (start.insts_to_line_end(line) as u32).max(1);
-                let next = start.offset_insts(u64::from(len));
-                let cp = Checkpoint {
-                    ghist: self.ghist.snapshot(),
-                    path: Default::default(),
-                    ras: self.ras.snapshot(),
-                };
-                self.ftq.push(FetchRequest {
-                    start,
-                    cur: start,
-                    remaining: len,
-                    term: None,
-                    next,
-                    predicted: false,
-                    cp_embedded: cp,
-                    cp_term: cp,
-                });
-                self.pred_pc = next;
+            BranchKind::Jump | BranchKind::IndirectJump => entry.target,
+            BranchKind::Call | BranchKind::IndirectCall => {
+                self.ras.push(term_pc.next_inst());
+                entry.target
             }
-        }
+            BranchKind::Return => self.ras.pop(),
+        };
+        let ras_post = self.ras.snapshot();
+        self.front.push(FetchRequest {
+            start,
+            cur: start,
+            remaining: len,
+            term: Some(entry.kind),
+            // Conditional targets never equal their fall-through in a
+            // well-formed image, so this is the predicted direction.
+            taken: next != term_pc.next_inst(),
+            next,
+            predicted: true,
+            cp_embedded: Checkpoint { ghist: ghist_pre, path: Default::default(), ras: ras_pre },
+            cp_term: Checkpoint { ghist: ghist_pre, path: Default::default(), ras: ras_post },
+        });
     }
-
 }
 
 impl FetchEngine for FtbEngine {
@@ -217,7 +168,7 @@ impl FetchEngine for FtbEngine {
     }
 
     fn width(&self) -> usize {
-        self.width
+        self.front.width()
     }
 
     fn cycle(
@@ -227,68 +178,23 @@ impl FetchEngine for FtbEngine {
         mem: &mut MemoryHierarchy,
         out: &mut Vec<FetchedInst>,
     ) {
-        self.port.begin_cycle(now, mem);
-        self.prediction_stage(mem);
-        self.drive_prefetch(now, mem);
-        if self.port.stalled(now, &mut self.stats) {
-            return;
-        }
-        let Some(head) = self.ftq.head() else { return };
-        let req = *head;
-        if !self.port.demand(now, mem, req.cur, &mut self.stats) {
-            return;
-        }
-        let line = mem.l1i_line_bytes();
-        let k = (self.width as u32)
-            .min(req.remaining)
-            .min(req.cur.insts_to_line_end(line) as u32)
-            .max(1);
-        let term_pc = req.term_pc();
-        for i in 0..k {
-            let pc = req.cur.offset_insts(u64::from(i));
-            let Some(ii) = image.inst_at(pc) else {
-                self.ftq.clear();
-                return;
-            };
-            let is_term = req.term.is_some() && pc == term_pc;
-            let pred = ii.control.map(|attr| {
-                if is_term {
-                    // Predicted taken iff the request's next address is not
-                    // the fall-through.
-                    let taken = req.next != term_pc.next_inst();
-                    let target = if taken { req.next } else { attr.target.unwrap_or(Addr::NULL) };
-                    BranchPrediction { taken, target }
-                } else {
-                    BranchPrediction { taken: false, target: attr.target.unwrap_or(Addr::NULL) }
-                }
-            });
-            let cp = if is_term { req.cp_term } else { req.cp_embedded };
-            out.push(FetchedInst { pc, inst: ii.inst, pred, cp });
-        }
+        self.prediction_stage(mem.l1i_line_bytes());
+        let Some(req) = self.front.cycle(now, image, mem, &mut self.stats, out) else { return };
         if self.shadow && !req.predicted && req.cur == req.start {
             // First delivery chunk of an unpredicted sequential request:
             // decode sees the whole fetched region — mine it for shadow
             // branches.
             self.shadow_scan(image, req.start, req.remaining);
         }
-        let head = self.ftq.head().expect("head exists");
-        head.consume(k);
-        if head.is_empty() {
-            let done = self.ftq.pop().expect("pop");
-            self.stats.units += 1;
-            self.stats.unit_insts += u64::from(done.len());
-        }
     }
 
     fn redirect(&mut self, now: u64, target: Addr, cp: &Checkpoint, resolved: &ResolvedBranch) {
-        self.ftq.clear();
-        self.pred_pc = target;
+        self.front.redirect(now, target);
         self.ghist.restore(cp.ghist);
         if resolved.kind == Some(BranchKind::Cond) {
             self.ghist.push_spec(resolved.taken);
         }
         self.ras.restore(cp.ras);
-        self.port.redirect(now);
     }
 
     fn commit(&mut self, ci: &CommittedInst) {
@@ -329,12 +235,11 @@ impl FetchEngine for FtbEngine {
     }
 
     fn stall_probe(&self) -> crate::StallCause {
-        self.port.last_stall()
+        self.front.stall_probe()
     }
 
     fn warm_state(&self) -> Vec<u8> {
-        let mut w = WireWriter::new();
-        w.u32(crate::engine::WARM_FORMAT_VERSION);
+        let mut w = warm_writer();
         self.ftb.save_wire(&mut w);
         self.pred.save_wire(&mut w);
         self.ghist.save_wire(&mut w);
@@ -356,11 +261,7 @@ impl FetchEngine for FtbEngine {
     }
 
     fn load_warm_state(&mut self, bytes: &[u8]) -> Result<(), String> {
-        let mut r = WireReader::new(bytes);
-        let v = r.u32()?;
-        if v != crate::engine::WARM_FORMAT_VERSION {
-            return Err(format!("warm-state version {v} != {}", crate::engine::WARM_FORMAT_VERSION));
-        }
+        let mut r = warm_reader(bytes)?;
         self.ftb.load_wire(&mut r)?;
         self.pred.load_wire(&mut r)?;
         self.ghist = GlobalHistory::load_wire(&mut r)?;
@@ -385,7 +286,7 @@ impl FetchEngine for FtbEngine {
         self.ftb.storage_bits()
             + self.pred.storage_bits()
             + self.ras.storage_bits()
-            + self.port.storage_bits()
+            + self.front.storage_bits()
     }
 }
 

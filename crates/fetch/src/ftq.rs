@@ -26,6 +26,12 @@ pub struct FetchRequest {
     /// is predicted (sequential fallback or a cap-split stream): every
     /// branch inside is implicitly not-taken.
     pub term: Option<BranchKind>,
+    /// Whether the terminator is predicted taken, set by the prediction
+    /// stage: always for streams, which end at taken branches by
+    /// construction; for an FTB block, whether `next` is not the
+    /// terminator's fall-through. A terminator predicted not taken is
+    /// delivered like an embedded branch. Unused when `term` is `None`.
+    pub taken: bool,
     /// Predicted next fetch address after the unit (the terminator's
     /// target, RAS-resolved for returns; `start + len` for sequential).
     pub next: Addr,
@@ -154,6 +160,7 @@ mod tests {
             cur: Addr::new(start),
             remaining: len,
             term: Some(BranchKind::Cond),
+            taken: true,
             next: Addr::new(0x9000),
             predicted: true,
             cp_embedded: Checkpoint::default(),

@@ -28,6 +28,7 @@
 #![warn(missing_docs)]
 
 pub mod bundle;
+mod decoupled;
 pub mod engine;
 pub mod ev8;
 pub mod front;

@@ -67,7 +67,7 @@ impl IcachePort {
     pub fn from_config(cfg: &PrefetchConfig) -> Self {
         cfg.validate();
         IcachePort {
-            prefetcher: cfg.kind.build(),
+            prefetcher: cfg.kind.prefetcher(),
             degree: cfg.degree,
             stall_until: 0,
             stall_from_mem: None,

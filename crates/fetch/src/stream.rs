@@ -9,20 +9,17 @@
 //! point — a *partial stream* — with no rollback (§1).
 
 use sfetch_cfg::CodeImage;
-use sfetch_isa::wire::{WireReader, WireWriter};
 use sfetch_isa::{Addr, BranchKind};
 use sfetch_mem::MemoryHierarchy;
 use sfetch_predictors::{
     NextStreamPredictor, Ras, StreamPredictorConfig, StreamUpdate,
 };
-use sfetch_prefetch::{Lookahead, PrefetchConfig};
+use sfetch_prefetch::PrefetchConfig;
 
-use crate::bundle::{
-    BranchPrediction, Checkpoint, CommittedInst, FetchedInst, ResolvedBranch,
-};
-use crate::engine::{FetchEngine, FetchEngineStats};
-use crate::ftq::{FetchRequest, Ftq};
-use crate::port::IcachePort;
+use crate::bundle::{Checkpoint, CommittedInst, FetchedInst, ResolvedBranch};
+use crate::decoupled::DecoupledFront;
+use crate::engine::{warm_reader, warm_writer, FetchEngine, FetchEngineStats};
+use crate::ftq::FetchRequest;
 
 /// One open (still accumulating) stream on the commit side.
 ///
@@ -54,16 +51,11 @@ const MAX_OPEN: usize = 6;
 /// ```
 #[derive(Debug)]
 pub struct StreamEngine {
-    width: usize,
+    front: DecoupledFront,
     pred: NextStreamPredictor,
     ras: Ras,
-    ftq: Ftq,
-    pred_pc: Addr,
-    port: IcachePort,
     max_stream: u32,
     open: Vec<OpenStream>,
-    /// Reusable lookahead scratch for the prefetch drive stage.
-    la_buf: Vec<(Addr, u32)>,
     stats: FetchEngineStats,
 }
 
@@ -84,22 +76,18 @@ impl StreamEngine {
     ) -> Self {
         let max_stream = pred_config.max_len;
         StreamEngine {
-            width,
+            front: DecoupledFront::new(width, entry, ftq_entries),
             pred: NextStreamPredictor::new(pred_config),
             ras: Ras::new(ras_entries),
-            ftq: Ftq::new(ftq_entries),
-            pred_pc: entry,
-            port: IcachePort::blocking(),
             max_stream,
             open: Vec::with_capacity(MAX_OPEN),
-            la_buf: Vec::with_capacity(ftq_entries),
             stats: FetchEngineStats::default(),
         }
     }
 
     /// Attaches an I-cache prefetch configuration (builder-style).
     pub fn with_prefetch(mut self, pf: &PrefetchConfig) -> Self {
-        self.port = IcachePort::from_config(pf);
+        self.front.set_prefetch(pf);
         self
     }
 
@@ -140,30 +128,9 @@ impl StreamEngine {
         &self.pred
     }
 
-    /// Prefetch drive stage: hand the engine's whole lookahead — every
-    /// FTQ request (the head's unread tail included) and the predicted
-    /// next stream start — to the prefetcher (§3.3's lookahead argument).
-    fn drive_prefetch(&mut self, now: u64, mem: &mut MemoryHierarchy) {
-        if !self.port.has_prefetcher() {
-            return;
-        }
-        self.la_buf.clear();
-        self.la_buf.extend(self.ftq.iter().map(|r| (r.cur, r.remaining.max(1))));
-        let ctx = Lookahead {
-            demand: self.ftq.head_addr(),
-            queued: &self.la_buf,
-            predicted_next: Some(self.pred_pc),
-            line_bytes: mem.l1i_line_bytes(),
-        };
-        self.port.drive(now, mem, &ctx);
-    }
-
     /// Prediction stage: one lookup per cycle when the FTQ has space.
-    fn prediction_stage(&mut self, mem: &MemoryHierarchy) {
-        if !self.ftq.has_space() {
-            return;
-        }
-        let start = self.pred_pc;
+    fn prediction_stage(&mut self, line_bytes: u64) {
+        let Some(start) = self.front.next_lookup() else { return };
         self.stats.predictor_lookups += 1;
         let prediction = self.pred.predict(start);
         // The request start enters the speculative path register whether
@@ -171,58 +138,38 @@ impl StreamEngine {
         self.pred.notify_fetch(start);
         let path = self.pred.snapshot();
         let ras_pre = self.ras.snapshot();
-        match prediction {
-            Some(p) => {
-                self.stats.predictor_hits += 1;
-                // Cap-split streams continue sequentially by construction.
-                let mut next = if p.kind.is_none() {
-                    start.offset_insts(u64::from(p.len))
-                } else {
-                    p.next
-                };
-                match p.kind {
-                    Some(BranchKind::Call) | Some(BranchKind::IndirectCall) => {
-                        // Return address: the instruction after the stream.
-                        self.ras.push(start.offset_insts(u64::from(p.len)));
-                    }
-                    Some(BranchKind::Return) => {
-                        next = self.ras.pop();
-                    }
-                    _ => {}
-                }
-                let ras_post = self.ras.snapshot();
-                self.ftq.push(FetchRequest {
-                    start,
-                    cur: start,
-                    remaining: p.len,
-                    term: p.kind,
-                    next,
-                    predicted: true,
-                    cp_embedded: Checkpoint { ghist: 0, path, ras: ras_pre },
-                    cp_term: Checkpoint { ghist: 0, path, ras: ras_post },
-                });
-                self.pred_pc = next;
+        let Some(p) = prediction else {
+            // Sequential fallback: request the rest of the current
+            // cache line; retry the predictor at the next line (§3.2).
+            self.front.push_sequential(line_bytes, Checkpoint { ghist: 0, path, ras: ras_pre });
+            return;
+        };
+        self.stats.predictor_hits += 1;
+        // Cap-split streams continue sequentially by construction.
+        let mut next = if p.kind.is_none() { start.offset_insts(u64::from(p.len)) } else { p.next };
+        match p.kind {
+            Some(BranchKind::Call) | Some(BranchKind::IndirectCall) => {
+                // Return address: the instruction after the stream.
+                self.ras.push(start.offset_insts(u64::from(p.len)));
             }
-            None => {
-                // Sequential fallback: request the rest of the current
-                // cache line; retry the predictor at the next line (§3.2).
-                let line = mem.l1i_line_bytes();
-                let len = (start.insts_to_line_end(line) as u32).max(1);
-                let next = start.offset_insts(u64::from(len));
-                let cp = Checkpoint { ghist: 0, path, ras: ras_pre };
-                self.ftq.push(FetchRequest {
-                    start,
-                    cur: start,
-                    remaining: len,
-                    term: None,
-                    next,
-                    predicted: false,
-                    cp_embedded: cp,
-                    cp_term: cp,
-                });
-                self.pred_pc = next;
+            Some(BranchKind::Return) => {
+                next = self.ras.pop();
             }
+            _ => {}
         }
+        let ras_post = self.ras.snapshot();
+        self.front.push(FetchRequest {
+            start,
+            cur: start,
+            remaining: p.len,
+            term: p.kind,
+            // Streams end at taken branches by construction.
+            taken: true,
+            next,
+            predicted: true,
+            cp_embedded: Checkpoint { ghist: 0, path, ras: ras_pre },
+            cp_term: Checkpoint { ghist: 0, path, ras: ras_post },
+        });
     }
 }
 
@@ -232,7 +179,7 @@ impl FetchEngine for StreamEngine {
     }
 
     fn width(&self) -> usize {
-        self.width
+        self.front.width()
     }
 
     fn cycle(
@@ -242,61 +189,17 @@ impl FetchEngine for StreamEngine {
         mem: &mut MemoryHierarchy,
         out: &mut Vec<FetchedInst>,
     ) {
-        self.port.begin_cycle(now, mem);
         // The prediction stage keeps running while the I-cache waits — the
         // decoupling the FTQ provides (§3.3) — and the prefetcher runs
         // ahead of fetch over everything the FTQ already names.
-        self.prediction_stage(mem);
-        self.drive_prefetch(now, mem);
-
-        if self.port.stalled(now, &mut self.stats) {
-            return;
-        }
-        let Some(head) = self.ftq.head() else { return };
-        let req = *head;
-        if !self.port.demand(now, mem, req.cur, &mut self.stats) {
-            return;
-        }
-        let line = mem.l1i_line_bytes();
-        let k = (self.width as u32)
-            .min(req.remaining)
-            .min(req.cur.insts_to_line_end(line) as u32)
-            .max(1);
-        let term_pc = req.term_pc();
-        for i in 0..k {
-            let pc = req.cur.offset_insts(u64::from(i));
-            let Some(ii) = image.inst_at(pc) else {
-                // Wrong path ran off the image: go idle until redirected.
-                self.ftq.clear();
-                return;
-            };
-            let is_term = req.term.is_some() && pc == term_pc;
-            let pred = ii.control.map(|attr| {
-                if is_term {
-                    BranchPrediction { taken: true, target: req.next }
-                } else {
-                    // Embedded branches are implicitly not-taken (§3.2).
-                    BranchPrediction { taken: false, target: attr.target.unwrap_or(Addr::NULL) }
-                }
-            });
-            let cp = if is_term { req.cp_term } else { req.cp_embedded };
-            out.push(FetchedInst { pc, inst: ii.inst, pred, cp });
-        }
-        let head = self.ftq.head().expect("head exists");
-        head.consume(k);
-        if head.is_empty() {
-            let done = self.ftq.pop().expect("pop head");
-            self.stats.units += 1;
-            self.stats.unit_insts += u64::from(done.len());
-        }
+        self.prediction_stage(mem.l1i_line_bytes());
+        self.front.cycle(now, image, mem, &mut self.stats, out);
     }
 
     fn redirect(&mut self, now: u64, target: Addr, cp: &Checkpoint, _resolved: &ResolvedBranch) {
-        self.ftq.clear();
-        self.pred_pc = target;
+        self.front.redirect(now, target);
         self.pred.restore(cp.path);
         self.ras.restore(cp.ras);
-        self.port.redirect(now);
     }
 
     fn commit(&mut self, ci: &CommittedInst) {
@@ -395,12 +298,11 @@ impl FetchEngine for StreamEngine {
     }
 
     fn stall_probe(&self) -> crate::StallCause {
-        self.port.last_stall()
+        self.front.stall_probe()
     }
 
     fn warm_state(&self) -> Vec<u8> {
-        let mut w = WireWriter::new();
-        w.u32(crate::engine::WARM_FORMAT_VERSION);
+        let mut w = warm_writer();
         self.pred.save_wire(&mut w);
         self.ras.save_wire(&mut w);
         w.u64(self.open.len() as u64);
@@ -415,11 +317,7 @@ impl FetchEngine for StreamEngine {
     }
 
     fn load_warm_state(&mut self, bytes: &[u8]) -> Result<(), String> {
-        let mut r = WireReader::new(bytes);
-        let v = r.u32()?;
-        if v != crate::engine::WARM_FORMAT_VERSION {
-            return Err(format!("warm-state version {v} != {}", crate::engine::WARM_FORMAT_VERSION));
-        }
+        let mut r = warm_reader(bytes)?;
         self.pred.load_wire(&mut r)?;
         self.ras.load_wire(&mut r)?;
         let n = r.u64()? as usize;
@@ -447,7 +345,7 @@ impl FetchEngine for StreamEngine {
     }
 
     fn storage_bits(&self) -> u64 {
-        self.pred.storage_bits() + self.ras.storage_bits() + self.port.storage_bits()
+        self.pred.storage_bits() + self.ras.storage_bits() + self.front.storage_bits()
     }
 }
 

@@ -16,7 +16,6 @@
 //! BTB/gshare-predicted fetch block per cycle.
 
 use sfetch_cfg::CodeImage;
-use sfetch_isa::wire::{WireReader, WireWriter};
 use sfetch_isa::{Addr, BranchKind};
 use sfetch_mem::MemoryHierarchy;
 use sfetch_predictors::{
@@ -29,7 +28,7 @@ use sfetch_prefetch::{Lookahead, PrefetchConfig};
 use crate::bundle::{
     BranchPrediction, Checkpoint, CommittedInst, FetchedInst, ResolvedBranch,
 };
-use crate::engine::{FetchEngine, FetchEngineStats};
+use crate::engine::{warm_reader, warm_writer, FetchEngine, FetchEngineStats};
 use crate::front::FrontPipeline;
 use crate::port::IcachePort;
 
@@ -638,8 +637,7 @@ impl FetchEngine for TraceCacheEngine {
     }
 
     fn warm_state(&self) -> Vec<u8> {
-        let mut w = WireWriter::new();
-        w.u32(crate::engine::WARM_FORMAT_VERSION);
+        let mut w = warm_writer();
         self.pred.save_wire(&mut w);
         self.tc.save_wire_with(&mut w, &mut |w, line| {
             let TraceLine { len, n_cond, dirs, pcs, term, next } = line;
@@ -673,11 +671,7 @@ impl FetchEngine for TraceCacheEngine {
     }
 
     fn load_warm_state(&mut self, bytes: &[u8]) -> Result<(), String> {
-        let mut r = WireReader::new(bytes);
-        let v = r.u32()?;
-        if v != crate::engine::WARM_FORMAT_VERSION {
-            return Err(format!("warm-state version {v} != {}", crate::engine::WARM_FORMAT_VERSION));
-        }
+        let mut r = warm_reader(bytes)?;
         self.pred.load_wire(&mut r)?;
         self.tc.load_wire_with(&mut r, &mut |r| {
             let len = r.u8()?;

@@ -4,10 +4,16 @@
 //! the foundation the sampled-simulation store builds on — a banked warm
 //! state must be indistinguishable from having run the warming walk live.
 
-use sfetch_fetch::{CommittedControl, CommittedInst, EngineKind};
+use sfetch_fetch::{CommittedControl, CommittedInst, EngineKind, FetchEngine, FrontPipeline};
 use sfetch_isa::{Addr, BranchKind};
+use sfetch_prefetch::PrefetchConfig;
 
 const ENTRY: Addr = Addr::new(0x1000);
+
+/// A factory-fresh 8-wide engine of `kind`.
+fn build(kind: EngineKind) -> Box<dyn FetchEngine> {
+    kind.build_for(8, ENTRY, &PrefetchConfig::none(), &FrontPipeline::legacy())
+}
 
 fn plain(pc: u64) -> CommittedInst {
     CommittedInst { pc: Addr::new(pc), control: None, mispredicted: false }
@@ -56,8 +62,8 @@ fn commit_stream(iters: usize) -> Vec<CommittedInst> {
     out
 }
 
-fn warmed(kind: EngineKind, iters: usize) -> Box<dyn sfetch_fetch::FetchEngine> {
-    let mut eng = kind.build(8, ENTRY);
+fn warmed(kind: EngineKind, iters: usize) -> Box<dyn FetchEngine> {
+    let mut eng = build(kind);
     let stream = commit_stream(iters);
     for chunk in stream.chunks(16) {
         eng.warm_block(chunk);
@@ -72,8 +78,8 @@ fn warmed(kind: EngineKind, iters: usize) -> Box<dyn sfetch_fetch::FetchEngine> 
 #[test]
 fn all_engines_support_warm_state() {
     for kind in EngineKind::ALL {
-        let bytes = kind.build(8, ENTRY).warm_state();
-        let mut fresh = kind.build(8, ENTRY);
+        let bytes = build(kind).warm_state();
+        let mut fresh = build(kind);
         fresh.load_warm_state(&bytes).unwrap_or_else(|e| panic!("{kind}: load failed: {e}"));
         assert_eq!(fresh.warm_state(), bytes, "{kind}: fresh state must round-trip");
     }
@@ -84,7 +90,7 @@ fn roundtrip_is_byte_identical() {
     for kind in EngineKind::ALL {
         let warm = warmed(kind, 200);
         let bytes = warm.warm_state();
-        let mut fresh = kind.build(8, ENTRY);
+        let mut fresh = build(kind);
         assert_ne!(
             fresh.warm_state(),
             bytes,
@@ -116,14 +122,14 @@ fn capture_is_deterministic_across_identical_warmups() {
 fn truncated_and_trailing_bytes_are_rejected() {
     for kind in EngineKind::ALL {
         let bytes = warmed(kind, 50).warm_state();
-        let mut fresh = kind.build(8, ENTRY);
+        let mut fresh = build(kind);
         assert!(
             fresh.load_warm_state(&bytes[..bytes.len() - 1]).is_err(),
             "{kind}: truncated payload must be rejected"
         );
         let mut extended = bytes.clone();
         extended.push(0);
-        let mut fresh = kind.build(8, ENTRY);
+        let mut fresh = build(kind);
         assert!(
             fresh.load_warm_state(&extended).is_err(),
             "{kind}: trailing garbage must be rejected"
@@ -136,7 +142,7 @@ fn version_mismatch_is_rejected() {
     for kind in EngineKind::ALL {
         let mut bytes = warmed(kind, 50).warm_state();
         bytes[0] ^= 0xff; // first u32 is the warm-format version
-        let mut fresh = kind.build(8, ENTRY);
+        let mut fresh = build(kind);
         let err = fresh.load_warm_state(&bytes).expect_err("version mismatch must fail");
         assert!(err.contains("version"), "{kind}: unexpected error: {err}");
     }
@@ -146,7 +152,7 @@ fn version_mismatch_is_rejected() {
 fn cross_engine_payloads_are_rejected() {
     let stream_bytes = warmed(EngineKind::Stream, 50).warm_state();
     for kind in [EngineKind::Ev8, EngineKind::Ftb, EngineKind::TraceCache] {
-        let mut eng = kind.build(8, ENTRY);
+        let mut eng = build(kind);
         assert!(
             eng.load_warm_state(&stream_bytes).is_err(),
             "{kind}: stream-engine payload must not load"
@@ -163,7 +169,7 @@ fn trace_cache_fill_unit_over_the_conditional_cap_is_rejected() {
     for n_cond in [sfetch_fetch::trace_cache::MAX_COND + 1, 8, 0xff] {
         let mut bad = bytes.clone();
         bad[n_cond_at] = n_cond;
-        let mut fresh = EngineKind::TraceCache.build(8, ENTRY);
+        let mut fresh = build(EngineKind::TraceCache);
         let err = fresh.load_warm_state(&bad).expect_err("an over-cap fill unit must not load");
         assert!(err.contains("MAX_COND"), "unexpected error: {err}");
     }

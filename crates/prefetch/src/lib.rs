@@ -66,7 +66,7 @@ impl PrefetchKind {
     ];
 
     /// Builds the policy with its default geometry; `None` builds nothing.
-    pub fn build(self) -> Option<Box<dyn Prefetcher>> {
+    pub fn prefetcher(self) -> Option<Box<dyn Prefetcher>> {
         match self {
             PrefetchKind::None => None,
             PrefetchKind::NextLine => Some(Box::new(NextLine::new(2))),
@@ -211,9 +211,9 @@ mod tests {
 
     #[test]
     fn none_builds_nothing_and_everything_else_builds() {
-        assert!(PrefetchKind::None.build().is_none());
+        assert!(PrefetchKind::None.prefetcher().is_none());
         for k in [PrefetchKind::NextLine, PrefetchKind::StreamDirected, PrefetchKind::Mana] {
-            let p = k.build().expect("policy");
+            let p = k.prefetcher().expect("policy");
             assert!(p.storage_bits() < 10_000_000, "{}: implausible storage", p.name());
         }
     }

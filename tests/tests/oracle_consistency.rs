@@ -27,8 +27,9 @@ fn committed_branch_counts_match_the_executor() {
             }
         }
         for kind in EngineKind::ALL {
-            let engine = kind.build(4, image.entry());
-            let mut p = Processor::new(ProcessorConfig::table2(4), engine, w.cfg(), image, w.ref_seed());
+            let pc = ProcessorConfig::table2(4);
+            let engine = kind.build_for(4, image.entry(), &pc.prefetch, &pc.front);
+            let mut p = Processor::new(pc, engine, w.cfg(), image, w.ref_seed());
             p.run(n);
             let s = p.stats();
             assert_eq!(s.cond_branches, conds, "{kind}/{layout}: cond count diverged");

@@ -22,7 +22,9 @@ use proptest::prelude::*;
 use sfetch_cfg::gen::{GenParams, ProgramGenerator};
 use sfetch_cfg::{layout, CodeImage};
 use sfetch_core::{PrefetchConfig, PrefetchKind, Processor, ProcessorConfig};
-use sfetch_fetch::EngineKind;
+use sfetch_fetch::{
+    EngineKind, Ev8Engine, FetchEngine, FtbEngine, StreamEngine, TraceCacheEngine,
+};
 use sfetch_isa::Addr;
 use sfetch_mem::{InstDemand, MemoryConfig, MemoryHierarchy, MshrFile};
 
@@ -133,7 +135,10 @@ proptest! {
 
 /// `Prefetcher = None` must match the legacy blocking model
 /// cycle-for-cycle: same committed count, same cycle count, same stall
-/// and cache statistics at every step.
+/// and cache statistics at every step. The engines' own `table2`
+/// constructors (which the ablation binaries use) keep the blocking
+/// port; [`EngineKind::build_for`] builds the port from the
+/// configuration.
 #[test]
 fn none_prefetcher_locksteps_the_legacy_blocking_model() {
     let cfg = ProgramGenerator::new(GenParams::small(), 42).generate();
@@ -141,8 +146,14 @@ fn none_prefetcher_locksteps_the_legacy_blocking_model() {
     for kind in EngineKind::ALL {
         let pc = ProcessorConfig::table2(4);
         assert_eq!(pc.prefetch, PrefetchConfig::none(), "default must be disabled");
-        let legacy = kind.build(4, image.entry());
-        let via_port = kind.build_with_prefetch(4, image.entry(), &PrefetchConfig::none());
+        let entry = image.entry();
+        let legacy: Box<dyn FetchEngine> = match kind {
+            EngineKind::Stream => Box::new(StreamEngine::table2(4, entry)),
+            EngineKind::Ev8 => Box::new(Ev8Engine::table2(4, entry)),
+            EngineKind::Ftb => Box::new(FtbEngine::table2(4, entry)),
+            EngineKind::TraceCache => Box::new(TraceCacheEngine::table2(4, entry)),
+        };
+        let via_port = kind.build_for(4, entry, &PrefetchConfig::none(), &pc.front);
         let mut pa = Processor::new(pc, legacy, &cfg, &image, 7);
         let mut pb = Processor::new(pc, via_port, &cfg, &image, 7);
         for t in 0..40_000u64 {
@@ -172,7 +183,7 @@ fn pipelined_demand_only_tracks_blocking_cycle_counts() {
             if mshrs > 0 {
                 pc.prefetch = PrefetchConfig { kind: PrefetchKind::None, mshrs, degree: 0 };
             }
-            let engine = kind.build_with_prefetch(4, image.entry(), &pc.prefetch);
+            let engine = kind.build_for(4, image.entry(), &pc.prefetch, &pc.front);
             let mut p = Processor::new(pc, engine, &cfg, &image, 3);
             p.run(40_000);
             p.stats()
@@ -201,7 +212,7 @@ fn stream_directed_prefetch_reduces_stream_engine_fetch_stalls() {
     let run = |pf: PrefetchConfig| {
         let mut pc = ProcessorConfig::table2(8);
         pc.prefetch = pf;
-        let engine = EngineKind::Stream.build_with_prefetch(8, image.entry(), &pf);
+        let engine = EngineKind::Stream.build_for(8, image.entry(), &pf, &pc.front);
         let mut p = Processor::new(pc, engine, &cfg, &image, 9);
         p.run(30_000);
         p.reset_stats();

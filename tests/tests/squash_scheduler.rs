@@ -37,7 +37,7 @@ proptest! {
         let run = |legacy_scan: bool| {
             let mut pc = ProcessorConfig::table2(width);
             pc.legacy_scan = legacy_scan;
-            let engine = kind.build(width, image.entry());
+            let engine = kind.build_for(width, image.entry(), &pc.prefetch, &pc.front);
             let mut p = Processor::new(pc, engine, &cfg, &image, exec_seed);
             p.run(n);
             p.stats()
@@ -82,7 +82,7 @@ proptest! {
         let run = |legacy_scan: bool| {
             let mut pc = pc;
             pc.legacy_scan = legacy_scan;
-            let engine = EngineKind::Ev8.build(8, image.entry());
+            let engine = EngineKind::Ev8.build_for(8, image.entry(), &pc.prefetch, &pc.front);
             let mut p = Processor::new(pc, engine, &cfg, &image, gen_seed ^ 0xbeef);
             p.run(n);
             p.stats()
